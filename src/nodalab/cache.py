@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .grid import ResolutionRule
+from .reports import CODE_VERSION
 from .spectrum import EigenMode
 
 
@@ -16,8 +19,10 @@ class FieldCache:
     """Stores distance arrays as .npy files under a root directory.
 
     The key hashes everything that determines the array: the domain, the mode
-    indices and factor kinds, and the resolution rule. Loading never raises;
-    a corrupt or missing entry reads as a miss.
+    indices and factor kinds, the whole resolution rule and the code version.
+    Loading never raises; a corrupt or missing entry reads as a miss. Each
+    store writes its own temporary file and renames it into place, so
+    concurrent writers of one key leave one complete entry.
     """
 
     def __init__(self, root):
@@ -32,6 +37,8 @@ class FieldCache:
             "ppw": rule.points_per_wavelength,
             "h_max": rule.h_max,
             "max_total_points": rule.max_total_points,
+            "min_points_per_axis": rule.min_points_per_axis,
+            "code_version": CODE_VERSION,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:24]
@@ -50,7 +57,12 @@ class FieldCache:
 
     def store(self, key: str, dist: np.ndarray) -> Path:
         p = self.path(key)
-        tmp = p.with_suffix(".tmp.npy")
-        np.save(tmp, dist)
-        tmp.replace(p)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f"{p.stem}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, dist)
+            os.replace(tmp, p)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return p

@@ -4,9 +4,15 @@ The field is an exact Euclidean distance transform seeded at the nodal vertices
 rasterized to their nearest grid points, so pointwise it differs from the true
 distance to the interpolated nodal set by at most the rasterization displacement
 (half the grid diagonal), well inside the documented 2*max(h) accuracy contract.
-Periodic axes are handled by padding the seed mask with half a period per side
-(on a circle the nearest site is at most half a period away), transforming the
-padded array, and cropping.
+
+Periodic axes are handled by wrap-padding the seed mask, transforming the padded
+array and cropping. Padding axis j by p_j cells puts every seed image within
+R = min_j p_j*h_j of a grid point inside the array, and the padded transform never
+undercuts the periodic distance, so a cropped field whose maximum is below R is
+exact. The first pad is sized from the seed density; if the certificate fails,
+that field's maximum (an upper bound on the periodic distance) sizes a second pad
+that passes it. A pad of half a period plus one cell holds every nearest image on
+its own, so axes padded that far do not limit R.
 """
 
 from __future__ import annotations
@@ -67,23 +73,33 @@ def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceF
 
     An empty nodal set yields an all-infinity field flagged ``empty`` rather
     than an error, so callers can distinguish "no zeros" from "far from zeros".
+    ``cap`` bounds the number of points in any one (padded) transform.
     """
     sample = nodal.sample
     seeds = _seed_mask(nodal)
-    if not seeds.any():
+    n_seeds = np.count_nonzero(seeds)
+    if n_seeds == 0:
         return DistanceField(nodal, np.full(sample.shape, np.inf), True)
     if not sample.periodic:
         if seeds.size > cap:
             raise ResourceGuardError(f"distance transform on {seeds.size} points (cap {cap})")
         dist = distance_transform_edt(~seeds, sampling=sample.h)
         return DistanceField(nodal, dist, False)
-    pads = [s // 2 + 1 for s in sample.shape]
-    padded_size = math.prod(s + 2 * p for s, p in zip(sample.shape, pads))
-    if padded_size > cap:
-        raise ResourceGuardError(
-            f"padded distance transform needs {padded_size} points (cap {cap})"
-        )
-    padded = np.pad(seeds, [(p, p) for p in pads], mode="wrap")
-    dist = distance_transform_edt(~padded, sampling=sample.h)
-    crop = tuple(slice(p, p + s) for p, s in zip(pads, sample.shape))
-    return DistanceField(nodal, np.ascontiguousarray(dist[crop]), False)
+    full = [s // 2 + 1 for s in sample.shape]
+    # first guess: grid points per seed, about the spacing of the nodal set
+    radius = seeds.size / n_seeds * min(sample.h)
+    while True:  # at most twice: the second pad exceeds the first field's maximum
+        pads = [min(f, math.ceil(radius / hj) + 1) for f, hj in zip(full, sample.h)]
+        padded_size = math.prod(s + 2 * p for s, p in zip(sample.shape, pads))
+        if padded_size > cap:
+            raise ResourceGuardError(
+                f"padded distance transform needs {padded_size} points (cap {cap})"
+            )
+        padded = np.pad(seeds, [(p, p) for p in pads], mode="wrap")
+        dist = distance_transform_edt(~padded, sampling=sample.h)
+        crop = tuple(slice(p, p + s) for p, s in zip(pads, sample.shape))
+        dist = np.ascontiguousarray(dist[crop])
+        reach = min((p * hj for p, f, hj in zip(pads, full, sample.h) if p < f), default=math.inf)
+        radius = float(dist.max())
+        if radius < reach:
+            return DistanceField(nodal, dist, False)

@@ -17,34 +17,24 @@ import numpy as np
 
 from .distance import DistanceField
 from .errors import EmptyNodalSetError, ResolutionError, ValidationError
-from .nodal import _axis_pairs
+from .nodal import _corner_reduce
 from .spectrum import nodal_distance_exact
+
+# sample points evaluated per refinement chunk; bounds the chunk temporaries
+# for any samples_per_cell without changing the drawn points or the hit count
+REFINE_CHUNK_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
 class McRefine:
-    """Stratified per-cell refinement: sample count, RNG seed, eval chunk size."""
+    """Stratified per-cell refinement: sample count and RNG seed."""
 
     samples_per_cell: int = 64
     seed: int = 0
-    chunk_cells: int = 200_000
 
     def __post_init__(self):
         if self.samples_per_cell < 1:
             raise ValidationError("samples_per_cell must be >= 1")
-
-
-def _cell_extrema(field: DistanceField):
-    """Min and max of the distance field over the corners of every grid cell."""
-    per = field.sample.periodic
-    cmin = field.dist
-    cmax = field.dist
-    for axis in range(field.sample.n):
-        a, b = _axis_pairs(cmin, axis, per)
-        cmin = np.minimum(a, b)
-        a, b = _axis_pairs(cmax, axis, per)
-        cmax = np.maximum(a, b)
-    return cmin, cmax
 
 
 def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> float:
@@ -53,7 +43,8 @@ def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> flo
     cellvol = float(np.prod(h))
     diag = float(np.linalg.norm(h))
     margin = diag + field.raster_error
-    cmin, cmax = _cell_extrema(field)
+    cmin = _corner_reduce(field.dist, sample.periodic, np.minimum)
+    cmax = _corner_reduce(field.dist, sample.periodic, np.maximum)
     fully_in = cmin + margin < delta
     fully_out = cmax - margin >= delta
     straddle = ~(fully_in | fully_out)
@@ -63,9 +54,10 @@ def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> flo
         return vol
     rng = np.random.default_rng(refine.seed)
     m = refine.samples_per_cell
+    cells_per_chunk = max(1, REFINE_CHUNK_POINTS // m)
     hits = 0
-    for start in range(0, idx.shape[0], refine.chunk_cells):
-        block = idx[start : start + refine.chunk_cells]
+    for start in range(0, idx.shape[0], cells_per_chunk):
+        block = idx[start : start + cells_per_chunk]
         u = rng.random((block.shape[0], m, sample.n))
         pts = (block[:, None, :] + u) * h
         d = nodal_distance_exact(sample.mode, pts.reshape(-1, sample.n))

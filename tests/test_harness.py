@@ -177,6 +177,47 @@ def test_field_cache_round_trip(tmp_path):
     assert cache.load(key) is None
 
 
+def test_field_cache_key_covers_min_points_and_code_version(monkeypatch, tmp_path):
+    import nodalab.cache as cache_mod
+
+    cache = FieldCache(tmp_path)
+    mode = EigenMode(TORUS2, (3, 4))
+    key = cache.key(mode, ResolutionRule())
+    assert cache.key(mode, ResolutionRule(min_points_per_axis=32)) != key
+    monkeypatch.setattr(cache_mod, "CODE_VERSION", "0.0.0-other")
+    assert cache.key(mode, ResolutionRule()) != key
+
+
+def test_field_cache_concurrent_stores_leave_one_entry(tmp_path):
+    import threading
+
+    import numpy as np
+
+    cache = FieldCache(tmp_path)
+    key = cache.key(EigenMode(TORUS2, (3, 4)), ResolutionRule())
+    arrays = [np.full((300, 300), float(i)) for i in range(2)]
+    errors = []
+
+    def store(start, arr):
+        start.wait()
+        try:
+            cache.store(key, arr)
+        except OSError as e:
+            errors.append(e)
+
+    for _ in range(20):  # a shared temp name loses this race in about one round of five
+        start = threading.Barrier(2)
+        threads = [threading.Thread(target=store, args=(start, a)) for a in arrays]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == [cache.path(key).name]
+        loaded = cache.load(key)
+        assert any(np.array_equal(loaded, a) for a in arrays)
+
+
 def test_cached_run_matches_uncached(tmp_path):
     cache = FieldCache(tmp_path)
     plain = run_density_check(TORUS2, modes=((3, 3),))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nodalab.measures as measures_mod
 from nodalab.distance import distance_field
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
@@ -49,6 +50,18 @@ def test_torus_tube_volume_refined():
     assert abs(refined - exact) / exact < 2e-3
     plain = tube_volume(f, delta)
     assert abs(plain - exact) / exact < 0.25
+
+
+def test_refined_volume_independent_of_chunk_budget(monkeypatch):
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    delta = 0.05
+    f = field_for(mode, h_max=delta / 2)
+    default = tube_volume(f, delta, McRefine(seed=1))
+    volumes = []
+    for budget in (5000, 40):  # 40 < samples_per_cell: one cell per chunk
+        monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", budget)
+        volumes.append(tube_volume(f, delta, McRefine(seed=1)))
+    assert volumes == [default, default]
 
 
 def test_tube_guards():
