@@ -24,14 +24,10 @@ from .cache import FieldCache
 from .cfrac import ContinuedFractionExpansion, continued_fraction
 from .components import component_inradii, sign_components
 from .dioph import (
-    ApproxEvent,
     ExponentEstimate,
-    approx_events,
     borel_cantelli_sum,
     estimate_exponent,
-    khinchin_check,
     modes_nodal_distance,
-    nearest_nodal_distance,
 )
 from .distance import DistanceField, distance_field
 from .errors import (
@@ -79,7 +75,6 @@ from .spectrum import (
 __version__ = CODE_VERSION
 
 __all__ = [
-    "ApproxEvent",
     "BoxStats",
     "CODE_VERSION",
     "CellResult",
@@ -103,7 +98,6 @@ __all__ = [
     "ResourceGuardError",
     "Subdivision",
     "ValidationError",
-    "approx_events",
     "bad_proportion",
     "borel_cantelli_sum",
     "classify_boxes",
@@ -121,9 +115,7 @@ __all__ = [
     "extract_nodal",
     "gate",
     "goodness_threshold",
-    "khinchin_check",
     "modes_nodal_distance",
-    "nearest_nodal_distance",
     "nodal_box_count",
     "nodal_distance_exact",
     "nodal_measure",

@@ -24,7 +24,7 @@ from .harness import (
     run_yau_check,
 )
 from .reports import verify_report, write_report
-from .spectrum import DomainSpec, enumerate_modes
+from .spectrum import DomainSpec, enumerate_modes, weyl_count
 
 EXIT_PASS = 0
 EXIT_GATE_FAIL = 1
@@ -264,9 +264,7 @@ def dispatch(args) -> int:
         mu_max = _coerce(args.mu_max, float)
         modes = enumerate_modes(domain, mu_max)
         if _coerce(args.distinct, bool):
-            import numpy as np
-
-            count = int(np.unique(np.round(modes.mu, 12)).size)
+            count = weyl_count(domain, mu_max, distinct=True)
             label = "distinct frequencies"
         else:
             count = len(modes)

@@ -1,48 +1,51 @@
-"""Approximation of points by nodal sets: events, exponents, convergence sums.
+"""Approximation of points by nodal sets: exact distances, exponents, convergence sums.
 
 For separable modes the distance from a point to the nodal set is exact and
-closed-form (min over axes of the distance to the nearest factor zero), so
-scans over hundreds of thousands of modes vectorize over the mode list's
-columns. Records of the running minimum distance drive per-point approximation
-exponents; exact tube volumes drive the convergence (Borel-Cantelli style)
-sums, since the radii shrink below any fixed grid.
+closed-form: the min over axes of the distance from x_j to the nearest zero of
+the j-th factor, a lattice of spacing pi / (m_j alpha_j), shifted by half a
+spacing for a cosine factor. That axis distance depends only on (m_j, kind_j),
+so a scan over a mode list computes it once per index 0..max m_j, in a table
+far shorter than a 2-d or 3-d list, and gathers the table by each row's
+index. Each table entry gets the same IEEE operations the per-row formula
+would (the same int64 x float spacing, the same mod and min), so the gathered
+distances are bitwise equal to it. Records of the running minimum distance
+drive per-point approximation exponents; exact tube volumes drive the
+convergence (Borel-Cantelli style) sums, since the radii shrink below any
+fixed grid.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .spectrum import (
-    DomainSpec,
-    EigenMode,
-    ModeList,
-    enumerate_modes,
-    nodal_distance_exact,
-)
+from .spectrum import DomainSpec, ModeList, enumerate_modes
 
 METRICS = ("euclidean", "max")
 
 
-def nearest_nodal_distance(point, mode: EigenMode, metric: str = "euclidean") -> float:
-    """Exact distance from a point to the mode's nodal set (no grid).
+def _lattice_distance_table(x, spacing: np.ndarray) -> np.ndarray:
+    """Entry i is the distance from x to the lattice spacing[i-1] * Z; entry 0 is inf.
 
-    The nodal set is a union of axis-perpendicular hyperplanes, so the
-    Euclidean and max-coordinate metrics give the same value; the metric
-    argument is accepted for reporting symmetry.
+    x may be a scalar or one offset point per spacing. Entry 0 stands for an
+    axis with index 0, whose factor has no zero.
     """
-    if metric not in METRICS:
-        raise ValidationError(f"metric must be one of {METRICS}")
-    return float(nodal_distance_exact(mode, np.asarray(point, dtype=float)))
+    r = np.mod(x, spacing)
+    table = np.empty(spacing.size + 1)
+    table[0] = np.inf
+    np.minimum(r, spacing - r, out=table[1:])
+    return table
 
 
 def modes_nodal_distance(point, modes: ModeList, metric: str = "euclidean") -> np.ndarray:
-    """Exact nodal distances from one point to every mode in the list."""
+    """Exact nodal distances from one point to every mode in the list.
+
+    The nodal set is a union of axis-perpendicular hyperplanes, so the
+    Euclidean and max-coordinate metrics give the same value.
+    """
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}")
     dom = modes.domain
@@ -52,56 +55,22 @@ def modes_nodal_distance(point, modes: ModeList, metric: str = "euclidean") -> n
     dist = np.full(modes.m.shape[0], np.inf)
     for j in range(dom.n):
         mj = modes.m[:, j]
-        active = mj > 0
-        if not active.any():
+        top = int(mj.max(initial=0))
+        if top == 0:
             continue
-        spacing = math.pi / (mj[active] * dom.alpha[j])
+        spacing = math.pi / (np.arange(1, top + 1) * dom.alpha[j])
+        d = _lattice_distance_table(point[j], spacing)[mj]
         # kind code 0 = cos: zeros sit half a spacing off the sin lattice
-        offs = np.where(modes.kind_codes[active, j] == 0, 0.5 * spacing, 0.0)
-        r = np.mod(point[j] - offs, spacing)
-        d = np.minimum(r, spacing - r)
-        dist[active] = np.minimum(dist[active], d)
+        cos_rows = modes.kind_codes[:, j] == 0
+        if cos_rows.any():
+            cos_rows &= mj > 0
+            if cos_rows.any():
+                cos_table = _lattice_distance_table(point[j] - 0.5 * spacing, spacing)
+                d[cos_rows] = cos_table[mj[cos_rows]]
+        np.minimum(dist, d, out=dist)
     if not np.isfinite(dist).all():
         raise ValidationError("a mode in the list has an empty nodal set")
     return dist
-
-
-@dataclass(frozen=True)
-class ApproxEvent:
-    """One mode's nodal set at distance `dist` from the point."""
-
-    point: tuple[float, ...]
-    k: int
-    mu: float
-    dist: float
-
-    def hit(self, b: float, C: float) -> bool:
-        return self.dist < C / self.mu**b
-
-
-def approx_events(point, modes: ModeList, b: float, C: float) -> list[ApproxEvent]:
-    """All modes (in mu order) whose nodal set passes within C/mu^b of the point."""
-    if C <= 0:
-        raise ValidationError("C must be positive")
-    if modes.m.shape[0] == 0:
-        raise ValidationError("mode list is empty")
-    dist = modes_nodal_distance(point, modes)
-    hits = np.nonzero(dist < C / modes.mu**b)[0]
-    pt = tuple(float(v) for v in np.atleast_1d(np.asarray(point, dtype=float)))
-    return [ApproxEvent(pt, int(k), float(modes.mu[k]), float(dist[k])) for k in hits]
-
-
-def events_to_csv(events: list[ApproxEvent]) -> str:
-    """Render approximation events as CSV: point coords, mode index, mu, dist."""
-    if not events:
-        return "k,mu,dist\r\n"
-    n = len(events[0].point)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([f"x{j}" for j in range(n)] + ["k", "mu", "dist"])
-    for ev in events:
-        writer.writerow([repr(v) for v in ev.point] + [ev.k, repr(ev.mu), repr(ev.dist)])
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -162,49 +131,6 @@ def estimate_exponent(
     slope, intercept = np.polyfit(X, Y, 1)
     resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))
     return ExponentEstimate(pt, float(slope), n_rec, resid, (mu_min, hi), n_rec < 5, False, metric)
-
-
-@dataclass
-class KhinchinResult:
-    """Per-point counts of q <= q_max with ||q x|| below psi(q)."""
-
-    points: np.ndarray
-    counts: np.ndarray
-    largest_q: np.ndarray
-    q_max: int
-
-
-def khinchin_check(psi, points, q_max: int, chunk: int | None = None) -> KhinchinResult:
-    """Count solutions of ||q x|| < psi(q) for each sampled x.
-
-    psi maps an integer array q to nonnegative thresholds; ||.|| is the
-    distance to the nearest integer. Work is chunked over q so the
-    points-by-q product matrix stays within a fixed memory budget.
-    """
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    if q_max < 1:
-        raise ValidationError("q_max must be >= 1")
-    if chunk is None:
-        chunk = max(1, 5_000_000 // points.size)
-    counts = np.zeros(points.size, dtype=np.int64)
-    largest = np.zeros(points.size, dtype=np.int64)
-    for start in range(1, q_max + 1, chunk):
-        q = np.arange(start, min(start + chunk, q_max + 1), dtype=np.int64)
-        thresholds = np.asarray(psi(q), dtype=float)
-        if thresholds.shape != q.shape:
-            raise ValidationError("psi must return one threshold per q")
-        if np.any(thresholds < 0):
-            raise ValidationError("psi must be nonnegative")
-        prod = q[None, :] * points[:, None]
-        dist = np.abs(prod - np.round(prod))
-        sol = dist < thresholds[None, :]
-        counts += sol.sum(axis=1)
-        any_sol = sol.any(axis=1)
-        if any_sol.any():
-            rows = sol[any_sol]
-            last_idx = rows.shape[1] - 1 - np.argmax(rows[:, ::-1], axis=1)
-            largest[any_sol] = np.maximum(largest[any_sol], q[last_idx])
-    return KhinchinResult(points, counts, largest, int(q_max))
 
 
 @dataclass

@@ -694,6 +694,18 @@ def run_approx_theorem(
     if domain is None:
         domain = DomainSpec.interval()
     n = domain.n
+    if n_points < 1:
+        raise ValidationError("n_points must be >= 1")
+    modes = enumerate_modes(domain, float(k_max) + 0.5)
+    # modes are sorted by mu, so the tail (mu > k0) and the control window
+    # (k0 < mu <= k0 + 20) are index ranges
+    start = int(np.searchsorted(modes.mu, k0, side="right"))
+    stop = int(np.searchsorted(modes.mu, k0 + 20, side="right"))
+    tail, near = slice(start, None), slice(start, stop)
+    if start == len(modes):
+        raise ValidationError(f"no mode with mu > k0={k0} up to k_max={k_max}")
+    if start == stop:
+        raise ValidationError(f"no mode in the control window {k0} < mu <= {k0 + 20}")
     if limit_tol is None:
         # the partial sum trails the limit by the series tail, just under 2/k_max
         limit_tol = max(3e-4, 2.2 / k_max)
@@ -730,21 +742,18 @@ def run_approx_theorem(
         )
     )
 
-    modes = enumerate_modes(domain, float(k_max) + 0.5)
     b = n + 1 + eps
-    tail = modes.mu > k0
-    mu_tail = modes.mu[tail]
+    tail_radius = C / modes.mu[tail] ** b
+    near_radius = math.pi / modes.mu[near]
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, domain.lengths, size=(n_points, n))
     hits = 0
     control_hits = 0
-    near = (modes.mu > k0) & (modes.mu <= k0 + 20)
-    mu_near = modes.mu[near]
     for pt in points:
         d = modes_nodal_distance(pt, modes)
-        if np.any(d[tail] < C / mu_tail**b):
+        if np.any(d[tail] < tail_radius):
             hits += 1
-        if np.any(d[near] < math.pi / mu_near):
+        if np.any(d[near] < near_radius):
             control_hits += 1
     frac = hits / n_points
     control_frac = control_hits / n_points
@@ -833,6 +842,8 @@ def run_exponent_survey(
     max-metric estimate must agree exactly with the Euclidean one. The
     in-band point-count gate defaults to 90% of the survey size.
     """
+    if n_interval < 1 or n_box < 1:
+        raise ValidationError("n_interval and n_box must be >= 1")
     if interval_point_min is None:
         interval_point_min = int(round(0.9 * n_interval))
     interval = DomainSpec.interval()

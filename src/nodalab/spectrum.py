@@ -371,6 +371,9 @@ class ModeList:
     kind_codes: np.ndarray = field(default=None)  # (K, n) uint8, 1 = sin, 0 = cos
 
     def __post_init__(self):
+        # scans index per-axis tables by m, where a negative index would wrap
+        if self.m.size and self.m.min() < 0:
+            raise ValidationError("mode indices must be nonnegative")
         if self.kind_codes is None:
             self.kind_codes = (self.m > 0).astype(np.uint8) if self.domain.periodic \
                 else np.ones_like(self.m, dtype=np.uint8)
@@ -470,14 +473,15 @@ def weyl_count(domain: DomainSpec, mu_max: float, distinct: bool = False,
     """Number of modes with mu <= mu_max.
 
     Default counts modes with multiplicity (= len(enumerate_modes)). With
-    ``distinct=True`` counts distinct eigenvalues, grouping mu^2 values at 1e-9
-    relative tolerance (exact grouping for integer weights).
+    ``distinct=True`` counts distinct eigenvalues: sorted mu values within
+    1e-12 relative of their neighbour are one eigenvalue. The tolerance is far
+    above the few-ulp rounding of mu, so a degenerate eigenvalue reached
+    through different index vectors counts once.
     """
     modes = enumerate_modes(domain, mu_max, cap)
     if not distinct:
         return len(modes)
     if len(modes) == 0:
         return 0
-    mu_sq = modes.mu.astype(float) ** 2
-    scale = max(mu_sq.max(), 1.0)
-    return int(np.unique(np.round(mu_sq / (scale * 1e-9))).size)
+    mu = modes.mu
+    return 1 + int(np.count_nonzero(np.diff(mu) > 1e-12 * mu[1:]))

@@ -71,6 +71,36 @@ def test_empty_spectrum_warns_exit_zero(tmp_path, capsys):
     assert "0 modes" in captured.out
 
 
+def test_distinct_spectrum_matches_integer_count(tmp_path, capsys):
+    # box (1, sqrt2): mu^2 = m1^2 + 2 m2^2, so distinct eigenvalues are distinct integers
+    code = main([
+        "spectrum", "--domain", "box", "--alpha", "1,1.4142135623730951",
+        "--mu-max", "300.5", "--distinct", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_PASS
+    bound = 300.5**2
+    exact = {a * a + 2 * b * b for a in range(1, 301) for b in range(1, 213)
+             if a * a + 2 * b * b <= bound}
+    assert f"spectrum: {len(exact)} distinct frequencies" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dioph", "--n-interval", "0"], "n_interval"),
+        (["dioph", "--n-box", "0"], "n_box"),
+        (["borel-cantelli", "--k-max", "3"], "k0=100"),
+        (["borel-cantelli", "--n-points", "0"], "n_points"),
+    ],
+    ids=["n-interval-0", "n-box-0", "k-max-below-k0", "n-points-0"],
+)
+def test_degenerate_spectral_config_exits_2(argv, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_file_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=7\nk_max=400\nn_points=60\nk0=40\n")

@@ -1,20 +1,14 @@
-"""Approximation-by-nodal-sets: exact distances, events, exponents, sums."""
+"""Approximation-by-nodal-sets: exact distances, hits, exponents, sums."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalab.cfrac import continued_fraction
-from nodalab.dioph import (
-    approx_events,
-    borel_cantelli_sum,
-    estimate_exponent,
-    events_to_csv,
-    khinchin_check,
-    modes_nodal_distance,
-    nearest_nodal_distance,
-)
+from nodalab.dioph import borel_cantelli_sum, estimate_exponent, modes_nodal_distance
 from nodalab.distance import distance_field
 from nodalab.errors import ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
@@ -37,39 +31,51 @@ def interval_modes(k_max: int, alpha: float = 1.0) -> ModeList:
     return enumerate_modes(dom, float(alpha * k_max) + 0.5)
 
 
+def nearest(point, mode: EigenMode, metric: str = "euclidean") -> float:
+    """One mode's nodal distance, through the mode-list scan."""
+    codes = np.array([[k == SIN for k in mode.kinds]], dtype=np.uint8)
+    one = ModeList(mode.domain, mode.mu, np.array([mode.m]), np.array([mode.mu]), codes)
+    return float(modes_nodal_distance(point, one, metric)[0])
+
+
+def hit_indices(point, modes: ModeList, b: float, C: float) -> np.ndarray:
+    """Indices (in mu order) of the modes whose nodal set passes within C/mu^b."""
+    return np.nonzero(modes_nodal_distance(point, modes) < C / modes.mu**b)[0]
+
+
 # ---------------------------------------------------------------- distances
 
 
 def test_nearest_distance_interval_midpoint():
     k = 5
     mode = EigenMode(DomainSpec.interval(), (k,))
-    assert nearest_nodal_distance([math.pi / (2 * k)], mode) == pytest.approx(
+    assert nearest([math.pi / (2 * k)], mode) == pytest.approx(
         math.pi / (2 * k), rel=1e-14
     )
     # generic point: nearest zero of sin(3x) to x=1 is pi/3
     mode3 = EigenMode(DomainSpec.interval(), (3,))
-    assert nearest_nodal_distance([1.0], mode3) == pytest.approx(math.pi / 3 - 1.0, rel=1e-12)
+    assert nearest([1.0], mode3) == pytest.approx(math.pi / 3 - 1.0, rel=1e-12)
 
 
 def test_nearest_distance_torus_product_mode():
     # (0.4, 0.4): axis zeros at multiples of pi/3 and pi/4; pi/4 is the
     # closest (|0.4 - pi/4| < 0.4), so the distance is pi/4 - 0.4
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    d = nearest_nodal_distance([0.4, 0.4], mode)
+    d = nearest([0.4, 0.4], mode)
     assert d == pytest.approx(math.pi / 4 - 0.4, rel=1e-12)
 
 
 def test_nearest_distance_on_hyperplane_is_zero():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    assert nearest_nodal_distance([math.pi / 3, 0.1], mode) == 0.0
+    assert nearest([math.pi / 3, 0.1], mode) == 0.0
 
 
 def test_metrics_agree_and_validate():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     pt = [0.7, 1.3]
-    assert nearest_nodal_distance(pt, mode, "euclidean") == nearest_nodal_distance(pt, mode, "max")
+    assert nearest(pt, mode, "euclidean") == nearest(pt, mode, "max")
     with pytest.raises(ValidationError):
-        nearest_nodal_distance(pt, mode, "taxicab")
+        nearest(pt, mode, "taxicab")
 
 
 @pytest.mark.parametrize(
@@ -128,17 +134,101 @@ def test_modes_distance_rejects_bad_input():
         modes_nodal_distance([0.1, 0.2], empty_nodal)
 
 
-# ------------------------------------------------------------------- events
+def masked_scan(point, modes: ModeList) -> np.ndarray:
+    """Reference: the per-row masked formula the per-axis tables replaced."""
+    point = np.asarray(point, dtype=float)
+    dist = np.full(modes.m.shape[0], np.inf)
+    for j in range(modes.domain.n):
+        mj = modes.m[:, j]
+        active = mj > 0
+        if not active.any():
+            continue
+        spacing = math.pi / (mj[active] * modes.domain.alpha[j])
+        offs = np.where(modes.kind_codes[active, j] == 0, 0.5 * spacing, 0.0)
+        r = np.mod(point[j] - offs, spacing)
+        d = np.minimum(r, spacing - r)
+        dist[active] = np.minimum(dist[active], d)
+    return dist
+
+
+def assert_scan_bitwise(point, modes: ModeList):
+    ref = masked_scan(point, modes)
+    keep = np.isfinite(ref)
+    if not keep.all():
+        # a row with no zero on any axis rejects the list; compare the other rows
+        with pytest.raises(ValidationError):
+            modes_nodal_distance(point, modes)
+        modes = ModeList(
+            modes.domain, modes.mu_max, modes.m[keep], modes.mu[keep], modes.kind_codes[keep]
+        )
+        ref = ref[keep]
+    got = modes_nodal_distance(point, modes)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+COORD = st.floats(-20.0, 20.0, allow_nan=False)
+ALPHA = st.floats(0.3, 3.0, allow_nan=False)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_scan_bitwise_torus_mixed_codes(data, n, rows):
+    alpha = tuple(data.draw(ALPHA) for _ in range(n))
+    dom = DomainSpec.torus(alpha)
+    m = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, 25), min_size=n, max_size=n),
+                           min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    ).reshape(rows, n)
+    codes = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                           min_size=rows, max_size=rows)),
+        dtype=np.uint8,
+    ).reshape(rows, n)
+    mu = np.sqrt(((m * np.asarray(alpha)) ** 2).sum(axis=1))
+    modes = ModeList(dom, float(mu.max(initial=0.0)), m, mu, codes)
+    assert_scan_bitwise(np.array([data.draw(COORD) for _ in range(n)]), modes)
+
+
+@given(ALPHA, ALPHA, st.floats(1.0, 60.0), COORD, COORD)
+@settings(max_examples=100, deadline=None)
+def test_scan_bitwise_box(a1, a2, mu_max, x1, x2):
+    modes = enumerate_modes(DomainSpec.box((a1, a2 * math.sqrt(2.0))), mu_max)
+    assert_scan_bitwise([x1, x2], modes)
+
+
+@given(st.integers(1, 5000), COORD)
+@settings(max_examples=100, deadline=None)
+def test_scan_bitwise_interval(k_max, x):
+    assert_scan_bitwise([x], interval_modes(k_max))
+
+
+def test_scan_of_empty_list():
+    d = modes_nodal_distance([1.0], enumerate_modes(DomainSpec.interval(), 0.5))
+    assert d.shape == (0,)
+
+
+def test_mode_list_rejects_negative_index():
+    # the scan gathers per-axis tables by index, so a negative one must not arrive
+    with pytest.raises(ValidationError):
+        ModeList(
+            DomainSpec.torus((1.0, 1.0)),
+            5.0,
+            np.array([[3, -4]], dtype=np.int64),
+            np.array([5.0]),
+            np.array([[1, 1]], dtype=np.uint8),
+        )
+
+
+# --------------------------------------------------------------------- hits
 
 
 def test_interval_b1_every_mode_hits():
     modes = interval_modes(200)
     rng = np.random.default_rng(11)
     for x in rng.uniform(0.0, math.pi, size=5):
-        events = approx_events([x], modes, b=1.0, C=math.pi)
-        assert len(events) == len(modes) == 200
-        mus = [ev.mu for ev in events]
-        assert mus == sorted(mus)
+        assert hit_indices([x], modes, b=1.0, C=math.pi).size == len(modes) == 200
 
 
 def test_golden_point_hits_at_convergent_denominators():
@@ -146,8 +236,7 @@ def test_golden_point_hits_at_convergent_denominators():
     # happens exactly at the continued fraction convergent denominators
     x = GOLDEN * math.pi
     modes = interval_modes(1000)
-    events = approx_events([x], modes, b=2.0, C=math.pi)
-    hit_ks = {round(ev.mu) for ev in events}
+    hit_ks = {round(float(modes.mu[k])) for k in hit_indices([x], modes, b=2.0, C=math.pi)}
     cf = continued_fraction(x / math.pi, depth=40, q_cap=1000)
     assert hit_ks == {q for _, q in cf.convergents}
 
@@ -155,18 +244,8 @@ def test_golden_point_hits_at_convergent_denominators():
 def test_large_b_has_no_tail():
     modes = interval_modes(500)
     rng = np.random.default_rng(3)
-    events = approx_events([rng.uniform(0.0, math.pi)], modes, b=10.0, C=math.pi)
-    assert all(ev.mu <= 2.0 for ev in events)
-
-
-def test_events_to_csv():
-    modes = interval_modes(20)
-    events = approx_events([1.1], modes, b=1.0, C=math.pi)
-    text = events_to_csv(events)
-    lines = text.strip().splitlines()
-    assert lines[0] == "x0,k,mu,dist"
-    assert len(lines) == len(events) + 1
-    assert events_to_csv([]).startswith("k,mu,dist")
+    hits = hit_indices([rng.uniform(0.0, math.pi)], modes, b=10.0, C=math.pi)
+    assert np.all(modes.mu[hits] <= 2.0)
 
 
 # ---------------------------------------------------------------- exponents
@@ -215,41 +294,6 @@ def test_exponent_metric_choice_is_cosmetic():
     e2 = estimate_exponent([0.77], modes, metric="max")
     assert e1.exponent == e2.exponent
     assert e2.metric == "max"
-
-
-# ----------------------------------------------------------------- khinchin
-
-
-def test_khinchin_divergent_counts_grow_like_log():
-    rng = np.random.default_rng(5)
-    points = rng.uniform(0.0, 1.0, size=200)
-    psi = lambda q: 0.5 / q
-    means = [float(khinchin_check(psi, points, qm).counts.mean()) for qm in (100, 1000, 10_000)]
-    assert means[0] < means[1] < means[2]
-    # expected count is sum of 2*psi(q) = harmonic(q_max), about log(q_max)
-    assert 0.5 * math.log(10_000) <= means[2] <= 1.5 * math.log(10_000)
-
-
-def test_khinchin_convergent_tail_is_rare():
-    rng = np.random.default_rng(6)
-    points = rng.uniform(0.0, 1.0, size=1000)
-    res = khinchin_check(lambda q: q ** (-1.5), points, 30_000)
-    frac = float(np.mean(res.largest_q > 10_000))
-    # expected tail mass sum_{q>1e4} 2 q^-1.5 is about 0.02
-    assert frac < 0.05
-
-
-def test_khinchin_zero_psi():
-    res = khinchin_check(lambda q: np.zeros_like(q, dtype=float), [0.3, 0.7], 500)
-    assert res.counts.tolist() == [0, 0]
-    assert res.largest_q.tolist() == [0, 0]
-
-
-def test_khinchin_validates():
-    with pytest.raises(ValidationError):
-        khinchin_check(lambda q: 0.5 / q, [0.3], 0)
-    with pytest.raises(ValidationError):
-        khinchin_check(lambda q: -np.ones_like(q, dtype=float), [0.3], 10)
 
 
 # ----------------------------------------------------- convergence of sums

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -15,7 +16,7 @@ from nodalab.harness import (
     run_tube_scaling,
     run_yau_check,
 )
-from nodalab.reports import CellResult
+from nodalab.reports import CellResult, write_report
 from nodalab.spectrum import DomainSpec, EigenMode
 
 INTERVAL = DomainSpec.interval()
@@ -152,6 +153,58 @@ def test_approx_theorem_small():
     g = gates_by_name(r)
     assert g["control_fraction"].value == 1.0
     assert g["bc_gap_positive"].value > 0
+
+
+# sha256 of (JSON, CSV) report bytes, recorded before the per-axis table scan
+# replaced the masked per-row formula in dioph.modes_nodal_distance. Re-record
+# them only in a change that deliberately alters report bytes and says so in
+# CHANGES.md.
+SPECTRAL_DIGESTS = {
+    "approx_interval": (
+        "4d08b740d2114a2011ae0e8bb52854b18163033c9e9ebd97a42dd5be7e3fa2d7",
+        "4881afe07cedec4329a751562e02546fa682d3f004c3c7f748c035edfad965a0",
+    ),
+    "approx_torus": (
+        "7d9731c7df3f8e0ded58f218627a801f32cf07957cf0724cfda319efeda96809",
+        "2432290bfbff9623ae7ce84952dfb9bbfbd72c48d15c37bfca85a29e6d9852b6",
+    ),
+    "exponent_survey": (
+        "6bb2b9a322436ba08605d4bc8cedfc7c48ba75448a328e06c9f1aa6f76e2b9c6",
+        "f2a88a073b11f7a7d650ecd8c0d76b0407e98516af8613a65ceb5269a677b3eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_DIGESTS))
+def test_spectral_report_digests(name, tmp_path):
+    """Small spectral-driver reports keep their exact bytes (golden sha256)."""
+    run = {
+        "approx_interval": lambda: run_approx_theorem(
+            k_max=4000, n_points=1000, box_k_max=400, seed=5
+        ),
+        # the torus list has cosine factors (zero indices), the interval none
+        "approx_torus": lambda: run_approx_theorem(
+            DomainSpec.torus((1.0, 1.3)), k_max=60, k0=20, n_points=300, box_k_max=400, seed=3
+        ),
+        "exponent_survey": lambda: run_exponent_survey(
+            n_interval=20, mu_max_interval=20_000.0, n_box=10, mu_max_box=600.0, seed=7
+        ),
+    }[name]
+    paths = write_report(run(), tmp_path)
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    assert got == SPECTRAL_DIGESTS[name]
+
+
+def test_spectral_drivers_reject_empty_windows():
+    for kwargs in ({"n_interval": 0}, {"n_box": 0}):
+        with pytest.raises(ValidationError):
+            run_exponent_survey(**kwargs)
+    for kwargs in ({"k_max": 3}, {"k_max": 0}, {"n_points": 0}):
+        with pytest.raises(ValidationError):
+            run_approx_theorem(**kwargs)
+    # mu = 25 k: the tail above k0 = 100 starts at 125, past the control window (100, 120]
+    with pytest.raises(ValidationError, match="control window"):
+        run_approx_theorem(DomainSpec.box((25.0,)), k_max=200)
 
 
 def test_reports_deterministic_across_runs():

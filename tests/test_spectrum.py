@@ -358,6 +358,17 @@ class TestWeylCount:
         mus = {round(float(m), 9) for m in enumerate_modes(TORUS2, 5.0).mu}
         assert distinct == len(mus)
 
+    def test_distinct_matches_integer_arithmetic(self):
+        # box (1, sqrt2): mu^2 = m1^2 + 2 m2^2 is an integer, so its distinct
+        # values are exact; the bound 300.5^2 sits 0.25 away from every integer
+        box = DomainSpec.box((1.0, math.sqrt(2.0)))
+        bound = 300.5**2
+        exact = {a * a + 2 * b * b for a in range(1, 301) for b in range(1, 213)
+                 if a * a + 2 * b * b <= bound}
+        assert weyl_count(box, 300.5, distinct=True) == len(exact)
+        # every interval eigenvalue k^2 is simple, up to the top of a 1e5 list
+        assert weyl_count(INTERVAL, 1e5, distinct=True) == 100_000
+
     def test_growth_rate_torus(self):
         # lattice-point count grows like the ellipse area: c * mu^2
         c8 = weyl_count(TORUS2, 8.0) / 64.0
