@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .components import SIGN_EPS
 from .errors import ResolutionError, ValidationError
 from .grid import GridSample
 from .nodal import NodalApprox
@@ -180,9 +181,6 @@ class BoxStats:
     @property
     def e_mass(self) -> np.ndarray:
         return self.e_frac * self.sub.box_volume
-
-
-SIGN_EPS = 1e-12
 
 
 def compute_box_stats(

@@ -155,8 +155,6 @@ def build_parser() -> _TrackingParser:
         p.add_argument("--cache-dir", dest="cache_dir", default=None,
                        help=f"distance-field cache (default ${CACHE_ENV})")
         p.add_argument("--no-cache", dest="no_cache", action="store_true")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="reserved; all current kernels are vectorized single-process")
         p.set_defaults(_subparser=p)
 
     def domain_flags(p, default="interval"):
@@ -334,9 +332,14 @@ def dispatch(args) -> int:
         f"{'PASS' if report.passed else 'FAIL'}, wrote {json_path}"
     )
     if not report.passed:
+        if not report.gates:
+            print("  no gate could be evaluated: the cells the gates need were skipped or excluded")
         for g in report.gates:
             if not g.passed:
                 print(f"  failed gate {g.name}: {g.value!r} not {g.op} {g.bound!r}")
+        for c in report.cells:
+            if c.skipped:
+                print(f"  skipped cell {c.cell}: {c.note}")
     return EXIT_PASS if report.passed else EXIT_GATE_FAIL
 
 

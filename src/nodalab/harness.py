@@ -186,7 +186,11 @@ def run_tube_scaling(
             cells.append(gcell)
     gates = GATE_BUILDERS["tube_scaling"](cells, config)
     ratios = [c.measured["ratio"] for c in _live(cells, method="oracle") if c.params["gated"]]
-    summary = {"n_cells": len(cells), "ratio_min": min(ratios), "ratio_max": max(ratios)}
+    summary = {
+        "n_cells": len(cells),
+        "ratio_min": min(ratios) if ratios else None,
+        "ratio_max": max(ratios) if ratios else None,
+    }
     return ExperimentReport("tube_scaling", domain.as_dict(), config, cells, gates, summary, seed)
 
 
@@ -194,10 +198,11 @@ def _tube_gates(cells, config):
     gates = []
     oracle = [c for c in _live(cells, method="oracle") if c.params.get("gated", True)]
     ratios = [_num(c.measured["ratio"]) for c in oracle]
-    gates.append(gate("band_ratio", max(ratios) / min(ratios), _num(config["band_cap"]), "<="))
-    if config["domain_kind"] == "interval":
-        flat = max(abs(r - 2.0) for r in ratios)
-        gates.append(gate("oracle_flatness", flat, 1e-9, "<="))
+    if ratios:
+        gates.append(gate("band_ratio", max(ratios) / min(ratios), _num(config["band_cap"]), "<="))
+        if config["domain_kind"] == "interval":
+            flat = max(abs(r - 2.0) for r in ratios)
+            gates.append(gate("oracle_flatness", flat, 1e-9, "<="))
     agrees = [
         _num(c.measured["agree_rel"])
         for c in _live(cells, method="grid")
@@ -298,6 +303,8 @@ def run_yau_check(
 def _yau_gates(cells, config):
     gates = []
     live = _live(cells)
+    if not live:
+        return gates
     ratios = [_num(c.measured["ratio"]) for c in live]
     gates.append(gate("band_ratio", _band(ratios), _num(config["band_cap"]), "<="))
     gates.append(
@@ -387,6 +394,8 @@ def run_density_check(
 def _density_gates(cells, config):
     gates = []
     live = _live(cells)
+    if not live:
+        return gates
     if config["domain_kind"] == "interval":
         worst = max(
             abs(_num(c.measured["product"]) - math.pi / 2) - 2.0 * _num(c.measured["h_mu"])
@@ -513,6 +522,8 @@ def run_dim2_checks(
 
 def _dim2_gates(cells, config):
     live = _live(cells)
+    if not live:
+        return []
     count_dev = max(
         abs(_num(c.measured["count"]) - _num(c.params["count_oracle"])) for c in live
     )
@@ -651,17 +662,23 @@ def _comparability_gates(cells, config):
     gates = []
     scaling = _live(cells, kind="scaling")
     ratios = [_num(c.measured["ratio"]) for c in scaling]
-    gates.append(gate("ratio_variation", _band(ratios), _num(config["variation_cap"]), "<="))
-    ts = [_num(c.params["mu_delta"]) for c in scaling]
-    evs = [_num(c.measured["e_volume"]) for c in scaling]
-    slope = float(np.polyfit(np.log(ts), np.log(evs), 1)[0])
-    lo, hi = config["slope_band"]
-    gates.append(gate("loglog_slope_low", slope, _num(lo), ">="))
-    gates.append(gate("loglog_slope_high", slope, _num(hi), "<="))
+    if ratios:
+        gates.append(gate("ratio_variation", _band(ratios), _num(config["variation_cap"]), "<="))
+    if len(scaling) >= 2:  # a slope needs two radii
+        ts = [_num(c.params["mu_delta"]) for c in scaling]
+        evs = [_num(c.measured["e_volume"]) for c in scaling]
+        slope = float(np.polyfit(np.log(ts), np.log(evs), 1)[0])
+        lo, hi = config["slope_band"]
+        gates.append(gate("loglog_slope_low", slope, _num(lo), ">="))
+        gates.append(gate("loglog_slope_high", slope, _num(hi), "<="))
     sweep = sorted(_live(cells, kind="a_sweep"), key=lambda c: _num(c.params["A"]))
     if len(sweep) >= 2:
         evols = [_num(c.measured["e_volume"]) for c in sweep]
         gates.append(gate("a_sweep_monotone", max(np.diff(evols)), 0.0, "<="))
+    if not gates:
+        # nothing was measured on the requested mode m; the stability band,
+        # taken on fixed modes, cannot pass the report on its own
+        return gates
     stability = _live(cells, kind="stability")
     if len(stability) >= 2:
         vals = [_num(c.measured["bad_mass_over_e"]) for c in stability]
@@ -696,6 +713,12 @@ def run_approx_theorem(
     n = domain.n
     if n_points < 1:
         raise ValidationError("n_points must be >= 1")
+    if box_k_max < 4:
+        # likewise for the box sum's cells at box_k_max // 4 and twice that
+        raise ValidationError(f"box_k_max must be >= 4, got {box_k_max}")
+    if not 0.0 < 2.0 * C < k0:
+        # the tail_hit_fraction bound 2C/k0 must lie in (0, 1)
+        raise ValidationError(f"need 0 < 2C < k0, got C={C}, k0={k0}")
     modes = enumerate_modes(domain, float(k_max) + 0.5)
     # modes are sorted by mu, so the tail (mu > k0) and the control window
     # (k0 < mu <= k0 + 20) are index ranges
@@ -706,6 +729,9 @@ def run_approx_theorem(
         raise ValidationError(f"no mode with mu > k0={k0} up to k_max={k_max}")
     if start == stop:
         raise ValidationError(f"no mode in the control window {k0} < mu <= {k0 + 20}")
+    if k_max < 4:
+        # the Cauchy cells sit at K = k_max // 4 and 2 (k_max // 4), the same below 4
+        raise ValidationError(f"k_max must be >= 4, got {k_max}")
     if limit_tol is None:
         # the partial sum trails the limit by the series tail, just under 2/k_max
         limit_tol = max(3e-4, 2.2 / k_max)
@@ -797,22 +823,24 @@ def run_approx_theorem(
 def _approx_gates(cells, config):
     gates = []
     bc = sorted(_live(cells, kind="bc"), key=lambda c: _num(c.params["K"]))
-    if config.get("limit") is not None:
+    if bc and config.get("limit") is not None:
         final = _num(bc[-1].measured["partial"])
         gates.append(
             gate("bc_limit_dev", abs(final - _num(config["limit"])), _num(config["limit_tol"]), "<=")
         )
     gaps = [_num(c.measured["gap"]) for c in bc if "gap" in c.measured]
-    gates.append(gate("bc_gap_decreasing", max(np.diff(gaps)) if len(gaps) > 1 else 0.0, 0.0, "<="))
-    gates.append(gate("bc_gap_positive", min(gaps), 0.0, ">="))
-    hit = _live(cells, kind="hits")[0]
-    k0 = _num(config["k0"])
-    n_points = _num(config["n_points"])
-    bound = 2.0 * _num(config["C"]) / k0
-    bound += 3.0 * math.sqrt(bound * (1 - bound) / n_points)
-    gates.append(gate("tail_hit_fraction", _num(hit.measured["fraction"]), bound, "<="))
-    control = _live(cells, kind="control")[0]
-    gates.append(gate("control_fraction", _num(control.measured["fraction"]), 1.0, ">="))
+    if len(gaps) >= 2:
+        gates.append(gate("bc_gap_decreasing", max(np.diff(gaps)), 0.0, "<="))
+    if gaps:
+        gates.append(gate("bc_gap_positive", min(gaps), 0.0, ">="))
+    for hit in _live(cells, kind="hits"):
+        k0 = _num(config["k0"])
+        n_points = _num(config["n_points"])
+        bound = 2.0 * _num(config["C"]) / k0
+        bound += 3.0 * math.sqrt(bound * (1 - bound) / n_points)
+        gates.append(gate("tail_hit_fraction", _num(hit.measured["fraction"]), bound, "<="))
+    for control in _live(cells, kind="control"):
+        gates.append(gate("control_fraction", _num(control.measured["fraction"]), 1.0, ">="))
     bc2 = sorted(_live(cells, kind="bc2"), key=lambda c: _num(c.params["K"]))
     if len(bc2) >= 2:
         gaps2 = [_num(c.measured["gap"]) for c in bc2]
@@ -921,8 +949,8 @@ def run_exponent_survey(
         if not _num(c.measured["low_confidence"])
     ]
     summary = {
-        "interval_mean": float(np.mean(live_i)),
-        "box_mean": float(np.mean(live_b)),
+        "interval_mean": float(np.mean(live_i)) if live_i else None,
+        "box_mean": float(np.mean(live_b)) if live_b else None,
     }
     return ExperimentReport(
         "exponent_survey", interval.as_dict(), config, cells, gates, summary, seed
@@ -940,22 +968,27 @@ def _exponent_gates(cells, config):
         ]
 
     slopes_i = usable("interval")
-    mean_i = float(np.mean(slopes_i))
-    lo, hi = config["interval_mean_band"]
-    gates.append(gate("interval_mean_low", mean_i, _num(lo), ">="))
-    gates.append(gate("interval_mean_high", mean_i, _num(hi), "<="))
+    if slopes_i:
+        mean_i = float(np.mean(slopes_i))
+        lo, hi = config["interval_mean_band"]
+        gates.append(gate("interval_mean_low", mean_i, _num(lo), ">="))
+        gates.append(gate("interval_mean_high", mean_i, _num(hi), "<="))
     plo, phi = config["interval_point_band"]
     all_i = [_num(c.measured["exponent"]) for c in _live(cells, kind="interval")]
-    in_band = sum(1 for s in all_i if _num(plo) <= s <= _num(phi))
-    gates.append(gate("interval_points_in_band", in_band, _num(config["interval_point_min"]), ">="))
+    if all_i:
+        in_band = sum(1 for s in all_i if _num(plo) <= s <= _num(phi))
+        gates.append(
+            gate("interval_points_in_band", in_band, _num(config["interval_point_min"]), ">=")
+        )
     slopes_b = usable("box")
-    mean_b = float(np.mean(slopes_b))
-    blo, bhi = config["box_mean_band"]
-    gates.append(gate("box_mean_low", mean_b, _num(blo), ">="))
-    gates.append(gate("box_mean_high", mean_b, _num(bhi), "<="))
-    metric = _live(cells, kind="metric")[0]
-    diff = abs(_num(metric.measured["euclidean"]) - _num(metric.measured["max"]))
-    gates.append(gate("metric_consistency", diff, 0.0, "<="))
+    if slopes_b:
+        mean_b = float(np.mean(slopes_b))
+        blo, bhi = config["box_mean_band"]
+        gates.append(gate("box_mean_low", mean_b, _num(blo), ">="))
+        gates.append(gate("box_mean_high", mean_b, _num(bhi), "<="))
+    for metric in _live(cells, kind="metric"):
+        diff = abs(_num(metric.measured["euclidean"]) - _num(metric.measured["max"]))
+        gates.append(gate("metric_consistency", diff, 0.0, "<="))
     return gates
 
 

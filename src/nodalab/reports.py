@@ -95,6 +95,11 @@ class GateResult:
         }
 
 
+def verdict(gates) -> bool:
+    """A report passes when it has gates and every one of them passed."""
+    return bool(gates) and all(g.passed for g in gates)
+
+
 def gate(name: str, value: float, bound: float, op: str) -> GateResult:
     value = float(value)
     bound = float(bound)
@@ -121,7 +126,7 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return all(g.passed for g in self.gates)
+        return verdict(self.gates)
 
     def param_hash(self) -> str:
         """Short content hash of the scientific parameters (not output paths)."""
@@ -221,6 +226,6 @@ def verify_report(path, gate_builders: dict) -> tuple[bool, str]:
     for g, s in zip(rebuilt, stored):
         if g.as_dict() != s:
             return False, f"gate {g.name!r} disagrees: rebuilt {g.as_dict()} vs stored {s}"
-    if all(g.passed for g in rebuilt) != data["passed"]:
+    if verdict(rebuilt) != data["passed"]:
         return False, "overall verdict disagrees with stored gates"
     return True, f"{len(rebuilt)} gates reproduced"

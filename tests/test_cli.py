@@ -164,3 +164,47 @@ def test_cache_is_numerically_transparent(tmp_path, monkeypatch):
     blobs = [next(d.glob("*.json")).read_bytes() for d in (out1, out2, out3)]
     assert blobs[0] == blobs[1] == blobs[2]
     assert list((tmp_path / "cache").glob("dist_*.npy"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["borel-cantelli", "--k0", "1", "--k-max", "30", "--n-points", "50"], "2C < k0"),
+        (["borel-cantelli", "--C", "0.5", "--k0", "2", "--k-max", "3", "--n-points", "50"],
+         "k_max must be >= 4"),
+    ],
+    ids=["tail-bound-above-1", "k-max-below-4"],
+)
+def test_degenerate_borel_cantelli_exits_2(argv, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["yau", "--modes", "400,400"], "skipped cell m=400,400: skipped: grid of shape"),
+        (["density", "--modes", "3000,3000"], "skipped cell m=3000,3000: skipped: grid of shape"),
+        (["dim2", "--modes", "300,300"], "skipped cell m=300,300: skipped: grid of shape"),
+        (["tube", "--domain", "torus2", "--modes", "3,4", "--mu-delta", "0.5"],
+         "no gate could be evaluated"),
+        (["boxes", "--m", "10000000"],
+         "skipped cell scaling;mud=0.1: skipped: grid of shape"),
+    ],
+    ids=["yau", "density", "dim2", "tube", "boxes"],
+)
+def test_all_cells_skipped_fails_with_a_message(argv, message, tmp_path, capsys):
+    """A report with no live cell has no gates: exit 1 and say why, no traceback."""
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_GATE_FAIL
+    out = capsys.readouterr().out
+    assert "gates 0/0 passed, FAIL" in out and message in out
+    (jp,) = tmp_path.glob("*.json")
+    assert main(["report", str(jp)]) == EXIT_PASS  # the stored verdict reproduces
+
+
+def test_jobs_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--jobs", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2

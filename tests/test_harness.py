@@ -1,7 +1,12 @@
+import functools
 import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nodalab.harness as harness_mod
 
 from nodalab.cache import FieldCache
 from nodalab.errors import ValidationError
@@ -195,6 +200,37 @@ def test_spectral_report_digests(name, tmp_path):
     assert got == SPECTRAL_DIGESTS[name]
 
 
+# sha256 of (JSON, CSV) report bytes, recorded before the per-axis miss tables
+# replaced the per-sample oracle in measures._refined_volume. Same rule as above.
+GRID_DIGESTS = {
+    "yau_torus": (
+        "084755f98d84c79c98207a5b127bd38cfb457d3e0a08890fe768f2908ff1fc36",
+        "f692e5957dd9c488c80574ac12200a04ce03e7bfccfb8aad3f0afc86349c804f",
+    ),
+    "dim2": (
+        "8aa4f09dbd87807b00e13bdbc13e84f7c57f6d15de6ea5b9c1a6cdd6a2d77c1d",
+        "6567e374ef340f861c4e03a30746d5a93f067be14f9ef9b5c7819f4ad84de504",
+    ),
+    "tube_torus": (
+        "586ad8a0d59178cd3547c126316a3d570be6e74bfba9f07ab17afd741a422b3b",
+        "f48986d1ad4f82a3f7840e6019eb17b2dbd29a6110e90fc2c410a845b506706e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_DIGESTS))
+def test_grid_report_digests(name, tmp_path):
+    """Small grid-driver reports keep their exact bytes (golden sha256)."""
+    run = {
+        "yau_torus": lambda: run_yau_check(TORUS2, modes=((3, 4), (4, 1))),
+        "dim2": lambda: run_dim2_checks(modes=((2, 3),)),
+        "tube_torus": lambda: run_tube_scaling(TORUS2, modes=((3, 4),), mu_delta=(0.1, 0.2)),
+    }[name]
+    paths = write_report(run(), tmp_path)
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    assert got == GRID_DIGESTS[name]
+
+
 def test_spectral_drivers_reject_empty_windows():
     for kwargs in ({"n_interval": 0}, {"n_box": 0}):
         with pytest.raises(ValidationError):
@@ -205,6 +241,82 @@ def test_spectral_drivers_reject_empty_windows():
     # mu = 25 k: the tail above k0 = 100 starts at 125, past the control window (100, 120]
     with pytest.raises(ValidationError, match="control window"):
         run_approx_theorem(DomainSpec.box((25.0,)), k_max=200)
+
+
+def test_approx_theorem_rejects_degenerate_bounds_before_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("degenerate input reached borel_cantelli_sum")
+
+    monkeypatch.setattr(harness_mod, "borel_cantelli_sum", no_work)
+    # k0 <= 2C: the tail bound 2C/k0 is at least 1 (was a math domain error)
+    with pytest.raises(ValidationError, match="2C < k0"):
+        run_approx_theorem(k_max=30, k0=1, n_points=50)
+    with pytest.raises(ValidationError, match="2C < k0"):
+        run_approx_theorem(C=-1.0, k_max=30, k0=10, n_points=50)
+    # C = 0: zero radii and zero gaps passed every gate vacuously
+    with pytest.raises(ValidationError, match="2C < k0"):
+        run_approx_theorem(C=0.0, k_max=30, k0=10, n_points=50)
+    # k_max < 4: both Cauchy cells sat at K = 0 and passed on zeros
+    with pytest.raises(ValidationError, match="k_max must be >= 4"):
+        run_approx_theorem(C=0.5, k_max=3, k0=2, n_points=50)
+    with pytest.raises(ValidationError, match="box_k_max must be >= 4"):
+        run_approx_theorem(k_max=200, k0=50, n_points=50, box_k_max=3)
+
+
+@functools.lru_cache(maxsize=None)
+def small_reports():
+    """One small real report per gate builder (two where a builder branches on the domain)."""
+    return (
+        run_tube_scaling(INTERVAL, include_break_cell=True),
+        run_tube_scaling(TORUS2, modes=((3, 4),), mu_delta=(0.1, 0.2)),
+        run_yau_check(INTERVAL),
+        run_yau_check(TORUS2, modes=((3, 3), (4, 1), (8, 1))),
+        run_density_check(INTERVAL),
+        run_density_check(TORUS2, modes=((3, 3), (4, 1))),
+        run_dim2_checks(modes=((2, 3),)),
+        run_comparability_scaling(),
+        run_approx_theorem(k_max=2000, n_points=400, k0=50, box_k_max=400),
+        run_exponent_survey(n_interval=10, mu_max_interval=20_000.0, n_box=5),
+    )
+
+
+def test_small_reports_cover_every_gate_builder():
+    assert {r.experiment for r in small_reports()} == set(GATE_BUILDERS)
+
+
+def test_comparability_stability_band_alone_is_no_verdict():
+    """With every cell of the requested mode skipped, the fixed-mode stability band is not gated."""
+    (report,) = [r for r in small_reports() if r.experiment == "comparability"]
+    cells = [CellResult.from_dict(c.as_dict()) for c in report.cells]
+    for c in cells:
+        if c.params["kind"] in ("scaling", "a_sweep"):
+            c.skipped, c.note = True, "skipped: drawn"
+    assert sum(not c.skipped for c in cells) == 3
+    assert GATE_BUILDERS["comparability"](cells, report.config) == []
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_gate_builders_total_over_skipped_subsets(data):
+    """Any skipped subset of a real report's cells: no exception, no NaN gate."""
+    report = data.draw(st.sampled_from(small_reports()))
+    n = len(report.cells)
+    skip = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cells = []
+    for c, skipped in zip(report.cells, skip):
+        cell = CellResult.from_dict(c.as_dict())  # as verify_report reads them
+        if skipped:
+            cell.skipped, cell.note = True, "skipped: drawn"
+        cells.append(cell)
+    gates = GATE_BUILDERS[report.experiment](cells, report.config)
+    assert all(not math.isnan(g.value) and not math.isnan(g.bound) for g in gates)
+    if all(skip):
+        assert gates == []
+    if report.experiment == "comparability" and not any(
+        g.name != "stability_band" for g in gates
+    ):
+        # stability is measured on fixed modes, never on the requested one
+        assert gates == []
 
 
 def test_reports_deterministic_across_runs():

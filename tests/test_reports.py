@@ -113,3 +113,15 @@ def test_verify_unknown_experiment(tmp_path):
     jp, _ = write_report(r, tmp_path)
     with pytest.raises(ValidationError):
         verify_report(jp, GATE_BUILDERS)
+
+
+def test_report_without_gates_fails_and_verifies(tmp_path):
+    report = small_report()
+    report.gates = []
+    assert not report.passed  # nothing checked is not a pass
+    assert json.loads(report.to_json())["passed"] is False
+    report.cells = [CellResult("c", {"k": 3}, skipped=True, note="guard")]
+    report.config = {"domain_kind": "interval"}
+    json_path, _ = write_report(report, tmp_path)
+    ok, msg = verify_report(json_path, {"tube_scaling": lambda cells, config: []})
+    assert ok, msg
