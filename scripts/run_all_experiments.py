@@ -3,10 +3,11 @@
 
 Each experiment produces a JSON report (cells, gates, verdict, param hash)
 and a CSV of the raw cells. The script prints one summary line per
-experiment, lists any failed gates, and exits 1 if anything failed.
+experiment, the note of each skipped cell under it, lists any failed gates,
+and exits 1 if anything failed.
 
-Full mode takes a few minutes on one core; --quick drops the expensive
-torus tube cells and shrinks the surveys for a fast smoke run.
+Full mode takes about 45 s on one core; --quick drops the expensive torus
+tube cells and shrinks the surveys for a fast smoke run.
 """
 
 import argparse
@@ -108,6 +109,9 @@ def main(argv=None) -> int:
             f"  cells {len(report.cells)} ({n_skip} skipped)"
             f"  {elapsed:6.1f}s  {json_path}"
         )
+        for c in report.cells:
+            if c.skipped:
+                print(f"    skipped cell {c.cell}: {c.note}")
         if not report.passed:
             failures += 1
             for g in report.gates:

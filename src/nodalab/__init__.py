@@ -8,20 +8,15 @@ functions of the recorded numbers.
 """
 
 from .boxes import (
-    BoxStats,
     NodalBoxes,
     Subdivision,
     bad_proportion,
-    classify_boxes,
     comparability_set,
-    compute_box_stats,
     goodness_threshold,
     nodal_box_count,
-    sign_ratio,
     subdivide,
 )
 from .cache import FieldCache
-from .cfrac import ContinuedFractionExpansion, continued_fraction
 from .components import component_inradii, sign_components
 from .dioph import (
     ExponentEstimate,
@@ -75,10 +70,8 @@ from .spectrum import (
 __version__ = CODE_VERSION
 
 __all__ = [
-    "BoxStats",
     "CODE_VERSION",
     "CellResult",
-    "ContinuedFractionExpansion",
     "DistanceField",
     "DomainSpec",
     "EigenMode",
@@ -100,11 +93,8 @@ __all__ = [
     "ValidationError",
     "bad_proportion",
     "borel_cantelli_sum",
-    "classify_boxes",
     "comparability_set",
     "component_inradii",
-    "compute_box_stats",
-    "continued_fraction",
     "density_radius",
     "density_radius_exact",
     "distance_field",
@@ -129,7 +119,6 @@ __all__ = [
     "run_yau_check",
     "sample_grid",
     "sign_components",
-    "sign_ratio",
     "subdivide",
     "tube_volume",
     "tube_volume_exact",

@@ -4,24 +4,21 @@ The domain is tiled by equal axis intervals with side strictly between delta
 and 2*delta. Local averages of phi^2 over a box and over its starred union
 (the box plus its <= 3^n - 1 touching neighbors) drive the exceptional-set
 mask: a grid point is exceptional when phi^2 there deviates from the starred
-average of its box by more than the comparability factor A. Per-box masses of
-that mask classify boxes as good or bad; boxes meeting the nodal set are
-flagged separately.
+average of its box by more than the comparability factor A. The fraction of
+each box that mask covers classifies the box as good or bad; boxes meeting
+the nodal set are counted separately.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .components import SIGN_EPS
 from .errors import ResolutionError, ValidationError
 from .grid import GridSample
 from .nodal import NodalApprox
-from .spectrum import nodal_distance_exact
 
 
 def unit_ball_volume(n: int) -> float:
@@ -163,68 +160,16 @@ def comparability_set(sample: GridSample, sub: Subdivision, A: float):
     return mask, volume
 
 
-@dataclass
-class BoxStats:
-    """Per-box statistics: phi^2 averages, exceptional mass, flags, sign fractions."""
+def bad_proportion(sample: GridSample, sub: Subdivision, mask: np.ndarray) -> float:
+    """Fraction of boxes whose exceptional fraction is not below goodness_threshold(n).
 
-    sub: Subdivision
-    A: float
-    avg: np.ndarray
-    star_avg: np.ndarray
-    e_frac: np.ndarray
-    e_volume: float
-    nodal: np.ndarray
-    pos_frac: np.ndarray
-    neg_frac: np.ndarray
-    good: np.ndarray | None = None
-
-    @property
-    def e_mass(self) -> np.ndarray:
-        return self.e_frac * self.sub.box_volume
-
-
-def compute_box_stats(
-    sample: GridSample,
-    sub: Subdivision,
-    A: float,
-    nodal: NodalApprox | None = None,
-) -> BoxStats:
-    """Box averages of phi^2, exceptional-set fractions, sign fractions, nodal flags."""
-    _check_alignment(sample, sub)
-    F = sample.values**2
-    ids = _grid_box_ids(sample, sub)
-    sums = _box_sum(ids, F, sub)
-    cnts = _box_sum(ids, None, sub).astype(float)
-    avg = sums / cnts
-    star_avg = _star_sum(sums, sample.periodic) / _star_sum(cnts, sample.periodic)
-    if not np.all(star_avg > 0):
-        raise ValidationError("a starred box average is zero (sample vanishes there)")
-    mask, e_volume = comparability_set(sample, sub, A)
-    e_frac = _box_sum(ids, mask.astype(float), sub) / cnts
-    pos = _box_sum(ids, (sample.values > SIGN_EPS).astype(float), sub) / cnts
-    neg = _box_sum(ids, (sample.values < -SIGN_EPS).astype(float), sub) / cnts
-    if nodal is not None:
-        nodal_mask = nodal_box_count(sub, nodal).mask
-    else:
-        nodal_mask = np.zeros(sub.counts, dtype=bool)
-    return BoxStats(sub, float(A), avg, star_avg, e_frac, e_volume, nodal_mask, pos, neg)
-
-
-def classify_boxes(stats: BoxStats, threshold: float | None = None) -> np.ndarray:
-    """Flag boxes good when their exceptional fraction is below the threshold.
-
-    The default threshold is the unit-ball volume times 10^(-2n).
+    mask marks the exceptional grid points, as returned by comparability_set.
     """
-    if threshold is None:
-        threshold = goodness_threshold(stats.sub.n)
-    good = stats.e_frac < threshold
-    stats.good = good
-    return good
-
-
-def bad_proportion(stats: BoxStats) -> float:
-    """Fraction of boxes classified bad (classifies with defaults if needed)."""
-    good = stats.good if stats.good is not None else classify_boxes(stats)
+    _check_alignment(sample, sub)
+    ids = _grid_box_ids(sample, sub)
+    counts = _box_sum(ids, None, sub).astype(float)
+    e_frac = _box_sum(ids, mask.astype(float), sub) / counts
+    good = e_frac < goodness_threshold(sub.n)
     return float((~good).sum() / good.size)
 
 
@@ -279,100 +224,3 @@ def nodal_box_count(sub: Subdivision, nodal: NodalApprox) -> NodalBoxes:
             mask[tuple(lo[inside].T)] = True
     star = _star_sum(mask.astype(np.int64), sample.periodic) > 0
     return NodalBoxes(int(mask.sum()), mask, float(star.sum()) * sub.box_volume)
-
-
-@dataclass
-class SignBallStats:
-    """Grid-counted sign split of a ball around a nodal point."""
-
-    ratio: float
-    pos_frac: float
-    neg_frac: float
-    points: int
-
-
-def sign_ratio(sample: GridSample, center, radius: float) -> SignBallStats:
-    """Vol(B+)/Vol(B-) for the ball at a nodal point, by grid counting.
-
-    The center must lie on the nodal set (within twice the grid spacing) and
-    the ball must fit inside the domain; on the torus it wraps but must not
-    self-overlap. An empty negative part yields an infinite ratio.
-    """
-    center = np.asarray(center, dtype=float)
-    if center.shape != (sample.n,):
-        raise ValidationError(f"center must have {sample.n} coordinates")
-    if radius <= 0:
-        raise ValidationError("radius must be positive")
-    lengths = sample.domain.lengths
-    if sample.periodic:
-        if 2 * radius > min(lengths):
-            raise ValidationError("ball self-overlaps around the torus")
-    else:
-        for j in range(sample.n):
-            if center[j] - radius < 0 or center[j] + radius > lengths[j]:
-                raise ValidationError("ball leaves the domain")
-    d0 = float(nodal_distance_exact(sample.mode, center))
-    if d0 > 2 * max(sample.h):
-        raise ValidationError(
-            f"center is {d0:g} from the nodal set (allowed 2*max(h) = {2 * max(sample.h):g})"
-        )
-    r2 = np.zeros(sample.shape)
-    for j in range(sample.n):
-        x = np.arange(sample.shape[j]) * sample.h[j]
-        diff = np.abs(x - center[j])
-        if sample.periodic:
-            diff = np.minimum(diff, lengths[j] - diff)
-        shape = [1] * sample.n
-        shape[j] = -1
-        r2 = r2 + (diff**2).reshape(shape)
-    inside = r2 < radius**2
-    total = int(inside.sum())
-    if total == 0:
-        raise ResolutionError("ball contains no grid points")
-    v = sample.values[inside]
-    npos = int((v > SIGN_EPS).sum())
-    nneg = int((v < -SIGN_EPS).sum())
-    ratio = math.inf if nneg == 0 else npos / nneg
-    return SignBallStats(ratio, npos / total, nneg / total, total)
-
-
-def ball_mass_ratio(sample: GridSample, center, radius: float) -> float:
-    """Grid-quadrature ratio of phi^2 mass in B(center, r) to B(center, 2r)."""
-    center = np.asarray(center, dtype=float)
-    lengths = sample.domain.lengths
-    r2 = np.zeros(sample.shape)
-    for j in range(sample.n):
-        x = np.arange(sample.shape[j]) * sample.h[j]
-        diff = np.abs(x - center[j])
-        if sample.periodic:
-            diff = np.minimum(diff, lengths[j] - diff)
-        shape = [1] * sample.n
-        shape[j] = -1
-        r2 = r2 + (diff**2).reshape(shape)
-    F = sample.values**2
-    outer = float(F[r2 < (2 * radius) ** 2].sum())
-    if outer <= 0:
-        raise ValidationError("no phi^2 mass in the doubled ball")
-    return float(F[r2 < radius**2].sum()) / outer
-
-
-def stats_to_csv(stats: BoxStats, path):
-    """One CSV row per box: index, averages, exceptional fraction, flags, sign split."""
-    good = stats.good if stats.good is not None else classify_boxes(stats)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["nu", "avg", "star_avg", "e_frac", "good", "nodal", "pos_frac", "neg_frac"])
-        for flat in range(stats.sub.n_boxes):
-            nu = np.unravel_index(flat, stats.sub.counts)
-            w.writerow(
-                [
-                    "x".join(str(i) for i in nu),
-                    repr(float(stats.avg[nu])),
-                    repr(float(stats.star_avg[nu])),
-                    repr(float(stats.e_frac[nu])),
-                    int(good[nu]),
-                    int(stats.nodal[nu]),
-                    repr(float(stats.pos_frac[nu])),
-                    repr(float(stats.neg_frac[nu])),
-                ]
-            )

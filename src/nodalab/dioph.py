@@ -24,8 +24,6 @@ import numpy as np
 from .errors import ValidationError
 from .spectrum import DomainSpec, ModeList, enumerate_modes
 
-METRICS = ("euclidean", "max")
-
 
 def _lattice_distance_table(x, spacing: np.ndarray) -> np.ndarray:
     """Entry i is the distance from x to the lattice spacing[i-1] * Z; entry 0 is inf.
@@ -40,14 +38,8 @@ def _lattice_distance_table(x, spacing: np.ndarray) -> np.ndarray:
     return table
 
 
-def modes_nodal_distance(point, modes: ModeList, metric: str = "euclidean") -> np.ndarray:
-    """Exact nodal distances from one point to every mode in the list.
-
-    The nodal set is a union of axis-perpendicular hyperplanes, so the
-    Euclidean and max-coordinate metrics give the same value.
-    """
-    if metric not in METRICS:
-        raise ValidationError(f"metric must be one of {METRICS}")
+def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
+    """Exact nodal distances from one point to every mode in the list."""
     dom = modes.domain
     point = np.asarray(point, dtype=float)
     if point.shape != (dom.n,):
@@ -84,7 +76,6 @@ class ExponentEstimate:
     mu_range: tuple[float, float]
     low_confidence: bool
     exact_hit: bool
-    metric: str = "euclidean"
 
 
 def estimate_exponent(
@@ -92,7 +83,6 @@ def estimate_exponent(
     modes: ModeList,
     mu_min: float = 3.0,
     mu_max: float | None = None,
-    metric: str = "euclidean",
 ) -> ExponentEstimate:
     """Fit -log(best distance so far) against log(mu) at its record events.
 
@@ -108,7 +98,7 @@ def estimate_exponent(
     """
     if len(modes) == 0:
         raise ValidationError("mode list is empty")
-    dist = modes_nodal_distance(point, modes, metric)
+    dist = modes_nodal_distance(point, modes)
     mu = modes.mu
     hi = float(mu[-1]) if mu_max is None else float(mu_max)
     if not mu_min < hi:
@@ -117,7 +107,7 @@ def estimate_exponent(
     zero = dist == 0.0
     if zero.any():
         hit_mu = float(mu[zero][0])
-        return ExponentEstimate(pt, math.inf, 0, 0.0, (mu_min, hit_mu), False, True, metric)
+        return ExponentEstimate(pt, math.inf, 0, 0.0, (mu_min, hit_mu), False, True)
     proxy = mu * dist
     running = np.minimum.accumulate(proxy)
     prev = np.concatenate([[np.inf], running[:-1]])
@@ -125,12 +115,12 @@ def estimate_exponent(
     idx = np.nonzero(rec)[0]
     n_rec = int(idx.size)
     if n_rec < 2:
-        return ExponentEstimate(pt, math.nan, n_rec, math.nan, (mu_min, hi), True, False, metric)
+        return ExponentEstimate(pt, math.nan, n_rec, math.nan, (mu_min, hi), True, False)
     X = np.log(mu[idx])
     Y = -np.log(dist[idx])
     slope, intercept = np.polyfit(X, Y, 1)
     resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))
-    return ExponentEstimate(pt, float(slope), n_rec, resid, (mu_min, hi), n_rec < 5, False, metric)
+    return ExponentEstimate(pt, float(slope), n_rec, resid, (mu_min, hi), n_rec < 5, False)
 
 
 @dataclass

@@ -11,17 +11,11 @@ own cells so a skipped grid estimate does not silently drop a law check.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-from .boxes import (
-    bad_proportion,
-    classify_boxes,
-    comparability_set,
-    compute_box_stats,
-    goodness_threshold,
-    subdivide,
-)
+from .boxes import bad_proportion, comparability_set, goodness_threshold, subdivide
 from .components import component_inradii, sign_components
 from .dioph import borel_cantelli_sum, estimate_exponent, modes_nodal_distance
 from .distance import DistanceField, distance_field
@@ -61,6 +55,16 @@ def _num(x) -> float:
         except ValueError:
             return math.nan
     return float(x)
+
+
+@contextmanager
+def _skip_on_guard(cell: CellResult, prefix: str = "skipped: "):
+    """Mark the cell skipped, with the guard's message in its note, if a guard fires."""
+    try:
+        yield
+    except GUARDS as e:
+        cell.skipped = True
+        cell.note = f"{prefix}{e}"
 
 
 def _mode(domain: DomainSpec, m) -> EigenMode:
@@ -170,7 +174,7 @@ def run_tube_scaling(
                 params={"method": "grid", "m": list(m), "mu": mu, "delta": delta,
                         "mu_delta": t, "gated": gated},
             )
-            try:
+            with _skip_on_guard(gcell, "grid skipped: "):
                 rule = ResolutionRule(points_per_wavelength=ppw, h_max=delta / h_factor)
                 sample, nodal, field = _field_for(mode, rule, False, cache)
                 vol = tube_volume(
@@ -180,9 +184,6 @@ def run_tube_scaling(
                 gcell.measured = {"vol": vol, "ratio": vol / (mu * delta), "agree_rel": agree}
                 gcell.error = field.raster_error
                 gcell.passed = agree <= agree_tol
-            except GUARDS as e:
-                gcell.skipped = True
-                gcell.note = f"grid skipped: {e}"
             cells.append(gcell)
     gates = GATE_BUILDERS["tube_scaling"](cells, config)
     ratios = [c.measured["ratio"] for c in _live(cells, method="oracle") if c.params["gated"]]
@@ -267,7 +268,7 @@ def run_yau_check(
             cell=f"m={','.join(str(v) for v in m)}",
             params={"m": list(m), "mu": mu, "family": family},
         )
-        try:
+        with _skip_on_guard(cell):
             if domain.n == 1:
                 rule = ResolutionRule(points_per_wavelength=ppw)
                 t_list = [0.1 / mu, 0.05 / mu]
@@ -290,9 +291,6 @@ def run_yau_check(
                 cell.measured["by_segments"] = nm.by_segments
                 cell.measured["agreement_rel"] = nm.agreement_rel
             cell.error = field.raster_error
-        except GUARDS as e:
-            cell.skipped = True
-            cell.note = f"skipped: {e}"
         cells.append(cell)
     gates = GATE_BUILDERS["yau_ratio"](cells, config)
     live = _live(cells)
@@ -366,7 +364,7 @@ def run_density_check(
         cell = CellResult(
             cell=f"m={','.join(str(v) for v in m)}", params={"m": list(m), "mu": mu}
         )
-        try:
+        with _skip_on_guard(cell):
             r_exact = density_radius_exact(mode)
             rule = ResolutionRule(
                 points_per_wavelength=ppw, h_max=r_exact / radius_h_divisor
@@ -382,9 +380,6 @@ def run_density_check(
                 "h_mu": h_max_used * mu,
             }
             cell.error = field.raster_error
-        except GUARDS as e:
-            cell.skipped = True
-            cell.note = f"skipped: {e}"
         cells.append(cell)
     gates = GATE_BUILDERS["density"](cells, config)
     summary = {"products": {c.cell: c.measured["product"] for c in _live(cells)}}
@@ -477,7 +472,7 @@ def run_dim2_checks(
         cell = CellResult(
             cell=f"m={mj},{nj}", params={"m": [mj, nj], "mu": mu, "count_oracle": 4 * mj * nj}
         )
-        try:
+        with _skip_on_guard(cell):
             fine = sample_grid(mode, ResolutionRule(points_per_wavelength=area_ppw))
             comp = sign_components(fine)
             areas = comp.areas
@@ -511,9 +506,6 @@ def run_dim2_checks(
                 "courant_bound": _lattice_count(mu),
             }
             cell.error = field_fine.raster_error
-        except GUARDS as e:
-            cell.skipped = True
-            cell.note = f"skipped: {e}"
         cells.append(cell)
     gates = GATE_BUILDERS["dim2"](cells, config)
     summary = {"counts": {c.cell: c.measured["count"] for c in _live(cells)}}
@@ -596,19 +588,17 @@ def run_comparability_scaling(
         sub = subdivide(domain.lengths, delta)
         rule = ResolutionRule(32.0, h_max=min(sub.sides) / side_h_divisor)
         sample = sample_grid(mode, rule)
-        return mode, sample, sub, comparability_set(sample, sub, a)[1]
+        mask, volume = comparability_set(sample, sub, a)
+        return sample, sub, mask, volume
 
     for t in mu_delta:
         cell = CellResult(
             cell=f"scaling;mud={t:g}", params={"kind": "scaling", "m": m, "mu_delta": t, "A": A}
         )
-        try:
-            _, sample, _, evol = exceptional_volume(m, t, A)
+        with _skip_on_guard(cell):
+            sample, _, _, evol = exceptional_volume(m, t, A)
             cell.measured = {"e_volume": evol, "ratio": evol / t}
             cell.error = float(max(sample.h))
-        except GUARDS as e:
-            cell.skipped = True
-            cell.note = f"skipped: {e}"
         cells.append(cell)
 
     mid_t = list(mu_delta)[len(mu_delta) // 2]
@@ -616,13 +606,10 @@ def run_comparability_scaling(
         cell = CellResult(
             cell=f"a_sweep;A={a:g}", params={"kind": "a_sweep", "m": m, "mu_delta": mid_t, "A": a}
         )
-        try:
-            _, sample, _, evol = exceptional_volume(m, mid_t, a)
+        with _skip_on_guard(cell):
+            sample, _, _, evol = exceptional_volume(m, mid_t, a)
             cell.measured = {"e_volume": evol}
             cell.error = float(max(sample.h))
-        except GUARDS as e:
-            cell.skipped = True
-            cell.note = f"skipped: {e}"
         cells.append(cell)
 
     theta = goodness_threshold(domain.n)
@@ -630,11 +617,9 @@ def run_comparability_scaling(
         cell = CellResult(
             cell=f"stability;m={k}", params={"kind": "stability", "m": int(k), "mu_delta": mid_t, "A": A}
         )
-        try:
-            mode, sample, sub, evol = exceptional_volume(int(k), mid_t, A)
-            stats = compute_box_stats(sample, sub, A)
-            classify_boxes(stats)
-            bad = bad_proportion(stats)
+        with _skip_on_guard(cell):
+            sample, sub, mask, evol = exceptional_volume(int(k), mid_t, A)
+            bad = bad_proportion(sample, sub, mask)
             bad_mass = bad * sub.n_boxes * sub.box_volume
             cell.measured = {
                 "e_volume": evol,
@@ -644,9 +629,6 @@ def run_comparability_scaling(
                 "threshold": theta,
             }
             cell.error = float(max(sample.h))
-        except GUARDS as e:
-            cell.skipped = True
-            cell.note = f"skipped: {e}"
         cells.append(cell)
 
     gates = GATE_BUILDERS["comparability"](cells, config)
@@ -866,8 +848,7 @@ def run_exponent_survey(
 ) -> ExperimentReport:
     """Per-point approximation exponents on the interval and a weighted box.
 
-    Record-event regression should land near exponent 2 on both families; the
-    max-metric estimate must agree exactly with the Euclidean one. The
+    Record-event regression should land near exponent 2 on both families. The
     in-band point-count gate defaults to 90% of the survey size.
     """
     if n_interval < 1 or n_box < 1:
@@ -926,17 +907,6 @@ def run_exponent_survey(
             )
         )
 
-    short = enumerate_modes(interval, 2000.0)
-    e_euc = estimate_exponent([float(pts_i[0])], short, metric="euclidean")
-    e_max = estimate_exponent([float(pts_i[0])], short, metric="max")
-    cells.append(
-        CellResult(
-            cell="metric_check",
-            params={"kind": "metric", "x": float(pts_i[0])},
-            measured={"euclidean": e_euc.exponent, "max": e_max.exponent},
-        )
-    )
-
     gates = GATE_BUILDERS["exponent_survey"](cells, config)
     live_i = [
         _num(c.measured["exponent"])
@@ -986,9 +956,6 @@ def _exponent_gates(cells, config):
         blo, bhi = config["box_mean_band"]
         gates.append(gate("box_mean_low", mean_b, _num(blo), ">="))
         gates.append(gate("box_mean_high", mean_b, _num(bhi), "<="))
-    for metric in _live(cells, kind="metric"):
-        diff = abs(_num(metric.measured["euclidean"]) - _num(metric.measured["max"]))
-        gates.append(gate("metric_consistency", diff, 0.0, "<="))
     return gates
 
 

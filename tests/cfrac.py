@@ -1,4 +1,4 @@
-"""Continued fractions with exact integer convergents.
+"""Continued fractions with exact integer convergents: the exponent tests' oracle.
 
 The expansion runs the Euclidean algorithm on the exact rational value of the
 input double (every float is a dyadic rational), so partial quotients and
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from nodalab.errors import ValidationError
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
-"""Subdivision, exceptional sets, box classification, nodal boxes, sign balls."""
+"""Subdivision, exceptional sets, box classification, nodal boxes."""
 
-import csv
 import math
 
 import numpy as np
@@ -9,16 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalab.boxes import (
-    BoxStats,
     bad_proportion,
-    ball_mass_ratio,
-    classify_boxes,
     comparability_set,
-    compute_box_stats,
     goodness_threshold,
     nodal_box_count,
-    sign_ratio,
-    stats_to_csv,
     subdivide,
     unit_ball_volume,
 )
@@ -143,46 +136,25 @@ def test_comparability_guards():
         comparability_set(zero, subdivide(s.domain.lengths, 0.9), 10.0)
 
 
-def synthetic_stats(e_fracs):
-    sub = subdivide((1.0,), 0.3)
-    k = sub.n_boxes
-    arr = np.resize(np.asarray(e_fracs, dtype=float), k)
-    ones = np.ones(k)
-    return BoxStats(sub, 10.0, ones, ones, arr, float(arr.sum()), np.zeros(k, bool), ones * 0.4, ones * 0.4)
-
-
 def test_classification_threshold():
     assert goodness_threshold(2) == pytest.approx(math.pi * 1e-4, rel=1e-12)
-    stats = synthetic_stats([2e-4, 4e-4])
-    good = classify_boxes(stats, threshold=goodness_threshold(2))
-    assert good[0] and not good[1]
-    assert bad_proportion(stats) == 0.5
+    # two boxes of about 1000 grid points each; a 1-d box is good below 2%
+    mode = EigenMode(DomainSpec.interval(), (1,))
+    sub = subdivide(mode.domain.lengths, 1.0)
+    s = sample_grid(mode, ResolutionRule(h_max=min(sub.sides) / 1000))
+    assert sub.counts == (2,) and goodness_threshold(1) == pytest.approx(0.02)
+    mask = np.zeros(s.shape, dtype=bool)
+    mask[:15] = True  # 1.5% of the first box
+    mask[-25:] = True  # 2.5% of the second
+    assert bad_proportion(s, sub, mask) == 0.5
 
 
 def test_e_empty_all_good_and_full_all_bad():
     s = constant_sample()
     sub = subdivide(s.domain.lengths, 0.5)
-    stats = compute_box_stats(s, sub, 10.0)
-    assert classify_boxes(stats).all()
-    assert bad_proportion(stats) == 0.0
-    full = synthetic_stats([1.0])
-    classify_boxes(full)
-    assert bad_proportion(full) == 1.0
-
-
-def test_box_stats_invariants():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    sub = subdivide(mode.domain.lengths, 0.3)
-    s = sample_grid(mode, ResolutionRule(h_max=0.3 / 10))
-    nod = extract_nodal(s)
-    stats = compute_box_stats(s, sub, 10.0, nodal=nod)
-    assert np.all(stats.avg >= 0)
-    assert np.all((stats.e_frac >= 0) & (stats.e_frac <= 1))
-    assert np.all(stats.pos_frac + stats.neg_frac <= 1 + 1e-12)
-    assert np.all(stats.e_mass <= stats.sub.box_volume + 1e-15)
-    assert stats.nodal.any()
-    # averages over phi^2 never exceed the sup of phi^2
-    assert stats.avg.max() <= 1.0 + 1e-12
+    mask, _ = comparability_set(s, sub, 10.0)
+    assert bad_proportion(s, sub, mask) == 0.0
+    assert bad_proportion(s, sub, np.ones(s.shape, dtype=bool)) == 1.0
 
 
 def test_nodal_box_count_interval():
@@ -215,62 +187,3 @@ def test_nodal_box_count_empty():
     nb = nodal_box_count(sub, nod)
     assert nb.count == 0
     assert nb.star_volume == 0.0
-
-
-def test_sign_ratio_interval_zero():
-    mode = EigenMode(DomainSpec.interval(), (8,))
-    s = sample_grid(mode, ResolutionRule(h_max=5e-4))
-    r = sign_ratio(s, (3 * math.pi / 8,), math.pi / 32)
-    assert abs(r.ratio - 1.0) < 0.02
-    assert abs(r.pos_frac - 0.5) < 0.01
-    assert abs(r.neg_frac - 0.5) < 0.01
-
-
-def test_sign_ratio_torus_crossing():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    s = sample_grid(mode, ResolutionRule(h_max=2e-3))
-    r = sign_ratio(s, (math.pi / 3, math.pi / 4), math.pi / 16)
-    assert abs(r.ratio - 1.0) < 0.05
-
-
-def test_sign_ratio_guards():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    s = sample_grid(mode, ResolutionRule(h_max=5e-3))
-    with pytest.raises(ValidationError):
-        sign_ratio(s, (math.pi / 6, math.pi / 8), 0.1)  # far from the nodal set
-    with pytest.raises(ValidationError):
-        sign_ratio(s, (math.pi / 3, math.pi / 4), 4.0)  # wraps onto itself
-    box = EigenMode(DomainSpec.box((1.0, 1.0)), (2, 2))
-    sb = sample_grid(box, ResolutionRule(h_max=5e-3))
-    with pytest.raises(ValidationError):
-        sign_ratio(sb, (math.pi / 2, 0.01), 0.1)  # leaves the domain
-
-
-def test_sign_ratio_empty_negative_part():
-    base = constant_sample(1.0)  # positive sample, mode still has a nodal set at (0, *)
-    r = sign_ratio(base, (0.0, 0.0), 0.3)
-    assert math.isinf(r.ratio)
-    assert r.neg_frac == 0.0
-
-
-def test_ball_mass_ratio_small_near_nodal():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    s = sample_grid(mode, ResolutionRule(h_max=2e-3))
-    g = ball_mass_ratio(s, (math.pi / 3, 0.8), 0.05)
-    assert 0.0 < g < 1.0
-
-
-def test_csv_export(tmp_path):
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    sub = subdivide(mode.domain.lengths, 0.3)
-    s = sample_grid(mode, ResolutionRule(h_max=0.3 / 8))
-    stats = compute_box_stats(s, sub, 10.0, nodal=extract_nodal(s))
-    path = tmp_path / "boxes.csv"
-    stats_to_csv(stats, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["nu", "avg", "star_avg", "e_frac", "good", "nodal", "pos_frac", "neg_frac"]
-    assert len(rows) == 1 + sub.n_boxes
-    assert rows[1][0] == "0x0"
-    floats = [float(rows[1][i]) for i in (1, 2, 3, 6, 7)]
-    assert all(v >= 0 for v in floats)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalab.cfrac import continued_fraction
 from nodalab.errors import ValidationError
+
+from cfrac import continued_fraction
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalab.cfrac import continued_fraction
 from nodalab.dioph import borel_cantelli_sum, estimate_exponent, modes_nodal_distance
 from nodalab.distance import distance_field
 from nodalab.errors import ValidationError
@@ -23,6 +22,8 @@ from nodalab.spectrum import (
     nodal_distance_exact,
 )
 
+from cfrac import continued_fraction
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -31,11 +32,11 @@ def interval_modes(k_max: int, alpha: float = 1.0) -> ModeList:
     return enumerate_modes(dom, float(alpha * k_max) + 0.5)
 
 
-def nearest(point, mode: EigenMode, metric: str = "euclidean") -> float:
+def nearest(point, mode: EigenMode) -> float:
     """One mode's nodal distance, through the mode-list scan."""
     codes = np.array([[k == SIN for k in mode.kinds]], dtype=np.uint8)
     one = ModeList(mode.domain, mode.mu, np.array([mode.m]), np.array([mode.mu]), codes)
-    return float(modes_nodal_distance(point, one, metric)[0])
+    return float(modes_nodal_distance(point, one)[0])
 
 
 def hit_indices(point, modes: ModeList, b: float, C: float) -> np.ndarray:
@@ -68,14 +69,6 @@ def test_nearest_distance_torus_product_mode():
 def test_nearest_distance_on_hyperplane_is_zero():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     assert nearest([math.pi / 3, 0.1], mode) == 0.0
-
-
-def test_metrics_agree_and_validate():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    pt = [0.7, 1.3]
-    assert nearest(pt, mode, "euclidean") == nearest(pt, mode, "max")
-    with pytest.raises(ValidationError):
-        nearest(pt, mode, "taxicab")
 
 
 @pytest.mark.parametrize(
@@ -286,14 +279,6 @@ def test_exponent_scale_consistency():
     est2 = estimate_exponent([x / 2], interval_modes(1000, alpha=2.0), mu_min=6.0, mu_max=2000.0)
     assert est1.n_records == est2.n_records
     assert est2.exponent == pytest.approx(est1.exponent, abs=1e-6)
-
-
-def test_exponent_metric_choice_is_cosmetic():
-    modes = interval_modes(2000)
-    e1 = estimate_exponent([0.77], modes, metric="euclidean")
-    e2 = estimate_exponent([0.77], modes, metric="max")
-    assert e1.exponent == e2.exponent
-    assert e2.metric == "max"
 
 
 # ----------------------------------------------------- convergence of sums

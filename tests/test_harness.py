@@ -139,7 +139,6 @@ def test_exponent_survey_small():
     )
     assert r.passed
     g = gates_by_name(r)
-    assert g["metric_consistency"].value == 0.0
     assert 1.8 <= r.summary["interval_mean"] <= 2.2
 
 
@@ -161,9 +160,11 @@ def test_approx_theorem_small():
 
 
 # sha256 of (JSON, CSV) report bytes, recorded before the per-axis table scan
-# replaced the masked per-row formula in dioph.modes_nodal_distance. Re-record
-# them only in a change that deliberately alters report bytes and says so in
-# CHANGES.md.
+# replaced the masked per-row formula in dioph.modes_nodal_distance;
+# exponent_survey re-recorded when its metric_check cell and gate were removed
+# (the new report is the old one without that cell, its row and columns, and
+# the gate). Re-record them only in a change that deliberately alters report
+# bytes and says so in CHANGES.md.
 SPECTRAL_DIGESTS = {
     "approx_interval": (
         "4d08b740d2114a2011ae0e8bb52854b18163033c9e9ebd97a42dd5be7e3fa2d7",
@@ -174,8 +175,8 @@ SPECTRAL_DIGESTS = {
         "2432290bfbff9623ae7ce84952dfb9bbfbd72c48d15c37bfca85a29e6d9852b6",
     ),
     "exponent_survey": (
-        "6bb2b9a322436ba08605d4bc8cedfc7c48ba75448a328e06c9f1aa6f76e2b9c6",
-        "f2a88a073b11f7a7d650ecd8c0d76b0407e98516af8613a65ceb5269a677b3eb",
+        "be77a1103d6fc393073713f5180dc4e82950bef14756e6717d7c96ca515d6520",
+        "4e3bf40b687b9ff8c0a134ff4188d6ff1c4d60cde3f570f9182430eae18182ae",
     ),
 }
 
