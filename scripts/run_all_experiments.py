@@ -19,7 +19,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nodalab import (
     DomainSpec,
-    FieldCache,
     run_approx_theorem,
     run_comparability_scaling,
     run_density_check,
@@ -31,7 +30,7 @@ from nodalab import (
 )
 
 
-def build_jobs(quick: bool, seed: int, cache):
+def build_jobs(quick: bool, seed: int):
     interval = DomainSpec.interval()
     torus = DomainSpec.torus((1.0, 1.0))
 
@@ -53,12 +52,7 @@ def build_jobs(quick: bool, seed: int, cache):
         approx_kwargs = dict(seed=seed)
 
     return [
-        (
-            "tube interval",
-            lambda: run_tube_scaling(
-                interval, include_break_cell=True, seed=seed, cache=cache
-            ),
-        ),
+        ("tube interval", lambda: run_tube_scaling(interval, include_break_cell=True, seed=seed)),
         (
             "tube torus",
             lambda: run_tube_scaling(
@@ -67,14 +61,13 @@ def build_jobs(quick: bool, seed: int, cache):
                 mu_delta=tube_mu_delta,
                 include_break_cell=True,
                 seed=seed,
-                cache=cache,
             ),
         ),
-        ("yau interval", lambda: run_yau_check(interval, seed=seed, cache=cache)),
-        ("yau torus", lambda: run_yau_check(torus, seed=seed, cache=cache)),
-        ("density interval", lambda: run_density_check(interval, cache=cache)),
-        ("density torus", lambda: run_density_check(torus, cache=cache)),
-        ("dim2 torus", lambda: run_dim2_checks(seed=seed, cache=cache)),
+        ("yau interval", lambda: run_yau_check(interval, seed=seed)),
+        ("yau torus", lambda: run_yau_check(torus, seed=seed)),
+        ("density interval", lambda: run_density_check(interval)),
+        ("density torus", lambda: run_density_check(torus)),
+        ("dim2 torus", lambda: run_dim2_checks(seed=seed)),
         ("comparability", lambda: run_comparability_scaling()),
         ("approx theorem", lambda: run_approx_theorem(**approx_kwargs)),
         ("exponent survey", lambda: run_exponent_survey(**exponent_kwargs)),
@@ -85,12 +78,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="report output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed for stochastic refinement")
-    parser.add_argument("--cache-dir", default=None, help="distance-field cache directory")
     parser.add_argument("--quick", action="store_true", help="smaller configs, same gates")
     args = parser.parse_args(argv)
 
-    cache = FieldCache(args.cache_dir) if args.cache_dir else None
-    jobs = build_jobs(args.quick, args.seed, cache)
+    jobs = build_jobs(args.quick, args.seed)
 
     failures = 0
     skipped_total = 0

@@ -16,7 +16,6 @@ from .boxes import (
     nodal_box_count,
     subdivide,
 )
-from .cache import FieldCache
 from .components import component_inradii, sign_components
 from .dioph import (
     ExponentEstimate,
@@ -78,7 +77,6 @@ __all__ = [
     "EmptyNodalSetError",
     "ExperimentReport",
     "ExponentEstimate",
-    "FieldCache",
     "GATE_BUILDERS",
     "GateResult",
     "GridSample",

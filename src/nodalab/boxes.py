@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ResolutionError, ValidationError
 from .grid import GridSample
-from .nodal import NodalApprox
+from .nodal import NodalApprox, _corner_reduce
 
 
 def unit_ball_volume(n: int) -> float:
@@ -182,8 +182,16 @@ class NodalBoxes:
     star_volume: float
 
 
+def _sign_change_cells(sample: GridSample) -> np.ndarray:
+    """Lower-corner indices of the cells whose corner signs are neither all > 0 nor all < 0."""
+    sign = np.sign(sample.values).astype(np.int8)
+    cmin = _corner_reduce(sign, sample.periodic, np.minimum)
+    cmax = _corner_reduce(sign, sample.periodic, np.maximum)
+    return np.argwhere((cmin <= 0) & (cmax >= 0))
+
+
 def nodal_box_count(sub: Subdivision, nodal: NodalApprox) -> NodalBoxes:
-    """Boxes containing a nodal vertex or overlapping a sign-change cell.
+    """Boxes containing a nodal vertex or a whole sign-change cell of the sample.
 
     The starred-union volume covers every flagged box plus its touching
     neighbors (the union of R_nu*), which contains the delta-tube when the
@@ -191,36 +199,24 @@ def nodal_box_count(sub: Subdivision, nodal: NodalApprox) -> NodalBoxes:
     """
     sample = nodal.sample
     _check_alignment(sample, sub)
-    mask = np.zeros(sub.counts, dtype=bool)
     counts = np.asarray(sub.counts)
     lengths = np.asarray(sub.lengths)
 
-    def mark(points: np.ndarray):
-        if points.shape[0] == 0:
-            return
+    def box_of(points: np.ndarray) -> np.ndarray:
         b = np.floor(points * counts / lengths).astype(np.int64)
         if sample.periodic:
-            b %= counts
-        else:
-            b = np.clip(b, 0, counts - 1)
-        mask[tuple(b.T)] = True
+            return b % counts
+        return np.clip(b, 0, counts - 1)
 
-    mark(nodal.vertices)
-    if nodal.cells.shape[0] != 0:
-        h = np.asarray(sample.h)
-
-        def box_of(points: np.ndarray) -> np.ndarray:
-            b = np.floor(points * counts / lengths).astype(np.int64)
-            if sample.periodic:
-                return b % counts
-            return np.clip(b, 0, counts - 1)
-
-        # a cell counts only when it lies inside a single box; straddling
-        # cells are represented by their crossing vertices instead
-        lo = box_of(nodal.cells * h)
-        hi = box_of((nodal.cells + 1) * h)
-        inside = np.all(lo == hi, axis=1)
-        if inside.any():
-            mask[tuple(lo[inside].T)] = True
+    mask = np.zeros(sub.counts, dtype=bool)
+    mask[tuple(box_of(nodal.vertices).T)] = True
+    # a cell counts only when it lies inside a single box; straddling
+    # cells are represented by their crossing vertices instead
+    cells = _sign_change_cells(sample)
+    h = np.asarray(sample.h)
+    lo = box_of(cells * h)
+    hi = box_of((cells + 1) * h)
+    inside = np.all(lo == hi, axis=1)
+    mask[tuple(lo[inside].T)] = True
     star = _star_sum(mask.astype(np.int64), sample.periodic) > 0
     return NodalBoxes(int(mask.sum()), mask, float(star.sum()) * sub.box_volume)

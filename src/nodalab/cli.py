@@ -7,11 +7,9 @@ Exit codes: 0 all gates passed, 1 a gate failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from .cache import FieldCache
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .harness import (
     GATE_BUILDERS,
@@ -30,8 +28,6 @@ EXIT_PASS = 0
 EXIT_GATE_FAIL = 1
 EXIT_INVALID = 2
 EXIT_GUARD = 3
-
-CACHE_ENV = "NODALAB_CACHE_DIR"
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -152,9 +148,6 @@ def build_parser() -> _TrackingParser:
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--out", default="results", help="report output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cache-dir", dest="cache_dir", default=None,
-                       help=f"distance-field cache (default ${CACHE_ENV})")
-        p.add_argument("--no-cache", dest="no_cache", action="store_true")
         p.set_defaults(_subparser=p)
 
     def domain_flags(p, default="interval"):
@@ -231,13 +224,6 @@ def build_parser() -> _TrackingParser:
     return parser
 
 
-def _cache_from(args) -> FieldCache | None:
-    if getattr(args, "no_cache", False):
-        return None
-    root = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-    return FieldCache(root) if root else None
-
-
 def _float_list(args, name):
     val = getattr(args, name, None)
     return _parse_floats(val) if isinstance(val, str) else val
@@ -254,7 +240,6 @@ def dispatch(args) -> int:
         print(("ok: " if ok else "MISMATCH: ") + msg)
         return EXIT_PASS if ok else EXIT_GATE_FAIL
 
-    cache = _cache_from(args)
     seed = None if args.seed is None else _coerce(args.seed, int)
 
     if args.command == "spectrum":
@@ -281,21 +266,20 @@ def dispatch(args) -> int:
         report = run_tube_scaling(
             domain,
             modes=_mode_list(args),
-            mu_delta=_float_list(args, "mu_delta") or (0.05, 0.1, 0.2, 0.3),
+            mu_delta=_float_list(args, "mu_delta"),
             deltas=_float_list(args, "delta"),
             grid=not _coerce(args.no_grid, bool),
             include_break_cell=_coerce(args.break_cell, bool),
             band_cap=_coerce(args.band_cap, float),
             agree_tol=_coerce(args.agree_tol, float),
             seed=seed or 0,
-            cache=cache,
         )
     elif args.command == "yau":
         domain = _parse_domain(args.domain, args.alpha)
-        report = run_yau_check(domain, modes=_mode_list(args), seed=seed or 0, cache=cache)
+        report = run_yau_check(domain, modes=_mode_list(args), seed=seed or 0)
     elif args.command == "density":
         domain = _parse_domain(args.domain, args.alpha)
-        report = run_density_check(domain, modes=_mode_list(args), cache=cache)
+        report = run_density_check(domain, modes=_mode_list(args))
     elif args.command == "boxes":
         report = run_comparability_scaling(
             m=_coerce(args.m, int),
@@ -303,7 +287,7 @@ def dispatch(args) -> int:
             mu_delta=_float_list(args, "mu_delta"),
         )
     elif args.command == "dim2":
-        report = run_dim2_checks(modes=_mode_list(args), seed=seed or 0, cache=cache)
+        report = run_dim2_checks(modes=_mode_list(args), seed=seed or 0)
     elif args.command == "dioph":
         report = run_exponent_survey(
             n_interval=_coerce(args.n_interval, int),

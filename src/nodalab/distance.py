@@ -31,11 +31,14 @@ PADDED_POINT_CAP = 90_000_000
 
 @dataclass
 class DistanceField:
-    """Grid of distances to the extracted nodal set; ``empty`` flags an all-inf field."""
+    """Grid of distances to the extracted nodal set; all-inf when the set is empty."""
 
     nodal: NodalApprox
     dist: np.ndarray
-    empty: bool
+
+    @property
+    def empty(self) -> bool:
+        return self.nodal.empty
 
     @property
     def sample(self):
@@ -79,12 +82,12 @@ def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceF
     seeds = _seed_mask(nodal)
     n_seeds = np.count_nonzero(seeds)
     if n_seeds == 0:
-        return DistanceField(nodal, np.full(sample.shape, np.inf), True)
+        return DistanceField(nodal, np.full(sample.shape, np.inf))
     if not sample.periodic:
         if seeds.size > cap:
             raise ResourceGuardError(f"distance transform on {seeds.size} points (cap {cap})")
         dist = distance_transform_edt(~seeds, sampling=sample.h)
-        return DistanceField(nodal, dist, False)
+        return DistanceField(nodal, dist)
     full = [s // 2 + 1 for s in sample.shape]
     # first guess: grid points per seed, about the spacing of the nodal set
     radius = seeds.size / n_seeds * min(sample.h)
@@ -102,4 +105,4 @@ def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceF
         reach = min((p * hj for p, f, hj in zip(pads, full, sample.h) if p < f), default=math.inf)
         radius = float(dist.max())
         if radius < reach:
-            return DistanceField(nodal, dist, False)
+            return DistanceField(nodal, dist)

@@ -18,7 +18,7 @@ import numpy as np
 from .boxes import bad_proportion, comparability_set, goodness_threshold, subdivide
 from .components import component_inradii, sign_components
 from .dioph import borel_cantelli_sum, estimate_exponent, modes_nodal_distance
-from .distance import DistanceField, distance_field
+from .distance import distance_field
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
 from .measures import McRefine, density_radius, nodal_measure, tube_volume
@@ -37,6 +37,7 @@ GUARDS = (ResolutionError, ResourceGuardError)
 
 DEFAULT_TUBE_INTERVAL_MODES = ((10,), (20,), (50,), (100,))
 DEFAULT_TUBE_TORUS_MODES = ((3, 4), (5, 5), (2, 7), (6, 8), (10, 10), (12, 16), (20, 21))
+DEFAULT_TUBE_MU_DELTA = (0.05, 0.1, 0.2, 0.3)
 DEFAULT_YAU_TORUS_MODES = ((3, 3), (5, 5), (4, 1), (8, 1), (16, 1), (3, 4))
 DEFAULT_DENSITY_TORUS_MODES = ((3, 3), (5, 5), (4, 1), (8, 1), (3, 4))
 DEFAULT_DIM2_MODES = ((3, 4), (5, 5), (2, 3))
@@ -71,17 +72,9 @@ def _mode(domain: DomainSpec, m) -> EigenMode:
     return EigenMode(domain, tuple(int(v) for v in m))
 
 
-def _field_for(mode, rule, with_segments, cache=None):
+def _field_for(mode, rule, with_segments):
     sample = sample_grid(mode, rule)
     nodal = extract_nodal(sample, with_segments=with_segments)
-    if cache is not None:
-        key = cache.key(mode, rule)
-        dist = cache.load(key)
-        if dist is not None and dist.shape == sample.shape:
-            return sample, nodal, DistanceField(nodal, dist, empty=nodal.empty)
-        field = distance_field(nodal)
-        cache.store(key, field.dist)
-        return sample, nodal, field
     return sample, nodal, distance_field(nodal)
 
 
@@ -108,7 +101,7 @@ def _live(cells, **param_filters):
 def run_tube_scaling(
     domain: DomainSpec,
     modes=None,
-    mu_delta=(0.05, 0.1, 0.2, 0.3),
+    mu_delta=None,
     deltas=None,
     *,
     grid=True,
@@ -119,16 +112,21 @@ def run_tube_scaling(
     agree_tol=0.02,
     refine_samples=64,
     seed=0,
-    cache=None,
 ) -> ExperimentReport:
     """Tube volume against the mu*delta law over a (mode, radius) grid.
 
     Each cell is measured twice: an exact inclusion-exclusion oracle row and,
     when the resolution budget allows, a grid estimate row checked against the
     oracle. The break cell (mu*delta = 3) is recorded but excluded from gates.
+    Radii are the ``deltas`` when given, else ``mu_delta`` targets divided by mu.
     """
     if modes is None:
         modes = DEFAULT_TUBE_INTERVAL_MODES if domain.n == 1 else DEFAULT_TUBE_TORUS_MODES
+    if mu_delta is None:
+        mu_delta = DEFAULT_TUBE_MU_DELTA
+    name, radii = ("mu_delta", mu_delta) if deltas is None else ("deltas", deltas)
+    if len(radii) == 0:
+        raise ValidationError(f"{name} is empty: no tube radius to measure")
     config = {
         "domain_kind": domain.kind,
         "modes": [list(m) for m in modes],
@@ -147,7 +145,7 @@ def run_tube_scaling(
     for m in modes:
         mode = _mode(domain, m)
         mu = mode.mu
-        cell_deltas = [t / mu for t in targets] if targets else list(deltas)
+        cell_deltas = list(deltas) if targets is None else [t / mu for t in targets]
         if any(d <= 0 for d in cell_deltas):
             raise ValidationError("tube radii must be positive")
         if include_break_cell:
@@ -176,7 +174,7 @@ def run_tube_scaling(
             )
             with _skip_on_guard(gcell, "grid skipped: "):
                 rule = ResolutionRule(points_per_wavelength=ppw, h_max=delta / h_factor)
-                sample, nodal, field = _field_for(mode, rule, False, cache)
+                sample, nodal, field = _field_for(mode, rule, False)
                 vol = tube_volume(
                     field, delta, refine=McRefine(samples_per_cell=refine_samples, seed=seed)
                 )
@@ -230,7 +228,6 @@ def run_yau_check(
     agree_tol=0.03,
     refine_samples=64,
     seed=0,
-    cache=None,
 ) -> ExperimentReport:
     """Nodal measure per unit frequency across a mode family.
 
@@ -275,7 +272,7 @@ def run_yau_check(
             else:
                 t_list = [t / mu for t in mu_t]
                 rule = ResolutionRule(points_per_wavelength=ppw, h_max=min(t_list) / h_factor)
-            sample, nodal, field = _field_for(mode, rule, domain.n == 2, cache)
+            sample, nodal, field = _field_for(mode, rule, domain.n == 2)
             nm = nodal_measure(
                 field, t_list, refine=McRefine(samples_per_cell=refine_samples, seed=seed)
             )
@@ -344,7 +341,6 @@ def run_density_check(
     radius_h_divisor=16.0,
     cap_tol=0.05,
     cell_tol=0.10,
-    cache=None,
 ) -> ExperimentReport:
     """Largest hole of the nodal set: max distance times mu per mode."""
     if modes is None:
@@ -369,7 +365,7 @@ def run_density_check(
             rule = ResolutionRule(
                 points_per_wavelength=ppw, h_max=r_exact / radius_h_divisor
             )
-            sample, nodal, field = _field_for(mode, rule, False, cache)
+            sample, nodal, field = _field_for(mode, rule, False)
             r = density_radius(field)
             h_max_used = float(max(sample.h))
             cell.measured = {
@@ -437,7 +433,6 @@ def run_dim2_checks(
     c_cap=3.0,
     refine_samples=64,
     seed=0,
-    cache=None,
 ) -> ExperimentReport:
     """Sign-domain statistics of 2-d torus product modes.
 
@@ -485,7 +480,7 @@ def run_dim2_checks(
 
             delta = tube_mu_delta / mu
             rule = ResolutionRule(points_per_wavelength=32.0, h_max=delta / (2.0 * h_factor))
-            sample, nodal, field = _field_for(mode, rule, True, cache)
+            sample, nodal, field = _field_for(mode, rule, True)
             refine = McRefine(samples_per_cell=refine_samples, seed=seed)
             vol = tube_volume(field, delta, refine=refine)
             nm = nodal_measure(field, [delta, delta / 2.0], refine=refine)
@@ -568,6 +563,11 @@ def run_comparability_scaling(
         domain = DomainSpec.interval()
     if domain.n != 1:
         raise ValidationError("comparability scaling is calibrated on the interval")
+    for name, values in (
+        ("mu_delta", mu_delta), ("a_sweep", a_sweep), ("stability_modes", stability_modes)
+    ):
+        if len(values) == 0:
+            raise ValidationError(f"{name} is empty: the experiment needs one value of each")
     config = {
         "domain_kind": domain.kind,
         "m": int(m),
@@ -688,7 +688,6 @@ def run_approx_theorem(
     Partial sums of exact tube volumes at radii C/mu^(n+1+eps) must be Cauchy
     (and hit the closed-form limit on the interval); the fraction of sampled
     points still hit beyond mode k0 must stay under the analytic tail bound.
-    A b=1 control confirms every point is approximable at exponent 1.
     """
     if domain is None:
         domain = DomainSpec.interval()
@@ -702,15 +701,11 @@ def run_approx_theorem(
         # the tail_hit_fraction bound 2C/k0 must lie in (0, 1)
         raise ValidationError(f"need 0 < 2C < k0, got C={C}, k0={k0}")
     modes = enumerate_modes(domain, float(k_max) + 0.5)
-    # modes are sorted by mu, so the tail (mu > k0) and the control window
-    # (k0 < mu <= k0 + 20) are index ranges
+    # modes are sorted by mu, so the tail (mu > k0) is an index range
     start = int(np.searchsorted(modes.mu, k0, side="right"))
-    stop = int(np.searchsorted(modes.mu, k0 + 20, side="right"))
-    tail, near = slice(start, None), slice(start, stop)
+    tail = slice(start, None)
     if start == len(modes):
         raise ValidationError(f"no mode with mu > k0={k0} up to k_max={k_max}")
-    if start == stop:
-        raise ValidationError(f"no mode in the control window {k0} < mu <= {k0 + 20}")
     if k_max < 4:
         # the Cauchy cells sit at K = k_max // 4 and 2 (k_max // 4), the same below 4
         raise ValidationError(f"k_max must be >= 4, got {k_max}")
@@ -752,33 +747,20 @@ def run_approx_theorem(
 
     b = n + 1 + eps
     tail_radius = C / modes.mu[tail] ** b
-    near_radius = math.pi / modes.mu[near]
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, domain.lengths, size=(n_points, n))
     hits = 0
-    control_hits = 0
     for pt in points:
         d = modes_nodal_distance(pt, modes)
         if np.any(d[tail] < tail_radius):
             hits += 1
-        if np.any(d[near] < near_radius):
-            control_hits += 1
     frac = hits / n_points
-    control_frac = control_hits / n_points
     cells.append(
         CellResult(
             cell=f"hits;k0={k0}",
             params={"kind": "hits", "k0": k0, "b": b, "C": C, "n_points": n_points},
             measured={"fraction": frac, "hits": hits},
             error=float(math.sqrt(max(frac * (1 - frac), 1e-12) / n_points)),
-        )
-    )
-    cells.append(
-        CellResult(
-            cell=f"control;k0={k0}",
-            params={"kind": "control", "k0": k0, "b": 1.0, "C": math.pi, "n_points": n_points},
-            measured={"fraction": control_frac},
-            error=0.0,
         )
     )
 
@@ -796,7 +778,7 @@ def run_approx_theorem(
         )
 
     gates = GATE_BUILDERS["approx_theorem"](cells, config)
-    summary = {"hit_fraction": frac, "control_fraction": control_frac}
+    summary = {"hit_fraction": frac}
     return ExperimentReport(
         "approx_theorem", domain.as_dict(), config, cells, gates, summary, seed
     )
@@ -821,8 +803,6 @@ def _approx_gates(cells, config):
         bound = 2.0 * _num(config["C"]) / k0
         bound += 3.0 * math.sqrt(bound * (1 - bound) / n_points)
         gates.append(gate("tail_hit_fraction", _num(hit.measured["fraction"]), bound, "<="))
-    for control in _live(cells, kind="control"):
-        gates.append(gate("control_fraction", _num(control.measured["fraction"]), 1.0, ">="))
     bc2 = sorted(_live(cells, kind="bc2"), key=lambda c: _num(c.params["K"]))
     if len(bc2) >= 2:
         gaps2 = [_num(c.measured["gap"]) for c in bc2]

@@ -30,10 +30,9 @@ _SADDLES = {5, 10}
 
 @dataclass
 class NodalApprox:
-    """Discrete nodal set: sign-change cells, interpolated vertices, 2-d segments."""
+    """Discrete nodal set: interpolated vertices and, in 2-d, segments."""
 
     sample: GridSample
-    cells: np.ndarray                 # (k, n) int lower-corner indices
     vertices: np.ndarray              # (v, n) float coordinates
     segments: np.ndarray | None = None   # (s, 2, 2) float endpoints, 2-d only
     measure_2d: float | None = None
@@ -154,19 +153,13 @@ def _segments_2d(sample: GridSample) -> tuple[np.ndarray, float]:
 def extract_nodal(sample: GridSample, with_segments: bool = True) -> NodalApprox:
     """Locate the nodal set on the grid.
 
-    Cells are flagged when their corner signs are not all strictly positive nor
-    all strictly negative. Vertices combine exact-zero grid points with strict
-    sign-change crossings, interpolated linearly along edges. For 2-d samples
-    marching-squares segments and their total length are included unless
-    ``with_segments`` is False.
+    Vertices combine exact-zero grid points with strict sign-change crossings,
+    interpolated linearly along edges. For 2-d samples marching-squares
+    segments and their total length are included unless ``with_segments`` is
+    False.
     """
-    v = sample.values
-    sign = np.sign(v).astype(np.int8)
-    cmin = _corner_reduce(sign, sample.periodic, np.minimum)
-    cmax = _corner_reduce(sign, sample.periodic, np.maximum)
-    cells = np.argwhere((cmin <= 0) & (cmax >= 0))
     vertices = _edge_vertices(sample)
     segments = measure = None
     if sample.n == 2 and with_segments:
         segments, measure = _segments_2d(sample)
-    return NodalApprox(sample, cells, vertices, segments, measure)
+    return NodalApprox(sample, vertices, segments, measure)

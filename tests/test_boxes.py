@@ -183,7 +183,7 @@ def test_nodal_box_count_torus_band_and_tube_cover():
 def test_nodal_box_count_empty():
     s = constant_sample()
     sub = subdivide(s.domain.lengths, 0.5)
-    nod = NodalApprox(s, np.empty((0, 2), dtype=int), np.empty((0, 2)))
+    nod = NodalApprox(s, np.empty((0, 2)))
     nb = nodal_box_count(sub, nod)
     assert nb.count == 0
     assert nb.star_volume == 0.0

@@ -91,8 +91,13 @@ def test_distinct_spectrum_matches_integer_count(tmp_path, capsys):
         (["dioph", "--n-box", "0"], "n_box"),
         (["borel-cantelli", "--k-max", "3"], "k0=100"),
         (["borel-cantelli", "--n-points", "0"], "n_points"),
+        # an empty radius list is not a request for the default radii
+        (["boxes", "--mu-delta", ","], "mu_delta is empty"),
+        (["tube", "--delta", ","], "deltas is empty"),
+        (["tube", "--mu-delta", ","], "mu_delta is empty"),
     ],
-    ids=["n-interval-0", "n-box-0", "k-max-below-k0", "n-points-0"],
+    ids=["n-interval-0", "n-box-0", "k-max-below-k0", "n-points-0",
+         "boxes-mu-delta-empty", "tube-delta-empty", "tube-mu-delta-empty"],
 )
 def test_degenerate_spectral_config_exits_2(argv, message, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID
@@ -154,18 +159,6 @@ def test_byte_identical_reruns(tmp_path):
     assert ca.read_bytes() == cb.read_bytes()
 
 
-def test_cache_is_numerically_transparent(tmp_path, monkeypatch):
-    monkeypatch.setenv("NODALAB_CACHE_DIR", str(tmp_path / "cache"))
-    out1, out2, out3 = (tmp_path / n for n in "abc")
-    argv = ["density", "--domain", "torus2", "--modes", "3,3"]
-    assert main(argv + ["--out", str(out1)]) == EXIT_PASS  # cold cache
-    assert main(argv + ["--out", str(out2)]) == EXIT_PASS  # warm cache
-    assert main(argv + ["--no-cache", "--out", str(out3)]) == EXIT_PASS
-    blobs = [next(d.glob("*.json")).read_bytes() for d in (out1, out2, out3)]
-    assert blobs[0] == blobs[1] == blobs[2]
-    assert list((tmp_path / "cache").glob("dist_*.npy"))
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -204,7 +197,15 @@ def test_all_cells_skipped_fails_with_a_message(argv, message, tmp_path, capsys)
     assert main(["report", str(jp)]) == EXIT_PASS  # the stored verdict reproduces
 
 
-def test_jobs_flag_is_gone(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["density", "--jobs", "2", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+def test_jobs_flag_is_gone(tmp_path, capsys):
+    """Removed options (--jobs, the distance-field cache) are unknown flags and config keys."""
+    for argv in (["--jobs", "2"], ["--cache-dir", "x"], ["--no-cache"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", *argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cache_dir={tmp_path / 'cache'}\n")
+    capsys.readouterr()
+    assert main(["density", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INVALID
+    assert "unknown config keys: ['cache_dir']" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]

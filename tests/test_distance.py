@@ -104,7 +104,7 @@ def test_narrow_pad_grows_when_first_guess_is_short(edt_shapes):
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=128.0))
     assert s.shape == (128, 128)
     block = np.stack(np.meshgrid(np.arange(64), np.arange(64), indexing="ij"), axis=-1)
-    nod = NodalApprox(s, np.empty((0, 2), dtype=int), block.reshape(-1, 2) * np.asarray(s.h))
+    nod = NodalApprox(s, block.reshape(-1, 2) * np.asarray(s.h))
     f = distance_field(nod)
     assert len(edt_shapes) == 2
     first, second = edt_shapes
@@ -118,7 +118,7 @@ def test_periodic_wrap_single_line(edt_shapes):
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0, h_max=2 * math.pi / 40))
     n0, n1 = s.shape
     vertices = np.stack([np.zeros(n1), np.arange(n1) * s.h[1]], axis=1)
-    nod = NodalApprox(s, np.empty((0, 2), dtype=int), vertices)
+    nod = NodalApprox(s, vertices)
     f = distance_field(nod)
     x = np.arange(n0) * s.h[0]
     expect = np.minimum(x, 2 * math.pi - x)
@@ -131,7 +131,7 @@ def test_periodic_wrap_single_line(edt_shapes):
 def test_empty_nodal_set_gives_inf_field():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0))
-    nod = NodalApprox(s, np.empty((0, 2), dtype=int), np.empty((0, 2)))
+    nod = NodalApprox(s, np.empty((0, 2)))
     f = distance_field(nod)
     assert f.empty
     assert np.all(np.isinf(f.dist))

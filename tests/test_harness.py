@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 import nodalab.harness as harness_mod
 
-from nodalab.cache import FieldCache
 from nodalab.errors import ValidationError
-from nodalab.grid import ResolutionRule
 from nodalab.harness import (
     GATE_BUILDERS,
     run_approx_theorem,
@@ -22,7 +20,7 @@ from nodalab.harness import (
     run_yau_check,
 )
 from nodalab.reports import CellResult, write_report
-from nodalab.spectrum import DomainSpec, EigenMode
+from nodalab.spectrum import DomainSpec
 
 INTERVAL = DomainSpec.interval()
 TORUS2 = DomainSpec.torus((1.0, 1.0))
@@ -155,7 +153,6 @@ def test_approx_theorem_small():
     r = run_approx_theorem(k_max=2000, n_points=400, k0=50, box_k_max=400)
     assert r.passed
     g = gates_by_name(r)
-    assert g["control_fraction"].value == 1.0
     assert g["bc_gap_positive"].value > 0
 
 
@@ -163,16 +160,18 @@ def test_approx_theorem_small():
 # replaced the masked per-row formula in dioph.modes_nodal_distance;
 # exponent_survey re-recorded when its metric_check cell and gate were removed
 # (the new report is the old one without that cell, its row and columns, and
-# the gate). Re-record them only in a change that deliberately alters report
-# bytes and says so in CHANGES.md.
+# the gate); both approx entries re-recorded when the control cell, its
+# control_fraction gate and summary key were removed (the new reports equal
+# the old ones with those stripped). Re-record them only in a change that
+# deliberately alters report bytes and says so in CHANGES.md.
 SPECTRAL_DIGESTS = {
     "approx_interval": (
-        "4d08b740d2114a2011ae0e8bb52854b18163033c9e9ebd97a42dd5be7e3fa2d7",
-        "4881afe07cedec4329a751562e02546fa682d3f004c3c7f748c035edfad965a0",
+        "f7edf78493ce8fd629985c913a517fbb6324a2eb8d0368608d057cc2f0003aad",
+        "42e542eded53a4f986b2d5f5aeec8a519c10dd4762ca0fe0ec9d4307db001ad2",
     ),
     "approx_torus": (
-        "7d9731c7df3f8e0ded58f218627a801f32cf07957cf0724cfda319efeda96809",
-        "2432290bfbff9623ae7ce84952dfb9bbfbd72c48d15c37bfca85a29e6d9852b6",
+        "b547270524e4a66f5f9e1ba3b88869b47ad524cd3e50c3dfedd1e5abc1a0a82c",
+        "5a6ec1dcb45044f68fc8a2a588ab5f4352e61443cda7d51b937822f2f1435a23",
     ),
     "exponent_survey": (
         "be77a1103d6fc393073713f5180dc4e82950bef14756e6717d7c96ca515d6520",
@@ -239,9 +238,16 @@ def test_spectral_drivers_reject_empty_windows():
     for kwargs in ({"k_max": 3}, {"k_max": 0}, {"n_points": 0}):
         with pytest.raises(ValidationError):
             run_approx_theorem(**kwargs)
-    # mu = 25 k: the tail above k0 = 100 starts at 125, past the control window (100, 120]
-    with pytest.raises(ValidationError, match="control window"):
-        run_approx_theorem(DomainSpec.box((25.0,)), k_max=200)
+    # the grid drivers likewise reject empty radius and sweep lists
+    for run, kwargs, message in (
+        (run_tube_scaling, {"domain": INTERVAL, "mu_delta": ()}, "mu_delta is empty"),
+        (run_tube_scaling, {"domain": INTERVAL, "deltas": ()}, "deltas is empty"),
+        (run_comparability_scaling, {"mu_delta": ()}, "mu_delta is empty"),
+        (run_comparability_scaling, {"a_sweep": ()}, "a_sweep is empty"),
+        (run_comparability_scaling, {"stability_modes": ()}, "stability_modes is empty"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            run(**kwargs)
 
 
 def test_approx_theorem_rejects_degenerate_bounds_before_work(monkeypatch):
@@ -324,70 +330,3 @@ def test_reports_deterministic_across_runs():
     a = run_density_check(TORUS2, modes=((3, 3),)).to_json()
     b = run_density_check(TORUS2, modes=((3, 3),)).to_json()
     assert a == b
-
-
-def test_field_cache_round_trip(tmp_path):
-    cache = FieldCache(tmp_path)
-    mode = EigenMode(TORUS2, (3, 4))
-    rule = ResolutionRule(points_per_wavelength=16.0)
-    key = cache.key(mode, rule)
-    assert cache.key(mode, rule) == key
-    assert cache.key(mode, ResolutionRule(points_per_wavelength=24.0)) != key
-    assert cache.load(key) is None
-    import numpy as np
-
-    arr = np.arange(6.0).reshape(2, 3)
-    cache.store(key, arr)
-    assert np.array_equal(cache.load(key), arr)
-    cache.path(key).write_bytes(b"not npy")
-    assert cache.load(key) is None
-
-
-def test_field_cache_key_covers_min_points_and_code_version(monkeypatch, tmp_path):
-    import nodalab.cache as cache_mod
-
-    cache = FieldCache(tmp_path)
-    mode = EigenMode(TORUS2, (3, 4))
-    key = cache.key(mode, ResolutionRule())
-    assert cache.key(mode, ResolutionRule(min_points_per_axis=32)) != key
-    monkeypatch.setattr(cache_mod, "CODE_VERSION", "0.0.0-other")
-    assert cache.key(mode, ResolutionRule()) != key
-
-
-def test_field_cache_concurrent_stores_leave_one_entry(tmp_path):
-    import threading
-
-    import numpy as np
-
-    cache = FieldCache(tmp_path)
-    key = cache.key(EigenMode(TORUS2, (3, 4)), ResolutionRule())
-    arrays = [np.full((300, 300), float(i)) for i in range(2)]
-    errors = []
-
-    def store(start, arr):
-        start.wait()
-        try:
-            cache.store(key, arr)
-        except OSError as e:
-            errors.append(e)
-
-    for _ in range(20):  # a shared temp name loses this race in about one round of five
-        start = threading.Barrier(2)
-        threads = [threading.Thread(target=store, args=(start, a)) for a in arrays]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        assert [p.name for p in tmp_path.iterdir()] == [cache.path(key).name]
-        loaded = cache.load(key)
-        assert any(np.array_equal(loaded, a) for a in arrays)
-
-
-def test_cached_run_matches_uncached(tmp_path):
-    cache = FieldCache(tmp_path)
-    plain = run_density_check(TORUS2, modes=((3, 3),))
-    warmed = run_density_check(TORUS2, modes=((3, 3),), cache=cache)
-    cached = run_density_check(TORUS2, modes=((3, 3),), cache=cache)
-    assert plain.to_json() == warmed.to_json() == cached.to_json()
-    assert list(tmp_path.glob("dist_*.npy"))

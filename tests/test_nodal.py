@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nodalab.boxes import _sign_change_cells
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.nodal import extract_nodal
 from nodalab.spectrum import (
@@ -124,11 +125,11 @@ def test_segment_endpoints_lie_on_nodal_set():
 
 
 def test_cells_flag_every_sign_change():
+    # the cells nodal box counting marks, computed from the sample's signs
     mode = EigenMode(DomainSpec.box((1.0, 1.0)), (3, 2))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=16.0))
-    nod = extract_nodal(s)
     flagged = np.zeros((s.shape[0] - 1, s.shape[1] - 1), dtype=bool)
-    flagged[tuple(nod.cells.T)] = True
+    flagged[tuple(_sign_change_cells(s).T)] = True
     v = s.values
     corners = np.stack([v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]])
     has_change = ~((corners > 0).all(axis=0) | (corners < 0).all(axis=0))
