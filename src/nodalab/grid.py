@@ -64,10 +64,6 @@ class GridSample:
         return self.mode.domain.periodic
 
     @property
-    def mode_mu(self) -> float:
-        return self.mode.mu
-
-    @property
     def n(self) -> int:
         return len(self.shape)
 

@@ -22,7 +22,7 @@ from .distance import distance_field
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
 from .measures import McRefine, density_radius, nodal_measure, tube_volume
-from .nodal import extract_nodal
+from .nodal import extract_nodal, marching_squares
 from .reports import CellResult, ExperimentReport, gate
 from .spectrum import (
     DomainSpec,
@@ -72,9 +72,9 @@ def _mode(domain: DomainSpec, m) -> EigenMode:
     return EigenMode(domain, tuple(int(v) for v in m))
 
 
-def _field_for(mode, rule, with_segments):
+def _field_for(mode, rule):
     sample = sample_grid(mode, rule)
-    nodal = extract_nodal(sample, with_segments=with_segments)
+    nodal = extract_nodal(sample)
     return sample, nodal, distance_field(nodal)
 
 
@@ -174,7 +174,7 @@ def run_tube_scaling(
             )
             with _skip_on_guard(gcell, "grid skipped: "):
                 rule = ResolutionRule(points_per_wavelength=ppw, h_max=delta / h_factor)
-                sample, nodal, field = _field_for(mode, rule, False)
+                sample, nodal, field = _field_for(mode, rule)
                 vol = tube_volume(
                     field, delta, refine=McRefine(samples_per_cell=refine_samples, seed=seed)
                 )
@@ -233,10 +233,16 @@ def run_yau_check(
 
     Torus product modes must stay inside the analytic band [4pi, 4 sqrt(2) pi]
     (up to analytic_tol) and the square family must sit at the upper endpoint;
-    the interval reduces to the exact zero count.
+    the interval reduces to the exact zero count. On 2-d domains the
+    marching-squares length cross-checks the tube extrapolation: a relative
+    disagreement above agree_tol, or a non-monotone tube ratio, flags the cell.
     """
     if modes is None:
         modes = ((10,), (40,)) if domain.n == 1 else DEFAULT_YAU_TORUS_MODES
+    if domain.n >= 2 and len(set(mu_t)) < 2:
+        raise ValidationError(
+            f"mu_t has {len(set(mu_t))} distinct radii: the tube extrapolation needs two"
+        )
     config = {
         "domain_kind": domain.kind,
         "modes": [list(m) for m in modes],
@@ -272,7 +278,11 @@ def run_yau_check(
             else:
                 t_list = [t / mu for t in mu_t]
                 rule = ResolutionRule(points_per_wavelength=ppw, h_max=min(t_list) / h_factor)
-            sample, nodal, field = _field_for(mode, rule, domain.n == 2)
+            sample = sample_grid(mode, rule)
+            nodal = extract_nodal(sample)
+            if domain.n == 2:
+                length = marching_squares(sample)[1]
+            field = distance_field(nodal)
             nm = nodal_measure(
                 field, t_list, refine=McRefine(samples_per_cell=refine_samples, seed=seed)
             )
@@ -282,11 +292,14 @@ def run_yau_check(
                 "ratio": nm.value / mu,
                 "exact": exact,
                 "exact_rel": abs(nm.value - exact) / exact,
-                "flagged": int(nm.flagged),
+                "flagged": int(nm.non_monotone),
             }
-            if nm.by_segments is not None:
-                cell.measured["by_segments"] = nm.by_segments
-                cell.measured["agreement_rel"] = nm.agreement_rel
+            if domain.n == 2:
+                denom = max(length, abs(nm.value))
+                agreement = abs(length - nm.value) / denom if denom > 0 else 0.0
+                cell.measured["flagged"] = int(nm.non_monotone or agreement > agree_tol)
+                cell.measured["by_segments"] = length
+                cell.measured["agreement_rel"] = agreement
             cell.error = field.raster_error
         cells.append(cell)
     gates = GATE_BUILDERS["yau_ratio"](cells, config)
@@ -365,7 +378,7 @@ def run_density_check(
             rule = ResolutionRule(
                 points_per_wavelength=ppw, h_max=r_exact / radius_h_divisor
             )
-            sample, nodal, field = _field_for(mode, rule, False)
+            sample, nodal, field = _field_for(mode, rule)
             r = density_radius(field)
             h_max_used = float(max(sample.h))
             cell.measured = {
@@ -471,7 +484,7 @@ def run_dim2_checks(
             fine = sample_grid(mode, ResolutionRule(points_per_wavelength=area_ppw))
             comp = sign_components(fine)
             areas = comp.areas
-            field_fine = distance_field(extract_nodal(fine, with_segments=False))
+            field_fine = distance_field(extract_nodal(fine))
             inradii = component_inradii(comp, field_fine)
             side_x = math.pi / (mj * domain.alpha[0])
             side_y = math.pi / (nj * domain.alpha[1])
@@ -480,10 +493,10 @@ def run_dim2_checks(
 
             delta = tube_mu_delta / mu
             rule = ResolutionRule(points_per_wavelength=32.0, h_max=delta / (2.0 * h_factor))
-            sample, nodal, field = _field_for(mode, rule, True)
+            sample, nodal, field = _field_for(mode, rule)
             refine = McRefine(samples_per_cell=refine_samples, seed=seed)
-            vol = tube_volume(field, delta, refine=refine)
             nm = nodal_measure(field, [delta, delta / 2.0], refine=refine)
+            vol = nm.volumes[delta]
 
             cell.measured = {
                 "count": comp.count,

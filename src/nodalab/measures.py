@@ -1,5 +1,9 @@
 """Tube volumes, nodal measures, and density radii from distance fields.
 
+The nodal measure has one route: Vol(T_t)/(2t) extrapolated to t -> 0 from
+tube volumes (the vertex count in dimension one). The 2-d cross-check against
+the marching-squares length runs in ``harness.run_yau_check``, which gates on it.
+
 The plain tube estimator is grid-point counting: (# points with dist < delta)
 times the cell volume. The optional Monte Carlo refinement reclassifies every
 grid cell as fully inside / fully outside / straddling the delta level set
@@ -200,56 +204,34 @@ def tube_volume(field: DistanceField, delta: float, refine: McRefine | None = No
 
 @dataclass
 class NodalMeasure:
-    """Dual-route (n-1)-measure estimate with its internal consistency check."""
+    """(n-1)-measure estimate with the tube volumes it was extrapolated from."""
 
     value: float
-    by_tube: float | None
-    by_segments: float | None
-    tube_ratios: list | None
-    agreement_rel: float | None
-    flagged: bool
-    note: str = ""
+    volumes: dict           # tube radius -> Vol(T_t); empty in dimension one
+    non_monotone: bool      # Vol(T_t)/(2t) fell as t shrank
 
 
-def nodal_measure(
-    field: DistanceField,
-    t_list,
-    refine: McRefine | None = None,
-    agree_tol: float = 0.03,
-) -> NodalMeasure:
+def nodal_measure(field: DistanceField, t_list, refine: McRefine | None = None) -> NodalMeasure:
     """(n-1)-measure of the nodal set.
 
     Dimension one counts vertices. Higher dimensions extrapolate Vol(T_t)/(2t)
-    linearly to t -> 0 (Richardson step over the two smallest t), and in 2-d
-    cross-check against the marching-squares segment length; disagreement
-    beyond ``agree_tol`` or a non-monotone ratio sequence flags the estimate.
+    linearly to t -> 0 (Richardson step over the two smallest t), and flag a
+    ratio sequence that is not monotone in t.
     """
     sample = field.sample
     if sample.n == 1:
-        return NodalMeasure(
-            float(field.nodal.vertices.shape[0]), None, None, None, None, False,
-            "vertex count",
-        )
+        return NodalMeasure(float(field.nodal.vertices.shape[0]), {}, False)
     ts = sorted(set(float(t) for t in t_list), reverse=True)
     if len(ts) < 2:
         raise ValidationError("need at least two tube radii to extrapolate")
-    ratios = [tube_volume(field, t, refine) / (2.0 * t) for t in ts]
+    volumes = {t: tube_volume(field, t, refine) for t in ts}
+    ratios = [volumes[t] / (2.0 * t) for t in ts]
     extrap = ratios[-1] + (ratios[-1] - ratios[-2]) * ts[-1] / (ts[-2] - ts[-1])
     scale = max(abs(r) for r in ratios)
     non_monotone = any(
         b < a - 0.005 * scale for a, b in zip(ratios, ratios[1:])
     )
-    flagged = non_monotone
-    note = "non-monotone tube ratio sequence" if non_monotone else ""
-    seg = field.nodal.measure_2d
-    agreement = None
-    if sample.n == 2 and seg is not None:
-        denom = max(seg, abs(extrap))
-        agreement = abs(seg - extrap) / denom if denom > 0 else 0.0
-        if agreement > agree_tol:
-            flagged = True
-            note = (note + "; " if note else "") + "segment/tube disagreement"
-    return NodalMeasure(extrap, extrap, seg, list(zip(ts, ratios)), agreement, flagged, note)
+    return NodalMeasure(extrap, volumes, non_monotone)
 
 
 def density_radius(field: DistanceField) -> float:

@@ -1,9 +1,9 @@
 """Nodal set extraction from grid samples.
 
 Vertices are exact-zero grid points plus linearly interpolated zero crossings on
-grid edges. In two dimensions, marching squares additionally emits segments; the
-ambiguous saddle configurations are resolved by the sign of the eigenfunction at
-the cell center, which is evaluated analytically.
+grid edges. Separately, ``marching_squares`` traces a 2-d sample into segments
+and their total length; the ambiguous saddle configurations are resolved by the
+sign of the eigenfunction at the cell center, which is evaluated analytically.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ _SADDLES = {5, 10}
 
 @dataclass
 class NodalApprox:
-    """Discrete nodal set: interpolated vertices and, in 2-d, segments."""
+    """Discrete nodal set: interpolated vertices."""
 
     sample: GridSample
     vertices: np.ndarray              # (v, n) float coordinates
-    segments: np.ndarray | None = None   # (s, 2, 2) float endpoints, 2-d only
-    measure_2d: float | None = None
 
     @property
     def empty(self) -> bool:
@@ -86,8 +84,11 @@ def _edge_vertices(sample: GridSample) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def _segments_2d(sample: GridSample) -> tuple[np.ndarray, float]:
-    """Marching squares over all cells; zeros count as the nonnegative class."""
+def marching_squares(sample: GridSample) -> tuple[np.ndarray, float]:
+    """Segments (s, 2, 2) and their total length over all cells of a 2-d sample.
+
+    Zeros count as the nonnegative class.
+    """
     v = sample.values
     per = sample.periodic
     a, d = _axis_pairs(v, 1, per)        # a: (i, j), d: (i, j+1)
@@ -150,16 +151,10 @@ def _segments_2d(sample: GridSample) -> tuple[np.ndarray, float]:
     return segments, float(lengths.sum())
 
 
-def extract_nodal(sample: GridSample, with_segments: bool = True) -> NodalApprox:
+def extract_nodal(sample: GridSample) -> NodalApprox:
     """Locate the nodal set on the grid.
 
     Vertices combine exact-zero grid points with strict sign-change crossings,
-    interpolated linearly along edges. For 2-d samples marching-squares
-    segments and their total length are included unless ``with_segments`` is
-    False.
+    interpolated linearly along edges.
     """
-    vertices = _edge_vertices(sample)
-    segments = measure = None
-    if sample.n == 2 and with_segments:
-        segments, measure = _segments_2d(sample)
-    return NodalApprox(sample, vertices, segments, measure)
+    return NodalApprox(sample, _edge_vertices(sample))

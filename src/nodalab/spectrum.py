@@ -197,7 +197,6 @@ class NodalHyperplanes:
     mode: EigenMode
     axis_zeros: tuple[np.ndarray, ...]
     spacing: tuple[float, ...]
-    include_boundary: bool = True
 
     @property
     def domain(self) -> DomainSpec:
@@ -208,11 +207,11 @@ class NodalHyperplanes:
         return all(z.size == 0 for z in self.axis_zeros)
 
 
-def exact_nodal_description(mode: EigenMode, include_boundary: bool = True) -> NodalHyperplanes:
+def exact_nodal_description(mode: EigenMode) -> NodalHyperplanes:
     """Per-axis zero coordinates of the factors, exact up to float rounding.
 
     Dirichlet sine factor with index m: zeros at pi*l/(m*alpha), l = 0..m
-    (l = 0 and l = m are the boundary faces; dropped if include_boundary=False).
+    (l = 0 and l = m are the boundary faces).
     Torus factor with index m: 2m zeros per period, spacing pi/(m*alpha),
     offset by half a spacing for cosine factors.
     """
@@ -230,10 +229,8 @@ def exact_nodal_description(mode: EigenMode, include_boundary: bool = True) -> N
             offs = 0.0 if mode.kinds[j] == SIN else 0.5
             zeros.append((np.arange(2 * mj) + offs) * s)
         else:
-            lo = 0 if include_boundary else 1
-            hi = mj if include_boundary else mj - 1
-            zeros.append(np.arange(lo, hi + 1) * s)
-    return NodalHyperplanes(mode, tuple(zeros), tuple(spacings), include_boundary)
+            zeros.append(np.arange(mj + 1) * s)
+    return NodalHyperplanes(mode, tuple(zeros), tuple(spacings))
 
 
 def union_radius_measure(zeros, radius: float, length: float, circular: bool) -> float:
@@ -262,7 +259,7 @@ def union_radius_measure(zeros, radius: float, length: float, circular: bool) ->
     return float(np.maximum(ends - np.maximum(starts, prev_end), 0.0).sum())
 
 
-def tube_volume_exact(mode: EigenMode, delta: float, include_boundary: bool = True) -> float:
+def tube_volume_exact(mode: EigenMode, delta: float) -> float:
     """Exact volume of {x : dist(x, nodal set) < delta} by strip inclusion-exclusion.
 
     The nodal set is a union of axis-perpendicular hyperplane families, so its
@@ -272,7 +269,7 @@ def tube_volume_exact(mode: EigenMode, delta: float, include_boundary: bool = Tr
     """
     if delta <= 0:
         return 0.0
-    desc = exact_nodal_description(mode, include_boundary)
+    desc = exact_nodal_description(mode)
     L = mode.domain.lengths
     covered = 1.0
     for j in range(mode.domain.n):
@@ -281,9 +278,9 @@ def tube_volume_exact(mode: EigenMode, delta: float, include_boundary: bool = Tr
     return mode.domain.volume * (1.0 - covered)
 
 
-def nodal_measure_exact(mode: EigenMode, include_boundary: bool = True) -> float:
+def nodal_measure_exact(mode: EigenMode) -> float:
     """Exact (n-1)-measure of the nodal set (zero count in dimension one)."""
-    desc = exact_nodal_description(mode, include_boundary)
+    desc = exact_nodal_description(mode)
     L = mode.domain.lengths
     if mode.domain.n == 1:
         return float(desc.axis_zeros[0].size)
@@ -291,7 +288,7 @@ def nodal_measure_exact(mode: EigenMode, include_boundary: bool = True) -> float
     return float(sum(z.size * vol / L[j] for j, z in enumerate(desc.axis_zeros)))
 
 
-def nodal_distance_exact(mode: EigenMode, points, include_boundary: bool = True) -> np.ndarray:
+def nodal_distance_exact(mode: EigenMode, points) -> np.ndarray:
     """Exact distance from points (..., n) to the nodal set, in closed form.
 
     The nodal set is a union of axis-perpendicular hyperplane families, so the
@@ -313,22 +310,14 @@ def nodal_distance_exact(mode: EigenMode, points, include_boundary: bool = True)
             continue
         s = mode.factor_zero_spacing(j)
         off = 0.0 if mode.kinds[j] == SIN else 0.5 * s
-        x = pts[..., j]
-        if not mode.domain.periodic and not include_boundary:
-            if mj < 2:
-                continue  # only boundary zeros on this axis
-            lattice = np.clip(np.round((x - off) / s), 1, mj - 1)
-            d = np.abs(x - (off + lattice * s))
-        else:
-            r = np.mod(x - off, s)
-            d = np.minimum(r, s - r)
-        best = np.minimum(best, d)
+        r = np.mod(pts[..., j] - off, s)
+        best = np.minimum(best, np.minimum(r, s - r))
     if not np.isfinite(best).all():
         raise ValidationError("mode has no nodal hyperplanes on any axis")
     return best[0] if squeeze else best
 
 
-def density_radius_exact(mode: EigenMode, include_boundary: bool = True) -> float:
+def density_radius_exact(mode: EigenMode) -> float:
     """Exact max over the domain of the distance to the nodal set.
 
     The distance to a union of axis-perpendicular hyperplane families is the min
@@ -336,7 +325,7 @@ def density_radius_exact(mode: EigenMode, include_boundary: bool = True) -> floa
     each coordinate's distance independently and the value is the smallest of
     the per-axis half-gaps.
     """
-    desc = exact_nodal_description(mode, include_boundary)
+    desc = exact_nodal_description(mode)
     if desc.empty:
         raise ValidationError("mode has an empty nodal set")
     L = mode.domain.lengths

@@ -39,7 +39,7 @@ def report_line(num, ok, detail):
 
 def grid_tube(mode, delta, seed=0):
     rule = ResolutionRule(points_per_wavelength=32.0, h_max=delta / 2.5)
-    field = distance_field(extract_nodal(sample_grid(mode, rule), with_segments=False))
+    field = distance_field(extract_nodal(sample_grid(mode, rule)))
     return tube_volume(field, delta, refine=McRefine(samples_per_cell=64, seed=seed))
 
 
@@ -128,7 +128,7 @@ def test_criterion_07_nodal_box_band():
             delta = t / mode.mu
             sub = subdivide(TORUS2.lengths, delta)
             rule = ResolutionRule(32.0, h_max=min(sub.sides) / 8.5)
-            nodal = extract_nodal(sample_grid(mode, rule), with_segments=False)
+            nodal = extract_nodal(sample_grid(mode, rule))
             ratios.append(nodal_box_count(sub, nodal).count * delta / mode.mu)
     band = max(ratios) / min(ratios)
     ok = band <= 3.0

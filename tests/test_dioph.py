@@ -82,7 +82,7 @@ def test_nearest_distance_on_hyperplane_is_zero():
 )
 def test_closed_form_matches_distance_field(mode):
     sample = sample_grid(mode, ResolutionRule(points_per_wavelength=64))
-    field = distance_field(extract_nodal(sample, with_segments=False))
+    field = distance_field(extract_nodal(sample))
     h = sample.h
     rng = np.random.default_rng(2024)
     pts = rng.uniform(0.0, sample.domain.lengths, size=(1000, sample.domain.n))

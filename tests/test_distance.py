@@ -163,7 +163,7 @@ def test_distance_field_peak_memory_yau_grid():
     # the (8,1) Yau grid (1267^2); padding half a period per side peaked at 220 MB here
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (8, 1))
     rule = ResolutionRule(points_per_wavelength=32.0, h_max=0.1 / mode.mu / 2.5)
-    nod = extract_nodal(sample_grid(mode, rule), with_segments=False)
+    nod = extract_nodal(sample_grid(mode, rule))
     assert nod.sample.shape == (1267, 1267)
     tracemalloc.start()
     try:

@@ -2,11 +2,14 @@ import functools
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodalab.harness as harness_mod
+import nodalab.measures as measures_mod
+import nodalab.nodal as nodal_mod
 
 from nodalab.errors import ValidationError
 from nodalab.harness import (
@@ -28,6 +31,17 @@ TORUS2 = DomainSpec.torus((1.0, 1.0))
 
 def gates_by_name(report):
     return {g.name: g for g in report.gates}
+
+
+def spy(monkeypatch, log, module, name):
+    """Replace module.name with a wrapper that appends name to log on each call."""
+    fn = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        log.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
 
 
 def test_tube_interval_report():
@@ -98,6 +112,54 @@ def test_yau_torus_families():
     assert "aspect_monotone" not in g  # one aspect mode is not a family
 
 
+def test_yau_agreement_flags_against_the_drivers_agree_tol():
+    # the (3,3) segment/tube agreement is 0.0352 at these radii
+    kwargs = dict(modes=((3, 3), (4, 1)), mu_t=(1.0, 0.8))
+    loose = run_yau_check(TORUS2, agree_tol=0.5, **kwargs)
+    g = gates_by_name(loose)
+    assert 0.03 < g["estimator_agreement"].value < 0.5
+    assert g["flagged_cells"].passed and g["flagged_cells"].value == 0
+    default = run_yau_check(TORUS2, **kwargs)
+    assert not gates_by_name(default)["flagged_cells"].passed
+    flags = {c.cell: c.measured["flagged"] for c in default.cells}
+    assert flags == {"m=3,3": 1, "m=4,1": 0}
+
+
+def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
+    log = []
+    for name in ("sample_grid", "extract_nodal", "marching_squares", "distance_field"):
+        spy(monkeypatch, log, harness_mod, name)
+    run_yau_check(TORUS2, modes=((3, 4),))
+    assert log == ["sample_grid", "extract_nodal", "marching_squares", "distance_field"]
+    log.clear()
+    run_yau_check(INTERVAL, modes=((10,),))
+    assert log == ["sample_grid", "extract_nodal", "distance_field"]
+
+
+def test_yau_empty_nodal_set_agrees_at_zero(monkeypatch):
+    # both routes read 0: the relative agreement of 0/0 is 0, not nan
+    monkeypatch.setattr(
+        harness_mod, "extract_nodal", lambda s: nodal_mod.NodalApprox(s, np.empty((0, 2)))
+    )
+    monkeypatch.setattr(harness_mod, "marching_squares", lambda s: (np.empty((0, 2, 2)), 0.0))
+    # the band gate rejects a zero ratio; the cell itself is what is checked here
+    monkeypatch.setitem(harness_mod.GATE_BUILDERS, "yau_ratio", lambda cells, config: [])
+    cell = run_yau_check(TORUS2, modes=((3, 4),)).cells[0]
+    assert cell.measured["value"] == 0.0 and cell.measured["by_segments"] == 0.0
+    assert cell.measured["agreement_rel"] == 0.0 and cell.measured["flagged"] == 0
+
+
+@pytest.mark.parametrize("mu_t", [(), (0.1,), (0.1, 0.1)])
+def test_yau_needs_two_distinct_radii_before_sampling(monkeypatch, mu_t):
+    log = []
+    spy(monkeypatch, log, harness_mod, "sample_grid")
+    with pytest.raises(ValidationError, match="mu_t has [01] distinct radii"):
+        run_yau_check(TORUS2, modes=((3, 3),), mu_t=mu_t)
+    assert log == []
+    # the interval counts vertices and takes no radii
+    assert run_yau_check(INTERVAL, modes=((10,),), mu_t=mu_t).passed
+
+
 def test_density_interval_and_torus():
     ri = run_density_check(INTERVAL)
     assert ri.passed
@@ -114,6 +176,16 @@ def test_dim2_single_mode():
     assert cell.measured["count"] == 24
     assert cell.measured["count"] <= cell.measured["courant_bound"]
     assert cell.measured["tube_constant"] <= 3.0
+
+
+def test_dim2_reads_its_tube_volume_from_the_nodal_measure(monkeypatch):
+    log = []
+    spy(monkeypatch, log, measures_mod, "tube_volume")
+    spy(monkeypatch, log, harness_mod, "tube_volume")
+    spy(monkeypatch, log, nodal_mod, "marching_squares")
+    spy(monkeypatch, log, harness_mod, "marching_squares")
+    run_dim2_checks(modes=((2, 3),))
+    assert log == ["tube_volume", "tube_volume"]  # the radii delta and delta/2
 
 
 def test_dim2_rejects_non_torus():

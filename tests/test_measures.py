@@ -12,7 +12,7 @@ from nodalab.distance import distance_field
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.measures import McRefine, density_radius, nodal_measure, tube_volume
-from nodalab.nodal import NodalApprox, extract_nodal
+from nodalab.nodal import NodalApprox, extract_nodal, marching_squares
 from nodalab.spectrum import (
     DomainSpec,
     EigenMode,
@@ -83,11 +83,13 @@ def test_nodal_measure_torus():
     exact = nodal_measure_exact(mode)
     assert exact == pytest.approx(28 * math.pi, rel=1e-12)
     nm = nodal_measure(f, ts, McRefine(seed=2))
-    assert abs(nm.by_tube - exact) / exact < 3e-3
-    assert abs(nm.by_segments - exact) / exact < 1e-2
-    assert not nm.flagged
-    assert nm.agreement_rel is not None and nm.agreement_rel < 0.01
-    assert len(nm.tube_ratios) == 2
+    _, length = marching_squares(f.sample)
+    assert abs(nm.value - exact) / exact < 3e-3
+    assert abs(length - exact) / exact < 1e-2
+    assert not nm.non_monotone
+    assert abs(length - nm.value) / max(length, nm.value) < 0.01
+    assert sorted(nm.volumes) == sorted(ts)
+    assert nm.volumes[ts[0]] == tube_volume(f, ts[0], McRefine(seed=2))
 
 
 def test_nodal_measure_interval_counts_vertices():
@@ -95,7 +97,7 @@ def test_nodal_measure_interval_counts_vertices():
     f = field_for(mode)
     nm = nodal_measure(f, (0.1, 0.05))
     assert nm.value == 11.0
-    assert nm.note == "vertex count"
+    assert nm.volumes == {} and not nm.non_monotone  # no tube is measured
 
 
 def test_nodal_measure_needs_two_radii():
@@ -120,14 +122,14 @@ def test_density_radius():
 def test_empty_field_measures():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0))
-    nod = NodalApprox(s, np.empty((0, 2)), None, 0.0)
+    nod = NodalApprox(s, np.empty((0, 2)))
     f = distance_field(nod)
     assert tube_volume(f, 10 * max(f.h)) == 0.0
     with pytest.raises(EmptyNodalSetError):
         density_radius(f)
     nm = nodal_measure(f, (10 * max(f.h), 5 * max(f.h)))
     assert nm.value == 0.0
-    assert nm.agreement_rel == 0.0
+    assert set(nm.volumes.values()) == {0.0} and not nm.non_monotone
 
 
 def refined_volume_reference(field, delta, refine):

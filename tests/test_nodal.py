@@ -1,4 +1,4 @@
-"""Nodal extraction: vertex counts, segment measure, saddle handling."""
+"""Nodal extraction and marching squares: vertex counts, segment measure, saddles."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from nodalab.boxes import _sign_change_cells
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.nodal import extract_nodal
+from nodalab.nodal import extract_nodal, marching_squares
 from nodalab.spectrum import (
     COS,
     SIN,
@@ -46,9 +46,9 @@ def test_segment_measure_matches_exact_torus():
     ]
     for m, kinds in cases:
         mode = EigenMode(DomainSpec.torus((1.0, 1.0)), m, kinds)
-        nod = extract_nodal(sample_grid(mode, ResolutionRule(points_per_wavelength=48.0)))
+        _, length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=48.0)))
         exact = nodal_measure_exact(mode)
-        rel = (nod.measure_2d - exact) / exact
+        rel = (length - exact) / exact
         assert -0.04 < rel < 0.005
 
 
@@ -57,8 +57,8 @@ def test_segment_measure_deficit_shrinks_with_h():
     exact = nodal_measure_exact(mode)
     errs = []
     for ppw in (24.0, 48.0, 96.0):
-        nod = extract_nodal(sample_grid(mode, ResolutionRule(points_per_wavelength=ppw)))
-        errs.append(abs(nod.measure_2d - exact))
+        _, length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=ppw)))
+        errs.append(abs(length - exact))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.6 * errs[0]
 
@@ -66,10 +66,10 @@ def test_segment_measure_deficit_shrinks_with_h():
 def test_weighted_torus_segment_measure():
     # alpha = (1, 2): the second axis has period pi and zero spacing pi/(2m)
     mode = EigenMode(DomainSpec.torus((1.0, 2.0)), (2, 3))
-    nod = extract_nodal(sample_grid(mode, ResolutionRule(points_per_wavelength=48.0)))
+    _, length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=48.0)))
     exact = nodal_measure_exact(mode)
     assert exact == pytest.approx((2 * 2) * math.pi + (2 * 3) * 2 * math.pi, rel=1e-12)
-    rel = (nod.measure_2d - exact) / exact
+    rel = (length - exact) / exact
     assert -0.04 < rel < 0.005
 
 
@@ -79,10 +79,10 @@ def test_on_grid_lines_reconstruct_exactly():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (4, 0), (SIN, COS))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0, h_max=2 * math.pi / 160))
     assert s.shape == (160, 160)
-    nod = extract_nodal(s)
+    _, length = marching_squares(s)
     exact = nodal_measure_exact(mode)
     assert exact == pytest.approx(8 * 2 * math.pi, rel=1e-12)
-    assert abs(nod.measure_2d - exact) / exact < 1e-12
+    assert abs(length - exact) / exact < 1e-12
 
 
 def test_on_grid_crossings_stay_close():
@@ -91,9 +91,9 @@ def test_on_grid_crossings_stay_close():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (4, 5))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0, h_max=2 * math.pi / 160))
     assert s.shape == (160, 160)
-    nod = extract_nodal(s)
+    _, length = marching_squares(s)
     exact = nodal_measure_exact(mode)
-    assert abs(nod.measure_2d - exact) / exact < 0.05
+    assert abs(length - exact) / exact < 0.05
 
 
 def test_saddles_resolved_by_center_sign():
@@ -109,16 +109,16 @@ def test_saddles_resolved_by_center_sign():
     c = np.roll(d, -1, axis=0)
     pattern = a * 1 + b * 2 + c * 4 + d * 8
     assert np.isin(pattern, (5, 10)).any()
-    nod = extract_nodal(s)
+    _, length = marching_squares(s)
     exact = nodal_measure_exact(mode)
-    rel = (nod.measure_2d - exact) / exact
+    rel = (length - exact) / exact
     assert -0.06 < rel < 0.005
 
 
 def test_segment_endpoints_lie_on_nodal_set():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3), (COS, SIN))
-    nod = extract_nodal(sample_grid(mode, ResolutionRule(points_per_wavelength=24.0)))
-    ends = nod.segments.reshape(-1, 2)
+    segments, _ = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=24.0)))
+    ends = segments.reshape(-1, 2)
     residual = np.abs(eval_mode(mode, ends))
     # linear interpolation of a factor over one grid step: O((m h)^2) residual
     assert residual.max() < 5e-3

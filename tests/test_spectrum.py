@@ -175,10 +175,6 @@ class TestNodalDescription:
         desc = exact_nodal_description(EigenMode(INTERVAL, (4,)))
         assert desc.axis_zeros[0] == pytest.approx(np.arange(5) * math.pi / 4)
 
-    def test_interval_excluding_boundary(self):
-        desc = exact_nodal_description(EigenMode(INTERVAL, (4,)), include_boundary=False)
-        assert desc.axis_zeros[0] == pytest.approx(np.arange(1, 4) * math.pi / 4)
-
     def test_torus_sine_zero_counts(self):
         desc = exact_nodal_description(EigenMode(TORUS2, (3, 4)))
         assert len(desc.axis_zeros[0]) == 6
