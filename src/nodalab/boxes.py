@@ -75,8 +75,8 @@ def _axis_count(L: float, delta: float) -> int:
 
 def subdivide(lengths, delta: float, origin=None) -> Subdivision:
     """Tile a cube with equal intervals per axis, each side strictly in (delta, 2*delta)."""
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    if not delta > 0:
+        raise ValidationError(f"delta must be positive, got {delta}")
     lengths = tuple(float(L) for L in lengths)
     if origin is None:
         origin = (0.0,) * len(lengths)
@@ -143,8 +143,8 @@ def comparability_set(sample: GridSample, sub: Subdivision, A: float):
     times the grid cell volume. This is the minimal exceptional set for the
     given A; any valid choice contains it.
     """
-    if A <= 1:
-        raise ValidationError("comparability factor A must exceed 1")
+    if not 1 < A < math.inf:
+        raise ValidationError(f"comparability factor A must lie in (1, inf), got {A}")
     _check_alignment(sample, sub)
     F = sample.values**2
     ids = _grid_box_ids(sample, sub)

@@ -69,11 +69,9 @@ def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
 class ExponentEstimate:
     """Record-event regression estimate of a point's approximation exponent."""
 
-    point: tuple[float, ...]
     exponent: float
     n_records: int
     residual: float
-    mu_range: tuple[float, float]
     low_confidence: bool
     exact_hit: bool
 
@@ -103,11 +101,9 @@ def estimate_exponent(
     hi = float(mu[-1]) if mu_max is None else float(mu_max)
     if not mu_min < hi:
         raise ValidationError("empty fit window")
-    pt = tuple(float(v) for v in np.atleast_1d(np.asarray(point, dtype=float)))
     zero = dist == 0.0
     if zero.any():
-        hit_mu = float(mu[zero][0])
-        return ExponentEstimate(pt, math.inf, 0, 0.0, (mu_min, hit_mu), False, True)
+        return ExponentEstimate(math.inf, 0, 0.0, False, True)
     proxy = mu * dist
     running = np.minimum.accumulate(proxy)
     prev = np.concatenate([[np.inf], running[:-1]])
@@ -115,12 +111,12 @@ def estimate_exponent(
     idx = np.nonzero(rec)[0]
     n_rec = int(idx.size)
     if n_rec < 2:
-        return ExponentEstimate(pt, math.nan, n_rec, math.nan, (mu_min, hi), True, False)
+        return ExponentEstimate(math.nan, n_rec, math.nan, True, False)
     X = np.log(mu[idx])
     Y = -np.log(dist[idx])
     slope, intercept = np.polyfit(X, Y, 1)
     resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))
-    return ExponentEstimate(pt, float(slope), n_rec, resid, (mu_min, hi), n_rec < 5, False)
+    return ExponentEstimate(float(slope), n_rec, resid, n_rec < 5, False)
 
 
 @dataclass
@@ -130,7 +126,6 @@ class BorelCantelliSums:
     mu: np.ndarray
     volumes: np.ndarray     # per-mode exact tube volume
     partial: np.ndarray     # S_K = cumulative sum of volumes
-    comparison: np.ndarray  # cumulative sum of C * mu^-(n+eps)
 
     def cauchy_gap(self, K: int) -> float:
         """S_2K - S_K, the tail mass between K and 2K terms."""
@@ -139,28 +134,25 @@ class BorelCantelliSums:
         return float(self.partial[2 * K - 1] - self.partial[K - 1])
 
 
-def borel_cantelli_sum(
-    domain: DomainSpec, C: float, eps: float, k_max: int, mu_cap: float | None = None
-) -> BorelCantelliSums:
+def borel_cantelli_sum(domain: DomainSpec, C: float, eps: float, k_max: int) -> BorelCantelliSums:
     """Sum exact tube volumes Vol(T_{mu_k, C/mu_k^{n+1+eps}}) over the spectrum.
 
     Volumes come from the exact strip inclusion-exclusion oracle, never a grid:
-    the radii shrink like mu^-(n+1+eps), below any fixed resolution. Also
-    returns the analytic comparison series C * mu^-(n+eps) (up to the nodal
-    measure constant), whose convergence the partial sums must track.
+    the radii shrink like mu^-(n+1+eps), below any fixed resolution.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    if C <= 0:
-        raise ValidationError("C must be positive")
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"eps must lie in (0, inf), got {eps}")
+    if not 0 < C < math.inf:
+        raise ValidationError(f"C must lie in (0, inf), got {C}")
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
+    # looked up at call time, so a wrapper installed on spectrum.tube_volume_exact
+    # (perfbench's tracer) sees these calls
     from .spectrum import tube_volume_exact
 
     n = domain.n
-    if mu_cap is None:
-        # Weyl-style guess, grown until enough modes exist
-        mu_cap = 4.0 * max(domain.alpha) * (k_max ** (1.0 / n) + 2.0)
+    # Weyl-style guess, grown until enough modes exist
+    mu_cap = 4.0 * max(domain.alpha) * (k_max ** (1.0 / n) + 2.0)
     modes = enumerate_modes(domain, mu_cap)
     while modes.m.shape[0] < k_max:
         mu_cap *= 1.5
@@ -170,5 +162,4 @@ def borel_cantelli_sum(
     for k in range(k_max):
         delta = C / mu[k] ** (n + 1 + eps)
         vols[k] = tube_volume_exact(modes[k], delta)
-    comparison = C * mu ** (-(n + eps))
-    return BorelCantelliSums(mu, vols, np.cumsum(vols), np.cumsum(comparison))
+    return BorelCantelliSums(mu, vols, np.cumsum(vols))

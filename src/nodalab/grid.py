@@ -52,7 +52,6 @@ class GridSample:
     mode: EigenMode
     h: tuple[float, ...]
     shape: tuple[int, ...]
-    axes: tuple[np.ndarray, ...]
     values: np.ndarray
 
     @property
@@ -121,11 +120,10 @@ def sample_grid(mode: EigenMode, rule: ResolutionRule = ResolutionRule()) -> Gri
         raise ResourceGuardError(
             f"grid of shape {tuple(shape)} has {total} points (cap {rule.max_total_points})"
         )
-    h, axes, factors = [], [], []
+    h, factors = [], []
     for j, npts in enumerate(shape):
         hj = lengths[j] / (npts if dom.periodic else npts - 1)
         h.append(hj)
-        axes.append(np.arange(npts) * hj)
         factors.append(_axis_factor(mode, j, npts))
     values = reduce(np.multiply.outer, factors) if dom.n > 1 else factors[0]
-    return GridSample(mode, tuple(h), tuple(shape), tuple(axes), values)
+    return GridSample(mode, tuple(h), tuple(shape), values)

@@ -146,8 +146,8 @@ def run_tube_scaling(
         mode = _mode(domain, m)
         mu = mode.mu
         cell_deltas = list(deltas) if targets is None else [t / mu for t in targets]
-        if any(d <= 0 for d in cell_deltas):
-            raise ValidationError("tube radii must be positive")
+        if not all(0 < d < math.inf for d in cell_deltas):
+            raise ValidationError(f"tube radii must lie in (0, inf), got {cell_deltas}")
         if include_break_cell:
             cell_deltas = cell_deltas + [3.0 / mu]
         for delta in cell_deltas:
@@ -233,9 +233,10 @@ def run_yau_check(
 
     Torus product modes must stay inside the analytic band [4pi, 4 sqrt(2) pi]
     (up to analytic_tol) and the square family must sit at the upper endpoint;
-    the interval reduces to the exact zero count. On 2-d domains the
-    marching-squares length cross-checks the tube extrapolation: a relative
-    disagreement above agree_tol, or a non-monotone tube ratio, flags the cell.
+    the interval reduces to the exact zero count. A non-monotone tube ratio
+    flags the cell. On 2-d domains the marching-squares length cross-checks
+    the tube extrapolation: the estimator_agreement gate, and only it, fails
+    on a relative disagreement above agree_tol.
     """
     if modes is None:
         modes = ((10,), (40,)) if domain.n == 1 else DEFAULT_YAU_TORUS_MODES
@@ -281,7 +282,7 @@ def run_yau_check(
             sample = sample_grid(mode, rule)
             nodal = extract_nodal(sample)
             if domain.n == 2:
-                length = marching_squares(sample)[1]
+                length = marching_squares(sample)
             field = distance_field(nodal)
             nm = nodal_measure(
                 field, t_list, refine=McRefine(samples_per_cell=refine_samples, seed=seed)
@@ -297,7 +298,6 @@ def run_yau_check(
             if domain.n == 2:
                 denom = max(length, abs(nm.value))
                 agreement = abs(length - nm.value) / denom if denom > 0 else 0.0
-                cell.measured["flagged"] = int(nm.non_monotone or agreement > agree_tol)
                 cell.measured["by_segments"] = length
                 cell.measured["agreement_rel"] = agreement
             cell.error = field.raster_error

@@ -1,9 +1,10 @@
 """Nodal set extraction from grid samples.
 
 Vertices are exact-zero grid points plus linearly interpolated zero crossings on
-grid edges. Separately, ``marching_squares`` traces a 2-d sample into segments
-and their total length; the ambiguous saddle configurations are resolved by the
-sign of the eigenfunction at the cell center, which is evaluated analytically.
+grid edges. Separately, ``marching_squares`` measures the total length of the
+marching-squares contour of a 2-d sample, visiting only the cells whose corner
+signs differ; the ambiguous saddle configurations are resolved by the sign of
+the eigenfunction at the cell center, which is evaluated analytically.
 """
 
 from __future__ import annotations
@@ -15,17 +16,10 @@ import numpy as np
 from .grid import GridSample
 from .spectrum import eval_mode
 
-# marching-squares case table: pattern bit k set = corner k has value >= 0.
-# corners: 0=(0,0) 1=(1,0) 2=(1,1) 3=(0,1); edges: 0=bottom 1=right 2=top 3=left.
-_MS_CASES = {
-    1: [(0, 3)], 14: [(0, 3)],
-    2: [(0, 1)], 13: [(0, 1)],
-    4: [(1, 2)], 11: [(1, 2)],
-    8: [(2, 3)], 7: [(2, 3)],
-    3: [(1, 3)], 12: [(1, 3)],
-    6: [(0, 2)], 9: [(0, 2)],
-}
-_SADDLES = {5, 10}
+# summation rank of each crossed-cell pattern (0 and 15 cross nothing): the
+# length is summed group by group in this fixed order, saddles 10 and 5 last
+_EMIT_RANK = np.zeros(16, dtype=np.int64)
+_EMIT_RANK[[1, 14, 2, 13, 4, 11, 8, 7, 3, 12, 6, 9, 10, 5]] = np.arange(14)
 
 
 @dataclass
@@ -84,71 +78,59 @@ def _edge_vertices(sample: GridSample) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def marching_squares(sample: GridSample) -> tuple[np.ndarray, float]:
-    """Segments (s, 2, 2) and their total length over all cells of a 2-d sample.
+def marching_squares(sample: GridSample) -> float:
+    """Total length of the marching-squares segments over all cells of a 2-d sample.
 
-    Zeros count as the nonnegative class.
+    Zeros count as the nonnegative class. Only cells whose four corners are
+    not all in one class carry a segment: it joins the linear zero crossings
+    on the cell's two crossed edges. A saddle cell (classes alternating round
+    the corners) gets two segments, paired by the sign of the eigenfunction at
+    the cell center. The lengths are summed in a fixed order (cases 1, 14, 2,
+    13, 4, 11, 8, 7, 3, 12, 6, 9, then saddles 10 and 5 split by center sign
+    and segment, row-major within each group), so the float is reproducible
+    bit for bit.
     """
     v = sample.values
-    per = sample.periodic
-    a, d = _axis_pairs(v, 1, per)        # a: (i, j), d: (i, j+1)
-    a, b = _axis_pairs(a, 0, per)        # b: (i+1, j)
-    d, c = _axis_pairs(d, 0, per)        # c: (i+1, j+1)
-    pattern = (
-        (a >= 0).astype(np.int8)
-        + 2 * (b >= 0).astype(np.int8)
-        + 4 * (c >= 0).astype(np.int8)
-        + 8 * (d >= 0).astype(np.int8)
-    )
     h0, h1 = sample.h
-    segs = []
-
-    def edge_points(ii, jj, edge):
-        av, bv, cv, dv = a[ii, jj], b[ii, jj], c[ii, jj], d[ii, jj]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if edge == 0:
-                t = av / (av - bv)
-                return np.stack([(ii + t) * h0, jj * h1], axis=1)
-            if edge == 1:
-                t = bv / (bv - cv)
-                return np.stack([(ii + 1.0) * h0, (jj + t) * h1], axis=1)
-            if edge == 2:
-                t = dv / (dv - cv)
-                return np.stack([(ii + t) * h0, (jj + 1.0) * h1], axis=1)
-            t = av / (av - dv)
-            return np.stack([ii * h0, (jj + t) * h1], axis=1)
-
-    for pat, pairs in _MS_CASES.items():
-        ii, jj = np.nonzero(pattern == pat)
-        if ii.size == 0:
-            continue
-        for e1, e2 in pairs:
-            segs.append(np.stack([edge_points(ii, jj, e1), edge_points(ii, jj, e2)], axis=1))
-    for pat in _SADDLES:
-        ii, jj = np.nonzero(pattern == pat)
-        if ii.size == 0:
-            continue
-        centers = np.stack([(ii + 0.5) * h0, (jj + 0.5) * h1], axis=1)
-        plus = eval_mode(sample.mode, centers) >= 0
-        # pattern 5 (+ corners on the main diagonal): center + joins them,
-        # isolating corners 1 and 3; pattern 10 is the mirror image.
-        if pat == 5:
-            first = [(0, 1), (2, 3)]
-            second = [(0, 3), (1, 2)]
-        else:
-            first = [(0, 3), (1, 2)]
-            second = [(0, 1), (2, 3)]
-        for mask, pairs in ((plus, first), (~plus, second)):
-            si, sj = ii[mask], jj[mask]
-            if si.size == 0:
-                continue
-            for e1, e2 in pairs:
-                segs.append(np.stack([edge_points(si, sj, e1), edge_points(si, sj, e2)], axis=1))
-    if not segs:
-        return np.empty((0, 2, 2)), 0.0
-    segments = np.concatenate(segs, axis=0)
-    lengths = np.linalg.norm(segments[:, 1] - segments[:, 0], axis=1)
-    return segments, float(lengths.sum())
+    pos = v >= 0
+    # the crossed cells: corners neither all nonnegative nor all negative
+    ii, jj = np.nonzero(
+        _corner_reduce(pos, sample.periodic, np.logical_and)
+        != _corner_reduce(pos, sample.periodic, np.logical_or)
+    )
+    i1, j1 = (ii + 1) % v.shape[0], (jj + 1) % v.shape[1]
+    # corners 0=(i,j) 1=(i+1,j) 2=(i+1,j+1) 3=(i,j+1); edge k joins corners k
+    # and k+1 (mod 4); pattern bit k set = corner k has value >= 0
+    corners = (ii, jj), (i1, jj), (i1, j1), (ii, j1)
+    bits = np.stack([pos[c] for c in corners])
+    pat = np.array([1, 2, 4, 8]) @ bits
+    av, bv, cv, dv = (v[c] for c in corners)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.stack([(ii + av / (av - bv)) * h0, (ii + 1.0) * h0,
+                      (ii + dv / (dv - cv)) * h0, ii * h0])
+        y = np.stack([jj * h1, (jj + bv / (bv - cv)) * h1,
+                      (jj + 1.0) * h1, (jj + av / (av - dv)) * h1])
+    crossed = bits != np.roll(bits, -1, axis=0)
+    first = crossed.argmax(axis=0)
+    last = 3 - crossed[::-1].argmax(axis=0)
+    saddle = crossed.all(axis=0)
+    si, sj = ii[saddle], jj[saddle]
+    plus = eval_mode(sample.mode, np.stack([(si + 0.5) * h0, (sj + 0.5) * h1], axis=1)) >= 0
+    # the center joins the two corners of its own class; when those are 0 and
+    # 2 the segments cut off corners 1 and 3 by edges (0,1),(2,3), else (0,3),(1,2)
+    join = (bits[0, saddle] == plus).astype(np.int64)
+    last[saddle] -= 2 * join
+    # sum order: pattern rank, then a saddle's center sign (+ first) and segment
+    key = 4 * _EMIT_RANK[pat]
+    key[saddle] += 2 * ~plus
+    cols = np.concatenate([np.arange(pat.size), np.flatnonzero(saddle)])
+    e = np.concatenate([first, 1 + join])
+    f = np.concatenate([last, 2 + join])
+    dx = x[e, cols] - x[f, cols]
+    dy = y[e, cols] - y[f, cols]
+    lengths = np.sqrt(dx * dx + dy * dy)
+    order = np.argsort(np.concatenate([key, key[saddle] + 1]), kind="stable")
+    return float(lengths[order].sum())
 
 
 def extract_nodal(sample: GridSample) -> NodalApprox:

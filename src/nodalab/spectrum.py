@@ -190,17 +190,10 @@ class NodalHyperplanes:
     """Exact nodal structure of a separable mode: per-axis zero coordinate lists.
 
     The nodal set is the union over axes of {x : x_j in axis_zeros[j]}; axes whose
-    factor never vanishes contribute an empty list. ``spacing[j]`` is the uniform
-    gap between consecutive zeros (circularly uniform on the torus), inf if none.
+    factor never vanishes contribute an empty list.
     """
 
-    mode: EigenMode
     axis_zeros: tuple[np.ndarray, ...]
-    spacing: tuple[float, ...]
-
-    @property
-    def domain(self) -> DomainSpec:
-        return self.mode.domain
 
     @property
     def empty(self) -> bool:
@@ -216,21 +209,19 @@ def exact_nodal_description(mode: EigenMode) -> NodalHyperplanes:
     offset by half a spacing for cosine factors.
     """
     dom = mode.domain
-    zeros, spacings = [], []
+    zeros = []
     for j in range(dom.n):
         mj = mode.m[j]
         if mj == 0:
             zeros.append(np.empty(0))
-            spacings.append(math.inf)
             continue
         s = mode.factor_zero_spacing(j)
-        spacings.append(s)
         if dom.periodic:
             offs = 0.0 if mode.kinds[j] == SIN else 0.5
             zeros.append((np.arange(2 * mj) + offs) * s)
         else:
             zeros.append(np.arange(mj + 1) * s)
-    return NodalHyperplanes(mode, tuple(zeros), tuple(spacings))
+    return NodalHyperplanes(tuple(zeros))
 
 
 def union_radius_measure(zeros, radius: float, length: float, circular: bool) -> float:

@@ -38,6 +38,9 @@ def test_subdivide_examples():
         subdivide((0.2,), 0.3)
     with pytest.raises(ValidationError):
         subdivide((0.6,), 0.3)  # L = 2*delta leaves no valid count
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            subdivide((1.0,), delta)
 
 
 @given(
@@ -75,7 +78,7 @@ def test_subdivision_box_volume_tiles_cube():
 def constant_sample(value=3.0):
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0, h_max=2 * math.pi / 64))
-    return GridSample(mode, s.h, s.shape, s.axes, np.full(s.shape, value))
+    return GridSample(mode, s.h, s.shape, np.full(s.shape, value))
 
 
 def test_constant_function_has_empty_exceptional_set():
@@ -131,7 +134,10 @@ def test_comparability_guards():
         comparability_set(s, subdivide((1.0, 1.0), 0.1), 10.0)  # wrong cube
     with pytest.raises(ValidationError):
         comparability_set(s, subdivide(s.domain.lengths, 0.9), 1.0)  # A <= 1
-    zero = GridSample(s.mode, s.h, s.shape, s.axes, np.zeros(s.shape))
+    for A in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="A must lie in"):
+            comparability_set(s, subdivide(s.domain.lengths, 0.9), A)
+    zero = GridSample(s.mode, s.h, s.shape, np.zeros(s.shape))
     with pytest.raises(ValidationError):
         comparability_set(zero, subdivide(s.domain.lengths, 0.9), 10.0)
 

@@ -95,9 +95,24 @@ def test_distinct_spectrum_matches_integer_count(tmp_path, capsys):
         (["boxes", "--mu-delta", ","], "mu_delta is empty"),
         (["tube", "--delta", ","], "deltas is empty"),
         (["tube", "--mu-delta", ","], "mu_delta is empty"),
+        # non-finite numbers are invalid input, caught where the library first reads them
+        (["boxes", "--mu-delta", "0.1,nan"], "delta must be positive"),
+        (["boxes", "--A", "nan"], "A must lie in (1, inf)"),
+        (["boxes", "--A", "inf"], "A must lie in (1, inf)"),
+        (["tube", "--domain", "torus2", "--modes", "3,4", "--mu-delta", "nan"],
+         "tube radii must lie in (0, inf)"),
+        (["tube", "--domain", "interval", "--delta", "nan"], "tube radii must lie in (0, inf)"),
+        (["tube", "--domain", "interval", "--mu-delta", "inf"], "tube radii must lie in (0, inf)"),
+        (["borel-cantelli", "--eps", "nan", "--k-max", "40", "--n-points", "20", "--k0", "10"],
+         "eps must lie in (0, inf)"),
+        (["borel-cantelli", "--eps", "inf", "--k-max", "40", "--n-points", "20", "--k0", "10"],
+         "eps must lie in (0, inf)"),
     ],
     ids=["n-interval-0", "n-box-0", "k-max-below-k0", "n-points-0",
-         "boxes-mu-delta-empty", "tube-delta-empty", "tube-mu-delta-empty"],
+         "boxes-mu-delta-empty", "tube-delta-empty", "tube-mu-delta-empty",
+         "boxes-mu-delta-nan", "boxes-A-nan", "boxes-A-inf", "tube-torus-mu-delta-nan",
+         "tube-interval-delta-nan", "tube-interval-mu-delta-inf", "borel-cantelli-eps-nan",
+         "borel-cantelli-eps-inf"],
 )
 def test_degenerate_spectral_config_exits_2(argv, message, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID

@@ -318,6 +318,11 @@ def test_borel_cantelli_validates():
         borel_cantelli_sum(dom, C=0.0, eps=1.0, k_max=10)
     with pytest.raises(ValidationError):
         borel_cantelli_sum(dom, C=1.0, eps=1.0, k_max=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="eps must lie in"):
+            borel_cantelli_sum(dom, C=1.0, eps=bad, k_max=10)
+        with pytest.raises(ValidationError, match="C must lie in"):
+            borel_cantelli_sum(dom, C=bad, eps=1.0, k_max=10)
     res = borel_cantelli_sum(dom, C=1.0, eps=1.0, k_max=100)
     with pytest.raises(ValidationError):
         res.cauchy_gap(60)

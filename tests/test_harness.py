@@ -112,17 +112,20 @@ def test_yau_torus_families():
     assert "aspect_monotone" not in g  # one aspect mode is not a family
 
 
-def test_yau_agreement_flags_against_the_drivers_agree_tol():
+def test_yau_agreement_fails_only_its_own_gate():
     # the (3,3) segment/tube agreement is 0.0352 at these radii
     kwargs = dict(modes=((3, 3), (4, 1)), mu_t=(1.0, 0.8))
     loose = run_yau_check(TORUS2, agree_tol=0.5, **kwargs)
     g = gates_by_name(loose)
-    assert 0.03 < g["estimator_agreement"].value < 0.5
+    assert 0.03 < g["estimator_agreement"].value < 0.5 and g["estimator_agreement"].passed
     assert g["flagged_cells"].passed and g["flagged_cells"].value == 0
     default = run_yau_check(TORUS2, **kwargs)
-    assert not gates_by_name(default)["flagged_cells"].passed
+    g = gates_by_name(default)
+    assert not g["estimator_agreement"].passed
+    # flagged means a non-monotone tube ratio only: one cause, one failed gate
+    assert g["flagged_cells"].passed and g["flagged_cells"].value == 0
     flags = {c.cell: c.measured["flagged"] for c in default.cells}
-    assert flags == {"m=3,3": 1, "m=4,1": 0}
+    assert flags == {"m=3,3": 0, "m=4,1": 0}
 
 
 def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
@@ -141,7 +144,7 @@ def test_yau_empty_nodal_set_agrees_at_zero(monkeypatch):
     monkeypatch.setattr(
         harness_mod, "extract_nodal", lambda s: nodal_mod.NodalApprox(s, np.empty((0, 2)))
     )
-    monkeypatch.setattr(harness_mod, "marching_squares", lambda s: (np.empty((0, 2, 2)), 0.0))
+    monkeypatch.setattr(harness_mod, "marching_squares", lambda s: 0.0)
     # the band gate rejects a zero ratio; the cell itself is what is checked here
     monkeypatch.setitem(harness_mod.GATE_BUILDERS, "yau_ratio", lambda cells, config: [])
     cell = run_yau_check(TORUS2, modes=((3, 4),)).cells[0]
@@ -317,6 +320,10 @@ def test_spectral_drivers_reject_empty_windows():
         (run_comparability_scaling, {"mu_delta": ()}, "mu_delta is empty"),
         (run_comparability_scaling, {"a_sweep": ()}, "a_sweep is empty"),
         (run_comparability_scaling, {"stability_modes": ()}, "stability_modes is empty"),
+        # and non-finite radii and comparability factors
+        (run_tube_scaling, {"domain": INTERVAL, "deltas": (math.nan,)}, "radii must lie in"),
+        (run_tube_scaling, {"domain": INTERVAL, "mu_delta": (math.inf,)}, "radii must lie in"),
+        (run_comparability_scaling, {"A": math.nan}, "A must lie in"),
     ):
         with pytest.raises(ValidationError, match=message):
             run(**kwargs)

@@ -83,7 +83,7 @@ def test_nodal_measure_torus():
     exact = nodal_measure_exact(mode)
     assert exact == pytest.approx(28 * math.pi, rel=1e-12)
     nm = nodal_measure(f, ts, McRefine(seed=2))
-    _, length = marching_squares(f.sample)
+    length = marching_squares(f.sample)
     assert abs(nm.value - exact) / exact < 3e-3
     assert abs(length - exact) / exact < 1e-2
     assert not nm.non_monotone

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nodalab.boxes import _sign_change_cells
-from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.nodal import extract_nodal, marching_squares
+from nodalab.grid import GridSample, ResolutionRule, sample_grid
+from nodalab.nodal import _axis_pairs, extract_nodal, marching_squares
 from nodalab.spectrum import (
     COS,
     SIN,
@@ -16,6 +19,136 @@ from nodalab.spectrum import (
     eval_mode,
     nodal_measure_exact,
 )
+
+SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
+
+
+# --------------------------------------- reference: case-by-case segments
+
+# pattern bit k set = corner k has value >= 0.
+# corners: 0=(0,0) 1=(1,0) 2=(1,1) 3=(0,1); edges: 0=bottom 1=right 2=top 3=left.
+_MS_CASES = {
+    1: [(0, 3)], 14: [(0, 3)],
+    2: [(0, 1)], 13: [(0, 1)],
+    4: [(1, 2)], 11: [(1, 2)],
+    8: [(2, 3)], 7: [(2, 3)],
+    3: [(1, 3)], 12: [(1, 3)],
+    6: [(0, 2)], 9: [(0, 2)],
+}
+_SADDLES = {5, 10}
+
+
+def marching_squares_reference(sample):
+    """Segments (s, 2, 2) and their total length, one full-grid scan per case."""
+    v = sample.values
+    per = sample.periodic
+    a, d = _axis_pairs(v, 1, per)        # a: (i, j), d: (i, j+1)
+    a, b = _axis_pairs(a, 0, per)        # b: (i+1, j)
+    d, c = _axis_pairs(d, 0, per)        # c: (i+1, j+1)
+    pattern = (
+        (a >= 0).astype(np.int8)
+        + 2 * (b >= 0).astype(np.int8)
+        + 4 * (c >= 0).astype(np.int8)
+        + 8 * (d >= 0).astype(np.int8)
+    )
+    h0, h1 = sample.h
+    segs = []
+
+    def edge_points(ii, jj, edge):
+        av, bv, cv, dv = a[ii, jj], b[ii, jj], c[ii, jj], d[ii, jj]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if edge == 0:
+                t = av / (av - bv)
+                return np.stack([(ii + t) * h0, jj * h1], axis=1)
+            if edge == 1:
+                t = bv / (bv - cv)
+                return np.stack([(ii + 1.0) * h0, (jj + t) * h1], axis=1)
+            if edge == 2:
+                t = dv / (dv - cv)
+                return np.stack([(ii + t) * h0, (jj + 1.0) * h1], axis=1)
+            t = av / (av - dv)
+            return np.stack([ii * h0, (jj + t) * h1], axis=1)
+
+    for pat, pairs in _MS_CASES.items():
+        ii, jj = np.nonzero(pattern == pat)
+        if ii.size == 0:
+            continue
+        for e1, e2 in pairs:
+            segs.append(np.stack([edge_points(ii, jj, e1), edge_points(ii, jj, e2)], axis=1))
+    for pat in _SADDLES:
+        ii, jj = np.nonzero(pattern == pat)
+        if ii.size == 0:
+            continue
+        centers = np.stack([(ii + 0.5) * h0, (jj + 0.5) * h1], axis=1)
+        plus = eval_mode(sample.mode, centers) >= 0
+        # pattern 5 (+ corners on the main diagonal): center + joins them,
+        # isolating corners 1 and 3; pattern 10 is the mirror image.
+        if pat == 5:
+            first = [(0, 1), (2, 3)]
+            second = [(0, 3), (1, 2)]
+        else:
+            first = [(0, 3), (1, 2)]
+            second = [(0, 1), (2, 3)]
+        for mask, pairs in ((plus, first), (~plus, second)):
+            si, sj = ii[mask], jj[mask]
+            if si.size == 0:
+                continue
+            for e1, e2 in pairs:
+                segs.append(np.stack([edge_points(si, sj, e1), edge_points(si, sj, e2)], axis=1))
+    if not segs:
+        return np.empty((0, 2, 2)), 0.0
+    segments = np.concatenate(segs, axis=0)
+    lengths = np.linalg.norm(segments[:, 1] - segments[:, 0], axis=1)
+    return segments, float(lengths.sum())
+
+
+KIND = st.sampled_from((SIN, COS))
+TORUS2 = DomainSpec.torus((1.0, 1.0))
+
+
+@st.composite
+def contour_samples(draw):
+    """Torus sin/cos kinds and zero-index axes, irrational alpha, a Dirichlet box,
+    nodal lines on grid nodes, odd-N saddle grids, random values with exact zeros."""
+    family = draw(st.sampled_from(
+        ("torus", "zero_axis", "irrational", "box", "on_grid", "odd_saddle", "random")
+    ))
+    m = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    kinds = (draw(KIND), draw(KIND))
+    ppw = draw(st.sampled_from((4.0, 6.0, 9.0, 16.0)))
+    if family == "zero_axis":
+        zero = draw(st.integers(0, 1))
+        m = tuple(0 if j == zero else m[j] for j in range(2))
+        kinds = tuple(COS if j == zero else kinds[j] for j in range(2))
+    if family in ("torus", "zero_axis"):
+        return sample_grid(EigenMode(TORUS2, m, kinds), ResolutionRule(ppw))
+    if family == "irrational":
+        return sample_grid(EigenMode(DomainSpec.torus((1.0, SQRT2)), m, kinds), ResolutionRule(ppw))
+    if family == "box":
+        return sample_grid(EigenMode(DomainSpec.box((1.0, SQRT3)), m), ResolutionRule(ppw))
+    if family == "random":
+        dom = draw(st.sampled_from((TORUS2, DomainSpec.box((1.0, 1.0)))))
+        shape = (draw(st.integers(2, 24)), draw(st.integers(2, 24)))
+        h = tuple(L / (n if dom.periodic else n - 1) for L, n in zip(dom.lengths, shape))
+        values = draw(arrays(np.float64, shape, elements=st.one_of(
+            st.just(0.0), st.sampled_from((-1.0, 1.0)), st.floats(-10.0, 10.0, width=32),
+        )))
+        mode = EigenMode(dom, m, kinds) if dom.periodic else EigenMode(dom, m)
+        return GridSample(mode, h, shape, values)
+    if family == "on_grid":
+        # 4m divides N on both axes: every sin and cos zero line is a grid line
+        n = 8 * math.lcm(*m) * draw(st.integers(1, 2))
+    else:
+        n = 2 * draw(st.integers(2 * max(m), 24)) + 1
+    rule = ResolutionRule(4.0, h_max=2 * math.pi / (n - 0.5), min_points_per_axis=2)
+    s = sample_grid(EigenMode(TORUS2, m, kinds), rule)
+    assert s.shape == (n, n)
+    return s
+
+
+@given(contour_samples())
+def test_length_is_bitwise_the_case_by_case_reference(sample):
+    assert marching_squares(sample) == marching_squares_reference(sample)[1]
 
 
 def test_interval_vertices_are_the_zeros():
@@ -46,7 +179,7 @@ def test_segment_measure_matches_exact_torus():
     ]
     for m, kinds in cases:
         mode = EigenMode(DomainSpec.torus((1.0, 1.0)), m, kinds)
-        _, length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=48.0)))
+        length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=48.0)))
         exact = nodal_measure_exact(mode)
         rel = (length - exact) / exact
         assert -0.04 < rel < 0.005
@@ -57,7 +190,7 @@ def test_segment_measure_deficit_shrinks_with_h():
     exact = nodal_measure_exact(mode)
     errs = []
     for ppw in (24.0, 48.0, 96.0):
-        _, length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=ppw)))
+        length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=ppw)))
         errs.append(abs(length - exact))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.6 * errs[0]
@@ -66,7 +199,7 @@ def test_segment_measure_deficit_shrinks_with_h():
 def test_weighted_torus_segment_measure():
     # alpha = (1, 2): the second axis has period pi and zero spacing pi/(2m)
     mode = EigenMode(DomainSpec.torus((1.0, 2.0)), (2, 3))
-    _, length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=48.0)))
+    length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=48.0)))
     exact = nodal_measure_exact(mode)
     assert exact == pytest.approx((2 * 2) * math.pi + (2 * 3) * 2 * math.pi, rel=1e-12)
     rel = (length - exact) / exact
@@ -79,7 +212,7 @@ def test_on_grid_lines_reconstruct_exactly():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (4, 0), (SIN, COS))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0, h_max=2 * math.pi / 160))
     assert s.shape == (160, 160)
-    _, length = marching_squares(s)
+    length = marching_squares(s)
     exact = nodal_measure_exact(mode)
     assert exact == pytest.approx(8 * 2 * math.pi, rel=1e-12)
     assert abs(length - exact) / exact < 1e-12
@@ -91,7 +224,7 @@ def test_on_grid_crossings_stay_close():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (4, 5))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0, h_max=2 * math.pi / 160))
     assert s.shape == (160, 160)
-    _, length = marching_squares(s)
+    length = marching_squares(s)
     exact = nodal_measure_exact(mode)
     assert abs(length - exact) / exact < 0.05
 
@@ -109,7 +242,7 @@ def test_saddles_resolved_by_center_sign():
     c = np.roll(d, -1, axis=0)
     pattern = a * 1 + b * 2 + c * 4 + d * 8
     assert np.isin(pattern, (5, 10)).any()
-    _, length = marching_squares(s)
+    length = marching_squares(s)
     exact = nodal_measure_exact(mode)
     rel = (length - exact) / exact
     assert -0.06 < rel < 0.005
@@ -117,7 +250,7 @@ def test_saddles_resolved_by_center_sign():
 
 def test_segment_endpoints_lie_on_nodal_set():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3), (COS, SIN))
-    segments, _ = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=24.0)))
+    segments, _ = marching_squares_reference(sample_grid(mode, ResolutionRule(points_per_wavelength=24.0)))
     ends = segments.reshape(-1, 2)
     residual = np.abs(eval_mode(mode, ends))
     # linear interpolation of a factor over one grid step: O((m h)^2) residual
