@@ -22,7 +22,7 @@ from .harness import (
     run_yau_check,
 )
 from .reports import verify_report, write_report
-from .spectrum import DomainSpec, enumerate_modes, weyl_count
+from .spectrum import DomainSpec, distinct_count, enumerate_modes
 
 EXIT_PASS = 0
 EXIT_GATE_FAIL = 1
@@ -247,7 +247,7 @@ def dispatch(args) -> int:
         mu_max = _coerce(args.mu_max, float)
         modes = enumerate_modes(domain, mu_max)
         if _coerce(args.distinct, bool):
-            count = weyl_count(domain, mu_max, distinct=True)
+            count = distinct_count(modes.mu)
             label = "distinct frequencies"
         else:
             count = len(modes)

@@ -12,6 +12,22 @@ distances are bitwise equal to it. Records of the running minimum distance
 drive per-point approximation exponents; exact tube volumes drive the
 convergence (Borel-Cantelli style) sums, since the radii shrink below any
 fixed grid.
+
+Most rows of a list can never change a scan's result. A row's distance is
+one axis entry, and the first row in list order with the same (axis, index,
+kind) has that entry too, or a smaller one, at no larger mu. Float
+multiplication is monotone, so a later row never strictly lowers the running
+minimum of mu * dist below that first row's, and it is an exact hit only if
+that first row is. ``spectrum.record_candidates`` builds just those first
+rows, so exponent estimates on it are the full list's. ``tail_hits`` applies
+the same argument to the rows beyond a frequency cutoff, whose radii shrink
+as mu grows. On one axis it goes further by Legendre's theorem (Khinchin,
+*Continued Fractions*): where pi/(2 k^2 alpha) exceeds the radius by more
+than the scan's rounding, a hit at k needs |theta - P/k| < 1/(2k^2) for
+theta = x alpha / pi, so k is a multiple of a convergent denominator of
+theta. Those come from exact integer Euclid on the floats' rational values,
+every other row is certified clear, and the rows left get the scan's own
+float formula and radius, so every decision is the full scan's bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +79,105 @@ def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
     if not np.isfinite(dist).all():
         raise ValidationError("a mode in the list has an empty nodal set")
     return dist
+
+
+# relative widening of each float bound below, far above the few-ulp rounding
+# of the operations that compute it
+_SLACK = 2.0**-40
+
+
+def _convergents(num: int, den: int, q_max: int):
+    """Exact convergents p/q of num/den (den > 0) with q <= q_max, by integer Euclid."""
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    while den:
+        a, rem = divmod(num, den)
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        if q > q_max:
+            return
+        yield p, q
+        num, den = den, rem
+
+
+def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: float) -> np.ndarray:
+    """tail_hits on one axis, whose tail rows are the sine modes k = ks[0] .. ks[-1].
+
+    The scan's distance at k is that of x to the lattice pi/(k alpha) Z up to
+    err, a bound on the rounding of its spacing and mod. Where the gap row
+    certifies pi/(2 k^2 alpha) - err > radius[k], a hit at k puts k theta,
+    theta = x alpha / pi, within 1/(2k) of an integer P, so by Legendre's
+    theorem P/k reduces to a convergent p/q of theta, k = t q, and the exact
+    distance is pi |q theta - p| / (q alpha) for every such t. Only multiples
+    of q whose radius envelope exceeds that distance, less err, can hit; rows
+    whose certificate fails (small k against a large C) are kept for every
+    point. The kept rows get the scan's own float formula and radius.
+    """
+    k_first, k_last = int(ks[0]), int(ks[-1])
+    err = 2.0**-48 * (float(np.abs(xs).max()) + 4.0 * math.pi / alpha)
+    # the largest radius at or beyond each row: non-increasing, so every row
+    # whose radius exceeds a threshold lies in the prefix the envelope gives
+    env = np.maximum.accumulate(radius[::-1])[::-1]
+    gap = math.pi / (2.0 * ks * ks * alpha) * (1.0 - _SLACK) - err
+    open_ks = ks[~(gap > radius)]
+
+    pi_num, pi_den = math.pi.as_integer_ratio()
+    a_num, a_den = float(alpha).as_integer_ratio()
+    owner, qs, limit = [], [], []
+    for i, x in enumerate(xs):
+        x_num, x_den = float(x).as_integer_ratio()
+        num, den = x_num * a_num * pi_den, x_den * a_den * pi_num
+        for p, q in _convergents(num, den, k_last):
+            dist = math.pi * (abs(q * num - p * den) / den) / (q * alpha)
+            owner.append(i)
+            qs.append(q)
+            limit.append(dist * (1.0 - _SLACK) - err)
+    owner = np.asarray(owner, dtype=np.int64)
+    qs = np.asarray(qs, dtype=np.int64)
+    reach = k_first - 1 + np.searchsorted(-env, -np.asarray(limit, dtype=float))
+    t_lo = -(-k_first // qs)
+    count = np.maximum(reach // qs - t_lo + 1, 0)
+    runs = np.repeat(np.cumsum(count) - count, count)
+    t = np.repeat(t_lo, count) + np.arange(runs.size) - runs
+    pair_owner = np.concatenate([np.repeat(owner, count), np.repeat(np.arange(xs.size), open_ks.size)])
+    pair_k = np.concatenate([np.repeat(qs, count) * t, np.tile(open_ks, xs.size)])
+
+    d = _lattice_distance_table(xs[pair_owner], math.pi / (pair_k * alpha))[1:]
+    hit = np.zeros(xs.size, dtype=bool)
+    hit[pair_owner[d < radius[pair_k - k_first]]] = True
+    return hit
+
+
+def tail_hits(points, modes: ModeList, start: int, radius: np.ndarray) -> np.ndarray:
+    """Per point, whether some row i >= start of the list is nearer than radius[i - start].
+
+    Equal to ``(modes_nodal_distance(p, modes)[start:] < radius).any()`` for
+    each point p, while scanning only rows that can decide it. A one-axis tail
+    of sine modes k, k+1, ... (as enumerate_modes builds it) goes to
+    ``_axis_tail_hits``, which keeps the multiples of convergent denominators
+    (Legendre's theorem). Otherwise a tail row shares the axis entry that
+    attains its distance with the first tail row of that (axis, index, kind),
+    whose distance is no larger; when that row's radius is no smaller too, it
+    hits whenever the later row does, so only the first rows and any row with
+    a larger radius than one of its first rows are scanned.
+    """
+    points = np.asarray(points, dtype=float)
+    if start >= len(modes):
+        return np.zeros(points.shape[0], dtype=bool)
+    m, codes = modes.m[start:], modes.kind_codes[start:]
+    ks = m[:, 0]
+    if modes.domain.n == 1 and ks[0] >= 1 and codes.all() and (np.diff(ks) == 1).all():
+        return _axis_tail_hits(points[:, 0], ks, radius, modes.domain.alpha[0])
+    rows = np.arange(m.shape[0])
+    keep = np.zeros(m.shape[0], dtype=bool)
+    for j in range(modes.domain.n):
+        _, first, inverse = np.unique(
+            m[:, j] * 2 + codes[:, j], return_index=True, return_inverse=True
+        )
+        head = first[inverse]
+        keep |= (m[:, j] > 0) & ((head == rows) | (radius[head] < radius))
+    sub = ModeList(modes.domain, modes.mu_max, m[keep], modes.mu[start:][keep], codes[keep])
+    sub_radius = radius[keep]
+    return np.array([bool((modes_nodal_distance(p, sub) < sub_radius).any()) for p in points])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .boxes import bad_proportion, comparability_set, goodness_threshold, subdivide
 from .components import component_inradii, sign_components
-from .dioph import borel_cantelli_sum, estimate_exponent, modes_nodal_distance
+from .dioph import borel_cantelli_sum, estimate_exponent, tail_hits
 from .distance import distance_field
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
@@ -30,6 +30,7 @@ from .spectrum import (
     density_radius_exact,
     enumerate_modes,
     nodal_measure_exact,
+    record_candidates,
     tube_volume_exact,
 )
 
@@ -762,11 +763,7 @@ def run_approx_theorem(
     tail_radius = C / modes.mu[tail] ** b
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, domain.lengths, size=(n_points, n))
-    hits = 0
-    for pt in points:
-        d = modes_nodal_distance(pt, modes)
-        if np.any(d[tail] < tail_radius):
-            hits += 1
+    hits = int(np.count_nonzero(tail_hits(points, modes, start, tail_radius)))
     frac = hits / n_points
     cells.append(
         CellResult(
@@ -864,7 +861,8 @@ def run_exponent_survey(
     rng = np.random.default_rng(seed)
     cells = []
 
-    modes_i = enumerate_modes(interval, mu_max_interval)
+    # only record candidates can change an estimate; on the interval that is every mode
+    modes_i = record_candidates(interval, mu_max_interval)
     pts_i = rng.uniform(0.0, math.pi, size=n_interval)
     for i, x in enumerate(pts_i):
         est = estimate_exponent([float(x)], modes_i)
@@ -882,7 +880,11 @@ def run_exponent_survey(
             )
         )
 
-    modes_b = enumerate_modes(box, mu_max_box)
+    modes_b = record_candidates(box, mu_max_box)
+    if len(modes_b) == 0 or modes_b.mu[-1] <= 3.0:
+        # estimate_exponent's fit window (mu_min = 3 up to the list's top mu)
+        # may be empty for the candidates and not for the full list
+        modes_b = enumerate_modes(box, mu_max_box)
     pts_b = rng.uniform(0.0, box.lengths, size=(n_box, 2))
     for i, pt in enumerate(pts_b):
         est = estimate_exponent(pt, modes_b)

@@ -418,6 +418,21 @@ def _lattice_points(alpha, mu_max, lo, cap):
     return np.concatenate(blocks, axis=0)
 
 
+def _check_mu_max(mu_max: float) -> None:
+    if not math.isfinite(mu_max) or mu_max < 0:
+        raise ValidationError("mu_max must be finite and nonnegative")
+
+
+def _sorted_modes(domain: DomainSpec, mu_max: float, m: np.ndarray) -> ModeList:
+    """The rows of m with mu <= mu_max, sorted by (mu, lex m)."""
+    mu_sq = ((m.astype(float) * np.asarray(domain.alpha)) ** 2).sum(axis=1)
+    mu = np.sqrt(mu_sq)
+    keep = mu <= mu_max
+    m, mu = m[keep], mu[keep]
+    order = np.lexsort(tuple(m[:, j] for j in reversed(range(domain.n))) + (mu,))
+    return ModeList(domain, float(mu_max), m[order], mu[order])
+
+
 def enumerate_modes(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_CAP) -> ModeList:
     """Enumerate every admissible mode with mu <= mu_max, sorted by (mu, lex m).
 
@@ -425,12 +440,10 @@ def enumerate_modes(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_CAP
     one mode per multi-index, which is the lattice-point counting convention.
     Raises ResourceGuardError if the count would exceed ``cap``.
     """
-    if not math.isfinite(mu_max) or mu_max < 0:
-        raise ValidationError("mu_max must be finite and nonnegative")
-    alpha = np.asarray(domain.alpha)
+    _check_mu_max(mu_max)
     # coarse pre-check before any allocation: the axis-aligned bounding count
     bound = 1.0
-    for a in alpha:
+    for a in domain.alpha:
         bound *= math.floor(mu_max / a) + 1
     if bound > 40 * cap:
         raise ResourceGuardError(
@@ -440,12 +453,59 @@ def enumerate_modes(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_CAP
     m = _lattice_points(domain.alpha, mu_max, lo, cap)
     if domain.periodic and m.shape[0]:
         m = m[(m != 0).any(axis=1)]
-    mu_sq = ((m.astype(float) * alpha) ** 2).sum(axis=1)
-    mu = np.sqrt(mu_sq)
-    keep = mu <= mu_max
-    m, mu = m[keep], mu[keep]
-    order = np.lexsort(tuple(m[:, j] for j in reversed(range(domain.n))) + (mu,))
-    return ModeList(domain, float(mu_max), m[order], mu[order])
+    return _sorted_modes(domain, mu_max, m)
+
+
+def record_candidates(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_CAP) -> ModeList:
+    """The rows of enumerate_modes(domain, mu_max) that come first among their peers.
+
+    Keeps, in list order, each row that is the first with some (axis j,
+    index m_j > 0, kind). That row has every other index at its least value
+    (1 in a Dirichlet box, 0 with a cosine factor on the torus), so the rows
+    are built directly, O(max index) of them, and get enumerate_modes' own mu
+    expression, filter and sort: the result equals enumerate_modes with the
+    other rows dropped, and on one axis it is enumerate_modes. A later row
+    shares the axis entry that attains its nodal distance with one of these
+    rows, which comes no later and has no larger mu: it can never set a
+    record of mu * dist nor be a first exact hit. Raises ResourceGuardError
+    before allocating if more than ``cap`` rows would be built.
+    """
+    _check_mu_max(mu_max)
+    n = domain.n
+    lo = 0 if domain.periodic else 1
+    budget = mu_max * mu_max
+    # axis j runs over k = 1 .. top_j with the earlier axes at lo, where top_j is
+    # _lattice_points' own bound; in a box the row of all ones is axis 0's
+    prefix_sq = 0.0
+    spans = []
+    for j, a in enumerate(domain.alpha):
+        top = math.floor(math.sqrt(max(budget - prefix_sq, 0.0)) / a) + 1
+        spans.append((2 if lo and j else 1, top))
+        prefix_sq = prefix_sq + (a * np.int64(lo)) ** 2
+    total = sum(max(top - first + 1, 0) for first, top in spans)
+    if total > cap:
+        raise ResourceGuardError(
+            f"mu_max={mu_max:g} implies {total} record candidates (cap {cap})"
+        )
+    m = np.full((total, n), lo, dtype=np.int64)
+    row = 0
+    for j, (first, top) in enumerate(spans):
+        count = max(top - first + 1, 0)
+        m[row:row + count, j] = np.arange(first, first + count)
+        row += count
+    return _sorted_modes(domain, mu_max, m)
+
+
+def distinct_count(mu: np.ndarray) -> int:
+    """Number of distinct eigenvalues among the sorted frequencies mu.
+
+    Sorted mu values within 1e-12 relative of their neighbour are one
+    eigenvalue. The tolerance is far above the few-ulp rounding of mu, so a
+    degenerate eigenvalue reached through different index vectors counts once.
+    """
+    if mu.size == 0:
+        return 0
+    return 1 + int(np.count_nonzero(np.diff(mu) > 1e-12 * mu[1:]))
 
 
 def weyl_count(domain: DomainSpec, mu_max: float, distinct: bool = False,
@@ -453,15 +513,7 @@ def weyl_count(domain: DomainSpec, mu_max: float, distinct: bool = False,
     """Number of modes with mu <= mu_max.
 
     Default counts modes with multiplicity (= len(enumerate_modes)). With
-    ``distinct=True`` counts distinct eigenvalues: sorted mu values within
-    1e-12 relative of their neighbour are one eigenvalue. The tolerance is far
-    above the few-ulp rounding of mu, so a degenerate eigenvalue reached
-    through different index vectors counts once.
+    ``distinct=True`` counts distinct eigenvalues (``distinct_count``).
     """
     modes = enumerate_modes(domain, mu_max, cap)
-    if not distinct:
-        return len(modes)
-    if len(modes) == 0:
-        return 0
-    mu = modes.mu
-    return 1 + int(np.count_nonzero(np.diff(mu) > 1e-12 * mu[1:]))
+    return distinct_count(modes.mu) if distinct else len(modes)

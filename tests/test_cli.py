@@ -1,9 +1,13 @@
 import json
+import time
 
 import pytest
 
+import nodalab.cli as cli_mod
+import nodalab.spectrum as spectrum_mod
 from nodalab.cli import (
     EXIT_GATE_FAIL,
+    EXIT_GUARD,
     EXIT_INVALID,
     EXIT_PASS,
     _parse_domain,
@@ -84,6 +88,41 @@ def test_distinct_spectrum_matches_integer_count(tmp_path, capsys):
     assert f"spectrum: {len(exact)} distinct frequencies" in capsys.readouterr().out
 
 
+def test_distinct_spectrum_enumerates_once(tmp_path, capsys, monkeypatch):
+    argv = ["spectrum", "--domain", "torus2", "--mu-max", "20"]
+    assert main(argv + ["--out", str(tmp_path / "all")]) == EXIT_PASS
+    modes_line = capsys.readouterr().out
+    calls = []
+    real = spectrum_mod.enumerate_modes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "enumerate_modes", counted)
+    monkeypatch.setattr(spectrum_mod, "enumerate_modes", counted)
+    assert main(argv + ["--distinct", "--out", str(tmp_path / "distinct")]) == EXIT_PASS
+    assert len(calls) == 1
+    want = spectrum_mod.weyl_count(spectrum_mod.DomainSpec.torus((1.0, 1.0)), 20.0, distinct=True)
+    assert f"spectrum: {want} distinct frequencies" in capsys.readouterr().out
+    assert "spectrum: 334 modes" in modes_line
+    # the JSON is the mode list either way
+    (a,) = (tmp_path / "all").iterdir()
+    (b,) = (tmp_path / "distinct").iterdir()
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_survey_candidate_cap_exits_3_before_allocating(tmp_path, capsys):
+    start = time.perf_counter()
+    code = main(["dioph", "--mu-max-box", "1e8", "--n-interval", "1", "--n-box", "1",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_GUARD
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("guard: ") and "record candidates" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -107,12 +146,16 @@ def test_distinct_spectrum_matches_integer_count(tmp_path, capsys):
          "eps must lie in (0, inf)"),
         (["borel-cantelli", "--eps", "inf", "--k-max", "40", "--n-points", "20", "--k0", "10"],
          "eps must lie in (0, inf)"),
+        (["dioph", "--mu-max-box", "nan", "--n-interval", "1", "--n-box", "1"],
+         "mu_max must be finite and nonnegative"),
+        (["dioph", "--mu-max-box=-5", "--n-interval", "1", "--n-box", "1"],
+         "mu_max must be finite and nonnegative"),
     ],
     ids=["n-interval-0", "n-box-0", "k-max-below-k0", "n-points-0",
          "boxes-mu-delta-empty", "tube-delta-empty", "tube-mu-delta-empty",
          "boxes-mu-delta-nan", "boxes-A-nan", "boxes-A-inf", "tube-torus-mu-delta-nan",
          "tube-interval-delta-nan", "tube-interval-mu-delta-inf", "borel-cantelli-eps-nan",
-         "borel-cantelli-eps-inf"],
+         "borel-cantelli-eps-inf", "dioph-mu-max-box-nan", "dioph-mu-max-box-negative"],
 )
 def test_degenerate_spectral_config_exits_2(argv, message, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalab.dioph import borel_cantelli_sum, estimate_exponent, modes_nodal_distance
+from nodalab.dioph import (
+    _convergents,
+    borel_cantelli_sum,
+    estimate_exponent,
+    modes_nodal_distance,
+    tail_hits,
+)
 from nodalab.distance import distance_field
 from nodalab.errors import ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
@@ -20,6 +26,7 @@ from nodalab.spectrum import (
     ModeList,
     enumerate_modes,
     nodal_distance_exact,
+    record_candidates,
 )
 
 from cfrac import continued_fraction
@@ -279,6 +286,255 @@ def test_exponent_scale_consistency():
     est2 = estimate_exponent([x / 2], interval_modes(1000, alpha=2.0), mu_min=6.0, mu_max=2000.0)
     assert est1.n_records == est2.n_records
     assert est2.exponent == pytest.approx(est1.exponent, abs=1e-6)
+
+
+# ------------------------------------------------------- record candidates
+
+
+def first_rows(modes: ModeList) -> ModeList:
+    """Reference: the rows that come first in list order with some (axis, index > 0, kind)."""
+    seen = set()
+    keep = np.zeros(len(modes), dtype=bool)
+    for i in range(len(modes)):
+        for j in range(modes.domain.n):
+            key = (j, int(modes.m[i, j]), int(modes.kind_codes[i, j]))
+            if key[1] > 0 and key not in seen:
+                seen.add(key)
+                keep[i] = True
+    return ModeList(modes.domain, modes.mu_max, modes.m[keep], modes.mu[keep], modes.kind_codes[keep])
+
+
+def assert_same_rows(got: ModeList, want: ModeList):
+    assert got.domain == want.domain and got.mu_max == want.mu_max
+    assert np.array_equal(got.m, want.m)
+    assert np.array_equal(got.mu.view(np.uint64), want.mu.view(np.uint64))
+    assert np.array_equal(got.kind_codes, want.kind_codes)
+
+
+# weights with exact ties (1, 2, 0.5) and without; mu_max scaled so lists stay small
+WEIGHT = st.one_of(st.sampled_from([1.0, 2.0, 0.5, math.sqrt(2.0), math.sqrt(3.0)]), ALPHA)
+SPAN = {1: 400.0, 2: 60.0, 3: 18.0}
+
+
+@st.composite
+def spectral_domains(draw, n_values=(1, 2, 3)):
+    n = draw(st.sampled_from(n_values))
+    alpha = tuple(draw(WEIGHT) for _ in range(n))
+    dom = DomainSpec.torus(alpha) if draw(st.booleans()) else DomainSpec.box(alpha)
+    mu_max = draw(st.floats(0.0, SPAN[n] * min(alpha)))
+    return dom, mu_max
+
+
+def outcome(fn):
+    """repr of the result, or the error it raises."""
+    try:
+        return repr(fn())
+    except ValidationError as e:
+        return f"ValidationError: {e}"
+
+
+def domain_point(data, dom: DomainSpec) -> np.ndarray:
+    """A point of the domain; on some axes exactly on a factor zero l pi / (k alpha)."""
+    pt = []
+    for a, length in zip(dom.alpha, dom.lengths):
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(1, 40))
+            pt.append(data.draw(st.integers(0, k)) * math.pi / (k * a))
+        else:
+            pt.append(data.draw(st.floats(0.0, length, exclude_max=True)))
+    return np.array(pt)
+
+
+@given(spectral_domains())
+@settings(max_examples=80, deadline=None)
+def test_record_candidates_are_the_first_rows(case):
+    dom, mu_max = case
+    full = enumerate_modes(dom, mu_max)
+    got = record_candidates(dom, mu_max)
+    assert_same_rows(got, first_rows(full))
+    if dom.n == 1:
+        assert_same_rows(got, full)
+
+
+def test_record_candidates_of_the_survey_box():
+    box = DomainSpec.box((1.0, math.sqrt(2.0)))
+    got = record_candidates(box, 2000.0)
+    assert len(got) == 3412
+    # one row per index on each axis, the other index at 1, sorted by mu
+    assert set(map(tuple, got.m)) == {(k, 1) for k in range(1, 2000)} | {
+        (1, k) for k in range(1, 1415)
+    }
+    assert (np.diff(got.mu) >= 0).all()
+
+
+@given(spectral_domains(n_values=(2, 3)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exponent_on_candidates_equals_the_full_scan(case, data):
+    dom, mu_max = case
+    full = enumerate_modes(dom, mu_max)
+    cand = record_candidates(dom, mu_max)
+    point = domain_point(data, dom)
+    want = outcome(lambda: estimate_exponent(point, full))
+    top = float(full.mu[-1]) if len(full) else 0.0
+    assert outcome(lambda: estimate_exponent(point, cand, mu_max=top)) == want
+    if len(cand) and cand.mu[-1] > 3.0:
+        # the survey's default window: the candidates' top mu is as good as the full one
+        assert outcome(lambda: estimate_exponent(point, cand)) == want
+
+
+@st.composite
+def torus_lists(draw, max_rows=60):
+    """Hand-built torus lists with cosine factors and zero indices, sorted by mu."""
+    n = draw(st.integers(1, 3))
+    alpha = tuple(draw(WEIGHT) for _ in range(n))
+    rows = draw(st.integers(1, max_rows))
+    m = np.array(draw(st.lists(st.lists(st.integers(0, 12), min_size=n, max_size=n),
+                               min_size=rows, max_size=rows)), dtype=np.int64)
+    m[(m == 0).all(axis=1), 0] = 1
+    codes = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                   min_size=rows, max_size=rows)), dtype=np.uint8)
+    codes[m == 0] = 0  # a sine factor with index 0 vanishes identically
+    mu = np.sqrt(((m * np.asarray(alpha)) ** 2).sum(axis=1))
+    order = np.argsort(mu, kind="stable")
+    dom = DomainSpec.torus(alpha)
+    return ModeList(dom, float(mu.max()), m[order], mu[order], codes[order])
+
+
+@given(torus_lists(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_exponent_on_first_rows_of_hand_built_torus_lists(modes, data):
+    point = domain_point(data, modes.domain)
+    top = float(modes.mu[-1])
+    assert outcome(lambda: estimate_exponent(point, first_rows(modes), mu_max=top)) == outcome(
+        lambda: estimate_exponent(point, modes)
+    )
+
+
+# ---------------------------------------------------------------- tail hits
+
+
+def tail_hits_reference(points, modes: ModeList, start: int, radius: np.ndarray) -> np.ndarray:
+    """The full scan run_approx_theorem made before tail_hits: every row, every point."""
+    return np.array([
+        bool((modes_nodal_distance(p, modes)[start:] < radius).any()) for p in points
+    ])
+
+
+def assert_tail_hits(points, modes, start, radius):
+    points = np.asarray(points, dtype=float)
+    assert np.array_equal(
+        tail_hits(points, modes, start, radius), tail_hits_reference(points, modes, start, radius)
+    )
+
+
+def near_hit_points(data, alpha: float, ks: np.ndarray, radius: np.ndarray, count: int):
+    """x = l pi/(k alpha) +- r (1 +- 2^-20): just inside or outside the radius r of row k."""
+    out = []
+    for _ in range(count):
+        i = data.draw(st.integers(0, ks.size - 1))
+        k = int(ks[i])
+        l = data.draw(st.integers(0, k))
+        side = data.draw(st.sampled_from([-1.0, 1.0]))
+        wobble = data.draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        out.append(l * math.pi / (k * alpha) + side * radius[i] * (1.0 + wobble * 2.0**-20))
+    return out
+
+
+@given(
+    st.integers(2, 300),
+    st.floats(0.01, 0.999),
+    st.floats(0.01, 3.0),
+    st.integers(1, 2500),
+    st.sampled_from(["interval", "box", "torus"]),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_axis_tail_hits_match_the_full_scan(k0, c_frac, eps, extra, kind, data):
+    # C up to k0/2, as run_approx_theorem allows: small eps and large C leave a
+    # prefix of the tail that no gap certificate clears, scanned for every point
+    C = c_frac * k0 / 2.0
+    alpha = 1.0 if kind == "interval" else data.draw(ALPHA)
+    dom = {"interval": DomainSpec.interval(), "box": DomainSpec.box((alpha,)),
+           "torus": DomainSpec.torus((alpha,))}[kind]
+    modes = enumerate_modes(dom, float(k0 + extra) + 0.5)
+    start = int(np.searchsorted(modes.mu, k0, side="right"))
+    if start == len(modes):
+        return
+    radius = C / modes.mu[start:] ** (2.0 + eps)
+    length = dom.lengths[0]
+    points = [data.draw(st.floats(0.0, length, exclude_max=True)) for _ in range(8)]
+    points += near_hit_points(data, alpha, modes.m[start:, 0], radius, 8)
+    points += [0.0, math.pi / alpha, length / 2.0]
+    # dyadic theta = x alpha / pi: its last convergent sits at distance 0
+    points += [math.ldexp(math.pi, -j) / alpha for j in range(0, 14, 3)]
+    assert_tail_hits(np.array(points)[:, None], modes, start, radius)
+
+
+def test_axis_tail_hits_default_config():
+    # run_approx_theorem's defaults: 58 of 10,000 points are hit beyond k0 = 100
+    modes = interval_modes(10_000)
+    start = int(np.searchsorted(modes.mu, 100, side="right"))
+    radius = 1.0 / modes.mu[start:] ** 3.0
+    points = np.random.default_rng(2718).uniform(0.0, math.pi, size=(10_000, 1))
+    got = tail_hits(points, modes, start, radius)
+    assert int(got.sum()) == 58
+    some = np.random.default_rng(0).choice(10_000, size=300, replace=False)
+    keep = np.union1d(some, np.nonzero(got)[0])
+    assert np.array_equal(got[keep], tail_hits_reference(points[keep], modes, start, radius))
+
+
+def test_axis_tail_hits_with_no_certified_row():
+    # C = 1.7, eps = 0.01: the radius 1.7/k^2.01 lies 3% above pi/(2k^2) on
+    # this tail, so no row is certified clear and every row is scanned for
+    # every point; a hit there needs no convergent denominator
+    modes = interval_modes(103)
+    start = int(np.searchsorted(modes.mu, 100, side="right"))
+    ks = modes.m[start:, 0]
+    radius = 1.7 / modes.mu[start:] ** 2.01
+    assert ((math.pi / (2.0 * ks**2) < radius) & (radius < 1.04 * math.pi / (2.0 * ks**2))).all()
+    rng = np.random.default_rng(9)
+    points = list(rng.uniform(0.0, math.pi, size=200))
+    for k, r in zip(ks, radius):
+        for l in rng.integers(1, k, size=30):
+            points += [l * math.pi / k + s * r * (1.0 - 2.0**-20) for s in (-1.0, 1.0)]
+    points = np.array(points)[:, None]
+    ref = tail_hits_reference(points, modes, start, radius)
+    assert 0 < ref.sum() < ref.size
+    assert np.array_equal(tail_hits(points, modes, start, radius), ref)
+
+
+@given(spectral_domains(n_values=(2, 3)), st.floats(0.05, 3.0), st.floats(0.05, 10.0), st.data())
+@settings(max_examples=60, deadline=None)
+def test_tail_hits_on_enumerated_lists(case, eps, C, data):
+    dom, mu_max = case
+    modes = enumerate_modes(dom, mu_max)
+    if len(modes) == 0:
+        return
+    start = data.draw(st.integers(0, len(modes) - 1))
+    radius = C / modes.mu[start:] ** (dom.n + 1 + eps)
+    points = [domain_point(data, dom) for _ in range(6)]
+    assert_tail_hits(points, modes, start, radius)
+
+
+@given(torus_lists(max_rows=80), st.floats(0.05, 3.0), st.floats(0.05, 10.0), st.data())
+@settings(max_examples=100, deadline=None)
+def test_tail_hits_on_torus_tails_with_cosine_factors(modes, eps, C, data):
+    start = data.draw(st.integers(0, len(modes) - 1))
+    radius = C / modes.mu[start:] ** (modes.domain.n + 1 + eps)
+    points = [domain_point(data, modes.domain) for _ in range(6)]
+    assert_tail_hits(points, modes, start, radius)
+
+
+@given(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_convergents_match_the_continued_fraction_oracle(x, q_cap):
+    cf = continued_fraction(x, depth=200, q_cap=q_cap)
+    got = list(_convergents(*x.as_integer_ratio(), q_cap))
+    # the oracle starts after the convergent 0/1 and stops on a remainder below 1e-15
+    assert got[0] == (0, 1)
+    assert got[1:len(cf.convergents) + 1] == list(cf.convergents)
+    if cf.exact:
+        assert len(got) == len(cf.convergents) + 1
 
 
 # ----------------------------------------------------- convergence of sums

@@ -224,6 +224,27 @@ def test_exponent_survey_point_gate_tracks_size():
     assert r.passed
 
 
+def test_exponent_survey_never_builds_the_full_box_list(monkeypatch):
+    def no_full_list(*args, **kwargs):
+        raise AssertionError("the survey enumerated the full mode list")
+
+    monkeypatch.setattr(harness_mod, "enumerate_modes", no_full_list)
+    r = run_exponent_survey(n_interval=2, mu_max_interval=2000.0, n_box=3)
+    assert [c.params["kind"] for c in r.cells] == ["interval"] * 2 + ["box"] * 3
+
+
+def test_exponent_survey_keeps_the_full_window_below_the_candidates():
+    # box (1.2, 1.2) at mu 3.4: the candidates top out at 1.2 sqrt5 < 3, the
+    # full list at 1.2 sqrt8 > 3, so the fit window is not empty; the driver
+    # falls back to the full list there and gets no record, not an error
+    r = run_exponent_survey(
+        n_interval=2, mu_max_interval=500.0, n_box=3, mu_max_box=3.4, box_alpha=(1.2, 1.2)
+    )
+    box = [c for c in r.cells if c.params["kind"] == "box"]
+    assert [c.measured["n_records"] for c in box] == [0, 0, 0]
+    assert all(c.measured["low_confidence"] for c in box)
+
+
 def test_approx_theorem_small():
     r = run_approx_theorem(k_max=2000, n_points=400, k0=50, box_k_max=400)
     assert r.passed

@@ -15,10 +15,12 @@ from nodalab.spectrum import (
     DomainSpec,
     EigenMode,
     density_radius_exact,
+    distinct_count,
     enumerate_modes,
     eval_mode,
     exact_nodal_description,
     nodal_measure_exact,
+    record_candidates,
     tube_volume_exact,
     union_radius_measure,
     weyl_count,
@@ -337,6 +339,26 @@ class TestEnumerate:
         assert len(enumerate_modes(INTERVAL, 0.5)) == 0
 
 
+class TestRecordCandidates:
+    # equality with the first rows of enumerate_modes: tests/test_dioph.py
+
+    def test_validation_matches_enumerate_modes(self):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValidationError, match="mu_max must be finite"):
+                record_candidates(BOX2, bad)
+        assert len(record_candidates(BOX2, 0.0)) == 0
+
+    def test_cap_counts_candidates_before_allocating(self):
+        # about 1.7e15 candidates: the guard fires on the count, not on memory
+        with pytest.raises(ResourceGuardError, match="record candidates"):
+            record_candidates(BOX2, 1e15)
+        # box (1, sqrt2) at mu 30: with enumerate_modes' +1 margins, k <= 31 on
+        # the first axis and 2 <= k <= 22 on the second, 52 rows; 49 have mu <= 30
+        assert len(record_candidates(BOX2, 30.0, cap=52)) == 49
+        with pytest.raises(ResourceGuardError):
+            record_candidates(BOX2, 30.0, cap=51)
+
+
 class TestWeylCount:
     def test_equals_enumeration_length(self):
         for mu in (3.0, 5.0, 9.7):
@@ -364,6 +386,13 @@ class TestWeylCount:
         assert weyl_count(box, 300.5, distinct=True) == len(exact)
         # every interval eigenvalue k^2 is simple, up to the top of a 1e5 list
         assert weyl_count(INTERVAL, 1e5, distinct=True) == 100_000
+
+    def test_distinct_count_is_weyl_counts_rule(self):
+        for dom, mu in ((TORUS2, 9.7), (BOX2, 40.0), (INTERVAL, 30.0)):
+            modes = enumerate_modes(dom, mu)
+            assert distinct_count(modes.mu) == weyl_count(dom, mu, distinct=True)
+        assert distinct_count(np.empty(0)) == 0
+        assert distinct_count(np.array([1.0, 1.0 + 1e-15, 2.0])) == 2
 
     def test_growth_rate_torus(self):
         # lattice-point count grows like the ellipse area: c * mu^2
