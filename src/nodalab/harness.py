@@ -827,7 +827,7 @@ def run_exponent_survey(
     *,
     n_interval: int = 100,
     mu_max_interval: float = 100_000.0,
-    n_box: int = 50,
+    n_box: int = 500,
     mu_max_box: float = 2000.0,
     box_alpha=(1.0, math.sqrt(2.0)),
     seed: int = 12345,
@@ -839,7 +839,9 @@ def run_exponent_survey(
     """Per-point approximation exponents on the interval and a weighted box.
 
     Record-event regression should land near exponent 2 on both families. The
-    in-band point-count gate defaults to 90% of the survey size.
+    in-band point-count gate defaults to 90% of the survey size. With 500 box
+    points the box mean's spread over seeds (sd about 0.02) sits far inside
+    its band; 50 points (sd about 0.06) left it on 14 of 1,000 seeds.
     """
     if n_interval < 1 or n_box < 1:
         raise ValidationError("n_interval and n_box must be >= 1")
