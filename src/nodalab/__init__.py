@@ -22,7 +22,6 @@ from .dioph import (
     borel_cantelli_sum,
     estimate_exponent,
     modes_nodal_distance,
-    tail_hits,
 )
 from .distance import DistanceField, distance_field
 from .errors import (
@@ -58,13 +57,11 @@ from .spectrum import (
     EigenMode,
     ModeList,
     density_radius_exact,
-    distinct_count,
     enumerate_modes,
     eval_mode,
     exact_nodal_description,
     nodal_distance_exact,
     nodal_measure_exact,
-    record_candidates,
     tube_volume_exact,
     weyl_count,
 )
@@ -99,7 +96,6 @@ __all__ = [
     "density_radius",
     "density_radius_exact",
     "distance_field",
-    "distinct_count",
     "enumerate_modes",
     "estimate_exponent",
     "eval_mode",
@@ -112,7 +108,6 @@ __all__ = [
     "nodal_distance_exact",
     "nodal_measure",
     "nodal_measure_exact",
-    "record_candidates",
     "run_approx_theorem",
     "run_comparability_scaling",
     "run_density_check",
@@ -123,7 +118,6 @@ __all__ = [
     "sample_grid",
     "sign_components",
     "subdivide",
-    "tail_hits",
     "tube_volume",
     "tube_volume_exact",
     "verify_report",

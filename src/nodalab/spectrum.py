@@ -480,17 +480,17 @@ def record_candidates(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_C
     spans = []
     for j, a in enumerate(domain.alpha):
         top = math.floor(math.sqrt(max(budget - prefix_sq, 0.0)) / a) + 1
-        spans.append((2 if lo and j else 1, top))
+        first = 2 if lo and j else 1
+        spans.append((first, max(top - first + 1, 0)))
         prefix_sq = prefix_sq + (a * np.int64(lo)) ** 2
-    total = sum(max(top - first + 1, 0) for first, top in spans)
+    total = sum(count for _, count in spans)
     if total > cap:
         raise ResourceGuardError(
             f"mu_max={mu_max:g} implies {total} record candidates (cap {cap})"
         )
     m = np.full((total, n), lo, dtype=np.int64)
     row = 0
-    for j, (first, top) in enumerate(spans):
-        count = max(top - first + 1, 0)
+    for j, (first, count) in enumerate(spans):
         m[row:row + count, j] = np.arange(first, first + count)
         row += count
     return _sorted_modes(domain, mu_max, m)
