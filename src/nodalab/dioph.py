@@ -103,8 +103,8 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
     """tail_hits on one axis, whose tail rows are the sine modes k = ks[0] .. ks[-1].
 
     The scan's distance at k is that of x to the lattice pi/(k alpha) Z up to
-    err, a bound on the rounding of its spacing and mod. Where the gap row
-    certifies pi/(2 k^2 alpha) - err > radius[k], a hit at k puts k theta,
+    err, a bound on the rounding of its spacing and mod. Where the gap
+    certificate pi/(2 k^2 alpha) - err > radius[k] holds, a hit at k puts k theta,
     theta = x alpha / pi, within 1/(2k) of an integer P, so by Legendre's
     theorem P/k reduces to a convergent p/q of theta, k = t q, and the exact
     distance is pi |q theta - p| / (q alpha) for every such t. Only multiples
@@ -113,7 +113,7 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
     point. The kept rows get the scan's own float formula and radius.
     """
     k_first, k_last = int(ks[0]), int(ks[-1])
-    err = 2.0**-48 * (float(np.abs(xs).max()) + 4.0 * math.pi / alpha)
+    err = 2.0**-48 * (float(np.abs(xs).max(initial=0.0)) + 4.0 * math.pi / alpha)
     # the largest radius at or beyond each row: non-increasing, so every row
     # whose radius exceeds a threshold lies in the prefix the envelope gives
     env = np.maximum.accumulate(radius[::-1])[::-1]
