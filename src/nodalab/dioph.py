@@ -19,10 +19,10 @@ kind) has that entry too, or a smaller one, at no larger mu. Float
 multiplication is monotone, so a later row never strictly lowers the running
 minimum of mu * dist below that first row's, and it is an exact hit only if
 that first row is. ``spectrum.record_candidates`` builds just those first
-rows, so exponent estimates on it are the full list's. ``tail_hits`` applies
-the same argument to the rows beyond a frequency cutoff, whose radii shrink
-as mu grows. On one axis it goes further by Legendre's theorem (Khinchin,
-*Continued Fractions*): where pi/(2 k^2 alpha) exceeds the radius by more
+rows, so exponent estimates on it are the full list's. ``tail_hits`` asks
+whether any row beyond a frequency cutoff passes within its radius. On one
+axis it scans few rows by Legendre's theorem (Khinchin, *Continued
+Fractions*): where pi/(2 k^2 alpha) exceeds the radius by more
 than the scan's rounding, a hit at k needs |theta - P/k| < 1/(2k^2) for
 theta = x alpha / pi, so k is a multiple of a convergent denominator of
 theta. Those come from exact integer Euclid on the floats' rational values,
@@ -84,6 +84,8 @@ def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
 # relative widening of each float bound below, far above the few-ulp rounding
 # of the operations that compute it
 _SLACK = 2.0**-40
+# (point, row) pairs _axis_tail_hits evaluates at once
+_PAIR_BUDGET = 1 << 18
 
 
 def _convergents(num: int, den: int, q_max: int):
@@ -136,14 +138,26 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
     reach = k_first - 1 + np.searchsorted(-env, -np.asarray(limit, dtype=float))
     t_lo = -(-k_first // qs)
     count = np.maximum(reach // qs - t_lo + 1, 0)
-    runs = np.repeat(np.cumsum(count) - count, count)
-    t = np.repeat(t_lo, count) + np.arange(runs.size) - runs
-    pair_owner = np.concatenate([np.repeat(owner, count), np.repeat(np.arange(xs.size), open_ks.size)])
-    pair_k = np.concatenate([np.repeat(qs, count) * t, np.tile(open_ks, xs.size)])
-
-    d = _lattice_distance_table(xs[pair_owner], math.pi / (pair_k * alpha))[1:]
+    # (point, row) pairs per point; points go in blocks of about _PAIR_BUDGET
+    # pairs, so an uncertified prefix costs O(budget + k_max) memory, not O(points * k_max)
+    load = np.bincount(owner, weights=count, minlength=xs.size) + open_ks.size
+    ends = np.cumsum(load)
     hit = np.zeros(xs.size, dtype=bool)
-    hit[pair_owner[d < radius[pair_k - k_first]]] = True
+    lo = 0
+    while lo < xs.size:
+        base = ends[lo - 1] if lo else 0.0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, side="right")))
+        c_lo, c_hi = np.searchsorted(owner, [lo, hi])
+        c = count[c_lo:c_hi]
+        runs = np.repeat(np.cumsum(c) - c, c)
+        t = np.repeat(t_lo[c_lo:c_hi], c) + np.arange(runs.size) - runs
+        pair_owner = np.concatenate(
+            [np.repeat(owner[c_lo:c_hi], c), np.repeat(np.arange(lo, hi), open_ks.size)]
+        )
+        pair_k = np.concatenate([np.repeat(qs[c_lo:c_hi], c) * t, np.tile(open_ks, hi - lo)])
+        d = _lattice_distance_table(xs[pair_owner], math.pi / (pair_k * alpha))[1:]
+        hit[pair_owner[d < radius[pair_k - k_first]]] = True
+        lo = hi
     return hit
 
 
@@ -151,33 +165,24 @@ def tail_hits(points, modes: ModeList, start: int, radius: np.ndarray) -> np.nda
     """Per point, whether some row i >= start of the list is nearer than radius[i - start].
 
     Equal to ``(modes_nodal_distance(p, modes)[start:] < radius).any()`` for
-    each point p, while scanning only rows that can decide it. A one-axis tail
-    of sine modes k, k+1, ... (as enumerate_modes builds it) goes to
-    ``_axis_tail_hits``, which keeps the multiples of convergent denominators
-    (Legendre's theorem). Otherwise a tail row shares the axis entry that
-    attains its distance with the first tail row of that (axis, index, kind),
-    whose distance is no larger; when that row's radius is no smaller too, it
-    hits whenever the later row does, so only the first rows and any row with
-    a larger radius than one of its first rows are scanned.
+    each point p. A one-axis tail of sine modes k, k+1, ... (as enumerate_modes
+    builds it) goes to ``_axis_tail_hits``, which scans only the multiples of
+    convergent denominators (Legendre's theorem); any other tail is scanned in
+    full, point by point.
     """
     points = np.asarray(points, dtype=float)
     if start >= len(modes):
         return np.zeros(points.shape[0], dtype=bool)
-    m, codes = modes.m[start:], modes.kind_codes[start:]
-    ks = m[:, 0]
+    ks, codes = modes.m[start:, 0], modes.kind_codes[start:]
     if modes.domain.n == 1 and ks[0] >= 1 and codes.all() and (np.diff(ks) == 1).all():
         return _axis_tail_hits(points[:, 0], ks, radius, modes.domain.alpha[0])
-    rows = np.arange(m.shape[0])
-    keep = np.zeros(m.shape[0], dtype=bool)
-    for j in range(modes.domain.n):
-        _, first, inverse = np.unique(
-            m[:, j] * 2 + codes[:, j], return_index=True, return_inverse=True
-        )
-        head = first[inverse]
-        keep |= (m[:, j] > 0) & ((head == rows) | (radius[head] < radius))
-    sub = ModeList(modes.domain, modes.mu_max, m[keep], modes.mu[start:][keep], codes[keep])
-    sub_radius = radius[keep]
-    return np.array([bool((modes_nodal_distance(p, sub) < sub_radius).any()) for p in points])
+    return np.array(
+        [bool((modes_nodal_distance(p, modes)[start:] < radius).any()) for p in points], dtype=bool
+    )
+
+
+# the default lower end of estimate_exponent's fit window
+EXPONENT_MU_MIN = 3.0
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ class ExponentEstimate:
 def estimate_exponent(
     point,
     modes: ModeList,
-    mu_min: float = 3.0,
+    mu_min: float = EXPONENT_MU_MIN,
     mu_max: float | None = None,
 ) -> ExponentEstimate:
     """Fit -log(best distance so far) against log(mu) at its record events.

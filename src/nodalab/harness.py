@@ -17,7 +17,7 @@ import numpy as np
 
 from .boxes import bad_proportion, comparability_set, goodness_threshold, subdivide
 from .components import component_inradii, sign_components
-from .dioph import borel_cantelli_sum, estimate_exponent, tail_hits
+from .dioph import EXPONENT_MU_MIN, borel_cantelli_sum, estimate_exponent, tail_hits
 from .distance import distance_field
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
@@ -883,8 +883,8 @@ def run_exponent_survey(
         )
 
     modes_b = record_candidates(box, mu_max_box)
-    if len(modes_b) == 0 or modes_b.mu[-1] <= 3.0:
-        # estimate_exponent's fit window (mu_min = 3 up to the list's top mu)
+    if len(modes_b) == 0 or modes_b.mu[-1] <= EXPONENT_MU_MIN:
+        # estimate_exponent's default fit window (mu_min up to the list's top mu)
         # may be empty for the candidates and not for the full list
         modes_b = enumerate_modes(box, mu_max_box)
     pts_b = rng.uniform(0.0, box.lengths, size=(n_box, 2))

@@ -1,12 +1,15 @@
 """Approximation-by-nodal-sets: exact distances, hits, exponents, sums."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalab import dioph
 from nodalab.dioph import (
     _convergents,
     borel_cantelli_sum,
@@ -467,7 +470,10 @@ def test_axis_tail_hits_match_the_full_scan(k0, c_frac, eps, extra, kind, data):
     points += [0.0, math.pi / alpha, length / 2.0]
     # dyadic theta = x alpha / pi: its last convergent sits at distance 0
     points += [math.ldexp(math.pi, -j) / alpha for j in range(0, 14, 3)]
-    assert_tail_hits(np.array(points)[:, None], modes, start, radius)
+    # a small pair budget splits the points into many blocks
+    budget = data.draw(st.sampled_from([1, 50, dioph._PAIR_BUDGET]))
+    with mock.patch.object(dioph, "_PAIR_BUDGET", budget):
+        assert_tail_hits(np.array(points)[:, None], modes, start, radius)
 
 
 def test_axis_tail_hits_default_config():
@@ -503,7 +509,25 @@ def test_axis_tail_hits_with_no_certified_row():
     assert np.array_equal(tail_hits(points, modes, start, radius), ref)
 
 
-@given(spectral_domains(n_values=(2, 3)), st.floats(0.05, 3.0), st.floats(0.05, 10.0), st.data())
+def test_axis_tail_hits_bound_the_memory_of_an_uncertified_prefix():
+    # C = 10, eps = 0.1: the radius 10/k^2.1 stays above pi/(2k^2) up to k near
+    # 1e8, so no row of this tail is certified and all 9,900 are scanned for
+    # each point; 300 points x 9,900 rows in one pass peak near 170 MB
+    modes = interval_modes(10_000)
+    start = int(np.searchsorted(modes.mu, 100, side="right"))
+    radius = 10.0 / modes.mu[start:] ** 2.1
+    points = np.random.default_rng(5).uniform(0.0, math.pi, size=(300, 1))
+    tracemalloc.start()
+    try:
+        got = tail_hits(points, modes, start, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert np.array_equal(got, tail_hits_reference(points, modes, start, radius))
+
+
+@given(spectral_domains(), st.floats(0.05, 3.0), st.floats(0.05, 10.0), st.data())
 @settings(max_examples=60, deadline=None)
 def test_tail_hits_on_enumerated_lists(case, eps, C, data):
     dom, mu_max = case
