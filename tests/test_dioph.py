@@ -30,6 +30,7 @@ from nodalab.spectrum import (
     enumerate_modes,
     nodal_distance_exact,
     record_candidates,
+    tube_volume_exact,
 )
 
 from cfrac import continued_fraction
@@ -569,10 +570,8 @@ def test_borel_cantelli_interval_limit():
     res = borel_cantelli_sum(DomainSpec.interval(), C=1.0, eps=1.0, k_max=10_000)
     assert abs(float(res.partial[-1]) - math.pi**2 / 3) <= 3e-4
     assert np.all(np.diff(res.partial) > 0)
-    # merged-interval endpoints live at magnitude pi, so each exact volume
-    # carries absolute float noise near ulp(pi); the sum stays far below the
-    # 3e-4 gate above
-    np.testing.assert_allclose(res.volumes, 2.0 * res.mu**-2.0, rtol=1e-9, atol=4e-12)
+    # the closed form keeps every digit of the small volumes: no cancellation
+    np.testing.assert_allclose(res.volumes, 2.0 * res.mu**-2.0, rtol=1e-14, atol=0.0)
     gap = res.cauchy_gap(2000)
     assert 0.0 < gap < 2.0 / 2000
 
@@ -588,6 +587,20 @@ def test_borel_cantelli_torus_cauchy():
     assert np.all(np.diff(res.partial) > 0)
     gaps = [res.cauchy_gap(K) for K in (250, 500, 1000)]
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+
+@pytest.mark.parametrize(
+    "domain", [DomainSpec.interval(), DomainSpec.box((1.0, math.sqrt(2.0)))], ids=["interval", "box"]
+)
+def test_borel_cantelli_volumes_are_the_oracle_bit_for_bit(domain):
+    C, eps, k_max = 0.7, 0.5, 1500
+    res = borel_cantelli_sum(domain, C=C, eps=eps, k_max=k_max)
+    modes = enumerate_modes(domain, float(res.mu[-1]))
+    # the radius vector as the sum forms it: an array power may round apart
+    # from a scalar one on SIMD builds, and the radii are not under test here
+    radii = C / res.mu ** (domain.n + 1 + eps)
+    want = [tube_volume_exact(modes[k], float(radii[k])) for k in range(k_max)]
+    assert res.volumes.tolist() == want
 
 
 def test_borel_cantelli_validates():

@@ -258,16 +258,20 @@ def test_approx_theorem_small():
 # (the new report is the old one without that cell, its row and columns, and
 # the gate); both approx entries re-recorded when the control cell, its
 # control_fraction gate and summary key were removed (the new reports equal
-# the old ones with those stripped). Re-record them only in a change that
-# deliberately alters report bytes and says so in CHANGES.md.
+# the old ones with those stripped); both approx entries re-recorded again when
+# the closed-form tube share replaced the zero-list inclusion-exclusion in
+# borel_cantelli_sum (partial sums move by rounding only, below 1e-11
+# relative, and the Cauchy gaps between them below 1e-7; every gate verdict
+# is the same). Re-record them only in a change that deliberately alters
+# report bytes and says so in CHANGES.md.
 SPECTRAL_DIGESTS = {
     "approx_interval": (
-        "f7edf78493ce8fd629985c913a517fbb6324a2eb8d0368608d057cc2f0003aad",
-        "42e542eded53a4f986b2d5f5aeec8a519c10dd4762ca0fe0ec9d4307db001ad2",
+        "1b76cd47baba24e72a868f87cd6393ba8bf59fe6584ec63672d75af6cd18c206",
+        "8bca2fa61636e6f76bd08f4f20ff4819bcbec2c25b426be1bf69d8cfddddda91",
     ),
     "approx_torus": (
-        "b547270524e4a66f5f9e1ba3b88869b47ad524cd3e50c3dfedd1e5abc1a0a82c",
-        "5a6ec1dcb45044f68fc8a2a588ab5f4352e61443cda7d51b937822f2f1435a23",
+        "3561b10922606eab90387b08ceb725583f43f276444405b51d8772ed8c0af6c8",
+        "20546f8ec556fca7fe5b863dbfaa6d09a8b2bfd6d4379617f477342ad74fbc9c",
     ),
     "exponent_survey": (
         "be77a1103d6fc393073713f5180dc4e82950bef14756e6717d7c96ca515d6520",
@@ -297,7 +301,10 @@ def test_spectral_report_digests(name, tmp_path):
 
 
 # sha256 of (JSON, CSV) report bytes, recorded before the per-axis miss tables
-# replaced the per-sample oracle in measures._refined_volume. Same rule as above.
+# replaced the per-sample oracle in measures._refined_volume; tube_torus
+# re-recorded when tube_volume_exact became the closed form (its oracle
+# volumes and agreements move by rounding only; the same gates pass). Same
+# rule as above.
 GRID_DIGESTS = {
     "yau_torus": (
         "084755f98d84c79c98207a5b127bd38cfb457d3e0a08890fe768f2908ff1fc36",
@@ -308,8 +315,8 @@ GRID_DIGESTS = {
         "6567e374ef340f861c4e03a30746d5a93f067be14f9ef9b5c7819f4ad84de504",
     ),
     "tube_torus": (
-        "586ad8a0d59178cd3547c126316a3d570be6e74bfba9f07ab17afd741a422b3b",
-        "f48986d1ad4f82a3f7840e6019eb17b2dbd29a6110e90fc2c410a845b506706e",
+        "4e18513b7f75f6f7202962209288e1c96c644c221b04f2ff3060b4aea6c289cf",
+        "44c52e0607b8f9c67a53f12c5f4cfcb776be13c98f98ad3c4156fc699872baa6",
     ),
 }
 

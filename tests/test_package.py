@@ -12,7 +12,6 @@ ORACLES = {
     "tube_volume_exact",
     "nodal_measure_exact",
     "density_radius_exact",
-    "exact_nodal_description",
 }
 
 

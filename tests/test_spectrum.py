@@ -1,6 +1,7 @@
-"""Spectrum module: domains, mode enumeration, exact nodal descriptions, oracles."""
+"""Spectrum module: domains, mode enumeration, exact nodal oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +19,10 @@ from nodalab.spectrum import (
     distinct_count,
     enumerate_modes,
     eval_mode,
-    exact_nodal_description,
+    nodal_distance_exact,
     nodal_measure_exact,
     record_candidates,
     tube_volume_exact,
-    union_radius_measure,
     weyl_count,
 )
 
@@ -50,6 +50,107 @@ def brute_modes(domain, mu_max):
             out.append((mu, m))
     out.sort()
     return out
+
+
+def axis_zeros_reference(mode):
+    """Per-axis zero lists of the factors, as the zero-list oracle built them.
+
+    Dirichlet sine factor with index m: zeros at pi*l/(m*alpha), l = 0..m.
+    Torus factor with index m: 2m zeros per period, spacing pi/(m*alpha),
+    offset by half a spacing for cosine factors; none for index 0.
+    """
+    zeros = []
+    for j in range(mode.domain.n):
+        mj = mode.m[j]
+        if mj == 0:
+            zeros.append(np.empty(0))
+            continue
+        s = mode.factor_zero_spacing(j)
+        if mode.domain.periodic:
+            offs = 0.0 if mode.kinds[j] == SIN else 0.5
+            zeros.append((np.arange(2 * mj) + offs) * s)
+        else:
+            zeros.append(np.arange(mj + 1) * s)
+    return zeros
+
+
+def union_radius_measure(zeros, radius, length, circular):
+    """Exact 1-d measure of the union of open radius-neighborhoods of ``zeros``.
+
+    On a segment [0, length] the neighborhoods clip at the ends; on a circle of
+    circumference ``length`` they wrap. Overlaps are merged by sort and sweep.
+    """
+    z = np.sort(np.asarray(zeros, dtype=float))
+    if z.size == 0 or radius <= 0:
+        return 0.0
+    if circular:
+        if 2.0 * radius * z.size >= length:
+            gaps = np.diff(np.concatenate([z, [z[0] + length]]))
+            return float(length - np.maximum(gaps - 2.0 * radius, 0.0).sum())
+        # rotate the cut into the widest gap so no interval wraps
+        gaps = np.diff(np.concatenate([z, [z[0] + length]]))
+        cut = z[np.argmax(gaps)] + gaps.max() / 2.0
+        z = np.sort(np.mod(z - cut, length))
+    starts = np.maximum(z - radius, 0.0)
+    ends = np.minimum(z + radius, length)
+    prev_end = np.concatenate([[0.0], np.maximum.accumulate(ends)[:-1]])
+    return float(np.maximum(ends - np.maximum(starts, prev_end), 0.0).sum())
+
+
+def tube_volume_inclusion_exclusion(mode, delta):
+    """The zero-list tube oracle: prod L_j - prod (L_j - len_j), len_j the merged 1-d cover."""
+    if delta <= 0:
+        return 0.0
+    L = mode.domain.lengths
+    covered = 1.0
+    for j, zeros in enumerate(axis_zeros_reference(mode)):
+        lj = union_radius_measure(zeros, delta, L[j], mode.domain.periodic)
+        covered *= (L[j] - lj) / L[j]
+    return mode.domain.volume * (1.0 - covered)
+
+
+def tube_volume_rational(mode, delta):
+    """V (1 - prod_j (1 - f_j)), f_j = min(2 delta m_j alpha_j / pi, 1), in exact rationals.
+
+    Every float input (delta, alpha_j and pi = math.pi) enters at its exact value.
+    """
+    pi = Fraction(math.pi)
+    span = 2 * pi if mode.domain.periodic else pi
+    d = Fraction(delta)
+    vol, uncovered = Fraction(1), Fraction(1)
+    for mj, a in zip(mode.m, mode.domain.alpha):
+        a = Fraction(a)
+        vol *= span / a
+        uncovered *= 1 - min(2 * d * mj * a / pi, Fraction(1))
+    return vol * (1 - uncovered)
+
+
+def spacings(mode):
+    """Zero spacings of the axes that have zeros."""
+    return [mode.factor_zero_spacing(j) for j in range(mode.domain.n) if mode.m[j] > 0]
+
+
+@st.composite
+def oracle_modes(draw):
+    """Modes on the interval, Dirichlet boxes and tori of dimension 1 to 3.
+
+    Torus modes draw cosine factors and zero indices (whose factor is cos 0 = 1).
+    """
+    kind = draw(st.sampled_from(("interval", BOX, TORUS)))
+    if kind == "interval":
+        domain = INTERVAL
+    else:
+        n = draw(st.integers(1, 3))
+        weight = st.one_of(st.just(1.0), st.floats(0.5, 3.0))
+        domain = DomainSpec(kind, tuple(draw(st.lists(weight, min_size=n, max_size=n))))
+    lo = 0 if domain.periodic else 1
+    m = draw(
+        st.lists(st.integers(lo, 20), min_size=domain.n, max_size=domain.n).filter(any)
+    )
+    kinds = None
+    if domain.periodic:
+        kinds = tuple(COS if v == 0 else draw(st.sampled_from((SIN, COS))) for v in m)
+    return EigenMode(domain, tuple(m), kinds)
 
 
 def sweep_union_measure(zeros, radius, length, circular):
@@ -146,20 +247,25 @@ class TestEvalMode:
         assert abs(eval_mode(mode, np.array([math.pi / 4, 0.5]))) < 1e-12
 
     def test_vanishes_on_described_zeros(self):
-        # invariant: |phi| < 1e-12 at every described zero coordinate
+        # invariant: |phi| < 1e-12 at every zero of every factor, built from
+        # its formula: l pi/(m alpha) for sine, shifted half a spacing for cosine,
+        # 2m of them per torus period and m + 1 on a Dirichlet side
         for mode in (
             EigenMode(INTERVAL, (17,)),
             EigenMode(TORUS2, (3, 4)),
             EigenMode(TORUS2, (5, 2), kinds=(COS, SIN)),
             EigenMode(BOX2, (4, 7)),
         ):
-            desc = exact_nodal_description(mode)
             rng = np.random.default_rng(0)
-            for j, zeros in enumerate(desc.axis_zeros):
-                for z in zeros:
+            for j, mj in enumerate(mode.m):
+                step = math.pi / (mj * mode.domain.alpha[j])
+                shift = 0.5 if mode.kinds[j] == COS else 0.0
+                count = 2 * mj if mode.domain.periodic else mj + 1
+                for l in range(count):
                     p = rng.uniform(0, 1, mode.domain.n) * np.array(mode.domain.lengths)
-                    p[j] = z
+                    p[j] = (l + shift) * step
                     assert abs(eval_mode(mode, p)) < 1e-12
+                    assert nodal_distance_exact(mode, p) < 1e-12
 
     def test_torus_periodicity(self):
         mode = EigenMode(TORUS2, (3, 4))
@@ -173,28 +279,41 @@ class TestEvalMode:
 
 
 class TestNodalDescription:
+    """The zero lattice of each axis: spacing, offset and count, read from the oracles."""
+
     def test_interval_zeros(self):
-        desc = exact_nodal_description(EigenMode(INTERVAL, (4,)))
-        assert desc.axis_zeros[0] == pytest.approx(np.arange(5) * math.pi / 4)
+        mode = EigenMode(INTERVAL, (4,))
+        assert mode.factor_zero_spacing(0) == math.pi / 4
+        zeros = np.arange(5) * math.pi / 4
+        assert nodal_distance_exact(mode, zeros[:, None]) == pytest.approx(np.zeros(5), abs=1e-15)
+        assert nodal_measure_exact(mode) == 5.0
 
     def test_torus_sine_zero_counts(self):
-        desc = exact_nodal_description(EigenMode(TORUS2, (3, 4)))
-        assert len(desc.axis_zeros[0]) == 6
-        assert len(desc.axis_zeros[1]) == 8
-        assert desc.axis_zeros[0] == pytest.approx(np.arange(6) * math.pi / 3)
+        mode = EigenMode(TORUS2, (3, 4))
+        # 6 vertical and 8 horizontal lines of length 2 pi
+        assert nodal_measure_exact(mode) == 6 * 2 * math.pi + 8 * 2 * math.pi
+        pts = np.stack([np.arange(6) * math.pi / 3, np.full(6, 0.123)], axis=1)
+        assert nodal_distance_exact(mode, pts) == pytest.approx(np.zeros(6), abs=1e-15)
 
     def test_torus_cosine_offset(self):
-        desc = exact_nodal_description(EigenMode(TORUS2, (2, 0), kinds=(COS, COS)))
-        assert desc.axis_zeros[0] == pytest.approx((np.arange(4) + 0.5) * math.pi / 2)
-        assert desc.axis_zeros[1].size == 0
+        mode = EigenMode(TORUS2, (2, 0), kinds=(COS, COS))
+        pts = np.stack([(np.arange(4) + 0.5) * math.pi / 2, np.full(4, 0.4)], axis=1)
+        assert nodal_distance_exact(mode, pts) == pytest.approx(np.zeros(4), abs=1e-15)
+        # the unshifted sine lattice sits half a spacing from every zero
+        assert nodal_distance_exact(mode, np.array([0.0, 0.4])) == pytest.approx(math.pi / 4)
+        assert mode.factor_zero_spacing(1) == math.inf
 
     def test_empty_axis_for_zero_index(self):
-        desc = exact_nodal_description(EigenMode(TORUS2, (0, 3)))
-        assert desc.axis_zeros[0].size == 0
-        assert not desc.empty
+        mode = EigenMode(TORUS2, (0, 3))
+        assert mode.factor_zero_spacing(0) == math.inf
+        # only the 6 horizontal lines count
+        assert nodal_measure_exact(mode) == 6 * 2 * math.pi
+        assert density_radius_exact(mode) == math.pi / 6
 
 
 class TestUnionRadiusMeasure:
+    """The sort-and-sweep cover of the zero-list reference, against an event sweep."""
+
     @given(
         st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=12),
         st.floats(1e-3, 3.0),
@@ -264,13 +383,13 @@ class TestExactOracles:
         assert got == pytest.approx(math.pi / 8, rel=1e-12)
 
     def test_density_radius_brute_force(self):
-        # dense-grid brute force over the torus confirms the closed form, m=n included
+        # dense-grid brute force over the torus confirms the closed form, m=n included;
+        # sin(m x) vanishes at l pi/m, l = 0..2m-1
         for m, n in ((3, 4), (5, 5)):
             mode = EigenMode(TORUS2, (m, n))
-            desc = exact_nodal_description(mode)
             xs = np.linspace(0, 2 * math.pi, 901, endpoint=False)
-            raw_x = np.abs(xs[:, None] - desc.axis_zeros[0][None, :])
-            raw_y = np.abs(xs[:, None] - desc.axis_zeros[1][None, :])
+            raw_x = np.abs(xs[:, None] - (np.arange(2 * m) * math.pi / m)[None, :])
+            raw_y = np.abs(xs[:, None] - (np.arange(2 * n) * math.pi / n)[None, :])
             dx = np.minimum(raw_x, 2 * math.pi - raw_x).min(axis=1)
             dy = np.minimum(raw_y, 2 * math.pi - raw_y).min(axis=1)
             brute = np.minimum(dx[:, None], dy[None, :]).max()
@@ -284,6 +403,41 @@ class TestExactOracles:
             assert density_radius_exact(mode) * mode.mu == pytest.approx(
                 math.pi / math.sqrt(2), rel=1e-12
             )
+
+
+class TestTubeClosedForm:
+    """tube_volume_exact against exact rationals and the zero-list inclusion-exclusion."""
+
+    @given(oracle_modes(), st.floats(-12.0, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_rationals(self, mode, u):
+        # from 1e-12 of the finest spacing to well past every axis' saturation
+        delta = 10.0**u * min(spacings(mode))
+        want = tube_volume_rational(mode, delta)
+        got = tube_volume_exact(mode, delta)
+        assert abs(Fraction(got) - want) <= Fraction(1e-14) * want
+
+    @given(oracle_modes(), st.floats(-6.0, 1.5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_inclusion_exclusion(self, mode, u):
+        delta = 10.0**u
+        want = tube_volume_inclusion_exclusion(mode, delta)
+        assert tube_volume_exact(mode, delta) == pytest.approx(want, rel=1e-9)
+
+    def test_small_radii_keep_their_digits(self):
+        # 1 - prod(1 - f) in logs: the 2-torus tube at tiny delta is 8 pi delta (m + n)
+        mode = EigenMode(TORUS2, (3, 4))
+        for delta in (1e-12, 1e-9, 1e-6):
+            want = 8 * math.pi * delta * 7 - 16 * 12 * delta**2
+            assert tube_volume_exact(mode, delta) == pytest.approx(want, rel=1e-15)
+
+    def test_infinite_radius_with_a_zero_index_axis(self):
+        # the zero-index axis contributes no cover, never 0 * inf
+        for mode in (
+            EigenMode(TORUS2, (0, 3)),
+            EigenMode(DomainSpec.torus((1.0, 1.3, 2.0)), (0, 2, 0), (COS, COS, COS)),
+        ):
+            assert tube_volume_exact(mode, math.inf) == mode.domain.volume
 
 
 class TestEnumerate:
