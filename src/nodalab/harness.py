@@ -237,8 +237,15 @@ def run_yau_check(
     the interval reduces to the exact zero count. A non-monotone tube ratio
     flags the cell. On 2-d domains the marching-squares length cross-checks
     the tube extrapolation: the estimator_agreement gate, and only it, fails
-    on a relative disagreement above agree_tol.
+    on a relative disagreement above agree_tol. The band and the square target
+    hold on the unit 2-torus only, so any domain but it and the interval is
+    invalid input.
     """
+    if domain.kind != "interval" and not (domain.periodic and domain.alpha == (1.0, 1.0)):
+        raise ValidationError(
+            "Yau checks run on the interval or the torus with alpha=(1,1), "
+            f"not {domain.kind} alpha={domain.alpha}: their gates are calibrated there"
+        )
     if modes is None:
         modes = ((10,), (40,)) if domain.n == 1 else DEFAULT_YAU_TORUS_MODES
     if domain.n >= 2 and len(set(mu_t)) < 2:

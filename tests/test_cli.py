@@ -218,6 +218,22 @@ def test_byte_identical_reruns(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["yau", "--domain", "torus", "--alpha", "1,2", "--modes", "3,3;2,5"],
+        ["yau", "--domain", "box", "--modes", "3,3"],
+    ],
+    ids=["torus-alpha-1-2", "box"],
+)
+def test_yau_off_its_calibrated_domains_exits_2(argv, tmp_path, capsys):
+    """The Yau band and square target hold on the interval and the unit 2-torus only."""
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Yau checks run on the interval" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["borel-cantelli", "--k0", "1", "--k-max", "30", "--n-points", "50"], "2C < k0"),
