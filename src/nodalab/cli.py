@@ -197,7 +197,7 @@ def build_parser() -> _TrackingParser:
 
     p = sub.add_parser("dioph", help="per-point approximation exponents")
     common(p)
-    p.add_argument("--n-interval", dest="n_interval", type=int, default=100)
+    p.add_argument("--n-interval", dest="n_interval", type=int, default=200)
     p.add_argument("--mu-max", dest="mu_max", type=float, default=100_000.0)
     p.add_argument("--n-box", dest="n_box", type=int, default=500)
     p.add_argument("--mu-max-box", dest="mu_max_box", type=float, default=2000.0)

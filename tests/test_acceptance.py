@@ -155,15 +155,17 @@ def test_criterion_09_exponents():
     g = gates_by_name(r)
     mean_i = g["interval_mean_low"].value
     in_band = g["interval_points_in_band"]
+    n_interval = r.config["n_interval"]
     mean_b = g["box_mean_low"].value
     ok = (
         1.8 <= mean_i <= 2.2
-        and in_band.passed and in_band.bound == 90
+        and in_band.passed and in_band.bound == round(0.9 * n_interval)
         and 1.7 <= mean_b <= 2.3
         and elapsed < 120.0
     )
     report_line(9, ok, f"interval mean {mean_i:.4f} in [1.8,2.2], "
-                       f"{in_band.value:.0f}/100 points in [1.6,2.4] (need 90), "
+                       f"{in_band.value:.0f}/{n_interval} points in [1.6,2.4] "
+                       f"(need {in_band.bound:.0f}), "
                        f"box mean {mean_b:.4f} in [1.7,2.3], "
                        f"{elapsed:.0f}s (budget 120s)")
 
