@@ -6,9 +6,9 @@ and a CSV of the raw cells. The script prints one summary line per
 experiment, the note of each skipped cell under it, lists any failed gates,
 and exits 1 if anything failed.
 
-Full mode takes about 40 s on a 2-core VM, four fifths of it in the
+Full mode takes about 37 s on a 2-core VM, four fifths of it in the
 torus tube cells; --quick drops the expensive torus tube cells and shrinks
-the surveys for a fast smoke run (about 8 s).
+the surveys for a fast smoke run (about 7 s).
 """
 
 import argparse
