@@ -6,9 +6,9 @@ and a CSV of the raw cells. The script prints one summary line per
 experiment, the note of each skipped cell under it, lists any failed gates,
 and exits 1 if anything failed.
 
-Full mode takes about 37 s on a 2-core VM, four fifths of it in the
+Full mode takes about 38 s on a 2-core VM, four fifths of it in the
 torus tube cells; --quick drops the expensive torus tube cells and shrinks
-the surveys for a fast smoke run (about 7 s).
+the surveys for a fast smoke run (about 8 s).
 """
 
 import argparse
@@ -36,8 +36,7 @@ def build_jobs(quick: bool, seed: int):
     torus = DomainSpec.torus((1.0, 1.0))
 
     if quick:
-        tube_torus_modes = ((3, 4), (5, 5), (2, 7))
-        tube_mu_delta = (0.1, 0.2, 0.3)
+        tube_torus_kwargs = dict(modes=((3, 4), (5, 5), (2, 7)), mu_delta=(0.1, 0.2, 0.3))
         exponent_kwargs = dict(
             n_interval=25,
             mu_max_interval=5e4,
@@ -47,8 +46,7 @@ def build_jobs(quick: bool, seed: int):
         )
         approx_kwargs = dict(k_max=2000, n_points=2000, k0=50, box_k_max=400, seed=seed)
     else:
-        tube_torus_modes = None
-        tube_mu_delta = (0.05, 0.1, 0.2, 0.3)
+        tube_torus_kwargs = {}
         exponent_kwargs = dict(seed=seed)
         approx_kwargs = dict(seed=seed)
 
@@ -56,13 +54,7 @@ def build_jobs(quick: bool, seed: int):
         ("tube interval", lambda: run_tube_scaling(interval, include_break_cell=True, seed=seed)),
         (
             "tube torus",
-            lambda: run_tube_scaling(
-                torus,
-                modes=tube_torus_modes,
-                mu_delta=tube_mu_delta,
-                include_break_cell=True,
-                seed=seed,
-            ),
+            lambda: run_tube_scaling(torus, include_break_cell=True, seed=seed, **tube_torus_kwargs),
         ),
         ("yau interval", lambda: run_yau_check(interval, seed=seed)),
         ("yau torus", lambda: run_yau_check(torus, seed=seed)),

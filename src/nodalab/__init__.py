@@ -8,12 +8,10 @@ functions of the recorded numbers.
 """
 
 from .boxes import (
-    NodalBoxes,
     Subdivision,
     bad_proportion,
     comparability_set,
     goodness_threshold,
-    nodal_box_count,
     subdivide,
 )
 from .components import component_inradii, sign_components
@@ -62,7 +60,6 @@ from .spectrum import (
     nodal_distance_exact,
     nodal_measure_exact,
     tube_volume_exact,
-    weyl_count,
 )
 
 __version__ = CODE_VERSION
@@ -82,7 +79,6 @@ __all__ = [
     "McRefine",
     "ModeList",
     "NodalApprox",
-    "NodalBoxes",
     "ResolutionError",
     "ResolutionRule",
     "ResourceGuardError",
@@ -102,7 +98,6 @@ __all__ = [
     "gate",
     "goodness_threshold",
     "modes_nodal_distance",
-    "nodal_box_count",
     "nodal_distance_exact",
     "nodal_measure",
     "nodal_measure_exact",
@@ -119,6 +114,5 @@ __all__ = [
     "tube_volume",
     "tube_volume_exact",
     "verify_report",
-    "weyl_count",
     "write_report",
 ]

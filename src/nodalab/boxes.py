@@ -5,8 +5,7 @@ and 2*delta. Local averages of phi^2 over a box and over its starred union
 (the box plus its <= 3^n - 1 touching neighbors) drive the exceptional-set
 mask: a grid point is exceptional when phi^2 there deviates from the starred
 average of its box by more than the comparability factor A. The fraction of
-each box that mask covers classifies the box as good or bad; boxes meeting
-the nodal set are counted separately.
+each box that mask covers classifies the box as good or bad.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 
 from .errors import ResolutionError, ValidationError
 from .grid import GridSample
-from .nodal import NodalApprox, _corner_reduce
 
 
 def unit_ball_volume(n: int) -> float:
@@ -171,52 +169,3 @@ def bad_proportion(sample: GridSample, sub: Subdivision, mask: np.ndarray) -> fl
     e_frac = _box_sum(ids, mask.astype(float), sub) / counts
     good = e_frac < goodness_threshold(sub.n)
     return float((~good).sum() / good.size)
-
-
-@dataclass
-class NodalBoxes:
-    """Boxes meeting the nodal set: count, mask, and starred-union volume."""
-
-    count: int
-    mask: np.ndarray
-    star_volume: float
-
-
-def _sign_change_cells(sample: GridSample) -> np.ndarray:
-    """Lower-corner indices of the cells whose corner signs are neither all > 0 nor all < 0."""
-    sign = np.sign(sample.values).astype(np.int8)
-    cmin = _corner_reduce(sign, sample.periodic, np.minimum)
-    cmax = _corner_reduce(sign, sample.periodic, np.maximum)
-    return np.argwhere((cmin <= 0) & (cmax >= 0))
-
-
-def nodal_box_count(sub: Subdivision, nodal: NodalApprox) -> NodalBoxes:
-    """Boxes containing a nodal vertex or a whole sign-change cell of the sample.
-
-    The starred-union volume covers every flagged box plus its touching
-    neighbors (the union of R_nu*), which contains the delta-tube when the
-    grid resolves delta.
-    """
-    sample = nodal.sample
-    _check_alignment(sample, sub)
-    counts = np.asarray(sub.counts)
-    lengths = np.asarray(sub.lengths)
-
-    def box_of(points: np.ndarray) -> np.ndarray:
-        b = np.floor(points * counts / lengths).astype(np.int64)
-        if sample.periodic:
-            return b % counts
-        return np.clip(b, 0, counts - 1)
-
-    mask = np.zeros(sub.counts, dtype=bool)
-    mask[tuple(box_of(nodal.vertices).T)] = True
-    # a cell counts only when it lies inside a single box; straddling
-    # cells are represented by their crossing vertices instead
-    cells = _sign_change_cells(sample)
-    h = np.asarray(sample.h)
-    lo = box_of(cells * h)
-    hi = box_of((cells + 1) * h)
-    inside = np.all(lo == hi, axis=1)
-    mask[tuple(lo[inside].T)] = True
-    star = _star_sum(mask.astype(np.int64), sample.periodic) > 0
-    return NodalBoxes(int(mask.sum()), mask, float(star.sum()) * sub.box_volume)

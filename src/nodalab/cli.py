@@ -1,5 +1,13 @@
 """Command-line front end: one subcommand per experiment, key=value configs.
 
+Each report subcommand calls one driver of ``nodalab.harness`` with only the
+options the user set. A flag's destination is its driver's keyword name, so
+an unset flag leaves the driver's own default in force, and the same name is
+the flag's key in a config file and in the report's ``config`` block. A
+config file's values become the subcommand's argparse defaults: each flag's
+``type`` converts them, explicit flags override them, and a bad value is an
+argparse error like a bad flag.
+
 Exit codes: 0 all gates passed, 1 a gate failed, 2 invalid input,
 3 a resolution or resource guard stopped the run outright.
 """
@@ -28,6 +36,22 @@ EXIT_PASS = 0
 EXIT_GATE_FAIL = 1
 EXIT_INVALID = 2
 EXIT_GUARD = 3
+
+DRIVERS = {
+    "tube": run_tube_scaling,
+    "yau": run_yau_check,
+    "density": run_density_check,
+    "boxes": run_comparability_scaling,
+    "dim2": run_dim2_checks,
+    "dioph": run_exponent_survey,
+    "borel-cantelli": run_approx_theorem,
+}
+
+# parsed names that are not driver keywords; --alpha is folded into the domain
+META_KEYS = ("command", "config", "out", "_subparser", "alpha")
+
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True)
+_BOOLS.update(dict.fromkeys(("0", "false", "no", "off"), False))
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -84,154 +108,96 @@ def read_config_file(path) -> dict:
     return values
 
 
-def apply_config_file(args: argparse.Namespace, parser_keys: set) -> argparse.Namespace:
-    """File values fill in flags the user did not pass; flags always win."""
-    if not getattr(args, "config", None):
-        return args
+def apply_config_file(parser: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
+    """Parse ``argv`` again with the file's values as the subcommand's defaults.
+
+    argparse runs a string default through its flag's ``type`` only when the
+    flag is absent, so flags win and a bad value exits 2 like a bad flag.
+    Switches have no ``type``; their file values are read as booleans here.
+    """
+    sub = args._subparser
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     values = read_config_file(args.config)
-    unknown = set(values) - parser_keys
+    unknown = set(values) - set(actions)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     for key, text in values.items():
-        if key in args._explicit:
-            continue
-        setattr(args, key, text)
-    return args
+        if actions[key].nargs == 0:
+            if text.lower() not in _BOOLS:
+                raise ValidationError(f"config key {key}: expected a boolean, got {text!r}")
+            values[key] = _BOOLS[text.lower()]
+    sub.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which destinations were set on the command line.
-
-    Abbreviated flags are disabled so the explicit-flag bookkeeping that
-    decides config-file precedence only has exact spellings to match.
-    """
-
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("allow_abbrev", False)
-        super().__init__(*args, **kwargs)
-
-    def parse_args(self, argv=None, namespace=None):
-        ns = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = sys.argv[1:] if argv is None else list(argv)
-        for action in self._subcommand_actions(ns):
-            for opt in action.option_strings:
-                if any(a == opt or a.startswith(opt + "=") for a in argv):
-                    explicit.add(action.dest)
-        ns._explicit = explicit
-        return ns
-
-    def _subcommand_actions(self, ns):
-        sub = getattr(ns, "_subparser", None)
-        return sub._actions if sub is not None else self._actions
-
-
-def _coerce(value, kind):
-    """Config-file strings arrive untyped; flags arrive already converted."""
-    if not isinstance(value, str):
-        return value
-    if kind is bool:
-        low = value.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValidationError(f"expected a boolean, got {value!r}")
-    return kind(value)
-
-
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(prog="nodalab", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="nodalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, domain=None, seed=True):
+        # an unset flag stays out of the namespace, so its driver's default applies
+        p = sub.add_parser(name, help=help, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--out", default="results", help="report output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int)
+        if domain:
+            p.add_argument("--domain", default=domain,
+                           choices=("interval", "box", "torus", "torus2"))
+            p.add_argument("--alpha", help="comma-separated axis weights")
         p.set_defaults(_subparser=p)
+        return p
 
-    def domain_flags(p, default="interval"):
-        p.add_argument("--domain", default=default,
-                       choices=("interval", "box", "torus", "torus2"))
-        p.add_argument("--alpha", default=None, help="comma-separated axis weights")
-
-    p = sub.add_parser("spectrum", help="enumerate modes up to a frequency cap")
-    common(p)
-    domain_flags(p)
-    p.add_argument("--mu-max", dest="mu_max", type=float, required=True)
-    p.add_argument("--distinct", action="store_true",
+    p = command("spectrum", "enumerate modes up to a frequency cap", "interval", seed=False)
+    p.add_argument("--mu-max", type=float, required=True)
+    p.add_argument("--distinct", action="store_true", default=False,
                    help="count distinct frequencies instead of modes")
 
-    p = sub.add_parser("tube", help="tube volume against the mu*delta law")
-    common(p)
-    domain_flags(p)
-    p.add_argument("--modes", default=None, help="e.g. '3,4;5,5'")
-    p.add_argument("--mu-delta", dest="mu_delta", default=None, help="targets, e.g. '0.05,0.1'")
-    p.add_argument("--delta", default=None, help="explicit radii, e.g. '0.02,0.05'")
-    p.add_argument("--no-grid", dest="no_grid", action="store_true",
-                   help="oracle cells only")
-    p.add_argument("--break-cell", dest="break_cell", action="store_true",
+    p = command("tube", "tube volume against the mu*delta law", "interval")
+    p.add_argument("--modes", type=_parse_modes, help="e.g. '3,4;5,5'")
+    p.add_argument("--mu-delta", type=_parse_floats, help="targets, e.g. '0.05,0.1'")
+    p.add_argument("--delta", dest="deltas", type=_parse_floats,
+                   help="explicit radii, e.g. '0.02,0.05'")
+    p.add_argument("--no-grid", dest="grid", action="store_false", help="oracle cells only")
+    p.add_argument("--break-cell", dest="include_break_cell", action="store_true",
                    help="add the mu*delta=3 saturation cell (excluded from gates)")
-    p.add_argument("--band-cap", dest="band_cap", type=float, default=4.0)
-    p.add_argument("--agree-tol", dest="agree_tol", type=float, default=0.02)
+    p.add_argument("--band-cap", type=float)
+    p.add_argument("--agree-tol", type=float)
 
-    p = sub.add_parser("yau", help="nodal measure per unit frequency")
-    common(p)
-    domain_flags(p, default="torus2")
-    p.add_argument("--modes", default=None)
+    p = command("yau", "nodal measure per unit frequency", "torus2")
+    p.add_argument("--modes", type=_parse_modes)
 
-    p = sub.add_parser("density", help="largest nodal-free hole times mu")
-    common(p)
-    domain_flags(p, default="torus2")
-    p.add_argument("--modes", default=None)
+    p = command("density", "largest nodal-free hole times mu", "torus2", seed=False)
+    p.add_argument("--modes", type=_parse_modes)
 
-    p = sub.add_parser("boxes", help="comparability-set scaling and box statistics")
-    common(p)
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--A", type=float, default=10.0)
-    p.add_argument("--mu-delta", dest="mu_delta", default="0.1,0.2,0.4")
+    p = command("boxes", "comparability-set scaling and box statistics", seed=False)
+    p.add_argument("--m", type=int)
+    p.add_argument("--A", type=float)
+    p.add_argument("--mu-delta", type=_parse_floats)
 
-    p = sub.add_parser("dim2", help="2-d sign-domain statistics")
-    common(p)
-    p.add_argument("--modes", default=None)
+    p = command("dim2", "2-d sign-domain statistics")
+    p.add_argument("--modes", type=_parse_modes)
 
-    p = sub.add_parser("dioph", help="per-point approximation exponents")
-    common(p)
-    p.add_argument("--n-interval", dest="n_interval", type=int, default=200)
-    p.add_argument("--mu-max", dest="mu_max", type=float, default=100_000.0)
-    p.add_argument("--n-box", dest="n_box", type=int, default=500)
-    p.add_argument("--mu-max-box", dest="mu_max_box", type=float, default=2000.0)
-    p.add_argument(
-        "--point-min",
-        dest="point_min",
-        type=int,
-        default=None,
-        help="in-band point-count gate (default 90%% of --n-interval)",
-    )
+    p = command("dioph", "per-point approximation exponents")
+    p.add_argument("--n-interval", type=int)
+    p.add_argument("--mu-max", dest="mu_max_interval", type=float)
+    p.add_argument("--n-box", type=int)
+    p.add_argument("--mu-max-box", type=float)
+    p.add_argument("--point-min", dest="interval_point_min", type=int,
+                   help="in-band point-count gate (default 90%% of --n-interval)")
 
-    p = sub.add_parser("borel-cantelli", help="tube-volume sums and hit fractions")
-    common(p)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--k-max", dest="k_max", type=int, default=10_000)
-    p.add_argument("--k0", type=int, default=100)
-    p.add_argument("--n-points", dest="n_points", type=int, default=10_000)
+    p = command("borel-cantelli", "tube-volume sums and hit fractions")
+    p.add_argument("--C", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--k0", type=int)
+    p.add_argument("--n-points", type=int)
 
     p = sub.add_parser("report", help="verify a stored report's gates from its cells")
     p.add_argument("path")
-    p.set_defaults(_subparser=p)
 
     return parser
-
-
-def _float_list(args, name):
-    val = getattr(args, name, None)
-    return _parse_floats(val) if isinstance(val, str) else val
-
-
-def _mode_list(args):
-    val = getattr(args, "modes", None)
-    return _parse_modes(val) if isinstance(val, str) else val
 
 
 def dispatch(args) -> int:
@@ -240,13 +206,13 @@ def dispatch(args) -> int:
         print(("ok: " if ok else "MISMATCH: ") + msg)
         return EXIT_PASS if ok else EXIT_GATE_FAIL
 
-    seed = None if args.seed is None else _coerce(args.seed, int)
+    kwargs = {k: v for k, v in vars(args).items() if k not in META_KEYS}
+    if "domain" in kwargs:
+        kwargs["domain"] = _parse_domain(args.domain, getattr(args, "alpha", None))
 
     if args.command == "spectrum":
-        domain = _parse_domain(args.domain, args.alpha)
-        mu_max = _coerce(args.mu_max, float)
-        modes = enumerate_modes(domain, mu_max)
-        if _coerce(args.distinct, bool):
+        modes = enumerate_modes(kwargs["domain"], args.mu_max)
+        if args.distinct:
             count = distinct_count(modes.mu)
             label = "distinct frequencies"
         else:
@@ -254,61 +220,14 @@ def dispatch(args) -> int:
             label = "modes"
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"spectrum_{args.domain}_mu{mu_max:g}.json"
+        path = out / f"spectrum_{args.domain}_mu{args.mu_max:g}.json"
         path.write_text(modes.to_json())
         if count == 0:
-            print(f"warning: no {label} with mu <= {mu_max:g}", file=sys.stderr)
+            print(f"warning: no {label} with mu <= {args.mu_max:g}", file=sys.stderr)
         print(f"spectrum: {count} {label}, wrote {path}")
         return EXIT_PASS
 
-    if args.command == "tube":
-        domain = _parse_domain(args.domain, args.alpha)
-        report = run_tube_scaling(
-            domain,
-            modes=_mode_list(args),
-            mu_delta=_float_list(args, "mu_delta"),
-            deltas=_float_list(args, "delta"),
-            grid=not _coerce(args.no_grid, bool),
-            include_break_cell=_coerce(args.break_cell, bool),
-            band_cap=_coerce(args.band_cap, float),
-            agree_tol=_coerce(args.agree_tol, float),
-            seed=seed or 0,
-        )
-    elif args.command == "yau":
-        domain = _parse_domain(args.domain, args.alpha)
-        report = run_yau_check(domain, modes=_mode_list(args), seed=seed or 0)
-    elif args.command == "density":
-        domain = _parse_domain(args.domain, args.alpha)
-        report = run_density_check(domain, modes=_mode_list(args))
-    elif args.command == "boxes":
-        report = run_comparability_scaling(
-            m=_coerce(args.m, int),
-            A=_coerce(args.A, float),
-            mu_delta=_float_list(args, "mu_delta"),
-        )
-    elif args.command == "dim2":
-        report = run_dim2_checks(modes=_mode_list(args), seed=seed or 0)
-    elif args.command == "dioph":
-        report = run_exponent_survey(
-            n_interval=_coerce(args.n_interval, int),
-            mu_max_interval=_coerce(args.mu_max, float),
-            n_box=_coerce(args.n_box, int),
-            mu_max_box=_coerce(args.mu_max_box, float),
-            interval_point_min=None if args.point_min is None else _coerce(args.point_min, int),
-            seed=12345 if seed is None else seed,
-        )
-    elif args.command == "borel-cantelli":
-        report = run_approx_theorem(
-            C=_coerce(args.C, float),
-            eps=_coerce(args.eps, float),
-            k_max=_coerce(args.k_max, int),
-            k0=_coerce(args.k0, int),
-            n_points=_coerce(args.n_points, int),
-            seed=2718 if seed is None else seed,
-        )
-    else:
-        raise ValidationError(f"unknown command {args.command!r}")
-
+    report = DRIVERS[args.command](**kwargs)
     json_path, csv_path = write_report(report, args.out)
     n_pass = sum(1 for g in report.gates if g.passed)
     print(
@@ -332,8 +251,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            keys = {a.dest for a in args._subparser._actions if a.dest != "help"}
-            apply_config_file(args, keys)
+            args = apply_config_file(parser, args, argv)
         return dispatch(args)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

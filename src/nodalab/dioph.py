@@ -239,6 +239,16 @@ def estimate_exponent(
     return ExponentEstimate(float(slope), n_rec, resid, n_rec < 5, False)
 
 
+def shrinking_radii(mu: np.ndarray, C: float, b: float) -> np.ndarray:
+    """Radii C / mu^b, each from a scalar ``math.pow``.
+
+    numpy's array power runs a SIMD loop on AVX-512 hosts that rounds apart
+    from scalar ``pow`` on some entries, so radii formed that way, and the
+    volumes and hits that follow from them, would depend on the host.
+    """
+    return np.array([C / math.pow(m, b) for m in mu.tolist()], dtype=float)
+
+
 @dataclass
 class BorelCantelliSums:
     """Partial sums of exact tube volumes at shrinking radii C/mu^(n+1+eps)."""
@@ -274,5 +284,6 @@ def borel_cantelli_sum(domain: DomainSpec, C: float, eps: float, k_max: int) -> 
         mu_cap *= 1.5
         modes = enumerate_modes(domain, mu_cap)
     mu = modes.mu[:k_max].copy()
-    vols = domain.volume * _tube_fraction(domain.alpha, modes.m[:k_max], C / mu ** (n + 1 + eps))
+    radii = shrinking_radii(mu, C, n + 1 + eps)
+    vols = domain.volume * _tube_fraction(domain.alpha, modes.m[:k_max], radii)
     return BorelCantelliSums(mu, vols, np.cumsum(vols))

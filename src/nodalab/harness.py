@@ -17,7 +17,13 @@ import numpy as np
 
 from .boxes import bad_proportion, comparability_set, goodness_threshold, subdivide
 from .components import component_inradii, sign_components
-from .dioph import EXPONENT_MU_MIN, borel_cantelli_sum, estimate_exponent, tail_hits
+from .dioph import (
+    EXPONENT_MU_MIN,
+    borel_cantelli_sum,
+    estimate_exponent,
+    shrinking_radii,
+    tail_hits,
+)
 from .distance import distance_field
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
@@ -116,7 +122,7 @@ def run_tube_scaling(
 ) -> ExperimentReport:
     """Tube volume against the mu*delta law over a (mode, radius) grid.
 
-    Each cell is measured twice: an exact inclusion-exclusion oracle row and,
+    Each cell is measured twice: an exact closed-form oracle row and,
     when the resolution budget allows, a grid estimate row checked against the
     oracle. The break cell (mu*delta = 3) is recorded but excluded from gates.
     Radii are the ``deltas`` when given, else ``mu_delta`` targets divided by mu.
@@ -767,7 +773,7 @@ def run_approx_theorem(
     )
 
     b = n + 1 + eps
-    tail_radius = C / modes.mu[tail] ** b
+    tail_radius = shrinking_radii(modes.mu[tail], C, b)
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, domain.lengths, size=(n_points, n))
     hits = int(np.count_nonzero(tail_hits(points, modes, start, tail_radius)))

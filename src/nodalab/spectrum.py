@@ -444,14 +444,3 @@ def distinct_count(mu: np.ndarray) -> int:
     if mu.size == 0:
         return 0
     return 1 + int(np.count_nonzero(np.diff(mu) > 1e-12 * mu[1:]))
-
-
-def weyl_count(domain: DomainSpec, mu_max: float, distinct: bool = False,
-               cap: int = MODE_COUNT_CAP) -> int:
-    """Number of modes with mu <= mu_max.
-
-    Default counts modes with multiplicity (= len(enumerate_modes)). With
-    ``distinct=True`` counts distinct eigenvalues (``distinct_count``).
-    """
-    modes = enumerate_modes(domain, mu_max, cap)
-    return distinct_count(modes.mu) if distinct else len(modes)

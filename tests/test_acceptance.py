@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from nodalab.boxes import nodal_box_count, subdivide
+from nodalab.boxes import subdivide
 from nodalab.distance import distance_field
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.harness import (
@@ -26,6 +26,8 @@ from nodalab.measures import McRefine, tube_volume
 from nodalab.nodal import extract_nodal
 from nodalab.reports import write_report
 from nodalab.spectrum import DomainSpec, EigenMode, tube_volume_exact
+
+from nodal_boxes import nodal_box_count
 
 INTERVAL = DomainSpec.interval()
 TORUS2 = DomainSpec.torus((1.0, 1.0))

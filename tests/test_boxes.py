@@ -11,7 +11,6 @@ from nodalab.boxes import (
     bad_proportion,
     comparability_set,
     goodness_threshold,
-    nodal_box_count,
     subdivide,
     unit_ball_volume,
 )
@@ -19,6 +18,8 @@ from nodalab.errors import ResolutionError, ValidationError
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
 from nodalab.nodal import NodalApprox, extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode, tube_volume_exact
+
+from nodal_boxes import nodal_box_count
 
 
 def test_unit_ball_volumes():

@@ -1,5 +1,8 @@
+import inspect
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +13,12 @@ from nodalab.cli import (
     EXIT_GUARD,
     EXIT_INVALID,
     EXIT_PASS,
+    DRIVERS,
+    META_KEYS,
     _parse_domain,
     _parse_floats,
     _parse_modes,
+    build_parser,
     main,
     read_config_file,
 )
@@ -103,7 +109,7 @@ def test_distinct_spectrum_enumerates_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectrum_mod, "enumerate_modes", counted)
     assert main(argv + ["--distinct", "--out", str(tmp_path / "distinct")]) == EXIT_PASS
     assert len(calls) == 1
-    want = spectrum_mod.weyl_count(spectrum_mod.DomainSpec.torus((1.0, 1.0)), 20.0, distinct=True)
+    want = spectrum_mod.distinct_count(real(spectrum_mod.DomainSpec.torus((1.0, 1.0)), 20.0).mu)
     assert f"spectrum: {want} distinct frequencies" in capsys.readouterr().out
     assert "spectrum: 334 modes" in modes_line
     # the JSON is the mode list either way
@@ -283,3 +289,129 @@ def test_jobs_flag_is_gone(tmp_path, capsys):
     assert main(["density", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INVALID
     assert "unknown config keys: ['cache_dir']" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit an argparse error raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# one cheap run per driver, to read the keys of its report's config block
+SMALL_RUNS = {
+    "tube": ["--domain", "torus2", "--modes", "3,4", "--no-grid"],
+    "yau": ["--domain", "interval", "--modes", "8"],
+    "density": ["--domain", "interval", "--modes", "8"],
+    "boxes": ["--m", "20"],
+    "dim2": ["--modes", "2,3"],
+    "dioph": ["--n-interval", "5", "--n-box", "5", "--mu-max", "1000", "--mu-max-box", "100"],
+    "borel-cantelli": ["--k-max", "400", "--n-points", "60", "--k0", "40"],
+}
+
+
+def driver_dests(cmd) -> set:
+    sub = build_parser().parse_args([cmd])._subparser
+    return {a.dest for a in sub._actions} - {"help", *META_KEYS}
+
+
+@pytest.mark.parametrize("cmd", sorted(DRIVERS))
+def test_flags_are_driver_keywords_and_report_config_keys(cmd, tmp_path):
+    """A flag's dest is its driver's keyword, and the report records it under that name."""
+    dests = driver_dests(cmd)
+    assert dests <= set(inspect.signature(DRIVERS[cmd]).parameters)
+    assert exit_code([cmd, *SMALL_RUNS[cmd], "--out", str(tmp_path)]) in (EXIT_PASS, EXIT_GATE_FAIL)
+    (jp,) = tmp_path.glob("*.json")
+    doc = json.loads(jp.read_text())
+    # the seed and the domain have their own blocks in the report
+    assert dests - {"seed", "domain"} <= set(doc["config"])
+    assert {"seed", "domain"} <= set(doc)
+
+
+@pytest.mark.parametrize("cmd", sorted(DRIVERS))
+def test_bare_command_sets_no_driver_keyword(cmd):
+    """Unset flags leave every default to the driver; only the CLI's domain is filled in."""
+    args = vars(build_parser().parse_args([cmd]))
+    assert set(args) - set(META_KEYS) <= {"domain"}
+
+
+@pytest.mark.parametrize(
+    "cmd, line, flag",
+    [
+        ("boxes", "m=abc", "--m"),
+        ("dim2", "seed=x", "--seed"),
+        ("borel-cantelli", "eps=1e", "--eps"),
+        ("yau", "modes=3,x", "--modes"),
+        ("tube", "include_break_cell=maybe", "include_break_cell"),
+    ],
+    ids=["int", "seed", "float", "modes", "bool"],
+)
+def test_bad_config_value_exits_2_without_traceback(cmd, line, flag, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert exit_code([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    value = line.partition("=")[2]
+    assert "Traceback" not in err and flag in err and repr(value) in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("cmd", ["density", "boxes", "spectrum"])
+def test_seed_flag_only_where_the_driver_takes_one(cmd, tmp_path):
+    extra = ["--mu-max", "5"] if cmd == "spectrum" else []
+    assert exit_code([cmd, *extra, "--seed", "1", "--out", str(tmp_path)]) == EXIT_INVALID
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "cmd, line",
+    [
+        ("tube", "delta=0.1"),
+        ("tube", "no_grid=true"),
+        ("tube", "break_cell=true"),
+        ("dioph", "mu_max=1000"),
+        ("dioph", "point_min=3"),
+    ],
+)
+def test_renamed_config_keys_are_unknown(cmd, line, tmp_path, capsys):
+    """Config keys are driver keywords: the old flag-shaped names are rejected."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INVALID
+    assert f"unknown config keys: ['{line.partition('=')[0]}']" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "cmd, text, want",
+    [
+        ("tube",
+         "domain=torus2\nmodes=3,4\ndeltas=0.02,0.05\ngrid=false\ninclude_break_cell=yes\n",
+         {"deltas": [0.02, 0.05], "grid": False, "include_break_cell": True, "mu_delta": None}),
+        ("dioph",
+         "n_interval=5\nn_box=5\nmu_max_interval=1000\nmu_max_box=100\ninterval_point_min=3\n",
+         {"mu_max_interval": 1000.0, "interval_point_min": 3}),
+    ],
+    ids=["tube", "dioph"],
+)
+def test_config_keys_reach_the_report_config(cmd, text, want, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "r"
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) in (EXIT_PASS, EXIT_GATE_FAIL)
+    (jp,) = out.glob("*.json")
+    config = json.loads(jp.read_text())["config"]
+    assert {k: config[k] for k in want} == want
+
+
+def test_readme_examples_parse():
+    """Every `nodalab ...` example line of the README is a valid command line."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    examples = [line.strip() for line in readme.read_text().splitlines()
+                if line.strip().startswith("nodalab ")]
+    assert len(examples) >= 10
+    parser = build_parser()
+    for line in examples:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0], line

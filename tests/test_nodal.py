@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nodalab.boxes import _sign_change_cells
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
 from nodalab.nodal import _axis_pairs, extract_nodal, marching_squares
 from nodalab.spectrum import (
@@ -19,6 +18,8 @@ from nodalab.spectrum import (
     eval_mode,
     nodal_measure_exact,
 )
+
+from nodal_boxes import sign_change_cells
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -262,7 +263,7 @@ def test_cells_flag_every_sign_change():
     mode = EigenMode(DomainSpec.box((1.0, 1.0)), (3, 2))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=16.0))
     flagged = np.zeros((s.shape[0] - 1, s.shape[1] - 1), dtype=bool)
-    flagged[tuple(_sign_change_cells(s).T)] = True
+    flagged[tuple(sign_change_cells(s).T)] = True
     v = s.values
     corners = np.stack([v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]])
     has_change = ~((corners > 0).all(axis=0) | (corners < 0).all(axis=0))

@@ -23,7 +23,6 @@ from nodalab.spectrum import (
     nodal_measure_exact,
     record_candidates,
     tube_volume_exact,
-    weyl_count,
 )
 
 INTERVAL = DomainSpec.interval()
@@ -515,20 +514,23 @@ class TestRecordCandidates:
 
 class TestWeylCount:
     def test_equals_enumeration_length(self):
+        # one torus mode per nonzero index vector m >= 0 with |m| <= mu
         for mu in (3.0, 5.0, 9.7):
-            assert weyl_count(TORUS2, mu) == len(enumerate_modes(TORUS2, mu))
+            lattice = sum(1 for a in range(10) for b in range(10)
+                          if 0 < a * a + b * b <= mu * mu)
+            assert len(enumerate_modes(TORUS2, mu)) == lattice
 
     def test_interval_counts(self):
-        assert weyl_count(INTERVAL, 10.0) == 10
-        assert weyl_count(INTERVAL, 10.0, distinct=True) == 10
+        modes = enumerate_modes(INTERVAL, 10.0)
+        assert len(modes) == 10
+        assert distinct_count(modes.mu) == 10
 
     def test_distinct_collapses_ties(self):
         # mu^2 = 25 comes from (3,4), (4,3), (0,5), (5,0): multiplicity 4, one value
-        both = weyl_count(TORUS2, 5.0)
-        distinct = weyl_count(TORUS2, 5.0, distinct=True)
-        assert both == 25
-        mus = {round(float(m), 9) for m in enumerate_modes(TORUS2, 5.0).mu}
-        assert distinct == len(mus)
+        modes = enumerate_modes(TORUS2, 5.0)
+        assert len(modes) == 25
+        mus = {round(float(m), 9) for m in modes.mu}
+        assert distinct_count(modes.mu) == len(mus)
 
     def test_distinct_matches_integer_arithmetic(self):
         # box (1, sqrt2): mu^2 = m1^2 + 2 m2^2 is an integer, so its distinct
@@ -537,21 +539,22 @@ class TestWeylCount:
         bound = 300.5**2
         exact = {a * a + 2 * b * b for a in range(1, 301) for b in range(1, 213)
                  if a * a + 2 * b * b <= bound}
-        assert weyl_count(box, 300.5, distinct=True) == len(exact)
+        assert distinct_count(enumerate_modes(box, 300.5).mu) == len(exact)
         # every interval eigenvalue k^2 is simple, up to the top of a 1e5 list
-        assert weyl_count(INTERVAL, 1e5, distinct=True) == 100_000
+        assert distinct_count(enumerate_modes(INTERVAL, 1e5).mu) == 100_000
 
     def test_distinct_count_is_weyl_counts_rule(self):
+        # mu^2 is an integer on these lists, so their distinct eigenvalues are exact
         for dom, mu in ((TORUS2, 9.7), (BOX2, 40.0), (INTERVAL, 30.0)):
             modes = enumerate_modes(dom, mu)
-            assert distinct_count(modes.mu) == weyl_count(dom, mu, distinct=True)
+            assert distinct_count(modes.mu) == len({round(float(v) ** 2) for v in modes.mu})
         assert distinct_count(np.empty(0)) == 0
         assert distinct_count(np.array([1.0, 1.0 + 1e-15, 2.0])) == 2
 
     def test_growth_rate_torus(self):
         # lattice-point count grows like the ellipse area: c * mu^2
-        c8 = weyl_count(TORUS2, 8.0) / 64.0
-        c32 = weyl_count(TORUS2, 32.0) / 1024.0
+        c8 = len(enumerate_modes(TORUS2, 8.0)) / 64.0
+        c32 = len(enumerate_modes(TORUS2, 32.0)) / 1024.0
         assert c32 == pytest.approx(math.pi / 4, rel=0.1)
         assert c8 == pytest.approx(c32, rel=0.25)
 
