@@ -5,6 +5,11 @@ rasterized to their nearest grid points, so pointwise it differs from the true
 distance to the interpolated nodal set by at most the rasterization displacement
 (half the grid diagonal), well inside the documented 2*max(h) accuracy contract.
 
+The distances come from scipy's feature transform (each point's nearest
+seed), cropped first: they are formed on the grid's own block only, with
+scipy's float sequence, so the field is bit for bit scipy's distance
+transform without its arithmetic and temporaries on the wrap pad.
+
 Periodic axes are handled by wrap-padding the seed mask, transforming the padded
 array and cropping. Padding axis j by p_j cells puts every seed image within
 R = min_j p_j*h_j of a grid point inside the array, and the padded transform never
@@ -71,6 +76,32 @@ def _seed_mask(nodal: NodalApprox) -> np.ndarray:
     return mask
 
 
+def _cropped_distances(seeds: np.ndarray, pads, h) -> np.ndarray:
+    """Distances to the nearest seed on the block inside ``pads`` cells per side.
+
+    scipy's float sequence, on the block only: per axis the int32 index
+    difference, then float64, times h_j, squared, summed over the axes in
+    axis order, and the square root.
+    """
+    ft = distance_transform_edt(
+        ~seeds, sampling=h, return_distances=False, return_indices=True
+    )
+    shape = tuple(s - 2 * p for s, p in zip(seeds.shape, pads))
+    crop = tuple(slice(p, p + s) for p, s in zip(pads, shape))
+    total = None
+    for j, (p, s, hj) in enumerate(zip(pads, shape, h)):
+        near = ft[j][crop]
+        near -= np.arange(p, p + s, dtype=np.int32).reshape((-1,) + (1,) * (len(shape) - 1 - j))
+        d = near.astype(np.float64)
+        d *= hj
+        np.multiply(d, d, out=d)
+        if total is None:
+            total = d
+        else:
+            total += d
+    return np.sqrt(total, out=total)
+
+
 def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceField:
     """Exact Euclidean distance transform of the rasterized nodal vertices.
 
@@ -86,8 +117,7 @@ def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceF
     if not sample.periodic:
         if seeds.size > cap:
             raise ResourceGuardError(f"distance transform on {seeds.size} points (cap {cap})")
-        dist = distance_transform_edt(~seeds, sampling=sample.h)
-        return DistanceField(nodal, dist)
+        return DistanceField(nodal, _cropped_distances(seeds, [0] * sample.n, sample.h))
     full = [s // 2 + 1 for s in sample.shape]
     # first guess: grid points per seed, about the spacing of the nodal set
     radius = seeds.size / n_seeds * min(sample.h)
@@ -99,9 +129,7 @@ def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceF
                 f"padded distance transform needs {padded_size} points (cap {cap})"
             )
         padded = np.pad(seeds, [(p, p) for p in pads], mode="wrap")
-        dist = distance_transform_edt(~padded, sampling=sample.h)
-        crop = tuple(slice(p, p + s) for p, s in zip(pads, sample.shape))
-        dist = np.ascontiguousarray(dist[crop])
+        dist = _cropped_distances(padded, pads, sample.h)
         reach = min((p * hj for p, f, hj in zip(pads, full, sample.h) if p < f), default=math.inf)
         radius = float(dist.max())
         if radius < reach:

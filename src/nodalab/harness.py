@@ -724,9 +724,11 @@ def run_approx_theorem(
     if box_k_max < 4:
         # likewise for the box sum's cells at box_k_max // 4 and twice that
         raise ValidationError(f"box_k_max must be >= 4, got {box_k_max}")
-    if not 0.0 < 2.0 * C < k0:
-        # the tail_hit_fraction bound 2C/k0 must lie in (0, 1)
-        raise ValidationError(f"need 0 < 2C < k0, got C={C}, k0={k0}")
+    if not 0.0 < eps < math.inf:
+        raise ValidationError(f"eps must lie in (0, inf), got {eps}")
+    if not (k0 > 0 and 0.0 < 2.0 * C < eps * k0**eps):
+        # the tail_hit_fraction bound 2C/(eps k0^eps) must lie in (0, 1)
+        raise ValidationError(f"need 0 < 2C < eps*k0^eps, got C={C}, eps={eps}, k0={k0}")
     modes = enumerate_modes(domain, float(k_max) + 0.5)
     # modes are sorted by mu, so the tail (mu > k0) is an index range
     start = int(np.searchsorted(modes.mu, k0, side="right"))
@@ -821,9 +823,11 @@ def _approx_gates(cells, config):
     if gaps:
         gates.append(gate("bc_gap_positive", min(gaps), 0.0, ">="))
     for hit in _live(cells, kind="hits"):
-        k0 = _num(config["k0"])
+        k0, eps = _num(config["k0"]), _num(config["eps"])
         n_points = _num(config["n_points"])
-        bound = 2.0 * _num(config["C"]) / k0
+        # the interval tail sum_{k>k0} 2C/(pi k^(1+eps)) is below its integral
+        # from k0; at eps = 1 this is 2C/k0 bit for bit
+        bound = 2.0 * _num(config["C"]) / (eps * k0**eps)
         bound += 3.0 * math.sqrt(bound * (1 - bound) / n_points)
         gates.append(gate("tail_hit_fraction", _num(hit.measured["fraction"]), bound, "<="))
     bc2 = sorted(_live(cells, kind="bc2"), key=lambda c: _num(c.params["K"]))

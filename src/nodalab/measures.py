@@ -25,11 +25,24 @@ then costs one compare per axis against them, with the hit count bitwise the
 one the per-sample oracle gives. Cells whose miss set is not certified this
 way (a midpoint cell with delta near half the zero spacing) still send their
 samples through the oracle.
+
+The straddling cells are sampled in chunks on a thread pool, one worker per
+usable core. ``Generator.random`` takes one PCG64 output per double, so cell
+k of the straddle list owns stream doubles [k m n, (k + 1) m n) for m samples
+in n dimensions; each chunk jumps its own ``PCG64(seed)`` ahead to its first
+cell (``PCG64.advance``) and counts its hits, and the integer hit counts sum
+to the sequential stream's whatever the worker count or chunk size. Chunks
+run in waves of one per worker, so the points in flight stay within
+``REFINE_CHUNK_POINTS``. The oracle calls for uncertified cells, and those
+that build the miss tables, stay on the calling thread, and every worker is
+joined before ``tube_volume`` returns.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +52,9 @@ from .errors import EmptyNodalSetError, ResolutionError, ValidationError
 from .nodal import _corner_reduce
 from .spectrum import SIN, DomainSpec, EigenMode, nodal_distance_exact
 
-# sample points evaluated per refinement chunk; bounds the chunk temporaries
-# for any samples_per_cell without changing the drawn points or the hit count
+# sample points in flight over all refinement threads (each chunk gets its
+# share); bounds the chunk temporaries for any samples_per_cell without
+# changing the drawn points or the hit count
 REFINE_CHUNK_POINTS = 1 << 20
 
 
@@ -130,6 +144,13 @@ def _axis_miss_table(mode: EigenMode, j: int, hj, ncells: int, delta: float):
     return t, suffix, sure
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: the refinement's thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> float:
     sample = field.sample
     h = np.asarray(sample.h)
@@ -149,13 +170,17 @@ def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> flo
     tables = [
         _axis_miss_table(sample.mode, j, h[j], cmin.shape[j], delta) for j in range(n)
     ]
-    rng = np.random.default_rng(refine.seed)
     m = refine.samples_per_cell
-    cells_per_chunk = max(1, REFINE_CHUNK_POINTS // m)
-    hits = 0
-    for start in range(0, idx.shape[0], cells_per_chunk):
+    workers = usable_cores()
+    cells_per_chunk = max(1, REFINE_CHUNK_POINTS // workers // m)
+
+    def chunk(start):
+        """Hits of the chunk's certified cells and the points left for the oracle."""
         block = idx[start : start + cells_per_chunk]
-        u = rng.random((block.shape[0], m, n))
+        # cell k owns stream doubles [k m n, (k + 1) m n): one PCG64 output per double
+        bits = np.random.PCG64(refine.seed)
+        bits.advance(start * m * n)
+        u = np.random.Generator(bits).random((block.shape[0], m, n))
         t, suffix, sure = (
             np.stack([tab[q][block[:, j]] for j, tab in enumerate(tables)], axis=1)
             for q in range(3)
@@ -163,7 +188,7 @@ def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> flo
         sure = sure.all(axis=1)
         # an axis that never misses makes every sample of the cell hit
         hit_all = (t == 0.0).any(axis=1)
-        hits += m * int(np.count_nonzero(hit_all))
+        hits = m * int(np.count_nonzero(hit_all))
         # sure cells with every axis missing everywhere add no hits
         part = np.flatnonzero(~hit_all & sure & (t < 1.0).any(axis=1))
         if part.size:
@@ -173,10 +198,18 @@ def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> flo
                 miss &= (uc[:, :, j] < tc[:, j, None]) != sc[:, j, None]
             hits += miss.size - int(np.count_nonzero(miss))
         rest = np.flatnonzero(~hit_all & ~sure)
-        if rest.size:
-            pts = (block[rest, None, :] + u[rest]) * h
-            d = nodal_distance_exact(sample.mode, pts.reshape(-1, n))
-            hits += int((d < delta).sum())
+        return hits, ((block[rest, None, :] + u[rest]) * h).reshape(-1, n)
+
+    # waves of one chunk per worker bound the memory in flight; the oracle runs
+    # on this thread, and the hits are integers, so their sum is the same in any order
+    starts = range(0, idx.shape[0], cells_per_chunk)
+    hits = 0
+    with ThreadPoolExecutor(workers) as pool:
+        for wave in range(0, len(starts), workers):
+            for chunk_hits, pts in pool.map(chunk, starts[wave : wave + workers]):
+                hits += chunk_hits
+                if pts.size:
+                    hits += int((nodal_distance_exact(sample.mode, pts) < delta).sum())
     return vol + cellvol * hits / m
 
 

@@ -34,23 +34,29 @@ class NodalApprox:
         return self.vertices.shape[0] == 0
 
 
-def _axis_pairs(values: np.ndarray, axis: int, periodic: bool):
-    """(v0, v1) arrays of edge endpoint values along an axis."""
-    if periodic:
-        return values, np.roll(values, -1, axis=axis)
-    lo = [slice(None)] * values.ndim
-    hi = [slice(None)] * values.ndim
-    lo[axis] = slice(0, values.shape[axis] - 1)
-    hi[axis] = slice(1, values.shape[axis])
-    return values[tuple(lo)], values[tuple(hi)]
+def _edge_op(values: np.ndarray, axis: int, periodic: bool, op) -> np.ndarray:
+    """op(v[i], v[i+1]) over the grid edges along an axis.
+
+    A periodic axis also pairs its last point with its first: both parts are
+    written into one result, so the grid is never rolled into a copy.
+    """
+    def at(a, s):
+        return a[(slice(None),) * axis + (s,)]
+
+    head, tail = slice(0, -1), slice(1, None)
+    if not periodic:
+        return op(at(values, head), at(values, tail))
+    out = np.empty_like(values)
+    op(at(values, head), at(values, tail), out=at(out, head))
+    op(at(values, slice(-1, None)), at(values, slice(0, 1)), out=at(out, slice(-1, None)))
+    return out
 
 
 def _corner_reduce(values: np.ndarray, periodic: bool, op):
     """Reduce over the 2^n corners of every grid cell."""
     out = values
     for axis in range(values.ndim):
-        a, b = _axis_pairs(out, axis, periodic)
-        out = op(a, b)
+        out = _edge_op(out, axis, periodic, op)
     return out
 
 
@@ -64,12 +70,13 @@ def _edge_vertices(sample: GridSample) -> np.ndarray:
         pts = np.stack([zero_idx[j] * sample.h[j] for j in range(n)], axis=1)
         chunks.append(pts)
     for axis in range(n):
-        v0, v1 = _axis_pairs(v, axis, sample.periodic)
-        cross = v0 * v1 < 0.0
-        idx = np.nonzero(cross)
+        idx = np.nonzero(_edge_op(v, axis, sample.periodic, np.multiply) < 0.0)
         if idx[0].size == 0:
             continue
-        t = v0[idx] / (v0[idx] - v1[idx])
+        # the edge's far end; only a periodic axis wraps
+        far = idx[:axis] + ((idx[axis] + 1) % v.shape[axis],) + idx[axis + 1 :]
+        v0, v1 = v[idx], v[far]
+        t = v0 / (v0 - v1)
         pts = np.stack([idx[j].astype(float) for j in range(n)], axis=1)
         pts[:, axis] += t
         chunks.append(pts * np.asarray(sample.h))

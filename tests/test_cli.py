@@ -242,11 +242,14 @@ def test_yau_off_its_calibrated_domains_exits_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["borel-cantelli", "--k0", "1", "--k-max", "30", "--n-points", "50"], "2C < k0"),
+        (["borel-cantelli", "--k0", "1", "--k-max", "30", "--n-points", "50"],
+         "2C < eps*k0^eps"),
+        (["borel-cantelli", "--C", "1", "--eps", "0.1", "--k0", "100", "--k-max", "200",
+          "--n-points", "50"], "2C < eps*k0^eps"),
         (["borel-cantelli", "--C", "0.5", "--k0", "2", "--k-max", "3", "--n-points", "50"],
          "k_max must be >= 4"),
     ],
-    ids=["tail-bound-above-1", "k-max-below-4"],
+    ids=["tail-bound-above-1", "tail-bound-above-1-small-eps", "k-max-below-4"],
 )
 def test_degenerate_borel_cantelli_exits_2(argv, message, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID

@@ -49,6 +49,34 @@ def half_period_field(nodal):
     return dist[tuple(slice(p, p + s) for p, s in zip(pads, seeds.shape))]
 
 
+def scipy_distance_field(nodal):
+    """The field from scipy's own distances of the whole (padded) grid, then cropped."""
+    sample = nodal.sample
+    seeds = _seed_mask(nodal)
+    if not sample.periodic:
+        return distance_transform_edt(~seeds, sampling=sample.h)
+    full = [s // 2 + 1 for s in sample.shape]
+    radius = seeds.size / np.count_nonzero(seeds) * min(sample.h)
+    while True:
+        pads = [min(f, math.ceil(radius / hj) + 1) for f, hj in zip(full, sample.h)]
+        padded = np.pad(seeds, [(p, p) for p in pads], mode="wrap")
+        dist = distance_transform_edt(~padded, sampling=sample.h)
+        dist = dist[tuple(slice(p, p + s) for p, s in zip(pads, sample.shape))]
+        reach = min((p * hj for p, f, hj in zip(pads, full, sample.h) if p < f), default=math.inf)
+        radius = float(dist.max())
+        if radius < reach:
+            return dist
+
+
+def dense_block_nodal():
+    """A dense block of seeds on a quarter of the torus: the first pad falls short."""
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
+    s = sample_grid(mode, ResolutionRule(points_per_wavelength=128.0))
+    assert s.shape == (128, 128)
+    block = np.stack(np.meshgrid(np.arange(64), np.arange(64), indexing="ij"), axis=-1)
+    return NodalApprox(s, block.reshape(-1, 2) * np.asarray(s.h))
+
+
 @pytest.fixture
 def edt_shapes(monkeypatch):
     """Shapes of the arrays distance_field hands to the transform, in call order."""
@@ -103,13 +131,8 @@ def test_narrow_pad_equals_half_period_pad(alpha, m, kinds, ppw, edt_shapes):
 
 
 def test_narrow_pad_grows_when_first_guess_is_short(edt_shapes):
-    # a dense block of seeds on a quarter of the torus: the seed density
-    # suggests a pad of a few cells, but the far corner is ~45 cells away
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
-    s = sample_grid(mode, ResolutionRule(points_per_wavelength=128.0))
-    assert s.shape == (128, 128)
-    block = np.stack(np.meshgrid(np.arange(64), np.arange(64), indexing="ij"), axis=-1)
-    nod = NodalApprox(s, block.reshape(-1, 2) * np.asarray(s.h))
+    # the seed density suggests a pad of a few cells, but the far corner is ~45 cells away
+    nod = dense_block_nodal()
     f = distance_field(nod)
     assert len(edt_shapes) == 2
     first, second = edt_shapes
@@ -177,3 +200,44 @@ def test_distance_field_peak_memory_yau_grid():
     finally:
         tracemalloc.stop()
     assert peak < 110e6
+
+
+def mode_nodal(domain, m, ppw):
+    return extract_nodal(sample_grid(EigenMode(domain, m), ResolutionRule(points_per_wavelength=ppw)))
+
+
+def sparse_seeds_nodal():
+    """Ten random seeds on a 3-torus: nearest seeds differ on all three axes, where
+    the order of the squared-difference sum changes about 900 of 13,824 distances."""
+    domain = DomainSpec.torus((1.0, math.sqrt(2.0), math.sqrt(3.0)))
+    s = sample_grid(EigenMode(domain, (1, 1, 1)), ResolutionRule(points_per_wavelength=24.0))
+    assert s.shape == (24, 24, 24)
+    rng = np.random.default_rng(0)
+    return NodalApprox(s, rng.uniform(0.0, 1.0, (10, 3)) * np.asarray(domain.lengths))
+
+
+@pytest.mark.parametrize(
+    "make_nodal",
+    [
+        lambda: mode_nodal(DomainSpec.torus((1.0, 1.0)), (16, 1), 8.0),
+        lambda: mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0),
+        lambda: mode_nodal(DomainSpec.torus((1.0, 1.3)), (2, 3), 24.0),
+        lambda: mode_nodal(DomainSpec.box((1.0, 1.3)), (3, 5), 24.0),
+        lambda: mode_nodal(DomainSpec.interval(), (7,), 32.0),
+        lambda: mode_nodal(DomainSpec.torus((1.0, 2.0, 1.0)), (2, 1, 3), 8.0),
+        sparse_seeds_nodal,
+        dense_block_nodal,  # its first pad fails the certificate
+    ],
+    ids=["torus-16-1", "torus-3-4", "torus-2-3-alpha-1.3", "box", "interval", "3-torus",
+         "3-torus-sparse-seeds", "second-pad"],
+)
+def test_field_is_bitwise_scipys_distances(make_nodal, edt_shapes):
+    """Distances formed from the feature transform on the crop equal scipy's own."""
+    nod = make_nodal()
+    f = distance_field(nod)
+    expect = scipy_distance_field(nod)
+    assert f.dist.dtype == expect.dtype and f.dist.shape == expect.shape
+    assert f.dist.tobytes() == expect.tobytes()
+    assert f.dist.flags.c_contiguous
+    if make_nodal is dense_block_nodal:
+        assert len(edt_shapes) == 2

@@ -252,6 +252,17 @@ def test_approx_theorem_small():
     assert g["bc_gap_positive"].value > 0
 
 
+def test_tail_hit_bound_holds_for_eps_below_one():
+    # the tail sum_{k>k0} 2C k^-(1+eps) is about 2C/(eps k0^eps), which is above
+    # 2C/k0 for eps < 1: this run measures 0.0725 against 2C/k0 + 3 sigma = 0.036
+    r = run_approx_theorem(C=0.7, eps=0.5, k_max=1500, k0=50, n_points=4000)
+    g = gates_by_name(r)["tail_hit_fraction"]
+    assert g.value == 0.0725
+    bound = 1.4 / (0.5 * math.sqrt(50.0))
+    assert g.bound == pytest.approx(bound + 3.0 * math.sqrt(bound * (1 - bound) / 4000))
+    assert r.passed
+
+
 # sha256 of (JSON, CSV) report bytes, recorded before the per-axis table scan
 # replaced the masked per-row formula in dioph.modes_nodal_distance;
 # exponent_survey re-recorded when its metric_check cell and gate were removed
@@ -362,14 +373,20 @@ def test_approx_theorem_rejects_degenerate_bounds_before_work(monkeypatch):
         raise AssertionError("degenerate input reached borel_cantelli_sum")
 
     monkeypatch.setattr(harness_mod, "borel_cantelli_sum", no_work)
+    tail = r"2C < eps\*k0\^eps"
     # k0 <= 2C: the tail bound 2C/k0 is at least 1 (was a math domain error)
-    with pytest.raises(ValidationError, match="2C < k0"):
+    with pytest.raises(ValidationError, match=tail):
         run_approx_theorem(k_max=30, k0=1, n_points=50)
-    with pytest.raises(ValidationError, match="2C < k0"):
+    with pytest.raises(ValidationError, match=tail):
         run_approx_theorem(C=-1.0, k_max=30, k0=10, n_points=50)
     # C = 0: zero radii and zero gaps passed every gate vacuously
-    with pytest.raises(ValidationError, match="2C < k0"):
+    with pytest.raises(ValidationError, match=tail):
         run_approx_theorem(C=0.0, k_max=30, k0=10, n_points=50)
+    # eps k0^eps = 0.158 <= 2C: the tail bound 2C/(eps k0^eps) is above 1
+    with pytest.raises(ValidationError, match=tail):
+        run_approx_theorem(C=1.0, eps=0.1, k_max=200, k0=100, n_points=50)
+    with pytest.raises(ValidationError, match=tail):
+        run_approx_theorem(C=1.0, k_max=30, k0=-10, n_points=50)
     # k_max < 4: both Cauchy cells sat at K = 0 and passed on zeros
     with pytest.raises(ValidationError, match="k_max must be >= 4"):
         run_approx_theorem(C=0.5, k_max=3, k0=2, n_points=50)

@@ -1,6 +1,8 @@
 """Tube volumes, nodal measure, density radius against closed-form oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -166,8 +168,11 @@ SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 
 
 @st.composite
-def refine_modes(draw):
-    """Torus sin/cos kinds and zero-index cos axes, irrational alpha, box, interval, 3-d."""
+def refine_modes(draw, zero_axis_top=5):
+    """Torus sin/cos kinds and zero-index cos axes, irrational alpha, box, interval, 3-d.
+
+    Zero-index modes are (0, b) with b up to ``zero_axis_top``.
+    """
     family = draw(st.sampled_from(("torus", "zero_axis", "irrational", "box", "interval", "3d")))
     if family == "interval":
         return EigenMode(DomainSpec.interval(), (draw(st.integers(1, 30)),))
@@ -175,7 +180,7 @@ def refine_modes(draw):
         dom = DomainSpec.box((1.0, SQRT3))
         return EigenMode(dom, (draw(st.integers(1, 4)), draw(st.integers(1, 4))))
     if family == "zero_axis":
-        return EigenMode(DomainSpec.torus((1.0, 1.0)), (0, draw(st.integers(1, 5))),
+        return EigenMode(DomainSpec.torus((1.0, 1.0)), (0, draw(st.integers(1, zero_axis_top))),
                          ("cos", draw(KIND)))
     n = 3 if family == "3d" else 2
     alpha = (1.0, SQRT2, 1.0)[:n] if family in ("irrational", "3d") else (1.0, 1.0)
@@ -220,8 +225,9 @@ def level_set_cells(mode, k):
     A cell is admissible when its 1-d distance at u = k * 2**-53 reaches the
     tables' guard 2 max(h). At ppw 8 the guard is about half the zero spacing,
     so few cells of the fastest axis qualify. The list is empty when the guard
-    exceeds every distance, as for zero-index modes whose constant axis sets
-    max(h).
+    exceeds every distance, as for zero-index modes (0, b) with b >= 2: their
+    constant axis gets the 16-point minimum, so max(h) = 2 pi / 16 is above
+    the moving axis's half zero spacing pi / (2 b).
     """
     out = []
     for ppw in (8.0, 16.0):
@@ -240,7 +246,8 @@ def level_set_cells(mode, k):
     return out
 
 
-@given(st.data(), refine_modes(), DRAW_K)
+# (0, b) with b >= 2 never reaches the guard (see level_set_cells), so not drawn
+@given(st.data(), refine_modes(zero_axis_top=1), DRAW_K)
 @settings(max_examples=300, deadline=None)
 def test_miss_table_edges_match_the_oracle(data, mode, k):
     """At its edges and at a point where the oracle equals delta, a table agrees with it."""
@@ -308,3 +315,56 @@ def test_uncertified_cells_fall_back_to_the_oracle(monkeypatch):
     calls = count_oracle(monkeypatch)
     assert tube_volume(f, delta, McRefine(seed=3)) == expect
     assert any(dim == 2 for dim, _ in calls)
+
+
+@pytest.mark.parametrize("budget", [1000, measures_mod.REFINE_CHUNK_POINTS])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_refined_volume_independent_of_worker_count(workers, budget, monkeypatch):
+    # each chunk jumps its own PCG64 ahead to its first cell's stream position,
+    # so the threaded result is the one sequential stream's for any split
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    delta = 0.05
+    f = field_for(mode, h_max=delta / 2)
+    expect = refined_volume_reference(f, delta, McRefine(seed=1))
+    monkeypatch.setattr(measures_mod, "usable_cores", lambda: workers)
+    monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", budget)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often
+    try:
+        assert tube_volume(f, delta, McRefine(seed=1)) == expect
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_oracle_stays_on_the_calling_thread(monkeypatch):
+    # test_uncertified_cells_fall_back_to_the_oracle's setup, on three workers
+    # and small chunks, so several waves each send points to the oracle
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    f = field_for(mode, ppw=16.0)
+    delta = 0.5 * mode.factor_zero_spacing(1) * (1 - 1e-12)
+    expect = refined_volume_reference(f, delta, McRefine(seed=3))
+    monkeypatch.setattr(measures_mod, "usable_cores", lambda: 3)
+    monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", 3000)
+    oracle_threads, draw_threads = [], []
+
+    def oracle(mode, points, *args, **kwargs):
+        oracle_threads.append((threading.current_thread(), mode.domain.n))
+        return nodal_distance_exact(mode, points, *args, **kwargs)
+
+    pcg64 = np.random.PCG64
+
+    def recorded_pcg64(*args, **kwargs):
+        draw_threads.append(threading.current_thread())
+        return pcg64(*args, **kwargs)
+
+    monkeypatch.setattr(measures_mod, "nodal_distance_exact", oracle)
+    monkeypatch.setattr(np.random, "PCG64", recorded_pcg64)
+    before = set(threading.enumerate())
+    assert tube_volume(f, delta, McRefine(seed=3)) == expect
+    main = threading.current_thread()
+    assert sum(n == 2 for _, n in oracle_threads) > 1
+    assert all(t is main for t, _ in oracle_threads)
+    # the chunks drew on worker threads, and none of them outlives the call
+    assert len(draw_threads) > 3 and main not in draw_threads
+    assert not any(t.is_alive() for t in draw_threads)
+    assert set(threading.enumerate()) == before

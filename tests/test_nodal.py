@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
-from nodalab.nodal import _axis_pairs, extract_nodal, marching_squares
+from nodalab.nodal import _corner_reduce, extract_nodal, marching_squares
 from nodalab.spectrum import (
     COS,
     SIN,
@@ -39,13 +39,24 @@ _MS_CASES = {
 _SADDLES = {5, 10}
 
 
+def axis_pairs(values, axis, periodic):
+    """(v0, v1) arrays of edge endpoint values along an axis; periodic axes roll."""
+    if periodic:
+        return values, np.roll(values, -1, axis=axis)
+    lo = [slice(None)] * values.ndim
+    hi = [slice(None)] * values.ndim
+    lo[axis] = slice(0, values.shape[axis] - 1)
+    hi[axis] = slice(1, values.shape[axis])
+    return values[tuple(lo)], values[tuple(hi)]
+
+
 def marching_squares_reference(sample):
     """Segments (s, 2, 2) and their total length, one full-grid scan per case."""
     v = sample.values
     per = sample.periodic
-    a, d = _axis_pairs(v, 1, per)        # a: (i, j), d: (i, j+1)
-    a, b = _axis_pairs(a, 0, per)        # b: (i+1, j)
-    d, c = _axis_pairs(d, 0, per)        # c: (i+1, j+1)
+    a, d = axis_pairs(v, 1, per)         # a: (i, j), d: (i, j+1)
+    a, b = axis_pairs(a, 0, per)         # b: (i+1, j)
+    d, c = axis_pairs(d, 0, per)         # c: (i+1, j+1)
     pattern = (
         (a >= 0).astype(np.int8)
         + 2 * (b >= 0).astype(np.int8)
@@ -268,3 +279,68 @@ def test_cells_flag_every_sign_change():
     corners = np.stack([v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]])
     has_change = ~((corners > 0).all(axis=0) | (corners < 0).all(axis=0))
     assert np.array_equal(flagged, has_change)
+
+
+# ------------------------------- references: rolled copies on periodic axes
+
+
+def corner_reduce_reference(values, periodic, op):
+    """Reduction over the cell corners from rolled copies, one axis at a time."""
+    out = values
+    for axis in range(values.ndim):
+        out = op(*axis_pairs(out, axis, periodic))
+    return out
+
+
+def edge_vertices_reference(sample):
+    """Exact zeros and edge crossings, the far edge ends taken from rolled copies."""
+    v = sample.values.reshape(sample.shape)
+    n = sample.n
+    chunks = []
+    zero_idx = np.nonzero(v == 0.0)
+    if zero_idx[0].size:
+        chunks.append(np.stack([zero_idx[j] * sample.h[j] for j in range(n)], axis=1))
+    for axis in range(n):
+        v0, v1 = axis_pairs(v, axis, sample.periodic)
+        idx = np.nonzero(v0 * v1 < 0.0)
+        if idx[0].size == 0:
+            continue
+        t = v0[idx] / (v0[idx] - v1[idx])
+        pts = np.stack([idx[j].astype(float) for j in range(n)], axis=1)
+        pts[:, axis] += t
+        chunks.append(pts * np.asarray(sample.h))
+    if not chunks:
+        return np.empty((0, n))
+    return np.concatenate(chunks, axis=0)
+
+
+def grid_shapes(low):
+    """Shapes of 1 to 3 axes with ``low`` to 7 points each."""
+    return st.lists(st.integers(low, 7), min_size=1, max_size=3).map(tuple)
+
+
+@given(st.data(), grid_shapes(1), st.booleans(), st.booleans())
+def test_corner_reduce_is_bitwise_the_rolled_reference(data, shape, periodic, boolean):
+    if boolean:
+        values, ops = data.draw(arrays(bool, shape)), (np.logical_and, np.logical_or)
+    else:
+        values, ops = data.draw(arrays(np.float64, shape)), (np.minimum, np.maximum)
+    for op in ops:
+        got = _corner_reduce(values, periodic, op)
+        ref = corner_reduce_reference(values, periodic, op)
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
+
+
+@given(st.data(), grid_shapes(2), st.booleans())
+def test_edge_vertices_are_bitwise_the_rolled_reference(data, shape, periodic):
+    alpha = (1.0,) * len(shape)
+    dom = DomainSpec.torus(alpha) if periodic else DomainSpec.box(alpha)
+    h = tuple(L / (n if periodic else n - 1) for L, n in zip(dom.lengths, shape))
+    values = data.draw(arrays(np.float64, shape, elements=st.one_of(
+        st.just(0.0), st.sampled_from((-1.0, 1.0)), st.floats(-10.0, 10.0, width=32),
+    )))
+    sample = GridSample(EigenMode(dom, (1,) * len(shape)), h, shape, values)
+    got = extract_nodal(sample).vertices
+    ref = edge_vertices_reference(sample)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
