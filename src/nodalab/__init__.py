@@ -39,7 +39,7 @@ from .harness import (
     run_tube_scaling,
     run_yau_check,
 )
-from .measures import McRefine, density_radius, nodal_measure, tube_volume
+from .measures import density_radius, nodal_measure, tube_volume
 from .nodal import NodalApprox, extract_nodal
 from .reports import (
     CODE_VERSION,
@@ -76,7 +76,6 @@ __all__ = [
     "GATE_BUILDERS",
     "GateResult",
     "GridSample",
-    "McRefine",
     "ModeList",
     "NodalApprox",
     "ResolutionError",

@@ -244,9 +244,15 @@ def shrinking_radii(mu: np.ndarray, C: float, b: float) -> np.ndarray:
 
     numpy's array power runs a SIMD loop on AVX-512 hosts that rounds apart
     from scalar ``pow`` on some entries, so radii formed that way, and the
-    volumes and hits that follow from them, would depend on the host.
+    volumes and hits that follow from them, would depend on the host. An
+    exponent b = n + 1 + eps so large that mu^b overflows is invalid input.
     """
-    return np.array([C / math.pow(m, b) for m in mu.tolist()], dtype=float)
+    try:
+        return np.array([C / math.pow(m, b) for m in mu.tolist()], dtype=float)
+    except OverflowError:
+        raise ValidationError(
+            f"eps is too large: mu^b overflows for b = n + 1 + eps = {b:g} up to mu = {mu.max():g}"
+        ) from None
 
 
 @dataclass

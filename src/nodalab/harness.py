@@ -27,7 +27,7 @@ from .dioph import (
 from .distance import distance_field
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
-from .measures import McRefine, density_radius, nodal_measure, tube_volume
+from .measures import SAMPLES_PER_CELL, density_radius, nodal_measure, tube_volume
 from .nodal import extract_nodal, marching_squares
 from .reports import CellResult, ExperimentReport, gate
 from .spectrum import (
@@ -51,6 +51,12 @@ DEFAULT_DIM2_MODES = ((3, 4), (5, 5), (2, 3))
 
 FOUR_PI = 4.0 * math.pi
 YAU_SQUARE_RATIO = 4.0 * math.sqrt(2.0) * math.pi
+
+# The grid of every tube estimate (tube scaling, 2-d Yau, dim2), recorded as
+# config "ppw" and "h_factor": the smallest radius spans 2.5 cells, above
+# tube_volume's resolution guard of 2.
+TUBE_PPW = 32.0
+TUBE_CELLS_PER_RADIUS = 2.5
 
 
 def _num(x) -> float:
@@ -85,6 +91,10 @@ def _field_for(mode, rule):
     return sample, nodal, distance_field(nodal)
 
 
+def _tube_rule(radii) -> ResolutionRule:
+    return ResolutionRule(TUBE_PPW, h_max=min(radii) / TUBE_CELLS_PER_RADIUS)
+
+
 def _band(values) -> float:
     lo, hi = min(values), max(values)
     if lo <= 0:
@@ -113,11 +123,8 @@ def run_tube_scaling(
     *,
     grid=True,
     include_break_cell=False,
-    ppw=32.0,
-    h_factor=2.5,
     band_cap=4.0,
     agree_tol=0.02,
-    refine_samples=64,
     seed=0,
 ) -> ExperimentReport:
     """Tube volume against the mu*delta law over a (mode, radius) grid.
@@ -126,6 +133,7 @@ def run_tube_scaling(
     when the resolution budget allows, a grid estimate row checked against the
     oracle. The break cell (mu*delta = 3) is recorded but excluded from gates.
     Radii are the ``deltas`` when given, else ``mu_delta`` targets divided by mu.
+    Grid rows use the tube grid of their radius (``_tube_rule``).
     """
     if modes is None:
         modes = DEFAULT_TUBE_INTERVAL_MODES if domain.n == 1 else DEFAULT_TUBE_TORUS_MODES
@@ -141,11 +149,11 @@ def run_tube_scaling(
         "deltas": list(deltas) if deltas is not None else None,
         "grid": bool(grid),
         "include_break_cell": bool(include_break_cell),
-        "ppw": ppw,
-        "h_factor": h_factor,
+        "ppw": TUBE_PPW,
+        "h_factor": TUBE_CELLS_PER_RADIUS,
         "band_cap": band_cap,
         "agree_tol": agree_tol,
-        "refine_samples": refine_samples,
+        "refine_samples": SAMPLES_PER_CELL,
     }
     cells = []
     targets = list(mu_delta) if deltas is None else None
@@ -180,11 +188,8 @@ def run_tube_scaling(
                         "mu_delta": t, "gated": gated},
             )
             with _skip_on_guard(gcell, "grid skipped: "):
-                rule = ResolutionRule(points_per_wavelength=ppw, h_max=delta / h_factor)
-                sample, nodal, field = _field_for(mode, rule)
-                vol = tube_volume(
-                    field, delta, refine=McRefine(samples_per_cell=refine_samples, seed=seed)
-                )
+                sample, nodal, field = _field_for(mode, _tube_rule([delta]))
+                vol = tube_volume(field, delta, seed)
                 agree = abs(vol - exact) / exact
                 gcell.measured = {"vol": vol, "ratio": vol / (mu * delta), "agree_rel": agree}
                 gcell.error = field.raster_error
@@ -227,13 +232,10 @@ def run_yau_check(
     modes=None,
     mu_t=(0.2, 0.1),
     *,
-    ppw=32.0,
-    h_factor=2.5,
     band_cap=2.0,
     analytic_tol=0.03,
     product_tol=0.03,
     agree_tol=0.03,
-    refine_samples=64,
     seed=0,
 ) -> ExperimentReport:
     """Nodal measure per unit frequency across a mode family.
@@ -245,7 +247,7 @@ def run_yau_check(
     the tube extrapolation: the estimator_agreement gate, and only it, fails
     on a relative disagreement above agree_tol. The band and the square target
     hold on the unit 2-torus only, so any domain but it and the interval is
-    invalid input.
+    invalid input. 2-d modes use the tube grid of the smaller radius.
     """
     if domain.kind != "interval" and not (domain.periodic and domain.alpha == (1.0, 1.0)):
         raise ValidationError(
@@ -262,13 +264,13 @@ def run_yau_check(
         "domain_kind": domain.kind,
         "modes": [list(m) for m in modes],
         "mu_t": list(mu_t),
-        "ppw": ppw,
-        "h_factor": h_factor,
+        "ppw": TUBE_PPW,
+        "h_factor": TUBE_CELLS_PER_RADIUS,
         "band_cap": band_cap,
         "analytic_tol": analytic_tol,
         "product_tol": product_tol,
         "agree_tol": agree_tol,
-        "refine_samples": refine_samples,
+        "refine_samples": SAMPLES_PER_CELL,
     }
     cells = []
     for m in modes:
@@ -288,19 +290,17 @@ def run_yau_check(
         )
         with _skip_on_guard(cell):
             if domain.n == 1:
-                rule = ResolutionRule(points_per_wavelength=ppw)
-                t_list = [0.1 / mu, 0.05 / mu]
+                # the interval counts vertices: no tube radius bounds its grid
+                rule, t_list = ResolutionRule(TUBE_PPW), []
             else:
                 t_list = [t / mu for t in mu_t]
-                rule = ResolutionRule(points_per_wavelength=ppw, h_max=min(t_list) / h_factor)
+                rule = _tube_rule(t_list)
             sample = sample_grid(mode, rule)
             nodal = extract_nodal(sample)
             if domain.n == 2:
                 length = marching_squares(sample)
             field = distance_field(nodal)
-            nm = nodal_measure(
-                field, t_list, refine=McRefine(samples_per_cell=refine_samples, seed=seed)
-            )
+            nm = nodal_measure(field, t_list, seed)
             exact = nodal_measure_exact(mode)
             cell.measured = {
                 "value": nm.value,
@@ -364,14 +364,13 @@ def run_density_check(
     domain: DomainSpec,
     modes=None,
     *,
-    ppw=64.0,
-    radius_h_divisor=16.0,
     cap_tol=0.05,
     cell_tol=0.10,
 ) -> ExperimentReport:
     """Largest hole of the nodal set: max distance times mu per mode."""
     if modes is None:
         modes = ((8,), (20,), (50,)) if domain.n == 1 else DEFAULT_DENSITY_TORUS_MODES
+    ppw, radius_h_divisor = 64.0, 16.0  # fixed resolution, recorded in the config
     config = {
         "domain_kind": domain.kind,
         "modes": [list(m) for m in modes],
@@ -452,20 +451,17 @@ def run_dim2_checks(
     modes=None,
     *,
     domain: DomainSpec | None = None,
-    area_ppw=256.0,
-    tube_mu_delta=0.2,
-    h_factor=2.5,
     area_tol=0.05,
     inradius_tol=0.05,
     c_cap=3.0,
-    refine_samples=64,
     seed=0,
 ) -> ExperimentReport:
     """Sign-domain statistics of 2-d torus product modes.
 
     Counts nodal domains on the sign grid (must match the 4mn checkerboard),
     checks the smallest domain area and the largest inner radius against the
-    rectangle-cell oracles, and bounds tube volume by measured length * delta.
+    rectangle-cell oracles, and bounds tube volume by measured length * delta,
+    from tubes at delta = tube_mu_delta / mu and delta / 2 on the tube grid.
     """
     if domain is None:
         domain = DomainSpec.torus((1.0, 1.0))
@@ -473,16 +469,17 @@ def run_dim2_checks(
         raise ValidationError("dim2 checks run on a 2-d torus")
     if modes is None:
         modes = DEFAULT_DIM2_MODES
+    area_ppw, tube_mu_delta = 256.0, 0.2  # fixed, recorded in the config
     config = {
         "domain_kind": domain.kind,
         "modes": [list(m) for m in modes],
         "area_ppw": area_ppw,
         "tube_mu_delta": tube_mu_delta,
-        "h_factor": h_factor,
+        "h_factor": TUBE_CELLS_PER_RADIUS,
         "area_tol": area_tol,
         "inradius_tol": inradius_tol,
         "c_cap": c_cap,
-        "refine_samples": refine_samples,
+        "refine_samples": SAMPLES_PER_CELL,
     }
     cells = []
     for m in modes:
@@ -506,10 +503,9 @@ def run_dim2_checks(
             inradius_oracle = 0.5 * min(side_x, side_y)
 
             delta = tube_mu_delta / mu
-            rule = ResolutionRule(points_per_wavelength=32.0, h_max=delta / (2.0 * h_factor))
-            sample, nodal, field = _field_for(mode, rule)
-            refine = McRefine(samples_per_cell=refine_samples, seed=seed)
-            nm = nodal_measure(field, [delta, delta / 2.0], refine=refine)
+            radii = [delta, delta / 2.0]
+            sample, nodal, field = _field_for(mode, _tube_rule(radii))
+            nm = nodal_measure(field, radii, seed)
             vol = nm.volumes[delta]
 
             cell.measured = {
@@ -575,7 +571,6 @@ def run_comparability_scaling(
     *,
     a_sweep=(3.0, 10.0, 30.0, 100.0),
     stability_modes=(30, 50, 80),
-    side_h_divisor=8.5,
     variation_cap=2.0,
     slope_band=(0.7, 1.3),
     stability_cap=1.5,
@@ -595,6 +590,7 @@ def run_comparability_scaling(
     ):
         if len(values) == 0:
             raise ValidationError(f"{name} is empty: the experiment needs one value of each")
+    side_h_divisor = 8.5  # fixed resolution, recorded in the config
     config = {
         "domain_kind": domain.kind,
         "m": int(m),
@@ -726,9 +722,6 @@ def run_approx_theorem(
         raise ValidationError(f"box_k_max must be >= 4, got {box_k_max}")
     if not 0.0 < eps < math.inf:
         raise ValidationError(f"eps must lie in (0, inf), got {eps}")
-    if not (k0 > 0 and 0.0 < 2.0 * C < eps * k0**eps):
-        # the tail_hit_fraction bound 2C/(eps k0^eps) must lie in (0, 1)
-        raise ValidationError(f"need 0 < 2C < eps*k0^eps, got C={C}, eps={eps}, k0={k0}")
     modes = enumerate_modes(domain, float(k_max) + 0.5)
     # modes are sorted by mu, so the tail (mu > k0) is an index range
     start = int(np.searchsorted(modes.mu, k0, side="right"))
@@ -738,6 +731,13 @@ def run_approx_theorem(
     if k_max < 4:
         # the Cauchy cells sit at K = k_max // 4 and 2 (k_max // 4), the same below 4
         raise ValidationError(f"k_max must be >= 4, got {k_max}")
+    # an eps so large that a tail radius C/mu^(n+1+eps) overflows is rejected
+    # here, before any sum; past this k0^eps < mu^(n+1+eps) is finite
+    b = n + 1 + eps
+    tail_radius = shrinking_radii(modes.mu[tail], C, b)
+    if not (k0 > 0 and 0.0 < 2.0 * C < eps * k0**eps):
+        # the tail_hit_fraction bound 2C/(eps k0^eps) must lie in (0, 1)
+        raise ValidationError(f"need 0 < 2C < eps*k0^eps, got C={C}, eps={eps}, k0={k0}")
     if limit_tol is None:
         # the partial sum trails the limit by the series tail, just under 2/k_max
         limit_tol = max(3e-4, 2.2 / k_max)
@@ -774,8 +774,6 @@ def run_approx_theorem(
         )
     )
 
-    b = n + 1 + eps
-    tail_radius = shrinking_radii(modes.mu[tail], C, b)
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, domain.lengths, size=(n_points, n))
     hits = int(np.count_nonzero(tail_hits(points, modes, start, tail_radius)))

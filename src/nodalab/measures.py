@@ -4,12 +4,12 @@ The nodal measure has one route: Vol(T_t)/(2t) extrapolated to t -> 0 from
 tube volumes (the vertex count in dimension one). The 2-d cross-check against
 the marching-squares length runs in ``harness.run_yau_check``, which gates on it.
 
-The plain tube estimator is grid-point counting: (# points with dist < delta)
-times the cell volume. The optional Monte Carlo refinement reclassifies every
-grid cell as fully inside / fully outside / straddling the delta level set
-using Lipschitz-rigorous margins from corner distances, then stratified-samples
-the straddling cells against the exact closed-form distance of the separable
-mode, removing the O(h) counting bias entirely.
+The tube estimator classifies every grid cell as fully inside / fully outside
+/ straddling the delta level set using Lipschitz-rigorous margins from corner
+distances, then stratified-samples each straddling cell with
+``SAMPLES_PER_CELL`` points against the exact closed-form distance of the
+separable mode. Plain grid-point counting would carry an O(h) bias; the
+sampling removes it.
 
 The exact distance is a min over axes of 1-d distances, so a sample misses the
 tube iff every axis misses, and axis j's distance depends only on the cell
@@ -40,7 +40,6 @@ joined before ``tube_volume`` returns.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,23 +51,12 @@ from .errors import EmptyNodalSetError, ResolutionError, ValidationError
 from .nodal import _corner_reduce
 from .spectrum import SIN, DomainSpec, EigenMode, nodal_distance_exact
 
+# Monte Carlo points drawn in each straddling cell
+SAMPLES_PER_CELL = 64
 # sample points in flight over all refinement threads (each chunk gets its
-# share); bounds the chunk temporaries for any samples_per_cell without
-# changing the drawn points or the hit count
+# share); bounds the chunk temporaries without changing the drawn points or
+# the hit count
 REFINE_CHUNK_POINTS = 1 << 20
-
-
-@dataclass(frozen=True)
-class McRefine:
-    """Stratified per-cell refinement: sample count and RNG seed."""
-
-    samples_per_cell: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples_per_cell < 1:
-            raise ValidationError("samples_per_cell must be >= 1")
-
 
 # Generator.random returns k * 2**-53 for an integer k in [0, 2**53)
 U_STEPS = 1 << 53
@@ -151,7 +139,21 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> float:
+def tube_volume(field: DistanceField, delta: float, seed: int = 0) -> float:
+    """Volume of the delta-tube around the nodal set; ``seed`` seeds the sampling.
+
+    Requires delta >= 2 max(h): below that the grid cannot resolve the tube and
+    a ResolutionError is raised rather than returning a silently bad estimate.
+    """
+    if delta <= 0:
+        raise ValidationError("delta must be positive")
+    hmax = max(field.h)
+    if delta < 2.0 * hmax:
+        raise ResolutionError(
+            f"delta={delta:g} below resolution guard 2*max(h)={2 * hmax:g}"
+        )
+    if field.empty:
+        return 0.0
     sample = field.sample
     h = np.asarray(sample.h)
     cellvol = float(np.prod(h))
@@ -170,7 +172,7 @@ def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> flo
     tables = [
         _axis_miss_table(sample.mode, j, h[j], cmin.shape[j], delta) for j in range(n)
     ]
-    m = refine.samples_per_cell
+    m = SAMPLES_PER_CELL
     workers = usable_cores()
     cells_per_chunk = max(1, REFINE_CHUNK_POINTS // workers // m)
 
@@ -178,7 +180,7 @@ def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> flo
         """Hits of the chunk's certified cells and the points left for the oracle."""
         block = idx[start : start + cells_per_chunk]
         # cell k owns stream doubles [k m n, (k + 1) m n): one PCG64 output per double
-        bits = np.random.PCG64(refine.seed)
+        bits = np.random.PCG64(seed)
         bits.advance(start * m * n)
         u = np.random.Generator(bits).random((block.shape[0], m, n))
         t, suffix, sure = (
@@ -213,28 +215,6 @@ def _refined_volume(field: DistanceField, delta: float, refine: McRefine) -> flo
     return vol + cellvol * hits / m
 
 
-def tube_volume(field: DistanceField, delta: float, refine: McRefine | None = None) -> float:
-    """Volume of the delta-tube around the nodal set.
-
-    Requires delta >= 2 max(h): below that the grid cannot resolve the tube and
-    a ResolutionError is raised rather than returning a silently bad estimate.
-    """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
-    hmax = max(field.h)
-    if delta < 2.0 * hmax:
-        raise ResolutionError(
-            f"delta={delta:g} below resolution guard 2*max(h)={2 * hmax:g}"
-        )
-    if field.empty:
-        return 0.0
-    if refine is not None:
-        return _refined_volume(field, delta, refine)
-    sample = field.sample
-    count = int((field.dist < delta).sum())
-    return count * float(np.prod(np.asarray(sample.h)))
-
-
 @dataclass
 class NodalMeasure:
     """(n-1)-measure estimate with the tube volumes it was extrapolated from."""
@@ -244,7 +224,7 @@ class NodalMeasure:
     non_monotone: bool      # Vol(T_t)/(2t) fell as t shrank
 
 
-def nodal_measure(field: DistanceField, t_list, refine: McRefine | None = None) -> NodalMeasure:
+def nodal_measure(field: DistanceField, t_list, seed: int = 0) -> NodalMeasure:
     """(n-1)-measure of the nodal set.
 
     Dimension one counts vertices. Higher dimensions extrapolate Vol(T_t)/(2t)
@@ -257,7 +237,7 @@ def nodal_measure(field: DistanceField, t_list, refine: McRefine | None = None) 
     ts = sorted(set(float(t) for t in t_list), reverse=True)
     if len(ts) < 2:
         raise ValidationError("need at least two tube radii to extrapolate")
-    volumes = {t: tube_volume(field, t, refine) for t in ts}
+    volumes = {t: tube_volume(field, t, seed) for t in ts}
     ratios = [volumes[t] / (2.0 * t) for t in ts]
     extrap = ratios[-1] + (ratios[-1] - ratios[-2]) * ts[-1] / (ts[-2] - ts[-1])
     scale = max(abs(r) for r in ratios)

@@ -22,7 +22,7 @@ from nodalab.harness import (
     run_tube_scaling,
     run_yau_check,
 )
-from nodalab.measures import McRefine, tube_volume
+from nodalab.measures import tube_volume
 from nodalab.nodal import extract_nodal
 from nodalab.reports import write_report
 from nodalab.spectrum import DomainSpec, EigenMode, tube_volume_exact
@@ -42,7 +42,7 @@ def report_line(num, ok, detail):
 def grid_tube(mode, delta, seed=0):
     rule = ResolutionRule(points_per_wavelength=32.0, h_max=delta / 2.5)
     field = distance_field(extract_nodal(sample_grid(mode, rule)))
-    return tube_volume(field, delta, refine=McRefine(samples_per_cell=64, seed=seed))
+    return tube_volume(field, delta, seed)
 
 
 def gates_by_name(report):

@@ -248,8 +248,15 @@ def test_yau_off_its_calibrated_domains_exits_2(argv, tmp_path, capsys):
           "--n-points", "50"], "2C < eps*k0^eps"),
         (["borel-cantelli", "--C", "0.5", "--k0", "2", "--k-max", "3", "--n-points", "50"],
          "k_max must be >= 4"),
+        # mu^(n+1+eps) overflows on the whole tail, and so does k0^eps
+        (["borel-cantelli", "--eps", "2000", "--k-max", "200", "--k0", "50", "--n-points", "50"],
+         "eps is too large: mu^b overflows for b = n + 1 + eps = 2002"),
+        # k0^eps is finite, mu^(n+1+eps) overflows from mu = 107 up
+        (["borel-cantelli", "--eps", "150", "--k-max", "200", "--k0", "50", "--n-points", "50"],
+         "eps is too large: mu^b overflows for b = n + 1 + eps = 152"),
     ],
-    ids=["tail-bound-above-1", "tail-bound-above-1-small-eps", "k-max-below-4"],
+    ids=["tail-bound-above-1", "tail-bound-above-1-small-eps", "k-max-below-4",
+         "eps-overflows-every-tail-radius", "eps-overflows-upper-tail-radii"],
 )
 def test_degenerate_borel_cantelli_exits_2(argv, message, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -314,8 +315,9 @@ def test_spectral_report_digests(name, tmp_path):
 # sha256 of (JSON, CSV) report bytes, recorded before the per-axis miss tables
 # replaced the per-sample oracle in measures._refined_volume; tube_torus
 # re-recorded when tube_volume_exact became the closed form (its oracle
-# volumes and agreements move by rounding only; the same gates pass). Same
-# rule as above.
+# volumes and agreements move by rounding only; the same gates pass);
+# density_torus and comparability recorded before their resolution keywords
+# became fixed values. Same rule as above.
 GRID_DIGESTS = {
     "yau_torus": (
         "084755f98d84c79c98207a5b127bd38cfb457d3e0a08890fe768f2908ff1fc36",
@@ -329,6 +331,14 @@ GRID_DIGESTS = {
         "4e18513b7f75f6f7202962209288e1c96c644c221b04f2ff3060b4aea6c289cf",
         "44c52e0607b8f9c67a53f12c5f4cfcb776be13c98f98ad3c4156fc699872baa6",
     ),
+    "density_torus": (
+        "60885a202965d772d7ee941f9bc9d8e435a39d1050bd36b3c7013d31958c5fdf",
+        "2f5a3d477e5a19f919b8329f742ddd9c541568e48c10c4bca7fa563b13b4b346",
+    ),
+    "comparability": (
+        "5167c1b1b6777c6352ddf40062a05b596fb25ae08505864b14cf211eed32d453",
+        "b98b2eef837ed5651134d15024a595a9dbd260b12b52870c12d7fba84ac5256a",
+    ),
 }
 
 
@@ -339,6 +349,10 @@ def test_grid_report_digests(name, tmp_path):
         "yau_torus": lambda: run_yau_check(TORUS2, modes=((3, 4), (4, 1))),
         "dim2": lambda: run_dim2_checks(modes=((2, 3),)),
         "tube_torus": lambda: run_tube_scaling(TORUS2, modes=((3, 4),), mu_delta=(0.1, 0.2)),
+        "density_torus": lambda: run_density_check(TORUS2, modes=((3, 3), (4, 1))),
+        "comparability": lambda: run_comparability_scaling(
+            mu_delta=(0.1, 0.2), a_sweep=(3.0, 10.0), stability_modes=(30, 50)
+        ),
     }[name]
     paths = write_report(run(), tmp_path)
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
@@ -392,6 +406,10 @@ def test_approx_theorem_rejects_degenerate_bounds_before_work(monkeypatch):
         run_approx_theorem(C=0.5, k_max=3, k0=2, n_points=50)
     with pytest.raises(ValidationError, match="box_k_max must be >= 4"):
         run_approx_theorem(k_max=200, k0=50, n_points=50, box_k_max=3)
+    # eps so large that mu^(n+1+eps) overflows on the tail (and at 2000 k0^eps too)
+    for eps in (2000.0, 150.0):
+        with pytest.raises(ValidationError, match="eps is too large"):
+            run_approx_theorem(eps=eps, k_max=200, k0=50, n_points=50)
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,6 +431,33 @@ def small_reports():
 
 def test_small_reports_cover_every_gate_builder():
     assert {r.experiment for r in small_reports()} == set(GATE_BUILDERS)
+
+
+# resolution config key -> the fixed value every report of the driver records
+FIXED_RESOLUTION = {
+    "tube_scaling": {"ppw": 32.0, "h_factor": 2.5, "refine_samples": 64},
+    "yau_ratio": {"ppw": 32.0, "h_factor": 2.5, "refine_samples": 64},
+    "dim2": {"area_ppw": 256.0, "tube_mu_delta": 0.2, "h_factor": 2.5, "refine_samples": 64},
+    "density": {"ppw": 64.0, "radius_h_divisor": 16.0},
+    "comparability": {"side_h_divisor": 8.5},
+}
+
+
+def test_grid_resolution_is_fixed_and_recorded():
+    """No driver takes a resolution keyword; each report records the fixed values."""
+    drivers = {
+        "tube_scaling": run_tube_scaling,
+        "yau_ratio": run_yau_check,
+        "dim2": run_dim2_checks,
+        "density": run_density_check,
+        "comparability": run_comparability_scaling,
+    }
+    for experiment, fixed in FIXED_RESOLUTION.items():
+        assert not set(fixed) & set(inspect.signature(drivers[experiment]).parameters)
+    for r in small_reports():
+        fixed = FIXED_RESOLUTION.get(r.experiment, {})
+        assert {k: r.config[k] for k in fixed} == fixed
+        assert all(type(r.config[k]) is type(v) for k, v in fixed.items())
 
 
 def test_comparability_stability_band_alone_is_no_verdict():

@@ -13,7 +13,7 @@ import nodalab.measures as measures_mod
 from nodalab.distance import distance_field
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.measures import McRefine, density_radius, nodal_measure, tube_volume
+from nodalab.measures import density_radius, nodal_measure, tube_volume
 from nodalab.nodal import NodalApprox, extract_nodal, marching_squares
 from nodalab.spectrum import (
     DomainSpec,
@@ -30,17 +30,22 @@ def field_for(mode, h_max=None, ppw=32.0):
     return distance_field(extract_nodal(s))
 
 
+def counted_volume(f, delta):
+    """Plain grid-point count: points with dist < delta times the cell volume."""
+    return int((f.dist < delta).sum()) * math.prod(f.h)
+
+
 def test_interval_tube_volume():
     k, delta = 50, 0.002
     mode = EigenMode(DomainSpec.interval(), (k,))
     f = field_for(mode, h_max=delta / 2)
     exact = tube_volume_exact(mode, delta)
     assert exact == pytest.approx(2 * k * delta, rel=1e-12)
-    plain = tube_volume(f, delta)
+    plain = counted_volume(f, delta)
     h = max(f.h)
     # counting bias: at most one grid point per tube-component boundary
     assert abs(plain - exact) <= 2 * (k + 1) * h
-    refined = tube_volume(f, delta, McRefine(seed=1))
+    refined = tube_volume(f, delta, seed=1)
     assert abs(refined - exact) / exact < 2e-3
 
 
@@ -51,9 +56,9 @@ def test_torus_tube_volume_refined():
     exact = tube_volume_exact(mode, delta)
     expect = 8 * math.pi * delta * 7 - 16 * 12 * delta**2
     assert exact == pytest.approx(expect, rel=1e-12)
-    refined = tube_volume(f, delta, McRefine(seed=1))
+    refined = tube_volume(f, delta, seed=1)
     assert abs(refined - exact) / exact < 2e-3
-    plain = tube_volume(f, delta)
+    plain = counted_volume(f, delta)
     assert abs(plain - exact) / exact < 0.25
 
 
@@ -61,11 +66,11 @@ def test_refined_volume_independent_of_chunk_budget(monkeypatch):
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     delta = 0.05
     f = field_for(mode, h_max=delta / 2)
-    default = tube_volume(f, delta, McRefine(seed=1))
+    default = tube_volume(f, delta, seed=1)
     volumes = []
-    for budget in (5000, 40):  # 40 < samples_per_cell: one cell per chunk
+    for budget in (5000, 40):  # 40 < SAMPLES_PER_CELL: one cell per chunk
         monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", budget)
-        volumes.append(tube_volume(f, delta, McRefine(seed=1)))
+        volumes.append(tube_volume(f, delta, seed=1))
     assert volumes == [default, default]
 
 
@@ -84,14 +89,14 @@ def test_nodal_measure_torus():
     f = field_for(mode, h_max=min(ts) / 2)
     exact = nodal_measure_exact(mode)
     assert exact == pytest.approx(28 * math.pi, rel=1e-12)
-    nm = nodal_measure(f, ts, McRefine(seed=2))
+    nm = nodal_measure(f, ts, seed=2)
     length = marching_squares(f.sample)
     assert abs(nm.value - exact) / exact < 3e-3
     assert abs(length - exact) / exact < 1e-2
     assert not nm.non_monotone
     assert abs(length - nm.value) / max(length, nm.value) < 0.01
     assert sorted(nm.volumes) == sorted(ts)
-    assert nm.volumes[ts[0]] == tube_volume(f, ts[0], McRefine(seed=2))
+    assert nm.volumes[ts[0]] == tube_volume(f, ts[0], seed=2)
 
 
 def test_nodal_measure_interval_counts_vertices():
@@ -134,7 +139,7 @@ def test_empty_field_measures():
     assert set(nm.volumes.values()) == {0.0} and not nm.non_monotone
 
 
-def refined_volume_reference(field, delta, refine):
+def refined_volume_reference(field, delta, seed):
     """The per-sample refinement loop as it was before the per-axis miss tables."""
     sample = field.sample
     h = np.asarray(sample.h)
@@ -150,8 +155,8 @@ def refined_volume_reference(field, delta, refine):
     idx = np.argwhere(straddle)
     if idx.shape[0] == 0:
         return vol
-    rng = np.random.default_rng(refine.seed)
-    m = refine.samples_per_cell
+    rng = np.random.default_rng(seed)
+    m = measures_mod.SAMPLES_PER_CELL
     cells_per_chunk = max(1, measures_mod.REFINE_CHUNK_POINTS // m)
     hits = 0
     for start in range(0, idx.shape[0], cells_per_chunk):
@@ -204,13 +209,12 @@ def test_refined_volume_bitwise(data, mode, ppw, seed, samples, budget):
     top = max(guard, 0.75 * max(spacings))
     delta = data.draw(st.one_of(st.sampled_from(special), st.floats(guard, top)))
     delta = max(delta, guard)
-    refine = McRefine(samples_per_cell=samples, seed=seed)
-    saved = measures_mod.REFINE_CHUNK_POINTS
-    measures_mod.REFINE_CHUNK_POINTS = budget
+    saved = measures_mod.SAMPLES_PER_CELL, measures_mod.REFINE_CHUNK_POINTS
+    measures_mod.SAMPLES_PER_CELL, measures_mod.REFINE_CHUNK_POINTS = samples, budget
     try:
-        assert tube_volume(f, delta, refine) == refined_volume_reference(f, delta, refine)
+        assert tube_volume(f, delta, seed) == refined_volume_reference(f, delta, seed)
     finally:
-        measures_mod.REFINE_CHUNK_POINTS = saved
+        measures_mod.SAMPLES_PER_CELL, measures_mod.REFINE_CHUNK_POINTS = saved
 
 
 # draws near the cell ends put delta near the extremes of the cell's distances
@@ -293,9 +297,9 @@ def test_miss_tables_replace_the_sample_oracle(monkeypatch):
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     delta = 0.05
     f = field_for(mode, h_max=delta / 2)
-    expect = refined_volume_reference(f, delta, McRefine(seed=1))
+    expect = refined_volume_reference(f, delta, seed=1)
     calls = count_oracle(monkeypatch)
-    assert tube_volume(f, delta, McRefine(seed=1)) == expect
+    assert tube_volume(f, delta, seed=1) == expect
     # every distance comes from 1-d axis modes, a small share of the old 64 per cell
     assert calls and all(dim == 1 for dim, _ in calls)
     cmin = measures_mod._corner_reduce(f.dist, True, np.minimum)
@@ -311,9 +315,9 @@ def test_uncertified_cells_fall_back_to_the_oracle(monkeypatch):
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     f = field_for(mode, ppw=16.0)
     delta = 0.5 * mode.factor_zero_spacing(1) * (1 - 1e-12)
-    expect = refined_volume_reference(f, delta, McRefine(seed=3))
+    expect = refined_volume_reference(f, delta, seed=3)
     calls = count_oracle(monkeypatch)
-    assert tube_volume(f, delta, McRefine(seed=3)) == expect
+    assert tube_volume(f, delta, seed=3) == expect
     assert any(dim == 2 for dim, _ in calls)
 
 
@@ -325,13 +329,13 @@ def test_refined_volume_independent_of_worker_count(workers, budget, monkeypatch
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     delta = 0.05
     f = field_for(mode, h_max=delta / 2)
-    expect = refined_volume_reference(f, delta, McRefine(seed=1))
+    expect = refined_volume_reference(f, delta, seed=1)
     monkeypatch.setattr(measures_mod, "usable_cores", lambda: workers)
     monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", budget)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often
     try:
-        assert tube_volume(f, delta, McRefine(seed=1)) == expect
+        assert tube_volume(f, delta, seed=1) == expect
     finally:
         sys.setswitchinterval(interval)
 
@@ -342,7 +346,7 @@ def test_oracle_stays_on_the_calling_thread(monkeypatch):
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     f = field_for(mode, ppw=16.0)
     delta = 0.5 * mode.factor_zero_spacing(1) * (1 - 1e-12)
-    expect = refined_volume_reference(f, delta, McRefine(seed=3))
+    expect = refined_volume_reference(f, delta, seed=3)
     monkeypatch.setattr(measures_mod, "usable_cores", lambda: 3)
     monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", 3000)
     oracle_threads, draw_threads = [], []
@@ -360,7 +364,7 @@ def test_oracle_stays_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(measures_mod, "nodal_distance_exact", oracle)
     monkeypatch.setattr(np.random, "PCG64", recorded_pcg64)
     before = set(threading.enumerate())
-    assert tube_volume(f, delta, McRefine(seed=3)) == expect
+    assert tube_volume(f, delta, seed=3) == expect
     main = threading.current_thread()
     assert sum(n == 2 for _, n in oracle_threads) > 1
     assert all(t is main for t, _ in oracle_threads)

@@ -31,7 +31,8 @@ def test_exports_resolve_without_duplicates():
         ("distance.py", set()),
         ("components.py", set()),
         ("boxes.py", set()),
-        # known debt: McRefine still decides straddle samples with the oracle
+        # known debt: tube_volume still decides uncertified straddle samples and
+        # builds its miss tables with the oracle
         ("measures.py", {"nodal_distance_exact"}),
     ],
 )

@@ -1,0 +1,33 @@
+"""scripts/run_all_experiments.py: the last line hashes the reports it wrote."""
+
+import importlib.util
+import os
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+from nodalab import DomainSpec, run_density_check
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+
+
+@pytest.mark.skipif(shutil.which("sha256sum") is None, reason="needs coreutils sha256sum")
+def test_last_line_is_the_hash_of_the_sha256sum_listing(tmp_path, capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("run_all_experiments", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    jobs = [
+        ("density interval", lambda: run_density_check(DomainSpec.interval(), modes=((8,),))),
+        ("density torus", lambda: run_density_check(DomainSpec.torus((1.0, 1.0)), modes=((3, 3),))),
+    ]
+    monkeypatch.setattr(script, "build_jobs", lambda quick, seed: jobs)
+    assert script.main(["--out", str(tmp_path)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    shell = subprocess.run(
+        "sha256sum * | sha256sum", shell=True, cwd=tmp_path, check=True,
+        capture_output=True, text=True, env={**os.environ, "LC_ALL": "C"},
+    )
+    assert len(list(tmp_path.iterdir())) == 4
+    assert last == f"reports sha256 {shell.stdout.split()[0]}"
