@@ -10,8 +10,9 @@ and exits 1 if anything failed. Its last line is the sha256 of the reports'
 reports, so two runs compare byte for byte in one line.
 
 Full mode takes about 25 s on a 2-core VM, four fifths of it in the
-torus tube cells; --quick drops the expensive torus tube cells and shrinks
-the surveys for a fast smoke run (about 6 s).
+torus tube cells and about 0.3 s in the exponent survey; --quick drops the
+expensive torus tube cells and shrinks the surveys for a fast smoke run
+(about 5 s).
 """
 
 import argparse

@@ -4,14 +4,15 @@ For separable modes the distance from a point to the nodal set is exact and
 closed-form: the min over axes of the distance from x_j to the nearest zero of
 the j-th factor, a lattice of spacing pi / (m_j alpha_j), shifted by half a
 spacing for a cosine factor. That axis distance depends only on (m_j, kind_j),
-so a scan over a mode list computes it once per index 0..max m_j, in a table
-far shorter than a 2-d or 3-d list, and gathers the table by each row's
-index. Each table entry gets the same IEEE operations the per-row formula
-would (the same int64 x float spacing, the same mod and min), so the gathered
-distances are bitwise equal to it. Records of the running minimum distance
-drive per-point approximation exponents; exact tube volumes drive the
-convergence (Borel-Cantelli style) sums, since the radii shrink below any
-fixed grid.
+so a scan over a mode list computes it once per index in a table and gathers
+the table by each row's index: the table holds every index 0..max m_j, far
+fewer than the rows of a 2-d or 3-d list, or only the indices a list holds
+when it has fewer rows than its largest index. Each table entry gets the
+same IEEE operations the per-row formula would (the same int64 x float
+spacing, the same mod and min), so the gathered distances are bitwise equal
+to it. Records of the running minimum distance drive per-point approximation
+exponents; exact tube volumes drive the convergence (Borel-Cantelli style)
+sums, since the radii shrink below any fixed grid.
 
 Most rows of a list can never change a scan's result. A row's distance is
 one axis entry, and the first row in list order with the same (axis, index,
@@ -19,15 +20,22 @@ kind) has that entry too, or a smaller one, at no larger mu. Float
 multiplication is monotone, so a later row never strictly lowers the running
 minimum of mu * dist below that first row's, and it is an exact hit only if
 that first row is. ``spectrum.record_candidates`` builds just those first
-rows, so exponent estimates on it are the full list's. ``tail_hits`` asks
-whether any row beyond a frequency cutoff passes within its radius. On one
-axis it scans few rows by Legendre's theorem (Khinchin, *Continued
-Fractions*): where pi/(2 k^2 alpha) exceeds the radius by more
-than the scan's rounding, a hit at k needs |theta - P/k| < 1/(2k^2) for
-theta = x alpha / pi, so k is a multiple of a convergent denominator of
-theta. Those come from exact integer Euclid on the floats' rational values,
-every other row is certified clear, and the rows left get the scan's own
-float formula and radius, so every decision is the full scan's bit for bit.
+rows, so exponent estimates on it are the full list's.
+
+On one axis (the interval, a 1-d torus) every row is a candidate, and the
+scans use continued fractions instead (Khinchin, *Continued Fractions*).
+With theta = x alpha / pi the nodal distance of row k is pi ||k theta|| /
+(k alpha), so mu * dist is about pi ||k theta||, whose records are the
+convergent denominators of theta (Lagrange's best approximations).
+``estimate_exponent`` scans those rows and the windows between them that
+rounding leaves uncertified, about 10 of 100,000 rows on the survey's
+interval. ``tail_hits`` asks whether any row beyond a frequency cutoff
+passes within its radius; where pi/(2 k^2 alpha) exceeds the radius by more
+than the scan's rounding, a hit at k needs |theta - P/k| < 1/(2k^2), so by
+Legendre's theorem k is a multiple of a convergent denominator. Both take the
+denominators from exact integer Euclid on the floats' rational values and
+give the rows they keep the scan's own float formula, so every record, hit
+and flag is the full scan's bit for bit.
 """
 
 from __future__ import annotations
@@ -66,15 +74,22 @@ def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
         top = int(mj.max(initial=0))
         if top == 0:
             continue
-        spacing = math.pi / (np.arange(1, top + 1) * dom.alpha[j])
-        d = _lattice_distance_table(point[j], spacing)[mj]
+        # table entries: every index 0..top when the list has that many rows,
+        # else only the indices it holds (and 0), so a sparse list stays short
+        if top <= mj.size:
+            index, pos = np.arange(top + 1), mj
+        else:
+            index, pos = np.unique(np.append(mj, 0), return_inverse=True)
+            pos = pos[:-1]
+        spacing = math.pi / (index[1:] * dom.alpha[j])
+        d = _lattice_distance_table(point[j], spacing)[pos]
         # kind code 0 = cos: zeros sit half a spacing off the sin lattice
         cos_rows = modes.kind_codes[:, j] == 0
         if cos_rows.any():
             cos_rows &= mj > 0
             if cos_rows.any():
                 cos_table = _lattice_distance_table(point[j] - 0.5 * spacing, spacing)
-                d[cos_rows] = cos_table[mj[cos_rows]]
+                d[cos_rows] = cos_table[pos[cos_rows]]
         np.minimum(dist, d, out=dist)
     if not np.isfinite(dist).all():
         raise ValidationError("a mode in the list has an empty nodal set")
@@ -86,26 +101,62 @@ def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
 _SLACK = 2.0**-40
 # (point, row) pairs _axis_tail_hits evaluates at once
 _PAIR_BUDGET = 1 << 18
+# the double math.pi as an exact rational
+_PI_NUM, _PI_DEN = math.pi.as_integer_ratio()
 
 
-def _convergents(num: int, den: int, q_max: int):
-    """Exact convergents p/q of num/den (den > 0) with q <= q_max, by integer Euclid."""
-    p_prev, p, q_prev, q = 0, 1, 1, 0
-    while den:
-        a, rem = divmod(num, den)
-        p_prev, p = p, a * p + p_prev
+def _scan_error(x_abs: float, alpha: float) -> float:
+    """A bound on |scan distance - exact distance| on a sine axis, for |x| <= x_abs.
+
+    The scan takes the distance from x to the lattice s Z, s = fl(pi / fl(k
+    alpha)); the exact lattice is S Z, S = pi / (k alpha) <= pi / alpha, with
+    pi the double math.pi as an exact rational. With u = 2^-53, |s - S| <=
+    2.01 u S. The lattice points nearest x have |j| <= |x| / S + 1, so they
+    move by at most 2.01 u (|x| + S). np.mod is an exact fmod plus, for x < 0,
+    one rounded addition of s, and min(r, s - r) rounds once more, each at
+    most u s. The total is below u (2.01 |x| + 4.1 pi / alpha); the bound
+    returned, 8 u (|x| + 2 pi / alpha), is about four times that.
+    """
+    return 2.0**-50 * (x_abs + 2.0 * math.pi / alpha)
+
+
+def _axis_convergents(x: float, alpha: float, q_max: int) -> tuple[list[int], list[float]]:
+    """Convergent denominators q of theta = x alpha / pi and their gaps |q theta - p|.
+
+    theta is the exact rational x alpha / pi of the doubles x, alpha and
+    math.pi, expanded by integer Euclid: the remainder after each convergent
+    p/q is |q theta - p| times theta's denominator, so each gap is correctly
+    rounded and the exact nodal distance of the row q is pi gap / (q alpha).
+    The lists run up to and including the first q > q_max, which is absent
+    when the expansion of theta ends first (its last gap is then 0).
+
+    The convergents bound every other row (Khinchin, *Continued Fractions*):
+    let q < q' be consecutive denominators and 0 < k < q', k != q. Write (k, P)
+    = a (q, p) + b (q', p') in integers. The signs of q theta - p and
+    q' theta - p' alternate, and k in range forces a, b of opposite signs or
+    b = 0, a >= 2, so |k theta - P| >= |q theta - p| + |q' theta - p'| for
+    every integer P, with equality at the semiconvergent k = q' - q.
+    """
+    x_num, x_den = float(x).as_integer_ratio()
+    a_num, a_den = float(alpha).as_integer_ratio()
+    num, den = x_num * a_num * _PI_DEN, x_den * a_den * _PI_NUM
+    r_prev, r = den, num % den
+    q_prev, q = 0, 1
+    qs, gaps = [q], [r / den]
+    while r and q <= q_max:
+        a, r_next = divmod(r_prev, r)
+        r_prev, r = r, r_next
         q_prev, q = q, a * q + q_prev
-        if q > q_max:
-            return
-        yield p, q
-        num, den = den, rem
+        qs.append(q)
+        gaps.append(r / den)
+    return qs, gaps
 
 
 def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: float) -> np.ndarray:
     """tail_hits on one axis, whose tail rows are the sine modes k = ks[0] .. ks[-1].
 
     The scan's distance at k is that of x to the lattice pi/(k alpha) Z up to
-    err, a bound on the rounding of its spacing and mod. Where the gap
+    err (``_scan_error``). Where the gap
     certificate pi/(2 k^2 alpha) - err > radius[k] holds, a hit at k puts k theta,
     theta = x alpha / pi, within 1/(2k) of an integer P, so by Legendre's
     theorem P/k reduces to a convergent p/q of theta, k = t q, and the exact
@@ -115,24 +166,20 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
     point. The kept rows get the scan's own float formula and radius.
     """
     k_first, k_last = int(ks[0]), int(ks[-1])
-    err = 2.0**-48 * (float(np.abs(xs).max(initial=0.0)) + 4.0 * math.pi / alpha)
+    err = _scan_error(float(np.abs(xs).max(initial=0.0)), alpha)
     # the largest radius at or beyond each row: non-increasing, so every row
     # whose radius exceeds a threshold lies in the prefix the envelope gives
     env = np.maximum.accumulate(radius[::-1])[::-1]
     gap = math.pi / (2.0 * ks * ks * alpha) * (1.0 - _SLACK) - err
     open_ks = ks[~(gap > radius)]
 
-    pi_num, pi_den = math.pi.as_integer_ratio()
-    a_num, a_den = float(alpha).as_integer_ratio()
     owner, qs, limit = [], [], []
     for i, x in enumerate(xs):
-        x_num, x_den = float(x).as_integer_ratio()
-        num, den = x_num * a_num * pi_den, x_den * a_den * pi_num
-        for p, q in _convergents(num, den, k_last):
-            dist = math.pi * (abs(q * num - p * den) / den) / (q * alpha)
-            owner.append(i)
-            qs.append(q)
-            limit.append(dist * (1.0 - _SLACK) - err)
+        for q, gap in zip(*_axis_convergents(x, alpha, k_last)):
+            if q <= k_last:
+                owner.append(i)
+                qs.append(q)
+                limit.append(math.pi * gap / (q * alpha) * (1.0 - _SLACK) - err)
     owner = np.asarray(owner, dtype=np.int64)
     qs = np.asarray(qs, dtype=np.int64)
     reach = k_first - 1 + np.searchsorted(-env, -np.asarray(limit, dtype=float))
@@ -196,6 +243,52 @@ class ExponentEstimate:
     exact_hit: bool
 
 
+def _record_rows(point, modes: ModeList) -> np.ndarray | None:
+    """Rows of a one-axis sine list k = 1..K that can set a float record of mu * dist.
+
+    None for any other list, or for a point the scan would reject. The list
+    must have m = 1..K, every kind sine and mu = fl(k alpha), as
+    enumerate_modes and record_candidates build it on an interval or a 1-d
+    torus. With theta = x alpha / pi the exact distance of row k is
+    pi ||k theta|| / (k alpha) and the scan's d_k is within err of it
+    (``_scan_error``); fl(k alpha) and the product round twice more, so the
+    proxy P_k = fl(mu_k d_k) is within 2 mu_K err of pi ||k theta||.
+
+    Every convergent denominator q_n <= K is kept. A row q_n < k < q_{n+1}
+    has ||k theta|| >= ||q_n theta|| + ||q_{n+1} theta|| (``_axis_convergents``),
+    so where pi ||q_{n+1} theta|| (1 - _SLACK) exceeds both proxies' bounds,
+    4 mu_K err, P_k > P_{q_n} and no row of the window sets a record or is a
+    first exact hit. Every row of a window that fails the certificate is
+    kept. The last window (q_N, K] is certified by the first q_{N+1} > K, and
+    kept whole when theta's expansion ends at q_N.
+    """
+    x = np.asarray(point, dtype=float)
+    dom, K = modes.domain, len(modes)
+    if dom.n != 1 or x.shape != (1,) or not math.isfinite(x[0]):
+        return None
+    alpha, m, mu = dom.alpha[0], modes.m[:, 0], modes.mu
+    # mu = fl(m alpha) rising strictly makes m rise strictly, from 1 to K: m = 1..K
+    if not (
+        m[0] == 1
+        and m[-1] == K
+        and modes.kind_codes.all()
+        and np.array_equal(mu, m * alpha)
+        and (mu[1:] > mu[:-1]).all()
+    ):
+        return None
+    x = float(x[0])
+    bound = 4.0 * _scan_error(abs(x), alpha) * float(mu[-1])
+    qs, gaps = _axis_convergents(x, alpha, K)
+    keep = np.zeros(K, dtype=bool)
+    for q, q_next, gap_next in zip(qs, qs[1:] + [K + 1], gaps[1:] + [0.0]):
+        if q > K:
+            break
+        keep[q - 1] = True
+        if not math.pi * gap_next * (1.0 - _SLACK) > bound:
+            keep[q:min(q_next - 1, K)] = True
+    return np.flatnonzero(keep)
+
+
 def estimate_exponent(
     point,
     modes: ModeList,
@@ -213,12 +306,24 @@ def estimate_exponent(
     improves the raw distance as well, so the fitted quantity is unchanged.
     A point lying exactly on some nodal set gets an infinite exponent and the
     exact_hit flag; fewer than five records flag low confidence.
+
+    On one axis of sine rows k = 1..K (an interval or 1-d torus list) only the
+    convergent denominators of x alpha / pi and the windows between them that
+    rounding leaves uncertified are scanned (``_record_rows``): a dropped row
+    never lowers the running minimum and is never a first exact hit, so the
+    records, the fit and the flags are the full scan's bit for bit.
     """
     if len(modes) == 0:
         raise ValidationError("mode list is empty")
+    top = float(modes.mu[-1])
+    rows = _record_rows(point, modes)
+    if rows is not None:
+        modes = ModeList(
+            modes.domain, modes.mu_max, modes.m[rows], modes.mu[rows], modes.kind_codes[rows]
+        )
     dist = modes_nodal_distance(point, modes)
     mu = modes.mu
-    hi = float(mu[-1]) if mu_max is None else float(mu_max)
+    hi = top if mu_max is None else float(mu_max)
     if not mu_min < hi:
         raise ValidationError("empty fit window")
     zero = dist == 0.0

@@ -881,7 +881,8 @@ def run_exponent_survey(
     rng = np.random.default_rng(seed)
     cells = []
 
-    # only record candidates can change an estimate; on the interval that is every mode
+    # only record candidates can change an estimate; on the interval that is every
+    # mode, and estimate_exponent scans only its convergent denominators
     modes_i = record_candidates(interval, mu_max_interval)
     pts_i = rng.uniform(0.0, math.pi, size=n_interval)
     for i, x in enumerate(pts_i):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from nodalab import dioph
 from nodalab.dioph import (
-    _convergents,
+    EXPONENT_MU_MIN,
+    ExponentEstimate,
+    _axis_convergents,
     borel_cantelli_sum,
     estimate_exponent,
     modes_nodal_distance,
@@ -208,6 +211,56 @@ def test_scan_bitwise_interval(k_max, x):
     assert_scan_bitwise([x], interval_modes(k_max))
 
 
+def lattice_distance_table(x, spacing: np.ndarray) -> np.ndarray:
+    r = np.mod(x, spacing)
+    table = np.empty(spacing.size + 1)
+    table[0] = np.inf
+    np.minimum(r, spacing - r, out=table[1:])
+    return table
+
+
+def dense_table_scan(point, modes: ModeList) -> np.ndarray:
+    """Reference: per-axis tables over every index 0..max m_j, gathered by row."""
+    point = np.asarray(point, dtype=float)
+    dist = np.full(modes.m.shape[0], np.inf)
+    for j in range(modes.domain.n):
+        mj = modes.m[:, j]
+        top = int(mj.max(initial=0))
+        if top == 0:
+            continue
+        spacing = math.pi / (np.arange(1, top + 1) * modes.domain.alpha[j])
+        d = lattice_distance_table(point[j], spacing)[mj]
+        cos_rows = (modes.kind_codes[:, j] == 0) & (mj > 0)
+        d[cos_rows] = lattice_distance_table(point[j] - 0.5 * spacing, spacing)[mj[cos_rows]]
+        np.minimum(dist, d, out=dist)
+    return dist
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_scan_of_sparse_lists_is_the_dense_table(data, n, rows):
+    # few rows with indices up to 10^5: the scan's tables hold only the
+    # indices the list has, the reference's every index up to the largest
+    alpha = tuple(data.draw(ALPHA) for _ in range(n))
+    index = st.one_of(st.integers(0, 3), st.integers(1, 10**5))
+    m = np.array(
+        data.draw(st.lists(st.lists(index, min_size=n, max_size=n), min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    )
+    m[(m == 0).all(axis=1), 0] = data.draw(st.integers(1, 10**5))
+    codes = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                           min_size=rows, max_size=rows)),
+        dtype=np.uint8,
+    )
+    codes[m == 0] = 0
+    mu = np.sqrt(((m * np.asarray(alpha)) ** 2).sum(axis=1))
+    modes = ModeList(DomainSpec.torus(alpha), float(mu.max()), m, mu, codes)
+    point = np.array([data.draw(COORD) for _ in range(n)])
+    got = modes_nodal_distance(point, modes)
+    assert np.array_equal(got.view(np.uint64), dense_table_scan(point, modes).view(np.uint64))
+
+
 def test_scan_of_empty_list():
     d = modes_nodal_distance([1.0], enumerate_modes(DomainSpec.interval(), 0.5))
     assert d.shape == (0,)
@@ -290,6 +343,93 @@ def test_exponent_scale_consistency():
     est2 = estimate_exponent([x / 2], interval_modes(1000, alpha=2.0), mu_min=6.0, mu_max=2000.0)
     assert est1.n_records == est2.n_records
     assert est2.exponent == pytest.approx(est1.exponent, abs=1e-6)
+
+
+def full_scan_exponent(point, modes: ModeList, mu_min=EXPONENT_MU_MIN, mu_max=None):
+    """Reference: estimate_exponent as it was before it chose rows, scanning every row."""
+    if len(modes) == 0:
+        raise ValidationError("mode list is empty")
+    dist = modes_nodal_distance(point, modes)
+    mu = modes.mu
+    hi = float(mu[-1]) if mu_max is None else float(mu_max)
+    if not mu_min < hi:
+        raise ValidationError("empty fit window")
+    if (dist == 0.0).any():
+        return ExponentEstimate(math.inf, 0, 0.0, False, True)
+    proxy = mu * dist
+    running = np.minimum.accumulate(proxy)
+    prev = np.concatenate([[np.inf], running[:-1]])
+    idx = np.nonzero((proxy < prev) & (mu >= mu_min) & (mu <= hi))[0]
+    n_rec = int(idx.size)
+    if n_rec < 2:
+        return ExponentEstimate(math.nan, n_rec, math.nan, True, False)
+    X = np.log(mu[idx])
+    Y = -np.log(dist[idx])
+    slope, intercept = np.polyfit(X, Y, 1)
+    resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))
+    return ExponentEstimate(float(slope), n_rec, resid, n_rec < 5, False)
+
+
+@st.composite
+def one_axis_points(draw, alpha: float, K: int):
+    """Points of a one-axis list whose theta = x alpha / pi stresses the row choice."""
+    step = math.pi / alpha
+    kind = draw(st.sampled_from(["uniform", "zero", "hit", "near_end", "near_rational"]))
+    if kind == "uniform":
+        return draw(st.floats(0.0, step, exclude_max=True))
+    if kind == "zero":
+        return 0.0
+    if kind == "hit":
+        # x = j fl(pi / (k alpha)): the scan puts a zero or a near-zero on row k and its multiples
+        k = draw(st.integers(1, max(1, min(K, 60))))
+        return draw(st.integers(0, k)) * (math.pi / (k * alpha))
+    if kind == "near_end":
+        return step * (1.0 - draw(st.sampled_from([2.0**-52, 2.0**-40, 1e-9, 1e-5])))
+    # theta = p/q + eta: a huge partial quotient after q leaves windows uncertified
+    q = draw(st.integers(1, 40))
+    p = draw(st.integers(0, q))
+    eta = draw(st.sampled_from([1e-15, 1e-13, 1e-11, 1e-9, 1e-7])) * draw(st.sampled_from([-1, 1]))
+    return (p / q + eta) * step
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_exponent_on_one_axis_lists_equals_the_full_scan(data):
+    kind = data.draw(st.sampled_from(["interval", "box", "torus"]))
+    alpha = 1.0 if kind == "interval" else data.draw(WEIGHT)
+    dom = {"interval": DomainSpec.interval(), "box": DomainSpec.box((alpha,)),
+           "torus": DomainSpec.torus((alpha,))}[kind]
+    K = data.draw(st.one_of(st.integers(1, 4), st.integers(5, 3000), st.just(60_000)))
+    modes = enumerate_modes(dom, float(alpha * K) + 0.5 * alpha)
+    assert len(modes) == K
+    x = data.draw(one_axis_points(alpha, K))
+    assert dioph._record_rows([x], modes) is not None
+    window = {}
+    if data.draw(st.booleans()):
+        top = float(modes.mu[-1])
+        lo = data.draw(st.floats(0.0, top))
+        window = {"mu_min": lo, "mu_max": data.draw(st.floats(lo, 2.0 * top))}
+    assert outcome(lambda: estimate_exponent([x], modes, **window)) == outcome(
+        lambda: full_scan_exponent([x], modes, **window)
+    )
+
+
+@pytest.mark.parametrize("K, j, k", [(50, 9, 17), (300, 15, 46), (300, 33, 39), (3000, 11, 23)])
+def test_exponent_near_a_hit_keeps_its_uncertified_windows(K, j, k):
+    # x = j fl(pi/k) lies within rounding of a zero of row k, but not on it:
+    # the proxies' rounding then sets float records at rows that are not
+    # convergent denominators (a semiconvergent before k, a multiple after),
+    # and only the windows the certificate leaves open hold them
+    modes = interval_modes(K)
+    x = j * (math.pi / k)
+    dist = modes_nodal_distance([x], modes)
+    assert dist.min() > 0.0
+    proxy = modes.mu * dist
+    records = set(np.nonzero(proxy < np.minimum.accumulate(np.r_[np.inf, proxy[:-1]]))[0] + 1)
+    assert records - set(_axis_convergents(x, 1.0, K)[0])
+    assert outcome(lambda: estimate_exponent([x], modes)) == outcome(
+        lambda: full_scan_exponent([x], modes)
+    )
 
 
 # ------------------------------------------------------- record candidates
@@ -554,12 +694,21 @@ def test_tail_hits_on_torus_tails_with_cosine_factors(modes, eps, C, data):
 @settings(max_examples=200, deadline=None)
 def test_convergents_match_the_continued_fraction_oracle(x, q_cap):
     cf = continued_fraction(x, depth=200, q_cap=q_cap)
-    got = list(_convergents(*x.as_integer_ratio(), q_cap))
+    # alpha = pi makes theta = x alpha / pi exactly x
+    qs, gaps = _axis_convergents(x, math.pi, q_cap)
+    within = [q for q in qs if q <= q_cap]
     # the oracle starts after the convergent 0/1 and stops on a remainder below 1e-15
-    assert got[0] == (0, 1)
-    assert got[1:len(cf.convergents) + 1] == list(cf.convergents)
+    assert within[0] == 1
+    assert within[1:len(cf.convergents) + 1] == [q for _, q in cf.convergents]
     if cf.exact:
-        assert len(got) == len(cf.convergents) + 1
+        assert len(within) == len(cf.convergents) + 1
+    # each gap is |q x - p|, correctly rounded
+    assert gaps[0] == x
+    for (p, q), gap in zip(cf.convergents, gaps[1:]):
+        assert gap == float(abs(q * Fraction(x) - p))
+    # the lists end at the first denominator past the cap, or where the expansion ends
+    assert qs[-1] > q_cap or gaps[-1] == 0.0
+    assert len(qs) == len(within) + (qs[-1] > q_cap)
 
 
 # ----------------------------------------------------- convergence of sums

@@ -31,6 +31,14 @@ def raise_distances(monkeypatch):
     )
 
 
+def lower_distances(monkeypatch):
+    """Nodal distances d^(2/3): every approximation exponent reads 2/3 of its value."""
+    distances = dioph_mod.modes_nodal_distance
+    monkeypatch.setattr(
+        dioph_mod, "modes_nodal_distance", lambda point, modes: distances(point, modes) ** (2 / 3)
+    )
+
+
 def approx():
     return run_approx_theorem(k_max=2000, n_points=400, k0=50, box_k_max=400)
 
@@ -41,6 +49,7 @@ def survey():
 
 APPROX_FAILS = {"bc_limit_dev", "bc_gap_decreasing", "tail_hit_fraction", "bc2_gap_decreasing"}
 SURVEY_FAILS = {"interval_mean_high", "interval_points_in_band", "box_mean_high"}
+SURVEY_LOW_FAILS = {"interval_mean_low", "interval_points_in_band", "box_mean_low"}
 
 # gate -> (break, run, every gate the break fails)
 WITNESSES = {
@@ -48,6 +57,9 @@ WITNESSES = {
     "bc2_gap_decreasing": (lower_radii_exponent, approx, APPROX_FAILS),
     "interval_mean_high": (raise_distances, survey, SURVEY_FAILS),
     "box_mean_high": (raise_distances, survey, SURVEY_FAILS),
+    "interval_mean_low": (lower_distances, survey, SURVEY_LOW_FAILS),
+    "box_mean_low": (lower_distances, survey, SURVEY_LOW_FAILS),
+    "interval_points_in_band": (lower_distances, survey, SURVEY_LOW_FAILS),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nodalab.dioph as dioph_mod
 import nodalab.harness as harness_mod
 import nodalab.measures as measures_mod
 import nodalab.nodal as nodal_mod
@@ -232,6 +233,22 @@ def test_exponent_survey_never_builds_the_full_box_list(monkeypatch):
     monkeypatch.setattr(harness_mod, "enumerate_modes", no_full_list)
     r = run_exponent_survey(n_interval=2, mu_max_interval=2000.0, n_box=3)
     assert [c.params["kind"] for c in r.cells] == ["interval"] * 2 + ["box"] * 3
+
+
+def test_default_exponent_survey_scans_few_distances(monkeypatch):
+    # every interval row was scanned before the survey chose rows by convergent
+    # denominators: 200 x 100,000 + 500 x 3,412 = 21,706,000 distances
+    scan = dioph_mod.modes_nodal_distance
+    count = 0
+
+    def counted(point, modes):
+        nonlocal count
+        count += len(modes)
+        return scan(point, modes)
+
+    monkeypatch.setattr(dioph_mod, "modes_nodal_distance", counted)
+    assert run_exponent_survey().passed
+    assert count < 2_000_000
 
 
 def test_exponent_survey_keeps_the_full_window_below_the_candidates():
