@@ -4,12 +4,13 @@
 Each experiment produces a JSON report (cells, gates, verdict, param hash)
 and a CSV of the raw cells. The script prints one summary line per
 experiment, the note of each skipped cell under it, lists any failed gates,
-and exits 1 if anything failed. Its last line is the sha256 of the reports'
-``sha256sum`` listing, sorted by file name: the hash that
-``(cd OUT && sha256sum * | sha256sum)`` prints when OUT holds only these
-reports, so two runs compare byte for byte in one line.
+and exits 1 if anything failed. Its second-to-last line is the process's
+peak resident set size (``getrusage`` max RSS, in 10^6 bytes). Its last
+line is the sha256 of the reports' ``sha256sum`` listing, sorted by file
+name: the hash that ``(cd OUT && sha256sum * | sha256sum)`` prints when OUT
+holds only these reports, so two runs compare byte for byte in one line.
 
-Full mode takes about 25 s on a 2-core VM, four fifths of it in the
+Full mode takes about 19 s on a 2-core VM, four fifths of it in the
 torus tube cells and about 0.3 s in the exponent survey; --quick drops the
 expensive torus tube cells and shrinks the surveys for a fast smoke run
 (about 5 s).
@@ -17,6 +18,7 @@ expensive torus tube cells and shrinks the surveys for a fast smoke run
 
 import argparse
 import hashlib
+import resource
 import sys
 import time
 from pathlib import Path
@@ -118,6 +120,9 @@ def main(argv=None) -> int:
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
         for p in sorted(paths, key=lambda p: p.name)
     )
+    # ru_maxrss counts KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    print(f"peak rss {peak_mb:.1f} MB")
     print(f"reports sha256 {hashlib.sha256(listing.encode()).hexdigest()}")
     return 1 if failures else 0
 

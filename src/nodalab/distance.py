@@ -18,11 +18,24 @@ exact. The first pad is sized from the seed density; if the certificate fails,
 that field's maximum (an upper bound on the periodic distance) sizes a second pad
 that passes it. A pad of half a period plus one cell holds every nearest image on
 its own, so axes padded that far do not limit R.
+
+The same certificate lets the padded transform run in row slabs, one per
+usable core on a thread pool (scipy's feature transform releases the GIL).
+The slab of grid rows [a, b) transforms rows [a, b + 2 p_0) of the padded
+mask: its own rows with the axis-0 pad on both sides as a halo. A seed image
+nearer than R to a point of the slab lies within p_0 rows of it, so inside
+the window, and the field's maximum below R leaves no nearest seed outside.
+Each slab writes its distances into its rows of the one output field, a few
+rows at a time, so no grid-sized temporary is formed. The slab count is
+bounded so the windows in flight hold at most twice the unsplit padded rows.
+An unpadded grid (a box or the interval) has no halo and is one transform.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +45,9 @@ from .errors import ResourceGuardError
 from .nodal import NodalApprox
 
 PADDED_POINT_CAP = 90_000_000
+# grid points per block of rows in the slab distances and the tube band test:
+# bounds their temporaries
+ROW_BLOCK_POINTS = 1 << 16
 
 
 @dataclass
@@ -76,30 +92,64 @@ def _seed_mask(nodal: NodalApprox) -> np.ndarray:
     return mask
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: the EDT slabs' and the refinement's thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slab_count(rows: int, pad: int) -> int:
+    """Slabs of ``rows`` grid rows, each transformed with ``pad`` halo rows per side.
+
+    One per usable core, as long as the k windows' rows + 2 k pad stay within
+    twice the unsplit rows + 2 pad; without a pad there is no halo and one slab.
+    """
+    if pad == 0:
+        return 1
+    return min(usable_cores(), rows, 2 + rows // (2 * pad))
+
+
 def _cropped_distances(seeds: np.ndarray, pads, h) -> np.ndarray:
     """Distances to the nearest seed on the block inside ``pads`` cells per side.
 
     scipy's float sequence, on the block only: per axis the int32 index
     difference, then float64, times h_j, squared, summed over the axes in
-    axis order, and the square root.
+    axis order, and the square root. The transform runs in row slabs on a
+    thread pool; every worker is joined before this returns.
     """
-    ft = distance_transform_edt(
-        ~seeds, sampling=h, return_distances=False, return_indices=True
-    )
     shape = tuple(s - 2 * p for s, p in zip(seeds.shape, pads))
-    crop = tuple(slice(p, p + s) for p, s in zip(pads, shape))
-    total = None
-    for j, (p, s, hj) in enumerate(zip(pads, shape, h)):
-        near = ft[j][crop]
-        near -= np.arange(p, p + s, dtype=np.int32).reshape((-1,) + (1,) * (len(shape) - 1 - j))
-        d = near.astype(np.float64)
-        d *= hj
-        np.multiply(d, d, out=d)
-        if total is None:
-            total = d
-        else:
-            total += d
-    return np.sqrt(total, out=total)
+    out = np.empty(shape)
+    p0 = pads[0]
+    slabs = _slab_count(shape[0], p0)
+    edges = [shape[0] * k // slabs for k in range(slabs + 1)]
+    step = max(1, ROW_BLOCK_POINTS // math.prod(shape[1:]))
+
+    def slab(a, b):
+        ft = distance_transform_edt(
+            ~seeds[a : b + 2 * p0], sampling=h, return_distances=False, return_indices=True
+        )
+        for r in range(a, b, step):
+            piece = out[r : min(r + step, b)]
+            # the piece in window indices: grid row i is window row i - a + p0
+            first = (r - a + p0,) + tuple(pads[1:])
+            crop = tuple(slice(f, f + s) for f, s in zip(first, piece.shape))
+            for j, (f, s, hj) in enumerate(zip(first, piece.shape, h)):
+                near = ft[j][crop]
+                along = (-1,) + (1,) * (len(shape) - 1 - j)
+                near -= np.arange(f, f + s, dtype=np.int32).reshape(along)
+                d = near.astype(np.float64)
+                d *= hj
+                if j == 0:
+                    np.multiply(d, d, out=piece)
+                else:
+                    np.multiply(d, d, out=d)
+                    piece += d
+            np.sqrt(piece, out=piece)
+
+    with ThreadPoolExecutor(slabs) as pool:
+        list(pool.map(slab, edges[:-1], edges[1:]))
+    return out
 
 
 def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceField:
@@ -107,7 +157,8 @@ def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceF
 
     An empty nodal set yields an all-infinity field flagged ``empty`` rather
     than an error, so callers can distinguish "no zeros" from "far from zeros".
-    ``cap`` bounds the number of points in any one (padded) transform.
+    ``cap`` bounds the points of the (padded) array, whichever slabs it is
+    transformed in.
     """
     sample = nodal.sample
     seeds = _seed_mask(nodal)

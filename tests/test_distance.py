@@ -1,6 +1,8 @@
 """Distance fields: brute-force oracle, periodic wrap, accuracy contract."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -79,7 +81,11 @@ def dense_block_nodal():
 
 @pytest.fixture
 def edt_shapes(monkeypatch):
-    """Shapes of the arrays distance_field hands to the transform, in call order."""
+    """Shapes of the arrays distance_field hands to the transform, in call order.
+
+    One slab per transform, so each shape is a whole (padded) array.
+    """
+    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 1)
     shapes = []
 
     def recording(a, **kwargs):
@@ -241,3 +247,103 @@ def test_field_is_bitwise_scipys_distances(make_nodal, edt_shapes):
     assert f.dist.flags.c_contiguous
     if make_nodal is dense_block_nodal:
         assert len(edt_shapes) == 2
+
+
+def torus_1d_nodal():
+    return mode_nodal(DomainSpec.torus((1.0,)), (7,), 32.0)
+
+
+def pythagorean_ties_nodal():
+    """Seeds on every 12th point of a 96^2 square grid, every other one moved
+    4 rows: 832 points have two nearest seeds at the same integer distance, 128
+    of them with different float sums, such as (5, 0) and (3, 4) cells away."""
+    s = sample_grid(EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1)),
+                    ResolutionRule(points_per_wavelength=96.0))
+    assert s.shape == (96, 96) and s.h[0] == s.h[1]
+    g = np.arange(0, 96, 12)
+    idx = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    idx[::2, 0] = (idx[::2, 0] + 4) % 96
+    return NodalApprox(s, idx * np.asarray(s.h))
+
+
+def seed_rows_nodal():
+    """Seeds on the first 10 of 128 rows of a torus: the nearest seed of a row
+    near the middle is up to 59 rows away along axis 0, so a slab there needs
+    all of its axis-0 halo (and the first pad fails the certificate)."""
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
+    s = sample_grid(mode, ResolutionRule(points_per_wavelength=128.0))
+    rows = np.stack(np.meshgrid(np.arange(10), np.arange(128), indexing="ij"), axis=-1)
+    return NodalApprox(s, rows.reshape(-1, 2) * np.asarray(s.h))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "make_nodal",
+    [
+        lambda: mode_nodal(DomainSpec.torus((1.0, 1.0)), (16, 1), 8.0),
+        lambda: mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0),
+        lambda: mode_nodal(DomainSpec.torus((1.0, 1.3)), (2, 3), 24.0),  # unequal h
+        lambda: mode_nodal(DomainSpec.torus((1.0, 2.0, 1.0)), (2, 1, 3), 8.0),
+        pythagorean_ties_nodal,
+        dense_block_nodal,  # its first pad fails the certificate
+        seed_rows_nodal,
+        torus_1d_nodal,
+    ],
+    ids=["torus-16-1", "torus-3-4", "torus-2-3-alpha-1.3", "3-torus", "pythagorean-ties",
+         "second-pad", "seed-rows", "1-torus"],
+)
+def test_slab_field_is_bitwise_the_one_slab_field(make_nodal, workers, monkeypatch):
+    nod = make_nodal()
+    transforms = []
+
+    def counted(a, **kwargs):
+        transforms.append(a.shape)
+        return distance_transform_edt(a, **kwargs)
+
+    monkeypatch.setattr(distance_mod, "distance_transform_edt", counted)
+    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 1)
+    one = distance_field(nod).dist
+    one_slab = len(transforms)
+    monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
+    transforms.clear()
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often
+    try:
+        got = distance_field(nod).dist
+    finally:
+        sys.setswitchinterval(interval)
+    # every slab worker is joined before distance_field returns
+    assert set(threading.enumerate()) <= before
+    assert (len(transforms) > one_slab) == (workers > 1)
+    assert got.shape == one.shape and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_cap_guards_the_whole_padded_array(workers, edt_shapes, monkeypatch):
+    nod = mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0)
+    distance_field(nod)
+    padded = max(math.prod(shape) for shape in edt_shapes)
+    monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
+    with pytest.raises(ResourceGuardError, match=f"needs {padded} points"):
+        distance_field(nod, cap=padded - 1)
+    assert not distance_field(nod, cap=padded).empty
+
+
+def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):
+    # the (16,1) Yau field (2519^2): the whole-grid transform and distance
+    # temporaries peaked at 3.39x the field's bytes; two slabs written in row
+    # pieces into the one output peak at about 2.75x
+    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
+    rule = ResolutionRule(points_per_wavelength=32.0, h_max=0.1 / mode.mu / 2.5)
+    nod = extract_nodal(sample_grid(mode, rule))
+    assert nod.sample.shape == (2519, 2519)
+    tracemalloc.start()
+    try:
+        f = distance_field(nod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * f.dist.nbytes

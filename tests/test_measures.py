@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from nodalab.distance import distance_field
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.measures import density_radius, nodal_measure, tube_volume
-from nodalab.nodal import NodalApprox, extract_nodal, marching_squares
+from nodalab.nodal import NodalApprox, _corner_reduce, extract_nodal, marching_squares
 from nodalab.spectrum import (
     DomainSpec,
     EigenMode,
@@ -139,6 +140,15 @@ def test_empty_field_measures():
     assert set(nm.volumes.values()) == {0.0} and not nm.non_monotone
 
 
+def whole_grid_band(dist, periodic, delta, margin):
+    """The band test on whole-grid corner reductions: fully-in count, straddle cells."""
+    cmin = _corner_reduce(dist, periodic, np.minimum)
+    cmax = _corner_reduce(dist, periodic, np.maximum)
+    fully_in = cmin + margin < delta
+    straddle = ~(fully_in | (cmax - margin >= delta))
+    return int(np.count_nonzero(fully_in)), np.argwhere(straddle)
+
+
 def refined_volume_reference(field, delta, seed):
     """The per-sample refinement loop as it was before the per-axis miss tables."""
     sample = field.sample
@@ -146,13 +156,8 @@ def refined_volume_reference(field, delta, seed):
     cellvol = float(np.prod(h))
     diag = float(np.linalg.norm(h))
     margin = diag + field.raster_error
-    cmin = measures_mod._corner_reduce(field.dist, sample.periodic, np.minimum)
-    cmax = measures_mod._corner_reduce(field.dist, sample.periodic, np.maximum)
-    fully_in = cmin + margin < delta
-    fully_out = cmax - margin >= delta
-    straddle = ~(fully_in | fully_out)
-    vol = float(fully_in.sum()) * cellvol
-    idx = np.argwhere(straddle)
+    inside, idx = whole_grid_band(field.dist, sample.periodic, delta, margin)
+    vol = float(inside) * cellvol
     if idx.shape[0] == 0:
         return vol
     rng = np.random.default_rng(seed)
@@ -302,10 +307,8 @@ def test_miss_tables_replace_the_sample_oracle(monkeypatch):
     assert tube_volume(f, delta, seed=1) == expect
     # every distance comes from 1-d axis modes, a small share of the old 64 per cell
     assert calls and all(dim == 1 for dim, _ in calls)
-    cmin = measures_mod._corner_reduce(f.dist, True, np.minimum)
-    cmax = measures_mod._corner_reduce(f.dist, True, np.maximum)
     margin = float(np.linalg.norm(f.h)) + f.raster_error
-    straddle = int((~((cmin + margin < delta) | (cmax - margin >= delta))).sum())
+    straddle = whole_grid_band(f.dist, True, delta, margin)[1].shape[0]
     assert sum(pts for _, pts in calls) < 0.01 * 64 * straddle
 
 
@@ -372,3 +375,54 @@ def test_oracle_stays_on_the_calling_thread(monkeypatch):
     assert len(draw_threads) > 3 and main not in draw_threads
     assert not any(t.is_alive() for t in draw_threads)
     assert set(threading.enumerate()) == before
+
+
+BAND_FIELDS = {
+    "torus": lambda: field_for(EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4)), ppw=32.0),
+    "3-torus": lambda: field_for(EigenMode(DomainSpec.torus((1.0, 1.0, 1.0)), (1, 1, 1)), ppw=48.0),
+    "box": lambda: field_for(EigenMode(DomainSpec.box((1.0, 1.3)), (3, 5)), ppw=32.0),
+    "interval": lambda: field_for(EigenMode(DomainSpec.interval(), (7,)), ppw=32.0),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1 << 30])
+@pytest.mark.parametrize("name", list(BAND_FIELDS))
+def test_band_blocks_equal_the_whole_grid_band(name, rows):
+    f = BAND_FIELDS[name]()
+    margin = float(np.linalg.norm(f.h)) + f.raster_error
+    delta = margin + 1.5 * max(f.h)
+    inside, idx = measures_mod._band_cells(f.dist, f.sample.periodic, delta, margin, rows)
+    expect_inside, expect_idx = whole_grid_band(f.dist, f.sample.periodic, delta, margin)
+    # some cells fully in, some straddling, some fully out
+    assert 0 < expect_inside and 0 < expect_idx.shape[0] < f.dist.size - expect_inside
+    assert inside == expect_inside
+    assert idx.dtype == expect_idx.dtype and np.array_equal(idx, expect_idx)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 100])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("shape", [(11,), (9, 7), (5, 4, 6)])
+def test_band_blocks_on_random_values(shape, periodic, rows):
+    # no smoothness: a cell paired with the wrong row, a wrong wrap or a lost
+    # block offset changes the classification somewhere
+    dist = np.random.default_rng(7).random(shape)
+    inside, idx = measures_mod._band_cells(dist, periodic, 0.5, 0.3, rows)
+    expect_inside, expect_idx = whole_grid_band(dist, periodic, 0.5, 0.3)
+    assert 0 < expect_inside and 0 < expect_idx.shape[0]
+    assert inside == expect_inside and np.array_equal(idx, expect_idx)
+
+
+def test_tube_volume_peak_memory_yau_grid():
+    # the (16,1) Yau field (2519^2) at both Yau radii: grid-sized corner
+    # reductions peaked at 3.25x the field's bytes; row blocks at about 0.7x
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
+    f = field_for(mode, h_max=0.1 / mode.mu / 2.5)
+    assert f.dist.shape == (2519, 2519)
+    for t in (0.2, 0.1):
+        tracemalloc.start()
+        try:
+            tube_volume(f, t / mode.mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * f.dist.nbytes
