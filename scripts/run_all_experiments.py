@@ -10,10 +10,10 @@ line is the sha256 of the reports' ``sha256sum`` listing, sorted by file
 name: the hash that ``(cd OUT && sha256sum * | sha256sum)`` prints when OUT
 holds only these reports, so two runs compare byte for byte in one line.
 
-Full mode takes about 19 s on a 2-core VM, four fifths of it in the
-torus tube cells and about 0.3 s in the exponent survey; --quick drops the
+Full mode takes 17-20 s on a 2-core VM, four fifths of it in the torus
+tube cells and about 0.3 s in the exponent survey; --quick drops the
 expensive torus tube cells and shrinks the surveys for a fast smoke run
-(about 5 s).
+(about 4 s).
 """
 
 import argparse
@@ -77,7 +77,10 @@ def build_jobs(quick: bool, seed: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="report output directory")
-    parser.add_argument("--seed", type=int, default=0, help="seed for stochastic refinement")
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the tube refinement and of the approx theorem's and survey's sampled points",
+    )
     parser.add_argument("--quick", action="store_true", help="smaller configs, same gates")
     args = parser.parse_args(argv)
 

@@ -33,9 +33,8 @@ def goodness_threshold(n: int) -> float:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """Equal-interval tiling of an axis-aligned cube, every side in (delta, 2*delta)."""
+    """Equal-interval tiling of the cube prod_j [0, L_j], every side in (delta, 2*delta)."""
 
-    origin: tuple[float, ...]
     lengths: tuple[float, ...]
     delta: float
     counts: tuple[int, ...]
@@ -56,10 +55,6 @@ class Subdivision:
     def box_volume(self) -> float:
         return math.prod(self.sides)
 
-    def edges(self, axis: int) -> np.ndarray:
-        c = self.counts[axis]
-        return self.origin[axis] + self.lengths[axis] * np.arange(c + 1) / c
-
 
 def _axis_count(L: float, delta: float) -> int:
     if L <= delta:
@@ -71,15 +66,13 @@ def _axis_count(L: float, delta: float) -> int:
     raise ValidationError(f"no box count puts side of axis length {L:g} in ({delta:g}, {2*delta:g})")
 
 
-def subdivide(lengths, delta: float, origin=None) -> Subdivision:
+def subdivide(lengths, delta: float) -> Subdivision:
     """Tile a cube with equal intervals per axis, each side strictly in (delta, 2*delta)."""
     if not delta > 0:
         raise ValidationError(f"delta must be positive, got {delta}")
     lengths = tuple(float(L) for L in lengths)
-    if origin is None:
-        origin = (0.0,) * len(lengths)
     counts = tuple(_axis_count(L, delta) for L in lengths)
-    return Subdivision(tuple(float(o) for o in origin), lengths, float(delta), counts)
+    return Subdivision(lengths, float(delta), counts)
 
 
 def _check_alignment(sample: GridSample, sub: Subdivision):
@@ -87,7 +80,7 @@ def _check_alignment(sample: GridSample, sub: Subdivision):
         raise ValidationError("subdivision and sample dimensions differ")
     lengths = sample.domain.lengths
     for j in range(sub.n):
-        if abs(sub.origin[j]) > 1e-12 or abs(sub.lengths[j] - lengths[j]) > 1e-9:
+        if abs(sub.lengths[j] - lengths[j]) > 1e-9:
             raise ValidationError("subdivision must tile the sample's full domain")
     for j in range(sub.n):
         if sub.sides[j] / sample.h[j] < 8.0 - 1e-9:

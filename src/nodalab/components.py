@@ -78,15 +78,15 @@ class SignComponents:
         return self.sizes * self.cell_volume
 
 
-def sign_components(sample: GridSample, eps: float = SIGN_EPS) -> SignComponents:
-    """Connected components of the positive and negative sign sets."""
+def sign_components(sample: GridSample) -> SignComponents:
+    """Connected components of {phi > SIGN_EPS} and {phi < -SIGN_EPS}."""
     v = sample.values
     labels = np.zeros(v.shape, dtype=np.int64)
     signs = []
     sizes = []
     offset = 0
     for sgn in (1, -1):
-        mask = v > eps if sgn == 1 else v < -eps
+        mask = v > SIGN_EPS if sgn == 1 else v < -SIGN_EPS
         lab, k = _label_periodic(mask, sample.periodic)
         if k == 0:
             continue

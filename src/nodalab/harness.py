@@ -142,6 +142,10 @@ def run_tube_scaling(
     name, radii = ("mu_delta", mu_delta) if deltas is None else ("deltas", deltas)
     if len(radii) == 0:
         raise ValidationError(f"{name} is empty: no tube radius to measure")
+    # an infinite bound cannot fail, and a NaN one fails whatever was measured
+    for key, bound in (("band_cap", band_cap), ("agree_tol", agree_tol)):
+        if not 0.0 <= bound < math.inf:
+            raise ValidationError(f"{key} must be finite and >= 0, got {bound}")
     config = {
         "domain_kind": domain.kind,
         "modes": [list(m) for m in modes],
@@ -209,11 +213,11 @@ def _tube_gates(cells, config):
     gates = []
     oracle = [c for c in _live(cells, method="oracle") if c.params.get("gated", True)]
     ratios = [_num(c.measured["ratio"]) for c in oracle]
-    if ratios:
+    if len(ratios) >= 2:  # a band over one value is 1 whatever the value
         gates.append(gate("band_ratio", max(ratios) / min(ratios), _num(config["band_cap"]), "<="))
-        if config["domain_kind"] == "interval":
-            flat = max(abs(r - 2.0) for r in ratios)
-            gates.append(gate("oracle_flatness", flat, 1e-9, "<="))
+    if ratios and config["domain_kind"] == "interval":
+        flat = max(abs(r - 2.0) for r in ratios)
+        gates.append(gate("oracle_flatness", flat, 1e-9, "<="))
     agrees = [
         _num(c.measured["agree_rel"])
         for c in _live(cells, method="grid")
@@ -232,22 +236,19 @@ def run_yau_check(
     modes=None,
     mu_t=(0.2, 0.1),
     *,
-    band_cap=2.0,
-    analytic_tol=0.03,
-    product_tol=0.03,
-    agree_tol=0.03,
     seed=0,
 ) -> ExperimentReport:
     """Nodal measure per unit frequency across a mode family.
 
     Torus product modes must stay inside the analytic band [4pi, 4 sqrt(2) pi]
-    (up to analytic_tol) and the square family must sit at the upper endpoint;
-    the interval reduces to the exact zero count. A non-monotone tube ratio
-    flags the cell. On 2-d domains the marching-squares length cross-checks
-    the tube extrapolation: the estimator_agreement gate, and only it, fails
-    on a relative disagreement above agree_tol. The band and the square target
-    hold on the unit 2-torus only, so any domain but it and the interval is
-    invalid input. 2-d modes use the tube grid of the smaller radius.
+    (up to the config's analytic_tol) and the square family must sit at the
+    upper endpoint; the interval reduces to the exact zero count. A
+    non-monotone tube ratio flags the cell. On 2-d domains the marching-squares
+    length cross-checks the tube extrapolation: the estimator_agreement gate,
+    and only it, fails on a relative disagreement above the config's
+    agree_tol. The band and the square target hold on the unit 2-torus only,
+    so any domain but it and the interval is invalid input. 2-d modes use the
+    tube grid of the smaller radius.
     """
     if domain.kind != "interval" and not (domain.periodic and domain.alpha == (1.0, 1.0)):
         raise ValidationError(
@@ -266,10 +267,10 @@ def run_yau_check(
         "mu_t": list(mu_t),
         "ppw": TUBE_PPW,
         "h_factor": TUBE_CELLS_PER_RADIUS,
-        "band_cap": band_cap,
-        "analytic_tol": analytic_tol,
-        "product_tol": product_tol,
-        "agree_tol": agree_tol,
+        "band_cap": 2.0,
+        "analytic_tol": 0.03,
+        "product_tol": 0.03,
+        "agree_tol": 0.03,
         "refine_samples": SAMPLES_PER_CELL,
     }
     cells = []
@@ -328,7 +329,8 @@ def _yau_gates(cells, config):
     if not live:
         return gates
     ratios = [_num(c.measured["ratio"]) for c in live]
-    gates.append(gate("band_ratio", _band(ratios), _num(config["band_cap"]), "<="))
+    if len(ratios) >= 2:
+        gates.append(gate("band_ratio", _band(ratios), _num(config["band_cap"]), "<="))
     gates.append(
         gate("flagged_cells", sum(int(_num(c.measured["flagged"])) for c in live), 0, "<=")
     )
@@ -360,13 +362,7 @@ def _yau_gates(cells, config):
 # ------------------------------------------------------------ density check
 
 
-def run_density_check(
-    domain: DomainSpec,
-    modes=None,
-    *,
-    cap_tol=0.05,
-    cell_tol=0.10,
-) -> ExperimentReport:
+def run_density_check(domain: DomainSpec, modes=None) -> ExperimentReport:
     """Largest hole of the nodal set: max distance times mu per mode."""
     if modes is None:
         modes = ((8,), (20,), (50,)) if domain.n == 1 else DEFAULT_DENSITY_TORUS_MODES
@@ -376,8 +372,8 @@ def run_density_check(
         "modes": [list(m) for m in modes],
         "ppw": ppw,
         "radius_h_divisor": radius_h_divisor,
-        "cap_tol": cap_tol,
-        "cell_tol": cell_tol,
+        "cap_tol": 0.05,
+        "cell_tol": 0.10,
     }
     cells = []
     for m in modes:
@@ -451,9 +447,6 @@ def run_dim2_checks(
     modes=None,
     *,
     domain: DomainSpec | None = None,
-    area_tol=0.05,
-    inradius_tol=0.05,
-    c_cap=3.0,
     seed=0,
 ) -> ExperimentReport:
     """Sign-domain statistics of 2-d torus product modes.
@@ -476,9 +469,9 @@ def run_dim2_checks(
         "area_ppw": area_ppw,
         "tube_mu_delta": tube_mu_delta,
         "h_factor": TUBE_CELLS_PER_RADIUS,
-        "area_tol": area_tol,
-        "inradius_tol": inradius_tol,
-        "c_cap": c_cap,
+        "area_tol": 0.05,
+        "inradius_tol": 0.05,
+        "c_cap": 3.0,
         "refine_samples": SAMPLES_PER_CELL,
     }
     cells = []
@@ -572,8 +565,6 @@ def run_comparability_scaling(
     a_sweep=(3.0, 10.0, 30.0, 100.0),
     stability_modes=(30, 50, 80),
     variation_cap=2.0,
-    slope_band=(0.7, 1.3),
-    stability_cap=1.5,
 ) -> ExperimentReport:
     """Measure of the set where phi^2 breaks local comparability.
 
@@ -600,8 +591,8 @@ def run_comparability_scaling(
         "stability_modes": list(int(v) for v in stability_modes),
         "side_h_divisor": side_h_divisor,
         "variation_cap": variation_cap,
-        "slope_band": list(slope_band),
-        "stability_cap": stability_cap,
+        "slope_band": [0.7, 1.3],
+        "stability_cap": 1.5,
     }
     cells = []
 
@@ -666,10 +657,9 @@ def run_comparability_scaling(
 def _comparability_gates(cells, config):
     gates = []
     scaling = _live(cells, kind="scaling")
-    ratios = [_num(c.measured["ratio"]) for c in scaling]
-    if ratios:
+    if len(scaling) >= 2:  # a band and a slope need two radii
+        ratios = [_num(c.measured["ratio"]) for c in scaling]
         gates.append(gate("ratio_variation", _band(ratios), _num(config["variation_cap"]), "<="))
-    if len(scaling) >= 2:  # a slope needs two radii
         ts = [_num(c.params["mu_delta"]) for c in scaling]
         evs = [_num(c.measured["e_volume"]) for c in scaling]
         slope = float(np.polyfit(np.log(ts), np.log(evs), 1)[0])
@@ -681,7 +671,7 @@ def _comparability_gates(cells, config):
         evols = [_num(c.measured["e_volume"]) for c in sweep]
         gates.append(gate("a_sweep_monotone", max(np.diff(evols)), 0.0, "<="))
     if not gates:
-        # nothing was measured on the requested mode m; the stability band,
+        # no gate was taken on the requested mode m; the stability band,
         # taken on fixed modes, cannot pass the report on its own
         return gates
     stability = _live(cells, kind="stability")
@@ -704,7 +694,6 @@ def run_approx_theorem(
     n_points: int = 10_000,
     seed: int = 2718,
     box_k_max: int = 2000,
-    limit_tol: float | None = None,
 ) -> ExperimentReport:
     """Convergent tube-volume sums and the vanishing-hit-fraction proxy.
 
@@ -738,9 +727,6 @@ def run_approx_theorem(
     if not (k0 > 0 and 0.0 < 2.0 * C < eps * k0**eps):
         # the tail_hit_fraction bound 2C/(eps k0^eps) must lie in (0, 1)
         raise ValidationError(f"need 0 < 2C < eps*k0^eps, got C={C}, eps={eps}, k0={k0}")
-    if limit_tol is None:
-        # the partial sum trails the limit by the series tail, just under 2/k_max
-        limit_tol = max(3e-4, 2.2 / k_max)
     config = {
         "domain_kind": domain.kind,
         "C": float(C),
@@ -750,7 +736,8 @@ def run_approx_theorem(
         "n_points": int(n_points),
         "box_k_max": int(box_k_max),
         "limit": math.pi**2 / 3 if (n == 1 and C == 1.0 and eps == 1.0) else None,
-        "limit_tol": float(limit_tol),
+        # the partial sum trails the limit by the series tail, just under 2/k_max
+        "limit_tol": max(3e-4, 2.2 / k_max),
     }
     cells = []
 
@@ -846,10 +833,7 @@ def run_exponent_survey(
     mu_max_box: float = 2000.0,
     box_alpha=(1.0, math.sqrt(2.0)),
     seed: int = 12345,
-    interval_mean_band=(1.8, 2.2),
-    interval_point_band=(1.6, 2.4),
     interval_point_min: int | None = None,
-    box_mean_band=(1.7, 2.3),
 ) -> ExperimentReport:
     """Per-point approximation exponents on the interval and a weighted box.
 
@@ -865,6 +849,8 @@ def run_exponent_survey(
         raise ValidationError("n_interval and n_box must be >= 1")
     if interval_point_min is None:
         interval_point_min = int(round(0.9 * n_interval))
+    elif interval_point_min < 1:
+        raise ValidationError(f"interval_point_min must be >= 1, got {interval_point_min}")
     interval = DomainSpec.interval()
     box = DomainSpec.box(tuple(float(a) for a in box_alpha))
     config = {
@@ -873,10 +859,10 @@ def run_exponent_survey(
         "n_box": int(n_box),
         "mu_max_box": float(mu_max_box),
         "box_alpha": [float(a) for a in box_alpha],
-        "interval_mean_band": list(interval_mean_band),
-        "interval_point_band": list(interval_point_band),
+        "interval_mean_band": [1.8, 2.2],
+        "interval_point_band": [1.6, 2.4],
         "interval_point_min": int(interval_point_min),
-        "box_mean_band": list(box_mean_band),
+        "box_mean_band": [1.7, 2.3],
     }
     rng = np.random.default_rng(seed)
     cells = []

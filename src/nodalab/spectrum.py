@@ -139,6 +139,12 @@ class EigenMode:
                 raise ValidationError("Dirichlet boundary conditions force sine factors")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "kinds", kinds)
+        try:
+            finite = math.isfinite(self.mu_squared)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"mode {m} on alpha={self.domain.alpha}: mu^2 overflows")
 
     @property
     def mu_squared(self) -> float:

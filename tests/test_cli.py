@@ -156,12 +156,30 @@ def test_survey_candidate_cap_exits_3_before_allocating(tmp_path, capsys):
          "mu_max must be finite and nonnegative"),
         (["dioph", "--mu-max-box=-5", "--n-interval", "1", "--n-box", "1"],
          "mu_max must be finite and nonnegative"),
+        # a mode whose mu^2 has no float: through a weight, and through an index
+        (["density", "--domain", "torus", "--alpha", "1e300,1", "--modes", "1,1"],
+         "mu^2 overflows"),
+        (["tube", "--domain", "torus", "--alpha", "1e300,1", "--modes", "1,1"],
+         "mu^2 overflows"),
+        (["yau", "--modes", "1" + "0" * 400 + ",1"], "mu^2 overflows"),
+        # a bound flag must leave its gate able to fail
+        (["tube", "--band-cap", "inf", "--agree-tol", "inf"],
+         "band_cap must be finite and >= 0, got inf"),
+        (["tube", "--band-cap", "nan"], "band_cap must be finite and >= 0, got nan"),
+        (["tube", "--band-cap=-1"], "band_cap must be finite and >= 0, got -1.0"),
+        (["tube", "--agree-tol", "inf"], "agree_tol must be finite and >= 0, got inf"),
+        (["tube", "--agree-tol", "nan"], "agree_tol must be finite and >= 0, got nan"),
+        (["dioph", "--point-min", "0", "--n-interval", "5", "--n-box", "5"],
+         "interval_point_min must be >= 1, got 0"),
     ],
     ids=["n-interval-0", "n-box-0", "k-max-below-k0", "n-points-0",
          "boxes-mu-delta-empty", "tube-delta-empty", "tube-mu-delta-empty",
          "boxes-mu-delta-nan", "boxes-A-nan", "boxes-A-inf", "tube-torus-mu-delta-nan",
          "tube-interval-delta-nan", "tube-interval-mu-delta-inf", "borel-cantelli-eps-nan",
-         "borel-cantelli-eps-inf", "dioph-mu-max-box-nan", "dioph-mu-max-box-negative"],
+         "borel-cantelli-eps-inf", "dioph-mu-max-box-nan", "dioph-mu-max-box-negative",
+         "density-mu-overflows", "tube-mu-overflows", "yau-index-overflows",
+         "tube-bounds-inf", "tube-band-cap-nan", "tube-band-cap-negative",
+         "tube-agree-tol-inf", "tube-agree-tol-nan", "dioph-point-min-0"],
 )
 def test_degenerate_spectral_config_exits_2(argv, message, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID
@@ -275,8 +293,11 @@ def test_degenerate_borel_cantelli_exits_2(argv, message, tmp_path, capsys):
          "no gate could be evaluated"),
         (["boxes", "--m", "10000000"],
          "skipped cell scaling;mud=0.1: skipped: grid of shape"),
+        # one oracle ratio is left, and a band over one value is no gate
+        (["tube", "--domain", "torus2", "--modes", "3,4", "--delta", "1e-9"],
+         "skipped cell grid;m=3,4;mud=5e-09: grid skipped: grid of shape"),
     ],
-    ids=["yau", "density", "dim2", "tube", "boxes"],
+    ids=["yau", "density", "dim2", "tube", "boxes", "tube-one-oracle-ratio"],
 )
 def test_all_cells_skipped_fails_with_a_message(argv, message, tmp_path, capsys):
     """A report with no live cell has no gates: exit 1 and say why, no traceback."""
@@ -337,6 +358,27 @@ def test_flags_are_driver_keywords_and_report_config_keys(cmd, tmp_path):
     # the seed and the domain have their own blocks in the report
     assert dests - {"seed", "domain"} <= set(doc["config"])
     assert {"seed", "domain"} <= set(doc)
+
+
+# driver keywords that no flag sets: experiment parameters a Python caller may
+# vary; a gate bound belongs in the driver's config, not in this list
+PYTHON_ONLY_KEYWORDS = {
+    "tube": set(),
+    "yau": {"mu_t"},
+    "density": set(),
+    "boxes": {"domain", "a_sweep", "stability_modes", "variation_cap"},
+    "dim2": {"domain"},
+    "dioph": {"box_alpha"},
+    "borel-cantelli": {"domain", "box_k_max"},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(DRIVERS))
+def test_driver_keywords_are_flags_or_listed_python_only(cmd):
+    """Every driver keyword is a flag of its subcommand or a listed Python-only keyword."""
+    keywords = set(inspect.signature(DRIVERS[cmd]).parameters)
+    dests = driver_dests(cmd)
+    assert keywords - dests == PYTHON_ONLY_KEYWORDS[cmd]
 
 
 @pytest.mark.parametrize("cmd", sorted(DRIVERS))

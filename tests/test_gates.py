@@ -5,11 +5,20 @@ gate passes on the first run and fails on the second, and the other gates that
 fail with it are listed.
 """
 
+import math
+
 import pytest
 
+import nodalab.components as components_mod
 import nodalab.dioph as dioph_mod
 import nodalab.harness as harness_mod
-from nodalab.harness import run_approx_theorem, run_exponent_survey
+from nodalab.harness import (
+    run_approx_theorem,
+    run_density_check,
+    run_dim2_checks,
+    run_exponent_survey,
+)
+from nodalab.spectrum import DomainSpec
 
 
 def lower_radii_exponent(monkeypatch):
@@ -39,6 +48,18 @@ def lower_distances(monkeypatch):
     )
 
 
+def take_zeros_into_signs(monkeypatch):
+    """Sign masks v >= 0 and v <= 0: the zero lines no longer separate the domains."""
+    # v > -ulp(0) holds exactly when v >= 0, and v < ulp(0) when v <= 0
+    monkeypatch.setattr(components_mod, "SIGN_EPS", -math.ulp(0.0))
+
+
+def widen_radius(monkeypatch):
+    """Largest nodal-free radius read 1.2 times too large."""
+    radius = harness_mod.density_radius
+    monkeypatch.setattr(harness_mod, "density_radius", lambda field: 1.2 * radius(field))
+
+
 def approx():
     return run_approx_theorem(k_max=2000, n_points=400, k0=50, box_k_max=400)
 
@@ -47,9 +68,23 @@ def survey():
     return run_exponent_survey(n_interval=10, mu_max_interval=20_000.0, n_box=5)
 
 
+def dim2():
+    return run_dim2_checks(modes=((2, 3),))
+
+
+def density_torus():
+    return run_density_check(DomainSpec.torus((1.0, 1.0)), modes=((3, 3), (4, 1)))
+
+
+def density_interval():
+    return run_density_check(DomainSpec.interval())
+
+
 APPROX_FAILS = {"bc_limit_dev", "bc_gap_decreasing", "tail_hit_fraction", "bc2_gap_decreasing"}
 SURVEY_FAILS = {"interval_mean_high", "interval_points_in_band", "box_mean_high"}
 SURVEY_LOW_FAILS = {"interval_mean_low", "interval_points_in_band", "box_mean_low"}
+SIGN_FAILS = {"component_count_exact", "min_area_rel"}
+DENSITY_FAILS = {"analytic_cap", "cell_formula_dev"}
 
 # gate -> (break, run, every gate the break fails)
 WITNESSES = {
@@ -60,6 +95,11 @@ WITNESSES = {
     "interval_mean_low": (lower_distances, survey, SURVEY_LOW_FAILS),
     "box_mean_low": (lower_distances, survey, SURVEY_LOW_FAILS),
     "interval_points_in_band": (lower_distances, survey, SURVEY_LOW_FAILS),
+    "component_count_exact": (take_zeros_into_signs, dim2, SIGN_FAILS),
+    "min_area_rel": (take_zeros_into_signs, dim2, SIGN_FAILS),
+    "analytic_cap": (widen_radius, density_torus, DENSITY_FAILS),
+    "cell_formula_dev": (widen_radius, density_torus, DENSITY_FAILS),
+    "interval_half_pi": (widen_radius, density_interval, {"interval_half_pi"}),
 }
 
 

@@ -79,9 +79,9 @@ def test_tube_resource_skip():
     r = run_tube_scaling(TORUS2, modes=((20, 21),), mu_delta=(0.05,))
     skipped = [c for c in r.cells if c.skipped]
     assert len(skipped) == 1 and "cap" in skipped[0].note
-    g = gates_by_name(r)
-    assert "grid_agreement" not in g  # nothing measured, so nothing claimed
-    assert r.passed
+    # nothing measured, so nothing claimed: no grid_agreement, and a band over
+    # the one oracle ratio would be 1 whatever the ratio, so no band_ratio
+    assert r.gates == [] and not r.passed
 
 
 def test_tube_gate_builder_ignores_skipped_and_ungated():
@@ -96,6 +96,19 @@ def test_tube_gate_builder_ignores_skipped_and_ungated():
     by = {g.name: g for g in gates}
     assert by["band_ratio"].value == pytest.approx(1.1)
     assert "grid_agreement" not in by
+
+
+def test_band_gates_need_two_values():
+    """A band over one value is 1 whatever the value, so one value takes no band gate."""
+    runs = [
+        ("band_ratio", lambda n: run_yau_check(INTERVAL, modes=((10,), (40,))[:n])),
+        ("band_ratio",
+         lambda n: run_tube_scaling(TORUS2, modes=((3, 4),), mu_delta=(0.1, 0.2)[:n], grid=False)),
+        ("ratio_variation", lambda n: run_comparability_scaling(m=20, mu_delta=(0.2, 0.4)[:n])),
+    ]
+    for band, run in runs:
+        assert band not in gates_by_name(run(1))
+        assert band in gates_by_name(run(2))
 
 
 def test_yau_interval_exact_vertices():
@@ -116,16 +129,18 @@ def test_yau_torus_families():
 
 def test_yau_agreement_fails_only_its_own_gate():
     # the (3,3) segment/tube agreement is 0.0352 at these radii
-    kwargs = dict(modes=((3, 3), (4, 1)), mu_t=(1.0, 0.8))
-    loose = run_yau_check(TORUS2, agree_tol=0.5, **kwargs)
-    g = gates_by_name(loose)
+    default = run_yau_check(TORUS2, modes=((3, 3), (4, 1)), mu_t=(1.0, 0.8))
+    # the same cells under a looser bound: only estimator_agreement's bound differs
+    loose = harness_mod._yau_gates(default.cells, {**default.config, "agree_tol": 0.5})
+    g = {x.name: x for x in loose}
     assert 0.03 < g["estimator_agreement"].value < 0.5 and g["estimator_agreement"].passed
     assert g["flagged_cells"].passed and g["flagged_cells"].value == 0
-    default = run_yau_check(TORUS2, **kwargs)
     g = gates_by_name(default)
     assert not g["estimator_agreement"].passed
     # flagged means a non-monotone tube ratio only: one cause, one failed gate
     assert g["flagged_cells"].passed and g["flagged_cells"].value == 0
+    assert [x.name for x in default.gates if not x.passed] == ["estimator_agreement"]
+    assert [x.name for x in loose if not x.passed] == []
     flags = {c.cell: c.measured["flagged"] for c in default.cells}
     assert flags == {"m=3,3": 0, "m=4,1": 0}
 

@@ -227,6 +227,12 @@ class TestEigenMode:
             EigenMode(BOX2, (1, 1), kinds=(COS, SIN))
         with pytest.raises(ValidationError):
             EigenMode(INTERVAL, (1, 2))
+        # mu^2 overflows: (alpha m)^2 raises, 2 (1e154)^2 rounds to inf, 10^400 has no float
+        for alpha, m in (
+            ((1e300, 1.0), (1, 1)), ((1e154, 1e154), (1, 1)), ((1.0, 1.0), (10**400, 1))
+        ):
+            with pytest.raises(ValidationError, match="overflows"):
+                EigenMode(DomainSpec.torus(alpha), m)
 
 
 class TestEvalMode:
