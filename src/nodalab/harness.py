@@ -6,6 +6,10 @@ builder registered in GATE_BUILDERS. Guard failures (resolution or resource)
 mark the affected cell skipped with the reason in its note; skipped cells
 never enter gate statistics. Exact closed-form oracles are measured in their
 own cells so a skipped grid estimate does not silently drop a law check.
+
+Builders read plain numbers: a live report's, or a stored one's as
+reports.read_report decodes them. Their maxima and minima are NumPy's, which
+propagate NaN, so a NaN in any live cell's gated value fails its gate.
 """
 
 from __future__ import annotations
@@ -59,18 +63,6 @@ TUBE_PPW = 32.0
 TUBE_CELLS_PER_RADIUS = 2.5
 
 
-def _num(x) -> float:
-    """Cell values round-trip through JSON; non-finite floats arrive as strings."""
-    if isinstance(x, bool) or x is None:
-        return math.nan
-    if isinstance(x, str):
-        try:
-            return float(x)
-        except ValueError:
-            return math.nan
-    return float(x)
-
-
 @contextmanager
 def _skip_on_guard(cell: CellResult, prefix: str = "skipped: "):
     """Mark the cell skipped, with the guard's message in its note, if a guard fires."""
@@ -96,7 +88,7 @@ def _tube_rule(radii) -> ResolutionRule:
 
 
 def _band(values) -> float:
-    lo, hi = min(values), max(values)
+    lo, hi = np.min(values), np.max(values)
     if lo <= 0:
         raise ValidationError("band requires positive values")
     return hi / lo
@@ -142,10 +134,11 @@ def run_tube_scaling(
     name, radii = ("mu_delta", mu_delta) if deltas is None else ("deltas", deltas)
     if len(radii) == 0:
         raise ValidationError(f"{name} is empty: no tube radius to measure")
-    # an infinite bound cannot fail, and a NaN one fails whatever was measured
-    for key, bound in (("band_cap", band_cap), ("agree_tol", agree_tol)):
-        if not 0.0 <= bound < math.inf:
-            raise ValidationError(f"{key} must be finite and >= 0, got {bound}")
+    # an infinite bound cannot fail, a NaN one fails whatever was measured,
+    # and a ratio band is at least 1
+    for key, bound, low in (("band_cap", band_cap, 1.0), ("agree_tol", agree_tol, 0.0)):
+        if not low <= bound < math.inf:
+            raise ValidationError(f"{key} must be finite and >= {low:g}, got {bound}")
     config = {
         "domain_kind": domain.kind,
         "modes": [list(m) for m in modes],
@@ -212,19 +205,16 @@ def run_tube_scaling(
 def _tube_gates(cells, config):
     gates = []
     oracle = [c for c in _live(cells, method="oracle") if c.params.get("gated", True)]
-    ratios = [_num(c.measured["ratio"]) for c in oracle]
+    ratios = [c.measured["ratio"] for c in oracle]
     if len(ratios) >= 2:  # a band over one value is 1 whatever the value
-        gates.append(gate("band_ratio", max(ratios) / min(ratios), _num(config["band_cap"]), "<="))
+        gates.append(gate("band_ratio", np.max(ratios) / np.min(ratios), config["band_cap"], "<="))
     if ratios and config["domain_kind"] == "interval":
-        flat = max(abs(r - 2.0) for r in ratios)
+        flat = np.max([abs(r - 2.0) for r in ratios])
         gates.append(gate("oracle_flatness", flat, 1e-9, "<="))
-    agrees = [
-        _num(c.measured["agree_rel"])
-        for c in _live(cells, method="grid")
-        if "agree_rel" in c.measured
-    ]
+    grid = _live(cells, method="grid")
+    agrees = [c.measured["agree_rel"] for c in grid if "agree_rel" in c.measured]
     if agrees:
-        gates.append(gate("grid_agreement", max(agrees), _num(config["agree_tol"]), "<="))
+        gates.append(gate("grid_agreement", np.max(agrees), config["agree_tol"], "<="))
     return gates
 
 
@@ -328,34 +318,28 @@ def _yau_gates(cells, config):
     live = _live(cells)
     if not live:
         return gates
-    ratios = [_num(c.measured["ratio"]) for c in live]
+    ratios = [c.measured["ratio"] for c in live]
     if len(ratios) >= 2:
-        gates.append(gate("band_ratio", _band(ratios), _num(config["band_cap"]), "<="))
-    gates.append(
-        gate("flagged_cells", sum(int(_num(c.measured["flagged"])) for c in live), 0, "<=")
-    )
+        gates.append(gate("band_ratio", _band(ratios), config["band_cap"], "<="))
+    gates.append(gate("flagged_cells", sum(c.measured["flagged"] for c in live), 0, "<="))
     if config["domain_kind"] == "interval":
-        worst = max(
-            abs(_num(c.measured["value"]) - (c.params["m"][0] + 1)) for c in live
-        )
+        worst = np.max([abs(c.measured["value"] - (c.params["m"][0] + 1)) for c in live])
         gates.append(gate("vertex_count_exact", worst, 0.0, "<="))
         return gates
-    tol = _num(config["analytic_tol"])
-    gates.append(gate("analytic_low", min(ratios), FOUR_PI * (1.0 - tol), ">="))
-    gates.append(gate("analytic_high", max(ratios), YAU_SQUARE_RATIO * (1.0 + tol), "<="))
+    tol = config["analytic_tol"]
+    gates.append(gate("analytic_low", np.min(ratios), FOUR_PI * (1.0 - tol), ">="))
+    gates.append(gate("analytic_high", np.max(ratios), YAU_SQUARE_RATIO * (1.0 + tol), "<="))
     squares = _live(cells, family="square")
     if squares:
-        dev = max(
-            abs(_num(c.measured["ratio"]) - YAU_SQUARE_RATIO) / YAU_SQUARE_RATIO for c in squares
-        )
-        gates.append(gate("square_family_dev", dev, _num(config["product_tol"]), "<="))
-    aspect = sorted(_live(cells, family="aspect"), key=lambda c: _num(c.params["mu"]))
+        devs = [abs(c.measured["ratio"] - YAU_SQUARE_RATIO) / YAU_SQUARE_RATIO for c in squares]
+        gates.append(gate("square_family_dev", np.max(devs), config["product_tol"], "<="))
+    aspect = sorted(_live(cells, family="aspect"), key=lambda c: c.params["mu"])
     if len(aspect) >= 2:
-        r = [_num(c.measured["ratio"]) for c in aspect]
-        gates.append(gate("aspect_monotone", max(np.diff(r)), 0.0, "<="))
-    agrees = [_num(c.measured["agreement_rel"]) for c in live if "agreement_rel" in c.measured]
+        r = [c.measured["ratio"] for c in aspect]
+        gates.append(gate("aspect_monotone", np.max(np.diff(r)), 0.0, "<="))
+    agrees = [c.measured["agreement_rel"] for c in live if "agreement_rel" in c.measured]
     if agrees:
-        gates.append(gate("estimator_agreement", max(agrees), _num(config["agree_tol"]), "<="))
+        gates.append(gate("estimator_agreement", np.max(agrees), config["agree_tol"], "<="))
     return gates
 
 
@@ -409,27 +393,15 @@ def _density_gates(cells, config):
     live = _live(cells)
     if not live:
         return gates
+    ms = [c.measured for c in live]
     if config["domain_kind"] == "interval":
-        worst = max(
-            abs(_num(c.measured["product"]) - math.pi / 2) - 2.0 * _num(c.measured["h_mu"])
-            for c in live
-        )
+        worst = np.max([abs(v["product"] - math.pi / 2) - 2.0 * v["h_mu"] for v in ms])
         gates.append(gate("interval_half_pi", worst, 0.0, "<="))
         return gates
-    cap = max(
-        _num(c.measured["product"])
-        - _num(c.measured["oracle_product"]) * (1.0 + _num(config["cap_tol"]))
-        for c in live
-    )
+    cap = np.max([v["product"] - v["oracle_product"] * (1.0 + config["cap_tol"]) for v in ms])
     gates.append(gate("analytic_cap", cap, 0.0, "<="))
-    gates.append(
-        gate(
-            "cell_formula_dev",
-            max(_num(c.measured["rel_dev"]) for c in live),
-            _num(config["cell_tol"]),
-            "<=",
-        )
-    )
+    worst = np.max([v["rel_dev"] for v in ms])
+    gates.append(gate("cell_formula_dev", worst, config["cell_tol"], "<="))
     return gates
 
 
@@ -527,29 +499,13 @@ def _dim2_gates(cells, config):
     live = _live(cells)
     if not live:
         return []
-    count_dev = max(
-        abs(_num(c.measured["count"]) - _num(c.params["count_oracle"])) for c in live
-    )
+    count_dev = np.max([abs(c.measured["count"] - c.params["count_oracle"]) for c in live])
+    ms = [c.measured for c in live]
     return [
         gate("component_count_exact", count_dev, 0.0, "<="),
-        gate(
-            "min_area_rel",
-            max(_num(c.measured["min_area_rel"]) for c in live),
-            _num(config["area_tol"]),
-            "<=",
-        ),
-        gate(
-            "inradius_rel",
-            max(_num(c.measured["inradius_rel"]) for c in live),
-            _num(config["inradius_tol"]),
-            "<=",
-        ),
-        gate(
-            "tube_constant",
-            max(_num(c.measured["tube_constant"]) for c in live),
-            _num(config["c_cap"]),
-            "<=",
-        ),
+        gate("min_area_rel", np.max([v["min_area_rel"] for v in ms]), config["area_tol"], "<="),
+        gate("inradius_rel", np.max([v["inradius_rel"] for v in ms]), config["inradius_tol"], "<="),
+        gate("tube_constant", np.max([v["tube_constant"] for v in ms]), config["c_cap"], "<="),
     ]
 
 
@@ -658,26 +614,26 @@ def _comparability_gates(cells, config):
     gates = []
     scaling = _live(cells, kind="scaling")
     if len(scaling) >= 2:  # a band and a slope need two radii
-        ratios = [_num(c.measured["ratio"]) for c in scaling]
-        gates.append(gate("ratio_variation", _band(ratios), _num(config["variation_cap"]), "<="))
-        ts = [_num(c.params["mu_delta"]) for c in scaling]
-        evs = [_num(c.measured["e_volume"]) for c in scaling]
+        ratios = [c.measured["ratio"] for c in scaling]
+        gates.append(gate("ratio_variation", _band(ratios), config["variation_cap"], "<="))
+        ts = [c.params["mu_delta"] for c in scaling]
+        evs = [c.measured["e_volume"] for c in scaling]
         slope = float(np.polyfit(np.log(ts), np.log(evs), 1)[0])
         lo, hi = config["slope_band"]
-        gates.append(gate("loglog_slope_low", slope, _num(lo), ">="))
-        gates.append(gate("loglog_slope_high", slope, _num(hi), "<="))
-    sweep = sorted(_live(cells, kind="a_sweep"), key=lambda c: _num(c.params["A"]))
+        gates.append(gate("loglog_slope_low", slope, lo, ">="))
+        gates.append(gate("loglog_slope_high", slope, hi, "<="))
+    sweep = sorted(_live(cells, kind="a_sweep"), key=lambda c: c.params["A"])
     if len(sweep) >= 2:
-        evols = [_num(c.measured["e_volume"]) for c in sweep]
-        gates.append(gate("a_sweep_monotone", max(np.diff(evols)), 0.0, "<="))
+        evols = [c.measured["e_volume"] for c in sweep]
+        gates.append(gate("a_sweep_monotone", np.max(np.diff(evols)), 0.0, "<="))
     if not gates:
         # no gate was taken on the requested mode m; the stability band,
         # taken on fixed modes, cannot pass the report on its own
         return gates
     stability = _live(cells, kind="stability")
     if len(stability) >= 2:
-        vals = [_num(c.measured["bad_mass_over_e"]) for c in stability]
-        gates.append(gate("stability_band", _band(vals), _num(config["stability_cap"]), "<="))
+        vals = [c.measured["bad_mass_over_e"] for c in stability]
+        gates.append(gate("stability_band", _band(vals), config["stability_cap"], "<="))
     return gates
 
 
@@ -796,29 +752,26 @@ def run_approx_theorem(
 
 def _approx_gates(cells, config):
     gates = []
-    bc = sorted(_live(cells, kind="bc"), key=lambda c: _num(c.params["K"]))
+    bc = sorted(_live(cells, kind="bc"), key=lambda c: c.params["K"])
     if bc and config.get("limit") is not None:
-        final = _num(bc[-1].measured["partial"])
-        gates.append(
-            gate("bc_limit_dev", abs(final - _num(config["limit"])), _num(config["limit_tol"]), "<=")
-        )
-    gaps = [_num(c.measured["gap"]) for c in bc if "gap" in c.measured]
+        final = bc[-1].measured["partial"]
+        gates.append(gate("bc_limit_dev", abs(final - config["limit"]), config["limit_tol"], "<="))
+    gaps = [c.measured["gap"] for c in bc if "gap" in c.measured]
     if len(gaps) >= 2:
-        gates.append(gate("bc_gap_decreasing", max(np.diff(gaps)), 0.0, "<="))
+        gates.append(gate("bc_gap_decreasing", np.max(np.diff(gaps)), 0.0, "<="))
     if gaps:
-        gates.append(gate("bc_gap_positive", min(gaps), 0.0, ">="))
+        gates.append(gate("bc_gap_positive", np.min(gaps), 0.0, ">="))
     for hit in _live(cells, kind="hits"):
-        k0, eps = _num(config["k0"]), _num(config["eps"])
-        n_points = _num(config["n_points"])
+        k0, eps = config["k0"], config["eps"]
         # the interval tail sum_{k>k0} 2C/(pi k^(1+eps)) is below its integral
         # from k0; at eps = 1 this is 2C/k0 bit for bit
-        bound = 2.0 * _num(config["C"]) / (eps * k0**eps)
-        bound += 3.0 * math.sqrt(bound * (1 - bound) / n_points)
-        gates.append(gate("tail_hit_fraction", _num(hit.measured["fraction"]), bound, "<="))
-    bc2 = sorted(_live(cells, kind="bc2"), key=lambda c: _num(c.params["K"]))
+        bound = 2.0 * config["C"] / (eps * k0**eps)
+        bound += 3.0 * math.sqrt(bound * (1 - bound) / config["n_points"])
+        gates.append(gate("tail_hit_fraction", hit.measured["fraction"], bound, "<="))
+    bc2 = sorted(_live(cells, kind="bc2"), key=lambda c: c.params["K"])
     if len(bc2) >= 2:
-        gaps2 = [_num(c.measured["gap"]) for c in bc2]
-        gates.append(gate("bc2_gap_decreasing", max(np.diff(gaps2)), 0.0, "<="))
+        gaps2 = [c.measured["gap"] for c in bc2]
+        gates.append(gate("bc2_gap_decreasing", np.max(np.diff(gaps2)), 0.0, "<="))
     return gates
 
 
@@ -849,8 +802,10 @@ def run_exponent_survey(
         raise ValidationError("n_interval and n_box must be >= 1")
     if interval_point_min is None:
         interval_point_min = int(round(0.9 * n_interval))
-    elif interval_point_min < 1:
-        raise ValidationError(f"interval_point_min must be >= 1, got {interval_point_min}")
+    elif not 1 <= interval_point_min <= n_interval:  # at most n_interval points are in band
+        raise ValidationError(
+            f"interval_point_min must lie in [1, n_interval={n_interval}], got {interval_point_min}"
+        )
     interval = DomainSpec.interval()
     box = DomainSpec.box(tuple(float(a) for a in box_alpha))
     config = {
@@ -871,21 +826,8 @@ def run_exponent_survey(
     # mode, and estimate_exponent scans only its convergent denominators
     modes_i = record_candidates(interval, mu_max_interval)
     pts_i = rng.uniform(0.0, math.pi, size=n_interval)
-    for i, x in enumerate(pts_i):
-        est = estimate_exponent([float(x)], modes_i)
-        cells.append(
-            CellResult(
-                cell=f"interval;{i}",
-                params={"kind": "interval", "i": i, "x": float(x)},
-                measured={
-                    "exponent": est.exponent,
-                    "n_records": est.n_records,
-                    "residual": est.residual,
-                    "low_confidence": int(est.low_confidence),
-                    "exact_hit": int(est.exact_hit),
-                },
-            )
-        )
+    for i, x in enumerate(pts_i.tolist()):
+        cells.append(_exponent_cell("interval", i, x, estimate_exponent([x], modes_i)))
 
     modes_b = record_candidates(box, mu_max_box)
     if len(modes_b) == 0 or modes_b.mu[-1] <= EXPONENT_MU_MIN:
@@ -894,38 +836,31 @@ def run_exponent_survey(
         modes_b = enumerate_modes(box, mu_max_box)
     pts_b = rng.uniform(0.0, box.lengths, size=(n_box, 2))
     for i, pt in enumerate(pts_b):
-        est = estimate_exponent(pt, modes_b)
-        cells.append(
-            CellResult(
-                cell=f"box;{i}",
-                params={"kind": "box", "i": i, "x": [float(v) for v in pt]},
-                measured={
-                    "exponent": est.exponent,
-                    "n_records": est.n_records,
-                    "residual": est.residual,
-                    "low_confidence": int(est.low_confidence),
-                    "exact_hit": int(est.exact_hit),
-                },
-            )
-        )
+        cells.append(_exponent_cell("box", i, pt.tolist(), estimate_exponent(pt, modes_b)))
 
     gates = GATE_BUILDERS["exponent_survey"](cells, config)
-    live_i = [
-        _num(c.measured["exponent"])
-        for c in _live(cells, kind="interval")
-        if not _num(c.measured["low_confidence"])
-    ]
-    live_b = [
-        _num(c.measured["exponent"])
-        for c in _live(cells, kind="box")
-        if not _num(c.measured["low_confidence"])
-    ]
-    summary = {
-        "interval_mean": float(np.mean(live_i)) if live_i else None,
-        "box_mean": float(np.mean(live_b)) if live_b else None,
-    }
+    fits = {"interval": [], "box": []}
+    for c in _live(cells):
+        if not c.measured["low_confidence"]:
+            fits[c.params["kind"]].append(c.measured["exponent"])
+    summary = {f"{kind}_mean": float(np.mean(v)) if v else None for kind, v in fits.items()}
     return ExperimentReport(
         "exponent_survey", interval.as_dict(), config, cells, gates, summary, seed
+    )
+
+
+def _exponent_cell(kind: str, i: int, x, est) -> CellResult:
+    """One survey point's estimate; x is the point as its params record it."""
+    return CellResult(
+        cell=f"{kind};{i}",
+        params={"kind": kind, "i": i, "x": x},
+        measured={
+            "exponent": est.exponent,
+            "n_records": est.n_records,
+            "residual": est.residual,
+            "low_confidence": int(est.low_confidence),
+            "exact_hit": int(est.exact_hit),
+        },
     )
 
 
@@ -934,30 +869,29 @@ def _exponent_gates(cells, config):
 
     def usable(kind):
         return [
-            _num(c.measured["exponent"])
+            c.measured["exponent"]
             for c in _live(cells, kind=kind)
-            if not _num(c.measured["low_confidence"]) and not _num(c.measured["exact_hit"])
+            if not c.measured["low_confidence"] and not c.measured["exact_hit"]
         ]
 
     slopes_i = usable("interval")
     if slopes_i:
         mean_i = float(np.mean(slopes_i))
         lo, hi = config["interval_mean_band"]
-        gates.append(gate("interval_mean_low", mean_i, _num(lo), ">="))
-        gates.append(gate("interval_mean_high", mean_i, _num(hi), "<="))
+        gates.append(gate("interval_mean_low", mean_i, lo, ">="))
+        gates.append(gate("interval_mean_high", mean_i, hi, "<="))
     plo, phi = config["interval_point_band"]
-    all_i = [_num(c.measured["exponent"]) for c in _live(cells, kind="interval")]
+    all_i = [c.measured["exponent"] for c in _live(cells, kind="interval")]
     if all_i:
-        in_band = sum(1 for s in all_i if _num(plo) <= s <= _num(phi))
-        gates.append(
-            gate("interval_points_in_band", in_band, _num(config["interval_point_min"]), ">=")
-        )
+        # a NaN exponent is out of band
+        in_band = sum(1 for s in all_i if plo <= s <= phi)
+        gates.append(gate("interval_points_in_band", in_band, config["interval_point_min"], ">="))
     slopes_b = usable("box")
     if slopes_b:
         mean_b = float(np.mean(slopes_b))
         blo, bhi = config["box_mean_band"]
-        gates.append(gate("box_mean_low", mean_b, _num(blo), ">="))
-        gates.append(gate("box_mean_high", mean_b, _num(bhi), "<="))
+        gates.append(gate("box_mean_low", mean_b, blo, ">="))
+        gates.append(gate("box_mean_high", mean_b, bhi, "<="))
     return gates
 
 

@@ -6,6 +6,11 @@ a pure function of the recorded numbers: every harness experiment registers a
 gate builder keyed by experiment id, and verify_report re-derives the gates
 from the stored cells to confirm the stored verdict. Serialization avoids
 wall-clock fields so identical configs produce byte-identical files.
+
+This is the only module that knows the JSON encoding: ``_json_safe`` writes
+non-finite floats as the strings 'inf', '-inf' and 'nan', and read_report,
+the only reader of a stored report, turns them back into floats and rejects
+a malformed file, so gate builders see plain numbers.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ from .errors import ValidationError
 
 CODE_VERSION = "0.1.0"
 SCHEMA = 1
+_REPORT_KEYS = (
+    "schema", "code_version", "experiment", "domain", "config", "seed",
+    "cells", "gates", "summary", "passed",
+)
+_CELL_KEYS = ("cell", "params", "measured", "error", "passed", "skipped", "note")
+_NON_FINITE = {repr(v): v for v in (math.inf, -math.inf, math.nan)}
 
 
 def _json_safe(value):
@@ -33,6 +44,34 @@ def _json_safe(value):
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
+
+
+def _decode(value):
+    """Undo _json_safe: the strings it writes for non-finite floats become floats."""
+    if isinstance(value, str):
+        return _NON_FINITE.get(value, value)
+    if isinstance(value, dict):
+        return {k: _decode(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_decode(v) for v in value]
+    return value
+
+
+def _number(value, where: str):
+    """A stored value that must decode to a number; a bool is not one."""
+    value = _decode(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where} is not a number: {value!r}")
+    return value
+
+
+def _expect(value, kind, where: str, keys=()):
+    """Reject a stored value of the wrong type, or an object missing a key."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ValidationError(f"{where}: missing key(s) {missing}")
 
 
 @dataclass
@@ -64,14 +103,15 @@ class CellResult:
 
     @staticmethod
     def from_dict(d: dict) -> "CellResult":
+        """Read one stored cell: check its keys, decode and check its numbers."""
+        where = f"cell {d.get('cell')!r}" if isinstance(d, dict) else "cell"
+        _expect(d, dict, where, _CELL_KEYS)
+        _expect(d["params"], dict, f"{where} params")
+        _expect(d["measured"], dict, f"{where} measured")
+        measured = {k: _number(v, f"{where}: measured {k!r}") for k, v in d["measured"].items()}
+        error = None if d["error"] is None else _number(d["error"], f"{where}: error")
         return CellResult(
-            cell=d["cell"],
-            params=d["params"],
-            measured=d["measured"],
-            error=d["error"],
-            passed=d["passed"],
-            skipped=d["skipped"],
-            note=d["note"],
+            d["cell"], _decode(d["params"]), measured, error, d["passed"], d["skipped"], d["note"]
         )
 
 
@@ -121,8 +161,6 @@ class ExperimentReport:
     gates: list
     summary: dict = field(default_factory=dict)
     seed: int | None = None
-    schema: int = SCHEMA
-    code_version: str = CODE_VERSION
 
     @property
     def passed(self) -> bool:
@@ -136,7 +174,7 @@ class ExperimentReport:
                 "domain": _json_safe(self.domain),
                 "config": _json_safe(self.config),
                 "seed": self.seed,
-                "schema": self.schema,
+                "schema": SCHEMA,
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -148,8 +186,8 @@ class ExperimentReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema": self.schema,
-            "code_version": self.code_version,
+            "schema": SCHEMA,
+            "code_version": CODE_VERSION,
             "experiment": self.experiment,
             "domain": _json_safe(self.domain),
             "config": _json_safe(self.config),
@@ -203,8 +241,25 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     return json_path, csv_path
 
 
-def load_report_dict(path) -> dict:
-    return json.loads(Path(path).read_text())
+def read_report(path) -> dict:
+    """Parse a stored report, check its keys and decode its cells and config.
+
+    ``gates`` and ``passed`` stay as stored, for comparison with rebuilt
+    gates. A malformed file raises ValidationError naming it and the cell or key.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as e:  # not JSON, or not UTF-8 text
+        raise ValidationError(f"{path}: not a JSON report: {e}") from None
+    try:
+        _expect(data, dict, "report", _REPORT_KEYS)
+        _expect(data["experiment"], str, "experiment")
+        _expect(data["cells"], list, "cells")
+        _expect(data["gates"], list, "gates")
+        cells = [CellResult.from_dict(c) for c in data["cells"]]
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
+    return {**data, "config": _decode(data["config"]), "cells": cells}
 
 
 def verify_report(path, gate_builders: dict) -> tuple[bool, str]:
@@ -212,14 +267,17 @@ def verify_report(path, gate_builders: dict) -> tuple[bool, str]:
 
     gate_builders maps experiment id to a pure function
     (cells, config) -> list[GateResult]. Returns (ok, message); a mismatch
-    names the first gate that disagrees with the stored record.
+    names the first gate that disagrees with the stored record. A malformed
+    file, or cells or config the builder cannot read, raise ValidationError.
     """
-    data = load_report_dict(path)
+    data = read_report(path)
     builder = gate_builders.get(data["experiment"])
     if builder is None:
         raise ValidationError(f"no gate builder for experiment {data['experiment']!r}")
-    cells = [CellResult.from_dict(c) for c in data["cells"]]
-    rebuilt = builder(cells, data["config"])
+    try:
+        rebuilt = builder(data["cells"], data["config"])
+    except (KeyError, IndexError, TypeError, ValueError) as e:  # a key or type the file lacks
+        raise ValidationError(f"{path}: cannot rebuild the gates: {e!r}") from None
     stored = data["gates"]
     if len(rebuilt) != len(stored):
         return False, f"gate count mismatch: rebuilt {len(rebuilt)} vs stored {len(stored)}"

@@ -59,6 +59,38 @@ def test_density_pass_and_report_verify(tmp_path):
     assert main(["report", str(bad)]) == EXIT_GATE_FAIL
 
 
+def _second_product(value):
+    """A stored density report's text with its second cell's product replaced."""
+    def edit(doc):
+        doc["cells"][1]["measured"]["product"] = value
+        return json.dumps(doc)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: '{"experiment": "density"}', "missing key(s)"),
+        (lambda doc: "not json {", "not a JSON report"),
+        (_second_product("abc"), "measured 'product' is not a number: 'abc'"),
+        (_second_product(None), "measured 'product' is not a number: None"),
+        (_second_product(True), "measured 'product' is not a number: True"),
+    ],
+    ids=["missing-key", "not-json", "measured-str", "measured-none", "measured-bool"],
+)
+def test_report_on_malformed_file_exits_2(edit, message, tmp_path, capsys):
+    """A malformed report is invalid input, not a mismatch, and ends without a traceback."""
+    out = tmp_path / "r"
+    assert main(["density", "--modes", "3,3;4,1", "--out", str(out)]) == EXIT_PASS
+    (jp,) = out.glob("density_*.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(json.loads(jp.read_text())))
+    capsys.readouterr()
+    assert main(["report", str(bad)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err
+
+
 def test_negative_delta_is_invalid(tmp_path):
     code = main(["tube", "--delta", "-0.1", "--out", str(tmp_path)])
     assert code == EXIT_INVALID
@@ -164,13 +196,17 @@ def test_survey_candidate_cap_exits_3_before_allocating(tmp_path, capsys):
         (["yau", "--modes", "1" + "0" * 400 + ",1"], "mu^2 overflows"),
         # a bound flag must leave its gate able to fail
         (["tube", "--band-cap", "inf", "--agree-tol", "inf"],
-         "band_cap must be finite and >= 0, got inf"),
-        (["tube", "--band-cap", "nan"], "band_cap must be finite and >= 0, got nan"),
-        (["tube", "--band-cap=-1"], "band_cap must be finite and >= 0, got -1.0"),
+         "band_cap must be finite and >= 1, got inf"),
+        (["tube", "--band-cap", "nan"], "band_cap must be finite and >= 1, got nan"),
+        (["tube", "--band-cap=-1"], "band_cap must be finite and >= 1, got -1.0"),
         (["tube", "--agree-tol", "inf"], "agree_tol must be finite and >= 0, got inf"),
         (["tube", "--agree-tol", "nan"], "agree_tol must be finite and >= 0, got nan"),
         (["dioph", "--point-min", "0", "--n-interval", "5", "--n-box", "5"],
-         "interval_point_min must be >= 1, got 0"),
+         "interval_point_min must lie in [1, n_interval=5], got 0"),
+        # a bound flag must leave its gate able to pass
+        (["tube", "--band-cap", "0.5"], "band_cap must be finite and >= 1, got 0.5"),
+        (["dioph", "--point-min", "6", "--n-interval", "5", "--n-box", "5"],
+         "interval_point_min must lie in [1, n_interval=5], got 6"),
     ],
     ids=["n-interval-0", "n-box-0", "k-max-below-k0", "n-points-0",
          "boxes-mu-delta-empty", "tube-delta-empty", "tube-mu-delta-empty",
@@ -179,7 +215,8 @@ def test_survey_candidate_cap_exits_3_before_allocating(tmp_path, capsys):
          "borel-cantelli-eps-inf", "dioph-mu-max-box-nan", "dioph-mu-max-box-negative",
          "density-mu-overflows", "tube-mu-overflows", "yau-index-overflows",
          "tube-bounds-inf", "tube-band-cap-nan", "tube-band-cap-negative",
-         "tube-agree-tol-inf", "tube-agree-tol-nan", "dioph-point-min-0"],
+         "tube-agree-tol-inf", "tube-agree-tol-nan", "dioph-point-min-0",
+         "tube-band-cap-below-1", "dioph-point-min-above-n-interval"],
 )
 def test_degenerate_spectral_config_exits_2(argv, message, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_INVALID

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -24,7 +25,7 @@ from nodalab.harness import (
     run_tube_scaling,
     run_yau_check,
 )
-from nodalab.reports import CellResult, write_report
+from nodalab.reports import CellResult, read_report, write_report
 from nodalab.spectrum import DomainSpec
 
 INTERVAL = DomainSpec.interval()
@@ -525,6 +526,57 @@ def test_gate_builders_total_over_skipped_subsets(data):
     ):
         # stability is measured on fixed modes, never on the requested one
         assert gates == []
+
+
+def test_stored_reports_rebuild_the_live_gates(tmp_path):
+    """Written and read back, every report's cells give its builder the live gates."""
+    for report in small_reports():
+        json_path, _ = write_report(report, tmp_path)
+        data = read_report(json_path)
+        assert GATE_BUILDERS[report.experiment](data["cells"], data["config"]) == report.gates
+
+
+# measured keys that pick the cells a gate reads; they are not gated values
+CELL_FILTERS = {"low_confidence", "exact_hit"}
+
+
+def test_nan_in_any_live_cell_fails_the_gates_it_feeds():
+    """A value feeds a gate when moving it moves that gate's value; NaN must then fail it.
+
+    Every live cell is tried, not only the first, since builtin max and min
+    drop a NaN that does not come first. interval_points_in_band counts a NaN
+    exponent as out of band, so a NaN may leave it passing.
+    """
+    checked = set()
+    for report in small_reports():
+        builder = GATE_BUILDERS[report.experiment]
+        base = {g.name: g.value for g in report.gates}
+        for i, cell in enumerate(report.cells):
+            if cell.skipped:
+                continue
+            for key, value in cell.measured.items():
+                if key in CELL_FILTERS:
+                    continue
+
+                def rebuilt(v):
+                    cells = list(report.cells)
+                    cells[i] = dataclasses.replace(cell, measured={**cell.measured, key: v})
+                    return {g.name: g for g in builder(cells, report.config)}
+
+                fed = {
+                    name
+                    for v in (0.5 * value, 1.5 * value + 1.0)
+                    for name, g in rebuilt(v).items()
+                    if g.value != base[name]
+                } - {"interval_points_in_band"}
+                with_nan = rebuilt(math.nan)
+                passing = {name for name in fed if with_nan[name].passed}
+                assert not passing, (report.experiment, cell.cell, key, passing)
+                checked |= {(report.experiment, name) for name in fed}
+    # every gate a report took is fed by some measured value
+    assert checked == {
+        (r.experiment, g.name) for r in small_reports() for g in r.gates
+    } - {("exponent_survey", "interval_points_in_band")}
 
 
 def test_reports_deterministic_across_runs():
