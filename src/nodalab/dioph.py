@@ -212,17 +212,16 @@ def tail_hits(points, modes: ModeList, start: int, radius: np.ndarray) -> np.nda
     """Per point, whether some row i >= start of the list is nearer than radius[i - start].
 
     Equal to ``(modes_nodal_distance(p, modes)[start:] < radius).any()`` for
-    each point p. A one-axis tail of sine modes k, k+1, ... (as enumerate_modes
-    builds it) goes to ``_axis_tail_hits``, which scans only the multiples of
-    convergent denominators (Legendre's theorem); any other tail is scanned in
-    full, point by point.
+    each point p. The tail of a one-axis sine list (``ModeList.one_axis_sines``)
+    goes to ``_axis_tail_hits``, which scans only the multiples of convergent
+    denominators (Legendre's theorem); any other tail is scanned in full,
+    point by point.
     """
     points = np.asarray(points, dtype=float)
     if start >= len(modes):
         return np.zeros(points.shape[0], dtype=bool)
-    ks, codes = modes.m[start:, 0], modes.kind_codes[start:]
-    if modes.domain.n == 1 and ks[0] >= 1 and codes.all() and (np.diff(ks) == 1).all():
-        return _axis_tail_hits(points[:, 0], ks, radius, modes.domain.alpha[0])
+    if modes.one_axis_sines:
+        return _axis_tail_hits(points[:, 0], modes.m[start:, 0], radius, modes.domain.alpha[0])
     return np.array(
         [bool((modes_nodal_distance(p, modes)[start:] < radius).any()) for p in points], dtype=bool
     )
@@ -246,10 +245,8 @@ class ExponentEstimate:
 def _record_rows(point, modes: ModeList) -> np.ndarray | None:
     """Rows of a one-axis sine list k = 1..K that can set a float record of mu * dist.
 
-    None for any other list, or for a point the scan would reject. The list
-    must have m = 1..K, every kind sine and mu = fl(k alpha), as
-    enumerate_modes and record_candidates build it on an interval or a 1-d
-    torus. With theta = x alpha / pi the exact distance of row k is
+    None for any other list (``ModeList.one_axis_sines``), or for a point the
+    scan would reject. With theta = x alpha / pi the exact distance of row k is
     pi ||k theta|| / (k alpha) and the scan's d_k is within err of it
     (``_scan_error``); fl(k alpha) and the product round twice more, so the
     proxy P_k = fl(mu_k d_k) is within 2 mu_K err of pi ||k theta||.
@@ -263,21 +260,11 @@ def _record_rows(point, modes: ModeList) -> np.ndarray | None:
     kept whole when theta's expansion ends at q_N.
     """
     x = np.asarray(point, dtype=float)
-    dom, K = modes.domain, len(modes)
-    if dom.n != 1 or x.shape != (1,) or not math.isfinite(x[0]):
+    if not modes.one_axis_sines or x.shape != (1,) or not math.isfinite(x[0]):
         return None
-    alpha, m, mu = dom.alpha[0], modes.m[:, 0], modes.mu
-    # mu = fl(m alpha) rising strictly makes m rise strictly, from 1 to K: m = 1..K
-    if not (
-        m[0] == 1
-        and m[-1] == K
-        and modes.kind_codes.all()
-        and np.array_equal(mu, m * alpha)
-        and (mu[1:] > mu[:-1]).all()
-    ):
-        return None
+    alpha, K = modes.domain.alpha[0], len(modes)
     x = float(x[0])
-    bound = 4.0 * _scan_error(abs(x), alpha) * float(mu[-1])
+    bound = 4.0 * _scan_error(abs(x), alpha) * float(modes.mu[-1])
     qs, gaps = _axis_convergents(x, alpha, K)
     keep = np.zeros(K, dtype=bool)
     for q, q_next, gap_next in zip(qs, qs[1:] + [K + 1], gaps[1:] + [0.0]):
@@ -305,7 +292,9 @@ def estimate_exponent(
     (convergent denominators of x/pi on the interval), and every such record
     improves the raw distance as well, so the fitted quantity is unchanged.
     A point lying exactly on some nodal set gets an infinite exponent and the
-    exact_hit flag; fewer than five records flag low confidence.
+    exact_hit flag; fewer than five records flag low confidence. The fit
+    window runs from mu_min to mu_max, by default the list's enumeration cap
+    ``modes.mu_max``, which a list and its record candidates share.
 
     On one axis of sine rows k = 1..K (an interval or 1-d torus list) only the
     convergent denominators of x alpha / pi and the windows between them that
@@ -315,7 +304,6 @@ def estimate_exponent(
     """
     if len(modes) == 0:
         raise ValidationError("mode list is empty")
-    top = float(modes.mu[-1])
     rows = _record_rows(point, modes)
     if rows is not None:
         modes = ModeList(
@@ -323,7 +311,7 @@ def estimate_exponent(
         )
     dist = modes_nodal_distance(point, modes)
     mu = modes.mu
-    hi = top if mu_max is None else float(mu_max)
+    hi = float(modes.mu_max if mu_max is None else mu_max)
     if not mu_min < hi:
         raise ValidationError("empty fit window")
     zero = dist == 0.0

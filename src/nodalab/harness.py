@@ -22,7 +22,6 @@ import numpy as np
 from .boxes import bad_proportion, comparability_set, goodness_threshold, subdivide
 from .components import component_inradii, sign_components
 from .dioph import (
-    EXPONENT_MU_MIN,
     borel_cantelli_sum,
     estimate_exponent,
     shrinking_radii,
@@ -830,10 +829,6 @@ def run_exponent_survey(
         cells.append(_exponent_cell("interval", i, x, estimate_exponent([x], modes_i)))
 
     modes_b = record_candidates(box, mu_max_box)
-    if len(modes_b) == 0 or modes_b.mu[-1] <= EXPONENT_MU_MIN:
-        # estimate_exponent's default fit window (mu_min up to the list's top mu)
-        # may be empty for the candidates and not for the full list
-        modes_b = enumerate_modes(box, mu_max_box)
     pts_b = rng.uniform(0.0, box.lengths, size=(n_box, 2))
     for i, pt in enumerate(pts_b):
         cells.append(_exponent_cell("box", i, pt.tolist(), estimate_exponent(pt, modes_b)))

@@ -19,33 +19,37 @@ The exact distance is a min over axes of 1-d distances, so a sample misses the
 tube iff every axis misses, and axis j's distance depends only on the cell
 index i_j and the draw u_j through the oracle's float chain
 ``(i_j + u_j) * h_j -> mod(x - off, s) -> min(r, s - r)``. Every step is
-monotone, so on a cell that keeps clear of the axis's zeros and midpoints the
-1-d distance is monotone in u_j, and the set of ``Generator.random`` values
-(k * 2**-53) where the axis misses is one interval, found by bisection over k
-with the oracle evaluated on a 1-d mode of that axis. Cells that touch a zero
-(and are narrower than delta) hit everywhere; cells that touch a midpoint miss
-everywhere when the bound allows. The tables are built per call, and a sample
-then costs one compare per axis against them, with the hit count bitwise the
-one the per-sample oracle gives. Cells whose miss set is not certified this
-way (a midpoint cell with delta near half the zero spacing) still send their
-samples through the oracle.
+monotone, so within one cell the 1-d distance is monotone in u_j, V-shaped
+(the cell holds a zero) or Lambda-shaped (it holds a gap midpoint), and the
+cell's two end distances, at u = 0 and u = 1 - 2**-53, decide it: both ends
+below delta, every sample hits (a monotone or V cell); both ends at least
+delta, every sample misses (a monotone or Lambda cell; a V cell's ends lie
+within h_j of its zero, below delta >= 2 h_j); one end far, the far set is
+one interval of ``Generator.random`` values (k * 2**-53) holding that end,
+and one bisection over k with the oracle on a 1-d mode of the axis finds its
+edge. The tables are built per call, and a sample then costs one compare per
+axis against them, with the hit count bitwise the one the per-sample oracle
+gives.
+
+The ends cannot decide a Lambda cell with both ends near and its midpoint
+far. That needs s_j/2 - h_j < delta <= s_j/2, where the gap s_j - 2 delta
+between neighbouring tubes is under two cells, so ``tube_volume`` refuses
+the window (``_gap_floor``), the mirror of its guard delta >= 2 max(h).
 
 The straddling cells are sampled in chunks on a thread pool, one worker per
 usable core. ``Generator.random`` takes one PCG64 output per double, so cell
 k of the straddle list owns stream doubles [k m n, (k + 1) m n) for m samples
 in n dimensions; each chunk jumps its own ``PCG64(seed)`` ahead to its first
 cell (``PCG64.advance``) and counts its hits, and the integer hit counts sum
-to the sequential stream's whatever the worker count or chunk size. Chunks
-run in waves of one per worker, so the points in flight stay within
-``REFINE_CHUNK_POINTS``. The oracle calls for uncertified cells, and those
-that build the miss tables, stay on the calling thread, and every worker is
-joined before ``tube_volume`` returns.
+to the sequential stream's whatever the worker count or chunk size. The pool
+runs one chunk per worker at a time, so the points in flight stay within
+``REFINE_CHUNK_POINTS``, and every worker is joined before ``tube_volume``
+returns.
 
-Every straddle cell's doubles are drawn, even where the tables decide the
-cell whole (about 70% of the cells on the Yau fields): skipping them with one
-``PCG64.advance`` per run of such cells keeps the stream, but there are about
-131k runs over the six default Yau torus fields, the Python call per run
-holds the GIL, and the measured ``run_yau_check`` time did not fall.
+Cells the tables decide whole (about 70% on the Yau fields) still draw their
+doubles: skipping them costs one GIL-holding ``PCG64.advance`` per run of
+such cells, about 131k runs on the six default Yau torus fields, and the
+measured ``run_yau_check`` time did not fall.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import numpy as np
 from .distance import ROW_BLOCK_POINTS, DistanceField, usable_cores
 from .errors import EmptyNodalSetError, ResolutionError, ValidationError
 from .nodal import _edge_op
-from .spectrum import SIN, DomainSpec, EigenMode, nodal_distance_exact
+from .spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
 # Monte Carlo points drawn in each straddling cell
 SAMPLES_PER_CELL = 64
@@ -70,9 +74,21 @@ REFINE_CHUNK_POINTS = 1 << 20
 # Generator.random returns k * 2**-53 for an integer k in [0, 2**53)
 U_STEPS = 1 << 53
 U_ULP = 2.0**-53
-# geometry margin in units of the zero spacing; float error of the oracle's
-# chain is far below it for any grid under the point caps
-GEOMETRY_EPS = 1e-7
+
+
+def _gap_floor(s: float, hj: float) -> float:
+    """Lower end of an axis's gap window s/2 - hj < delta <= s/2, widened for rounding.
+
+    A Lambda cell holds a gap midpoint, so in exact arithmetic its ends lie at
+    least s/2 - hj from a zero. With u = 2^-53 and L >= s the axis length, the
+    oracle's chain (the cell ends' x, x - off, the mod's added s for x < off,
+    s - r) moves each end's distance by at most u (6 L + 2 s). The floor
+    fl(s/2 - fl(hj (1 + 2^-20))) is at most s/2 - hj - 2^-20 hj (1 - 2 u) + u s/2,
+    so below it both ends are far while L / hj < 2^29; the bound stated,
+    L / hj < 2^28, keeps a factor two. A grid under ``grid.GRID_POINT_CAP``
+    has fewer than 2^25 cells on an axis.
+    """
+    return 0.5 * s - hj * (1.0 + 2.0**-20)
 
 
 def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
@@ -84,22 +100,20 @@ def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
 def _axis_miss_table(mode: EigenMode, j: int, hj, ncells: int, delta: float):
     """Per cell index on axis j: where in u the axis misses (its distance >= delta).
 
-    Returns (t, suffix, sure): the axis misses iff ``(u < t) != suffix``, so
-    t = 0 never misses, t = 1 always does, and otherwise the miss set is
-    [0, t) or, for a suffix, [t, 1). Where ``sure`` is False the miss set was
-    not certified to be one interval, and t = 1 carries no information.
+    Returns (t, suffix): the axis misses iff ``(u < t) != suffix``, so t = 0
+    never misses, t = 1 always does, and otherwise the miss set is [0, t) or,
+    for a suffix, [t, 1). delta must be at least 2 hj and lie outside the
+    axis's gap window (``_gap_floor``).
     """
     t = np.ones(ncells)
     suffix = np.zeros(ncells, dtype=bool)
-    sure = np.ones(ncells, dtype=bool)
     if mode.m[j] == 0:
-        return t, suffix, sure  # constant factor: distance inf, never hits
+        return t, suffix  # constant factor: distance inf, never hits
     s = mode.factor_zero_spacing(j)
     if delta > 0.5 * s:
         # r in [0, s]: r <= s/2 gives d = r, else d = s - r rounds to <= s/2
-        return np.zeros(ncells), suffix, sure
+        return np.zeros(ncells), suffix
     one_d = _axis_mode(mode, j)
-    off = 0.0 if mode.kinds[j] == SIN else 0.5 * s
     i = np.arange(ncells)
     last = U_STEPS - 1
 
@@ -107,27 +121,13 @@ def _axis_miss_table(mode: EigenMode, j: int, hj, ncells: int, delta: float):
         x = (cells + k * U_ULP) * hj
         return nodal_distance_exact(one_d, x[:, None])
 
-    # cell ends in zero spacings, (x - off) / s, with a margin eps
-    p0, p1 = ((i + 0.0) * hj - off) / s, ((i + last * U_ULP) * hj - off) / s
-    eps = GEOMETRY_EPS
-    zero = np.floor(p1 + eps) >= np.ceil(p0 - eps)
-    mid = np.floor(p1 - 0.5 + eps) >= np.ceil(p0 - 0.5 - eps)
-    # a zero in the cell puts every point within its width of the zero
-    t[zero] = 0.0
-    sure[zero] = (p1 - p0 + 3 * eps)[zero] * s < delta
-    # a midpoint (and no zero) keeps every point at least s/2 - width from a zero
-    at_mid = mid & ~zero
-    sure[at_mid] = (0.5 - (p1 - p0) - 3 * eps)[at_mid] * s > delta
-    # elsewhere r stays in one half of a zero gap, where d = r rises or
-    # d = s - r falls with u: the ends bound the cell, one bisection finds the edge
-    half = ~(zero | mid)
-    d0, d1 = dist(i, 0), dist(i, last)
-    t[half & (d0 < delta) & (d1 < delta)] = 0.0
-    rising = d1 >= delta
-    cross = np.flatnonzero(half & ((d0 < delta) == rising))
+    # both ends near: every sample hits; both far: every sample misses
+    far0, far1 = dist(i, 0) >= delta, dist(i, last) >= delta
+    t[~(far0 | far1)] = 0.0
+    cross = np.flatnonzero(far0 != far1)
     if cross.size:
-        # first k where (d >= delta) == rising: false at k = 0, true at k = last
-        up = rising[cross]
+        # first k where (d >= delta) == far1: false at k = 0, true at k = last
+        up = far1[cross]
         a = np.zeros(cross.size, dtype=np.int64)
         b = np.full(cross.size, last)
         while (b - a > 1).any():
@@ -137,8 +137,7 @@ def _axis_miss_table(mode: EigenMode, j: int, hj, ncells: int, delta: float):
             b = np.where(flip, k, b)
         t[cross] = b * U_ULP
         suffix[cross] = up
-    t[~sure] = 1.0
-    return t, suffix, sure
+    return t, suffix
 
 
 def _block_corner_reduce(rows: np.ndarray, periodic: bool, op) -> np.ndarray:
@@ -181,8 +180,10 @@ def _band_cells(dist: np.ndarray, periodic: bool, delta: float, margin: float, r
 def tube_volume(field: DistanceField, delta: float, seed: int = 0) -> float:
     """Volume of the delta-tube around the nodal set; ``seed`` seeds the sampling.
 
-    Requires delta >= 2 max(h): below that the grid cannot resolve the tube and
-    a ResolutionError is raised rather than returning a silently bad estimate.
+    Requires delta >= 2 max(h), and on every axis with zeros delta outside the
+    gap window s_j/2 - h_j < delta <= s_j/2 (``_gap_floor``): there the grid
+    cannot resolve the tube, or the gap between neighbouring tubes, and a
+    ResolutionError is raised rather than returning a silently bad estimate.
     """
     if delta <= 0:
         raise ValidationError("delta must be positive")
@@ -191,9 +192,16 @@ def tube_volume(field: DistanceField, delta: float, seed: int = 0) -> float:
         raise ResolutionError(
             f"delta={delta:g} below resolution guard 2*max(h)={2 * hmax:g}"
         )
+    sample = field.sample
+    for j, hj in enumerate(sample.h):
+        s = sample.mode.factor_zero_spacing(j)
+        if _gap_floor(s, hj) < delta <= 0.5 * s:
+            raise ResolutionError(
+                f"delta={delta:g} within h of half the zero spacing {0.5 * s:g} on axis {j}: "
+                f"the gap {s - 2 * delta:g} between neighbouring tubes is under two cells"
+            )
     if field.empty:
         return 0.0
-    sample = field.sample
     h = np.asarray(sample.h)
     cellvol = float(np.prod(h))
     diag = float(np.linalg.norm(h))
@@ -213,41 +221,32 @@ def tube_volume(field: DistanceField, delta: float, seed: int = 0) -> float:
     cells_per_chunk = max(1, REFINE_CHUNK_POINTS // workers // m)
 
     def chunk(start):
-        """Hits of the chunk's certified cells and the points left for the oracle."""
+        """Hits of the chunk's cells."""
         block = idx[start : start + cells_per_chunk]
         # cell k owns stream doubles [k m n, (k + 1) m n): one PCG64 output per double
         bits = np.random.PCG64(seed)
         bits.advance(start * m * n)
         u = np.random.Generator(bits).random((block.shape[0], m, n))
-        t, suffix, sure = (
+        t, suffix = (
             np.stack([tab[q][block[:, j]] for j, tab in enumerate(tables)], axis=1)
-            for q in range(3)
+            for q in range(2)
         )
-        sure = sure.all(axis=1)
         # an axis that never misses makes every sample of the cell hit
         hit_all = (t == 0.0).any(axis=1)
         hits = m * int(np.count_nonzero(hit_all))
-        # sure cells with every axis missing everywhere add no hits
-        part = np.flatnonzero(~hit_all & sure & (t < 1.0).any(axis=1))
+        # cells with every axis missing everywhere add no hits
+        part = np.flatnonzero(~hit_all & (t < 1.0).any(axis=1))
         if part.size:
             uc, tc, sc = u[part], t[part], suffix[part]
             miss = (uc[:, :, 0] < tc[:, 0, None]) != sc[:, 0, None]
             for j in range(1, n):
                 miss &= (uc[:, :, j] < tc[:, j, None]) != sc[:, j, None]
             hits += miss.size - int(np.count_nonzero(miss))
-        rest = np.flatnonzero(~hit_all & ~sure)
-        return hits, ((block[rest, None, :] + u[rest]) * h).reshape(-1, n)
+        return hits
 
-    # waves of one chunk per worker bound the memory in flight; the oracle runs
-    # on this thread, and the hits are integers, so their sum is the same in any order
-    starts = range(0, idx.shape[0], cells_per_chunk)
-    hits = 0
+    # the hits are integers, so their sum is the same in any order
     with ThreadPoolExecutor(workers) as pool:
-        for wave in range(0, len(starts), workers):
-            for chunk_hits, pts in pool.map(chunk, starts[wave : wave + workers]):
-                hits += chunk_hits
-                if pts.size:
-                    hits += int((nodal_distance_exact(sample.mode, pts) < delta).sum())
+        hits = sum(pool.map(chunk, range(0, idx.shape[0], cells_per_chunk)))
     return vol + cellvol * hits / m
 
 

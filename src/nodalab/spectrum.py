@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -311,6 +312,21 @@ class ModeList:
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+    @cached_property
+    def one_axis_sines(self) -> bool:
+        """Whether the rows are one axis of sine modes m = 1..K with mu = fl(m alpha), rising.
+
+        enumerate_modes and record_candidates build such a list on an interval
+        or a 1-d torus, and the one-axis scans of ``dioph`` require it. The
+        check runs once per list.
+        """
+        if self.domain.n != 1 or len(self) == 0:
+            return False
+        m, mu = self.m[:, 0], self.mu
+        # mu = fl(m alpha) rising strictly makes m rise strictly, from 1 to K: m = 1..K
+        return bool(m[0] == 1 and m[-1] == len(self) and self.kind_codes.all()
+                    and np.array_equal(mu, m * self.domain.alpha[0]) and (mu[1:] > mu[:-1]).all())
 
     def to_json(self) -> str:
         """Serialize as {domain, mu_max, modes:[{m, kinds, mu}]}, mu at 17 significant digits."""

@@ -351,7 +351,7 @@ def full_scan_exponent(point, modes: ModeList, mu_min=EXPONENT_MU_MIN, mu_max=No
         raise ValidationError("mode list is empty")
     dist = modes_nodal_distance(point, modes)
     mu = modes.mu
-    hi = float(mu[-1]) if mu_max is None else float(mu_max)
+    hi = float(modes.mu_max if mu_max is None else mu_max)
     if not mu_min < hi:
         raise ValidationError("empty fit window")
     if (dist == 0.0).any():
@@ -430,6 +430,31 @@ def test_exponent_near_a_hit_keeps_its_uncertified_windows(K, j, k):
     assert outcome(lambda: estimate_exponent([x], modes)) == outcome(
         lambda: full_scan_exponent([x], modes)
     )
+
+
+def test_one_axis_sines_is_checked_once_per_list():
+    modes = interval_modes(1000)
+    assert modes.one_axis_sines
+    for dom in (DomainSpec.torus((math.sqrt(2.0),)), DomainSpec.box((0.7,))):
+        assert enumerate_modes(dom, 50.0).one_axis_sines
+    # a missing first row, a cosine row, a mu one ulp off, a 2-d list, no rows
+    m, mu, codes = modes.m, modes.mu, modes.kind_codes
+    cos = codes.copy()
+    cos[5] = 0
+    off = mu.copy()
+    off[7] = np.nextafter(off[7], np.inf)
+    for bad in (
+        ModeList(modes.domain, modes.mu_max, m[1:], mu[1:], codes[1:]),
+        ModeList(modes.domain, modes.mu_max, m, mu, cos),
+        ModeList(modes.domain, modes.mu_max, m, off, codes),
+        enumerate_modes(DomainSpec.torus((1.0, 1.0)), 10.0),
+        ModeList(modes.domain, 0.0, m[:0], mu[:0], codes[:0]),
+    ):
+        assert not bad.one_axis_sines
+    # the scans of every later point reuse the first check
+    with mock.patch.object(np, "array_equal", side_effect=AssertionError):
+        assert dioph._record_rows([1.0], modes) is not None
+        assert tail_hits(np.array([[1.0]]), modes, 500, np.full(500, 1e-9)).shape == (1,)
 
 
 # ------------------------------------------------------- record candidates
@@ -518,12 +543,10 @@ def test_exponent_on_candidates_equals_the_full_scan(case, data):
     full = enumerate_modes(dom, mu_max)
     cand = record_candidates(dom, mu_max)
     point = domain_point(data, dom)
-    want = outcome(lambda: estimate_exponent(point, full))
-    top = float(full.mu[-1]) if len(full) else 0.0
-    assert outcome(lambda: estimate_exponent(point, cand, mu_max=top)) == want
-    if len(cand) and cand.mu[-1] > 3.0:
-        # the survey's default window: the candidates' top mu is as good as the full one
-        assert outcome(lambda: estimate_exponent(point, cand)) == want
+    # both lists share the enumeration cap, the default top of the fit window
+    assert outcome(lambda: estimate_exponent(point, cand)) == outcome(
+        lambda: estimate_exponent(point, full)
+    )
 
 
 @st.composite
@@ -548,8 +571,7 @@ def torus_lists(draw, max_rows=60):
 @settings(max_examples=100, deadline=None)
 def test_exponent_on_first_rows_of_hand_built_torus_lists(modes, data):
     point = domain_point(data, modes.domain)
-    top = float(modes.mu[-1])
-    assert outcome(lambda: estimate_exponent(point, first_rows(modes), mu_max=top)) == outcome(
+    assert outcome(lambda: estimate_exponent(point, first_rows(modes))) == outcome(
         lambda: estimate_exponent(point, modes)
     )
 

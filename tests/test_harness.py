@@ -170,6 +170,16 @@ def test_yau_empty_nodal_set_agrees_at_zero(monkeypatch):
     assert cell.measured["agreement_rel"] == 0.0 and cell.measured["flagged"] == 0
 
 
+def test_yau_radius_in_the_gap_window_skips_its_cell():
+    # (3, 4): mu = 5, axis 1's zeros lie pi/4 apart and h = 2 pi/158; mu_t = 1.9
+    # puts the larger radius 0.38 within h of pi/8, so the gap between
+    # neighbouring tubes is under two cells. (4, 1) has no axis in its window.
+    r = run_yau_check(TORUS2, modes=((3, 4), (4, 1)), mu_t=(1.9, 0.5))
+    skipped = [c for c in r.cells if c.skipped]
+    assert [c.cell for c in skipped] == ["m=3,4"]
+    assert skipped[0].note.startswith("skipped: delta=0.38 ") and "gap" in skipped[0].note
+
+
 @pytest.mark.parametrize("mu_t", [(), (0.1,), (0.1, 0.1)])
 def test_yau_needs_two_distinct_radii_before_sampling(monkeypatch, mu_t):
     log = []

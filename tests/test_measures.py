@@ -200,26 +200,87 @@ def refine_modes(draw, zero_axis_top=5):
     return EigenMode(DomainSpec.torus(alpha), m, kinds)
 
 
+def gap_windows(mode, h):
+    """(axis, lower end, s/2) of each axis's gap window s/2 - h_j (1 + 2**-20) < delta <= s/2."""
+    out = []
+    for j, hj in enumerate(h):
+        if mode.m[j]:
+            s = mode.factor_zero_spacing(j)
+            out.append((j, 0.5 * s - hj * (1.0 + 2.0**-20), 0.5 * s))
+    return out
+
+
+def in_gap_window(mode, h, delta):
+    return any(lo < delta <= half for _, lo, half in gap_windows(mode, h))
+
+
 @given(st.data(), refine_modes(), st.sampled_from((8.0, 12.0, 16.0)),
        st.integers(0, 2**32 - 1), st.sampled_from((1, 7, 64)),
        st.sampled_from((measures_mod.REFINE_CHUNK_POINTS, 1000)))
 @settings(max_examples=150, deadline=None)
 def test_refined_volume_bitwise(data, mode, ppw, seed, samples, budget):
-    """The miss-table refinement returns exactly the per-sample oracle's volume."""
+    """The miss-table refinement returns exactly the per-sample oracle's volume.
+
+    Inside an axis's gap window it raises instead; the special values sit at
+    the window's float edges, inside it and just past s/2.
+    """
     f = field_for(mode, ppw=ppw)
     guard = 2.0 * max(f.h)
-    spacings = [mode.factor_zero_spacing(j) for j in range(mode.domain.n) if mode.m[j]]
-    special = [guard] + [0.5 * s for s in spacings] + [0.5 * s * (1 - 1e-12) for s in spacings]
-    special += [k * hj for k in (2, 3, 5) for hj in f.h]
-    top = max(guard, 0.75 * max(spacings))
+    windows = gap_windows(mode, f.h)
+    special = [guard] + [k * hj for k in (2, 3, 5) for hj in f.h]
+    for _, lo, half in windows:
+        special += [lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf), 0.5 * (lo + half),
+                    half * (1 - 1e-12), half, np.nextafter(half, np.inf)]
+    top = max(guard, 1.5 * max(half for _, _, half in windows))
     delta = data.draw(st.one_of(st.sampled_from(special), st.floats(guard, top)))
-    delta = max(delta, guard)
+    delta = float(max(delta, guard))
     saved = measures_mod.SAMPLES_PER_CELL, measures_mod.REFINE_CHUNK_POINTS
     measures_mod.SAMPLES_PER_CELL, measures_mod.REFINE_CHUNK_POINTS = samples, budget
     try:
-        assert tube_volume(f, delta, seed) == refined_volume_reference(f, delta, seed)
+        if in_gap_window(mode, f.h, delta):
+            with pytest.raises(ResolutionError, match="gap"):
+                tube_volume(f, delta, seed)
+        else:
+            assert tube_volume(f, delta, seed) == refined_volume_reference(f, delta, seed)
     finally:
         measures_mod.SAMPLES_PER_CELL, measures_mod.REFINE_CHUNK_POINTS = saved
+
+
+def test_gap_window_edges():
+    # (3, 4) at ppw 20: axis 1's window (pi/8 - h_1 (1 + 2**-20), pi/8] lies
+    # above the guard 2 max(h) and below axis 0's (pi/6 - h_0, pi/6]
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    f = field_for(mode, ppw=20.0)
+    (_, lo0, _), (_, lo, half) = gap_windows(mode, f.h)
+    assert 2.0 * max(f.h) < lo < half < lo0
+    # at the lower end a Lambda cell's ends are still far: the oracle's volume
+    assert tube_volume(f, lo, seed=3) == refined_volume_reference(f, lo, seed=3)
+    for delta in (np.nextafter(lo, np.inf), 0.5 * (lo + half), half):
+        with pytest.raises(ResolutionError, match="gap"):
+            tube_volume(f, float(delta), seed=3)
+    # past s/2 axis 1 hits everywhere: every straddle sample hits
+    above = float(np.nextafter(half, np.inf))
+    margin = float(np.linalg.norm(f.h)) + f.raster_error
+    inside, idx = whole_grid_band(f.dist, True, above, margin)
+    cellvol = float(np.prod(f.h))
+    expect = float(inside) * cellvol + cellvol * idx.shape[0]
+    assert tube_volume(f, above, seed=3) == expect == refined_volume_reference(f, above, seed=3)
+
+
+def test_gap_window_holds_cells_the_ends_do_not_decide():
+    # (3, 4) at ppw 17: axis 1's zeros lie 8.5 cells apart, so its gap midpoints
+    # sit a quarter cell into their cells; at delta = s/2 - h/4 such a cell has
+    # both ends near and its middle far, and the end rule would call it all hit
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    f = field_for(mode, ppw=17.0)
+    h1, ncells = f.h[1], f.sample.shape[1]
+    delta = 0.5 * mode.factor_zero_spacing(1) - 0.25 * h1
+    t, _ = measures_mod._axis_miss_table(mode, 1, h1, ncells, delta)
+    x = (np.arange(ncells)[:, None] + np.linspace(0.0, 1.0, 17)[None, 1:-1]) * h1
+    d = nodal_distance_exact(measures_mod._axis_mode(mode, 1), x[..., None])
+    assert ((d >= delta).any(axis=1) & (t == 0.0)).any()
+    with pytest.raises(ResolutionError, match="gap"):
+        tube_volume(f, delta)
 
 
 # draws near the cell ends put delta near the extremes of the cell's distances
@@ -270,15 +331,15 @@ def test_miss_table_edges_match_the_oracle(data, mode, k):
 
     delta = dist(k)  # the draw u = k * 2**-53 sits exactly on the level set
     assert delta >= guard
-    t, suffix, sure = measures_mod._axis_miss_table(mode, j, hj, ncells, delta)
-    t, suffix, sure = t[i], suffix[i], sure[i]
+    # tube_volume refuses the gap window, where the ends do not decide a cell
+    s = mode.factor_zero_spacing(j)
+    assume(not 0.5 * s - hj * (1.0 + 2.0**-20) < delta <= 0.5 * s)
+    t, suffix = measures_mod._axis_miss_table(mode, j, hj, ncells, delta)
+    t, suffix = t[i], suffix[i]
 
     def misses(kk):
         return (kk * 2.0**-53 < t) != suffix
 
-    assert misses(k) or not sure
-    if not sure:
-        return
     edges = {k - 1, k, k + 1, 0, 2**53 - 1}
     kt = int(t * 2**53)
     edges |= {kt - 1, kt, kt + 1}
@@ -312,18 +373,6 @@ def test_miss_tables_replace_the_sample_oracle(monkeypatch):
     assert sum(pts for _, pts in calls) < 0.01 * 64 * straddle
 
 
-def test_uncertified_cells_fall_back_to_the_oracle(monkeypatch):
-    # delta just under half the zero spacing: cells at the gap midpoints straddle
-    # the level set and their miss set is not certified by the tables
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    f = field_for(mode, ppw=16.0)
-    delta = 0.5 * mode.factor_zero_spacing(1) * (1 - 1e-12)
-    expect = refined_volume_reference(f, delta, seed=3)
-    calls = count_oracle(monkeypatch)
-    assert tube_volume(f, delta, seed=3) == expect
-    assert any(dim == 2 for dim, _ in calls)
-
-
 @pytest.mark.parametrize("budget", [1000, measures_mod.REFINE_CHUNK_POINTS])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_refined_volume_independent_of_worker_count(workers, budget, monkeypatch):
@@ -337,43 +386,12 @@ def test_refined_volume_independent_of_worker_count(workers, budget, monkeypatch
     monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", budget)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often
+    before = set(threading.enumerate())
     try:
         assert tube_volume(f, delta, seed=1) == expect
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_oracle_stays_on_the_calling_thread(monkeypatch):
-    # test_uncertified_cells_fall_back_to_the_oracle's setup, on three workers
-    # and small chunks, so several waves each send points to the oracle
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    f = field_for(mode, ppw=16.0)
-    delta = 0.5 * mode.factor_zero_spacing(1) * (1 - 1e-12)
-    expect = refined_volume_reference(f, delta, seed=3)
-    monkeypatch.setattr(measures_mod, "usable_cores", lambda: 3)
-    monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", 3000)
-    oracle_threads, draw_threads = [], []
-
-    def oracle(mode, points, *args, **kwargs):
-        oracle_threads.append((threading.current_thread(), mode.domain.n))
-        return nodal_distance_exact(mode, points, *args, **kwargs)
-
-    pcg64 = np.random.PCG64
-
-    def recorded_pcg64(*args, **kwargs):
-        draw_threads.append(threading.current_thread())
-        return pcg64(*args, **kwargs)
-
-    monkeypatch.setattr(measures_mod, "nodal_distance_exact", oracle)
-    monkeypatch.setattr(np.random, "PCG64", recorded_pcg64)
-    before = set(threading.enumerate())
-    assert tube_volume(f, delta, seed=3) == expect
-    main = threading.current_thread()
-    assert sum(n == 2 for _, n in oracle_threads) > 1
-    assert all(t is main for t, _ in oracle_threads)
-    # the chunks drew on worker threads, and none of them outlives the call
-    assert len(draw_threads) > 3 and main not in draw_threads
-    assert not any(t.is_alive() for t in draw_threads)
+    # every worker is joined before the call returns
     assert set(threading.enumerate()) == before
 
 

@@ -31,8 +31,8 @@ def test_exports_resolve_without_duplicates():
         ("distance.py", set()),
         ("components.py", set()),
         ("boxes.py", set()),
-        # known debt: tube_volume still decides uncertified straddle samples and
-        # builds its miss tables with the oracle
+        # known debt: tube_volume builds its per-axis miss tables from the
+        # oracle's distances at each cell's ends; no sample reaches the oracle
         ("measures.py", {"nodal_distance_exact"}),
     ],
 )

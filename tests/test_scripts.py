@@ -1,5 +1,5 @@
 """scripts/run_all_experiments.py: the last line hashes the reports it wrote,
-the line before it gives the peak RSS."""
+the line before it gives the peak RSS, and the --quick battery keeps its bytes."""
 
 import importlib.util
 import os
@@ -13,13 +13,20 @@ import pytest
 from nodalab import DomainSpec, run_density_check
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+# the last line of `run_all_experiments.py --quick`; any change to a report's bytes changes it
+QUICK_REPORTS_SHA256 = "3a7a7abf2df21c952952933897e114c6b40c9f4dd238629b5f2f736bcbcf242c"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_all_experiments", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def small_battery(monkeypatch):
     """The script module with two small density jobs in place of the battery."""
-    spec = importlib.util.spec_from_file_location("run_all_experiments", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script()
     jobs = [
         ("density interval", lambda: run_density_check(DomainSpec.interval(), modes=((8,),))),
         ("density torus", lambda: run_density_check(DomainSpec.torus((1.0, 1.0)), modes=((3, 3),))),
@@ -48,3 +55,8 @@ def test_peak_rss_line_comes_before_the_hash(tmp_path, capsys, monkeypatch):
     match = re.fullmatch(r"peak rss (\d+\.\d) MB", peak)
     assert match and float(match.group(1)) > 0
     assert last.startswith("reports sha256 ")
+
+
+def test_quick_battery_reports_keep_their_bytes(tmp_path, capsys):
+    assert load_script().main(["--quick", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"reports sha256 {QUICK_REPORTS_SHA256}"
