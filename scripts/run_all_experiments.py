@@ -10,10 +10,10 @@ line is the sha256 of the reports' ``sha256sum`` listing, sorted by file
 name: the hash that ``(cd OUT && sha256sum * | sha256sum)`` prints when OUT
 holds only these reports, so two runs compare byte for byte in one line.
 
-Full mode takes 17-20 s on a 2-core VM, four fifths of it in the torus
-tube cells and about 0.3 s in the exponent survey; --quick drops the
+Full mode takes 11-12 s on a 2-core VM, four fifths of it in the torus
+tube cells and about 0.2 s in the exponent survey; --quick drops the
 expensive torus tube cells and shrinks the surveys for a fast smoke run
-(about 4 s).
+(about 3 s).
 """
 
 import argparse
@@ -58,16 +58,13 @@ def build_jobs(quick: bool, seed: int):
         approx_kwargs = dict(seed=seed)
 
     return [
-        ("tube interval", lambda: run_tube_scaling(interval, include_break_cell=True, seed=seed)),
-        (
-            "tube torus",
-            lambda: run_tube_scaling(torus, include_break_cell=True, seed=seed, **tube_torus_kwargs),
-        ),
-        ("yau interval", lambda: run_yau_check(interval, seed=seed)),
-        ("yau torus", lambda: run_yau_check(torus, seed=seed)),
+        ("tube interval", lambda: run_tube_scaling(interval, include_break_cell=True)),
+        ("tube torus", lambda: run_tube_scaling(torus, include_break_cell=True, **tube_torus_kwargs)),
+        ("yau interval", lambda: run_yau_check(interval)),
+        ("yau torus", lambda: run_yau_check(torus)),
         ("density interval", lambda: run_density_check(interval)),
         ("density torus", lambda: run_density_check(torus)),
-        ("dim2 torus", lambda: run_dim2_checks(seed=seed)),
+        ("dim2 torus", lambda: run_dim2_checks()),
         ("comparability", lambda: run_comparability_scaling()),
         ("approx theorem", lambda: run_approx_theorem(**approx_kwargs)),
         ("exponent survey", lambda: run_exponent_survey(**exponent_kwargs)),
@@ -79,7 +76,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="results", help="report output directory")
     parser.add_argument(
         "--seed", type=int, default=0,
-        help="seed of the tube refinement and of the approx theorem's and survey's sampled points",
+        help="seed of the approx theorem's and the exponent survey's sampled points",
     )
     parser.add_argument("--quick", action="store_true", help="smaller configs, same gates")
     args = parser.parse_args(argv)

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nodalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, domain=None, seed=True):
+    def command(name, help, domain=None, seed=False):
         # an unset flag stays out of the namespace, so its driver's default applies
         p = sub.add_parser(name, help=help, allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(_subparser=p)
         return p
 
-    p = command("spectrum", "enumerate modes up to a frequency cap", "interval", seed=False)
+    p = command("spectrum", "enumerate modes up to a frequency cap", "interval")
     p.add_argument("--mu-max", type=float, required=True)
     p.add_argument("--distinct", action="store_true", default=False,
                    help="count distinct frequencies instead of modes")
@@ -168,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("yau", "nodal measure per unit frequency", "torus2")
     p.add_argument("--modes", type=_parse_modes)
 
-    p = command("density", "largest nodal-free hole times mu", "torus2", seed=False)
+    p = command("density", "largest nodal-free hole times mu", "torus2")
     p.add_argument("--modes", type=_parse_modes)
 
-    p = command("boxes", "comparability-set scaling and box statistics", seed=False)
+    p = command("boxes", "comparability-set scaling and box statistics")
     p.add_argument("--m", type=int)
     p.add_argument("--A", type=float)
     p.add_argument("--mu-delta", type=_parse_floats)
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("dim2", "2-d sign-domain statistics")
     p.add_argument("--modes", type=_parse_modes)
 
-    p = command("dioph", "per-point approximation exponents")
+    p = command("dioph", "per-point approximation exponents", seed=True)
     p.add_argument("--n-interval", type=int)
     p.add_argument("--mu-max", dest="mu_max_interval", type=float)
     p.add_argument("--n-box", type=int)
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point-min", dest="interval_point_min", type=int,
                    help="in-band point-count gate (default 90%% of --n-interval)")
 
-    p = command("borel-cantelli", "tube-volume sums and hit fractions")
+    p = command("borel-cantelli", "tube-volume sums and hit fractions", seed=True)
     p.add_argument("--C", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--k-max", type=int)

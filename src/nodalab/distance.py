@@ -93,7 +93,7 @@ def _seed_mask(nodal: NodalApprox) -> np.ndarray:
 
 
 def usable_cores() -> int:
-    """Cores this process may run on: the EDT slabs' and the refinement's thread count."""
+    """Cores this process may run on: the thread count of the EDT slabs."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -30,7 +30,7 @@ from .dioph import (
 from .distance import distance_field
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
-from .measures import SAMPLES_PER_CELL, density_radius, nodal_measure, tube_volume
+from .measures import density_radius, nodal_measure, tube_volume
 from .nodal import extract_nodal, marching_squares
 from .reports import CellResult, ExperimentReport, gate
 from .spectrum import (
@@ -116,7 +116,6 @@ def run_tube_scaling(
     include_break_cell=False,
     band_cap=4.0,
     agree_tol=0.02,
-    seed=0,
 ) -> ExperimentReport:
     """Tube volume against the mu*delta law over a (mode, radius) grid.
 
@@ -149,7 +148,6 @@ def run_tube_scaling(
         "h_factor": TUBE_CELLS_PER_RADIUS,
         "band_cap": band_cap,
         "agree_tol": agree_tol,
-        "refine_samples": SAMPLES_PER_CELL,
     }
     cells = []
     targets = list(mu_delta) if deltas is None else None
@@ -185,7 +183,7 @@ def run_tube_scaling(
             )
             with _skip_on_guard(gcell, "grid skipped: "):
                 sample, nodal, field = _field_for(mode, _tube_rule([delta]))
-                vol = tube_volume(field, delta, seed)
+                vol = tube_volume(field, delta)
                 agree = abs(vol - exact) / exact
                 gcell.measured = {"vol": vol, "ratio": vol / (mu * delta), "agree_rel": agree}
                 gcell.error = field.raster_error
@@ -198,7 +196,7 @@ def run_tube_scaling(
         "ratio_min": min(ratios) if ratios else None,
         "ratio_max": max(ratios) if ratios else None,
     }
-    return ExperimentReport("tube_scaling", domain.as_dict(), config, cells, gates, summary, seed)
+    return ExperimentReport("tube_scaling", domain.as_dict(), config, cells, gates, summary, None)
 
 
 def _tube_gates(cells, config):
@@ -225,7 +223,7 @@ def run_yau_check(
     modes=None,
     mu_t=(0.2, 0.1),
     *,
-    seed=0,
+    seed=None,
 ) -> ExperimentReport:
     """Nodal measure per unit frequency across a mode family.
 
@@ -238,6 +236,10 @@ def run_yau_check(
     agree_tol. The band and the square target hold on the unit 2-torus only,
     so any domain but it and the interval is invalid input. 2-d modes use the
     tube grid of the smaller radius.
+
+    The tube volumes draw no random numbers. ``seed`` is accepted and ignored
+    (the report records ``seed: null``) so that callers written when the
+    tubes were sampled keep working; perfbench's workloads pass one.
     """
     if domain.kind != "interval" and not (domain.periodic and domain.alpha == (1.0, 1.0)):
         raise ValidationError(
@@ -260,7 +262,6 @@ def run_yau_check(
         "analytic_tol": 0.03,
         "product_tol": 0.03,
         "agree_tol": 0.03,
-        "refine_samples": SAMPLES_PER_CELL,
     }
     cells = []
     for m in modes:
@@ -290,7 +291,7 @@ def run_yau_check(
             if domain.n == 2:
                 length = marching_squares(sample)
             field = distance_field(nodal)
-            nm = nodal_measure(field, t_list, seed)
+            nm = nodal_measure(field, t_list)
             exact = nodal_measure_exact(mode)
             cell.measured = {
                 "value": nm.value,
@@ -309,7 +310,7 @@ def run_yau_check(
     gates = GATE_BUILDERS["yau_ratio"](cells, config)
     live = _live(cells)
     summary = {"ratios": {c.cell: c.measured["ratio"] for c in live}}
-    return ExperimentReport("yau_ratio", domain.as_dict(), config, cells, gates, summary, seed)
+    return ExperimentReport("yau_ratio", domain.as_dict(), config, cells, gates, summary, None)
 
 
 def _yau_gates(cells, config):
@@ -418,7 +419,7 @@ def run_dim2_checks(
     modes=None,
     *,
     domain: DomainSpec | None = None,
-    seed=0,
+    seed=None,
 ) -> ExperimentReport:
     """Sign-domain statistics of 2-d torus product modes.
 
@@ -426,6 +427,10 @@ def run_dim2_checks(
     checks the smallest domain area and the largest inner radius against the
     rectangle-cell oracles, and bounds tube volume by measured length * delta,
     from tubes at delta = tube_mu_delta / mu and delta / 2 on the tube grid.
+
+    The tube volumes draw no random numbers. ``seed`` is accepted and ignored
+    (the report records ``seed: null``) so that callers written when the
+    tubes were sampled keep working; perfbench's workloads pass one.
     """
     if domain is None:
         domain = DomainSpec.torus((1.0, 1.0))
@@ -443,7 +448,6 @@ def run_dim2_checks(
         "area_tol": 0.05,
         "inradius_tol": 0.05,
         "c_cap": 3.0,
-        "refine_samples": SAMPLES_PER_CELL,
     }
     cells = []
     for m in modes:
@@ -469,7 +473,7 @@ def run_dim2_checks(
             delta = tube_mu_delta / mu
             radii = [delta, delta / 2.0]
             sample, nodal, field = _field_for(mode, _tube_rule(radii))
-            nm = nodal_measure(field, radii, seed)
+            nm = nodal_measure(field, radii)
             vol = nm.volumes[delta]
 
             cell.measured = {
@@ -491,7 +495,7 @@ def run_dim2_checks(
         cells.append(cell)
     gates = GATE_BUILDERS["dim2"](cells, config)
     summary = {"counts": {c.cell: c.measured["count"] for c in _live(cells)}}
-    return ExperimentReport("dim2", domain.as_dict(), config, cells, gates, summary, seed)
+    return ExperimentReport("dim2", domain.as_dict(), config, cells, gates, summary, None)
 
 
 def _dim2_gates(cells, config):

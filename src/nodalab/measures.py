@@ -6,72 +6,50 @@ the marching-squares length runs in ``harness.run_yau_check``, which gates on it
 
 The tube estimator classifies every grid cell as fully inside / fully outside
 / straddling the delta level set using Lipschitz-rigorous margins from corner
-distances, then stratified-samples each straddling cell with
-``SAMPLES_PER_CELL`` points against the exact closed-form distance of the
-separable mode. Plain grid-point counting would carry an O(h) bias; the
-sampling removes it. The band test runs in blocks of about
-``ROW_BLOCK_POINTS`` cells along axis 0: a block reduces the corners of its
-rows and the next one (row 0 after the last row of a periodic axis), so no
-grid-sized temporary is formed, and its straddle cells are appended in C
-order, so the list is the whole grid's.
+distances, then adds for each straddling cell its exact share of the tube
+under the closed-form distance of the separable mode. Plain grid-point
+counting would carry an O(h) bias; the shares remove it. The band test runs
+in blocks of about ``ROW_BLOCK_POINTS`` cells along axis 0: a block reduces
+the corners of its rows and the next one (row 0 after the last row of a
+periodic axis), so no grid-sized temporary is formed, and the block's
+straddle shares are summed before the next block is classified.
 
-The exact distance is a min over axes of 1-d distances, so a sample misses the
-tube iff every axis misses, and axis j's distance depends only on the cell
-index i_j and the draw u_j through the oracle's float chain
-``(i_j + u_j) * h_j -> mod(x - off, s) -> min(r, s - r)``. Every step is
-monotone, so within one cell the 1-d distance is monotone in u_j, V-shaped
-(the cell holds a zero) or Lambda-shaped (it holds a gap midpoint), and the
-cell's two end distances, at u = 0 and u = 1 - 2**-53, decide it: both ends
-below delta, every sample hits (a monotone or V cell); both ends at least
-delta, every sample misses (a monotone or Lambda cell; a V cell's ends lie
-within h_j of its zero, below delta >= 2 h_j); one end far, the far set is
-one interval of ``Generator.random`` values (k * 2**-53) holding that end,
-and one bisection over k with the oracle on a 1-d mode of the axis finds its
-edge. The tables are built per call, and a sample then costs one compare per
-axis against them, with the hit count bitwise the one the per-sample oracle
-gives.
+The exact distance is a min over axes of 1-d distances, so a point of a cell
+misses the tube iff every axis misses, and axis j's distance depends only on
+the cell index i_j and the offset u_j in [0, 1) through the oracle's float
+chain ``(i_j + u_j) * h_j -> mod(x - off, s) -> min(r, s - r)``. Offsets run
+over the lattice u = k * 2**-53. Every step is monotone, so within one cell
+the 1-d distance is monotone in u_j, V-shaped (the cell holds a zero) or
+Lambda-shaped (it holds a gap midpoint), and the cell's two end distances,
+at u = 0 and u = 1 - 2**-53, decide it: both ends below delta, the axis hits
+everywhere (a monotone or V cell); both ends at least delta, it misses
+everywhere (a monotone or Lambda cell; a V cell's ends lie within h_j of its
+zero, below delta >= 2 h_j); one end far, the far set is one interval of u
+holding that end, and one bisection over k with the oracle on a 1-d mode of
+the axis finds its edge. The tables are built per call. Axis j misses on a
+length l_j of u (t for a prefix table, 1 - t for a suffix one), so the cell's
+share of the tube is 1 - prod_j l_j. The straddle shares are the oracle's, so
+a grid tube volume departs from ``spectrum.tube_volume_exact`` only where the
+distance field classifies a cell wrongly, and by rounding.
 
 The ends cannot decide a Lambda cell with both ends near and its midpoint
 far. That needs s_j/2 - h_j < delta <= s_j/2, where the gap s_j - 2 delta
 between neighbouring tubes is under two cells, so ``tube_volume`` refuses
 the window (``_gap_floor``), the mirror of its guard delta >= 2 max(h).
-
-The straddling cells are sampled in chunks on a thread pool, one worker per
-usable core. ``Generator.random`` takes one PCG64 output per double, so cell
-k of the straddle list owns stream doubles [k m n, (k + 1) m n) for m samples
-in n dimensions; each chunk jumps its own ``PCG64(seed)`` ahead to its first
-cell (``PCG64.advance``) and counts its hits, and the integer hit counts sum
-to the sequential stream's whatever the worker count or chunk size. The pool
-runs one chunk per worker at a time, so the points in flight stay within
-``REFINE_CHUNK_POINTS``, and every worker is joined before ``tube_volume``
-returns.
-
-Cells the tables decide whole (about 70% on the Yau fields) still draw their
-doubles: skipping them costs one GIL-holding ``PCG64.advance`` per run of
-such cells, about 131k runs on the six default Yau torus fields, and the
-measured ``run_yau_check`` time did not fall.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import ROW_BLOCK_POINTS, DistanceField, usable_cores
+from .distance import ROW_BLOCK_POINTS, DistanceField
 from .errors import EmptyNodalSetError, ResolutionError, ValidationError
 from .nodal import _edge_op
 from .spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
-# Monte Carlo points drawn in each straddling cell
-SAMPLES_PER_CELL = 64
-# sample points in flight over all refinement threads (each chunk gets its
-# share); bounds the chunk temporaries without changing the drawn points or
-# the hit count
-REFINE_CHUNK_POINTS = 1 << 20
-
-# Generator.random returns k * 2**-53 for an integer k in [0, 2**53)
+# a cell offset u is k * 2**-53 for an integer k in [0, 2**53)
 U_STEPS = 1 << 53
 U_ULP = 2.0**-53
 
@@ -121,7 +99,7 @@ def _axis_miss_table(mode: EigenMode, j: int, hj, ncells: int, delta: float):
         x = (cells + k * U_ULP) * hj
         return nodal_distance_exact(one_d, x[:, None])
 
-    # both ends near: every sample hits; both far: every sample misses
+    # both ends near: the axis hits at every u; both far: it misses at every u
     far0, far1 = dist(i, 0) >= delta, dist(i, last) >= delta
     t[~(far0 | far1)] = 0.0
     cross = np.flatnonzero(far0 != far1)
@@ -149,17 +127,16 @@ def _block_corner_reduce(rows: np.ndarray, periodic: bool, op) -> np.ndarray:
 
 
 def _band_cells(dist: np.ndarray, periodic: bool, delta: float, margin: float, rows: int):
-    """Cells fully inside the delta tube (a count) and straddling it (indices, C order).
+    """Per block of ``rows`` cell rows: (count of cells fully in the tube, straddle cell indices).
 
     A cell is fully inside when its corner minimum + margin < delta, fully
-    outside when its corner maximum - margin >= delta. The cells are taken
-    ``rows`` cell rows at a time; only a periodic axis has a cell past its
-    last grid point, wrapping to the first. A grid has at least two points
-    per axis, so there is at least one block.
+    outside when its corner maximum - margin >= delta. Only a periodic axis
+    has a cell past its last grid point, wrapping to the first. A grid has at
+    least two points per axis, so there is at least one block; the blocks'
+    straddle lists, joined in order, are the whole grid's.
     """
     s0 = dist.shape[0]
     cells0 = s0 if periodic else s0 - 1
-    inside, parts = 0, []
     for a in range(0, cells0, rows):
         b = min(a + rows, cells0)
         # the block's corner rows: its own and the next (row 0 past the end)
@@ -170,15 +147,13 @@ def _band_cells(dist: np.ndarray, periodic: bool, delta: float, margin: float, r
         hi = _block_corner_reduce(block, periodic, np.maximum)
         hi -= margin
         straddle = ~(fully_in | (hi >= delta))
-        inside += int(np.count_nonzero(fully_in))
         cells = np.argwhere(straddle)
         cells[:, 0] += a
-        parts.append(cells)
-    return inside, np.concatenate(parts)
+        yield int(np.count_nonzero(fully_in)), cells
 
 
-def tube_volume(field: DistanceField, delta: float, seed: int = 0) -> float:
-    """Volume of the delta-tube around the nodal set; ``seed`` seeds the sampling.
+def tube_volume(field: DistanceField, delta: float) -> float:
+    """Volume of the delta-tube around the nodal set.
 
     Requires delta >= 2 max(h), and on every axis with zeros delta outside the
     gap window s_j/2 - h_j < delta <= s_j/2 (``_gap_floor``): there the grid
@@ -207,47 +182,21 @@ def tube_volume(field: DistanceField, delta: float, seed: int = 0) -> float:
     diag = float(np.linalg.norm(h))
     margin = diag + field.raster_error
     rows = max(1, ROW_BLOCK_POINTS // int(np.prod(sample.shape[1:])))
-    inside, idx = _band_cells(field.dist, sample.periodic, delta, margin, rows)
-    vol = float(inside) * cellvol
-    if idx.shape[0] == 0:
-        return vol
-    n = sample.n
     ncells = [s if sample.periodic else s - 1 for s in sample.shape]
-    tables = [
-        _axis_miss_table(sample.mode, j, h[j], ncells[j], delta) for j in range(n)
-    ]
-    m = SAMPLES_PER_CELL
-    workers = usable_cores()
-    cells_per_chunk = max(1, REFINE_CHUNK_POINTS // workers // m)
-
-    def chunk(start):
-        """Hits of the chunk's cells."""
-        block = idx[start : start + cells_per_chunk]
-        # cell k owns stream doubles [k m n, (k + 1) m n): one PCG64 output per double
-        bits = np.random.PCG64(seed)
-        bits.advance(start * m * n)
-        u = np.random.Generator(bits).random((block.shape[0], m, n))
-        t, suffix = (
-            np.stack([tab[q][block[:, j]] for j, tab in enumerate(tables)], axis=1)
-            for q in range(2)
-        )
-        # an axis that never misses makes every sample of the cell hit
-        hit_all = (t == 0.0).any(axis=1)
-        hits = m * int(np.count_nonzero(hit_all))
-        # cells with every axis missing everywhere add no hits
-        part = np.flatnonzero(~hit_all & (t < 1.0).any(axis=1))
-        if part.size:
-            uc, tc, sc = u[part], t[part], suffix[part]
-            miss = (uc[:, :, 0] < tc[:, 0, None]) != sc[:, 0, None]
-            for j in range(1, n):
-                miss &= (uc[:, :, j] < tc[:, j, None]) != sc[:, j, None]
-            hits += miss.size - int(np.count_nonzero(miss))
-        return hits
-
-    # the hits are integers, so their sum is the same in any order
-    with ThreadPoolExecutor(workers) as pool:
-        hits = sum(pool.map(chunk, range(0, idx.shape[0], cells_per_chunk)))
-    return vol + cellvol * hits / m
+    # per axis and cell index: the length of u where the axis misses
+    miss = []
+    for j in range(sample.n):
+        t, suffix = _axis_miss_table(sample.mode, j, h[j], ncells[j], delta)
+        miss.append(np.where(suffix, 1.0 - t, t))
+    inside, share = 0, 0.0
+    for n_in, cells in _band_cells(field.dist, sample.periodic, delta, margin, rows):
+        inside += n_in
+        missed = miss[0][cells[:, 0]]
+        for j in range(1, sample.n):
+            missed *= miss[j][cells[:, j]]
+        # a straddle cell's share of the tube: 1 - prod_j l_j
+        share += float(np.subtract(1.0, missed, out=missed).sum())
+    return float(inside) * cellvol + cellvol * share
 
 
 @dataclass
@@ -259,7 +208,7 @@ class NodalMeasure:
     non_monotone: bool      # Vol(T_t)/(2t) fell as t shrank
 
 
-def nodal_measure(field: DistanceField, t_list, seed: int = 0) -> NodalMeasure:
+def nodal_measure(field: DistanceField, t_list) -> NodalMeasure:
     """(n-1)-measure of the nodal set.
 
     Dimension one counts vertices. Higher dimensions extrapolate Vol(T_t)/(2t)
@@ -272,7 +221,7 @@ def nodal_measure(field: DistanceField, t_list, seed: int = 0) -> NodalMeasure:
     ts = sorted(set(float(t) for t in t_list), reverse=True)
     if len(ts) < 2:
         raise ValidationError("need at least two tube radii to extrapolate")
-    volumes = {t: tube_volume(field, t, seed) for t in ts}
+    volumes = {t: tube_volume(field, t) for t in ts}
     ratios = [volumes[t] / (2.0 * t) for t in ts]
     extrap = ratios[-1] + (ratios[-1] - ratios[-2]) * ts[-1] / (ts[-2] - ts[-1])
     scale = max(abs(r) for r in ratios)

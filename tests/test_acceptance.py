@@ -39,10 +39,10 @@ def report_line(num, ok, detail):
     assert ok, line
 
 
-def grid_tube(mode, delta, seed=0):
+def grid_tube(mode, delta):
     rule = ResolutionRule(points_per_wavelength=32.0, h_max=delta / 2.5)
     field = distance_field(extract_nodal(sample_grid(mode, rule)))
-    return tube_volume(field, delta, seed)
+    return tube_volume(field, delta)
 
 
 def gates_by_name(report):

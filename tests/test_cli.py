@@ -401,10 +401,11 @@ def test_flags_are_driver_keywords_and_report_config_keys(cmd, tmp_path):
 # vary; a gate bound belongs in the driver's config, not in this list
 PYTHON_ONLY_KEYWORDS = {
     "tube": set(),
-    "yau": {"mu_t"},
+    # yau and dim2 accept an ignored seed: their tube volumes draw nothing
+    "yau": {"mu_t", "seed"},
     "density": set(),
     "boxes": {"domain", "a_sweep", "stability_modes", "variation_cap"},
-    "dim2": {"domain"},
+    "dim2": {"domain", "seed"},
     "dioph": {"box_alpha"},
     "borel-cantelli": {"domain", "box_k_max"},
 }
@@ -429,7 +430,7 @@ def test_bare_command_sets_no_driver_keyword(cmd):
     "cmd, line, flag",
     [
         ("boxes", "m=abc", "--m"),
-        ("dim2", "seed=x", "--seed"),
+        ("dioph", "seed=x", "--seed"),
         ("borel-cantelli", "eps=1e", "--eps"),
         ("yau", "modes=3,x", "--modes"),
         ("tube", "include_break_cell=maybe", "include_break_cell"),
@@ -446,7 +447,7 @@ def test_bad_config_value_exits_2_without_traceback(cmd, line, flag, tmp_path, c
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-@pytest.mark.parametrize("cmd", ["density", "boxes", "spectrum"])
+@pytest.mark.parametrize("cmd", ["density", "boxes", "spectrum", "tube", "yau", "dim2"])
 def test_seed_flag_only_where_the_driver_takes_one(cmd, tmp_path):
     extra = ["--mu-max", "5"] if cmd == "spectrum" else []
     assert exit_code([cmd, *extra, "--seed", "1", "--out", str(tmp_path)]) == EXIT_INVALID

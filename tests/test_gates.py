@@ -23,7 +23,7 @@ from nodalab.harness import (
     run_tube_scaling,
     run_yau_check,
 )
-from nodalab.spectrum import DomainSpec
+from nodalab.spectrum import SIN, DomainSpec
 
 
 def lower_radii_exponent(monkeypatch):
@@ -65,6 +65,26 @@ def widen_radius(monkeypatch):
     monkeypatch.setattr(harness_mod, "density_radius", lambda field: 1.2 * radius(field))
 
 
+def widen_inradii(monkeypatch):
+    """Sign-domain inner radii read 1.2 times too large."""
+    inradii = harness_mod.component_inradii
+    monkeypatch.setattr(
+        harness_mod, "component_inradii", lambda comp, field: 1.2 * inradii(comp, field)
+    )
+
+
+def unstamped_zeros(monkeypatch):
+    """Factor values sin(m alpha x) with no exact zeros stamped: on-grid zeros read +-1e-15."""
+
+    def plain(mode, axis, npts):
+        dom = mode.domain
+        x = np.arange(npts) * dom.lengths[axis] / (npts if dom.periodic else npts - 1)
+        phase = mode.m[axis] * dom.alpha[axis] * x
+        return np.sin(phase) if mode.kinds[axis] == SIN else np.cos(phase)
+
+    monkeypatch.setattr(grid_mod, "_axis_factor", plain)
+
+
 def seed_one_axis(monkeypatch):
     """Distance field seeded from axis 0's zero crossings only: other axes' nodal lines are lost."""
     extract = harness_mod.extract_nodal
@@ -97,6 +117,10 @@ def density_interval():
     return run_density_check(DomainSpec.interval())
 
 
+def yau_interval():
+    return run_yau_check(DomainSpec.interval())
+
+
 def tube_torus():
     return run_tube_scaling(DomainSpec.torus((1.0, 1.0)), modes=((3, 4), (2, 3)), mu_delta=(0.1,))
 
@@ -125,11 +149,15 @@ WITNESSES = {
     "interval_points_in_band": (lower_distances, survey, SURVEY_LOW_FAILS),
     "component_count_exact": (take_zeros_into_signs, dim2, SIGN_FAILS),
     "min_area_rel": (take_zeros_into_signs, dim2, SIGN_FAILS),
+    "inradius_rel": (widen_inradii, dim2, {"inradius_rel"}),
     "analytic_cap": (widen_radius, density_torus, DENSITY_FAILS),
     "cell_formula_dev": (widen_radius, density_torus, DENSITY_FAILS),
     "interval_half_pi": (widen_radius, density_interval, {"interval_half_pi"}),
     "grid_agreement": (seed_one_axis, tube_torus, {"grid_agreement"}),
     "estimator_agreement": (seed_one_axis, yau_torus, YAU_SEED_FAILS),
+    # sin(m pi) reads about -1e-15 at the interval's right end, so that zero goes
+    # unseen: 10 and 40 vertices, not 11 and 41
+    "vertex_count_exact": (unstamped_zeros, yau_interval, {"vertex_count_exact"}),
 }
 
 

@@ -355,24 +355,25 @@ def test_spectral_report_digests(name, tmp_path):
     assert got == SPECTRAL_DIGESTS[name]
 
 
-# sha256 of (JSON, CSV) report bytes, recorded before the per-axis miss tables
-# replaced the per-sample oracle in measures._refined_volume; tube_torus
-# re-recorded when tube_volume_exact became the closed form (its oracle
-# volumes and agreements move by rounding only; the same gates pass);
-# density_torus and comparability recorded before their resolution keywords
-# became fixed values. Same rule as above.
+# sha256 of (JSON, CSV) report bytes; yau_torus, dim2 and tube_torus
+# re-recorded when each straddle cell took its exact share of the tube in
+# place of 64 sampled points (the tube volumes, and the measures and
+# agreements drawn from them, move; the reports drop ``refine_samples`` and
+# record seed null; the same gates pass); density_torus and comparability
+# recorded before their resolution keywords became fixed values. Same rule
+# as above.
 GRID_DIGESTS = {
     "yau_torus": (
-        "084755f98d84c79c98207a5b127bd38cfb457d3e0a08890fe768f2908ff1fc36",
-        "f692e5957dd9c488c80574ac12200a04ce03e7bfccfb8aad3f0afc86349c804f",
+        "ef58ca5041f238c3f97a776c85e575624a522ed9deee6af318cba9f10ca54c45",
+        "3b56c6d4efd0fe97edaa7f876dbcb305658195ba17a50249e3a66e2b6967eccf",
     ),
     "dim2": (
-        "8aa4f09dbd87807b00e13bdbc13e84f7c57f6d15de6ea5b9c1a6cdd6a2d77c1d",
-        "6567e374ef340f861c4e03a30746d5a93f067be14f9ef9b5c7819f4ad84de504",
+        "13412170bc94d50d38a045e88ad03c3960d9f013e2abeac7bc37f822d5903fc5",
+        "7bc32059a1a4c9fe0534a4dd28517eab08c88402480507e5a737e090dbc67954",
     ),
     "tube_torus": (
-        "4e18513b7f75f6f7202962209288e1c96c644c221b04f2ff3060b4aea6c289cf",
-        "44c52e0607b8f9c67a53f12c5f4cfcb776be13c98f98ad3c4156fc699872baa6",
+        "9542205a228b2714a9d5aecd0a465c08a331a1e40a874ba01ef65f7e09994551",
+        "361dbcf68d691fe0f9c9a993a00e406955797b5a5f95e57627dcb46ce2c02f96",
     ),
     "density_torus": (
         "60885a202965d772d7ee941f9bc9d8e435a39d1050bd36b3c7013d31958c5fdf",
@@ -478,9 +479,9 @@ def test_small_reports_cover_every_gate_builder():
 
 # resolution config key -> the fixed value every report of the driver records
 FIXED_RESOLUTION = {
-    "tube_scaling": {"ppw": 32.0, "h_factor": 2.5, "refine_samples": 64},
-    "yau_ratio": {"ppw": 32.0, "h_factor": 2.5, "refine_samples": 64},
-    "dim2": {"area_ppw": 256.0, "tube_mu_delta": 0.2, "h_factor": 2.5, "refine_samples": 64},
+    "tube_scaling": {"ppw": 32.0, "h_factor": 2.5},
+    "yau_ratio": {"ppw": 32.0, "h_factor": 2.5},
+    "dim2": {"area_ppw": 256.0, "tube_mu_delta": 0.2, "h_factor": 2.5},
     "density": {"ppw": 64.0, "radius_h_divisor": 16.0},
     "comparability": {"side_h_divisor": 8.5},
 }

@@ -1,8 +1,6 @@
 """Tube volumes, nodal measure, density radius against closed-form oracles."""
 
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -46,7 +44,7 @@ def test_interval_tube_volume():
     h = max(f.h)
     # counting bias: at most one grid point per tube-component boundary
     assert abs(plain - exact) <= 2 * (k + 1) * h
-    refined = tube_volume(f, delta, seed=1)
+    refined = tube_volume(f, delta)
     assert abs(refined - exact) / exact < 2e-3
 
 
@@ -57,22 +55,10 @@ def test_torus_tube_volume_refined():
     exact = tube_volume_exact(mode, delta)
     expect = 8 * math.pi * delta * 7 - 16 * 12 * delta**2
     assert exact == pytest.approx(expect, rel=1e-12)
-    refined = tube_volume(f, delta, seed=1)
+    refined = tube_volume(f, delta)
     assert abs(refined - exact) / exact < 2e-3
     plain = counted_volume(f, delta)
     assert abs(plain - exact) / exact < 0.25
-
-
-def test_refined_volume_independent_of_chunk_budget(monkeypatch):
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    delta = 0.05
-    f = field_for(mode, h_max=delta / 2)
-    default = tube_volume(f, delta, seed=1)
-    volumes = []
-    for budget in (5000, 40):  # 40 < SAMPLES_PER_CELL: one cell per chunk
-        monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", budget)
-        volumes.append(tube_volume(f, delta, seed=1))
-    assert volumes == [default, default]
 
 
 def test_tube_guards():
@@ -90,14 +76,14 @@ def test_nodal_measure_torus():
     f = field_for(mode, h_max=min(ts) / 2)
     exact = nodal_measure_exact(mode)
     assert exact == pytest.approx(28 * math.pi, rel=1e-12)
-    nm = nodal_measure(f, ts, seed=2)
+    nm = nodal_measure(f, ts)
     length = marching_squares(f.sample)
     assert abs(nm.value - exact) / exact < 3e-3
     assert abs(length - exact) / exact < 1e-2
     assert not nm.non_monotone
     assert abs(length - nm.value) / max(length, nm.value) < 0.01
     assert sorted(nm.volumes) == sorted(ts)
-    assert nm.volumes[ts[0]] == tube_volume(f, ts[0], seed=2)
+    assert nm.volumes[ts[0]] == tube_volume(f, ts[0])
 
 
 def test_nodal_measure_interval_counts_vertices():
@@ -149,30 +135,6 @@ def whole_grid_band(dist, periodic, delta, margin):
     return int(np.count_nonzero(fully_in)), np.argwhere(straddle)
 
 
-def refined_volume_reference(field, delta, seed):
-    """The per-sample refinement loop as it was before the per-axis miss tables."""
-    sample = field.sample
-    h = np.asarray(sample.h)
-    cellvol = float(np.prod(h))
-    diag = float(np.linalg.norm(h))
-    margin = diag + field.raster_error
-    inside, idx = whole_grid_band(field.dist, sample.periodic, delta, margin)
-    vol = float(inside) * cellvol
-    if idx.shape[0] == 0:
-        return vol
-    rng = np.random.default_rng(seed)
-    m = measures_mod.SAMPLES_PER_CELL
-    cells_per_chunk = max(1, measures_mod.REFINE_CHUNK_POINTS // m)
-    hits = 0
-    for start in range(0, idx.shape[0], cells_per_chunk):
-        block = idx[start : start + cells_per_chunk]
-        u = rng.random((block.shape[0], m, sample.n))
-        pts = (block[:, None, :] + u) * h
-        d = nodal_distance_exact(sample.mode, pts.reshape(-1, sample.n))
-        hits += int((d < delta).sum())
-    return vol + cellvol * hits / m
-
-
 KIND = st.sampled_from(("sin", "cos"))
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -214,12 +176,15 @@ def in_gap_window(mode, h, delta):
     return any(lo < delta <= half for _, lo, half in gap_windows(mode, h))
 
 
-@given(st.data(), refine_modes(), st.sampled_from((8.0, 12.0, 16.0)),
-       st.integers(0, 2**32 - 1), st.sampled_from((1, 7, 64)),
-       st.sampled_from((measures_mod.REFINE_CHUNK_POINTS, 1000)))
+def exact_rel(mode, vol, delta):
+    exact = tube_volume_exact(mode, delta)
+    return abs(vol - exact) / exact
+
+
+@given(st.data(), refine_modes(), st.sampled_from((8.0, 12.0, 16.0)))
 @settings(max_examples=150, deadline=None)
-def test_refined_volume_bitwise(data, mode, ppw, seed, samples, budget):
-    """The miss-table refinement returns exactly the per-sample oracle's volume.
+def test_tube_volume_matches_the_exact_volume(data, mode, ppw):
+    """Each straddle cell takes the oracle's share, so the grid volume is the exact one.
 
     Inside an axis's gap window it raises instead; the special values sit at
     the window's float edges, inside it and just past s/2.
@@ -234,16 +199,11 @@ def test_refined_volume_bitwise(data, mode, ppw, seed, samples, budget):
     top = max(guard, 1.5 * max(half for _, _, half in windows))
     delta = data.draw(st.one_of(st.sampled_from(special), st.floats(guard, top)))
     delta = float(max(delta, guard))
-    saved = measures_mod.SAMPLES_PER_CELL, measures_mod.REFINE_CHUNK_POINTS
-    measures_mod.SAMPLES_PER_CELL, measures_mod.REFINE_CHUNK_POINTS = samples, budget
-    try:
-        if in_gap_window(mode, f.h, delta):
-            with pytest.raises(ResolutionError, match="gap"):
-                tube_volume(f, delta, seed)
-        else:
-            assert tube_volume(f, delta, seed) == refined_volume_reference(f, delta, seed)
-    finally:
-        measures_mod.SAMPLES_PER_CELL, measures_mod.REFINE_CHUNK_POINTS = saved
+    if in_gap_window(mode, f.h, delta):
+        with pytest.raises(ResolutionError, match="gap"):
+            tube_volume(f, delta)
+    else:
+        assert exact_rel(mode, tube_volume(f, delta), delta) <= 1e-12
 
 
 def test_gap_window_edges():
@@ -254,17 +214,18 @@ def test_gap_window_edges():
     (_, lo0, _), (_, lo, half) = gap_windows(mode, f.h)
     assert 2.0 * max(f.h) < lo < half < lo0
     # at the lower end a Lambda cell's ends are still far: the oracle's volume
-    assert tube_volume(f, lo, seed=3) == refined_volume_reference(f, lo, seed=3)
+    assert exact_rel(mode, tube_volume(f, lo), lo) <= 1e-12
     for delta in (np.nextafter(lo, np.inf), 0.5 * (lo + half), half):
         with pytest.raises(ResolutionError, match="gap"):
-            tube_volume(f, float(delta), seed=3)
-    # past s/2 axis 1 hits everywhere: every straddle sample hits
+            tube_volume(f, float(delta))
+    # past s/2 axis 1 hits everywhere: every straddle cell lies wholly in the tube
     above = float(np.nextafter(half, np.inf))
     margin = float(np.linalg.norm(f.h)) + f.raster_error
     inside, idx = whole_grid_band(f.dist, True, above, margin)
     cellvol = float(np.prod(f.h))
     expect = float(inside) * cellvol + cellvol * idx.shape[0]
-    assert tube_volume(f, above, seed=3) == expect == refined_volume_reference(f, above, seed=3)
+    assert tube_volume(f, above) == expect
+    assert exact_rel(mode, expect, above) <= 1e-12
 
 
 def test_gap_window_holds_cells_the_ends_do_not_decide():
@@ -363,36 +324,13 @@ def test_miss_tables_replace_the_sample_oracle(monkeypatch):
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     delta = 0.05
     f = field_for(mode, h_max=delta / 2)
-    expect = refined_volume_reference(f, delta, seed=1)
     calls = count_oracle(monkeypatch)
-    assert tube_volume(f, delta, seed=1) == expect
-    # every distance comes from 1-d axis modes, a small share of the old 64 per cell
+    assert exact_rel(mode, tube_volume(f, delta), delta) <= 1e-12
+    # every distance comes from 1-d axis modes, under 1% of 64 per straddle cell
     assert calls and all(dim == 1 for dim, _ in calls)
     margin = float(np.linalg.norm(f.h)) + f.raster_error
     straddle = whole_grid_band(f.dist, True, delta, margin)[1].shape[0]
     assert sum(pts for _, pts in calls) < 0.01 * 64 * straddle
-
-
-@pytest.mark.parametrize("budget", [1000, measures_mod.REFINE_CHUNK_POINTS])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_refined_volume_independent_of_worker_count(workers, budget, monkeypatch):
-    # each chunk jumps its own PCG64 ahead to its first cell's stream position,
-    # so the threaded result is the one sequential stream's for any split
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    delta = 0.05
-    f = field_for(mode, h_max=delta / 2)
-    expect = refined_volume_reference(f, delta, seed=1)
-    monkeypatch.setattr(measures_mod, "usable_cores", lambda: workers)
-    monkeypatch.setattr(measures_mod, "REFINE_CHUNK_POINTS", budget)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often
-    before = set(threading.enumerate())
-    try:
-        assert tube_volume(f, delta, seed=1) == expect
-    finally:
-        sys.setswitchinterval(interval)
-    # every worker is joined before the call returns
-    assert set(threading.enumerate()) == before
 
 
 BAND_FIELDS = {
@@ -403,13 +341,19 @@ BAND_FIELDS = {
 }
 
 
+def band_blocks(dist, periodic, delta, margin, rows):
+    """``_band_cells``' blocks joined: the fully-in count and the straddle cells in block order."""
+    blocks = list(measures_mod._band_cells(dist, periodic, delta, margin, rows))
+    return sum(n for n, _ in blocks), np.concatenate([cells for _, cells in blocks])
+
+
 @pytest.mark.parametrize("rows", [1, 7, 1 << 30])
 @pytest.mark.parametrize("name", list(BAND_FIELDS))
 def test_band_blocks_equal_the_whole_grid_band(name, rows):
     f = BAND_FIELDS[name]()
     margin = float(np.linalg.norm(f.h)) + f.raster_error
     delta = margin + 1.5 * max(f.h)
-    inside, idx = measures_mod._band_cells(f.dist, f.sample.periodic, delta, margin, rows)
+    inside, idx = band_blocks(f.dist, f.sample.periodic, delta, margin, rows)
     expect_inside, expect_idx = whole_grid_band(f.dist, f.sample.periodic, delta, margin)
     # some cells fully in, some straddling, some fully out
     assert 0 < expect_inside and 0 < expect_idx.shape[0] < f.dist.size - expect_inside
@@ -424,7 +368,7 @@ def test_band_blocks_on_random_values(shape, periodic, rows):
     # no smoothness: a cell paired with the wrong row, a wrong wrap or a lost
     # block offset changes the classification somewhere
     dist = np.random.default_rng(7).random(shape)
-    inside, idx = measures_mod._band_cells(dist, periodic, 0.5, 0.3, rows)
+    inside, idx = band_blocks(dist, periodic, 0.5, 0.3, rows)
     expect_inside, expect_idx = whole_grid_band(dist, periodic, 0.5, 0.3)
     assert 0 < expect_inside and 0 < expect_idx.shape[0]
     assert inside == expect_inside and np.array_equal(idx, expect_idx)

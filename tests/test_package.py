@@ -31,8 +31,8 @@ def test_exports_resolve_without_duplicates():
         ("distance.py", set()),
         ("components.py", set()),
         ("boxes.py", set()),
-        # known debt: tube_volume builds its per-axis miss tables from the
-        # oracle's distances at each cell's ends; no sample reaches the oracle
+        # known debt: tube_volume takes each straddle cell's share of the tube
+        # from per-axis miss tables built from the oracle's distances
         ("measures.py", {"nodal_distance_exact"}),
     ],
 )

@@ -1,11 +1,13 @@
 """scripts/run_all_experiments.py: the last line hashes the reports it wrote,
-the line before it gives the peak RSS, and the --quick battery keeps its bytes."""
+the line before it gives the peak RSS, and the --quick battery keeps its bytes,
+with and without numpy's AVX-512 kernels."""
 
 import importlib.util
 import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,14 @@ from nodalab import DomainSpec, run_density_check
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
 # the last line of `run_all_experiments.py --quick`; any change to a report's bytes changes it
-QUICK_REPORTS_SHA256 = "3a7a7abf2df21c952952933897e114c6b40c9f4dd238629b5f2f736bcbcf242c"
+QUICK_REPORTS_SHA256 = "591cf94c6b1839a921c97183b2bae59dfb801c141c247ad6a36c69adee59028b"
+
+
+def has_avx512f() -> bool:
+    try:
+        return "avx512f" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
 
 
 def load_script():
@@ -60,3 +69,14 @@ def test_peak_rss_line_comes_before_the_hash(tmp_path, capsys, monkeypatch):
 def test_quick_battery_reports_keep_their_bytes(tmp_path, capsys):
     assert load_script().main(["--quick", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"reports sha256 {QUICK_REPORTS_SHA256}"
+
+
+@pytest.mark.skipif(not has_avx512f(), reason="the host has no AVX-512 kernels to disable")
+def test_quick_battery_bytes_do_not_depend_on_avx512(tmp_path):
+    # a fresh process: numpy reads NPY_DISABLE_CPU_FEATURES once, at import
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--quick", "--out", str(tmp_path)],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.splitlines()[-1] == f"reports sha256 {QUICK_REPORTS_SHA256}"
