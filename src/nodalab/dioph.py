@@ -2,22 +2,21 @@
 
 For separable modes the distance from a point to the nodal set is exact and
 closed-form: the min over axes of the distance from x_j to the nearest zero of
-the j-th factor, a lattice of spacing pi / (m_j alpha_j), shifted by half a
-spacing for a cosine factor. That axis distance depends only on (m_j, kind_j),
-so a scan over a mode list computes it once per index in a table and gathers
-the table by each row's index: the table holds every index 0..max m_j, far
-fewer than the rows of a 2-d or 3-d list, or only the indices a list holds
-when it has fewer rows than its largest index. Each table entry gets the
-same IEEE operations the per-row formula would (the same int64 x float
-spacing, the same mod and min), so the gathered distances are bitwise equal
-to it. Records of the running minimum distance drive per-point approximation
-exponents; exact tube volumes drive the convergence (Borel-Cantelli style)
-sums, since the radii shrink below any fixed grid.
+the j-th factor, a lattice of spacing pi / (m_j alpha_j). That axis distance
+depends only on m_j, so a scan over a mode list computes it once per index in
+a table and gathers the table by each row's index: the table holds every
+index 0..max m_j, far fewer than the rows of a 2-d or 3-d list, or only the
+indices a list holds when it has fewer rows than its largest index. Each
+table entry gets the per-row formula's int64 x float spacing and its one
+float chain, ``spectrum.lattice_distance``, so the gathered distances are
+bitwise equal to it. Records of the running minimum distance drive
+per-point approximation exponents; exact tube volumes drive the convergence
+(Borel-Cantelli style) sums, since the radii shrink below any fixed grid.
 
 Most rows of a list can never change a scan's result. A row's distance is
-one axis entry, and the first row in list order with the same (axis, index,
-kind) has that entry too, or a smaller one, at no larger mu. Float
-multiplication is monotone, so a later row never strictly lowers the running
+one axis entry, and the first row in list order with the same (axis, index)
+has that entry too, or a smaller one, at no larger mu. Float multiplication
+is monotone, so a later row never strictly lowers the running
 minimum of mu * dist below that first row's, and it is an exact hit only if
 that first row is. ``spectrum.record_candidates`` builds just those first
 rows, so exponent estimates on it are the full list's.
@@ -46,19 +45,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectrum import DomainSpec, ModeList, _tube_fraction, enumerate_modes
+from .spectrum import DomainSpec, ModeList, _tube_fraction, enumerate_modes, lattice_distance
 
 
 def _lattice_distance_table(x, spacing: np.ndarray) -> np.ndarray:
     """Entry i is the distance from x to the lattice spacing[i-1] * Z; entry 0 is inf.
 
-    x may be a scalar or one offset point per spacing. Entry 0 stands for an
+    x may be a scalar or one point per spacing. Entry 0 stands for an
     axis with index 0, whose factor has no zero.
     """
-    r = np.mod(x, spacing)
     table = np.empty(spacing.size + 1)
     table[0] = np.inf
-    np.minimum(r, spacing - r, out=table[1:])
+    table[1:] = lattice_distance(x, spacing)
     return table
 
 
@@ -82,15 +80,7 @@ def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
             index, pos = np.unique(np.append(mj, 0), return_inverse=True)
             pos = pos[:-1]
         spacing = math.pi / (index[1:] * dom.alpha[j])
-        d = _lattice_distance_table(point[j], spacing)[pos]
-        # kind code 0 = cos: zeros sit half a spacing off the sin lattice
-        cos_rows = modes.kind_codes[:, j] == 0
-        if cos_rows.any():
-            cos_rows &= mj > 0
-            if cos_rows.any():
-                cos_table = _lattice_distance_table(point[j] - 0.5 * spacing, spacing)
-                d[cos_rows] = cos_table[pos[cos_rows]]
-        np.minimum(dist, d, out=dist)
+        np.minimum(dist, _lattice_distance_table(point[j], spacing)[pos], out=dist)
     if not np.isfinite(dist).all():
         raise ValidationError("a mode in the list has an empty nodal set")
     return dist
@@ -306,9 +296,7 @@ def estimate_exponent(
         raise ValidationError("mode list is empty")
     rows = _record_rows(point, modes)
     if rows is not None:
-        modes = ModeList(
-            modes.domain, modes.mu_max, modes.m[rows], modes.mu[rows], modes.kind_codes[rows]
-        )
+        modes = ModeList(modes.domain, modes.mu_max, modes.m[rows], modes.mu[rows])
     dist = modes_nodal_distance(point, modes)
     mu = modes.mu
     hi = float(modes.mu_max if mu_max is None else mu_max)

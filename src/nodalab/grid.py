@@ -18,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ResourceGuardError, ValidationError
-from .spectrum import SIN, DomainSpec, EigenMode
+from .spectrum import DomainSpec, EigenMode
 
 GRID_POINT_CAP = 30_000_000
 
@@ -79,13 +79,8 @@ def _axis_factor(mode: EigenMode, axis: int, npts: int) -> np.ndarray:
     else:
         den = npts - 1                  # phase = pi * (m i) / (N - 1)
         num = (mj * i) % (2 * den)
-    phase = math.pi * num / den
-    if mode.kinds[axis] == SIN:
-        f = np.sin(phase)
-        f[num % den == 0] = 0.0
-    else:
-        f = np.cos(phase)
-        f[(2 * num - den) % (2 * den) == 0] = 0.0
+    f = np.sin(math.pi * num / den)
+    f[num % den == 0] = 0.0
     return f
 
 

@@ -17,7 +17,7 @@ straddle shares are summed before the next block is classified.
 The exact distance is a min over axes of 1-d distances, so a point of a cell
 misses the tube iff every axis misses, and axis j's distance depends only on
 the cell index i_j and the offset u_j in [0, 1) through the oracle's float
-chain ``(i_j + u_j) * h_j -> mod(x - off, s) -> min(r, s - r)``. Offsets run
+chain ``(i_j + u_j) * h_j -> mod(x, s) -> min(r, s - r)``. Offsets run
 over the lattice u = k * 2**-53. Every step is monotone, so within one cell
 the 1-d distance is monotone in u_j, V-shaped (the cell holds a zero) or
 Lambda-shaped (it holds a gap midpoint), and the cell's two end distances,
@@ -59,9 +59,9 @@ def _gap_floor(s: float, hj: float) -> float:
 
     A Lambda cell holds a gap midpoint, so in exact arithmetic its ends lie at
     least s/2 - hj from a zero. With u = 2^-53 and L >= s the axis length, the
-    oracle's chain (the cell ends' x, x - off, the mod's added s for x < off,
-    s - r) moves each end's distance by at most u (6 L + 2 s). The floor
-    fl(s/2 - fl(hj (1 + 2^-20))) is at most s/2 - hj - 2^-20 hj (1 - 2 u) + u s/2,
+    oracle's chain (the cell ends' x, the mod, s - r) moves each end's distance
+    by at most u (6 L + 2 s). The floor fl(s/2 - fl(hj (1 + 2^-20))) is at
+    most s/2 - hj - 2^-20 hj (1 - 2 u) + u s/2,
     so below it both ends are far while L / hj < 2^29; the bound stated,
     L / hj < 2^28, keeps a factor two. A grid under ``grid.GRID_POINT_CAP``
     has fewer than 2^25 cells on an axis.
@@ -72,7 +72,7 @@ def _gap_floor(s: float, hj: float) -> float:
 def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
     """1-d mode of axis j: the oracle runs the same float operations on it."""
     dom = mode.domain
-    return EigenMode(DomainSpec(dom.kind, (dom.alpha[j],)), (mode.m[j],), (mode.kinds[j],))
+    return EigenMode(DomainSpec(dom.kind, (dom.alpha[j],)), (mode.m[j],))
 
 
 def _axis_miss_table(mode: EigenMode, j: int, hj, ncells: int, delta: float):

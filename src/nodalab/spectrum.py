@@ -5,8 +5,12 @@ Three domain kinds are supported, all with separable trigonometric eigenbases:
 - ``interval``: [0, pi] with Dirichlet ends, eigenfunctions sin(k x), frequency k.
 - ``box``: an n-dimensional Dirichlet box with side lengths pi/alpha_j,
   eigenfunctions prod_j sin(m_j alpha_j x_j), all m_j >= 1.
-- ``torus``: a flat torus with periods 2 pi / alpha_j, eigenfunctions products of
-  sin(m_j alpha_j x_j) or cos(m_j alpha_j x_j) per axis, m not all zero.
+- ``torus``: a flat torus with periods 2 pi / alpha_j, eigenfunctions
+  prod_j sin(m_j alpha_j x_j), m not all zero, where a factor with m_j = 0 is 1.
+
+Every mode is a product of sine factors. On the torus a cosine factor is a
+translate of the sine one by a quarter wavelength, so it has the same tube
+volumes, nodal measure, density radius and sign domains, and is not modelled.
 
 The frequency of a mode is mu = sqrt(sum_j alpha_j^2 m_j^2); the eigenfunction
 satisfies (Laplacian + mu^2) phi = 0. Because every mode is a product of 1-d
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,9 +36,6 @@ INTERVAL = "interval"
 BOX = "box"
 TORUS = "torus"
 _KINDS = (INTERVAL, BOX, TORUS)
-
-SIN = "sin"
-COS = "cos"
 
 # Default cap on enumerated modes; enumerate_modes refuses to build more.
 MODE_COUNT_CAP = 10_000_000
@@ -104,20 +105,15 @@ class DomainSpec:
         return DomainSpec(TORUS, tuple(alpha), declared_independent)
 
 
-def _default_kinds(domain: DomainSpec, m: tuple[int, ...]) -> tuple[str, ...]:
-    if domain.periodic:
-        # sine factors carry nodal lines; a zero index forces the constant factor.
-        return tuple(SIN if mj > 0 else COS for mj in m)
-    return (SIN,) * domain.n
-
-
 @dataclass(frozen=True)
 class EigenMode:
-    """One separable eigenfunction: per-axis integer indices and factor kinds."""
+    """One separable eigenfunction prod_j sin(m_j alpha_j x_j): per-axis integer indices.
+
+    A factor with m_j = 0 is the constant 1; only a torus mode may have one.
+    """
 
     domain: DomainSpec
     m: tuple[int, ...]
-    kinds: tuple[str, ...] | None = None
 
     def __post_init__(self):
         m = tuple(int(v) for v in self.m)
@@ -125,21 +121,12 @@ class EigenMode:
             raise ValidationError(f"mode index has {len(m)} entries for n={self.domain.n}")
         if any(v < 0 for v in m):
             raise ValidationError("mode indices must be nonnegative")
-        kinds = tuple(self.kinds) if self.kinds else _default_kinds(self.domain, m)
-        if len(kinds) != self.domain.n or any(k not in (SIN, COS) for k in kinds):
-            raise ValidationError(f"bad factor kinds {kinds!r}")
         if self.domain.periodic:
             if all(v == 0 for v in m):
                 raise ValidationError("torus mode indices must not all be zero")
-            if any(v == 0 and k == SIN for v, k in zip(m, kinds)):
-                raise ValidationError("a sine factor with index 0 is identically zero")
-        else:
-            if any(v < 1 for v in m):
-                raise ValidationError("Dirichlet modes need every index >= 1")
-            if any(k != SIN for k in kinds):
-                raise ValidationError("Dirichlet boundary conditions force sine factors")
+        elif any(v < 1 for v in m):
+            raise ValidationError("Dirichlet modes need every index >= 1")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "kinds", kinds)
         try:
             finite = math.isfinite(self.mu_squared)
         except OverflowError:
@@ -191,7 +178,7 @@ def _eval_factor(mode: EigenMode, axis: int, x) -> np.ndarray:
     theta = mj * mode.domain.alpha[axis] * np.asarray(x, dtype=float)
     if mode.domain.periodic:
         theta = np.mod(theta, 2.0 * math.pi)
-    return np.sin(theta) if mode.kinds[axis] == SIN else np.cos(theta)
+    return np.sin(theta)
 
 
 def _tube_fraction(alpha, m: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -241,14 +228,25 @@ def nodal_measure_exact(mode: EigenMode) -> float:
     return float(sum(c * vol / L[j] for j, c in enumerate(counts)))
 
 
+def lattice_distance(x, s):
+    """Distance from x to the lattice s * Z: r = mod(x, s), then min(r, s - r).
+
+    The one float chain for a 1-d nodal distance: ``nodal_distance_exact`` and
+    the per-index tables of ``dioph`` both call it, so their distances agree
+    bit for bit. x and s broadcast against each other.
+    """
+    r = np.mod(x, s)
+    return np.minimum(r, s - r)
+
+
 def nodal_distance_exact(mode: EigenMode, points) -> np.ndarray:
     """Exact distance from points (..., n) to the nodal set, in closed form.
 
     The nodal set is a union of axis-perpendicular hyperplane families, so the
     distance is the min over axes of the 1-d distance from x_j to the nearest
     factor zero (the Euclidean and max-coordinate metrics coincide on such sets).
-    Factor zeros are the lattice offs + spacing * Z; on the torus the spacing
-    divides the period, so the plain mod-spacing formula wraps correctly.
+    Factor zeros are the lattice spacing * Z; on the torus the spacing divides
+    the period, so the plain mod-spacing formula wraps correctly.
     """
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
@@ -261,10 +259,7 @@ def nodal_distance_exact(mode: EigenMode, points) -> np.ndarray:
         mj = mode.m[j]
         if mj == 0:
             continue
-        s = mode.factor_zero_spacing(j)
-        off = 0.0 if mode.kinds[j] == SIN else 0.5 * s
-        r = np.mod(pts[..., j] - off, s)
-        best = np.minimum(best, np.minimum(r, s - r))
+        best = np.minimum(best, lattice_distance(pts[..., j], mode.factor_zero_spacing(j)))
     if not np.isfinite(best).all():
         raise ValidationError("mode has no nodal hyperplanes on any axis")
     return best[0] if squeeze else best
@@ -285,30 +280,25 @@ def density_radius_exact(mode: EigenMode) -> float:
 class ModeList:
     """All admissible modes with mu <= mu_max, sorted by (mu, lexicographic m).
 
-    Stored columnar (index matrix, frequency vector, kind codes) so that million-mode
-    lists stay cheap; ``__getitem__`` materializes an EigenMode on demand.
+    Stored columnar (index matrix, frequency vector) so that million-mode lists
+    stay cheap; ``__getitem__`` materializes an EigenMode on demand.
     """
 
     domain: DomainSpec
     mu_max: float
     m: np.ndarray          # (K, n) int64
     mu: np.ndarray         # (K,) float64
-    kind_codes: np.ndarray = field(default=None)  # (K, n) uint8, 1 = sin, 0 = cos
 
     def __post_init__(self):
         # scans index per-axis tables by m, where a negative index would wrap
         if self.m.size and self.m.min() < 0:
             raise ValidationError("mode indices must be nonnegative")
-        if self.kind_codes is None:
-            self.kind_codes = (self.m > 0).astype(np.uint8) if self.domain.periodic \
-                else np.ones_like(self.m, dtype=np.uint8)
 
     def __len__(self) -> int:
         return self.m.shape[0]
 
     def __getitem__(self, i: int) -> EigenMode:
-        kinds = tuple(SIN if c else COS for c in self.kind_codes[i])
-        return EigenMode(self.domain, tuple(int(v) for v in self.m[i]), kinds)
+        return EigenMode(self.domain, tuple(int(v) for v in self.m[i]))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -325,11 +315,11 @@ class ModeList:
             return False
         m, mu = self.m[:, 0], self.mu
         # mu = fl(m alpha) rising strictly makes m rise strictly, from 1 to K: m = 1..K
-        return bool(m[0] == 1 and m[-1] == len(self) and self.kind_codes.all()
+        return bool(m[0] == 1 and m[-1] == len(self)
                     and np.array_equal(mu, m * self.domain.alpha[0]) and (mu[1:] > mu[:-1]).all())
 
     def to_json(self) -> str:
-        """Serialize as {domain, mu_max, modes:[{m, kinds, mu}]}, mu at 17 significant digits."""
+        """Serialize as {domain, mu_max, modes:[{m, mu}]}, mu at 17 significant digits."""
         head = json.dumps(
             {"domain": self.domain.as_dict(), "mu_max": float(self.mu_max)},
             sort_keys=True,
@@ -337,10 +327,7 @@ class ModeList:
         rows = []
         for i in range(len(self)):
             m = ",".join(str(int(v)) for v in self.m[i])
-            kinds = ",".join(f'"{SIN if c else COS}"' for c in self.kind_codes[i])
-            rows.append(
-                '{"kinds": [%s], "m": [%s], "mu": %s}' % (kinds, m, format(float(self.mu[i]), ".17g"))
-            )
+            rows.append('{"m": [%s], "mu": %s}' % (m, format(float(self.mu[i]), ".17g")))
         return "{%s, \"modes\": [%s]}" % (head, ", ".join(rows))
 
 
@@ -396,8 +383,7 @@ def _sorted_modes(domain: DomainSpec, mu_max: float, m: np.ndarray) -> ModeList:
 def enumerate_modes(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_CAP) -> ModeList:
     """Enumerate every admissible mode with mu <= mu_max, sorted by (mu, lex m).
 
-    Torus modes use the default factor-kind selection (sine on every nonzero axis);
-    one mode per multi-index, which is the lattice-point counting convention.
+    One mode per multi-index, which is the lattice-point counting convention.
     Raises ResourceGuardError if the count would exceed ``cap``.
     """
     _check_mu_max(mu_max)
@@ -420,11 +406,11 @@ def record_candidates(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_C
     """The rows of enumerate_modes(domain, mu_max) that come first among their peers.
 
     Keeps, in list order, each row that is the first with some (axis j,
-    index m_j > 0, kind). That row has every other index at its least value
-    (1 in a Dirichlet box, 0 with a cosine factor on the torus), so the rows
-    are built directly, O(max index) of them, and get enumerate_modes' own mu
-    expression, filter and sort: the result equals enumerate_modes with the
-    other rows dropped, and on one axis it is enumerate_modes. A later row
+    index m_j > 0). That row has every other index at its least value (1 in
+    a Dirichlet box, 0 on the torus), so the rows are built directly,
+    O(max index) of them, and get enumerate_modes' own mu expression, filter
+    and sort: the result equals enumerate_modes with the other rows dropped,
+    and on one axis it is enumerate_modes. A later row
     shares the axis entry that attains its nodal distance with one of these
     rows, which comes no later and has no larger mu: it can never set a
     record of mu * dist nor be a first exact hit. Raises ResourceGuardError

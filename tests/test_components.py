@@ -5,11 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from nodalab.components import UnionFind, component_inradii, sign_components
+from nodalab.components import (
+    SIGN_EPS,
+    UnionFind,
+    _label_periodic,
+    component_inradii,
+    sign_components,
+)
 from nodalab.distance import distance_field
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.nodal import extract_nodal
-from nodalab.spectrum import COS, SIN, DomainSpec, EigenMode
+from nodalab.spectrum import DomainSpec, EigenMode
+
+from translates import cosine_sample
 
 
 def test_union_find_merges():
@@ -34,16 +42,19 @@ def test_torus_checkerboard_counts():
 
 
 def test_torus_wrap_stitches_seam_components():
-    # cosine factors put the seam inside domains; without stitching the
-    # count would exceed the 4mn oracle
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3), (COS, COS))
-    s = sample_grid(mode, ResolutionRule(points_per_wavelength=16.0))
+    # a sine factor has a zero line on the seam, its cosine translate puts the
+    # seam inside domains; without stitching the count would exceed the 4mn oracle
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3))
+    s = cosine_sample(mode, ("cos", "cos"), ResolutionRule(points_per_wavelength=16.0))
     comp = sign_components(s)
     assert comp.count == 4 * 2 * 3
+    masks = (s.values > SIGN_EPS, s.values < -SIGN_EPS)
+    assert sum(_label_periodic(mask, False)[1] for mask in masks) > comp.count
 
 
 def test_strip_mode_with_constant_axis():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (4, 0), (SIN, COS))
+    # the m = 0 axis has no zero line: every strip crosses its seam
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (4, 0))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=16.0))
     comp = sign_components(s)
     assert comp.count == 2 * 4

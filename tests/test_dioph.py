@@ -25,8 +25,6 @@ from nodalab.errors import ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.nodal import extract_nodal
 from nodalab.spectrum import (
-    COS,
-    SIN,
     DomainSpec,
     EigenMode,
     ModeList,
@@ -48,8 +46,7 @@ def interval_modes(k_max: int, alpha: float = 1.0) -> ModeList:
 
 def nearest(point, mode: EigenMode) -> float:
     """One mode's nodal distance, through the mode-list scan."""
-    codes = np.array([[k == SIN for k in mode.kinds]], dtype=np.uint8)
-    one = ModeList(mode.domain, mode.mu, np.array([mode.m]), np.array([mode.mu]), codes)
+    one = ModeList(mode.domain, mode.mu, np.array([mode.m]), np.array([mode.mu]))
     return float(modes_nodal_distance(point, one)[0])
 
 
@@ -115,8 +112,7 @@ def test_modes_distance_matches_per_mode_scalar():
     dom = DomainSpec.torus((1.0, 1.0))
     m = np.array([[3, 4], [1, 0], [2, 2], [5, 1]], dtype=np.int64)
     mu = np.sqrt((m.astype(float) ** 2).sum(axis=1))
-    codes = np.array([[1, 1], [1, 0], [0, 0], [1, 0]], dtype=np.uint8)
-    modes = ModeList(dom, float(mu.max()), m, mu, codes)
+    modes = ModeList(dom, float(mu.max()), m, mu)
     rng = np.random.default_rng(7)
     for pt in rng.uniform(0.0, 2 * math.pi, size=(20, 2)):
         d = modes_nodal_distance(pt, modes)
@@ -135,7 +131,6 @@ def test_modes_distance_rejects_bad_input():
         1.0,
         np.array([[0, 0]], dtype=np.int64),
         np.array([0.0]),
-        np.array([[0, 0]], dtype=np.uint8),
     )
     with pytest.raises(ValidationError):
         modes_nodal_distance([0.1, 0.2], empty_nodal)
@@ -151,8 +146,7 @@ def masked_scan(point, modes: ModeList) -> np.ndarray:
         if not active.any():
             continue
         spacing = math.pi / (mj[active] * modes.domain.alpha[j])
-        offs = np.where(modes.kind_codes[active, j] == 0, 0.5 * spacing, 0.0)
-        r = np.mod(point[j] - offs, spacing)
+        r = np.mod(point[j], spacing)
         d = np.minimum(r, spacing - r)
         dist[active] = np.minimum(dist[active], d)
     return dist
@@ -165,9 +159,7 @@ def assert_scan_bitwise(point, modes: ModeList):
         # a row with no zero on any axis rejects the list; compare the other rows
         with pytest.raises(ValidationError):
             modes_nodal_distance(point, modes)
-        modes = ModeList(
-            modes.domain, modes.mu_max, modes.m[keep], modes.mu[keep], modes.kind_codes[keep]
-        )
+        modes = ModeList(modes.domain, modes.mu_max, modes.m[keep], modes.mu[keep])
         ref = ref[keep]
     got = modes_nodal_distance(point, modes)
     assert got.shape == ref.shape
@@ -180,7 +172,7 @@ ALPHA = st.floats(0.3, 3.0, allow_nan=False)
 
 @given(st.data(), st.integers(1, 3), st.integers(0, 40))
 @settings(max_examples=150, deadline=None)
-def test_scan_bitwise_torus_mixed_codes(data, n, rows):
+def test_scan_bitwise_torus_lists(data, n, rows):
     alpha = tuple(data.draw(ALPHA) for _ in range(n))
     dom = DomainSpec.torus(alpha)
     m = np.array(
@@ -188,13 +180,8 @@ def test_scan_bitwise_torus_mixed_codes(data, n, rows):
                            min_size=rows, max_size=rows)),
         dtype=np.int64,
     ).reshape(rows, n)
-    codes = np.array(
-        data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
-                           min_size=rows, max_size=rows)),
-        dtype=np.uint8,
-    ).reshape(rows, n)
     mu = np.sqrt(((m * np.asarray(alpha)) ** 2).sum(axis=1))
-    modes = ModeList(dom, float(mu.max(initial=0.0)), m, mu, codes)
+    modes = ModeList(dom, float(mu.max(initial=0.0)), m, mu)
     assert_scan_bitwise(np.array([data.draw(COORD) for _ in range(n)]), modes)
 
 
@@ -229,10 +216,7 @@ def dense_table_scan(point, modes: ModeList) -> np.ndarray:
         if top == 0:
             continue
         spacing = math.pi / (np.arange(1, top + 1) * modes.domain.alpha[j])
-        d = lattice_distance_table(point[j], spacing)[mj]
-        cos_rows = (modes.kind_codes[:, j] == 0) & (mj > 0)
-        d[cos_rows] = lattice_distance_table(point[j] - 0.5 * spacing, spacing)[mj[cos_rows]]
-        np.minimum(dist, d, out=dist)
+        np.minimum(dist, lattice_distance_table(point[j], spacing)[mj], out=dist)
     return dist
 
 
@@ -248,14 +232,8 @@ def test_scan_of_sparse_lists_is_the_dense_table(data, n, rows):
         dtype=np.int64,
     )
     m[(m == 0).all(axis=1), 0] = data.draw(st.integers(1, 10**5))
-    codes = np.array(
-        data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
-                           min_size=rows, max_size=rows)),
-        dtype=np.uint8,
-    )
-    codes[m == 0] = 0
     mu = np.sqrt(((m * np.asarray(alpha)) ** 2).sum(axis=1))
-    modes = ModeList(DomainSpec.torus(alpha), float(mu.max()), m, mu, codes)
+    modes = ModeList(DomainSpec.torus(alpha), float(mu.max()), m, mu)
     point = np.array([data.draw(COORD) for _ in range(n)])
     got = modes_nodal_distance(point, modes)
     assert np.array_equal(got.view(np.uint64), dense_table_scan(point, modes).view(np.uint64))
@@ -270,11 +248,7 @@ def test_mode_list_rejects_negative_index():
     # the scan gathers per-axis tables by index, so a negative one must not arrive
     with pytest.raises(ValidationError):
         ModeList(
-            DomainSpec.torus((1.0, 1.0)),
-            5.0,
-            np.array([[3, -4]], dtype=np.int64),
-            np.array([5.0]),
-            np.array([[1, 1]], dtype=np.uint8),
+            DomainSpec.torus((1.0, 1.0)), 5.0, np.array([[3, -4]], dtype=np.int64), np.array([5.0])
         )
 
 
@@ -437,18 +411,15 @@ def test_one_axis_sines_is_checked_once_per_list():
     assert modes.one_axis_sines
     for dom in (DomainSpec.torus((math.sqrt(2.0),)), DomainSpec.box((0.7,))):
         assert enumerate_modes(dom, 50.0).one_axis_sines
-    # a missing first row, a cosine row, a mu one ulp off, a 2-d list, no rows
-    m, mu, codes = modes.m, modes.mu, modes.kind_codes
-    cos = codes.copy()
-    cos[5] = 0
+    # a missing first row, a mu one ulp off, a 2-d list, no rows
+    m, mu = modes.m, modes.mu
     off = mu.copy()
     off[7] = np.nextafter(off[7], np.inf)
     for bad in (
-        ModeList(modes.domain, modes.mu_max, m[1:], mu[1:], codes[1:]),
-        ModeList(modes.domain, modes.mu_max, m, mu, cos),
-        ModeList(modes.domain, modes.mu_max, m, off, codes),
+        ModeList(modes.domain, modes.mu_max, m[1:], mu[1:]),
+        ModeList(modes.domain, modes.mu_max, m, off),
         enumerate_modes(DomainSpec.torus((1.0, 1.0)), 10.0),
-        ModeList(modes.domain, 0.0, m[:0], mu[:0], codes[:0]),
+        ModeList(modes.domain, 0.0, m[:0], mu[:0]),
     ):
         assert not bad.one_axis_sines
     # the scans of every later point reuse the first check
@@ -461,23 +432,22 @@ def test_one_axis_sines_is_checked_once_per_list():
 
 
 def first_rows(modes: ModeList) -> ModeList:
-    """Reference: the rows that come first in list order with some (axis, index > 0, kind)."""
+    """Reference: the rows that come first in list order with some (axis, index > 0)."""
     seen = set()
     keep = np.zeros(len(modes), dtype=bool)
     for i in range(len(modes)):
         for j in range(modes.domain.n):
-            key = (j, int(modes.m[i, j]), int(modes.kind_codes[i, j]))
+            key = (j, int(modes.m[i, j]))
             if key[1] > 0 and key not in seen:
                 seen.add(key)
                 keep[i] = True
-    return ModeList(modes.domain, modes.mu_max, modes.m[keep], modes.mu[keep], modes.kind_codes[keep])
+    return ModeList(modes.domain, modes.mu_max, modes.m[keep], modes.mu[keep])
 
 
 def assert_same_rows(got: ModeList, want: ModeList):
     assert got.domain == want.domain and got.mu_max == want.mu_max
     assert np.array_equal(got.m, want.m)
     assert np.array_equal(got.mu.view(np.uint64), want.mu.view(np.uint64))
-    assert np.array_equal(got.kind_codes, want.kind_codes)
 
 
 # weights with exact ties (1, 2, 0.5) and without; mu_max scaled so lists stay small
@@ -551,20 +521,17 @@ def test_exponent_on_candidates_equals_the_full_scan(case, data):
 
 @st.composite
 def torus_lists(draw, max_rows=60):
-    """Hand-built torus lists with cosine factors and zero indices, sorted by mu."""
+    """Hand-built torus lists with zero indices, sorted by mu."""
     n = draw(st.integers(1, 3))
     alpha = tuple(draw(WEIGHT) for _ in range(n))
     rows = draw(st.integers(1, max_rows))
     m = np.array(draw(st.lists(st.lists(st.integers(0, 12), min_size=n, max_size=n),
                                min_size=rows, max_size=rows)), dtype=np.int64)
     m[(m == 0).all(axis=1), 0] = 1
-    codes = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
-                                   min_size=rows, max_size=rows)), dtype=np.uint8)
-    codes[m == 0] = 0  # a sine factor with index 0 vanishes identically
     mu = np.sqrt(((m * np.asarray(alpha)) ** 2).sum(axis=1))
     order = np.argsort(mu, kind="stable")
     dom = DomainSpec.torus(alpha)
-    return ModeList(dom, float(mu.max()), m[order], mu[order], codes[order])
+    return ModeList(dom, float(mu.max()), m[order], mu[order])
 
 
 @given(torus_lists(), st.data())
@@ -705,7 +672,7 @@ def test_tail_hits_on_enumerated_lists(case, eps, C, data):
 
 @given(torus_lists(max_rows=80), st.floats(0.05, 3.0), st.floats(0.05, 10.0), st.data())
 @settings(max_examples=100, deadline=None)
-def test_tail_hits_on_torus_tails_with_cosine_factors(modes, eps, C, data):
+def test_tail_hits_on_hand_built_torus_tails(modes, eps, C, data):
     start = data.draw(st.integers(0, len(modes) - 1))
     radius = C / modes.mu[start:] ** (modes.domain.n + 1 + eps)
     points = [domain_point(data, modes.domain) for _ in range(6)]

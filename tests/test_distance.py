@@ -14,7 +14,9 @@ from nodalab.distance import _seed_mask, distance_field
 from nodalab.errors import ResourceGuardError
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.nodal import NodalApprox, extract_nodal
-from nodalab.spectrum import COS, SIN, DomainSpec, EigenMode, nodal_distance_exact
+from nodalab.spectrum import DomainSpec, EigenMode, nodal_distance_exact
+
+from translates import cosine_sample
 
 
 def grid_axes(sample):
@@ -106,8 +108,10 @@ def test_matches_brute_force_box():
 
 
 def test_matches_brute_force_torus():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3), (COS, SIN))
-    s = sample_grid(mode, ResolutionRule(points_per_wavelength=6.0))
+    # ppw 9: N = 18 and 28, which 2m = 4 and 6 do not divide, so lines fall off grid
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3))
+    s = sample_grid(mode, ResolutionRule(points_per_wavelength=9.0))
+    assert s.shape == (18, 28)
     nod = extract_nodal(s)
     f = distance_field(nod)
     expect = brute_force_distance(nod.vertices, s)
@@ -117,16 +121,17 @@ def test_matches_brute_force_torus():
 @pytest.mark.parametrize(
     "alpha, m, kinds, ppw",
     [
-        ((1.0, 1.0), (3, 4), (SIN, SIN), 32.0),
-        ((1.0, 1.0), (2, 5), (COS, SIN), 24.0),
-        ((1.0, 1.0), (4, 1), (COS, COS), 40.0),
-        ((1.0, math.sqrt(2.0)), (3, 2), (SIN, COS), 32.0),
-        ((1.0, 1.0, 1.0), (2, 1, 3), (SIN, COS, SIN), 8.0),
+        ((1.0, 1.0), (3, 4), ("sin", "sin"), 32.0),
+        ((1.0, 1.0), (2, 5), ("cos", "sin"), 24.0),
+        ((1.0, 1.0), (4, 1), ("cos", "cos"), 40.0),
+        ((1.0, math.sqrt(2.0)), (3, 2), ("sin", "cos"), 32.0),
+        ((1.0, 1.0, 1.0), (2, 1, 3), ("sin", "cos", "sin"), 8.0),
     ],
 )
 def test_narrow_pad_equals_half_period_pad(alpha, m, kinds, ppw, edt_shapes):
-    mode = EigenMode(DomainSpec.torus(alpha), m, kinds)
-    nod = extract_nodal(sample_grid(mode, ResolutionRule(points_per_wavelength=ppw)))
+    # cosine translates keep the zero lines off the seam, which the wrap pad crosses
+    mode = EigenMode(DomainSpec.torus(alpha), m)
+    nod = extract_nodal(cosine_sample(mode, kinds, ResolutionRule(points_per_wavelength=ppw)))
     f = distance_field(nod)
     shape = nod.sample.shape
     # every transform ran narrower than the half-period pad on some axis

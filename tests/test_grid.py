@@ -7,7 +7,7 @@ import pytest
 
 from nodalab.errors import ResourceGuardError, ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.spectrum import COS, SIN, DomainSpec, EigenMode, eval_mode
+from nodalab.spectrum import DomainSpec, EigenMode, eval_mode
 
 
 def grid_axes(sample):
@@ -31,25 +31,29 @@ def test_interval_on_grid_zeros_are_exact():
     assert np.all(s.values[~on_zero] != 0.0)
 
 
-def test_torus_cosine_zeros_are_exact():
-    # N=32, m=4 cosine: zeros at phase pi/2 + k pi, grid indices i % 4 == 2
-    mode = EigenMode(DomainSpec.torus((1.0,)), (4,), (COS,))
-    s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0, h_max=2 * math.pi / 32))
-    assert s.shape == (32,)
-    i = np.arange(32)
-    on_zero = i % 4 == 2
-    assert np.all(s.values[on_zero] == 0.0)
-    assert np.all(s.values[~on_zero] != 0.0)
+def test_torus_sine_zeros_are_exact():
+    # m=4: zeros at phase k pi, grid indices with 8 i % N == 0; 2m = 8 divides
+    # N = 32 (every zero on grid) but not N = 30 (only x = 0 and pi on grid)
+    mode = EigenMode(DomainSpec.torus((1.0,)), (4,))
+    for npts, on_grid in ((32, 8), (30, 2)):
+        s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0, h_max=2 * math.pi / npts))
+        assert s.shape == (npts,)
+        on_zero = (8 * np.arange(npts)) % npts == 0
+        assert np.count_nonzero(on_zero) == on_grid
+        assert np.all(s.values[on_zero] == 0.0)
+        assert np.all(s.values[~on_zero] != 0.0)
 
 
 def test_values_match_direct_evaluation():
-    for dom, m, kinds in [
-        (DomainSpec.torus((1.0, 1.0)), (3, 4), (SIN, COS)),
-        (DomainSpec.box((1.0, 2.0)), (3, 2), None),
-        (DomainSpec.torus((1.0, 0.5)), (2, 5), (COS, COS)),
+    # ppw 7: 2m divides no torus axis's N, so zero lines fall off grid
+    for dom, m in [
+        (DomainSpec.torus((1.0, 1.0)), (3, 4)),
+        (DomainSpec.box((1.0, 2.0)), (3, 2)),
+        (DomainSpec.torus((1.0, 0.5)), (2, 5)),
+        (DomainSpec.torus((1.0, math.sqrt(2.0))), (0, 3)),
     ]:
-        mode = EigenMode(dom, m, kinds)
-        s = sample_grid(mode, ResolutionRule(points_per_wavelength=8.0))
+        mode = EigenMode(dom, m)
+        s = sample_grid(mode, ResolutionRule(points_per_wavelength=7.0))
         direct = eval_mode(mode, meshpoints(s)).reshape(s.shape)
         np.testing.assert_allclose(s.values, direct, atol=1e-10)
 
@@ -75,7 +79,7 @@ def test_h_max_controls_spacing():
 
 
 def test_constant_axis_gets_minimum_points():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (0, 5), (COS, SIN))
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (0, 5))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0, min_points_per_axis=16))
     assert s.shape[0] == 16
     assert s.shape[1] == 160

@@ -342,7 +342,7 @@ def test_spectral_report_digests(name, tmp_path):
         "approx_interval": lambda: run_approx_theorem(
             k_max=4000, n_points=1000, box_k_max=400, seed=5
         ),
-        # the torus list has cosine factors (zero indices), the interval none
+        # the torus list has constant factors (zero indices), the interval none
         "approx_torus": lambda: run_approx_theorem(
             DomainSpec.torus((1.0, 1.3)), k_max=60, k0=20, n_points=300, box_k_max=400, seed=3
         ),

@@ -135,13 +135,12 @@ def whole_grid_band(dist, periodic, delta, margin):
     return int(np.count_nonzero(fully_in)), np.argwhere(straddle)
 
 
-KIND = st.sampled_from(("sin", "cos"))
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 
 
 @st.composite
 def refine_modes(draw, zero_axis_top=5):
-    """Torus sin/cos kinds and zero-index cos axes, irrational alpha, box, interval, 3-d.
+    """Torus modes and zero-index axes, irrational alpha, box, interval, 3-d.
 
     Zero-index modes are (0, b) with b up to ``zero_axis_top``.
     """
@@ -152,14 +151,12 @@ def refine_modes(draw, zero_axis_top=5):
         dom = DomainSpec.box((1.0, SQRT3))
         return EigenMode(dom, (draw(st.integers(1, 4)), draw(st.integers(1, 4))))
     if family == "zero_axis":
-        return EigenMode(DomainSpec.torus((1.0, 1.0)), (0, draw(st.integers(1, zero_axis_top))),
-                         ("cos", draw(KIND)))
+        return EigenMode(DomainSpec.torus((1.0, 1.0)), (0, draw(st.integers(1, zero_axis_top))))
     n = 3 if family == "3d" else 2
     alpha = (1.0, SQRT2, 1.0)[:n] if family in ("irrational", "3d") else (1.0, 1.0)
     top = 2 if n == 3 else 5
     m = tuple(draw(st.integers(1, top)) for _ in range(n))
-    kinds = tuple(draw(KIND) for _ in range(n))
-    return EigenMode(DomainSpec.torus(alpha), m, kinds)
+    return EigenMode(DomainSpec.torus(alpha), m)
 
 
 def gap_windows(mode, h):

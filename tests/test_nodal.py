@@ -10,16 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
 from nodalab.nodal import _corner_reduce, extract_nodal, marching_squares
-from nodalab.spectrum import (
-    COS,
-    SIN,
-    DomainSpec,
-    EigenMode,
-    eval_mode,
-    nodal_measure_exact,
-)
+from nodalab.spectrum import DomainSpec, EigenMode, eval_mode, nodal_measure_exact
 
 from nodal_boxes import sign_change_cells
+from translates import cosine_sample
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -114,28 +108,26 @@ def marching_squares_reference(sample):
     return segments, float(lengths.sum())
 
 
-KIND = st.sampled_from((SIN, COS))
 TORUS2 = DomainSpec.torus((1.0, 1.0))
 
 
 @st.composite
 def contour_samples(draw):
-    """Torus sin/cos kinds and zero-index axes, irrational alpha, a Dirichlet box,
-    nodal lines on grid nodes, odd-N saddle grids, random values with exact zeros."""
+    """Torus modes and zero-index axes, irrational alpha, a Dirichlet box, nodal
+    lines on grid nodes, odd-N grids with cell-centre saddles, random values with
+    exact zeros."""
     family = draw(st.sampled_from(
         ("torus", "zero_axis", "irrational", "box", "on_grid", "odd_saddle", "random")
     ))
     m = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    kinds = (draw(KIND), draw(KIND))
     ppw = draw(st.sampled_from((4.0, 6.0, 9.0, 16.0)))
     if family == "zero_axis":
         zero = draw(st.integers(0, 1))
         m = tuple(0 if j == zero else m[j] for j in range(2))
-        kinds = tuple(COS if j == zero else kinds[j] for j in range(2))
     if family in ("torus", "zero_axis"):
-        return sample_grid(EigenMode(TORUS2, m, kinds), ResolutionRule(ppw))
+        return sample_grid(EigenMode(TORUS2, m), ResolutionRule(ppw))
     if family == "irrational":
-        return sample_grid(EigenMode(DomainSpec.torus((1.0, SQRT2)), m, kinds), ResolutionRule(ppw))
+        return sample_grid(EigenMode(DomainSpec.torus((1.0, SQRT2)), m), ResolutionRule(ppw))
     if family == "box":
         return sample_grid(EigenMode(DomainSpec.box((1.0, SQRT3)), m), ResolutionRule(ppw))
     if family == "random":
@@ -145,15 +137,16 @@ def contour_samples(draw):
         values = draw(arrays(np.float64, shape, elements=st.one_of(
             st.just(0.0), st.sampled_from((-1.0, 1.0)), st.floats(-10.0, 10.0, width=32),
         )))
-        mode = EigenMode(dom, m, kinds) if dom.periodic else EigenMode(dom, m)
-        return GridSample(mode, h, shape, values)
+        return GridSample(EigenMode(dom, m), h, shape, values)
     if family == "on_grid":
-        # 4m divides N on both axes: every sin and cos zero line is a grid line
+        # 2m divides N on both axes: every zero line is a grid line
         n = 8 * math.lcm(*m) * draw(st.integers(1, 2))
     else:
+        # odd N: a line l N / (2 m) steps from the seam with l N / m odd lies mid-cell,
+        # and two such lines cross at a cell centre
         n = 2 * draw(st.integers(2 * max(m), 24)) + 1
     rule = ResolutionRule(4.0, h_max=2 * math.pi / (n - 0.5), min_points_per_axis=2)
-    s = sample_grid(EigenMode(TORUS2, m, kinds), rule)
+    s = sample_grid(EigenMode(TORUS2, m), rule)
     assert s.shape == (n, n)
     return s
 
@@ -174,8 +167,9 @@ def test_interval_vertices_are_the_zeros():
 
 
 def test_torus_circle_cosine_vertex_count():
-    mode = EigenMode(DomainSpec.torus((1.0,)), (1,), (COS,))
-    nod = extract_nodal(sample_grid(mode))
+    # the translate puts no zero on the seam
+    mode = EigenMode(DomainSpec.torus((1.0,)), (1,))
+    nod = extract_nodal(cosine_sample(mode, ("cos",), ResolutionRule()))
     assert nod.vertices.shape[0] == 2
     got = np.sort(nod.vertices[:, 0])
     np.testing.assert_allclose(got, [math.pi / 2, 3 * math.pi / 2], atol=5e-3)
@@ -183,15 +177,11 @@ def test_torus_circle_cosine_vertex_count():
 
 def test_segment_measure_matches_exact_torus():
     # segments under-count by O(h) per line crossing (corners get cut at the
-    # 4mn crossings), so the error window is one-sided: small deficit, no excess
-    cases = [
-        ((3, 4), (SIN, SIN)),
-        ((5, 5), (SIN, COS)),
-        ((1, 6), (COS, COS)),
-    ]
-    for m, kinds in cases:
-        mode = EigenMode(DomainSpec.torus((1.0, 1.0)), m, kinds)
-        length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=48.0)))
+    # 4mn crossings), so the error window is one-sided: small deficit, no excess;
+    # ppw 47 leaves all but the seam's zero lines off grid
+    for m, ppw in [((3, 4), 48.0), ((5, 5), 47.0), ((1, 6), 47.0)]:
+        mode = EigenMode(DomainSpec.torus((1.0, 1.0)), m)
+        length = marching_squares(sample_grid(mode, ResolutionRule(points_per_wavelength=ppw)))
         exact = nodal_measure_exact(mode)
         rel = (length - exact) / exact
         assert -0.04 < rel < 0.005
@@ -221,7 +211,7 @@ def test_weighted_torus_segment_measure():
 def test_on_grid_lines_reconstruct_exactly():
     # one zero-line family, every line exactly on grid, no crossings:
     # each line must be emitted exactly once at full length
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (4, 0), (SIN, COS))
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (4, 0))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0, h_max=2 * math.pi / 160))
     assert s.shape == (160, 160)
     length = marching_squares(s)
@@ -261,8 +251,9 @@ def test_saddles_resolved_by_center_sign():
 
 
 def test_segment_endpoints_lie_on_nodal_set():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3), (COS, SIN))
-    segments, _ = marching_squares_reference(sample_grid(mode, ResolutionRule(points_per_wavelength=24.0)))
+    # ppw 23: zero lines off grid
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3))
+    segments, _ = marching_squares_reference(sample_grid(mode, ResolutionRule(points_per_wavelength=23.0)))
     ends = segments.reshape(-1, 2)
     residual = np.abs(eval_mode(mode, ends))
     # linear interpolation of a factor over one grid step: O((m h)^2) residual

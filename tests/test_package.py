@@ -1,5 +1,5 @@
-"""The package's public surface, the import boundary of its grid estimators, and the
-names the benchmark tracer wraps."""
+"""The package's public surface, the import boundary of its grid estimators, the
+names the benchmark tracer wraps, and imports that nothing uses."""
 
 import ast
 import importlib
@@ -70,3 +70,54 @@ def test_benchmark_tracer_sites_exist():
         if not hasattr(importlib.import_module(f"nodalab.{module}"), attr)
     ]
     assert missing == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# __init__.py imports to re-export, so only the other modules are checked
+MODULES = sorted(p for p in (ROOT / "src" / "nodalab").glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, in code or in a string annotation."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    trees = [tree] + [
+        ast.parse(text.value, mode="eval")
+        for ann in annotations if ann is not None
+        for text in ast.walk(ann)
+        if isinstance(text, ast.Constant) and isinstance(text.value, str)
+    ]
+    read = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import pi, tau as full_turn\n"
+        "from .spectrum import DomainSpec, ModeList\n"
+        "def f(d: 'DomainSpec') -> int:\n"
+        "    return np.floor(pi)\n"
+    )
+    assert unused_imports(source) == ["os", "full_turn", "ModeList"]

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from nodalab.errors import ResourceGuardError, ValidationError
 from nodalab.spectrum import (
     BOX,
-    COS,
-    SIN,
     TORUS,
     DomainSpec,
     EigenMode,
@@ -55,8 +53,8 @@ def axis_zeros_reference(mode):
     """Per-axis zero lists of the factors, as the zero-list oracle built them.
 
     Dirichlet sine factor with index m: zeros at pi*l/(m*alpha), l = 0..m.
-    Torus factor with index m: 2m zeros per period, spacing pi/(m*alpha),
-    offset by half a spacing for cosine factors; none for index 0.
+    Torus factor with index m: 2m zeros per period, spacing pi/(m*alpha);
+    none for index 0.
     """
     zeros = []
     for j in range(mode.domain.n):
@@ -66,8 +64,7 @@ def axis_zeros_reference(mode):
             continue
         s = mode.factor_zero_spacing(j)
         if mode.domain.periodic:
-            offs = 0.0 if mode.kinds[j] == SIN else 0.5
-            zeros.append((np.arange(2 * mj) + offs) * s)
+            zeros.append(np.arange(2 * mj) * s)
         else:
             zeros.append(np.arange(mj + 1) * s)
     return zeros
@@ -133,7 +130,7 @@ def spacings(mode):
 def oracle_modes(draw):
     """Modes on the interval, Dirichlet boxes and tori of dimension 1 to 3.
 
-    Torus modes draw cosine factors and zero indices (whose factor is cos 0 = 1).
+    Torus modes draw zero indices (whose factor is 1).
     """
     kind = draw(st.sampled_from(("interval", BOX, TORUS)))
     if kind == "interval":
@@ -146,10 +143,7 @@ def oracle_modes(draw):
     m = draw(
         st.lists(st.integers(lo, 20), min_size=domain.n, max_size=domain.n).filter(any)
     )
-    kinds = None
-    if domain.periodic:
-        kinds = tuple(COS if v == 0 else draw(st.sampled_from((SIN, COS))) for v in m)
-    return EigenMode(domain, tuple(m), kinds)
+    return EigenMode(domain, tuple(m))
 
 
 def sweep_union_measure(zeros, radius, length, circular):
@@ -212,19 +206,11 @@ class TestEigenMode:
     def test_torus_mu(self):
         assert EigenMode(TORUS2, (3, 4)).mu == 5.0
 
-    def test_default_kinds(self):
-        assert EigenMode(TORUS2, (3, 0)).kinds == (SIN, COS)
-        assert EigenMode(BOX2, (1, 1)).kinds == (SIN, SIN)
-
     def test_rejections(self):
         with pytest.raises(ValidationError):
             EigenMode(TORUS2, (0, 0))
         with pytest.raises(ValidationError):
-            EigenMode(TORUS2, (0, 3), kinds=(SIN, SIN))  # sin with index 0 is zero
-        with pytest.raises(ValidationError):
             EigenMode(BOX2, (0, 1))
-        with pytest.raises(ValidationError):
-            EigenMode(BOX2, (1, 1), kinds=(COS, SIN))
         with pytest.raises(ValidationError):
             EigenMode(INTERVAL, (1, 2))
         # mu^2 overflows: (alpha m)^2 raises, 2 (1e154)^2 rounds to inf, 10^400 has no float
@@ -247,28 +233,32 @@ class TestEvalMode:
         assert eval_mode(mode, p) == pytest.approx(math.sin(3 * 0.37) * math.sin(4 * 1.21))
 
     def test_cosine_factor(self):
-        mode = EigenMode(TORUS2, (2, 0), kinds=(COS, COS))
-        assert eval_mode(mode, np.array([0.0, 1.0])) == pytest.approx(1.0)
-        assert abs(eval_mode(mode, np.array([math.pi / 4, 0.5]))) < 1e-12
+        # a mode is a sine product, and a cosine factor is its translate by a
+        # quarter wavelength; a zero index gives the constant factor 1
+        mode = EigenMode(TORUS2, (2, 0))
+        quarter = np.array([math.pi / 4, 0.0])
+        x = np.random.default_rng(3).uniform(0.0, 2 * math.pi, size=(50, 2))
+        np.testing.assert_allclose(eval_mode(mode, x + quarter), np.cos(2 * x[:, 0]), atol=1e-12)
+        assert eval_mode(mode, np.array([math.pi / 4, 1.0])) == pytest.approx(1.0)
+        assert eval_mode(mode, np.array([0.0, 0.5])) == 0.0
 
     def test_vanishes_on_described_zeros(self):
         # invariant: |phi| < 1e-12 at every zero of every factor, built from
-        # its formula: l pi/(m alpha) for sine, shifted half a spacing for cosine,
-        # 2m of them per torus period and m + 1 on a Dirichlet side
+        # its formula: l pi/(m alpha), 2m of them per torus period and m + 1
+        # on a Dirichlet side
         for mode in (
             EigenMode(INTERVAL, (17,)),
             EigenMode(TORUS2, (3, 4)),
-            EigenMode(TORUS2, (5, 2), kinds=(COS, SIN)),
+            EigenMode(DomainSpec.torus((1.0, math.sqrt(2.0))), (5, 2)),
             EigenMode(BOX2, (4, 7)),
         ):
             rng = np.random.default_rng(0)
             for j, mj in enumerate(mode.m):
                 step = math.pi / (mj * mode.domain.alpha[j])
-                shift = 0.5 if mode.kinds[j] == COS else 0.0
                 count = 2 * mj if mode.domain.periodic else mj + 1
                 for l in range(count):
                     p = rng.uniform(0, 1, mode.domain.n) * np.array(mode.domain.lengths)
-                    p[j] = (l + shift) * step
+                    p[j] = l * step
                     assert abs(eval_mode(mode, p)) < 1e-12
                     assert nodal_distance_exact(mode, p) < 1e-12
 
@@ -301,11 +291,14 @@ class TestNodalDescription:
         assert nodal_distance_exact(mode, pts) == pytest.approx(np.zeros(6), abs=1e-15)
 
     def test_torus_cosine_offset(self):
-        mode = EigenMode(TORUS2, (2, 0), kinds=(COS, COS))
+        # the zeros of cos(2x) are those of the mode sin(2x), shifted half a
+        # spacing: the mode's distances at the shifted points
+        mode = EigenMode(TORUS2, (2, 0))
         pts = np.stack([(np.arange(4) + 0.5) * math.pi / 2, np.full(4, 0.4)], axis=1)
-        assert nodal_distance_exact(mode, pts) == pytest.approx(np.zeros(4), abs=1e-15)
-        # the unshifted sine lattice sits half a spacing from every zero
-        assert nodal_distance_exact(mode, np.array([0.0, 0.4])) == pytest.approx(math.pi / 4)
+        shift = np.array([math.pi / 4, 0.0])
+        assert nodal_distance_exact(mode, pts - shift) == pytest.approx(np.zeros(4), abs=1e-15)
+        # the shifted lattice sits half a spacing from every zero of the mode
+        assert nodal_distance_exact(mode, pts) == pytest.approx(np.full(4, math.pi / 4))
         assert mode.factor_zero_spacing(1) == math.inf
 
     def test_empty_axis_for_zero_index(self):
@@ -440,7 +433,7 @@ class TestTubeClosedForm:
         # the zero-index axis contributes no cover, never 0 * inf
         for mode in (
             EigenMode(TORUS2, (0, 3)),
-            EigenMode(DomainSpec.torus((1.0, 1.3, 2.0)), (0, 2, 0), (COS, COS, COS)),
+            EigenMode(DomainSpec.torus((1.0, 1.3, 2.0)), (0, 2, 0)),
         ):
             assert tube_volume_exact(mode, math.inf) == mode.domain.volume
 
@@ -575,7 +568,7 @@ class TestModeListJson:
         assert doc["mu_max"] == 2.0
         assert [tuple(mm["m"]) for mm in doc["modes"]] == [(0, 1), (1, 0), (1, 1), (0, 2), (2, 0)]
         assert doc["modes"][2]["mu"] == pytest.approx(math.sqrt(2))
-        assert doc["modes"][2]["kinds"] == ["sin", "sin"]
+        assert all(sorted(mm) == ["m", "mu"] for mm in doc["modes"])
         # 17 significant digits are printed for mu
         assert "1.4142135623730951" in txt
 
