@@ -1,13 +1,16 @@
-"""Sign components: checkerboard oracle, torus wrap stitching, inradii."""
+"""Sign components: checkerboard oracle, torus wrap stitching, BFS labeling oracle, inradii."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nodalab.components import (
     SIGN_EPS,
-    UnionFind,
     _label_periodic,
     component_inradii,
     sign_components,
@@ -20,14 +23,59 @@ from nodalab.spectrum import DomainSpec, EigenMode
 from translates import cosine_sample
 
 
-def test_union_find_merges():
-    uf = UnionFind(6)
-    uf.union(1, 2)
-    uf.union(4, 5)
-    uf.union(2, 4)
-    assert uf.find(1) == uf.find(5)
-    assert uf.find(0) != uf.find(1)
-    assert uf.find(3) == 3
+def flood_fill(mask, periodic):
+    """Brute-force labeling: a breadth-first search over the 2n axis neighbours of each point."""
+    lab = np.zeros(mask.shape, dtype=np.int64)
+    k = 0
+    for start in zip(*np.nonzero(mask)):
+        if lab[start]:
+            continue
+        k += 1
+        lab[start] = k
+        queue = deque([start])
+        while queue:
+            p = queue.popleft()
+            for axis, side in enumerate(mask.shape):
+                for step in (-1, 1):
+                    i = p[axis] + step
+                    if periodic:
+                        i %= side
+                    elif not 0 <= i < side:
+                        continue
+                    q = p[:axis] + (i,) + p[axis + 1 :]
+                    if mask[q] and not lab[q]:
+                        lab[q] = k
+                        queue.append(q)
+    return lab, k
+
+
+# one domain only through two seams: (0,0) meets (4,0) across axis 0's seam,
+# and (4,0) meets (4,4) across axis 1's
+TWO_SEAM_CHAIN = np.zeros((5, 5), dtype=bool)
+TWO_SEAM_CHAIN[[0, 4, 4], [0, 0, 4]] = True
+# the same through all three seams of a 3-d grid
+THREE_SEAM_CHAIN = np.zeros((3, 4, 5), dtype=bool)
+THREE_SEAM_CHAIN[[0, 2, 2, 2], [0, 0, 3, 3], [0, 0, 0, 4]] = True
+
+
+@given(
+    mask=st.lists(st.integers(1, 6), min_size=1, max_size=3).flatmap(
+        lambda shape: arrays(np.bool_, tuple(shape))
+    ),
+    periodic=st.booleans(),
+)
+@example(mask=TWO_SEAM_CHAIN, periodic=True)
+@example(mask=THREE_SEAM_CHAIN, periodic=True)
+@example(mask=np.array([True, False, True]), periodic=True)
+@settings(max_examples=300, deadline=None)
+def test_label_periodic_matches_flood_fill(mask, periodic):
+    lab, k = _label_periodic(mask, periodic)
+    ref, k_ref = flood_fill(mask, periodic)
+    assert k == k_ref
+    assert np.all(lab[~mask] == 0)
+    assert sorted(set(lab[mask].tolist())) == list(range(1, k + 1))
+    # the same partition: each flood-fill domain carries exactly one label
+    assert len(set(zip(ref[mask].tolist(), lab[mask].tolist()))) == k
 
 
 def test_torus_checkerboard_counts():

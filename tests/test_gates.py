@@ -81,6 +81,26 @@ def widen_inradii(monkeypatch):
     )
 
 
+def scale_nodal_measure(monkeypatch, factor):
+    measure = harness_mod.nodal_measure
+
+    def scaled(field, t_list):
+        nm = measure(field, t_list)
+        return replace(nm, value=factor * nm.value)
+
+    monkeypatch.setattr(harness_mod, "nodal_measure", scaled)
+
+
+def halve_length(monkeypatch):
+    """Nodal length read as Vol/(4t) instead of Vol/(2t): the tube constant doubles."""
+    scale_nodal_measure(monkeypatch, 0.5)
+
+
+def lengthen_extrapolation(monkeypatch):
+    """Tube extrapolation of the nodal measure read 5% long."""
+    scale_nodal_measure(monkeypatch, 1.05)
+
+
 def unstamped_zeros(monkeypatch):
     """Factor values sin(m alpha x) with no exact zeros stamped: on-grid zeros read +-1e-15."""
 
@@ -145,6 +165,8 @@ DENSITY_FAILS = {"analytic_cap", "cell_formula_dev"}
 # the tube extrapolation sees about half the nodal length: its ratio falls below
 # the band, the square mode leaves its target and the tube ratios stop being monotone
 YAU_SEED_FAILS = {"estimator_agreement", "analytic_low", "square_family_dev", "flagged_cells"}
+# the (2, 2) square's ratio leaves its target, and the segment length no longer agrees
+YAU_LONG_FAILS = {"analytic_high", "square_family_dev", "estimator_agreement"}
 
 # gate -> (break, run, every gate the break fails)
 WITNESSES = {
@@ -160,11 +182,15 @@ WITNESSES = {
     # the (2, 3) grid has h_0 = 1.5 h_1: min_area_rel reads 0.48 against 0.05
     "min_area_rel": (square_cells, dim2, {"min_area_rel"}),
     "inradius_rel": (widen_inradii, dim2, {"inradius_rel"}),
+    # the (2, 3) mode reads 3.83 against c_cap 3.0, and 1.915 unbroken
+    "tube_constant": (halve_length, dim2, {"tube_constant"}),
     "analytic_cap": (widen_radius, density_torus, DENSITY_FAILS),
     "cell_formula_dev": (widen_radius, density_torus, DENSITY_FAILS),
     "interval_half_pi": (widen_radius, density_interval, {"interval_half_pi"}),
     "grid_agreement": (seed_one_axis, tube_torus, {"grid_agreement"}),
     "estimator_agreement": (seed_one_axis, yau_torus, YAU_SEED_FAILS),
+    # the largest ratio reads 18.66 against 18.305
+    "analytic_high": (lengthen_extrapolation, yau_torus, YAU_LONG_FAILS),
     # sin(m pi) reads about -1e-15 at the interval's right end, so that zero goes
     # unseen: 10 and 40 vertices, not 11 and 41
     "vertex_count_exact": (unstamped_zeros, yau_interval, {"vertex_count_exact"}),

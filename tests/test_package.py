@@ -1,8 +1,12 @@
 """The package's public surface, the import boundary of its grid estimators, the
-names the benchmark tracer wraps, and imports that nothing uses."""
+names the benchmark tracer wraps, imports that nothing uses, and what
+`import nodalab` loads."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +125,25 @@ def test_unused_import_check_sees_each_form():
         "    return np.floor(pi)\n"
     )
     assert unused_imports(source) == ["os", "full_turn", "ModeList"]
+
+
+def test_import_and_dim2_load_no_scipy_sparse():
+    """scipy.sparse adds about 0.1 s to `import nodalab`; only a signed seam needs it.
+
+    Every m_j >= 1 axis of a sampled mode has an exact zero hyperplane at index
+    0, so the default dim2 run has no seam to join and must not load it either.
+    """
+    code = (
+        "import sys\n"
+        "def sparse():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
+        "import nodalab\n"
+        "assert sparse() == [], sparse()\n"
+        "from nodalab.harness import run_dim2_checks\n"
+        "assert run_dim2_checks().passed\n"
+        "assert sparse() == [], sparse()\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True
+    )
