@@ -35,7 +35,7 @@ class ResolutionRule:
     def __post_init__(self):
         if self.points_per_wavelength < 4:
             raise ValidationError("need at least 4 points per wavelength")
-        if self.h_max is not None and self.h_max <= 0:
+        if self.h_max is not None and not self.h_max > 0:
             raise ValidationError("h_max must be positive")
         if self.min_points_per_axis < 2:
             raise ValidationError("need at least 2 points per axis")

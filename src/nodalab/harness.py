@@ -248,6 +248,8 @@ def run_yau_check(
         )
     if modes is None:
         modes = ((10,), (40,)) if domain.n == 1 else DEFAULT_YAU_TORUS_MODES
+    if not all(0 < t < math.inf for t in mu_t):
+        raise ValidationError(f"tube radii must lie in (0, inf), got mu_t={list(mu_t)}")
     if domain.n >= 2 and len(set(mu_t)) < 2:
         raise ValidationError(
             f"mu_t has {len(set(mu_t))} distinct radii: the tube extrapolation needs two"

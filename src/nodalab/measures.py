@@ -15,27 +15,19 @@ periodic axis), so no grid-sized temporary is formed, and the block's
 straddle shares are summed before the next block is classified.
 
 The exact distance is a min over axes of 1-d distances, so a point of a cell
-misses the tube iff every axis misses, and axis j's distance depends only on
-the cell index i_j and the offset u_j in [0, 1) through the oracle's float
-chain ``(i_j + u_j) * h_j -> mod(x, s) -> min(r, s - r)``. Offsets run
-over the lattice u = k * 2**-53. Every step is monotone, so within one cell
-the 1-d distance is monotone in u_j, V-shaped (the cell holds a zero) or
-Lambda-shaped (it holds a gap midpoint), and the cell's two end distances,
-at u = 0 and u = 1 - 2**-53, decide it: both ends below delta, the axis hits
-everywhere (a monotone or V cell); both ends at least delta, it misses
-everywhere (a monotone or Lambda cell; a V cell's ends lie within h_j of its
-zero, below delta >= 2 h_j); one end far, the far set is one interval of u
-holding that end, and one bisection over k with the oracle on a 1-d mode of
-the axis finds its edge. The tables are built per call. Axis j misses on a
-length l_j of u (t for a prefix table, 1 - t for a suffix one), so the cell's
-share of the tube is 1 - prod_j l_j. The straddle shares are the oracle's, so
-a grid tube volume departs from ``spectrum.tube_volume_exact`` only where the
-distance field classifies a cell wrongly, and by rounding.
-
-The ends cannot decide a Lambda cell with both ends near and its midpoint
-far. That needs s_j/2 - h_j < delta <= s_j/2, where the gap s_j - 2 delta
-between neighbouring tubes is under two cells, so ``tube_volume`` refuses
-the window (``_gap_floor``), the mirror of its guard delta >= 2 max(h).
+misses the tube iff every axis misses, and the cell's share of the tube is
+1 - prod_j l_j, where l_j is the fraction of the cell's axis-j side at 1-d
+distance >= delta. That distance is piecewise linear with slope +-1, its
+kinks are the zeros and the gap midpoints, s_j/2 apart; at 4 or more points
+per wavelength a cell spans h_j <= s_j/2, so it holds at most one kink, and
+from the distances d0, d1 at its ends (one oracle call per axis on the grid
+coordinates) l_j = max(0, 1 - (max(0, delta - d0) + max(0, delta - d1)) / h_j):
+a monotone cell loses the stretch of its near end, a V cell (a zero inside)
+is all near once delta >= h_j, and a Lambda cell (a gap midpoint inside)
+keeps the far stretch around the midpoint, even with both ends near. The
+straddle shares are the oracle's, so a grid tube volume departs from
+``spectrum.tube_volume_exact`` only where the distance field classifies a
+cell wrongly, and by rounding.
 """
 
 from __future__ import annotations
@@ -49,25 +41,6 @@ from .errors import EmptyNodalSetError, ResolutionError, ValidationError
 from .nodal import _edge_op
 from .spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
-# a cell offset u is k * 2**-53 for an integer k in [0, 2**53)
-U_STEPS = 1 << 53
-U_ULP = 2.0**-53
-
-
-def _gap_floor(s: float, hj: float) -> float:
-    """Lower end of an axis's gap window s/2 - hj < delta <= s/2, widened for rounding.
-
-    A Lambda cell holds a gap midpoint, so in exact arithmetic its ends lie at
-    least s/2 - hj from a zero. With u = 2^-53 and L >= s the axis length, the
-    oracle's chain (the cell ends' x, the mod, s - r) moves each end's distance
-    by at most u (6 L + 2 s). The floor fl(s/2 - fl(hj (1 + 2^-20))) is at
-    most s/2 - hj - 2^-20 hj (1 - 2 u) + u s/2,
-    so below it both ends are far while L / hj < 2^29; the bound stated,
-    L / hj < 2^28, keeps a factor two. A grid under ``grid.GRID_POINT_CAP``
-    has fewer than 2^25 cells on an axis.
-    """
-    return 0.5 * s - hj * (1.0 + 2.0**-20)
-
 
 def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
     """1-d mode of axis j: the oracle runs the same float operations on it."""
@@ -75,47 +48,17 @@ def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
     return EigenMode(DomainSpec(dom.kind, (dom.alpha[j],)), (mode.m[j],))
 
 
-def _axis_miss_table(mode: EigenMode, j: int, hj, ncells: int, delta: float):
-    """Per cell index on axis j: where in u the axis misses (its distance >= delta).
+def _axis_miss_fractions(mode: EigenMode, j: int, hj, ncells: int, delta: float) -> np.ndarray:
+    """Per cell index on axis j: the fraction of the cell at 1-d distance >= delta.
 
-    Returns (t, suffix): the axis misses iff ``(u < t) != suffix``, so t = 0
-    never misses, t = 1 always does, and otherwise the miss set is [0, t) or,
-    for a suffix, [t, 1). delta must be at least 2 hj and lie outside the
-    axis's gap window (``_gap_floor``).
+    Exact for delta >= hj (see the module docstring); ``tube_volume``'s guard
+    gives delta >= 2 max(h).
     """
-    t = np.ones(ncells)
-    suffix = np.zeros(ncells, dtype=bool)
     if mode.m[j] == 0:
-        return t, suffix  # constant factor: distance inf, never hits
-    s = mode.factor_zero_spacing(j)
-    if delta > 0.5 * s:
-        # r in [0, s]: r <= s/2 gives d = r, else d = s - r rounds to <= s/2
-        return np.zeros(ncells), suffix
-    one_d = _axis_mode(mode, j)
-    i = np.arange(ncells)
-    last = U_STEPS - 1
-
-    def dist(cells, k):
-        x = (cells + k * U_ULP) * hj
-        return nodal_distance_exact(one_d, x[:, None])
-
-    # both ends near: the axis hits at every u; both far: it misses at every u
-    far0, far1 = dist(i, 0) >= delta, dist(i, last) >= delta
-    t[~(far0 | far1)] = 0.0
-    cross = np.flatnonzero(far0 != far1)
-    if cross.size:
-        # first k where (d >= delta) == far1: false at k = 0, true at k = last
-        up = far1[cross]
-        a = np.zeros(cross.size, dtype=np.int64)
-        b = np.full(cross.size, last)
-        while (b - a > 1).any():
-            k = (a + b) // 2
-            flip = (dist(cross, k) >= delta) == up
-            a = np.where(flip, a, k)
-            b = np.where(flip, k, b)
-        t[cross] = b * U_ULP
-        suffix[cross] = up
-    return t, suffix
+        return np.ones(ncells)  # constant factor: distance inf, never hits
+    x = np.arange(ncells + 1) * hj
+    near = np.maximum(delta - nodal_distance_exact(_axis_mode(mode, j), x[:, None]), 0.0)
+    return np.maximum(1.0 - (near[:-1] + near[1:]) / hj, 0.0)
 
 
 def _block_corner_reduce(rows: np.ndarray, periodic: bool, op) -> np.ndarray:
@@ -155,26 +98,17 @@ def _band_cells(dist: np.ndarray, periodic: bool, delta: float, margin: float, r
 def tube_volume(field: DistanceField, delta: float) -> float:
     """Volume of the delta-tube around the nodal set.
 
-    Requires delta >= 2 max(h), and on every axis with zeros delta outside the
-    gap window s_j/2 - h_j < delta <= s_j/2 (``_gap_floor``): there the grid
-    cannot resolve the tube, or the gap between neighbouring tubes, and a
-    ResolutionError is raised rather than returning a silently bad estimate.
+    Requires delta >= 2 max(h): below it the grid cannot resolve the tube, and
+    a ResolutionError is raised rather than returning a silently bad estimate.
     """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    if not delta > 0:
+        raise ValidationError(f"delta must be positive, got {delta}")
     hmax = max(field.h)
     if delta < 2.0 * hmax:
         raise ResolutionError(
             f"delta={delta:g} below resolution guard 2*max(h)={2 * hmax:g}"
         )
     sample = field.sample
-    for j, hj in enumerate(sample.h):
-        s = sample.mode.factor_zero_spacing(j)
-        if _gap_floor(s, hj) < delta <= 0.5 * s:
-            raise ResolutionError(
-                f"delta={delta:g} within h of half the zero spacing {0.5 * s:g} on axis {j}: "
-                f"the gap {s - 2 * delta:g} between neighbouring tubes is under two cells"
-            )
     if field.empty:
         return 0.0
     h = np.asarray(sample.h)
@@ -183,11 +117,8 @@ def tube_volume(field: DistanceField, delta: float) -> float:
     margin = diag + field.raster_error
     rows = max(1, ROW_BLOCK_POINTS // int(np.prod(sample.shape[1:])))
     ncells = [s if sample.periodic else s - 1 for s in sample.shape]
-    # per axis and cell index: the length of u where the axis misses
-    miss = []
-    for j in range(sample.n):
-        t, suffix = _axis_miss_table(sample.mode, j, h[j], ncells[j], delta)
-        miss.append(np.where(suffix, 1.0 - t, t))
+    # per axis and cell index: the fraction of the cell where the axis misses
+    miss = [_axis_miss_fractions(sample.mode, j, h[j], n, delta) for j, n in enumerate(ncells)]
     inside, share = 0, 0.0
     for n_in, cells in _band_cells(field.dist, sample.periodic, delta, margin, rows):
         inside += n_in

@@ -5,7 +5,9 @@ gate passes on the first run and fails on the second, and the other gates that
 fail with it are listed.
 """
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +103,37 @@ def lengthen_extrapolation(monkeypatch):
     scale_nodal_measure(monkeypatch, 1.05)
 
 
+def steepen_aspect(monkeypatch):
+    """Nodal measure read (mu/4)^0.3 times too large: the aspect ratios climb with mu."""
+    measure = harness_mod.nodal_measure
+
+    def steepened(field, t_list):
+        nm = measure(field, t_list)
+        return replace(nm, value=nm.value * (field.sample.mode.mu / 4.0) ** 0.3)
+
+    monkeypatch.setattr(harness_mod, "nodal_measure", steepened)
+
+
+def scale_exact_tube(monkeypatch, factor):
+    """Closed-form tube volumes times ``factor(mode, delta)``."""
+    exact = harness_mod.tube_volume_exact
+    monkeypatch.setattr(
+        harness_mod,
+        "tube_volume_exact",
+        lambda mode, delta: exact(mode, delta) * factor(mode, delta),
+    )
+
+
+def tilt_exact_tube(monkeypatch):
+    """Exact tube volumes read 1 + 1e-6 times too large: the interval's 2 k delta law tilts."""
+    scale_exact_tube(monkeypatch, lambda mode, delta: 1.0 + 1e-6)
+
+
+def square_tube_law(monkeypatch):
+    """Exact tube volumes times mu delta / 0.05: a delta^2 law, true at mu delta 0.05 only."""
+    scale_exact_tube(monkeypatch, lambda mode, delta: mode.mu * delta / 0.05)
+
+
 def unstamped_zeros(monkeypatch):
     """Factor values sin(m alpha x) with no exact zeros stamped: on-grid zeros read +-1e-15."""
 
@@ -157,6 +190,20 @@ def yau_torus():
     return run_yau_check(DomainSpec.torus((1.0, 1.0)), modes=((3, 4), (2, 2)))
 
 
+def yau_aspect():
+    return run_yau_check(DomainSpec.torus((1.0, 1.0)), modes=((4, 1), (8, 1)))
+
+
+def tube_interval():
+    return run_tube_scaling(DomainSpec.interval(), modes=((10,), (20,)), mu_delta=(0.1, 0.2))
+
+
+def tube_band():
+    return run_tube_scaling(
+        DomainSpec.torus((1.0, 1.0)), modes=((3, 4), (2, 3)), mu_delta=(0.05, 0.3)
+    )
+
+
 APPROX_FAILS = {"bc_limit_dev", "bc_gap_decreasing", "tail_hit_fraction", "bc2_gap_decreasing"}
 SURVEY_FAILS = {"interval_mean_high", "interval_points_in_band", "box_mean_high"}
 SURVEY_LOW_FAILS = {"interval_mean_low", "interval_points_in_band", "box_mean_low"}
@@ -194,6 +241,24 @@ WITNESSES = {
     # sin(m pi) reads about -1e-15 at the interval's right end, so that zero goes
     # unseen: 10 and 40 vertices, not 11 and 41
     "vertex_count_exact": (unstamped_zeros, yau_interval, {"vertex_count_exact"}),
+    # a 1e-6 tilt is far inside grid_agreement's 0.02 and leaves the ratios' band as it is
+    "oracle_flatness": (tilt_exact_tube, tube_interval, {"oracle_flatness"}),
+    # the ratios span 6 times their width: 5.72 against band_cap 4.0; the
+    # grid volumes, unchanged, disagree by 0.83 at mu delta 0.3
+    "band_ratio": (square_tube_law, tube_band, {"band_ratio", "grid_agreement"}),
+    # (8, 1) reads 2^0.3 = 1.23 times its length, (4, 1) 1.009 times: the ratios
+    # rise 1.93 with mu, and (8, 1)'s segment length disagrees by 0.19
+    "aspect_monotone": (steepen_aspect, yau_aspect, {"aspect_monotone", "estimator_agreement"}),
+}
+
+# gate names no witness breaks yet
+UNWITNESSED = {
+    "ratio_variation",
+    "loglog_slope_low",
+    "loglog_slope_high",
+    "a_sweep_monotone",
+    "stability_band",
+    "bc_gap_positive",
 }
 
 
@@ -207,3 +272,25 @@ def test_break_fails_the_gate(name, monkeypatch):
     assert name in gates and not gates[name].passed
     assert {g.name for g in report.gates if not g.passed} == fails
     assert not report.passed
+
+
+def harness_gate_names():
+    """Every name passed as a string literal to ``gate(...)`` in harness.py."""
+    tree = ast.parse(Path(harness_mod.__file__).read_text())
+    return {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "gate"
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def test_every_gate_has_a_witness_or_is_listed_as_unwitnessed():
+    # a gate is witnessed when some break fails it: its own, or another gate's
+    witnessed = set().union(*(fails for _, _, fails in WITNESSES.values()))
+    names = harness_gate_names()
+    assert len(names) == 32
+    assert not witnessed & UNWITNESSED
+    assert names == witnessed | UNWITNESSED

@@ -99,5 +99,8 @@ def test_rule_validation():
         ResolutionRule(points_per_wavelength=2.0)
     with pytest.raises(ValidationError):
         ResolutionRule(h_max=0.0)
+    # NaN fails every comparison: a check written as h_max <= 0 lets it through
+    with pytest.raises(ValidationError, match="h_max must be positive"):
+        ResolutionRule(h_max=math.nan)
     with pytest.raises(ValidationError):
         ResolutionRule(min_points_per_axis=1)

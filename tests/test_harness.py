@@ -26,7 +26,7 @@ from nodalab.harness import (
     run_yau_check,
 )
 from nodalab.reports import CellResult, read_report, write_report
-from nodalab.spectrum import DomainSpec
+from nodalab.spectrum import DomainSpec, tube_volume_exact
 
 INTERVAL = DomainSpec.interval()
 TORUS2 = DomainSpec.torus((1.0, 1.0))
@@ -170,14 +170,29 @@ def test_yau_empty_nodal_set_agrees_at_zero(monkeypatch):
     assert cell.measured["agreement_rel"] == 0.0 and cell.measured["flagged"] == 0
 
 
-def test_yau_radius_in_the_gap_window_skips_its_cell():
+def test_yau_radius_in_the_gap_window_is_measured(monkeypatch):
     # (3, 4): mu = 5, axis 1's zeros lie pi/4 apart and h = 2 pi/158; mu_t = 1.9
-    # puts the larger radius 0.38 within h of pi/8, so the gap between
-    # neighbouring tubes is under two cells. (4, 1) has no axis in its window.
+    # puts the larger radius 0.38 within h of pi/8, where the gap between
+    # neighbouring tubes is under two cells. Each straddle cell's two end
+    # distances still give its exact share.
+    volumes = []
+    tube = measures_mod.tube_volume
+
+    def logged(field, delta):
+        vol = tube(field, delta)
+        volumes.append((field.sample.mode, delta, vol))
+        return vol
+
+    monkeypatch.setattr(measures_mod, "tube_volume", logged)
     r = run_yau_check(TORUS2, modes=((3, 4), (4, 1)), mu_t=(1.9, 0.5))
-    skipped = [c for c in r.cells if c.skipped]
-    assert [c.cell for c in skipped] == ["m=3,4"]
-    assert skipped[0].note.startswith("skipped: delta=0.38 ") and "gap" in skipped[0].note
+    assert not any(c.skipped for c in r.cells)
+    assert [(mode.m, round(delta, 12)) for mode, delta, _ in volumes][:2] == [
+        ((3, 4), 0.38), ((3, 4), 0.1)
+    ]
+    assert len(volumes) == 4
+    for mode, delta, vol in volumes:
+        exact = tube_volume_exact(mode, delta)
+        assert abs(vol - exact) / exact <= 1e-12
 
 
 @pytest.mark.parametrize("mu_t", [(), (0.1,), (0.1, 0.1)])
@@ -356,24 +371,24 @@ def test_spectral_report_digests(name, tmp_path):
 
 
 # sha256 of (JSON, CSV) report bytes; yau_torus, dim2 and tube_torus
-# re-recorded when each straddle cell took its exact share of the tube in
-# place of 64 sampled points (the tube volumes, and the measures and
-# agreements drawn from them, move; the reports drop ``refine_samples`` and
-# record seed null; the same gates pass); density_torus and comparability
+# re-recorded when each straddle cell's share came from its two end
+# distances in place of a bisection per cell (the tube volumes, and the
+# measures and agreements drawn from them, move by rounding only: under
+# 1e-14 relative; the same gates pass); density_torus and comparability
 # recorded before their resolution keywords became fixed values. Same rule
 # as above.
 GRID_DIGESTS = {
     "yau_torus": (
-        "ef58ca5041f238c3f97a776c85e575624a522ed9deee6af318cba9f10ca54c45",
-        "3b56c6d4efd0fe97edaa7f876dbcb305658195ba17a50249e3a66e2b6967eccf",
+        "50fb2d01b2d80df19325f2e5441247e31e559dc11cf8589238521a77aa9bcffe",
+        "6c39cdbc88c3f341a8c1bea7a553127210d3e03f106576ae21e797f07da505d6",
     ),
     "dim2": (
-        "13412170bc94d50d38a045e88ad03c3960d9f013e2abeac7bc37f822d5903fc5",
-        "7bc32059a1a4c9fe0534a4dd28517eab08c88402480507e5a737e090dbc67954",
+        "951844454b648d38406612f621b51f8bec848acecc471c9069002770c2dfed08",
+        "cb42077d4285826bc35666d0266cb2067d921ca51fc685ed87bae08799533225",
     ),
     "tube_torus": (
-        "9542205a228b2714a9d5aecd0a465c08a331a1e40a874ba01ef65f7e09994551",
-        "361dbcf68d691fe0f9c9a993a00e406955797b5a5f95e57627dcb46ce2c02f96",
+        "b58644f496d3ef1d9a93ea077fa5646f2dd4a344440a96b6c160513fbb22416a",
+        "50747a4e7d7ca5d7103008f6948c96fa3bd32e19ffb3a5c28ca6bde65c17538b",
     ),
     "density_torus": (
         "60885a202965d772d7ee941f9bc9d8e435a39d1050bd36b3c7013d31958c5fdf",
@@ -421,6 +436,10 @@ def test_spectral_drivers_reject_empty_windows():
         (run_tube_scaling, {"domain": INTERVAL, "deltas": (math.nan,)}, "radii must lie in"),
         (run_tube_scaling, {"domain": INTERVAL, "mu_delta": (math.inf,)}, "radii must lie in"),
         (run_comparability_scaling, {"A": math.nan}, "A must lie in"),
+        # and Yau radii outside (0, inf), before any grid is sampled
+        (run_yau_check, {"domain": TORUS2, "mu_t": (0.2, math.nan)}, "radii must lie in"),
+        (run_yau_check, {"domain": TORUS2, "mu_t": (math.inf, 0.1)}, "radii must lie in"),
+        (run_yau_check, {"domain": TORUS2, "mu_t": (0.2, -0.1)}, "radii must lie in"),
     ):
         with pytest.raises(ValidationError, match=message):
             run(**kwargs)

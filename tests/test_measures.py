@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodalab.measures as measures_mod
@@ -68,6 +68,9 @@ def test_tube_guards():
         tube_volume(f, 0.05)  # below 2*max(h)
     with pytest.raises(ValidationError):
         tube_volume(f, 0.0)
+    # NaN fails every comparison: a check written as delta <= 0 lets it through
+    with pytest.raises(ValidationError, match="positive"):
+        tube_volume(f, math.nan)
 
 
 def test_nodal_measure_torus():
@@ -160,17 +163,18 @@ def refine_modes(draw, zero_axis_top=5):
 
 
 def gap_windows(mode, h):
-    """(axis, lower end, s/2) of each axis's gap window s/2 - h_j (1 + 2**-20) < delta <= s/2."""
+    """(axis, lower end, s/2) per axis with zeros: the radii s/2 - h_j (1 + 2**-20) < delta <= s/2.
+
+    There the gap s - 2 delta between neighbouring tubes is under two cells,
+    so a Lambda cell can have both ends near and its middle far. The lower
+    end sits 2**-20 h_j below s/2 - h_j, past any rounding of it.
+    """
     out = []
     for j, hj in enumerate(h):
         if mode.m[j]:
             s = mode.factor_zero_spacing(j)
             out.append((j, 0.5 * s - hj * (1.0 + 2.0**-20), 0.5 * s))
     return out
-
-
-def in_gap_window(mode, h, delta):
-    return any(lo < delta <= half for _, lo, half in gap_windows(mode, h))
 
 
 def exact_rel(mode, vol, delta):
@@ -183,8 +187,8 @@ def exact_rel(mode, vol, delta):
 def test_tube_volume_matches_the_exact_volume(data, mode, ppw):
     """Each straddle cell takes the oracle's share, so the grid volume is the exact one.
 
-    Inside an axis's gap window it raises instead; the special values sit at
-    the window's float edges, inside it and just past s/2.
+    The special values sit at the gap windows' float edges, inside
+    them and just past s/2.
     """
     f = field_for(mode, ppw=ppw)
     guard = 2.0 * max(f.h)
@@ -196,113 +200,80 @@ def test_tube_volume_matches_the_exact_volume(data, mode, ppw):
     top = max(guard, 1.5 * max(half for _, _, half in windows))
     delta = data.draw(st.one_of(st.sampled_from(special), st.floats(guard, top)))
     delta = float(max(delta, guard))
-    if in_gap_window(mode, f.h, delta):
-        with pytest.raises(ResolutionError, match="gap"):
-            tube_volume(f, delta)
+    assert exact_rel(mode, tube_volume(f, delta), delta) <= 1e-12
+
+
+def miss_by_intervals(s, hj, ncells, delta):
+    """Per cell [i hj, (i + 1) hj]: its overlap with [k s + delta, (k + 1) s - delta], over hj.
+
+    Those intervals are where the 1-d distance to the zeros s Z is at least delta.
+    """
+    a = np.arange(ncells) * hj
+    k0 = np.floor(a / s)
+    total = np.zeros(ncells)
+    # a cell is at most s/2 long, so it meets the intervals of k0 - 1 .. k0 + 1 only
+    for k in (k0 - 1, k0, k0 + 1):
+        lo = np.maximum(a, k * s + delta)
+        hi = np.minimum(a + hj, (k + 1) * s - delta)
+        total += np.maximum(hi - lo, 0.0)
+    return total / hj
+
+
+@given(st.data(), refine_modes(), st.sampled_from((4.0, 8.0, 17.0, 33.0)))
+@settings(max_examples=300, deadline=None)
+def test_miss_fractions_match_the_miss_intervals(data, mode, ppw):
+    """A cell's miss fraction from its two end distances is its share of the miss intervals.
+
+    The fractions of a whole axis are compared, so every cell kind on it is:
+    monotone cells, V cells (a zero inside) and Lambda cells (a gap midpoint
+    inside, where no grid point sits on it). Radii start at the tube guard
+    2 h_j and take the gap window's edges, its inside and the radii just past
+    s/2; a constant axis (m_j = 0) misses everywhere. The box and interval
+    axes are Dirichlet, the others periodic.
+    """
+    sample = sample_grid(mode, ResolutionRule(points_per_wavelength=ppw))
+    j = data.draw(st.integers(0, mode.domain.n - 1))
+    hj = sample.h[j]
+    ncells = sample.shape[j] - (0 if mode.domain.periodic else 1)
+    guard = 2.0 * hj
+    windows = {axis: (lo, half) for axis, lo, half in gap_windows(mode, sample.h)}
+    if j not in windows:  # m_j = 0
+        delta = data.draw(st.floats(guard, 10.0 * guard))
+        expect = np.ones(ncells)
     else:
-        assert exact_rel(mode, tube_volume(f, delta), delta) <= 1e-12
+        lo, half = windows[j]
+        special = [guard, 3.0 * hj, lo, np.nextafter(lo, np.inf), half - 0.5 * hj, half - 0.25 * hj,
+                   half * (1 - 1e-12), half, np.nextafter(half, np.inf), half + 0.5 * hj]
+        top = max(1.5 * half, 2.0 * guard)
+        delta = data.draw(st.one_of(st.sampled_from(special), st.floats(guard, top)))
+        delta = float(max(delta, guard))
+        expect = miss_by_intervals(2.0 * half, hj, ncells, delta)
+    got = measures_mod._axis_miss_fractions(mode, j, hj, ncells, delta)
+    assert got.shape == (ncells,)
+    # both sides round the cell ends' coordinates, up to ncells hj: a few ulps of that, over hj
+    np.testing.assert_allclose(got, expect, rtol=0, atol=8 * 2.0**-52 * (ncells + 1))
 
 
-def test_gap_window_edges():
-    # (3, 4) at ppw 20: axis 1's window (pi/8 - h_1 (1 + 2**-20), pi/8] lies
-    # above the guard 2 max(h) and below axis 0's (pi/6 - h_0, pi/6]
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    f = field_for(mode, ppw=20.0)
-    (_, lo0, _), (_, lo, half) = gap_windows(mode, f.h)
-    assert 2.0 * max(f.h) < lo < half < lo0
-    # at the lower end a Lambda cell's ends are still far: the oracle's volume
-    assert exact_rel(mode, tube_volume(f, lo), lo) <= 1e-12
-    for delta in (np.nextafter(lo, np.inf), 0.5 * (lo + half), half):
-        with pytest.raises(ResolutionError, match="gap"):
-            tube_volume(f, float(delta))
-    # past s/2 axis 1 hits everywhere: every straddle cell lies wholly in the tube
-    above = float(np.nextafter(half, np.inf))
-    margin = float(np.linalg.norm(f.h)) + f.raster_error
-    inside, idx = whole_grid_band(f.dist, True, above, margin)
-    cellvol = float(np.prod(f.h))
-    expect = float(inside) * cellvol + cellvol * idx.shape[0]
-    assert tube_volume(f, above) == expect
-    assert exact_rel(mode, expect, above) <= 1e-12
-
-
-def test_gap_window_holds_cells_the_ends_do_not_decide():
+def test_lambda_cell_with_both_ends_near_keeps_its_far_middle():
     # (3, 4) at ppw 17: axis 1's zeros lie 8.5 cells apart, so its gap midpoints
-    # sit a quarter cell into their cells; at delta = s/2 - h/4 such a cell has
-    # both ends near and its middle far, and the end rule would call it all hit
+    # sit a quarter cell into their cells. At delta = s/2 - h/4 the far stretch
+    # around such a midpoint is half its cell; at s/2 - h/8 it is a quarter,
+    # with both of the cell's ends near
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     f = field_for(mode, ppw=17.0)
     h1, ncells = f.h[1], f.sample.shape[1]
-    delta = 0.5 * mode.factor_zero_spacing(1) - 0.25 * h1
-    t, _ = measures_mod._axis_miss_table(mode, 1, h1, ncells, delta)
-    x = (np.arange(ncells)[:, None] + np.linspace(0.0, 1.0, 17)[None, 1:-1]) * h1
-    d = nodal_distance_exact(measures_mod._axis_mode(mode, 1), x[..., None])
-    assert ((d >= delta).any(axis=1) & (t == 0.0)).any()
-    with pytest.raises(ResolutionError, match="gap"):
-        tube_volume(f, delta)
-
-
-# draws near the cell ends put delta near the extremes of the cell's distances
-DRAW_K = st.one_of(
-    st.integers(0, 2**53 - 1), st.integers(0, 64), st.integers(2**53 - 64, 2**53 - 1)
-)
-
-
-def level_set_cells(mode, k):
-    """(axis, spacing, cells, guard, 1-d mode, admissible cells) per ppw and nonconstant axis.
-
-    A cell is admissible when its 1-d distance at u = k * 2**-53 reaches the
-    tables' guard 2 max(h). At ppw 8 the guard is about half the zero spacing,
-    so few cells of the fastest axis qualify. The list is empty when the guard
-    exceeds every distance, as for zero-index modes (0, b) with b >= 2: their
-    constant axis gets the 16-point minimum, so max(h) = 2 pi / 16 is above
-    the moving axis's half zero spacing pi / (2 b).
-    """
-    out = []
-    for ppw in (8.0, 16.0):
-        s = sample_grid(mode, ResolutionRule(points_per_wavelength=ppw))
-        guard = 2.0 * max(s.h)
-        for j in range(mode.domain.n):
-            if not mode.m[j]:
-                continue
-            one_d = measures_mod._axis_mode(mode, j)
-            hj = np.asarray(s.h)[j]
-            ncells = s.shape[j] - (0 if mode.domain.periodic else 1)
-            x = (np.arange(ncells) + k * 2.0**-53) * hj
-            ok = np.flatnonzero(nodal_distance_exact(one_d, x[:, None]) >= guard)
-            if ok.size:
-                out.append((j, hj, ncells, guard, one_d, ok))
-    return out
-
-
-# (0, b) with b >= 2 never reaches the guard (see level_set_cells), so not drawn
-@given(st.data(), refine_modes(zero_axis_top=1), DRAW_K)
-@settings(max_examples=300, deadline=None)
-def test_miss_table_edges_match_the_oracle(data, mode, k):
-    """At its edges and at a point where the oracle equals delta, a table agrees with it."""
-    choices = level_set_cells(mode, k)
-    assume(choices)
-    j, hj, ncells, guard, one_d, ok = data.draw(st.sampled_from(choices))
-    i = int(ok[data.draw(st.integers(0, ok.size - 1))])
-
-    def dist(kk):
-        return float(nodal_distance_exact(one_d, np.array([[(i + kk * 2.0**-53) * hj]]))[0])
-
-    delta = dist(k)  # the draw u = k * 2**-53 sits exactly on the level set
-    assert delta >= guard
-    # tube_volume refuses the gap window, where the ends do not decide a cell
-    s = mode.factor_zero_spacing(j)
-    assume(not 0.5 * s - hj * (1.0 + 2.0**-20) < delta <= 0.5 * s)
-    t, suffix = measures_mod._axis_miss_table(mode, j, hj, ncells, delta)
-    t, suffix = t[i], suffix[i]
-
-    def misses(kk):
-        return (kk * 2.0**-53 < t) != suffix
-
-    edges = {k - 1, k, k + 1, 0, 2**53 - 1}
-    kt = int(t * 2**53)
-    edges |= {kt - 1, kt, kt + 1}
-    for kk in sorted(e for e in edges if 0 <= e < 2**53):
-        assert misses(kk) == (dist(kk) >= delta)
+    s = mode.factor_zero_spacing(1)
+    mid = (np.arange(2 * 4) + 0.5) * s  # the gap midpoints in [0, 2 pi)
+    lam = np.floor(mid / h1).astype(int)
+    assert np.allclose(mid / h1 - lam, [0.25, 0.75] * 4)
+    for below, share in ((0.25, 0.5), (0.125, 0.25)):
+        delta = 0.5 * s - below * h1
+        frac = measures_mod._axis_miss_fractions(mode, 1, h1, ncells, delta)
+        np.testing.assert_allclose(frac[lam], share, rtol=0, atol=1e-12)
+        assert exact_rel(mode, tube_volume(f, delta), delta) <= 1e-12
+    ends = np.arange(ncells + 1) * h1
+    d = nodal_distance_exact(measures_mod._axis_mode(mode, 1), ends[:, None])
+    assert ((d[lam] < delta) & (d[lam + 1] < delta)).all()  # at delta = s/2 - h/8
 
 
 def count_oracle(monkeypatch):
@@ -323,11 +294,9 @@ def test_miss_tables_replace_the_sample_oracle(monkeypatch):
     f = field_for(mode, h_max=delta / 2)
     calls = count_oracle(monkeypatch)
     assert exact_rel(mode, tube_volume(f, delta), delta) <= 1e-12
-    # every distance comes from 1-d axis modes, under 1% of 64 per straddle cell
-    assert calls and all(dim == 1 for dim, _ in calls)
-    margin = float(np.linalg.norm(f.h)) + f.raster_error
-    straddle = whole_grid_band(f.dist, True, delta, margin)[1].shape[0]
-    assert sum(pts for _, pts in calls) < 0.01 * 64 * straddle
+    # one 1-d call per axis, at the ends of its cells: ncells + 1 points, and a
+    # torus axis of N points has N cells
+    assert calls == [(1, n + 1) for n in f.sample.shape]
 
 
 BAND_FIELDS = {

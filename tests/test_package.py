@@ -1,6 +1,6 @@
 """The package's public surface, the import boundary of its grid estimators, the
-names the benchmark tracer wraps, imports that nothing uses, and what
-`import nodalab` loads."""
+names the benchmark tracer wraps, imports and definitions that nothing uses,
+and what `import nodalab` loads."""
 
 import ast
 import importlib
@@ -36,7 +36,7 @@ def test_exports_resolve_without_duplicates():
         ("components.py", set()),
         ("boxes.py", set()),
         # known debt: tube_volume takes each straddle cell's share of the tube
-        # from per-axis miss tables built from the oracle's distances
+        # from the oracle's 1-d distances at the ends of each axis's cells
         ("measures.py", {"nodal_distance_exact"}),
     ],
 )
@@ -147,3 +147,83 @@ def test_import_and_dim2_load_no_scipy_sparse():
     subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True
     )
+
+
+def module_level_names(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each function, class and constant a module defines."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno, node.end_lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out.append((name.id, node.lineno, node.end_lineno))
+    return out
+
+
+def name_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each read: a loaded name, an attribute, or a name imported from a module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(alias.name, node.lineno) for alias in node.names]
+    return out
+
+
+def unread_definitions(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``file:name`` of each module-level definition of ``modules`` that no line outside it reads.
+
+    Both arguments map a file name to its text; ``modules`` are read from too.
+    The dunders of ``__init__.py`` (``__all__``) are the package's own surface
+    and are not checked.
+    """
+    trees = {name: ast.parse(text) for name, text in {**readers, **modules}.items()}
+    reads = [(file, name, line) for file, tree in trees.items() for name, line in name_reads(tree)]
+    unread = []
+    for file in modules:
+        for name, first, last in module_level_names(trees[file]):
+            if file == "__init__.py" and name.startswith("__"):
+                continue
+            if not any(
+                n == name and not (f == file and first <= line <= last) for f, n, line in reads
+            ):
+                unread.append(f"{file}:{name}")
+    return unread
+
+
+def test_every_module_level_definition_is_read():
+    """A function, class or constant of the package that no line of src/ or scripts/ reads."""
+    modules = {p.name: p.read_text() for p in (ROOT / "src" / "nodalab").glob("*.py")}
+    readers = {f"scripts/{p.name}": p.read_text() for p in SCRIPTS}
+    assert unread_definitions(modules, readers) == []
+
+
+def test_unread_definition_check_sees_each_form():
+    modules = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "STEP: float = 0.5\n"
+            "U_STEPS, U_ULP = 1, 2.0\n"
+            "def used():\n"
+            "    return LIMIT\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "class Kept:\n"
+            "    pass\n"
+            "class Dropped:\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import used\nimport a\nprint(a.Kept)\n",
+        "__init__.py": "__all__ = []\n",
+    }
+    readers = {"scripts/run.py": "from nodalab.a import U_ULP\n"}
+    assert unread_definitions(modules, readers) == [
+        "a.py:STEP", "a.py:U_STEPS", "a.py:recursive", "a.py:Dropped"
+    ]
