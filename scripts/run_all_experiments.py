@@ -10,10 +10,10 @@ line is the sha256 of the reports' ``sha256sum`` listing, sorted by file
 name: the hash that ``(cd OUT && sha256sum * | sha256sum)`` prints when OUT
 holds only these reports, so two runs compare byte for byte in one line.
 
-Full mode takes 11-12 s on a 2-core VM, four fifths of it in the torus
-tube cells and about 0.2 s in the exponent survey; --quick drops the
+Full mode takes 6-7 s on a 2-core VM, about three quarters of it in the
+torus tube cells and about 0.2 s in the exponent survey; --quick drops the
 expensive torus tube cells and shrinks the surveys for a fast smoke run
-(about 3 s).
+(about 2 s).
 """
 
 import argparse

@@ -27,10 +27,10 @@ from .dioph import (
     shrinking_radii,
     tail_hits,
 )
-from .distance import distance_field
+from .distance import distance_field, raster_error
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
-from .measures import density_radius, nodal_measure, tube_volume
+from .measures import NodalMeasure, density_radius, nodal_measure, tube_reach, tube_volume
 from .nodal import extract_nodal, marching_squares
 from .reports import CellResult, ExperimentReport, gate
 from .spectrum import (
@@ -76,10 +76,12 @@ def _mode(domain: DomainSpec, m) -> EigenMode:
     return EigenMode(domain, tuple(int(v) for v in m))
 
 
-def _field_for(mode, rule):
+def _field_for(mode, rule, radii=None):
+    """Sample, nodal set and distance field; for tube ``radii``, the field capped at their reach."""
     sample = sample_grid(mode, rule)
     nodal = extract_nodal(sample)
-    return sample, nodal, distance_field(nodal)
+    reach = math.inf if radii is None else tube_reach(sample.h, radii)
+    return sample, nodal, distance_field(nodal, reach=reach)
 
 
 def _tube_rule(radii) -> ResolutionRule:
@@ -123,7 +125,8 @@ def run_tube_scaling(
     when the resolution budget allows, a grid estimate row checked against the
     oracle. The break cell (mu*delta = 3) is recorded but excluded from gates.
     Radii are the ``deltas`` when given, else ``mu_delta`` targets divided by mu.
-    Grid rows use the tube grid of their radius (``_tube_rule``).
+    Grid rows use the tube grid of their radius (``_tube_rule``) and a
+    distance field capped at its reach (``measures.tube_reach``).
     """
     if modes is None:
         modes = DEFAULT_TUBE_INTERVAL_MODES if domain.n == 1 else DEFAULT_TUBE_TORUS_MODES
@@ -182,7 +185,7 @@ def run_tube_scaling(
                         "mu_delta": t, "gated": gated},
             )
             with _skip_on_guard(gcell, "grid skipped: "):
-                sample, nodal, field = _field_for(mode, _tube_rule([delta]))
+                sample, nodal, field = _field_for(mode, _tube_rule([delta]), [delta])
                 vol = tube_volume(field, delta)
                 agree = abs(vol - exact) / exact
                 gcell.measured = {"vol": vol, "ratio": vol / (mu * delta), "agree_rel": agree}
@@ -235,7 +238,8 @@ def run_yau_check(
     and only it, fails on a relative disagreement above the config's
     agree_tol. The band and the square target hold on the unit 2-torus only,
     so any domain but it and the interval is invalid input. 2-d modes use the
-    tube grid of the smaller radius.
+    tube grid of the smaller radius and a distance field capped at the
+    larger radius's reach; the interval builds no field.
 
     The tube volumes draw no random numbers. ``seed`` is accepted and ignored
     (the report records ``seed: null``) so that callers written when the
@@ -290,10 +294,13 @@ def run_yau_check(
                 rule = _tube_rule(t_list)
             sample = sample_grid(mode, rule)
             nodal = extract_nodal(sample)
-            if domain.n == 2:
+            if domain.n == 1:
+                # the vertex count reads no distance field
+                nm = NodalMeasure(float(nodal.vertices.shape[0]), {}, False)
+            else:
                 length = marching_squares(sample)
-            field = distance_field(nodal)
-            nm = nodal_measure(field, t_list)
+                field = distance_field(nodal, reach=tube_reach(sample.h, t_list))
+                nm = nodal_measure(field, t_list)
             exact = nodal_measure_exact(mode)
             cell.measured = {
                 "value": nm.value,
@@ -307,7 +314,7 @@ def run_yau_check(
                 agreement = abs(length - nm.value) / denom if denom > 0 else 0.0
                 cell.measured["by_segments"] = length
                 cell.measured["agreement_rel"] = agreement
-            cell.error = field.raster_error
+            cell.error = raster_error(sample.h)
         cells.append(cell)
     gates = GATE_BUILDERS["yau_ratio"](cells, config)
     live = _live(cells)
@@ -429,6 +436,8 @@ def run_dim2_checks(
     checks the smallest domain area and the largest inner radius against the
     rectangle-cell oracles, and bounds tube volume by measured length * delta,
     from tubes at delta = tube_mu_delta / mu and delta / 2 on the tube grid.
+    The inner radii read a full-range field's maxima; the tubes read a field
+    capped at delta's reach.
 
     The tube volumes draw no random numbers. ``seed`` is accepted and ignored
     (the report records ``seed: null``) so that callers written when the
@@ -474,7 +483,7 @@ def run_dim2_checks(
 
             delta = tube_mu_delta / mu
             radii = [delta, delta / 2.0]
-            sample, nodal, field = _field_for(mode, _tube_rule(radii))
+            sample, nodal, field = _field_for(mode, _tube_rule(radii), radii)
             nm = nodal_measure(field, radii)
             vol = nm.volumes[delta]
 

@@ -32,11 +32,12 @@ cell wrongly, and by rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import ROW_BLOCK_POINTS, DistanceField
+from .distance import ROW_BLOCK_POINTS, DistanceField, raster_error
 from .errors import EmptyNodalSetError, ResolutionError, ValidationError
 from .nodal import _edge_op
 from .spectrum import DomainSpec, EigenMode, nodal_distance_exact
@@ -95,11 +96,29 @@ def _band_cells(dist: np.ndarray, periodic: bool, delta: float, margin: float, r
         yield int(np.count_nonzero(fully_in)), cells
 
 
+def _band_margin(h) -> float:
+    """The band test's Lipschitz margin: the cell diagonal plus the raster error."""
+    return float(np.linalg.norm(np.asarray(h))) + raster_error(h)
+
+
+def tube_reach(h, radii) -> float:
+    """Reach of a capped field that ``tube_volume`` reads at every radius in ``radii``.
+
+    The band test tells a cell from its corner distances below delta + margin
+    only: a corner at or past it puts its cell fully outside, whatever its
+    value. So a field capped at the largest radius plus the margin classifies
+    every cell as the full-range field does; one more cell is slack.
+    """
+    return max(radii) + _band_margin(h) + max(h)
+
+
 def tube_volume(field: DistanceField, delta: float) -> float:
     """Volume of the delta-tube around the nodal set.
 
     Requires delta >= 2 max(h): below it the grid cannot resolve the tube, and
     a ResolutionError is raised rather than returning a silently bad estimate.
+    A capped field must reach delta plus the band margin (``tube_reach``), or
+    a ValidationError is raised.
     """
     if not delta > 0:
         raise ValidationError(f"delta must be positive, got {delta}")
@@ -109,12 +128,16 @@ def tube_volume(field: DistanceField, delta: float) -> float:
             f"delta={delta:g} below resolution guard 2*max(h)={2 * hmax:g}"
         )
     sample = field.sample
+    margin = _band_margin(sample.h)
+    if field.reach < delta + margin:
+        raise ValidationError(
+            f"distance field capped at {field.reach:g} cannot classify the tube of radius "
+            f"{delta:g}: the band test reads it up to {delta + margin:g}"
+        )
     if field.empty:
         return 0.0
     h = np.asarray(sample.h)
     cellvol = float(np.prod(h))
-    diag = float(np.linalg.norm(h))
-    margin = diag + field.raster_error
     rows = max(1, ROW_BLOCK_POINTS // int(np.prod(sample.shape[1:])))
     ncells = [s if sample.periodic else s - 1 for s in sample.shape]
     # per axis and cell index: the fraction of the cell where the axis misses
@@ -163,7 +186,11 @@ def nodal_measure(field: DistanceField, t_list) -> NodalMeasure:
 
 
 def density_radius(field: DistanceField) -> float:
-    """Largest distance from any grid point to the nodal set."""
+    """Largest distance from any grid point to the nodal set: a full-range field's maximum."""
+    if field.reach < math.inf:
+        raise ValidationError(
+            f"density radius needs a full-range field, not one capped at {field.reach:g}"
+        )
     if field.empty:
         raise EmptyNodalSetError("nodal set is empty; density radius undefined")
     return float(field.dist.max())

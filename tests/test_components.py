@@ -18,6 +18,7 @@ from nodalab.components import (
 from nodalab.distance import distance_field
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.nodal import extract_nodal
+from nodalab.errors import ValidationError
 from nodalab.spectrum import DomainSpec, EigenMode
 
 from translates import cosine_sample
@@ -143,6 +144,17 @@ def test_component_inradii_rectangles():
     assert inr.shape == (48,)
     # every domain is a pi/3 x pi/4 rectangle with inradius pi/8
     np.testing.assert_allclose(inr, math.pi / 8, rtol=0.06)
+
+
+def test_component_inradii_refuse_a_capped_field():
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0))
+    comp = sign_components(s)
+    nod = extract_nodal(s)
+    # a short reach would read inf, a long one the true radii: both are refused
+    for reach in (3 * max(s.h), 100.0):
+        with pytest.raises(ValidationError, match="full-range"):
+            component_inradii(comp, distance_field(nod, reach=reach))
 
 
 def test_unsigned_points_are_unlabeled():

@@ -1,18 +1,23 @@
-"""Distance fields: brute-force oracle, periodic wrap, accuracy contract."""
+"""Distance fields: brute-force oracle, periodic wrap, accuracy contract, capped fields."""
 
+import functools
 import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
 import nodalab.distance as distance_mod
 from nodalab.distance import _seed_mask, distance_field
-from nodalab.errors import ResourceGuardError
+from nodalab.errors import ResourceGuardError, ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
+from nodalab.measures import tube_reach
 from nodalab.nodal import NodalApprox, extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
@@ -227,21 +232,19 @@ def sparse_seeds_nodal():
     return NodalApprox(s, rng.uniform(0.0, 1.0, (10, 3)) * np.asarray(domain.lengths))
 
 
-@pytest.mark.parametrize(
-    "make_nodal",
-    [
-        lambda: mode_nodal(DomainSpec.torus((1.0, 1.0)), (16, 1), 8.0),
-        lambda: mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0),
-        lambda: mode_nodal(DomainSpec.torus((1.0, 1.3)), (2, 3), 24.0),
-        lambda: mode_nodal(DomainSpec.box((1.0, 1.3)), (3, 5), 24.0),
-        lambda: mode_nodal(DomainSpec.interval(), (7,), 32.0),
-        lambda: mode_nodal(DomainSpec.torus((1.0, 2.0, 1.0)), (2, 1, 3), 8.0),
-        sparse_seeds_nodal,
-        dense_block_nodal,  # its first pad fails the certificate
-    ],
-    ids=["torus-16-1", "torus-3-4", "torus-2-3-alpha-1.3", "box", "interval", "3-torus",
-         "3-torus-sparse-seeds", "second-pad"],
-)
+SCIPY_CASES = {
+    "torus-16-1": lambda: mode_nodal(DomainSpec.torus((1.0, 1.0)), (16, 1), 8.0),
+    "torus-3-4": lambda: mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0),
+    "torus-2-3-alpha-1.3": lambda: mode_nodal(DomainSpec.torus((1.0, 1.3)), (2, 3), 24.0),
+    "box": lambda: mode_nodal(DomainSpec.box((1.0, 1.3)), (3, 5), 24.0),
+    "interval": lambda: mode_nodal(DomainSpec.interval(), (7,), 32.0),
+    "3-torus": lambda: mode_nodal(DomainSpec.torus((1.0, 2.0, 1.0)), (2, 1, 3), 8.0),
+    "3-torus-sparse-seeds": sparse_seeds_nodal,
+    "second-pad": dense_block_nodal,  # its first pad fails the certificate
+}
+
+
+@pytest.mark.parametrize("make_nodal", list(SCIPY_CASES.values()), ids=list(SCIPY_CASES))
 def test_field_is_bitwise_scipys_distances(make_nodal, edt_shapes):
     """Distances formed from the feature transform on the crop equal scipy's own."""
     nod = make_nodal()
@@ -352,3 +355,99 @@ def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * f.dist.nbytes
+
+
+def capped_field(nod, reach, workers):
+    with mock.patch.object(distance_mod, "usable_cores", lambda: workers):
+        return distance_field(nod, reach=reach)
+
+
+@st.composite
+def sampled_modes(draw):
+    """A builder of a sampled mode's nodal set: a torus, a box or the interval,
+    1-3 axes, anisotropic alpha, and points per wavelength that give odd and
+    even shapes."""
+    n = draw(st.integers(1, 3))
+    alpha = (1.0,) + tuple(draw(st.sampled_from([1.0, 1.3, 2.0])) for _ in range(n - 1))
+    if draw(st.booleans()):
+        domain = DomainSpec.torus(alpha)
+    else:
+        domain = DomainSpec.box(alpha) if n > 1 else DomainSpec.interval()
+    m = tuple(draw(st.integers(1, 4 if n < 3 else 2)) for _ in range(n))
+    ppw = draw(st.integers(5, 40 if n < 3 else 9)) + draw(st.sampled_from([0.0, 0.5]))
+    return functools.partial(mode_nodal, domain, m, ppw)
+
+
+def wide_torus_nodal():
+    """Axis 1 has 320 points, so a reach of 150 cells pads it 151 cells, below
+    its half-period clamp of 161: offsets past 127 without the clamp."""
+    nod = mode_nodal(DomainSpec.torus((1.0, 1.0)), (1, 5), 64.0)
+    assert nod.sample.shape == (64, 320)
+    return nod
+
+
+@given(
+    make_nodal=st.one_of(st.sampled_from(list(SCIPY_CASES.values())), sampled_modes()),
+    cells=st.one_of(st.floats(0.5, 16.0), st.floats(128.0, 400.0)),
+)
+@example(make_nodal=wide_torus_nodal, cells=150.0)
+@example(make_nodal=wide_torus_nodal, cells=1e300)  # every axis at its clamp
+@settings(max_examples=100, deadline=None)
+def test_capped_field_is_scipys_below_its_reach(make_nodal, cells):
+    """Below the reach the capped field is bitwise scipy's full-range field,
+    at and above it inf, and it is the same for one worker and for two."""
+    nod = make_nodal()
+    reach = cells * min(nod.sample.h)
+    one = capped_field(nod, reach, 1)
+    two = capped_field(nod, reach, 2)
+    assert one.reach == reach
+    assert np.array_equal(one.dist.view(np.uint64), two.dist.view(np.uint64))
+    expect = scipy_distance_field(nod)
+    assert one.dist.dtype == expect.dtype and one.dist.shape == expect.shape
+    assert one.dist.flags.c_contiguous
+    below = expect < reach
+    assert one.dist[below].tobytes() == expect[below].tobytes()
+    assert np.all(np.isinf(one.dist[~below]))
+
+
+@pytest.mark.parametrize(
+    "domain, m", [(DomainSpec.torus((1.0, 1.0)), (3, 4)), (DomainSpec.box((1.0, 1.3)), (3, 5))]
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cap_guards_the_capped_padded_array(domain, m, workers, monkeypatch):
+    monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
+    nod = mode_nodal(domain, m, 32.0)
+    h = nod.sample.h
+    reach = 5.5 * max(h)
+    # a box axis is padded too, with no seeds
+    padded = math.prod(s + 2 * (math.floor(reach / hj) + 1) for s, hj in zip(nod.sample.shape, h))
+    with pytest.raises(ResourceGuardError, match=f"needs {padded} points"):
+        distance_field(nod, cap=padded - 1, reach=reach)
+    assert distance_field(nod, cap=padded, reach=reach).reach == reach
+
+
+@pytest.mark.parametrize("reach", [0.0, -1.0, math.nan])
+def test_reach_must_be_positive(reach):
+    nod = mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0)
+    with pytest.raises(ValidationError, match="reach must be positive"):
+        distance_field(nod, reach=reach)
+
+
+def test_capped_distance_field_peak_memory_yau_grid(monkeypatch):
+    # the (16,1) Yau field (2519^2) capped at its tube reach: the seed mask,
+    # its padded copy and one block of rows per worker beside the output
+    # peaked at 1.32x the field's bytes with two workers (1.29x with one,
+    # 1.39x with four), against 2.75x for the full-range slabs
+    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
+    radii = (0.2 / mode.mu, 0.1 / mode.mu)
+    rule = ResolutionRule(points_per_wavelength=32.0, h_max=min(radii) / 2.5)
+    nod = extract_nodal(sample_grid(mode, rule))
+    assert nod.sample.shape == (2519, 2519)
+    tracemalloc.start()
+    try:
+        f = distance_field(nod, reach=tube_reach(nod.sample.h, radii))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * f.dist.nbytes

@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodalab.dioph as dioph_mod
+import nodalab.distance as distance_mod
 import nodalab.harness as harness_mod
 import nodalab.measures as measures_mod
 import nodalab.nodal as nodal_mod
 
+from nodalab.distance import distance_field
 from nodalab.errors import ValidationError
+from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.harness import (
     GATE_BUILDERS,
     run_approx_theorem,
@@ -26,7 +29,7 @@ from nodalab.harness import (
     run_yau_check,
 )
 from nodalab.reports import CellResult, read_report, write_report
-from nodalab.spectrum import DomainSpec, tube_volume_exact
+from nodalab.spectrum import DomainSpec, EigenMode, tube_volume_exact
 
 INTERVAL = DomainSpec.interval()
 TORUS2 = DomainSpec.torus((1.0, 1.0))
@@ -154,7 +157,8 @@ def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
     assert log == ["sample_grid", "extract_nodal", "marching_squares", "distance_field"]
     log.clear()
     run_yau_check(INTERVAL, modes=((10,),))
-    assert log == ["sample_grid", "extract_nodal", "distance_field"]
+    # the interval counts vertices and builds no distance field
+    assert log == ["sample_grid", "extract_nodal"]
 
 
 def test_yau_empty_nodal_set_agrees_at_zero(monkeypatch):
@@ -232,6 +236,31 @@ def test_dim2_reads_its_tube_volume_from_the_nodal_measure(monkeypatch):
     spy(monkeypatch, log, harness_mod, "marching_squares")
     run_dim2_checks(modes=((2, 3),))
     assert log == ["tube_volume", "tube_volume"]  # the radii delta and delta/2
+
+
+def test_only_the_full_range_fields_run_scipys_transform(monkeypatch):
+    """Tube fields are capped at their reach; density and inner radii read full-range fields."""
+    transforms = []
+    edt = distance_mod.distance_transform_edt
+
+    def counted(a, **kwargs):
+        transforms.append(a.shape)
+        return edt(a, **kwargs)
+
+    monkeypatch.setattr(distance_mod, "distance_transform_edt", counted)
+    run_yau_check(TORUS2, modes=((3, 4), (4, 1)))
+    run_tube_scaling(TORUS2, modes=((3, 4),), mu_delta=(0.1, 0.2))
+    assert transforms == []
+    # dim2's transforms are exactly those of its inner-radius field
+    fine = sample_grid(EigenMode(TORUS2, (2, 3)), ResolutionRule(points_per_wavelength=256.0))
+    distance_field(nodal_mod.extract_nodal(fine))
+    inradius_field = list(transforms)
+    transforms.clear()
+    run_dim2_checks(modes=((2, 3),))
+    assert transforms == inradius_field != []
+    transforms.clear()
+    run_density_check(TORUS2, modes=((3, 3),))
+    assert transforms != []
 
 
 def test_dim2_rejects_non_torus():

@@ -12,7 +12,7 @@ import nodalab.measures as measures_mod
 from nodalab.distance import distance_field
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.measures import density_radius, nodal_measure, tube_volume
+from nodalab.measures import density_radius, nodal_measure, tube_reach, tube_volume
 from nodalab.nodal import NodalApprox, _corner_reduce, extract_nodal, marching_squares
 from nodalab.spectrum import (
     DomainSpec,
@@ -71,6 +71,34 @@ def test_tube_guards():
     # NaN fails every comparison: a check written as delta <= 0 lets it through
     with pytest.raises(ValidationError, match="positive"):
         tube_volume(f, math.nan)
+
+
+def test_tube_volume_refuses_a_field_capped_short_of_its_band():
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    delta = 0.1
+    s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0, h_max=delta / 5))
+    nod = extract_nodal(s)
+    full = distance_field(nod)
+    capped = distance_field(nod, reach=tube_reach(s.h, [delta, delta / 2]))
+    assert np.isinf(capped.dist).any()
+    for radius in (delta, delta / 2):
+        assert tube_volume(capped, radius) == tube_volume(full, radius)
+    # the band test reads the field up to delta + margin
+    band = delta + float(np.linalg.norm(s.h)) + full.raster_error
+    short = distance_field(nod, reach=math.nextafter(band, 0.0))
+    with pytest.raises(ValidationError, match="capped at"):
+        tube_volume(short, delta)
+    assert tube_volume(short, delta / 2) == tube_volume(full, delta / 2)
+
+
+def test_density_radius_refuses_a_capped_field():
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0))
+    nod = extract_nodal(s)
+    # a short reach would return inf, a long one the true maximum: both are refused
+    for reach in (3 * max(s.h), 100.0):
+        with pytest.raises(ValidationError, match="full-range"):
+            density_radius(distance_field(nod, reach=reach))
 
 
 def test_nodal_measure_torus():
