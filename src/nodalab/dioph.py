@@ -309,7 +309,7 @@ def estimate_exponent(
     running = np.minimum.accumulate(proxy)
     prev = np.concatenate([[np.inf], running[:-1]])
     rec = (proxy < prev) & (mu >= mu_min) & (mu <= hi)
-    idx = np.nonzero(rec)[0]
+    idx = np.flatnonzero(rec)
     n_rec = int(idx.size)
     if n_rec < 2:
         return ExponentEstimate(math.nan, n_rec, math.nan, True, False)

@@ -123,7 +123,7 @@ def _seed_mask(nodal: NodalApprox) -> np.ndarray:
 
 
 def usable_cores() -> int:
-    """Cores this process may run on: the thread count of the EDT slabs and the capped blocks."""
+    """Cores this process may run on: the threads of the EDT slabs, the capped and the band blocks."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

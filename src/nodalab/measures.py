@@ -1,18 +1,22 @@
 """Tube volumes, nodal measures, and density radii from distance fields.
 
 The nodal measure has one route: Vol(T_t)/(2t) extrapolated to t -> 0 from
-tube volumes (the vertex count in dimension one). The 2-d cross-check against
-the marching-squares length runs in ``harness.run_yau_check``, which gates on it.
+tube volumes (in dimension one ``harness.run_yau_check`` counts vertices
+instead). The 2-d cross-check against the marching-squares length runs in
+``harness.run_yau_check``, which gates on it.
 
 The tube estimator classifies every grid cell as fully inside / fully outside
 / straddling the delta level set using Lipschitz-rigorous margins from corner
 distances, then adds for each straddling cell its exact share of the tube
 under the closed-form distance of the separable mode. Plain grid-point
 counting would carry an O(h) bias; the shares remove it. The band test runs
-in blocks of about ``ROW_BLOCK_POINTS`` cells along axis 0: a block reduces
-the corners of its rows and the next one (row 0 after the last row of a
-periodic axis), so no grid-sized temporary is formed, and the block's
-straddle shares are summed before the next block is classified.
+in blocks of about ``ROW_BLOCK_POINTS`` cells along axis 0, so no grid-sized
+temporary is formed. A block reduces the corners of its rows and the next
+one (row 0 after the last row of a periodic axis) once for every radius of
+a ``tube_volumes`` call, and returns per radius only its fully-in count and
+the sum of its straddle shares. The blocks run on a pool of
+``usable_cores()`` threads, and the caller adds their results in block
+order, so a volume's bits do not depend on the worker count.
 
 The exact distance is a min over axes of 1-d distances, so a point of a cell
 misses the tube iff every axis misses, and the cell's share of the tube is
@@ -33,11 +37,12 @@ cell wrongly, and by rounding.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import ROW_BLOCK_POINTS, DistanceField, raster_error
+from .distance import ROW_BLOCK_POINTS, DistanceField, raster_error, usable_cores
 from .errors import EmptyNodalSetError, ResolutionError, ValidationError
 from .nodal import _edge_op
 from .spectrum import DomainSpec, EigenMode, nodal_distance_exact
@@ -52,7 +57,7 @@ def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
 def _axis_miss_fractions(mode: EigenMode, j: int, hj, ncells: int, delta: float) -> np.ndarray:
     """Per cell index on axis j: the fraction of the cell at 1-d distance >= delta.
 
-    Exact for delta >= hj (see the module docstring); ``tube_volume``'s guard
+    Exact for delta >= hj (see the module docstring); ``tube_volumes``' guard
     gives delta >= 2 max(h).
     """
     if mode.m[j] == 0:
@@ -70,30 +75,43 @@ def _block_corner_reduce(rows: np.ndarray, periodic: bool, op) -> np.ndarray:
     return out
 
 
-def _band_cells(dist: np.ndarray, periodic: bool, delta: float, margin: float, rows: int):
-    """Per block of ``rows`` cell rows: (count of cells fully in the tube, straddle cell indices).
+def _band_blocks(dist: np.ndarray, periodic: bool, margin: float, bands, rows: int) -> list:
+    """Per block of ``rows`` cell rows, per (delta, miss tables) band: fully-in count, straddle sum.
 
     A cell is fully inside when its corner minimum + margin < delta, fully
-    outside when its corner maximum - margin >= delta. Only a periodic axis
-    has a cell past its last grid point, wrapping to the first. A grid has at
-    least two points per axis, so there is at least one block; the blocks'
-    straddle lists, joined in order, are the whole grid's.
+    outside when its corner maximum - margin >= delta, and straddles
+    otherwise; it adds 1 - prod_j miss[j][i_j] at its index i, summed in
+    row-major order. Only a periodic axis has a cell past its last grid
+    point, wrapping to the first. A grid has at least two points per axis,
+    so there is at least one block. The blocks run on a thread pool and come
+    back in block order; every worker is joined before this returns.
     """
     s0 = dist.shape[0]
     cells0 = s0 if periodic else s0 - 1
-    for a in range(0, cells0, rows):
+
+    def block(a):
         b = min(a + rows, cells0)
         # the block's corner rows: its own and the next (row 0 past the end)
-        block = dist[a : b + 1] if b < s0 else np.concatenate([dist[a:], dist[:1]])
-        lo = _block_corner_reduce(block, periodic, np.minimum)
+        corners = dist[a : b + 1] if b < s0 else np.concatenate([dist[a:], dist[:1]])
+        lo = _block_corner_reduce(corners, periodic, np.minimum)
         lo += margin
-        fully_in = lo < delta
-        hi = _block_corner_reduce(block, periodic, np.maximum)
+        hi = _block_corner_reduce(corners, periodic, np.maximum)
         hi -= margin
-        straddle = ~(fully_in | (hi >= delta))
-        cells = np.argwhere(straddle)
-        cells[:, 0] += a
-        yield int(np.count_nonzero(fully_in)), cells
+        out = []
+        for delta, miss in bands:
+            fully_in = lo < delta
+            straddle = ~(fully_in | (hi >= delta))
+            cells = np.unravel_index(np.flatnonzero(straddle), straddle.shape)
+            missed = miss[0][a + cells[0]]
+            for j in range(1, len(cells)):
+                missed *= miss[j][cells[j]]
+            # a straddle cell's share of the tube: 1 - prod_j l_j
+            share = float(np.subtract(1.0, missed, out=missed).sum())
+            out.append((int(np.count_nonzero(fully_in)), share))
+        return out
+
+    with ThreadPoolExecutor(usable_cores()) as pool:
+        return list(pool.map(block, range(0, cells0, rows)))
 
 
 def _band_margin(h) -> float:
@@ -102,7 +120,7 @@ def _band_margin(h) -> float:
 
 
 def tube_reach(h, radii) -> float:
-    """Reach of a capped field that ``tube_volume`` reads at every radius in ``radii``.
+    """Reach of a capped field that ``tube_volumes`` reads at every radius in ``radii``.
 
     The band test tells a cell from its corner distances below delta + margin
     only: a corner at or past it puts its cell fully outside, whatever its
@@ -112,45 +130,53 @@ def tube_reach(h, radii) -> float:
     return max(radii) + _band_margin(h) + max(h)
 
 
-def tube_volume(field: DistanceField, delta: float) -> float:
-    """Volume of the delta-tube around the nodal set.
+def tube_volumes(field: DistanceField, radii) -> list[float]:
+    """Volumes of the tubes of the given radii around the nodal set, in order.
 
-    Requires delta >= 2 max(h): below it the grid cannot resolve the tube, and
-    a ResolutionError is raised rather than returning a silently bad estimate.
-    A capped field must reach delta plus the band margin (``tube_reach``), or
-    a ValidationError is raised.
+    One band pass serves every radius: each block reduces its corner
+    distances once. Every radius needs delta >= 2 max(h): below it the grid
+    cannot resolve the tube, and a ResolutionError is raised rather than
+    returning a silently bad estimate. A capped field must reach delta plus
+    the band margin (``tube_reach``), or a ValidationError is raised.
     """
-    if not delta > 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
     hmax = max(field.h)
-    if delta < 2.0 * hmax:
-        raise ResolutionError(
-            f"delta={delta:g} below resolution guard 2*max(h)={2 * hmax:g}"
-        )
     sample = field.sample
     margin = _band_margin(sample.h)
-    if field.reach < delta + margin:
-        raise ValidationError(
-            f"distance field capped at {field.reach:g} cannot classify the tube of radius "
-            f"{delta:g}: the band test reads it up to {delta + margin:g}"
-        )
+    for delta in radii:
+        if not delta > 0:
+            raise ValidationError(f"delta must be positive, got {delta}")
+        if delta < 2.0 * hmax:
+            raise ResolutionError(
+                f"delta={delta:g} below resolution guard 2*max(h)={2 * hmax:g}"
+            )
+        if field.reach < delta + margin:
+            raise ValidationError(
+                f"distance field capped at {field.reach:g} cannot classify the tube of radius "
+                f"{delta:g}: the band test reads it up to {delta + margin:g}"
+            )
     if field.empty:
-        return 0.0
+        return [0.0] * len(radii)
     h = np.asarray(sample.h)
     cellvol = float(np.prod(h))
     rows = max(1, ROW_BLOCK_POINTS // int(np.prod(sample.shape[1:])))
     ncells = [s if sample.periodic else s - 1 for s in sample.shape]
-    # per axis and cell index: the fraction of the cell where the axis misses
-    miss = [_axis_miss_fractions(sample.mode, j, h[j], n, delta) for j, n in enumerate(ncells)]
-    inside, share = 0, 0.0
-    for n_in, cells in _band_cells(field.dist, sample.periodic, delta, margin, rows):
-        inside += n_in
-        missed = miss[0][cells[:, 0]]
-        for j in range(1, sample.n):
-            missed *= miss[j][cells[:, j]]
-        # a straddle cell's share of the tube: 1 - prod_j l_j
-        share += float(np.subtract(1.0, missed, out=missed).sum())
-    return float(inside) * cellvol + cellvol * share
+    # per radius, axis and cell index: the fraction of the cell where the axis misses
+    bands = [
+        (delta, [_axis_miss_fractions(sample.mode, j, h[j], nj, delta)
+                 for j, nj in enumerate(ncells)])
+        for delta in radii
+    ]
+    inside, share = [0] * len(bands), [0.0] * len(bands)
+    for block in _band_blocks(field.dist, sample.periodic, margin, bands, rows):
+        for k, (n_in, part) in enumerate(block):
+            inside[k] += n_in
+            share[k] += part
+    return [float(n) * cellvol + cellvol * part for n, part in zip(inside, share)]
+
+
+def tube_volume(field: DistanceField, delta: float) -> float:
+    """Volume of the delta-tube around the nodal set: ``tube_volumes`` at one radius."""
+    return tube_volumes(field, [delta])[0]
 
 
 @dataclass
@@ -163,19 +189,19 @@ class NodalMeasure:
 
 
 def nodal_measure(field: DistanceField, t_list) -> NodalMeasure:
-    """(n-1)-measure of the nodal set.
+    """(n-1)-measure of the nodal set, for dimension two and up.
 
-    Dimension one counts vertices. Higher dimensions extrapolate Vol(T_t)/(2t)
-    linearly to t -> 0 (Richardson step over the two smallest t), and flag a
-    ratio sequence that is not monotone in t.
+    Extrapolates Vol(T_t)/(2t) linearly to t -> 0 (Richardson step over the
+    two smallest t), and flags a ratio sequence that is not monotone in t. A
+    1-d nodal set is a vertex count, which ``harness.run_yau_check`` takes
+    without a field; a 1-d field raises ValidationError.
     """
-    sample = field.sample
-    if sample.n == 1:
-        return NodalMeasure(float(field.nodal.vertices.shape[0]), {}, False)
+    if field.sample.n == 1:
+        raise ValidationError("a 1-d nodal set is counted by its vertices, not measured by tubes")
     ts = sorted(set(float(t) for t in t_list), reverse=True)
     if len(ts) < 2:
         raise ValidationError("need at least two tube radii to extrapolate")
-    volumes = {t: tube_volume(field, t) for t in ts}
+    volumes = dict(zip(ts, tube_volumes(field, ts)))
     ratios = [volumes[t] / (2.0 * t) for t in ts]
     extrap = ratios[-1] + (ratios[-1] - ratios[-2]) * ts[-1] / (ts[-2] - ts[-1])
     scale = max(abs(r) for r in ratios)

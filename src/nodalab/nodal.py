@@ -1,7 +1,16 @@
 """Nodal set extraction from grid samples.
 
 Vertices are exact-zero grid points plus linearly interpolated zero crossings on
-grid edges. Separately, ``marching_squares`` measures the total length of the
+grid edges. Both come from two sign masks, ``v < 0`` and ``v > 0``, formed
+once per grid: a zero point is in neither, and an edge crosses where both
+masks differ across it, a strict sign change. Indices are taken flat
+(``np.flatnonzero`` and ``np.unravel_index`` on the edge array's shape), and
+each crossing keeps the interpolation ``t = v0 / (v0 - v1)``. The masks see
+every strict sign change, also one between two values so tiny that their
+product rounds to -0.0 (2**-537 and -(2**-538)): a test of ``v0 * v1 < 0``
+would miss that edge.
+
+Separately, ``marching_squares`` measures the total length of the
 marching-squares contour of a 2-d sample, visiting only the cells whose corner
 signs differ; the ambiguous saddle configurations are resolved by the sign of
 the eigenfunction at the cell center, which is evaluated analytically.
@@ -64,15 +73,20 @@ def _edge_vertices(sample: GridSample) -> np.ndarray:
     """Exact-zero grid points plus strict sign-change edge crossings."""
     v = sample.values.reshape(sample.shape)
     n = sample.n
+    neg, pos = v < 0.0, v > 0.0
     chunks = []
-    zero_idx = np.nonzero(v == 0.0)
-    if zero_idx[0].size:
-        pts = np.stack([zero_idx[j] * sample.h[j] for j in range(n)], axis=1)
-        chunks.append(pts)
+    zero = np.flatnonzero(~(neg | pos))
+    if zero.size:
+        zero_idx = np.unravel_index(zero, v.shape)
+        chunks.append(np.stack([zero_idx[j] * sample.h[j] for j in range(n)], axis=1))
     for axis in range(n):
-        idx = np.nonzero(_edge_op(v, axis, sample.periodic, np.multiply) < 0.0)
-        if idx[0].size == 0:
+        edge = _edge_op(neg, axis, sample.periodic, np.not_equal)
+        edge &= _edge_op(pos, axis, sample.periodic, np.not_equal)
+        flat = np.flatnonzero(edge)
+        if flat.size == 0:
             continue
+        # the edge array is one row shorter than the grid on a box axis
+        idx = np.unravel_index(flat, edge.shape)
         # the edge's far end; only a periodic axis wraps
         far = idx[:axis] + ((idx[axis] + 1) % v.shape[axis],) + idx[axis + 1 :]
         v0, v1 = v[idx], v[far]
@@ -101,10 +115,10 @@ def marching_squares(sample: GridSample) -> float:
     h0, h1 = sample.h
     pos = v >= 0
     # the crossed cells: corners neither all nonnegative nor all negative
-    ii, jj = np.nonzero(
-        _corner_reduce(pos, sample.periodic, np.logical_and)
-        != _corner_reduce(pos, sample.periodic, np.logical_or)
+    mixed = _corner_reduce(pos, sample.periodic, np.logical_and) != _corner_reduce(
+        pos, sample.periodic, np.logical_or
     )
+    ii, jj = np.unravel_index(np.flatnonzero(mixed), mixed.shape)
     i1, j1 = (ii + 1) % v.shape[0], (jj + 1) % v.shape[1]
     # corners 0=(i,j) 1=(i+1,j) 2=(i+1,j+1) 3=(i,j+1); edge k joins corners k
     # and k+1 (mod 4); pattern bit k set = corner k has value >= 0

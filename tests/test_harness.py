@@ -179,17 +179,19 @@ def test_yau_radius_in_the_gap_window_is_measured(monkeypatch):
     # puts the larger radius 0.38 within h of pi/8, where the gap between
     # neighbouring tubes is under two cells. Each straddle cell's two end
     # distances still give its exact share.
-    volumes = []
-    tube = measures_mod.tube_volume
+    volumes, calls = [], []
+    tubes = measures_mod.tube_volumes
 
-    def logged(field, delta):
-        vol = tube(field, delta)
-        volumes.append((field.sample.mode, delta, vol))
-        return vol
+    def logged(field, radii):
+        vols = tubes(field, radii)
+        calls.append(len(radii))
+        volumes.extend((field.sample.mode, delta, vol) for delta, vol in zip(radii, vols))
+        return vols
 
-    monkeypatch.setattr(measures_mod, "tube_volume", logged)
+    monkeypatch.setattr(measures_mod, "tube_volumes", logged)
     r = run_yau_check(TORUS2, modes=((3, 4), (4, 1)), mu_t=(1.9, 0.5))
     assert not any(c.skipped for c in r.cells)
+    assert calls == [2, 2]  # one band pass per field serves both radii
     assert [(mode.m, round(delta, 12)) for mode, delta, _ in volumes][:2] == [
         ((3, 4), 0.38), ((3, 4), 0.1)
     ]
@@ -234,8 +236,15 @@ def test_dim2_reads_its_tube_volume_from_the_nodal_measure(monkeypatch):
     spy(monkeypatch, log, harness_mod, "tube_volume")
     spy(monkeypatch, log, nodal_mod, "marching_squares")
     spy(monkeypatch, log, harness_mod, "marching_squares")
+    tubes = measures_mod.tube_volumes
+
+    def logged(field, radii):
+        log.append(("tube_volumes", len(radii)))
+        return tubes(field, radii)
+
+    monkeypatch.setattr(measures_mod, "tube_volumes", logged)
     run_dim2_checks(modes=((2, 3),))
-    assert log == ["tube_volume", "tube_volume"]  # the radii delta and delta/2
+    assert log == [("tube_volumes", 2)]  # one call: the radii delta and delta/2
 
 
 def test_only_the_full_range_fields_run_scipys_transform(monkeypatch):

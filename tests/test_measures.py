@@ -12,7 +12,13 @@ import nodalab.measures as measures_mod
 from nodalab.distance import distance_field
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.measures import density_radius, nodal_measure, tube_reach, tube_volume
+from nodalab.measures import (
+    density_radius,
+    nodal_measure,
+    tube_reach,
+    tube_volume,
+    tube_volumes,
+)
 from nodalab.nodal import NodalApprox, _corner_reduce, extract_nodal, marching_squares
 from nodalab.spectrum import (
     DomainSpec,
@@ -117,12 +123,12 @@ def test_nodal_measure_torus():
     assert nm.volumes[ts[0]] == tube_volume(f, ts[0])
 
 
-def test_nodal_measure_interval_counts_vertices():
+def test_nodal_measure_refuses_a_1d_field():
+    # the interval's vertex count is run_yau_check's: it builds no field for it
     mode = EigenMode(DomainSpec.interval(), (10,))
     f = field_for(mode)
-    nm = nodal_measure(f, (0.1, 0.05))
-    assert nm.value == 11.0
-    assert nm.volumes == {} and not nm.non_monotone  # no tube is measured
+    with pytest.raises(ValidationError, match="1-d nodal set"):
+        nodal_measure(f, (0.1, 0.05))
 
 
 def test_nodal_measure_needs_two_radii():
@@ -158,12 +164,12 @@ def test_empty_field_measures():
 
 
 def whole_grid_band(dist, periodic, delta, margin):
-    """The band test on whole-grid corner reductions: fully-in count, straddle cells."""
+    """The band test on whole-grid corner reductions: fully-in cells, straddle cell indices."""
     cmin = _corner_reduce(dist, periodic, np.minimum)
     cmax = _corner_reduce(dist, periodic, np.maximum)
     fully_in = cmin + margin < delta
     straddle = ~(fully_in | (cmax - margin >= delta))
-    return int(np.count_nonzero(fully_in)), np.argwhere(straddle)
+    return fully_in, np.argwhere(straddle)
 
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -335,10 +341,34 @@ BAND_FIELDS = {
 }
 
 
-def band_blocks(dist, periodic, delta, margin, rows):
-    """``_band_cells``' blocks joined: the fully-in count and the straddle cells in block order."""
-    blocks = list(measures_mod._band_cells(dist, periodic, delta, margin, rows))
-    return sum(n for n, _ in blocks), np.concatenate([cells for _, cells in blocks])
+def miss_tables(dist, periodic, seed):
+    """Random miss fractions per axis and cell index: a straddle cell paired
+    with a wrong index, row or radius changes a share."""
+    rng = np.random.default_rng(seed)
+    return [rng.random(s if periodic else s - 1) for s in dist.shape]
+
+
+def whole_grid_blocks(dist, periodic, delta, margin, rows, miss):
+    """Per block of ``rows`` cell rows: the whole-grid band's fully-in count and
+    the sum of its straddle cells' shares 1 - prod_j miss[j][i_j], in row-major order."""
+    fully_in, cells = whole_grid_band(dist, periodic, delta, margin)
+    out = []
+    for a in range(0, fully_in.shape[0], rows):
+        mine = cells[(a <= cells[:, 0]) & (cells[:, 0] < a + rows)]
+        missed = miss[0][mine[:, 0]]
+        for j in range(1, dist.ndim):
+            missed = missed * miss[j][mine[:, j]]
+        out.append((int(np.count_nonzero(fully_in[a : a + rows])), float((1.0 - missed).sum())))
+    return out
+
+
+def band_blocks(dist, periodic, deltas, margin, rows):
+    """``_band_blocks`` at the radii ``deltas`` in one pass, and the whole-grid
+    reference of each radius, both as per-block lists of per-radius results."""
+    bands = [(d, miss_tables(dist, periodic, k)) for k, d in enumerate(deltas)]
+    got = measures_mod._band_blocks(dist, periodic, margin, bands, rows)
+    expect = [whole_grid_blocks(dist, periodic, d, margin, rows, miss) for d, miss in bands]
+    return got, [list(block) for block in zip(*expect)]
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1 << 30])
@@ -347,12 +377,14 @@ def test_band_blocks_equal_the_whole_grid_band(name, rows):
     f = BAND_FIELDS[name]()
     margin = float(np.linalg.norm(f.h)) + f.raster_error
     delta = margin + 1.5 * max(f.h)
-    inside, idx = band_blocks(f.dist, f.sample.periodic, delta, margin, rows)
-    expect_inside, expect_idx = whole_grid_band(f.dist, f.sample.periodic, delta, margin)
+    fully_in, cells = whole_grid_band(f.dist, f.sample.periodic, delta, margin)
+    inside = int(np.count_nonzero(fully_in))
     # some cells fully in, some straddling, some fully out
-    assert 0 < expect_inside and 0 < expect_idx.shape[0] < f.dist.size - expect_inside
-    assert inside == expect_inside
-    assert idx.dtype == expect_idx.dtype and np.array_equal(idx, expect_idx)
+    assert 0 < inside and 0 < cells.shape[0] < f.dist.size - inside
+    # a second radius in the same pass, with its own miss tables
+    got, expect = band_blocks(f.dist, f.sample.periodic, (delta, delta + max(f.h)), margin, rows)
+    assert len(got) == -(-fully_in.shape[0] // rows)
+    assert got == expect
 
 
 @pytest.mark.parametrize("rows", [1, 3, 100])
@@ -362,10 +394,36 @@ def test_band_blocks_on_random_values(shape, periodic, rows):
     # no smoothness: a cell paired with the wrong row, a wrong wrap or a lost
     # block offset changes the classification somewhere
     dist = np.random.default_rng(7).random(shape)
-    inside, idx = band_blocks(dist, periodic, 0.5, 0.3, rows)
-    expect_inside, expect_idx = whole_grid_band(dist, periodic, 0.5, 0.3)
-    assert 0 < expect_inside and 0 < expect_idx.shape[0]
-    assert inside == expect_inside and np.array_equal(idx, expect_idx)
+    fully_in, cells = whole_grid_band(dist, periodic, 0.5, 0.3)
+    assert 0 < np.count_nonzero(fully_in) and 0 < cells.shape[0]
+    got, expect = band_blocks(dist, periodic, (0.5, 0.6), 0.3, rows)
+    assert got == expect
+
+
+def volume_bits(volumes):
+    return np.array(volumes).tobytes()
+
+
+@pytest.mark.parametrize("name", ["torus", "box", "3-torus"])
+def test_tube_volumes_do_not_depend_on_the_worker_count(monkeypatch, name):
+    f = BAND_FIELDS[name]()
+    radii = [4.0 * max(f.h), 2.5 * max(f.h)]
+    # small blocks, so that there are more blocks than workers
+    monkeypatch.setattr(measures_mod, "ROW_BLOCK_POINTS", 4 * math.prod(f.dist.shape[1:]))
+    got = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(measures_mod, "usable_cores", lambda: workers)
+        got[workers] = volume_bits(tube_volumes(f, radii))
+    assert got[1] == got[3]
+
+
+@pytest.mark.parametrize("name", ["torus", "box", "3-torus"])
+def test_two_radii_in_one_pass_equal_two_passes(name):
+    f = BAND_FIELDS[name]()
+    radii = [4.0 * max(f.h), 2.5 * max(f.h)]
+    both = tube_volumes(f, radii)
+    assert both[0] != both[1]
+    assert volume_bits(both) == volume_bits([tube_volumes(f, [r])[0] for r in radii])
 
 
 def test_tube_volume_peak_memory_yau_grid():

@@ -335,3 +335,19 @@ def test_edge_vertices_are_bitwise_the_rolled_reference(data, shape, periodic):
     got = extract_nodal(sample).vertices
     ref = edge_vertices_reference(sample)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_tiny_opposite_values_cross_though_their_product_rounds_to_zero():
+    # 2**-537 * -(2**-538) = -(2**-1075) rounds to -0.0, so a test of v0 * v1 < 0
+    # misses this sign change; the sign masks see it
+    a, b = 2.0**-537, -(2.0**-538)
+    assert a * b == 0.0 and math.copysign(1.0, a * b) == -1.0
+    dom = DomainSpec.box((1.0, 1.0))
+    h = tuple(dom.lengths)  # two points per axis
+    sample = GridSample(EigenMode(dom, (1, 1)), h, (2, 2), np.array([[a, a], [b, b]]))
+    assert edge_vertices_reference(sample).shape == (0, 2)
+    t = a / (a - b)
+    assert 0.0 < t < 1.0
+    expect = np.array([[t, 0.0], [t, 1.0]]) * np.asarray(h)
+    got = extract_nodal(sample).vertices
+    assert got.tobytes() == expect.tobytes()
