@@ -35,6 +35,16 @@ Legendre's theorem k is a multiple of a convergent denominator. Both take the
 denominators from exact integer Euclid on the floats' rational values and
 give the rows they keep the scan's own float formula, so every record, hit
 and flag is the full scan's bit for bit.
+
+``tail_hits`` takes the convergents of all points in one pass
+(``_axis_convergent_table``, after Lehmer's Euclid for large numbers): one
+big-int step per point brackets frac(theta) between two neighbours T / 2^62
+and (T + 1) / 2^62, and Euclid runs on both ends in int64 arrays, all
+points in lockstep. A quotient on which both ends agree is theta's, and the
+smaller end remainder bounds theta's gap from below. A point whose ends
+part, or end, before its denominators pass the cutoff takes the exact
+Euclid instead. A gap serves only to certify rows as misses, so a smaller
+one only scans more rows, and the hits keep their bits.
 """
 
 from __future__ import annotations
@@ -60,12 +70,22 @@ def _lattice_distance_table(x, spacing: np.ndarray) -> np.ndarray:
     return table
 
 
+def _require_finite(points: np.ndarray) -> None:
+    """Raise ValidationError naming the first non-finite coordinate of a point or of rows of points."""
+    bad = np.flatnonzero(~np.isfinite(points))
+    if bad.size:
+        at = np.unravel_index(bad[0], points.shape)
+        name = "the point" if points.ndim == 1 else f"point {at[0]}"
+        raise ValidationError(f"coordinate {at[-1]} of {name} is {points[at]}, not finite")
+
+
 def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
     """Exact nodal distances from one point to every mode in the list."""
     dom = modes.domain
     point = np.asarray(point, dtype=float)
     if point.shape != (dom.n,):
         raise ValidationError(f"point must have {dom.n} coordinates")
+    _require_finite(point)
     dist = np.full(modes.m.shape[0], np.inf)
     for j in range(dom.n):
         mj = modes.m[:, j]
@@ -93,6 +113,8 @@ _SLACK = 2.0**-40
 _PAIR_BUDGET = 1 << 18
 # the double math.pi as an exact rational
 _PI_NUM, _PI_DEN = math.pi.as_integer_ratio()
+# _axis_convergent_table brackets frac(theta) to 2^-_BRACKET_BITS
+_BRACKET_BITS = 62
 
 
 def _scan_error(x_abs: float, alpha: float) -> float:
@@ -108,6 +130,16 @@ def _scan_error(x_abs: float, alpha: float) -> float:
     returned, 8 u (|x| + 2 pi / alpha), is about four times that.
     """
     return 2.0**-50 * (x_abs + 2.0 * math.pi / alpha)
+
+
+def _theta_scale(alpha: float) -> tuple[int, int]:
+    """alpha / pi as an exact ratio c_num / c_den of integers, pi the double math.pi.
+
+    theta = x alpha / pi of a double x = x_num / x_den is then exactly
+    (x_num c_num) / (x_den c_den).
+    """
+    a_num, a_den = float(alpha).as_integer_ratio()
+    return a_num * _PI_DEN, a_den * _PI_NUM
 
 
 def _axis_convergents(x: float, alpha: float, q_max: int) -> tuple[list[int], list[float]]:
@@ -128,8 +160,8 @@ def _axis_convergents(x: float, alpha: float, q_max: int) -> tuple[list[int], li
     every integer P, with equality at the semiconvergent k = q' - q.
     """
     x_num, x_den = float(x).as_integer_ratio()
-    a_num, a_den = float(alpha).as_integer_ratio()
-    num, den = x_num * a_num * _PI_DEN, x_den * a_den * _PI_NUM
+    c_num, c_den = _theta_scale(alpha)
+    num, den = x_num * c_num, x_den * c_den
     r_prev, r = den, num % den
     q_prev, q = 0, 1
     qs, gaps = [q], [r / den]
@@ -142,18 +174,97 @@ def _axis_convergents(x: float, alpha: float, q_max: int) -> tuple[list[int], li
     return qs, gaps
 
 
+def _axis_convergent_table(
+    xs: np.ndarray, alpha: float, q_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every point's convergent denominators q <= q_max with lower bounds on their gaps.
+
+    Returns (owner, qs, gaps), sorted by owner, the index of the point in
+    ``xs``: the denominators are those of ``_axis_convergents``, and each gap
+    is at most its gap there. All points run one Euclid in int64 (after
+    Lehmer, "Euclid's algorithm for large numbers", 1938):
+
+    - Bracket. One exact big-int step per point gives T = floor(frac(theta)
+      2^62), so frac(theta) lies in [T, T + 1] / 2^62.
+    - Lockstep Euclid. Both ends, (2^62, T) and (2^62, T + 1), run Euclid side
+      by side, every live point at once. The reals whose expansions begin
+      a_1 .. a_k form an interval, so where both ends give the same quotient
+      a_k, it is theta's, and q_k = a_k q_(k-1) + q_(k-2). On that interval
+      |q_k y - p_k| is linear in y, so theta's gap is at least the smaller end
+      remainder over 2^62, and that float is at most the correctly rounded
+      gap. Where the ends' quotients differ, theta's lies between them, so
+      the smaller one gives a q at most theta's; past q_max the point is
+      done either way. a_k is clamped to q_max + 1, which changes only a q
+      past q_max and keeps the product in int64: q_max is at most a list's
+      row count, and q_max (q_max + 1) < 2^63 below 3e9 rows.
+    - Fallback. A point whose ends disagree, or reach a zero remainder,
+      before its q passes q_max runs the exact ``_axis_convergents`` instead.
+    """
+    c_num, c_den = _theta_scale(alpha)
+    t = np.array(
+        [(n * c_num % (d * c_den) << _BRACKET_BITS) // (d * c_den)
+         for n, d in map(float.as_integer_ratio, xs.tolist())],
+        dtype=np.int64,
+    )
+    scale = 2.0**-_BRACKET_BITS
+    # the first convergent, 1: its gap frac(theta) is at least T / 2^62
+    owners, qs, gaps = [np.arange(xs.size)], [np.ones(xs.size, dtype=np.int64)], [t * scale]
+    fallback = t == 0  # the lower end's first remainder is zero
+    idx = np.flatnonzero(~fallback)
+    q_prev, q = np.zeros(idx.size, dtype=np.int64), qs[0][idx]
+    lo_prev = hi_prev = np.full(idx.size, 1 << _BRACKET_BITS, dtype=np.int64)
+    lo, hi = t[idx], t[idx] + 1
+    while idx.size:
+        a, lo_next = np.divmod(lo_prev, lo)
+        b, hi_next = np.divmod(hi_prev, hi)
+        # theta's quotient lies between the ends', so this q is at most theta's
+        q_prev, q = q, np.minimum(np.minimum(a, b), q_max + 1) * q + q_prev
+        r = np.minimum(lo_next, hi_next)
+        live = q <= q_max
+        lost = live & ((a != b) | (r == 0))
+        fallback[idx[lost]] = True
+        keep = live & ~lost
+        idx, q_prev, q, r = idx[keep], q_prev[keep], q[keep], r[keep]
+        lo_prev, hi_prev, lo, hi = lo[keep], hi[keep], lo_next[keep], hi_next[keep]
+        owners.append(idx)
+        qs.append(q)
+        gaps.append(r * scale)
+    owner = np.concatenate(owners)
+    sure = ~fallback[owner]
+    exact = [
+        (i, q, gap)
+        for i in np.flatnonzero(fallback).tolist()
+        for q, gap in zip(*_axis_convergents(xs[i], alpha, q_max))
+        if q <= q_max
+    ]
+    e_owner, e_q, e_gap = np.array(exact, dtype=float).reshape(-1, 3).T
+    owner = np.concatenate([owner[sure], e_owner.astype(np.int64)])
+    order = np.argsort(owner, kind="stable")
+    qs = np.concatenate([np.concatenate(qs)[sure], e_q.astype(np.int64)])
+    gaps = np.concatenate([np.concatenate(gaps)[sure], e_gap])
+    return owner[order], qs[order], gaps[order]
+
+
 def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: float) -> np.ndarray:
     """tail_hits on one axis, whose tail rows are the sine modes k = ks[0] .. ks[-1].
 
     The scan's distance at k is that of x to the lattice pi/(k alpha) Z up to
-    err (``_scan_error``). Where the gap
-    certificate pi/(2 k^2 alpha) - err > radius[k] holds, a hit at k puts k theta,
-    theta = x alpha / pi, within 1/(2k) of an integer P, so by Legendre's
-    theorem P/k reduces to a convergent p/q of theta, k = t q, and the exact
-    distance is pi |q theta - p| / (q alpha) for every such t. Only multiples
-    of q whose radius envelope exceeds that distance, less err, can hit; rows
-    whose certificate fails (small k against a large C) are kept for every
-    point. The kept rows get the scan's own float formula and radius.
+    err (``_scan_error``). Where the gap certificate pi/(2 k^2 alpha) - err >
+    radius[k] holds, a hit at k puts k theta, theta = x alpha / pi, within
+    1/(2k) of an integer P, so by Legendre's theorem P/k reduces to a
+    convergent p/q of theta, k = t q, and the exact distance is pi |q theta -
+    p| / (q alpha) for every such t. Only multiples of q whose radius
+    envelope exceeds that distance, less err, can hit; rows whose certificate
+    fails (small k against a large C) are kept for every point. The kept rows
+    get the scan's own float formula and radius.
+
+    The convergents of all points come from one bracketed int64 Euclid
+    (``_axis_convergent_table``), with exact big-int Euclid only for the
+    points whose bracket cannot settle them. Its gaps are lower bounds: a
+    smaller gap lowers a convergent's limit, so more multiples are scanned,
+    and a row left out is still a certified miss. Every hit is therefore the
+    full scan's, bit for bit. The table comes sorted by point, as the blocked
+    pair scan below needs.
     """
     k_first, k_last = int(ks[0]), int(ks[-1])
     err = _scan_error(float(np.abs(xs).max(initial=0.0)), alpha)
@@ -163,16 +274,9 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
     gap = math.pi / (2.0 * ks * ks * alpha) * (1.0 - _SLACK) - err
     open_ks = ks[~(gap > radius)]
 
-    owner, qs, limit = [], [], []
-    for i, x in enumerate(xs):
-        for q, gap in zip(*_axis_convergents(x, alpha, k_last)):
-            if q <= k_last:
-                owner.append(i)
-                qs.append(q)
-                limit.append(math.pi * gap / (q * alpha) * (1.0 - _SLACK) - err)
-    owner = np.asarray(owner, dtype=np.int64)
-    qs = np.asarray(qs, dtype=np.int64)
-    reach = k_first - 1 + np.searchsorted(-env, -np.asarray(limit, dtype=float))
+    owner, qs, gaps = _axis_convergent_table(xs, alpha, k_last)
+    limit = math.pi * gaps / (qs * alpha) * (1.0 - _SLACK) - err
+    reach = k_first - 1 + np.searchsorted(-env, -limit)
     t_lo = -(-k_first // qs)
     count = np.maximum(reach // qs - t_lo + 1, 0)
     # (point, row) pairs per point; points go in blocks of about _PAIR_BUDGET
@@ -208,6 +312,12 @@ def tail_hits(points, modes: ModeList, start: int, radius: np.ndarray) -> np.nda
     point by point.
     """
     points = np.asarray(points, dtype=float)
+    _require_finite(points)
+    rows = max(len(modes) - start, 0)
+    if np.shape(radius) != (rows,):
+        raise ValidationError(
+            f"radius has shape {np.shape(radius)}, not one entry per tail row ({rows},)"
+        )
     if start >= len(modes):
         return np.zeros(points.shape[0], dtype=bool)
     if modes.one_axis_sines:

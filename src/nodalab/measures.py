@@ -54,17 +54,21 @@ def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
     return EigenMode(DomainSpec(dom.kind, (dom.alpha[j],)), (mode.m[j],))
 
 
-def _axis_miss_fractions(mode: EigenMode, j: int, hj, ncells: int, delta: float) -> np.ndarray:
+def _axis_miss_fractions(mode: EigenMode, j: int, hj, ncells: int, delta) -> np.ndarray:
     """Per cell index on axis j: the fraction of the cell at 1-d distance >= delta.
 
-    Exact for delta >= hj (see the module docstring); ``tube_volumes``' guard
-    gives delta >= 2 max(h).
+    delta is one radius, or an array of radii with one row of fractions
+    each; the oracle runs once on the cell ends for all of them. Exact for
+    delta >= hj (see the module docstring); ``tube_volumes``' guard gives
+    delta >= 2 max(h).
     """
+    delta = np.asarray(delta, dtype=float)[..., None]
     if mode.m[j] == 0:
-        return np.ones(ncells)  # constant factor: distance inf, never hits
+        # constant factor: distance inf, never hits
+        return np.ones(delta.shape[:-1] + (ncells,))
     x = np.arange(ncells + 1) * hj
     near = np.maximum(delta - nodal_distance_exact(_axis_mode(mode, j), x[:, None]), 0.0)
-    return np.maximum(1.0 - (near[:-1] + near[1:]) / hj, 0.0)
+    return np.maximum(1.0 - (near[..., :-1] + near[..., 1:]) / hj, 0.0)
 
 
 def _block_corner_reduce(rows: np.ndarray, periodic: bool, op) -> np.ndarray:
@@ -160,12 +164,9 @@ def tube_volumes(field: DistanceField, radii) -> list[float]:
     cellvol = float(np.prod(h))
     rows = max(1, ROW_BLOCK_POINTS // int(np.prod(sample.shape[1:])))
     ncells = [s if sample.periodic else s - 1 for s in sample.shape]
-    # per radius, axis and cell index: the fraction of the cell where the axis misses
-    bands = [
-        (delta, [_axis_miss_fractions(sample.mode, j, h[j], nj, delta)
-                 for j, nj in enumerate(ncells)])
-        for delta in radii
-    ]
+    # per axis, radius and cell index: the fraction of the cell where the axis misses
+    miss = [_axis_miss_fractions(sample.mode, j, h[j], nj, radii) for j, nj in enumerate(ncells)]
+    bands = [(delta, [axis[k] for axis in miss]) for k, delta in enumerate(radii)]
     inside, share = [0] * len(bands), [0.0] * len(bands)
     for block in _band_blocks(field.dist, sample.periodic, margin, bands, rows):
         for k, (n_in, part) in enumerate(block):

@@ -136,6 +136,30 @@ def test_modes_distance_rejects_bad_input():
         modes_nodal_distance([0.1, 0.2], empty_nodal)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_rejected_by_name(bad):
+    # not a raw float error, nor a RuntimeWarning and an "empty nodal set"
+    modes = interval_modes(20)
+    radius = np.ones(15)
+    with pytest.raises(ValidationError, match=f"coordinate 0 of point 1 is {bad}, not finite"):
+        tail_hits([[0.1], [bad]], modes, 5, radius)
+    with pytest.raises(ValidationError, match=f"coordinate 0 of the point is {bad}, not finite"):
+        modes_nodal_distance([bad], modes)
+    with pytest.raises(ValidationError, match=f"coordinate 0 of the point is {bad}, not finite"):
+        estimate_exponent([bad], modes)
+    # the full-scan path of a 2-d list
+    torus = enumerate_modes(DomainSpec.torus((1.0, 1.0)), 5.0)
+    with pytest.raises(ValidationError, match=f"coordinate 1 of point 0 is {bad}, not finite"):
+        tail_hits([[0.1, bad]], torus, 1, np.ones(len(torus) - 1))
+
+
+@pytest.mark.parametrize("rows", [0, 14, 16])
+def test_tail_hits_rejects_a_radius_of_another_length(rows):
+    modes = interval_modes(20)
+    with pytest.raises(ValidationError, match="one entry per tail row"):
+        tail_hits([[0.1]], modes, 5, np.ones(rows))
+
+
 def masked_scan(point, modes: ModeList) -> np.ndarray:
     """Reference: the per-row masked formula the per-axis tables replaced."""
     point = np.asarray(point, dtype=float)
@@ -698,6 +722,73 @@ def test_convergents_match_the_continued_fraction_oracle(x, q_cap):
     # the lists end at the first denominator past the cap, or where the expansion ends
     assert qs[-1] > q_cap or gaps[-1] == 0.0
     assert len(qs) == len(within) + (qs[-1] > q_cap)
+
+
+@st.composite
+def theta_xs(draw, alpha: float, q_max: int):
+    """x with theta = x alpha / pi random, 0, subnormal, dyadic, p/q or near p/q.
+
+    Each may move to a nextafter neighbour or two.
+    """
+    kind = draw(
+        st.sampled_from(["random", "zero", "subnormal", "dyadic", "p/q", "near p/q", "near 1/q"])
+    )
+    if kind == "random":
+        x = draw(st.floats(-50.0, 50.0))
+    elif kind == "zero":
+        x = draw(st.sampled_from([0.0, -0.0]))
+    elif kind == "subnormal":
+        x = draw(st.sampled_from([-1.0, 1.0])) * math.ldexp(draw(st.integers(1, 2**52 - 1)), -1074)
+    elif kind == "dyadic":
+        # theta = j / 2^e exactly at alpha = 1: pi has a 50-bit numerator
+        x = draw(st.integers(-8, 8)) * math.ldexp(math.pi, -draw(st.integers(0, 70))) / alpha
+    elif kind == "p/q":
+        # q divides math.pi's numerator, so x = j 2^(s + 48) pi / q exactly and
+        # theta = j alpha 2^(s + 48) / q
+        q = draw(st.sampled_from([5, 7, 35]))
+        pi_num = math.pi.as_integer_ratio()[0]
+        j, s = draw(st.integers(-3 * q, 3 * q)), draw(st.integers(-51, -45))
+        x = math.ldexp(j * (pi_num // q), s)
+    elif kind == "near p/q":
+        q = draw(st.integers(1, 12))
+        x = draw(st.integers(-3 * q, 3 * q)) * math.pi / (q * alpha)
+    else:
+        # theta within about 2^-52 / q of 1/q: the bracket often holds 1/q, and
+        # its ends' first quotients are q - 1 and q, on both sides of q_max at q_max + 1
+        q = draw(st.one_of(st.integers(2**10, 10**6), st.sampled_from([q_max, q_max + 1])))
+        x = draw(st.sampled_from([-1.0, 1.0])) * math.pi / (q * alpha)
+    for _ in range(draw(st.integers(0, 2))):
+        x = float(np.nextafter(x, draw(st.sampled_from([-math.inf, math.inf]))))
+    return x
+
+
+@given(st.sampled_from([1.0, math.sqrt(2.0), 1.0 / 3.0]), st.sampled_from([1, 2, 10**4, 10**6]),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_convergent_table_matches_the_exact_euclid(alpha, q_max, data):
+    xs = np.array(data.draw(st.lists(theta_xs(alpha, q_max), min_size=1, max_size=12)))
+    with np.errstate(all="raise"):
+        owner, qs, gaps = dioph._axis_convergent_table(xs, alpha, q_max)
+    assert (np.diff(owner) >= 0).all()
+    for i, x in enumerate(xs):
+        want_qs, want_gaps = _axis_convergents(x, alpha, q_max)
+        within = [q for q in want_qs if q <= q_max]
+        assert qs[owner == i].tolist() == within
+        # each gap is a lower bound, at most the correctly rounded exact gap
+        got = gaps[owner == i]
+        assert ((0.0 <= got) & (got <= np.array(want_gaps[:len(within)]))).all()
+
+
+def test_default_points_run_the_exact_euclid_only_to_fall_back():
+    # run_approx_theorem's 10,000 default points: the int64 Euclid settles
+    # every convergent up to k_max, so the exact big-int one runs for at most a few
+    modes = interval_modes(10_000)
+    start = int(np.searchsorted(modes.mu, 100, side="right"))
+    radius = 1.0 / modes.mu[start:] ** 3.0
+    points = np.random.default_rng(2718).uniform(0.0, math.pi, size=(10_000, 1))
+    with mock.patch.object(dioph, "_axis_convergents", wraps=_axis_convergents) as exact:
+        tail_hits(points, modes, start, radius)
+    assert exact.call_count <= 5
 
 
 # ----------------------------------------------------- convergence of sums

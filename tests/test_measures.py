@@ -426,6 +426,14 @@ def test_two_radii_in_one_pass_equal_two_passes(name):
     assert volume_bits(both) == volume_bits([tube_volumes(f, [r])[0] for r in radii])
 
 
+def test_two_radii_query_the_oracle_once_per_axis(monkeypatch):
+    # the cell ends' distances do not depend on the radius: 2 calls, not 4
+    f = BAND_FIELDS["torus"]()
+    calls = count_oracle(monkeypatch)
+    tube_volumes(f, [4.0 * max(f.h), 2.5 * max(f.h)])
+    assert calls == [(1, n + 1) for n in f.sample.shape]
+
+
 def test_tube_volume_peak_memory_yau_grid():
     # the (16,1) Yau field (2519^2) at both Yau radii: grid-sized corner
     # reductions peaked at 3.25x the field's bytes; row blocks at about 0.7x
