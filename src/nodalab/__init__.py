@@ -39,8 +39,8 @@ from .harness import (
     run_tube_scaling,
     run_yau_check,
 )
-from .measures import density_radius, nodal_measure, tube_volume
-from .nodal import NodalApprox, extract_nodal
+from .measures import density_radius, nodal_measure, streamed_tubes, tube_volume
+from .nodal import NodalApprox, extract_nodal, marching_squares
 from .reports import (
     CODE_VERSION,
     CellResult,
@@ -96,6 +96,7 @@ __all__ = [
     "extract_nodal",
     "gate",
     "goodness_threshold",
+    "marching_squares",
     "modes_nodal_distance",
     "nodal_distance_exact",
     "nodal_measure",
@@ -109,6 +110,7 @@ __all__ = [
     "run_yau_check",
     "sample_grid",
     "sign_components",
+    "streamed_tubes",
     "subdivide",
     "tube_volume",
     "tube_volume_exact",

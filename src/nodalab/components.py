@@ -13,7 +13,6 @@ Grid points with |phi| at or below the sign threshold separate domains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,10 +91,6 @@ def sign_components(sample: GridSample) -> SignComponents:
 
 def component_inradii(comp: SignComponents, field: DistanceField) -> np.ndarray:
     """Max of a full-range distance field over each domain: its inner radius, up to grid error."""
-    if field.reach < math.inf:
-        raise ValidationError(
-            f"inner radii need a full-range field, not one capped at {field.reach:g}"
-        )
     if field.dist.shape != comp.labels.shape:
         raise ValidationError("distance field and components use different grids")
     out = np.zeros(comp.count + 1)

@@ -30,26 +30,11 @@ rows at a time, so no grid-sized temporary is formed. The slab count is
 bounded so the windows in flight hold at most twice the unsplit padded rows.
 An unpadded grid (a box or the interval) has no halo and is one transform.
 
-A field with a finite ``reach`` R is capped: below R it is the full-range
-field, at and above R it is ``inf``. The tube estimator reads distances
-below its radius plus its band margin only, so its fields are capped there
-(``measures.tube_reach``) and skip scipy's transform. The capped path is the
-separable transform of Felzenszwalb and Huttenlocher (Theory of Computing 8,
-2012) cut off at a window: axis j is padded by r_j = floor(R/h_j) + 1 cells,
-at most half a period plus one cell (wrapped on a torus, no seeds on a box),
-and the grid runs in blocks of rows, on the same pool. Axis 0 gives each
-point the square of its nearest seed row's offset within r_0 times h_0; each
-further axis, in axis order, the least running sum plus (l h_j)^2 over
-|l| <= r_j; then the square root, and values >= R become ``inf``. These are
-scipy's float operations in scipy's order (float(k) * h_j, squared, summed
-over the axes in axis order), and rounding is monotone, so each value is the
-least float distance over the window's seed images. A seed image nearer
-than R lies within r_j cells on every axis, so below R that is the least
-over all images: the distance scipy's transform gives, which the tests
-compare bit for bit. The work is O(N sum_j r_j). The density radius and the
-sign domains' inner radii read a field's maximum, which a cap would clip,
-and uncapped the window would span half a period, O(N) cells per point; so
-they keep the full-range field and its certificate, and refuse a capped one.
+The tube volumes do not read a whole field: ``measures.streamed_tubes``
+computes distances below a cap one block of rows at a time with
+``capped_rows``, which runs no scipy transform. The density radius and the
+sign domains' inner radii read a field's maximum, which a cap would clip, so
+they keep this module's full-range field and its certificate.
 """
 
 from __future__ import annotations
@@ -62,26 +47,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .errors import ResourceGuardError, ValidationError
+from .errors import ResourceGuardError
 from .nodal import NodalApprox
 
 PADDED_POINT_CAP = 90_000_000
-# grid points per block of rows in the slab distances and the tube band test:
+# grid points per block of rows in the slab distances and the tube stream's band blocks:
 # bounds their temporaries
 ROW_BLOCK_POINTS = 1 << 16
 
 
 @dataclass
 class DistanceField:
-    """Grid of distances to the extracted nodal set; all-inf when the set is empty.
-
-    A finite ``reach`` marks a capped field: it is exact below ``reach`` and
-    ``inf`` at and above it.
-    """
+    """Grid of distances to the extracted nodal set; all-inf when the set is empty."""
 
     nodal: NodalApprox
     dist: np.ndarray
-    reach: float = math.inf
 
     @property
     def empty(self) -> bool:
@@ -105,25 +85,27 @@ def raster_error(h) -> float:
     return 0.5 * math.sqrt(sum(hj * hj for hj in h))
 
 
+def raster_index(coords: np.ndarray, hj: float, nj: int, periodic: bool) -> np.ndarray:
+    """Nearest grid index along an axis of ``nj`` points: wrapped on a torus, clipped on a box."""
+    k = np.round(coords / hj).astype(np.int64)
+    return k % nj if periodic else np.clip(k, 0, nj - 1)
+
+
 def _seed_mask(nodal: NodalApprox) -> np.ndarray:
     sample = nodal.sample
     mask = np.zeros(sample.shape, dtype=bool)
     if nodal.vertices.shape[0] == 0:
         return mask
-    idx = []
-    for j in range(sample.n):
-        k = np.round(nodal.vertices[:, j] / sample.h[j]).astype(np.int64)
-        if sample.periodic:
-            k %= sample.shape[j]
-        else:
-            k = np.clip(k, 0, sample.shape[j] - 1)
-        idx.append(k)
+    idx = [
+        raster_index(nodal.vertices[:, j], sample.h[j], sample.shape[j], sample.periodic)
+        for j in range(sample.n)
+    ]
     mask[tuple(idx)] = True
     return mask
 
 
 def usable_cores() -> int:
-    """Cores this process may run on: the threads of the EDT slabs, the capped and the band blocks."""
+    """Cores this process may run on: the threads of the EDT slabs and of the tube stream."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -182,74 +164,74 @@ def _cropped_distances(seeds: np.ndarray, pads, h) -> np.ndarray:
     return out
 
 
-def _capped_distances(seeds: np.ndarray, sample, reach: float, cap: int) -> np.ndarray:
-    """Distances below ``reach`` to the nearest seed, ``inf`` at and above it.
+def capped_pads(shape, h, reach: float, periodic: bool) -> list[int]:
+    """Per axis, the window cells ``capped_rows`` needs on each side for a field capped at ``reach``.
 
-    The capped path of the module docstring. A pad is at most half a period
-    plus one cell on a torus and the axis length less one on a box, which
-    reach every seed. Every worker is joined before this returns.
+    floor(reach/h_j) + 1 cells, at most half a period plus one cell on a
+    torus and the axis length less one on a box: those reach every seed.
     """
-    shape, h = sample.shape, sample.h
-    full = [s // 2 + 1 if sample.periodic else s - 1 for s in shape]
-    pads = [f if reach / hj >= f else math.floor(reach / hj) + 1 for f, hj in zip(full, h)]
-    padded_size = math.prod(s + 2 * p for s, p in zip(shape, pads))
-    if padded_size > cap:
-        raise ResourceGuardError(
-            f"padded distance transform needs {padded_size} points (cap {cap})"
-        )
-    padded = np.pad(seeds, [(p, p) for p in pads], mode="wrap" if sample.periodic else "constant")
-    out = np.empty(shape)
+    full = [s // 2 + 1 if periodic else s - 1 for s in shape]
+    return [f if reach / hj >= f else math.floor(reach / hj) + 1 for f, hj in zip(full, h)]
+
+
+def capped_rows(win: np.ndarray, pads, h, reach: float) -> np.ndarray:
+    """Distances below ``reach`` to the nearest seed of ``win``, ``inf`` at and above it.
+
+    ``win`` is a seed mask padded by ``pads`` cells on each side of every axis
+    (``capped_pads``): wrapped on a torus, no seeds on a box, and on axis 0
+    the neighbouring rows. The result covers the rows and columns inside the
+    pads. This is the separable transform of Felzenszwalb and Huttenlocher
+    (Theory of Computing 8, 2012) cut off at the window. Axis 0 gives each
+    point the square of its nearest seed row's offset within p_0 times h_0;
+    each further axis, in axis order, the least running sum plus (l h_j)^2
+    over |l| <= p_j; then the square root, and values >= reach become
+    ``inf``. These are scipy's float operations in scipy's order (float(k) *
+    h_j, squared, summed over the axes in axis order), and rounding is
+    monotone, so each value is the least float distance over the window's
+    seed images. A seed image nearer than the reach lies within p_j cells on
+    every axis, so below the reach that is the least over all images: the
+    distance of scipy's full-range transform, which the tests compare bit for
+    bit. Each row's values depend on its own neighbourhood only, so any split
+    of a grid into windows of rows gives the same bits. The work is
+    O(sum_j p_j) per point.
+    """
     p0 = pads[0]
-    rows = max(1, ROW_BLOCK_POINTS // math.prod(shape[1:]))
-
-    def block(a):
-        b = min(a + rows, shape[0])
-        win = padded[a : b + 2 * p0]
-        # axis 0: (l h_0)^2 of the nearest seed row, l <= p0; nearer rows are written later
-        d = np.full((b - a,) + win.shape[1:], np.inf)
-        for l in range(p0, -1, -1):
-            step = l * h[0]
-            near = win[p0 + l : p0 + l + b - a] | win[p0 - l : p0 - l + b - a]
-            np.copyto(d, step * step, where=near)
-        for j in range(1, len(shape)):
-            pj = pads[j]
-            # shifted[pj + l]: the running sums l cells along axis j
-            shifted = [d[(slice(None),) * j + (slice(i, i + shape[j]),)] for i in range(2 * pj + 1)]
-            d, t = shifted[pj].copy(), np.empty(shifted[pj].shape)
-            for l in range(1, pj + 1):
-                np.minimum(shifted[pj + l], shifted[pj - l], out=t)
-                step = l * h[j]
-                t += step * step
-                np.minimum(d, t, out=d)
-        np.sqrt(d, out=d)
-        d[d >= reach] = np.inf
-        out[a:b] = d
-
-    with ThreadPoolExecutor(usable_cores()) as pool:
-        list(pool.map(block, range(0, shape[0], rows)))
-    return out
+    rows = win.shape[0] - 2 * p0
+    # axis 0: (l h_0)^2 of the nearest seed row, l <= p0; nearer rows are written later
+    d = np.full((rows,) + win.shape[1:], np.inf)
+    for l in range(p0, -1, -1):
+        step = l * h[0]
+        near = win[p0 + l : p0 + l + rows] | win[p0 - l : p0 - l + rows]
+        np.copyto(d, step * step, where=near)
+    for j in range(1, win.ndim):
+        pj = pads[j]
+        nj = win.shape[j] - 2 * pj
+        # shifted[pj + l]: the running sums l cells along axis j
+        shifted = [d[(slice(None),) * j + (slice(i, i + nj),)] for i in range(2 * pj + 1)]
+        d, t = shifted[pj].copy(), np.empty(shifted[pj].shape)
+        for l in range(1, pj + 1):
+            np.minimum(shifted[pj + l], shifted[pj - l], out=t)
+            step = l * h[j]
+            t += step * step
+            np.minimum(d, t, out=d)
+    np.sqrt(d, out=d)
+    d[d >= reach] = np.inf
+    return d
 
 
-def distance_field(
-    nodal: NodalApprox, cap: int = PADDED_POINT_CAP, *, reach: float = math.inf
-) -> DistanceField:
+def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceField:
     """Exact Euclidean distance transform of the rasterized nodal vertices.
 
     An empty nodal set yields an all-infinity field flagged ``empty`` rather
     than an error, so callers can distinguish "no zeros" from "far from zeros".
     ``cap`` bounds the points of the (padded) array, whichever slabs it is
-    transformed in. A finite ``reach`` caps the field: values below it are
-    the full-range field's, values at or above it are ``inf``.
+    transformed in.
     """
-    if not reach > 0:
-        raise ValidationError(f"reach must be positive, got {reach}")
     sample = nodal.sample
     seeds = _seed_mask(nodal)
     n_seeds = np.count_nonzero(seeds)
     if n_seeds == 0:
-        return DistanceField(nodal, np.full(sample.shape, np.inf), reach)
-    if reach < math.inf:
-        return DistanceField(nodal, _capped_distances(seeds, sample, reach, cap), reach)
+        return DistanceField(nodal, np.full(sample.shape, np.inf))
     if not sample.periodic:
         if seeds.size > cap:
             raise ResourceGuardError(f"distance transform on {seeds.size} points (cap {cap})")

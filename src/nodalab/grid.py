@@ -7,6 +7,10 @@ first keeps arguments in [0, 2 pi) at any index, and lets points that land
 exactly on a factor zero be stamped to 0.0 by an integer divisibility test,
 so on-grid nodal coordinates evaluate to exactly zero and every sampled sign
 is trustworthy.
+
+The grid is the outer product of the per-axis factors (``axis_factors``), so
+any of its rows can be sampled alone, bitwise as in the whole grid.
+``grid_shape`` checks the rule's point cap before anything is sampled.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ def _axis_factor(mode: EigenMode, axis: int, npts: int) -> np.ndarray:
     return f
 
 
-def sample_grid(mode: EigenMode, rule: ResolutionRule = ResolutionRule()) -> GridSample:
-    """Sample the eigenfunction on a grid fine enough for the rule.
+def grid_shape(mode: EigenMode, rule: ResolutionRule = ResolutionRule()):
+    """Points and spacing per axis of the grid fine enough for the rule.
 
     Spacing per axis: at most (factor wavelength)/(points per wavelength) on
     oscillating axes, at most rule.h_max everywhere if given; at least
@@ -115,10 +119,18 @@ def sample_grid(mode: EigenMode, rule: ResolutionRule = ResolutionRule()) -> Gri
         raise ResourceGuardError(
             f"grid of shape {tuple(shape)} has {total} points (cap {rule.max_total_points})"
         )
-    h, factors = [], []
-    for j, npts in enumerate(shape):
-        hj = lengths[j] / (npts if dom.periodic else npts - 1)
-        h.append(hj)
-        factors.append(_axis_factor(mode, j, npts))
-    values = reduce(np.multiply.outer, factors) if dom.n > 1 else factors[0]
-    return GridSample(mode, tuple(h), tuple(shape), values)
+    h = tuple(L / (npts if dom.periodic else npts - 1) for L, npts in zip(lengths, shape))
+    return tuple(shape), h
+
+
+def axis_factors(mode: EigenMode, shape) -> list[np.ndarray]:
+    """Per axis, the factor values at its grid indices: the grid is their outer product."""
+    return [_axis_factor(mode, j, npts) for j, npts in enumerate(shape)]
+
+
+def sample_grid(mode: EigenMode, rule: ResolutionRule = ResolutionRule()) -> GridSample:
+    """Sample the eigenfunction on the grid of ``grid_shape(mode, rule)``."""
+    shape, h = grid_shape(mode, rule)
+    factors = axis_factors(mode, shape)
+    values = reduce(np.multiply.outer, factors) if mode.domain.n > 1 else factors[0]
+    return GridSample(mode, h, shape, values)

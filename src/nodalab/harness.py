@@ -30,8 +30,8 @@ from .dioph import (
 from .distance import distance_field, raster_error
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
-from .measures import NodalMeasure, density_radius, nodal_measure, tube_reach, tube_volume
-from .nodal import extract_nodal, marching_squares
+from .measures import NodalMeasure, density_radius, streamed_tubes, tube_measure
+from .nodal import extract_nodal
 from .reports import CellResult, ExperimentReport, gate
 from .spectrum import (
     DomainSpec,
@@ -57,9 +57,15 @@ YAU_SQUARE_RATIO = 4.0 * math.sqrt(2.0) * math.pi
 
 # The grid of every tube estimate (tube scaling, 2-d Yau, dim2), recorded as
 # config "ppw" and "h_factor": the smallest radius spans 2.5 cells, above
-# tube_volume's resolution guard of 2.
+# the tube radius guard of 2 cells.
 TUBE_PPW = 32.0
 TUBE_CELLS_PER_RADIUS = 2.5
+
+# Sampled points per point set of the approximation theorem and the exponent
+# survey: a million tail-hit points take about 0.7 GB, and a million survey
+# points make a million report cells. A larger request exits 3 before the
+# points are drawn.
+SAMPLED_POINT_CAP = 1_000_000
 
 
 @contextmanager
@@ -72,16 +78,14 @@ def _skip_on_guard(cell: CellResult, prefix: str = "skipped: "):
         cell.note = f"{prefix}{e}"
 
 
+def _check_point_count(name: str, count: int) -> None:
+    """Refuse, before any point is drawn, a point set over ``SAMPLED_POINT_CAP``."""
+    if count > SAMPLED_POINT_CAP:
+        raise ResourceGuardError(f"{name}={count} sampled points (cap {SAMPLED_POINT_CAP})")
+
+
 def _mode(domain: DomainSpec, m) -> EigenMode:
     return EigenMode(domain, tuple(int(v) for v in m))
-
-
-def _field_for(mode, rule, radii=None):
-    """Sample, nodal set and distance field; for tube ``radii``, the field capped at their reach."""
-    sample = sample_grid(mode, rule)
-    nodal = extract_nodal(sample)
-    reach = math.inf if radii is None else tube_reach(sample.h, radii)
-    return sample, nodal, distance_field(nodal, reach=reach)
 
 
 def _tube_rule(radii) -> ResolutionRule:
@@ -125,8 +129,8 @@ def run_tube_scaling(
     when the resolution budget allows, a grid estimate row checked against the
     oracle. The break cell (mu*delta = 3) is recorded but excluded from gates.
     Radii are the ``deltas`` when given, else ``mu_delta`` targets divided by mu.
-    Grid rows use the tube grid of their radius (``_tube_rule``) and a
-    distance field capped at its reach (``measures.tube_reach``).
+    Grid rows stream the tube grid of their radius (``_tube_rule``) through
+    ``measures.streamed_tubes``.
     """
     if modes is None:
         modes = DEFAULT_TUBE_INTERVAL_MODES if domain.n == 1 else DEFAULT_TUBE_TORUS_MODES
@@ -185,11 +189,11 @@ def run_tube_scaling(
                         "mu_delta": t, "gated": gated},
             )
             with _skip_on_guard(gcell, "grid skipped: "):
-                sample, nodal, field = _field_for(mode, _tube_rule([delta]), [delta])
-                vol = tube_volume(field, delta)
+                tubes = streamed_tubes(mode, _tube_rule([delta]), [delta])
+                vol = tubes.volumes[delta]
                 agree = abs(vol - exact) / exact
                 gcell.measured = {"vol": vol, "ratio": vol / (mu * delta), "agree_rel": agree}
-                gcell.error = field.raster_error
+                gcell.error = raster_error(tubes.h)
                 gcell.passed = agree <= agree_tol
             cells.append(gcell)
     gates = GATE_BUILDERS["tube_scaling"](cells, config)
@@ -237,9 +241,10 @@ def run_yau_check(
     length cross-checks the tube extrapolation: the estimator_agreement gate,
     and only it, fails on a relative disagreement above the config's
     agree_tol. The band and the square target hold on the unit 2-torus only,
-    so any domain but it and the interval is invalid input. 2-d modes use the
-    tube grid of the smaller radius and a distance field capped at the
-    larger radius's reach; the interval builds no field.
+    so any domain but it and the interval is invalid input. 2-d modes stream
+    the tube grid of the smaller radius through ``measures.streamed_tubes``,
+    which also yields the marching-squares length; the interval builds no
+    field.
 
     The tube volumes draw no random numbers. ``seed`` is accepted and ignored
     (the report records ``seed: null``) so that callers written when the
@@ -287,20 +292,16 @@ def run_yau_check(
         )
         with _skip_on_guard(cell):
             if domain.n == 1:
-                # the interval counts vertices: no tube radius bounds its grid
-                rule, t_list = ResolutionRule(TUBE_PPW), []
+                # the interval counts vertices: no tube radius bounds its grid,
+                # and the count reads no distance field
+                sample = sample_grid(mode, ResolutionRule(TUBE_PPW))
+                nm = NodalMeasure(float(extract_nodal(sample).vertices.shape[0]), {}, False)
+                h = sample.h
             else:
                 t_list = [t / mu for t in mu_t]
-                rule = _tube_rule(t_list)
-            sample = sample_grid(mode, rule)
-            nodal = extract_nodal(sample)
-            if domain.n == 1:
-                # the vertex count reads no distance field
-                nm = NodalMeasure(float(nodal.vertices.shape[0]), {}, False)
-            else:
-                length = marching_squares(sample)
-                field = distance_field(nodal, reach=tube_reach(sample.h, t_list))
-                nm = nodal_measure(field, t_list)
+                tubes = streamed_tubes(mode, _tube_rule(t_list), t_list, segments=True)
+                nm = tube_measure(tubes.volumes)
+                length, h = tubes.length, tubes.h
             exact = nodal_measure_exact(mode)
             cell.measured = {
                 "value": nm.value,
@@ -314,7 +315,7 @@ def run_yau_check(
                 agreement = abs(length - nm.value) / denom if denom > 0 else 0.0
                 cell.measured["by_segments"] = length
                 cell.measured["agreement_rel"] = agreement
-            cell.error = raster_error(sample.h)
+            cell.error = raster_error(h)
         cells.append(cell)
     gates = GATE_BUILDERS["yau_ratio"](cells, config)
     live = _live(cells)
@@ -380,7 +381,8 @@ def run_density_check(domain: DomainSpec, modes=None) -> ExperimentReport:
             rule = ResolutionRule(
                 points_per_wavelength=ppw, h_max=r_exact / radius_h_divisor
             )
-            sample, nodal, field = _field_for(mode, rule)
+            sample = sample_grid(mode, rule)
+            field = distance_field(extract_nodal(sample))
             r = density_radius(field)
             h_max_used = float(max(sample.h))
             cell.measured = {
@@ -436,8 +438,8 @@ def run_dim2_checks(
     checks the smallest domain area and the largest inner radius against the
     rectangle-cell oracles, and bounds tube volume by measured length * delta,
     from tubes at delta = tube_mu_delta / mu and delta / 2 on the tube grid.
-    The inner radii read a full-range field's maxima; the tubes read a field
-    capped at delta's reach.
+    The inner radii read a full-range field's maxima; the tubes stream their
+    grid through ``measures.streamed_tubes``.
 
     The tube volumes draw no random numbers. ``seed`` is accepted and ignored
     (the report records ``seed: null``) so that callers written when the
@@ -483,8 +485,7 @@ def run_dim2_checks(
 
             delta = tube_mu_delta / mu
             radii = [delta, delta / 2.0]
-            sample, nodal, field = _field_for(mode, _tube_rule(radii), radii)
-            nm = nodal_measure(field, radii)
+            nm = tube_measure(streamed_tubes(mode, _tube_rule(radii), radii).volumes)
             vol = nm.volumes[delta]
 
             cell.measured = {
@@ -676,6 +677,7 @@ def run_approx_theorem(
     n = domain.n
     if n_points < 1:
         raise ValidationError("n_points must be >= 1")
+    _check_point_count("n_points", n_points)
     if box_k_max < 4:
         # likewise for the box sum's cells at box_k_max // 4 and twice that
         raise ValidationError(f"box_k_max must be >= 4, got {box_k_max}")
@@ -814,6 +816,8 @@ def run_exponent_survey(
     """
     if n_interval < 1 or n_box < 1:
         raise ValidationError("n_interval and n_box must be >= 1")
+    _check_point_count("n_interval", n_interval)
+    _check_point_count("n_box", n_box)
     if interval_point_min is None:
         interval_point_min = int(round(0.9 * n_interval))
     elif not 1 <= interval_point_min <= n_interval:  # at most n_interval points are in band

@@ -10,13 +10,31 @@ The tube estimator classifies every grid cell as fully inside / fully outside
 distances, then adds for each straddling cell its exact share of the tube
 under the closed-form distance of the separable mode. Plain grid-point
 counting would carry an O(h) bias; the shares remove it. The band test runs
-in blocks of about ``ROW_BLOCK_POINTS`` cells along axis 0, so no grid-sized
-temporary is formed. A block reduces the corners of its rows and the next
-one (row 0 after the last row of a periodic axis) once for every radius of
-a ``tube_volumes`` call, and returns per radius only its fully-in count and
-the sum of its straddle shares. The blocks run on a pool of
-``usable_cores()`` threads, and the caller adds their results in block
-order, so a volume's bits do not depend on the worker count.
+in band blocks of about ``ROW_BLOCK_POINTS`` cells along axis 0. A block
+reduces the corners of its rows and the next one (row 0 after the last row
+of a periodic axis) once for every radius, and returns per radius only its
+fully-in count and the sum of its straddle shares; the caller adds the
+blocks' results in block order.
+
+``streamed_tubes`` runs that estimator on a mode's grid without forming any
+grid-sized array. It takes the grid in passes of whole rows, each a run of
+consecutive band blocks, on a pool of ``usable_cores()`` threads. A pass
+samples its corner rows plus p_0 + 1 more on each side (wrapped on a torus),
+where p_0 is the capped distance window of ``distance.capped_pads`` on axis
+0; ``grid.sample_grid`` is an outer product of per-axis factors, so these
+rows are bitwise the whole grid's. It finds their vertices with the grid's
+sign-mask code at global row indices, rasterizes them into a seed window,
+and runs ``distance.capped_rows`` and the band test on each of its band
+blocks. A field capped at the largest radius plus the band margin plus one
+cell classifies every cell as the full-range field does, because a corner at
+or past delta + margin puts its cell fully outside whatever its value. On a
+2-d grid a pass can also return the marching-squares sort keys and segment
+lengths of its crossed cells; the caller joins them in row-major order and
+sorts and sums them once, as ``nodal.marching_squares`` does. So a volume's
+and a length's bits do not depend on the worker count or the pass size, and
+equal the whole-grid pipeline's. ``grid.GRID_POINT_CAP`` still bounds the
+whole grid's size, though no pass holds more than ``PASS_BLOCKS`` band
+blocks of rows.
 
 The exact distance is a min over axes of 1-d distances, so a point of a cell
 misses the tube iff every axis misses, and the cell's share of the tube is
@@ -39,13 +57,26 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .distance import ROW_BLOCK_POINTS, DistanceField, raster_error, usable_cores
+from .distance import (
+    ROW_BLOCK_POINTS,
+    DistanceField,
+    capped_pads,
+    capped_rows,
+    raster_error,
+    raster_index,
+    usable_cores,
+)
 from .errors import EmptyNodalSetError, ResolutionError, ValidationError
-from .nodal import _edge_op
+from .grid import axis_factors, grid_shape
+from .nodal import _corner_reduce, _window_vertices, crossed_segments, segment_sum
 from .spectrum import DomainSpec, EigenMode, nodal_distance_exact
+
+# band blocks per pass of the tube stream, at most: bounds the rows a worker holds
+PASS_BLOCKS = 16
 
 
 def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
@@ -59,7 +90,7 @@ def _axis_miss_fractions(mode: EigenMode, j: int, hj, ncells: int, delta) -> np.
 
     delta is one radius, or an array of radii with one row of fractions
     each; the oracle runs once on the cell ends for all of them. Exact for
-    delta >= hj (see the module docstring); ``tube_volumes``' guard gives
+    delta >= hj (see the module docstring); the radius guard gives
     delta >= 2 max(h).
     """
     delta = np.asarray(delta, dtype=float)[..., None]
@@ -71,81 +102,16 @@ def _axis_miss_fractions(mode: EigenMode, j: int, hj, ncells: int, delta) -> np.
     return np.maximum(1.0 - (near[..., :-1] + near[..., 1:]) / hj, 0.0)
 
 
-def _block_corner_reduce(rows: np.ndarray, periodic: bool, op) -> np.ndarray:
-    """Reduce over the 2^n corners of the cells between consecutive ``rows``."""
-    out = op(rows[:-1], rows[1:])
-    for axis in range(1, rows.ndim):
-        out = _edge_op(out, axis, periodic, op)
-    return out
-
-
-def _band_blocks(dist: np.ndarray, periodic: bool, margin: float, bands, rows: int) -> list:
-    """Per block of ``rows`` cell rows, per (delta, miss tables) band: fully-in count, straddle sum.
-
-    A cell is fully inside when its corner minimum + margin < delta, fully
-    outside when its corner maximum - margin >= delta, and straddles
-    otherwise; it adds 1 - prod_j miss[j][i_j] at its index i, summed in
-    row-major order. Only a periodic axis has a cell past its last grid
-    point, wrapping to the first. A grid has at least two points per axis,
-    so there is at least one block. The blocks run on a thread pool and come
-    back in block order; every worker is joined before this returns.
-    """
-    s0 = dist.shape[0]
-    cells0 = s0 if periodic else s0 - 1
-
-    def block(a):
-        b = min(a + rows, cells0)
-        # the block's corner rows: its own and the next (row 0 past the end)
-        corners = dist[a : b + 1] if b < s0 else np.concatenate([dist[a:], dist[:1]])
-        lo = _block_corner_reduce(corners, periodic, np.minimum)
-        lo += margin
-        hi = _block_corner_reduce(corners, periodic, np.maximum)
-        hi -= margin
-        out = []
-        for delta, miss in bands:
-            fully_in = lo < delta
-            straddle = ~(fully_in | (hi >= delta))
-            cells = np.unravel_index(np.flatnonzero(straddle), straddle.shape)
-            missed = miss[0][a + cells[0]]
-            for j in range(1, len(cells)):
-                missed *= miss[j][cells[j]]
-            # a straddle cell's share of the tube: 1 - prod_j l_j
-            share = float(np.subtract(1.0, missed, out=missed).sum())
-            out.append((int(np.count_nonzero(fully_in)), share))
-        return out
-
-    with ThreadPoolExecutor(usable_cores()) as pool:
-        return list(pool.map(block, range(0, cells0, rows)))
-
-
 def _band_margin(h) -> float:
     """The band test's Lipschitz margin: the cell diagonal plus the raster error."""
     return float(np.linalg.norm(np.asarray(h))) + raster_error(h)
 
 
-def tube_reach(h, radii) -> float:
-    """Reach of a capped field that ``tube_volumes`` reads at every radius in ``radii``.
-
-    The band test tells a cell from its corner distances below delta + margin
-    only: a corner at or past it puts its cell fully outside, whatever its
-    value. So a field capped at the largest radius plus the margin classifies
-    every cell as the full-range field does; one more cell is slack.
-    """
-    return max(radii) + _band_margin(h) + max(h)
-
-
-def tube_volumes(field: DistanceField, radii) -> list[float]:
-    """Volumes of the tubes of the given radii around the nodal set, in order.
-
-    One band pass serves every radius: each block reduces its corner
-    distances once. Every radius needs delta >= 2 max(h): below it the grid
-    cannot resolve the tube, and a ResolutionError is raised rather than
-    returning a silently bad estimate. A capped field must reach delta plus
-    the band margin (``tube_reach``), or a ValidationError is raised.
-    """
-    hmax = max(field.h)
-    sample = field.sample
-    margin = _band_margin(sample.h)
+def _check_radii(radii, h) -> None:
+    """Every radius needs delta >= 2 max(h): below it the grid cannot resolve the tube."""
+    if len(radii) == 0:
+        raise ValidationError("no tube radius to measure")
+    hmax = max(h)
     for delta in radii:
         if not delta > 0:
             raise ValidationError(f"delta must be positive, got {delta}")
@@ -153,31 +119,189 @@ def tube_volumes(field: DistanceField, radii) -> list[float]:
             raise ResolutionError(
                 f"delta={delta:g} below resolution guard 2*max(h)={2 * hmax:g}"
             )
-        if field.reach < delta + margin:
-            raise ValidationError(
-                f"distance field capped at {field.reach:g} cannot classify the tube of radius "
-                f"{delta:g}: the band test reads it up to {delta + margin:g}"
-            )
-    if field.empty:
-        return [0.0] * len(radii)
-    h = np.asarray(sample.h)
-    cellvol = float(np.prod(h))
-    rows = max(1, ROW_BLOCK_POINTS // int(np.prod(sample.shape[1:])))
-    ncells = [s if sample.periodic else s - 1 for s in sample.shape]
-    # per axis, radius and cell index: the fraction of the cell where the axis misses
-    miss = [_axis_miss_fractions(sample.mode, j, h[j], nj, radii) for j, nj in enumerate(ncells)]
-    bands = [(delta, [axis[k] for axis in miss]) for k, delta in enumerate(radii)]
-    inside, share = [0] * len(bands), [0.0] * len(bands)
-    for block in _band_blocks(field.dist, sample.periodic, margin, bands, rows):
+
+
+def _bands(mode: EigenMode, h, shape, radii) -> list:
+    """Per radius: (delta, per axis the fraction of each cell where the axis misses)."""
+    periodic = mode.domain.periodic
+    h = np.asarray(h)
+    ncells = [s if periodic else s - 1 for s in shape]
+    miss = [_axis_miss_fractions(mode, j, h[j], nj, radii) for j, nj in enumerate(ncells)]
+    return [(delta, [axis[k] for axis in miss]) for k, delta in enumerate(radii)]
+
+
+def _band_block(corners: np.ndarray, a: int, periodic: bool, margin: float, bands) -> list:
+    """Per (delta, miss tables) band: fully-in count and straddle sum of the cells from row ``a``.
+
+    ``corners`` holds the distance rows a .. b of the cells between them. A
+    cell is fully inside when its corner minimum + margin < delta, fully
+    outside when its corner maximum - margin >= delta, and straddles
+    otherwise; it adds 1 - prod_j miss[j][i_j] at its index i, summed in
+    row-major order.
+    """
+    lo = _corner_reduce(corners, periodic, np.minimum, False)
+    lo += margin
+    hi = _corner_reduce(corners, periodic, np.maximum, False)
+    hi -= margin
+    out = []
+    for delta, miss in bands:
+        fully_in = lo < delta
+        straddle = ~(fully_in | (hi >= delta))
+        cells = np.unravel_index(np.flatnonzero(straddle), straddle.shape)
+        missed = miss[0][a + cells[0]]
+        for j in range(1, len(cells)):
+            missed *= miss[j][cells[j]]
+        # a straddle cell's share of the tube: 1 - prod_j l_j
+        share = float(np.subtract(1.0, missed, out=missed).sum())
+        out.append((int(np.count_nonzero(fully_in)), share))
+    return out
+
+
+def _block_rows(shape) -> int:
+    """Cell rows per band block: about ``ROW_BLOCK_POINTS`` cells."""
+    return max(1, ROW_BLOCK_POINTS // math.prod(shape[1:]))
+
+
+def _volumes(blocks, h, radii) -> list[float]:
+    """Tube volume per radius from the band blocks' results, added in block order."""
+    cellvol = float(np.prod(np.asarray(h)))
+    inside, share = [0] * len(radii), [0.0] * len(radii)
+    for block in blocks:
         for k, (n_in, part) in enumerate(block):
             inside[k] += n_in
             share[k] += part
     return [float(n) * cellvol + cellvol * part for n, part in zip(inside, share)]
 
 
+def tube_volumes(field: DistanceField, radii) -> list[float]:
+    """Volumes of the tubes of the given radii around a full-range field's nodal set, in order.
+
+    One band pass serves every radius: each block reduces its corner
+    distances once. Every radius needs delta >= 2 max(h): below it the grid
+    cannot resolve the tube, and a ResolutionError is raised rather than
+    returning a silently bad estimate.
+    """
+    sample = field.sample
+    _check_radii(radii, sample.h)
+    if field.empty:
+        return [0.0] * len(radii)
+    dist, periodic = field.dist, sample.periodic
+    s0 = dist.shape[0]
+    cells0 = s0 if periodic else s0 - 1
+    rows = _block_rows(sample.shape)
+    margin = _band_margin(sample.h)
+    bands = _bands(sample.mode, sample.h, sample.shape, radii)
+    blocks = []
+    for a in range(0, cells0, rows):
+        b = min(a + rows, cells0)
+        # the block's corner rows: its own and the next (row 0 past the end)
+        corners = dist[a : b + 1] if b < s0 else np.concatenate([dist[a:], dist[:1]])
+        blocks.append(_band_block(corners, a, periodic, margin, bands))
+    return _volumes(blocks, sample.h, radii)
+
+
 def tube_volume(field: DistanceField, delta: float) -> float:
     """Volume of the delta-tube around the nodal set: ``tube_volumes`` at one radius."""
     return tube_volumes(field, [delta])[0]
+
+
+def _sampled_rows(factors, periodic: bool, lo: int, hi: int):
+    """The rows lo .. hi - 1 of the grid whose axis factors are ``factors``.
+
+    Returns their global indices g (on a box only those inside the grid),
+    their grid rows (g wrapped on a torus) and their values: the outer
+    product of the factors, bitwise the whole grid's rows.
+    """
+    g = np.arange(lo, hi)
+    s0 = factors[0].shape[0]
+    if periodic:
+        at = g % s0
+    else:
+        g = at = g[(g >= 0) & (g < s0)]
+    return g, at, reduce(np.multiply.outer, [factors[0][at]] + factors[1:])
+
+
+def _seed_rows(values, g, at, h, shape, periodic: bool, lo: int, hi: int) -> np.ndarray:
+    """Seed mask of the global rows lo .. hi - 1 (all-false off a box) from sampled rows.
+
+    ``g``, ``at`` and ``values`` are ``_sampled_rows``' output for rows that
+    include lo - 1 .. hi, so each of these rows has both its axis-0 edges in
+    the window. A vertex takes its source row's grid index, as in the whole
+    grid, and rasterizes to that row or the next.
+    """
+    s0 = shape[0]
+    seeds = np.zeros((hi - lo,) + tuple(shape[1:]), dtype=bool)
+    for src, pts in _window_vertices(values, h, periodic, at):
+        k0 = raster_index(pts[:, 0], h[0], s0, periodic)
+        row = g[src] + (k0 - at[src]) % s0 - lo
+        keep = (0 <= row) & (row < hi - lo)
+        rest = (raster_index(pts[keep, j], h[j], shape[j], periodic) for j in range(1, len(shape)))
+        seeds[(row[keep], *rest)] = True
+    return seeds
+
+
+@dataclass
+class StreamedTubes:
+    """Tube volumes of a mode's grid, and on request its marching-squares length."""
+
+    h: tuple[float, ...]
+    volumes: dict           # tube radius -> Vol(T_t)
+    length: float | None    # None unless segments were asked for
+
+
+def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> StreamedTubes:
+    """Tube volumes at ``radii`` on the grid of ``grid.grid_shape(mode, rule)``, streamed.
+
+    The passes of the module docstring: every volume is bitwise the one
+    ``tube_volumes`` gives on the whole grid's full-range field. With
+    ``segments`` a 2-d grid also yields ``nodal.marching_squares``' length,
+    bit for bit. Raises ResourceGuardError for a grid over the rule's cap and
+    the radius guards of ``tube_volumes``. Every worker is joined before this
+    returns.
+    """
+    shape, h = grid_shape(mode, rule)
+    _check_radii(radii, h)
+    periodic = mode.domain.periodic
+    if segments and len(shape) != 2:
+        raise ValidationError(f"marching squares runs on 2-d grids, not {len(shape)}-d")
+    margin = _band_margin(h)
+    reach = max(radii) + margin + max(h)
+    pads = capped_pads(shape, h, reach, periodic)
+    p0 = pads[0]
+    cells0 = shape[0] if periodic else shape[0] - 1
+    bands = _bands(mode, h, shape, radii)
+    factors = axis_factors(mode, shape)
+    rows = _block_rows(shape)
+    blocks = -(-cells0 // rows)
+    step = rows * max(1, min(PASS_BLOCKS, -(-blocks // usable_cores())))
+
+    def one_pass(first):
+        last = min(first + step, cells0)
+        # the corner rows first .. last, and the seeds p0 rows past them
+        lo, hi = first - p0, last + p0 + 1
+        g, at, values = _sampled_rows(factors, periodic, lo - 1, hi + 1)
+        seeds = _seed_rows(values, g, at, h, shape, periodic, lo, hi)
+        pieces = None
+        if segments:
+            corner_rows = slice(first - g[0], last + 1 - g[0])
+            pieces = crossed_segments(values[corner_rows], h, periodic, mode, at[corner_rows])
+        win = np.pad(seeds, [(0, 0)] + [(p, p) for p in pads[1:]],
+                     mode="wrap" if periodic else "constant")
+        out = []
+        for a in range(first, last, rows):
+            b = min(a + rows, last)
+            corners = capped_rows(win[a - first : b - first + 1 + 2 * p0], pads, h, reach)
+            out.append(_band_block(corners, a, periodic, margin, bands))
+        return out, pieces
+
+    with ThreadPoolExecutor(usable_cores()) as pool:
+        passes = list(pool.map(one_pass, range(0, cells0, step)))
+    volumes = _volumes([block for out, _ in passes for block in out], h, radii)
+    length = None
+    if segments:
+        # every pass's first segments, then every pass's saddle second segments
+        length = segment_sum([p[0] for _, p in passes] + [p[1] for _, p in passes])
+    return StreamedTubes(h, dict(zip(radii, volumes)), length)
 
 
 @dataclass
@@ -189,35 +313,38 @@ class NodalMeasure:
     non_monotone: bool      # Vol(T_t)/(2t) fell as t shrank
 
 
-def nodal_measure(field: DistanceField, t_list) -> NodalMeasure:
-    """(n-1)-measure of the nodal set, for dimension two and up.
+def tube_measure(volumes: dict) -> NodalMeasure:
+    """(n-1)-measure of a nodal set from its tube volumes, keyed by radius.
 
     Extrapolates Vol(T_t)/(2t) linearly to t -> 0 (Richardson step over the
-    two smallest t), and flags a ratio sequence that is not monotone in t. A
-    1-d nodal set is a vertex count, which ``harness.run_yau_check`` takes
-    without a field; a 1-d field raises ValidationError.
+    two smallest t), and flags a ratio sequence that is not monotone in t.
     """
-    if field.sample.n == 1:
-        raise ValidationError("a 1-d nodal set is counted by its vertices, not measured by tubes")
-    ts = sorted(set(float(t) for t in t_list), reverse=True)
+    ts = sorted(volumes, reverse=True)
     if len(ts) < 2:
         raise ValidationError("need at least two tube radii to extrapolate")
-    volumes = dict(zip(ts, tube_volumes(field, ts)))
     ratios = [volumes[t] / (2.0 * t) for t in ts]
     extrap = ratios[-1] + (ratios[-1] - ratios[-2]) * ts[-1] / (ts[-2] - ts[-1])
     scale = max(abs(r) for r in ratios)
     non_monotone = any(
         b < a - 0.005 * scale for a, b in zip(ratios, ratios[1:])
     )
-    return NodalMeasure(extrap, volumes, non_monotone)
+    return NodalMeasure(extrap, {t: volumes[t] for t in ts}, non_monotone)
+
+
+def nodal_measure(field: DistanceField, t_list) -> NodalMeasure:
+    """(n-1)-measure of a field's nodal set, for dimension two and up: ``tube_measure``.
+
+    A 1-d nodal set is a vertex count, which ``harness.run_yau_check`` takes
+    without a field; a 1-d field raises ValidationError.
+    """
+    if field.sample.n == 1:
+        raise ValidationError("a 1-d nodal set is counted by its vertices, not measured by tubes")
+    ts = sorted(set(float(t) for t in t_list), reverse=True)
+    return tube_measure(dict(zip(ts, tube_volumes(field, ts))))
 
 
 def density_radius(field: DistanceField) -> float:
     """Largest distance from any grid point to the nodal set: a full-range field's maximum."""
-    if field.reach < math.inf:
-        raise ValidationError(
-            f"density radius needs a full-range field, not one capped at {field.reach:g}"
-        )
     if field.empty:
         raise EmptyNodalSetError("nodal set is empty; density radius undefined")
     return float(field.dist.max())

@@ -425,7 +425,14 @@ def record_candidates(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_C
     prefix_sq = 0.0
     spans = []
     for j, a in enumerate(domain.alpha):
-        top = math.floor(math.sqrt(max(budget - prefix_sq, 0.0)) / a) + 1
+        reach = math.sqrt(max(budget - prefix_sq, 0.0)) / a
+        if reach >= cap + 1:
+            # this axis alone has over cap rows; checked before floor(), which
+            # overflows on the infinite budget of a mu_max past 1.3e154
+            raise ResourceGuardError(
+                f"mu_max={mu_max:g} implies over {cap} record candidates (cap {cap})"
+            )
+        top = math.floor(reach) + 1
         first = 2 if lo and j else 1
         spans.append((first, max(top - first + 1, 0)))
         prefix_sq = prefix_sq + (a * np.int64(lo)) ** 2

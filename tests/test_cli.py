@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
+import resource
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -159,6 +163,64 @@ def test_survey_candidate_cap_exits_3_before_allocating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("guard: ") and "record candidates" in err
     assert not any(tmp_path.iterdir())
+
+
+# a child over this much address space fails its allocation instead of
+# growing; the limit is set in the child only
+CHILD_ADDRESS_SPACE = 3 << 30
+SRC = Path(cli_mod.__file__).resolve().parents[1]
+
+
+def limited_child():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def run_limited(argv, out):
+    """The CLI in a child process under ``CHILD_ADDRESS_SPACE``, one thread per BLAS."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "nodalab.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limited_child,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # point counts whose arrays would take 7-15 TiB: refused before any point is drawn
+        (["dioph", "--n-interval=1000000000000"],
+         "guard: n_interval=1000000000000 sampled points (cap 1000000)"),
+        (["dioph", "--n-box=1000000000000"],
+         "guard: n_box=1000000000000 sampled points (cap 1000000)"),
+        (["borel-cantelli", "--n-points=1000000000000"],
+         "guard: n_points=1000000000000 sampled points (cap 1000000)"),
+        # a finite mu_max whose candidate count is past any cap is a guard, as
+        # 1e8 is: exit 3, not the OverflowError of floor(inf)
+        (["dioph", "--mu-max=1e300"],
+         "guard: mu_max=1e+300 implies over 10000000 record candidates (cap 10000000)"),
+        (["dioph", "--mu-max-box=1e300"],
+         "guard: mu_max=1e+300 implies over 10000000 record candidates (cap 10000000)"),
+    ],
+    ids=["n-interval", "n-box", "n-points", "mu-max", "mu-max-box"],
+)
+def test_huge_requests_exit_3_without_a_traceback(argv, message, tmp_path):
+    done = run_limited(argv, tmp_path)
+    assert (done.returncode, done.stderr, done.stdout) == (EXIT_GUARD, message + "\n", "")
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_child_address_space_limit_stops_a_large_allocation(tmp_path):
+    # the limit turns a missing guard into a fast failure: without the point
+    # cap, 1e9 points ask for 8 GB at once, which the child is refused at once
+    code = (
+        "import nodalab.harness as h; h.SAMPLED_POINT_CAP = 10**12; "
+        "from nodalab.cli import main; main(['borel-cantelli', '--n-points=1000000000', "
+        f"'--out', {str(tmp_path)!r}])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=limited_child)
+    assert done.returncode == 1 and "MemoryError" in done.stderr
 
 
 @pytest.mark.parametrize(

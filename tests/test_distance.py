@@ -1,11 +1,10 @@
-"""Distance fields: brute-force oracle, periodic wrap, accuracy contract, capped fields."""
+"""Distance fields: brute-force oracle, periodic wrap, accuracy contract, the capped block pass."""
 
 import functools
 import math
 import sys
 import threading
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,13 +13,13 @@ from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
 import nodalab.distance as distance_mod
-from nodalab.distance import _seed_mask, distance_field
-from nodalab.errors import ResourceGuardError, ValidationError
+from nodalab.distance import _seed_mask, capped_pads, capped_rows, distance_field
+from nodalab.errors import ResourceGuardError
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.measures import tube_reach
 from nodalab.nodal import NodalApprox, extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
+from scipy_field import scipy_distance_field
 from translates import cosine_sample
 
 
@@ -56,25 +55,6 @@ def half_period_field(nodal):
     padded = np.pad(seeds, [(p, p) for p in pads], mode="wrap")
     dist = distance_transform_edt(~padded, sampling=nodal.sample.h)
     return dist[tuple(slice(p, p + s) for p, s in zip(pads, seeds.shape))]
-
-
-def scipy_distance_field(nodal):
-    """The field from scipy's own distances of the whole (padded) grid, then cropped."""
-    sample = nodal.sample
-    seeds = _seed_mask(nodal)
-    if not sample.periodic:
-        return distance_transform_edt(~seeds, sampling=sample.h)
-    full = [s // 2 + 1 for s in sample.shape]
-    radius = seeds.size / np.count_nonzero(seeds) * min(sample.h)
-    while True:
-        pads = [min(f, math.ceil(radius / hj) + 1) for f, hj in zip(full, sample.h)]
-        padded = np.pad(seeds, [(p, p) for p in pads], mode="wrap")
-        dist = distance_transform_edt(~padded, sampling=sample.h)
-        dist = dist[tuple(slice(p, p + s) for p, s in zip(pads, sample.shape))]
-        reach = min((p * hj for p, f, hj in zip(pads, full, sample.h) if p < f), default=math.inf)
-        radius = float(dist.max())
-        if radius < reach:
-            return dist
 
 
 def dense_block_nodal():
@@ -357,9 +337,18 @@ def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):
     assert peak < 3.0 * f.dist.nbytes
 
 
-def capped_field(nod, reach, workers):
-    with mock.patch.object(distance_mod, "usable_cores", lambda: workers):
-        return distance_field(nod, reach=reach)
+def capped_field(nod, reach, rows):
+    """``capped_rows`` over the grid in windows of ``rows`` rows, joined into one field."""
+    sample = nod.sample
+    pads = capped_pads(sample.shape, sample.h, reach, sample.periodic)
+    padded = np.pad(
+        _seed_mask(nod), [(p, p) for p in pads], mode="wrap" if sample.periodic else "constant"
+    )
+    s0, p0 = sample.shape[0], pads[0]
+    return np.concatenate([
+        capped_rows(padded[a : min(a + rows, s0) + 2 * p0], pads, sample.h, reach)
+        for a in range(0, s0, rows)
+    ])
 
 
 @st.composite
@@ -394,60 +383,16 @@ def wide_torus_nodal():
 @example(make_nodal=wide_torus_nodal, cells=1e300)  # every axis at its clamp
 @settings(max_examples=100, deadline=None)
 def test_capped_field_is_scipys_below_its_reach(make_nodal, cells):
-    """Below the reach the capped field is bitwise scipy's full-range field,
-    at and above it inf, and it is the same for one worker and for two."""
+    """Below the reach the capped block pass is bitwise scipy's full-range
+    field, at and above it inf, and it is the same in windows of one row and
+    of the whole grid."""
     nod = make_nodal()
     reach = cells * min(nod.sample.h)
     one = capped_field(nod, reach, 1)
-    two = capped_field(nod, reach, 2)
-    assert one.reach == reach
-    assert np.array_equal(one.dist.view(np.uint64), two.dist.view(np.uint64))
+    whole = capped_field(nod, reach, nod.sample.shape[0])
+    assert np.array_equal(one.view(np.uint64), whole.view(np.uint64))
     expect = scipy_distance_field(nod)
-    assert one.dist.dtype == expect.dtype and one.dist.shape == expect.shape
-    assert one.dist.flags.c_contiguous
+    assert one.dtype == expect.dtype and one.shape == expect.shape
     below = expect < reach
-    assert one.dist[below].tobytes() == expect[below].tobytes()
-    assert np.all(np.isinf(one.dist[~below]))
-
-
-@pytest.mark.parametrize(
-    "domain, m", [(DomainSpec.torus((1.0, 1.0)), (3, 4)), (DomainSpec.box((1.0, 1.3)), (3, 5))]
-)
-@pytest.mark.parametrize("workers", [1, 2])
-def test_cap_guards_the_capped_padded_array(domain, m, workers, monkeypatch):
-    monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
-    nod = mode_nodal(domain, m, 32.0)
-    h = nod.sample.h
-    reach = 5.5 * max(h)
-    # a box axis is padded too, with no seeds
-    padded = math.prod(s + 2 * (math.floor(reach / hj) + 1) for s, hj in zip(nod.sample.shape, h))
-    with pytest.raises(ResourceGuardError, match=f"needs {padded} points"):
-        distance_field(nod, cap=padded - 1, reach=reach)
-    assert distance_field(nod, cap=padded, reach=reach).reach == reach
-
-
-@pytest.mark.parametrize("reach", [0.0, -1.0, math.nan])
-def test_reach_must_be_positive(reach):
-    nod = mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0)
-    with pytest.raises(ValidationError, match="reach must be positive"):
-        distance_field(nod, reach=reach)
-
-
-def test_capped_distance_field_peak_memory_yau_grid(monkeypatch):
-    # the (16,1) Yau field (2519^2) capped at its tube reach: the seed mask,
-    # its padded copy and one block of rows per worker beside the output
-    # peaked at 1.32x the field's bytes with two workers (1.29x with one,
-    # 1.39x with four), against 2.75x for the full-range slabs
-    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
-    radii = (0.2 / mode.mu, 0.1 / mode.mu)
-    rule = ResolutionRule(points_per_wavelength=32.0, h_max=min(radii) / 2.5)
-    nod = extract_nodal(sample_grid(mode, rule))
-    assert nod.sample.shape == (2519, 2519)
-    tracemalloc.start()
-    try:
-        f = distance_field(nod, reach=tube_reach(nod.sample.h, radii))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * f.dist.nbytes
+    assert one[below].tobytes() == expect[below].tobytes()
+    assert np.all(np.isinf(one[~below]))

@@ -16,6 +16,7 @@ import nodalab.components as components_mod
 import nodalab.dioph as dioph_mod
 import nodalab.grid as grid_mod
 import nodalab.harness as harness_mod
+import nodalab.measures as measures_mod
 from nodalab.harness import (
     run_approx_theorem,
     run_density_check,
@@ -84,13 +85,13 @@ def widen_inradii(monkeypatch):
 
 
 def scale_nodal_measure(monkeypatch, factor):
-    measure = harness_mod.nodal_measure
+    measure = harness_mod.tube_measure
 
-    def scaled(field, t_list):
-        nm = measure(field, t_list)
+    def scaled(volumes):
+        nm = measure(volumes)
         return replace(nm, value=factor * nm.value)
 
-    monkeypatch.setattr(harness_mod, "nodal_measure", scaled)
+    monkeypatch.setattr(harness_mod, "tube_measure", scaled)
 
 
 def halve_length(monkeypatch):
@@ -104,14 +105,15 @@ def lengthen_extrapolation(monkeypatch):
 
 
 def steepen_aspect(monkeypatch):
-    """Nodal measure read (mu/4)^0.3 times too large: the aspect ratios climb with mu."""
-    measure = harness_mod.nodal_measure
+    """Tube volumes, so the nodal measure, read (mu/4)^0.3 times too large: the aspect ratios climb with mu."""
+    stream = harness_mod.streamed_tubes
 
-    def steepened(field, t_list):
-        nm = measure(field, t_list)
-        return replace(nm, value=nm.value * (field.sample.mode.mu / 4.0) ** 0.3)
+    def steepened(mode, rule, radii, **kwargs):
+        tubes = stream(mode, rule, radii, **kwargs)
+        scale = (mode.mu / 4.0) ** 0.3
+        return replace(tubes, volumes={t: vol * scale for t, vol in tubes.volumes.items()})
 
-    monkeypatch.setattr(harness_mod, "nodal_measure", steepened)
+    monkeypatch.setattr(harness_mod, "streamed_tubes", steepened)
 
 
 def scale_exact_tube(monkeypatch, factor):
@@ -148,14 +150,16 @@ def unstamped_zeros(monkeypatch):
 
 def seed_one_axis(monkeypatch):
     """Distance field seeded from axis 0's zero crossings only: other axes' nodal lines are lost."""
-    extract = harness_mod.extract_nodal
+    vertices = measures_mod._window_vertices
 
-    def one_axis(sample):
-        f0 = grid_mod._axis_factor(sample.mode, 0, sample.shape[0])
-        values = np.broadcast_to(f0.reshape((-1,) + (1,) * (sample.n - 1)), sample.shape)
-        return extract(replace(sample, values=values))
+    def one_axis(v, h, periodic, rows=None):
+        # the axis-0 line through the largest |v| meets no other axis's zero:
+        # its sign changes and zeros are axis 0's alone
+        at = np.unravel_index(np.abs(v).argmax(), v.shape)
+        line = v[(slice(None),) + tuple(slice(i, i + 1) for i in at[1:])]
+        return vertices(np.broadcast_to(line, v.shape), h, periodic, rows)
 
-    monkeypatch.setattr(harness_mod, "extract_nodal", one_axis)
+    monkeypatch.setattr(measures_mod, "_window_vertices", one_axis)
 
 
 def approx():

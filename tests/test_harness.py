@@ -4,7 +4,6 @@ import hashlib
 import inspect
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +16,7 @@ import nodalab.nodal as nodal_mod
 
 from nodalab.distance import distance_field
 from nodalab.errors import ValidationError
-from nodalab.grid import ResolutionRule, sample_grid
+from nodalab.grid import ResolutionRule, grid_shape, sample_grid
 from nodalab.harness import (
     GATE_BUILDERS,
     run_approx_theorem,
@@ -150,11 +149,21 @@ def test_yau_agreement_fails_only_its_own_gate():
 
 
 def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
+    # a 2-d cell streams its grid once: each pass takes the marching-squares
+    # pieces of its rows and then its capped distances; no stage forms the
+    # whole grid
     log = []
-    for name in ("sample_grid", "extract_nodal", "marching_squares", "distance_field"):
+    for name in ("sample_grid", "extract_nodal", "distance_field"):
         spy(monkeypatch, log, harness_mod, name)
+    stream = harness_mod.streamed_tubes
+
+    def logged(mode, rule, radii, **kwargs):
+        log.append(("streamed_tubes", kwargs))
+        return stream(mode, rule, radii, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "streamed_tubes", logged)
     run_yau_check(TORUS2, modes=((3, 4),))
-    assert log == ["sample_grid", "extract_nodal", "marching_squares", "distance_field"]
+    assert log == [("streamed_tubes", {"segments": True})]
     log.clear()
     run_yau_check(INTERVAL, modes=((10,),))
     # the interval counts vertices and builds no distance field
@@ -163,10 +172,11 @@ def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
 
 def test_yau_empty_nodal_set_agrees_at_zero(monkeypatch):
     # both routes read 0: the relative agreement of 0/0 is 0, not nan
-    monkeypatch.setattr(
-        harness_mod, "extract_nodal", lambda s: nodal_mod.NodalApprox(s, np.empty((0, 2)))
-    )
-    monkeypatch.setattr(harness_mod, "marching_squares", lambda s: 0.0)
+    def empty(mode, rule, radii, *, segments=False):
+        _, h = grid_shape(mode, rule)
+        return measures_mod.StreamedTubes(h, {t: 0.0 for t in radii}, 0.0 if segments else None)
+
+    monkeypatch.setattr(harness_mod, "streamed_tubes", empty)
     # the band gate rejects a zero ratio; the cell itself is what is checked here
     monkeypatch.setitem(harness_mod.GATE_BUILDERS, "yau_ratio", lambda cells, config: [])
     cell = run_yau_check(TORUS2, modes=((3, 4),)).cells[0]
@@ -174,31 +184,34 @@ def test_yau_empty_nodal_set_agrees_at_zero(monkeypatch):
     assert cell.measured["agreement_rel"] == 0.0 and cell.measured["flagged"] == 0
 
 
+def log_streams(monkeypatch, calls):
+    """Route harness's streamed tubes through a log of (mode, radii, volumes, segments)."""
+    stream = harness_mod.streamed_tubes
+
+    def logged(mode, rule, radii, **kwargs):
+        tubes = stream(mode, rule, radii, **kwargs)
+        calls.append((mode, list(radii), dict(tubes.volumes), kwargs.get("segments", False)))
+        return tubes
+
+    monkeypatch.setattr(harness_mod, "streamed_tubes", logged)
+
+
 def test_yau_radius_in_the_gap_window_is_measured(monkeypatch):
     # (3, 4): mu = 5, axis 1's zeros lie pi/4 apart and h = 2 pi/158; mu_t = 1.9
     # puts the larger radius 0.38 within h of pi/8, where the gap between
     # neighbouring tubes is under two cells. Each straddle cell's two end
     # distances still give its exact share.
-    volumes, calls = [], []
-    tubes = measures_mod.tube_volumes
-
-    def logged(field, radii):
-        vols = tubes(field, radii)
-        calls.append(len(radii))
-        volumes.extend((field.sample.mode, delta, vol) for delta, vol in zip(radii, vols))
-        return vols
-
-    monkeypatch.setattr(measures_mod, "tube_volumes", logged)
+    calls = []
+    log_streams(monkeypatch, calls)
     r = run_yau_check(TORUS2, modes=((3, 4), (4, 1)), mu_t=(1.9, 0.5))
     assert not any(c.skipped for c in r.cells)
-    assert calls == [2, 2]  # one band pass per field serves both radii
-    assert [(mode.m, round(delta, 12)) for mode, delta, _ in volumes][:2] == [
-        ((3, 4), 0.38), ((3, 4), 0.1)
-    ]
-    assert len(volumes) == 4
-    for mode, delta, vol in volumes:
-        exact = tube_volume_exact(mode, delta)
-        assert abs(vol - exact) / exact <= 1e-12
+    # one streamed pass per field serves both radii
+    assert [(mode.m, len(radii)) for mode, radii, _, _ in calls] == [((3, 4), 2), ((4, 1), 2)]
+    assert [round(t, 12) for t in calls[0][1]] == [0.38, 0.1]
+    for mode, _, volumes, _ in calls:
+        for delta, vol in volumes.items():
+            exact = tube_volume_exact(mode, delta)
+            assert abs(vol - exact) / exact <= 1e-12
 
 
 @pytest.mark.parametrize("mu_t", [(), (0.1,), (0.1, 0.1)])
@@ -233,18 +246,18 @@ def test_dim2_single_mode():
 def test_dim2_reads_its_tube_volume_from_the_nodal_measure(monkeypatch):
     log = []
     spy(monkeypatch, log, measures_mod, "tube_volume")
-    spy(monkeypatch, log, harness_mod, "tube_volume")
+    spy(monkeypatch, log, measures_mod, "tube_volumes")
     spy(monkeypatch, log, nodal_mod, "marching_squares")
-    spy(monkeypatch, log, harness_mod, "marching_squares")
-    tubes = measures_mod.tube_volumes
-
-    def logged(field, radii):
-        log.append(("tube_volumes", len(radii)))
-        return tubes(field, radii)
-
-    monkeypatch.setattr(measures_mod, "tube_volumes", logged)
-    run_dim2_checks(modes=((2, 3),))
-    assert log == [("tube_volumes", 2)]  # one call: the radii delta and delta/2
+    calls = []
+    log_streams(monkeypatch, calls)
+    r = run_dim2_checks(modes=((2, 3),))
+    assert log == []
+    # one stream, no segments: the radii delta and delta/2
+    [(mode, radii, volumes, segments)] = calls
+    assert mode.m == (2, 3) and not segments
+    delta = 0.2 / mode.mu
+    assert radii == [delta, delta / 2.0]
+    assert r.cells[0].measured["tube_vol"] == volumes[delta]
 
 
 def test_only_the_full_range_fields_run_scipys_transform(monkeypatch):

@@ -2,20 +2,22 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nodalab.measures as measures_mod
-from nodalab.distance import distance_field
-from nodalab.errors import EmptyNodalSetError, ResolutionError, ValidationError
-from nodalab.grid import ResolutionRule, sample_grid
+from nodalab.distance import _seed_mask, distance_field
+from nodalab.errors import EmptyNodalSetError, ResolutionError, ResourceGuardError, ValidationError
+from nodalab.grid import GridSample, ResolutionRule, grid_shape, sample_grid
 from nodalab.measures import (
     density_radius,
     nodal_measure,
-    tube_reach,
+    streamed_tubes,
     tube_volume,
     tube_volumes,
 )
@@ -28,6 +30,8 @@ from nodalab.spectrum import (
     nodal_measure_exact,
     tube_volume_exact,
 )
+
+from scipy_field import scipy_distance_field
 
 
 def field_for(mode, h_max=None, ppw=32.0):
@@ -77,34 +81,6 @@ def test_tube_guards():
     # NaN fails every comparison: a check written as delta <= 0 lets it through
     with pytest.raises(ValidationError, match="positive"):
         tube_volume(f, math.nan)
-
-
-def test_tube_volume_refuses_a_field_capped_short_of_its_band():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    delta = 0.1
-    s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0, h_max=delta / 5))
-    nod = extract_nodal(s)
-    full = distance_field(nod)
-    capped = distance_field(nod, reach=tube_reach(s.h, [delta, delta / 2]))
-    assert np.isinf(capped.dist).any()
-    for radius in (delta, delta / 2):
-        assert tube_volume(capped, radius) == tube_volume(full, radius)
-    # the band test reads the field up to delta + margin
-    band = delta + float(np.linalg.norm(s.h)) + full.raster_error
-    short = distance_field(nod, reach=math.nextafter(band, 0.0))
-    with pytest.raises(ValidationError, match="capped at"):
-        tube_volume(short, delta)
-    assert tube_volume(short, delta / 2) == tube_volume(full, delta / 2)
-
-
-def test_density_radius_refuses_a_capped_field():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0))
-    nod = extract_nodal(s)
-    # a short reach would return inf, a long one the true maximum: both are refused
-    for reach in (3 * max(s.h), 100.0):
-        with pytest.raises(ValidationError, match="full-range"):
-            density_radius(distance_field(nod, reach=reach))
 
 
 def test_nodal_measure_torus():
@@ -333,11 +309,15 @@ def test_miss_tables_replace_the_sample_oracle(monkeypatch):
     assert calls == [(1, n + 1) for n in f.sample.shape]
 
 
+BAND_MODES = {
+    "torus": (EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4)), 32.0),
+    "3-torus": (EigenMode(DomainSpec.torus((1.0, 1.0, 1.0)), (1, 1, 1)), 48.0),
+    "box": (EigenMode(DomainSpec.box((1.0, 1.3)), (3, 5)), 32.0),
+    "interval": (EigenMode(DomainSpec.interval(), (7,)), 32.0),
+}
 BAND_FIELDS = {
-    "torus": lambda: field_for(EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4)), ppw=32.0),
-    "3-torus": lambda: field_for(EigenMode(DomainSpec.torus((1.0, 1.0, 1.0)), (1, 1, 1)), ppw=48.0),
-    "box": lambda: field_for(EigenMode(DomainSpec.box((1.0, 1.3)), (3, 5)), ppw=32.0),
-    "interval": lambda: field_for(EigenMode(DomainSpec.interval(), (7,)), ppw=32.0),
+    name: (lambda mode=mode, ppw=ppw: field_for(mode, ppw=ppw))
+    for name, (mode, ppw) in BAND_MODES.items()
 }
 
 
@@ -363,10 +343,18 @@ def whole_grid_blocks(dist, periodic, delta, margin, rows, miss):
 
 
 def band_blocks(dist, periodic, deltas, margin, rows):
-    """``_band_blocks`` at the radii ``deltas`` in one pass, and the whole-grid
-    reference of each radius, both as per-block lists of per-radius results."""
+    """``_band_block`` on each block of ``rows`` cell rows at the radii ``deltas``,
+    and the whole-grid reference of each radius, both as per-block lists of
+    per-radius results."""
     bands = [(d, miss_tables(dist, periodic, k)) for k, d in enumerate(deltas)]
-    got = measures_mod._band_blocks(dist, periodic, margin, bands, rows)
+    s0 = dist.shape[0]
+    cells0 = s0 if periodic else s0 - 1
+    got = []
+    for a in range(0, cells0, rows):
+        b = min(a + rows, cells0)
+        # the block's corner rows: its own and the next (row 0 past the end)
+        corners = dist[a : b + 1] if b < s0 else np.concatenate([dist[a:], dist[:1]])
+        got.append(measures_mod._band_block(corners, a, periodic, margin, bands))
     expect = [whole_grid_blocks(dist, periodic, d, margin, rows, miss) for d, miss in bands]
     return got, [list(block) for block in zip(*expect)]
 
@@ -406,15 +394,19 @@ def volume_bits(volumes):
 
 @pytest.mark.parametrize("name", ["torus", "box", "3-torus"])
 def test_tube_volumes_do_not_depend_on_the_worker_count(monkeypatch, name):
-    f = BAND_FIELDS[name]()
-    radii = [4.0 * max(f.h), 2.5 * max(f.h)]
-    # small blocks, so that there are more blocks than workers
-    monkeypatch.setattr(measures_mod, "ROW_BLOCK_POINTS", 4 * math.prod(f.dist.shape[1:]))
-    got = {}
+    mode, ppw = BAND_MODES[name]
+    rule = ResolutionRule(points_per_wavelength=ppw)
+    shape, h = grid_shape(mode, rule)
+    radii = [4.0 * max(h), 2.5 * max(h)]
+    whole = volume_bits(tube_volumes(field_for(mode, ppw=ppw), radii))
+    # small blocks and passes, so that there are more passes than workers
+    monkeypatch.setattr(measures_mod, "ROW_BLOCK_POINTS", 4 * math.prod(shape[1:]))
+    monkeypatch.setattr(measures_mod, "PASS_BLOCKS", 2)
     for workers in (1, 3):
         monkeypatch.setattr(measures_mod, "usable_cores", lambda: workers)
-        got[workers] = volume_bits(tube_volumes(f, radii))
-    assert got[1] == got[3]
+        tubes = streamed_tubes(mode, rule, radii)
+        assert list(tubes.volumes) == radii
+        assert volume_bits(list(tubes.volumes.values())) == whole
 
 
 @pytest.mark.parametrize("name", ["torus", "box", "3-torus"])
@@ -434,17 +426,151 @@ def test_two_radii_query_the_oracle_once_per_axis(monkeypatch):
     assert calls == [(1, n + 1) for n in f.sample.shape]
 
 
-def test_tube_volume_peak_memory_yau_grid():
-    # the (16,1) Yau field (2519^2) at both Yau radii: grid-sized corner
-    # reductions peaked at 3.25x the field's bytes; row blocks at about 0.7x
+def whole_grid_tubes(mode, rule, radii, rows):
+    """Tube volumes from scipy's full-range field of the whole sampled grid: the
+    whole-grid band of each radius, summed per block of ``rows`` cell rows and
+    then over the blocks in block order."""
+    sample = sample_grid(mode, rule)
+    dist = scipy_distance_field(extract_nodal(sample))
+    h = np.asarray(sample.h)
+    margin = float(np.linalg.norm(h)) + 0.5 * math.sqrt(float(np.sum(h * h)))
+    ncells = [s if sample.periodic else s - 1 for s in sample.shape]
+    cellvol = float(np.prod(h))
+    volumes = []
+    for delta in radii:
+        miss = [measures_mod._axis_miss_fractions(mode, j, h[j], nj, delta) for j, nj in enumerate(ncells)]
+        blocks = whole_grid_blocks(dist, sample.periodic, delta, margin, rows, miss)
+        inside, share = 0, 0.0
+        for n_in, part in blocks:
+            inside += n_in
+            share += part
+        volumes.append(float(inside) * cellvol + cellvol * share)
+    return sample, volumes
+
+
+@st.composite
+def factor_grids(draw):
+    """Axis factors of 1-3 axes with 2-9 points: zeros, +-1 (edges crossing at
+    t = 1/2 exactly) and other floats; torus or box."""
+    periodic = draw(st.booleans())
+    values = st.one_of(st.just(0.0), st.sampled_from((-1.0, 1.0)), st.floats(-10.0, 10.0, width=32))
+    shape = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+    return periodic, [draw(arrays(np.float64, (s,), elements=values)) for s in shape]
+
+
+@given(grid=factor_grids(), lo=st.integers(-20, 20), rows=st.integers(1, 30))
+# rows 9 and 10 are the period's rows 2 and 3, and 2.5 rounds to 2 where
+# 9.5 rounds to 10: a window vertex at its global index would seed row 3
+@example(grid=(True, [np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])]), lo=9, rows=2)
+@settings(max_examples=200, deadline=None)
+def test_seed_rows_are_the_whole_grid_seed_rows(grid, lo, rows):
+    """A window's sampled rows are the whole grid's bit for bit, and its seeds
+    those of the whole grid's vertices in its rows, wrapped on a torus and
+    empty off a box, also for windows longer than the period."""
+    periodic, factors = grid
+    shape = tuple(f.shape[0] for f in factors)
+    dom = (DomainSpec.torus if periodic else DomainSpec.box)((1.0,) * len(shape))
+    h = tuple(L / (s if periodic else s - 1) for L, s in zip(dom.lengths, shape))
+    values = factors[0]
+    for f in factors[1:]:
+        values = np.multiply.outer(values, f)
+    sample = GridSample(EigenMode(dom, (1,) * len(shape)), h, shape, values)
+    whole = _seed_mask(extract_nodal(sample))
+    hi = lo + rows
+    g, at, window = measures_mod._sampled_rows(factors, periodic, lo - 1, hi + 1)
+    assert window.tobytes() == values[at].tobytes()
+    got = measures_mod._seed_rows(window, g, at, h, shape, periodic, lo, hi)
+    want = np.zeros((rows,) + shape[1:], dtype=bool)
+    index = np.arange(lo, hi)
+    inside = np.ones(rows, dtype=bool) if periodic else (index >= 0) & (index < shape[0])
+    want[inside] = whole[index[inside] % shape[0]]
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def stream_modes(draw):
+    """``refine_modes`` and the 1-d torus: torus and box domains in 1 to 3 dimensions."""
+    if draw(st.booleans()):
+        return draw(refine_modes(zero_axis_top=3))
+    return EigenMode(DomainSpec.torus((1.0,)), (draw(st.integers(1, 12)),))
+
+
+@given(
+    mode=stream_modes(),
+    ppw=st.sampled_from((8.0, 12.5)),
+    cells=st.lists(st.floats(2.0, 7.0), min_size=1, max_size=2),
+    rows=st.sampled_from((1, 2, 3, 7, 1 << 20)),
+    per_pass=st.sampled_from((1, 2, 3, 16)),
+    workers=st.integers(1, 3),
+)
+# 16 x 16 cells: a window of one band block's rows plus 2 (9 + 1) halo rows spans 22 rows,
+# longer than the period
+@example(mode=EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1)), ppw=16.0, cells=[7.0, 2.0],
+         rows=1, per_pass=1, workers=2)
+@example(mode=EigenMode(DomainSpec.torus((1.0,)), (1,)), ppw=16.0, cells=[7.0], rows=1,
+         per_pass=2, workers=3)
+@settings(max_examples=60, deadline=None)
+def test_streamed_tubes_are_bitwise_the_whole_grid_pipeline(mode, ppw, cells, rows, per_pass, workers):
+    """The streamed volumes, and on 2-d grids the marching-squares length, equal
+    the whole-grid pipeline's bit for bit, at any band block and pass size and
+    any worker count."""
+    rule = ResolutionRule(points_per_wavelength=ppw)
+    shape, h = grid_shape(mode, rule)
+    radii = [c * max(h) for c in cells]
+    row_points = math.prod(shape[1:])
+    with mock.patch.object(measures_mod, "ROW_BLOCK_POINTS", rows * row_points), \
+            mock.patch.object(measures_mod, "PASS_BLOCKS", per_pass), \
+            mock.patch.object(measures_mod, "usable_cores", lambda: workers):
+        tubes = streamed_tubes(mode, rule, radii, segments=len(shape) == 2)
+    sample, expect = whole_grid_tubes(mode, rule, radii, rows)
+    assert tubes.h == sample.h
+    assert volume_bits([tubes.volumes[r] for r in radii]) == volume_bits(expect)
+    if len(shape) == 2:
+        assert volume_bits([tubes.length]) == volume_bits([marching_squares(sample)])
+    else:
+        assert tubes.length is None
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_streamed_radius_must_be_positive(radius, monkeypatch):
+    monkeypatch.setattr(measures_mod, "axis_factors", None)  # nothing is sampled
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    with pytest.raises(ValidationError, match="delta must be positive"):
+        streamed_tubes(mode, ResolutionRule(), [0.5, radius])
+
+
+def test_streamed_tubes_keep_the_grid_guards(monkeypatch):
+    monkeypatch.setattr(measures_mod, "axis_factors", None)  # nothing is sampled
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    capped = ResolutionRule(max_total_points=1000)
+    with pytest.raises(ResourceGuardError) as streamed:
+        streamed_tubes(mode, capped, [0.5])
+    with pytest.raises(ResourceGuardError) as whole:
+        sample_grid(mode, capped)
+    assert str(streamed.value) == str(whole.value)
+    shape, h = grid_shape(mode, ResolutionRule())
+    with pytest.raises(ResolutionError, match="below resolution guard"):
+        streamed_tubes(mode, ResolutionRule(), [1.9 * max(h)])
+    with pytest.raises(ValidationError, match="2-d"):
+        streamed_tubes(EigenMode(DomainSpec.interval(), (3,)), ResolutionRule(), [0.5], segments=True)
+
+
+def test_streamed_tubes_peak_memory_yau_grid(monkeypatch):
+    # the (16,1) Yau cell (2519^2) at both radii with its segments, two
+    # workers. The whole-grid chain held the 51 MB sample, and its capped
+    # field alone peaked at 1.32x the grid's float64 bytes; the passes in
+    # flight (at most 16 band blocks each) peaked at 0.58-0.63x (30-32 MB)
+    # over five runs
+    monkeypatch.setattr(measures_mod, "usable_cores", lambda: 2)
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
-    f = field_for(mode, h_max=0.1 / mode.mu / 2.5)
-    assert f.dist.shape == (2519, 2519)
-    for t in (0.2, 0.1):
-        tracemalloc.start()
-        try:
-            tube_volume(f, t / mode.mu)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * f.dist.nbytes
+    radii = [0.2 / mode.mu, 0.1 / mode.mu]
+    rule = ResolutionRule(points_per_wavelength=32.0, h_max=min(radii) / 2.5)
+    shape, _ = grid_shape(mode, rule)
+    assert shape == (2519, 2519)
+    tracemalloc.start()
+    try:
+        streamed_tubes(mode, rule, radii, segments=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 8 * math.prod(shape)
