@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
 import nodalab.distance as distance_mod
-from nodalab.distance import _seed_mask, capped_pads, capped_rows, distance_field
+from nodalab.distance import ROW_BLOCK_POINTS, _seed_mask, capped_pads, capped_rows, distance_field
 from nodalab.errors import ResourceGuardError
 from nodalab.grid import ResolutionRule, sample_grid
+from nodalab.measures import _band_margin
 from nodalab.nodal import NodalApprox, extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
@@ -350,6 +351,34 @@ def capped_field(nod, reach, rows):
         for a in range(0, s0, rows)
     ])
 
+
+def test_capped_distance_field_peak_memory_yau_grid():
+    # the (16,1) Yau field (2519^2) capped at the stream's reach for both Yau
+    # radii, written window by window into one output: the seed mask, its
+    # padded copy and one window's temporaries beside the output peak at
+    # 1.16x the field's bytes, against 2.75x for the full-range slabs
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
+    radii = (0.2 / mode.mu, 0.1 / mode.mu)
+    rule = ResolutionRule(points_per_wavelength=32.0, h_max=min(radii) / 2.5)
+    nod = extract_nodal(sample_grid(mode, rule))
+    sample = nod.sample
+    assert sample.shape == (2519, 2519)
+    reach = max(radii) + _band_margin(sample.h) + max(sample.h)
+    rows = max(1, ROW_BLOCK_POINTS // sample.shape[1])
+    tracemalloc.start()
+    try:
+        pads = capped_pads(sample.shape, sample.h, reach, sample.periodic)
+        padded = np.pad(_seed_mask(nod), [(p, p) for p in pads], mode="wrap")
+        s0, p0 = sample.shape[0], pads[0]
+        dist = np.empty(sample.shape)
+        for a in range(0, s0, rows):
+            b = min(a + rows, s0)
+            dist[a:b] = capped_rows(padded[a : b + 2 * p0], pads, sample.h, reach)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(dist).any()
+    assert peak < 1.5 * dist.nbytes
 
 @st.composite
 def sampled_modes(draw):

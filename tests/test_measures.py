@@ -555,6 +555,21 @@ def test_streamed_tubes_keep_the_grid_guards(monkeypatch):
         streamed_tubes(EigenMode(DomainSpec.interval(), (3,)), ResolutionRule(), [0.5], segments=True)
 
 
+def test_tube_volume_peak_memory_yau_grid():
+    # the (16,1) Yau field (2519^2) at both Yau radii: grid-sized corner
+    # reductions peaked at 3.25x the field's bytes; row blocks at about 0.7x
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
+    f = field_for(mode, h_max=0.1 / mode.mu / 2.5)
+    assert f.dist.shape == (2519, 2519)
+    for t in (0.2, 0.1):
+        tracemalloc.start()
+        try:
+            tube_volume(f, t / mode.mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * f.dist.nbytes
+
 def test_streamed_tubes_peak_memory_yau_grid(monkeypatch):
     # the (16,1) Yau cell (2519^2) at both radii with its segments, two
     # workers. The whole-grid chain held the 51 MB sample, and its capped
