@@ -39,7 +39,7 @@ from .harness import (
     run_tube_scaling,
     run_yau_check,
 )
-from .measures import density_radius, nodal_measure, streamed_tubes, tube_volume
+from .measures import density_radius, streamed_tubes, tube_volume
 from .nodal import NodalApprox, extract_nodal, marching_squares
 from .reports import (
     CODE_VERSION,
@@ -99,7 +99,6 @@ __all__ = [
     "marching_squares",
     "modes_nodal_distance",
     "nodal_distance_exact",
-    "nodal_measure",
     "nodal_measure_exact",
     "run_approx_theorem",
     "run_comparability_scaling",

@@ -75,10 +75,6 @@ class DistanceField:
     def h(self) -> tuple[float, ...]:
         return self.nodal.sample.h
 
-    @property
-    def raster_error(self) -> float:
-        return raster_error(self.h)
-
 
 def raster_error(h) -> float:
     """Bound on |field - true distance to vertices|: half the grid cell diagonal."""
@@ -219,14 +215,15 @@ def capped_rows(win: np.ndarray, pads, h, reach: float) -> np.ndarray:
     return d
 
 
-def distance_field(nodal: NodalApprox, cap: int = PADDED_POINT_CAP) -> DistanceField:
+def distance_field(nodal: NodalApprox) -> DistanceField:
     """Exact Euclidean distance transform of the rasterized nodal vertices.
 
     An empty nodal set yields an all-infinity field flagged ``empty`` rather
     than an error, so callers can distinguish "no zeros" from "far from zeros".
-    ``cap`` bounds the points of the (padded) array, whichever slabs it is
-    transformed in.
+    ``PADDED_POINT_CAP`` bounds the points of the (padded) array, whichever
+    slabs it is transformed in.
     """
+    cap = PADDED_POINT_CAP
     sample = nodal.sample
     seeds = _seed_mask(nodal)
     n_seeds = np.count_nonzero(seeds)

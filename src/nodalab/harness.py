@@ -30,7 +30,7 @@ from .dioph import (
 from .distance import distance_field, raster_error
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
-from .measures import NodalMeasure, density_radius, streamed_tubes, tube_measure
+from .measures import density_radius, streamed_tubes, tube_measure
 from .nodal import extract_nodal
 from .reports import CellResult, ExperimentReport, gate
 from .spectrum import (
@@ -295,24 +295,25 @@ def run_yau_check(
                 # the interval counts vertices: no tube radius bounds its grid,
                 # and the count reads no distance field
                 sample = sample_grid(mode, ResolutionRule(TUBE_PPW))
-                nm = NodalMeasure(float(extract_nodal(sample).vertices.shape[0]), {}, False)
+                value, flagged = float(extract_nodal(sample).vertices.shape[0]), 0
                 h = sample.h
             else:
                 t_list = [t / mu for t in mu_t]
                 tubes = streamed_tubes(mode, _tube_rule(t_list), t_list, segments=True)
                 nm = tube_measure(tubes.volumes)
+                value, flagged = nm.value, int(nm.non_monotone)
                 length, h = tubes.length, tubes.h
             exact = nodal_measure_exact(mode)
             cell.measured = {
-                "value": nm.value,
-                "ratio": nm.value / mu,
+                "value": value,
+                "ratio": value / mu,
                 "exact": exact,
-                "exact_rel": abs(nm.value - exact) / exact,
-                "flagged": int(nm.non_monotone),
+                "exact_rel": abs(value - exact) / exact,
+                "flagged": flagged,
             }
             if domain.n == 2:
-                denom = max(length, abs(nm.value))
-                agreement = abs(length - nm.value) / denom if denom > 0 else 0.0
+                denom = max(length, abs(value))
+                agreement = abs(length - value) / denom if denom > 0 else 0.0
                 cell.measured["by_segments"] = length
                 cell.measured["agreement_rel"] = agreement
             cell.error = raster_error(h)
@@ -392,7 +393,7 @@ def run_density_check(domain: DomainSpec, modes=None) -> ExperimentReport:
                 "rel_dev": abs(r - r_exact) / r_exact,
                 "h_mu": h_max_used * mu,
             }
-            cell.error = field.raster_error
+            cell.error = raster_error(field.h)
         cells.append(cell)
     gates = GATE_BUILDERS["density"](cells, config)
     summary = {"products": {c.cell: c.measured["product"] for c in _live(cells)}}
@@ -503,7 +504,7 @@ def run_dim2_checks(
                 "tube_constant": vol / (nm.value * delta),
                 "courant_bound": _lattice_count(mu),
             }
-            cell.error = field_fine.raster_error
+            cell.error = raster_error(field_fine.h)
         cells.append(cell)
     gates = GATE_BUILDERS["dim2"](cells, config)
     summary = {"counts": {c.cell: c.measured["count"] for c in _live(cells)}}

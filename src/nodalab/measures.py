@@ -1,9 +1,11 @@
-"""Tube volumes, nodal measures, and density radii from distance fields.
+"""Tube volumes, nodal measures, and density radii.
 
-The nodal measure has one route: Vol(T_t)/(2t) extrapolated to t -> 0 from
-tube volumes (in dimension one ``harness.run_yau_check`` counts vertices
-instead). The 2-d cross-check against the marching-squares length runs in
-``harness.run_yau_check``, which gates on it.
+Every grid tube volume comes from ``streamed_tubes``, which streams a mode's
+grid; ``tube_measure`` extrapolates Vol(T_t)/(2t) from its volumes to t -> 0
+for the nodal measure (in dimension one ``harness.run_yau_check`` counts
+vertices instead). The 2-d cross-check against the marching-squares length
+runs in ``harness.run_yau_check``, which gates on it. The density radius is
+the maximum of a full-range ``distance.DistanceField``.
 
 The tube estimator classifies every grid cell as fully inside / fully outside
 / straddling the delta level set using Lipschitz-rigorous margins from corner
@@ -32,9 +34,10 @@ or past delta + margin puts its cell fully outside whatever its value. On a
 lengths of its crossed cells; the caller joins them in row-major order and
 sorts and sums them once, as ``nodal.marching_squares`` does. So a volume's
 and a length's bits do not depend on the worker count or the pass size, and
-equal the whole-grid pipeline's. ``grid.GRID_POINT_CAP`` still bounds the
-whole grid's size, though no pass holds more than ``PASS_BLOCKS`` band
-blocks of rows.
+equal those of the band test on the whole grid's full-range field, added in
+the same band blocks. ``grid.GRID_POINT_CAP`` still bounds the whole
+grid's size, though no pass holds more than ``PASS_BLOCKS`` band blocks of
+rows.
 
 The exact distance is a min over axes of 1-d distances, so a point of a cell
 misses the tube iff every axis misses, and the cell's share of the tube is
@@ -173,38 +176,6 @@ def _volumes(blocks, h, radii) -> list[float]:
     return [float(n) * cellvol + cellvol * part for n, part in zip(inside, share)]
 
 
-def tube_volumes(field: DistanceField, radii) -> list[float]:
-    """Volumes of the tubes of the given radii around a full-range field's nodal set, in order.
-
-    One band pass serves every radius: each block reduces its corner
-    distances once. Every radius needs delta >= 2 max(h): below it the grid
-    cannot resolve the tube, and a ResolutionError is raised rather than
-    returning a silently bad estimate.
-    """
-    sample = field.sample
-    _check_radii(radii, sample.h)
-    if field.empty:
-        return [0.0] * len(radii)
-    dist, periodic = field.dist, sample.periodic
-    s0 = dist.shape[0]
-    cells0 = s0 if periodic else s0 - 1
-    rows = _block_rows(sample.shape)
-    margin = _band_margin(sample.h)
-    bands = _bands(sample.mode, sample.h, sample.shape, radii)
-    blocks = []
-    for a in range(0, cells0, rows):
-        b = min(a + rows, cells0)
-        # the block's corner rows: its own and the next (row 0 past the end)
-        corners = dist[a : b + 1] if b < s0 else np.concatenate([dist[a:], dist[:1]])
-        blocks.append(_band_block(corners, a, periodic, margin, bands))
-    return _volumes(blocks, sample.h, radii)
-
-
-def tube_volume(field: DistanceField, delta: float) -> float:
-    """Volume of the delta-tube around the nodal set: ``tube_volumes`` at one radius."""
-    return tube_volumes(field, [delta])[0]
-
-
 def _sampled_rows(factors, periodic: bool, lo: int, hi: int):
     """The rows lo .. hi - 1 of the grid whose axis factors are ``factors``.
 
@@ -252,12 +223,13 @@ class StreamedTubes:
 def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> StreamedTubes:
     """Tube volumes at ``radii`` on the grid of ``grid.grid_shape(mode, rule)``, streamed.
 
-    The passes of the module docstring: every volume is bitwise the one
-    ``tube_volumes`` gives on the whole grid's full-range field. With
+    The passes of the module docstring: every volume is bitwise the band
+    test's on the whole grid's full-range field, added in band blocks. With
     ``segments`` a 2-d grid also yields ``nodal.marching_squares``' length,
-    bit for bit. Raises ResourceGuardError for a grid over the rule's cap and
-    the radius guards of ``tube_volumes``. Every worker is joined before this
-    returns.
+    bit for bit. Raises ResourceGuardError for a grid over the rule's cap,
+    ValidationError for no radius or one that is not positive, and
+    ResolutionError for one below 2 max(h). Every worker is joined before
+    this returns.
     """
     shape, h = grid_shape(mode, rule)
     _check_radii(radii, h)
@@ -304,12 +276,21 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     return StreamedTubes(h, dict(zip(radii, volumes)), length)
 
 
+def tube_volume(mode: EigenMode, rule, delta: float) -> float:
+    """Volume of the delta-tube on the grid of ``rule``: ``streamed_tubes`` at one radius.
+
+    No driver calls it. It is kept as the site perfbench's tracer wraps, and
+    goes when the benchmark reads spans instead (ROADMAP item 1b).
+    """
+    return streamed_tubes(mode, rule, [delta]).volumes[delta]
+
+
 @dataclass
 class NodalMeasure:
     """(n-1)-measure estimate with the tube volumes it was extrapolated from."""
 
     value: float
-    volumes: dict           # tube radius -> Vol(T_t); empty in dimension one
+    volumes: dict           # tube radius -> Vol(T_t)
     non_monotone: bool      # Vol(T_t)/(2t) fell as t shrank
 
 
@@ -329,18 +310,6 @@ def tube_measure(volumes: dict) -> NodalMeasure:
         b < a - 0.005 * scale for a, b in zip(ratios, ratios[1:])
     )
     return NodalMeasure(extrap, {t: volumes[t] for t in ts}, non_monotone)
-
-
-def nodal_measure(field: DistanceField, t_list) -> NodalMeasure:
-    """(n-1)-measure of a field's nodal set, for dimension two and up: ``tube_measure``.
-
-    A 1-d nodal set is a vertex count, which ``harness.run_yau_check`` takes
-    without a field; a 1-d field raises ValidationError.
-    """
-    if field.sample.n == 1:
-        raise ValidationError("a 1-d nodal set is counted by its vertices, not measured by tubes")
-    ts = sorted(set(float(t) for t in t_list), reverse=True)
-    return tube_measure(dict(zip(ts, tube_volumes(field, ts))))
 
 
 def density_radius(field: DistanceField) -> float:

@@ -37,7 +37,7 @@ BOX = "box"
 TORUS = "torus"
 _KINDS = (INTERVAL, BOX, TORUS)
 
-# Default cap on enumerated modes; enumerate_modes refuses to build more.
+# Cap on enumerated modes: enumerate_modes and record_candidates refuse to build more.
 MODE_COUNT_CAP = 10_000_000
 
 
@@ -380,12 +380,13 @@ def _sorted_modes(domain: DomainSpec, mu_max: float, m: np.ndarray) -> ModeList:
     return ModeList(domain, float(mu_max), m[order], mu[order])
 
 
-def enumerate_modes(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_CAP) -> ModeList:
+def enumerate_modes(domain: DomainSpec, mu_max: float) -> ModeList:
     """Enumerate every admissible mode with mu <= mu_max, sorted by (mu, lex m).
 
     One mode per multi-index, which is the lattice-point counting convention.
-    Raises ResourceGuardError if the count would exceed ``cap``.
+    Raises ResourceGuardError if the count would exceed ``MODE_COUNT_CAP``.
     """
+    cap = MODE_COUNT_CAP
     _check_mu_max(mu_max)
     # coarse pre-check before any allocation: the axis-aligned bounding count
     bound = 1.0
@@ -402,7 +403,7 @@ def enumerate_modes(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_CAP
     return _sorted_modes(domain, mu_max, m)
 
 
-def record_candidates(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_CAP) -> ModeList:
+def record_candidates(domain: DomainSpec, mu_max: float) -> ModeList:
     """The rows of enumerate_modes(domain, mu_max) that come first among their peers.
 
     Keeps, in list order, each row that is the first with some (axis j,
@@ -414,8 +415,9 @@ def record_candidates(domain: DomainSpec, mu_max: float, cap: int = MODE_COUNT_C
     shares the axis entry that attains its nodal distance with one of these
     rows, which comes no later and has no larger mu: it can never set a
     record of mu * dist nor be a first exact hit. Raises ResourceGuardError
-    before allocating if more than ``cap`` rows would be built.
+    before allocating if more than ``MODE_COUNT_CAP`` rows would be built.
     """
+    cap = MODE_COUNT_CAP
     _check_mu_max(mu_max)
     n = domain.n
     lo = 0 if domain.periodic else 1

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from nodalab.boxes import subdivide
-from nodalab.distance import distance_field
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.harness import (
     run_approx_theorem,
@@ -41,8 +40,7 @@ def report_line(num, ok, detail):
 
 def grid_tube(mode, delta):
     rule = ResolutionRule(points_per_wavelength=32.0, h_max=delta / 2.5)
-    field = distance_field(extract_nodal(sample_grid(mode, rule)))
-    return tube_volume(field, delta)
+    return tube_volume(mode, rule, delta)
 
 
 def gates_by_name(report):

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
 import nodalab.distance as distance_mod
-from nodalab.distance import ROW_BLOCK_POINTS, _seed_mask, capped_pads, capped_rows, distance_field
+from nodalab.distance import (
+    ROW_BLOCK_POINTS,
+    _seed_mask,
+    capped_pads,
+    capped_rows,
+    distance_field,
+    raster_error,
+)
 from nodalab.errors import ResourceGuardError
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.measures import _band_margin
@@ -170,18 +177,20 @@ def test_field_tracks_closed_form_distance():
     pts = np.stack([g.ravel() for g in grids], axis=1)
     exact = nodal_distance_exact(mode, pts).reshape(s.shape)
     err = np.abs(f.dist - exact).max()
-    assert err <= 1.5 * f.raster_error
+    assert err <= 1.5 * raster_error(f.h)
 
 
-def test_padded_cap_guard():
+def test_padded_cap_guard(monkeypatch):
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0))
     nod = extract_nodal(s)
+    monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", 1000)
     with pytest.raises(ResourceGuardError):
-        distance_field(nod, cap=1000)
+        distance_field(nod)
     # the cap applies to the narrow pad actually transformed, not the half-period one
     half_period_size = math.prod(n + 2 * (n // 2 + 1) for n in s.shape)
-    assert not distance_field(nod, cap=half_period_size - 1).empty
+    monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", half_period_size - 1)
+    assert not distance_field(nod).empty
 
 
 def test_distance_field_peak_memory_yau_grid():
@@ -315,9 +324,11 @@ def test_cap_guards_the_whole_padded_array(workers, edt_shapes, monkeypatch):
     distance_field(nod)
     padded = max(math.prod(shape) for shape in edt_shapes)
     monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
+    monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", padded - 1)
     with pytest.raises(ResourceGuardError, match=f"needs {padded} points"):
-        distance_field(nod, cap=padded - 1)
-    assert not distance_field(nod, cap=padded).empty
+        distance_field(nod)
+    monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", padded)
+    assert not distance_field(nod).empty
 
 
 def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):

@@ -246,7 +246,6 @@ def test_dim2_single_mode():
 def test_dim2_reads_its_tube_volume_from_the_nodal_measure(monkeypatch):
     log = []
     spy(monkeypatch, log, measures_mod, "tube_volume")
-    spy(monkeypatch, log, measures_mod, "tube_volumes")
     spy(monkeypatch, log, nodal_mod, "marching_squares")
     calls = []
     log_streams(monkeypatch, calls)

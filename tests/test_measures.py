@@ -11,16 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nodalab.measures as measures_mod
-from nodalab.distance import _seed_mask, distance_field
+from nodalab.distance import _seed_mask, distance_field, raster_error
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ResourceGuardError, ValidationError
 from nodalab.grid import GridSample, ResolutionRule, grid_shape, sample_grid
-from nodalab.measures import (
-    density_radius,
-    nodal_measure,
-    streamed_tubes,
-    tube_volume,
-    tube_volumes,
-)
+from nodalab.measures import density_radius, streamed_tubes, tube_measure, tube_volume
 from nodalab.nodal import NodalApprox, _corner_reduce, extract_nodal, marching_squares
 from nodalab.spectrum import (
     DomainSpec,
@@ -34,9 +28,12 @@ from nodalab.spectrum import (
 from scipy_field import scipy_distance_field
 
 
+def rule_for(h_max=None, ppw=32.0):
+    return ResolutionRule(points_per_wavelength=ppw, h_max=h_max)
+
+
 def field_for(mode, h_max=None, ppw=32.0):
-    s = sample_grid(mode, ResolutionRule(points_per_wavelength=ppw, h_max=h_max))
-    return distance_field(extract_nodal(s))
+    return distance_field(extract_nodal(sample_grid(mode, rule_for(h_max, ppw))))
 
 
 def counted_volume(f, delta):
@@ -48,13 +45,14 @@ def test_interval_tube_volume():
     k, delta = 50, 0.002
     mode = EigenMode(DomainSpec.interval(), (k,))
     f = field_for(mode, h_max=delta / 2)
+    rule = rule_for(h_max=delta / 2)
     exact = tube_volume_exact(mode, delta)
     assert exact == pytest.approx(2 * k * delta, rel=1e-12)
     plain = counted_volume(f, delta)
     h = max(f.h)
     # counting bias: at most one grid point per tube-component boundary
     assert abs(plain - exact) <= 2 * (k + 1) * h
-    refined = tube_volume(f, delta)
+    refined = tube_volume(mode, rule, delta)
     assert abs(refined - exact) / exact < 2e-3
 
 
@@ -62,56 +60,38 @@ def test_torus_tube_volume_refined():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     delta = 0.05
     f = field_for(mode, h_max=delta / 2)
+    rule = rule_for(h_max=delta / 2)
     exact = tube_volume_exact(mode, delta)
     expect = 8 * math.pi * delta * 7 - 16 * 12 * delta**2
     assert exact == pytest.approx(expect, rel=1e-12)
-    refined = tube_volume(f, delta)
+    refined = tube_volume(mode, rule, delta)
     assert abs(refined - exact) / exact < 2e-3
     plain = counted_volume(f, delta)
     assert abs(plain - exact) / exact < 0.25
 
 
-def test_tube_guards():
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    f = field_for(mode, h_max=0.05)
-    with pytest.raises(ResolutionError):
-        tube_volume(f, 0.05)  # below 2*max(h)
-    with pytest.raises(ValidationError):
-        tube_volume(f, 0.0)
-    # NaN fails every comparison: a check written as delta <= 0 lets it through
-    with pytest.raises(ValidationError, match="positive"):
-        tube_volume(f, math.nan)
-
-
 def test_nodal_measure_torus():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     ts = (0.06, 0.03)
-    f = field_for(mode, h_max=min(ts) / 2)
+    rule = rule_for(h_max=min(ts) / 2)
     exact = nodal_measure_exact(mode)
     assert exact == pytest.approx(28 * math.pi, rel=1e-12)
-    nm = nodal_measure(f, ts)
-    length = marching_squares(f.sample)
+    tubes = streamed_tubes(mode, rule, list(ts), segments=True)
+    nm = tube_measure(tubes.volumes)
+    length = tubes.length
     assert abs(nm.value - exact) / exact < 3e-3
     assert abs(length - exact) / exact < 1e-2
     assert not nm.non_monotone
     assert abs(length - nm.value) / max(length, nm.value) < 0.01
     assert sorted(nm.volumes) == sorted(ts)
-    assert nm.volumes[ts[0]] == tube_volume(f, ts[0])
-
-
-def test_nodal_measure_refuses_a_1d_field():
-    # the interval's vertex count is run_yau_check's: it builds no field for it
-    mode = EigenMode(DomainSpec.interval(), (10,))
-    f = field_for(mode)
-    with pytest.raises(ValidationError, match="1-d nodal set"):
-        nodal_measure(f, (0.1, 0.05))
+    assert nm.volumes[ts[0]] == tube_volume(mode, rule, ts[0])
 
 
 def test_nodal_measure_needs_two_radii():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    f = field_for(mode, h_max=0.02)
-    with pytest.raises(ValidationError):
-        nodal_measure(f, (0.05,))
+    tubes = streamed_tubes(mode, rule_for(h_max=0.02), [0.05])
+    with pytest.raises(ValidationError, match="two tube radii"):
+        tube_measure(tubes.volumes)
 
 
 def test_density_radius():
@@ -131,12 +111,8 @@ def test_empty_field_measures():
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0))
     nod = NodalApprox(s, np.empty((0, 2)))
     f = distance_field(nod)
-    assert tube_volume(f, 10 * max(f.h)) == 0.0
     with pytest.raises(EmptyNodalSetError):
         density_radius(f)
-    nm = nodal_measure(f, (10 * max(f.h), 5 * max(f.h)))
-    assert nm.value == 0.0
-    assert set(nm.volumes.values()) == {0.0} and not nm.non_monotone
 
 
 def whole_grid_band(dist, periodic, delta, margin):
@@ -200,17 +176,18 @@ def test_tube_volume_matches_the_exact_volume(data, mode, ppw):
     The special values sit at the gap windows' float edges, inside
     them and just past s/2.
     """
-    f = field_for(mode, ppw=ppw)
-    guard = 2.0 * max(f.h)
-    windows = gap_windows(mode, f.h)
-    special = [guard] + [k * hj for k in (2, 3, 5) for hj in f.h]
+    rule = rule_for(ppw=ppw)
+    _, h = grid_shape(mode, rule)
+    guard = 2.0 * max(h)
+    windows = gap_windows(mode, h)
+    special = [guard] + [k * hj for k in (2, 3, 5) for hj in h]
     for _, lo, half in windows:
         special += [lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf), 0.5 * (lo + half),
                     half * (1 - 1e-12), half, np.nextafter(half, np.inf)]
     top = max(guard, 1.5 * max(half for _, _, half in windows))
     delta = data.draw(st.one_of(st.sampled_from(special), st.floats(guard, top)))
     delta = float(max(delta, guard))
-    assert exact_rel(mode, tube_volume(f, delta), delta) <= 1e-12
+    assert exact_rel(mode, tube_volume(mode, rule, delta), delta) <= 1e-12
 
 
 def miss_by_intervals(s, hj, ncells, delta):
@@ -270,8 +247,9 @@ def test_lambda_cell_with_both_ends_near_keeps_its_far_middle():
     # around such a midpoint is half its cell; at s/2 - h/8 it is a quarter,
     # with both of the cell's ends near
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    f = field_for(mode, ppw=17.0)
-    h1, ncells = f.h[1], f.sample.shape[1]
+    rule = rule_for(ppw=17.0)
+    shape, h = grid_shape(mode, rule)
+    h1, ncells = h[1], shape[1]
     s = mode.factor_zero_spacing(1)
     mid = (np.arange(2 * 4) + 0.5) * s  # the gap midpoints in [0, 2 pi)
     lam = np.floor(mid / h1).astype(int)
@@ -280,7 +258,7 @@ def test_lambda_cell_with_both_ends_near_keeps_its_far_middle():
         delta = 0.5 * s - below * h1
         frac = measures_mod._axis_miss_fractions(mode, 1, h1, ncells, delta)
         np.testing.assert_allclose(frac[lam], share, rtol=0, atol=1e-12)
-        assert exact_rel(mode, tube_volume(f, delta), delta) <= 1e-12
+        assert exact_rel(mode, tube_volume(mode, rule, delta), delta) <= 1e-12
     ends = np.arange(ncells + 1) * h1
     d = nodal_distance_exact(measures_mod._axis_mode(mode, 1), ends[:, None])
     assert ((d[lam] < delta) & (d[lam + 1] < delta)).all()  # at delta = s/2 - h/8
@@ -301,12 +279,12 @@ def count_oracle(monkeypatch):
 def test_miss_tables_replace_the_sample_oracle(monkeypatch):
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     delta = 0.05
-    f = field_for(mode, h_max=delta / 2)
+    rule = rule_for(h_max=delta / 2)
     calls = count_oracle(monkeypatch)
-    assert exact_rel(mode, tube_volume(f, delta), delta) <= 1e-12
+    assert exact_rel(mode, tube_volume(mode, rule, delta), delta) <= 1e-12
     # one 1-d call per axis, at the ends of its cells: ncells + 1 points, and a
     # torus axis of N points has N cells
-    assert calls == [(1, n + 1) for n in f.sample.shape]
+    assert calls == [(1, n + 1) for n in grid_shape(mode, rule)[0]]
 
 
 BAND_MODES = {
@@ -363,7 +341,7 @@ def band_blocks(dist, periodic, deltas, margin, rows):
 @pytest.mark.parametrize("name", list(BAND_FIELDS))
 def test_band_blocks_equal_the_whole_grid_band(name, rows):
     f = BAND_FIELDS[name]()
-    margin = float(np.linalg.norm(f.h)) + f.raster_error
+    margin = float(np.linalg.norm(f.h)) + raster_error(f.h)
     delta = margin + 1.5 * max(f.h)
     fully_in, cells = whole_grid_band(f.dist, f.sample.periodic, delta, margin)
     inside = int(np.count_nonzero(fully_in))
@@ -398,8 +376,8 @@ def test_tube_volumes_do_not_depend_on_the_worker_count(monkeypatch, name):
     rule = ResolutionRule(points_per_wavelength=ppw)
     shape, h = grid_shape(mode, rule)
     radii = [4.0 * max(h), 2.5 * max(h)]
-    whole = volume_bits(tube_volumes(field_for(mode, ppw=ppw), radii))
-    # small blocks and passes, so that there are more passes than workers
+    whole = volume_bits(whole_grid_tubes(mode, rule, radii, 4)[1])
+    # blocks of 4 rows and small passes, so that there are more passes than workers
     monkeypatch.setattr(measures_mod, "ROW_BLOCK_POINTS", 4 * math.prod(shape[1:]))
     monkeypatch.setattr(measures_mod, "PASS_BLOCKS", 2)
     for workers in (1, 3):
@@ -411,19 +389,23 @@ def test_tube_volumes_do_not_depend_on_the_worker_count(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["torus", "box", "3-torus"])
 def test_two_radii_in_one_pass_equal_two_passes(name):
-    f = BAND_FIELDS[name]()
-    radii = [4.0 * max(f.h), 2.5 * max(f.h)]
-    both = tube_volumes(f, radii)
+    mode, ppw = BAND_MODES[name]
+    rule = rule_for(ppw=ppw)
+    _, h = grid_shape(mode, rule)
+    radii = [4.0 * max(h), 2.5 * max(h)]
+    both = list(streamed_tubes(mode, rule, radii).volumes.values())
     assert both[0] != both[1]
-    assert volume_bits(both) == volume_bits([tube_volumes(f, [r])[0] for r in radii])
+    assert volume_bits(both) == volume_bits([tube_volume(mode, rule, r) for r in radii])
 
 
 def test_two_radii_query_the_oracle_once_per_axis(monkeypatch):
     # the cell ends' distances do not depend on the radius: 2 calls, not 4
-    f = BAND_FIELDS["torus"]()
+    mode, ppw = BAND_MODES["torus"]
+    rule = rule_for(ppw=ppw)
+    shape, h = grid_shape(mode, rule)
     calls = count_oracle(monkeypatch)
-    tube_volumes(f, [4.0 * max(f.h), 2.5 * max(f.h)])
-    assert calls == [(1, n + 1) for n in f.sample.shape]
+    streamed_tubes(mode, rule, [4.0 * max(h), 2.5 * max(h)])
+    assert calls == [(1, n + 1) for n in shape]
 
 
 def whole_grid_tubes(mode, rule, radii, rows):
@@ -535,8 +517,11 @@ def test_streamed_tubes_are_bitwise_the_whole_grid_pipeline(mode, ppw, cells, ro
 def test_streamed_radius_must_be_positive(radius, monkeypatch):
     monkeypatch.setattr(measures_mod, "axis_factors", None)  # nothing is sampled
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    # NaN fails every comparison: a check written as delta <= 0 lets it through
     with pytest.raises(ValidationError, match="delta must be positive"):
         streamed_tubes(mode, ResolutionRule(), [0.5, radius])
+    with pytest.raises(ValidationError, match="delta must be positive"):
+        tube_volume(mode, ResolutionRule(), radius)
 
 
 def test_streamed_tubes_keep_the_grid_guards(monkeypatch):
@@ -551,24 +536,13 @@ def test_streamed_tubes_keep_the_grid_guards(monkeypatch):
     shape, h = grid_shape(mode, ResolutionRule())
     with pytest.raises(ResolutionError, match="below resolution guard"):
         streamed_tubes(mode, ResolutionRule(), [1.9 * max(h)])
+    with pytest.raises(ResolutionError, match="below resolution guard"):
+        tube_volume(mode, rule_for(h_max=0.05), 0.05)  # below 2*max(h)
+    with pytest.raises(ValidationError, match="no tube radius"):
+        streamed_tubes(mode, ResolutionRule(), [])
     with pytest.raises(ValidationError, match="2-d"):
         streamed_tubes(EigenMode(DomainSpec.interval(), (3,)), ResolutionRule(), [0.5], segments=True)
 
-
-def test_tube_volume_peak_memory_yau_grid():
-    # the (16,1) Yau field (2519^2) at both Yau radii: grid-sized corner
-    # reductions peaked at 3.25x the field's bytes; row blocks at about 0.7x
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
-    f = field_for(mode, h_max=0.1 / mode.mu / 2.5)
-    assert f.dist.shape == (2519, 2519)
-    for t in (0.2, 0.1):
-        tracemalloc.start()
-        try:
-            tube_volume(f, t / mode.mu)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * f.dist.nbytes
 
 def test_streamed_tubes_peak_memory_yau_grid(monkeypatch):
     # the (16,1) Yau cell (2519^2) at both radii with its segments, two

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nodalab.spectrum as spectrum_mod
 from nodalab.errors import ResourceGuardError, ValidationError
 from nodalab.spectrum import (
     BOX,
@@ -477,9 +478,10 @@ class TestEnumerate:
         assert len(small) <= len(big)
         assert np.array_equal(small.m, big.m[: len(small)])
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
+        monkeypatch.setattr(spectrum_mod, "MODE_COUNT_CAP", 100)
         with pytest.raises(ResourceGuardError):
-            enumerate_modes(TORUS2, 80.0, cap=100)
+            enumerate_modes(TORUS2, 80.0)
 
     def test_modes_roundtrip_to_eigenmode(self):
         modes = enumerate_modes(TORUS2, 3.0)
@@ -500,15 +502,17 @@ class TestRecordCandidates:
                 record_candidates(BOX2, bad)
         assert len(record_candidates(BOX2, 0.0)) == 0
 
-    def test_cap_counts_candidates_before_allocating(self):
+    def test_cap_counts_candidates_before_allocating(self, monkeypatch):
         # about 1.7e15 candidates: the guard fires on the count, not on memory
         with pytest.raises(ResourceGuardError, match="record candidates"):
             record_candidates(BOX2, 1e15)
         # box (1, sqrt2) at mu 30: with enumerate_modes' +1 margins, k <= 31 on
         # the first axis and 2 <= k <= 22 on the second, 52 rows; 49 have mu <= 30
-        assert len(record_candidates(BOX2, 30.0, cap=52)) == 49
+        monkeypatch.setattr(spectrum_mod, "MODE_COUNT_CAP", 52)
+        assert len(record_candidates(BOX2, 30.0)) == 49
+        monkeypatch.setattr(spectrum_mod, "MODE_COUNT_CAP", 51)
         with pytest.raises(ResourceGuardError):
-            record_candidates(BOX2, 30.0, cap=51)
+            record_candidates(BOX2, 30.0)
 
 
 class TestWeylCount:
