@@ -279,7 +279,7 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
 def tube_volume(mode: EigenMode, rule, delta: float) -> float:
     """Volume of the delta-tube on the grid of ``rule``: ``streamed_tubes`` at one radius.
 
-    No driver calls it. It is kept as the site perfbench's tracer wraps, and
+    No experiment calls it. It is kept as the site perfbench's tracer wraps, and
     goes when the benchmark reads spans instead (ROADMAP item 1b).
     """
     return streamed_tubes(mode, rule, [delta]).volumes[delta]
