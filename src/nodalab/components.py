@@ -9,6 +9,10 @@ m_j >= 1 has an exact zero hyperplane at index 0, so only a grid whose seam
 is signed has pairs to join; scipy.sparse is imported for that case alone,
 because importing it with the module adds about 0.1 s to `import nodalab`.
 Grid points with |phi| at or below the sign threshold separate domains.
+
+The domains share one int32 label array, scipy's own label dtype: the
+positive domains are 1..k_pos and the negative ones follow them, each sign
+numbered by its smallest raw label, and 0 marks the unsigned points.
 """
 
 from __future__ import annotations
@@ -41,13 +45,18 @@ def _label_periodic(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]:
 
     edges = (np.ones(int(both.sum())), (first[both], last[both]))
     count, roots = connected_components(coo_matrix(edges, shape=(k + 1, k + 1)), directed=False)
-    # label 0 meets no pair, so it stays root 0; the rest number by smallest raw label
-    return roots[lab], count - 1
+    # label 0 meets no pair, so it stays root 0; the rest number by smallest raw
+    # label. Relabeled row by row in place: no second grid-sized array
+    for row in lab.reshape(len(lab), -1):
+        row[...] = roots[row]
+    return lab, count - 1
 
 
 @dataclass
 class SignComponents:
-    """Labeled nodal domains: 0 marks unsigned points, 1..count the domains."""
+    """Labeled nodal domains in one int32 array: 0 marks unsigned points, 1..k_pos the
+    positive domains and k_pos + 1..count the negative ones; ``signs`` and ``sizes``
+    (int64) are indexed by label - 1."""
 
     labels: np.ndarray
     signs: np.ndarray
@@ -67,26 +76,13 @@ class SignComponents:
 def sign_components(sample: GridSample) -> SignComponents:
     """Connected components of {phi > SIGN_EPS} and {phi < -SIGN_EPS}."""
     v = sample.values
-    labels = np.zeros(v.shape, dtype=np.int64)
-    signs = []
-    sizes = []
-    offset = 0
-    for sgn in (1, -1):
-        mask = v > SIGN_EPS if sgn == 1 else v < -SIGN_EPS
-        lab, k = _label_periodic(mask, sample.periodic)
-        if k == 0:
-            continue
-        labels = np.where(lab > 0, lab + offset, labels)
-        counts = np.bincount(lab.ravel(), minlength=k + 1)[1:]
-        sizes.extend(counts.tolist())
-        signs.extend([sgn] * k)
-        offset += k
-    return SignComponents(
-        labels,
-        np.asarray(signs, dtype=np.int64),
-        np.asarray(sizes, dtype=np.int64),
-        float(np.prod(np.asarray(sample.h))),
-    )
+    labels, k_pos = _label_periodic(v > SIGN_EPS, sample.periodic)
+    neg, k_neg = _label_periodic(v < -SIGN_EPS, sample.periodic)
+    np.add(neg, k_pos, out=labels, where=neg > 0)
+    del neg  # freed before bincount makes its int64 copy of the labels
+    sizes = np.bincount(labels.ravel(), minlength=k_pos + k_neg + 1)[1:]
+    signs = np.repeat(np.array([1, -1], dtype=np.int64), [k_pos, k_neg])
+    return SignComponents(labels, signs, sizes, float(np.prod(np.asarray(sample.h))))
 
 
 def component_inradii(comp: SignComponents, field: DistanceField) -> np.ndarray:

@@ -463,52 +463,56 @@ def run_dim2_checks(
         "inradius_tol": 0.05,
         "c_cap": 3.0,
     }
-    cells = []
-    for m in modes:
-        mode = _mode(domain, m)
-        if min(m) < 1:
-            raise ValidationError("dim2 checks need product modes with all m_j >= 1")
-        mu = mode.mu
-        mj, nj = int(m[0]), int(m[1])
-        cell = CellResult(
-            cell=f"m={mj},{nj}", params={"m": [mj, nj], "mu": mu, "count_oracle": 4 * mj * nj}
-        )
-        with _skip_on_guard(cell):
-            fine = sample_grid(mode, ResolutionRule(points_per_wavelength=area_ppw))
-            comp = sign_components(fine)
-            areas = comp.areas
-            field_fine = distance_field(extract_nodal(fine))
-            inradii = component_inradii(comp, field_fine)
-            side_x = math.pi / (mj * domain.alpha[0])
-            side_y = math.pi / (nj * domain.alpha[1])
-            area_oracle = side_x * side_y
-            inradius_oracle = 0.5 * min(side_x, side_y)
-
-            delta = tube_mu_delta / mu
-            radii = [delta, delta / 2.0]
-            nm = tube_measure(streamed_tubes(mode, _tube_rule(radii), radii).volumes)
-            vol = nm.volumes[delta]
-
-            cell.measured = {
-                "count": comp.count,
-                "min_area": float(areas.min()),
-                "area_oracle": area_oracle,
-                "min_area_rel": abs(float(areas.min()) - area_oracle) / area_oracle,
-                "min_area_mu2": float(areas.min()) * mu * mu,
-                "max_inradius": float(inradii.max()),
-                "inradius_oracle": inradius_oracle,
-                "inradius_rel": abs(float(inradii.max()) - inradius_oracle) / inradius_oracle,
-                "inradius_mu": float(inradii.max()) * mu,
-                "tube_vol": vol,
-                "length": nm.value,
-                "tube_constant": vol / (nm.value * delta),
-                "courant_bound": _lattice_count(mu),
-            }
-            cell.error = raster_error(field_fine.h)
-        cells.append(cell)
+    cells = [_dim2_cell(domain, m, area_ppw, tube_mu_delta) for m in modes]
     gates = GATE_BUILDERS["dim2"](cells, config)
     summary = {"counts": {c.cell: c.measured["count"] for c in _live(cells)}}
     return ExperimentReport("dim2", domain.as_dict(), config, cells, gates, summary, None)
+
+
+def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> CellResult:
+    """One mode's dim2 cell. Its grids are this call's locals, so they are freed
+    before the next mode samples: the driver holds one mode's arrays at a time."""
+    mode = _mode(domain, m)
+    if min(m) < 1:
+        raise ValidationError("dim2 checks need product modes with all m_j >= 1")
+    mu = mode.mu
+    mj, nj = int(m[0]), int(m[1])
+    cell = CellResult(
+        cell=f"m={mj},{nj}", params={"m": [mj, nj], "mu": mu, "count_oracle": 4 * mj * nj}
+    )
+    with _skip_on_guard(cell):
+        fine = sample_grid(mode, ResolutionRule(points_per_wavelength=area_ppw))
+        comp = sign_components(fine)
+        areas = comp.areas
+        field_fine = distance_field(extract_nodal(fine))
+        inradii = component_inradii(comp, field_fine)
+        side_x = math.pi / (mj * domain.alpha[0])
+        side_y = math.pi / (nj * domain.alpha[1])
+        area_oracle = side_x * side_y
+        inradius_oracle = 0.5 * min(side_x, side_y)
+
+        delta = tube_mu_delta / mu
+        radii = [delta, delta / 2.0]
+        nm = tube_measure(streamed_tubes(mode, _tube_rule(radii), radii).volumes)
+        vol = nm.volumes[delta]
+
+        cell.measured = {
+            "count": comp.count,
+            "min_area": float(areas.min()),
+            "area_oracle": area_oracle,
+            "min_area_rel": abs(float(areas.min()) - area_oracle) / area_oracle,
+            "min_area_mu2": float(areas.min()) * mu * mu,
+            "max_inradius": float(inradii.max()),
+            "inradius_oracle": inradius_oracle,
+            "inradius_rel": abs(float(inradii.max()) - inradius_oracle) / inradius_oracle,
+            "inradius_mu": float(inradii.max()) * mu,
+            "tube_vol": vol,
+            "length": nm.value,
+            "tube_constant": vol / (nm.value * delta),
+            "courant_bound": _lattice_count(mu),
+        }
+        cell.error = raster_error(field_fine.h)
+    return cell
 
 
 def _dim2_gates(cells, config):

@@ -1,6 +1,7 @@
 """Sign components: checkerboard oracle, torus wrap stitching, BFS labeling oracle, inradii."""
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -16,7 +17,7 @@ from nodalab.components import (
     sign_components,
 )
 from nodalab.distance import distance_field
-from nodalab.grid import ResolutionRule, sample_grid
+from nodalab.grid import GridSample, ResolutionRule, sample_grid
 from nodalab.nodal import extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode
 
@@ -151,3 +152,68 @@ def test_unsigned_points_are_unlabeled():
     comp = sign_components(s)
     assert (comp.labels == 0).sum() == 9
     assert comp.sizes.sum() + 9 == s.values.size
+
+
+def test_sign_components_peak_memory_dim2_grid():
+    # dim2's (5,5) torus mode at 256 points per wavelength (1280^2). An int64
+    # label array rewritten once per sign peaked at 3.26x the values' bytes
+    # (42.7 MB) over the held sample; one int32 array with the negatives added
+    # in place peaks at 1.50x (19.7 MB), at bincount's int64 copy of it
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (5, 5))
+    s = sample_grid(mode, ResolutionRule(points_per_wavelength=256.0))
+    assert s.shape == (1280, 1280)
+    tracemalloc.start()
+    try:
+        comp = sign_components(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.count == 100
+    assert peak < 2.0 * s.values.nbytes
+
+
+def hand_sample(values, periodic):
+    domain = DomainSpec.torus((1.0, 1.0)) if periodic else DomainSpec.box((1.0, 1.0))
+    values = np.asarray(values, dtype=float)
+    return GridSample(EigenMode(domain, (1, 1)), (0.5, 0.25), values.shape, values)
+
+
+def flood_fill_labels(values, periodic):
+    """The expected labels: flood-fill positive domains 1..k_pos, then the negative ones."""
+    pos, k_pos = flood_fill(values > SIGN_EPS, periodic)
+    neg, _ = flood_fill(values < -SIGN_EPS, periodic)
+    return np.where(neg > 0, neg + k_pos, pos)
+
+
+# two positive domains on the flat grid that meet across axis 1's seam
+ONLY_POSITIVE = [[1, 0, 2, 3], [1, 0, 0, 4], [0, 0, 0, 0]]
+# two domains of each sign; rows 0-1 and row 3 carry signed seam points
+TWO_SIGNS = [
+    [1, 0, -1, -1, 0, 1],
+    [1, 0, -1, -1, 0, 1],
+    [0, 0, 0, 0, 0, 0],
+    [-1, 0, 1, 1, 0, -1],
+]
+EDGE_CASES = {
+    # values, periodic, signs, sizes
+    "positive-flat": (ONLY_POSITIVE, False, [1, 1], [2, 3]),
+    "positive-torus": (ONLY_POSITIVE, True, [1], [5]),
+    "negative-flat": (-np.asarray(ONLY_POSITIVE), False, [-1, -1], [2, 3]),
+    "negative-torus": (-np.asarray(ONLY_POSITIVE), True, [-1], [5]),
+    "unsigned-flat": ([[0.0, SIGN_EPS], [-SIGN_EPS, 0.0]], False, [], []),
+    "unsigned-torus": ([[0.0, SIGN_EPS], [-SIGN_EPS, 0.0]], True, [], []),
+    "two-signs-flat": (TWO_SIGNS, False, [1, 1, 1, -1, -1, -1], [2, 2, 2, 4, 1, 1]),
+    "two-signs-torus": (TWO_SIGNS, True, [1, 1, -1, -1], [4, 2, 4, 2]),
+}
+
+
+@pytest.mark.parametrize("values, periodic, signs, sizes", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_sign_components_edge_cases(values, periodic, signs, sizes):
+    s = hand_sample(values, periodic)
+    comp = sign_components(s)
+    assert comp.count == len(signs)
+    assert comp.signs.tolist() == signs and comp.sizes.tolist() == sizes
+    assert comp.signs.dtype == comp.sizes.dtype == np.int64
+    assert comp.labels.dtype == np.int32
+    # positives first, each sign numbered by its first point in raster order
+    np.testing.assert_array_equal(comp.labels, flood_fill_labels(s.values, periodic))

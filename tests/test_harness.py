@@ -3,6 +3,7 @@ import functools
 import hashlib
 import inspect
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,32 @@ def test_only_the_full_range_fields_run_scipys_transform(monkeypatch):
 def test_dim2_rejects_non_torus():
     with pytest.raises(ValidationError):
         run_dim2_checks(domain=DomainSpec.box((1.0, 1.0)))
+
+
+def test_dim2_holds_one_mode_at_a_time(monkeypatch):
+    """Each mode's sample values, labels and distances are freed before the next mode samples."""
+    held = []  # per mode: (m, weak references to its values, labels and dist)
+
+    def keep(name, array_of):
+        fn = getattr(harness_mod, name)
+
+        def kept(arg, *args, **kwargs):
+            if name == "sample_grid":  # dim2 samples once per mode, first
+                for m, refs in held:
+                    assert all(r() is None for r in refs), f"mode {m} alive at {arg.m}'s sample"
+                held.append((arg.m, []))
+            out = fn(arg, *args, **kwargs)
+            held[-1][1].append(weakref.ref(array_of(out)))
+            return out
+
+        monkeypatch.setattr(harness_mod, name, kept)
+
+    keep("sample_grid", lambda s: s.values)
+    keep("sign_components", lambda comp: comp.labels)
+    keep("distance_field", lambda field: field.dist)
+    assert run_dim2_checks().passed
+    assert [m for m, _ in held] == list(harness_mod.DEFAULT_DIM2_MODES)
+    assert all(len(refs) == 3 for _, refs in held)
 
 
 def test_comparability_gates():
