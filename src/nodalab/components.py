@@ -45,11 +45,8 @@ def _label_periodic(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]:
 
     edges = (np.ones(int(both.sum())), (first[both], last[both]))
     count, roots = connected_components(coo_matrix(edges, shape=(k + 1, k + 1)), directed=False)
-    # label 0 meets no pair, so it stays root 0; the rest number by smallest raw
-    # label. Relabeled row by row in place: no second grid-sized array
-    for row in lab.reshape(len(lab), -1):
-        row[...] = roots[row]
-    return lab, count - 1
+    # label 0 meets no pair, so it stays root 0; the rest number by smallest raw label
+    return roots[lab], count - 1
 
 
 @dataclass

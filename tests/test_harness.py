@@ -311,8 +311,10 @@ def test_dim2_holds_one_mode_at_a_time(monkeypatch):
     keep("sample_grid", lambda s: s.values)
     keep("sign_components", lambda comp: comp.labels)
     keep("distance_field", lambda field: field.dist)
-    assert run_dim2_checks().passed
-    assert [m for m, _ in held] == list(harness_mod.DEFAULT_DIM2_MODES)
+    modes = ((2, 3), (3, 4))
+    report = run_dim2_checks(modes)
+    assert all(c.measured for c in report.cells)
+    assert [m for m, _ in held] == list(modes)
     assert all(len(refs) == 3 for _, refs in held)
 
 
