@@ -4,16 +4,17 @@
 Each experiment produces a JSON report (cells, gates, verdict, param hash)
 and a CSV of the raw cells. The script prints one summary line per
 experiment, the note of each skipped cell under it, lists any failed gates,
-and exits 1 if anything failed. Its second-to-last line is the process's
-peak resident set size (``getrusage`` max RSS, in 10^6 bytes). Its last
+and exits 1 if anything failed. A summary line ends with the process's peak
+resident set size after its experiment (``getrusage`` max RSS, ``rss N MB``
+in 10^6 bytes), so the line where it last grows names the experiment that
+set the peak. The second-to-last line is that peak after all of them. Its last
 line is the sha256 of the reports' ``sha256sum`` listing, sorted by file
 name: the hash that ``(cd OUT && sha256sum * | sha256sum)`` prints when OUT
 holds only these reports, so two runs compare byte for byte in one line.
 
-Full mode takes 6-7 s on a 2-core VM, about three quarters of it in the
-torus tube cells and about 0.2 s in the exponent survey; --quick drops the
-expensive torus tube cells and shrinks the surveys for a fast smoke run
-(about 2 s).
+Full mode takes about 3 s on a 2-core VM, two thirds of it in the torus
+tube cells; --quick drops the expensive torus tube cells and shrinks the
+surveys for a fast smoke run (about 1 s).
 """
 
 import argparse
@@ -71,6 +72,11 @@ def build_jobs(quick: bool, seed: int):
     ]
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in 10^6 bytes (ru_maxrss counts KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="report output directory")
@@ -100,7 +106,7 @@ def main(argv=None) -> int:
         print(
             f"{label:18s} {verdict}  gates {n_pass}/{len(report.gates)}"
             f"  cells {len(report.cells)} ({n_skip} skipped)"
-            f"  {elapsed:6.1f}s  {json_path}"
+            f"  {elapsed:6.1f}s  {json_path}  rss {peak_rss_mb():.1f} MB"
         )
         for c in report.cells:
             if c.skipped:
@@ -120,9 +126,7 @@ def main(argv=None) -> int:
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
         for p in sorted(paths, key=lambda p: p.name)
     )
-    # ru_maxrss counts KiB on Linux
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
-    print(f"peak rss {peak_mb:.1f} MB")
+    print(f"peak rss {peak_rss_mb():.1f} MB")
     print(f"reports sha256 {hashlib.sha256(listing.encode()).hexdigest()}")
     return 1 if failures else 0
 

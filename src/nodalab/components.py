@@ -17,12 +17,13 @@ numbered by its smallest raw label, and 0 marks the unsigned points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import generate_binary_structure, label
 
-from .distance import DistanceField
+from .distance import ROW_BLOCK_POINTS, DistanceField
 from .errors import ValidationError
 from .grid import GridSample
 
@@ -76,8 +77,12 @@ def sign_components(sample: GridSample) -> SignComponents:
     labels, k_pos = _label_periodic(v > SIGN_EPS, sample.periodic)
     neg, k_neg = _label_periodic(v < -SIGN_EPS, sample.periodic)
     np.add(neg, k_pos, out=labels, where=neg > 0)
-    del neg  # freed before bincount makes its int64 copy of the labels
-    sizes = np.bincount(labels.ravel(), minlength=k_pos + k_neg + 1)[1:]
+    # bincount takes an int64 copy of its input: counted a block of rows at a time
+    sizes = np.zeros(k_pos + k_neg + 1, dtype=np.int64)
+    step = max(1, ROW_BLOCK_POINTS // math.prod(labels.shape[1:]))
+    for r in range(0, labels.shape[0], step):
+        sizes += np.bincount(labels[r : r + step].ravel(), minlength=sizes.size)
+    sizes = sizes[1:]
     signs = np.repeat(np.array([1, -1], dtype=np.int64), [k_pos, k_neg])
     return SignComponents(labels, signs, sizes, float(np.prod(np.asarray(sample.h))))
 

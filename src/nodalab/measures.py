@@ -20,24 +20,31 @@ blocks' results in block order.
 
 ``streamed_tubes`` runs that estimator on a mode's grid without forming any
 grid-sized array. It takes the grid in passes of whole rows, each a run of
-consecutive band blocks, on a pool of ``usable_cores()`` threads. A pass
-samples its corner rows plus p_0 + 1 more on each side (wrapped on a torus),
-where p_0 is the capped distance window of ``distance.capped_pads`` on axis
-0; ``grid.sample_grid`` is an outer product of per-axis factors, so these
-rows are bitwise the whole grid's. It finds their vertices with the grid's
-sign-mask code at global row indices, rasterizes them into a seed window,
-and runs ``distance.capped_rows`` and the band test on each of its band
-blocks. A field capped at the largest radius plus the band margin plus one
-cell classifies every cell as the full-range field does, because a corner at
-or past delta + margin puts its cell fully outside whatever its value. On a
-2-d grid a pass can also return the marching-squares sort keys and segment
-lengths of its crossed cells; the caller joins them in row-major order and
-sorts and sums them once, as ``nodal.marching_squares`` does. So a volume's
-and a length's bits do not depend on the worker count or the pass size, and
-equal those of the band test on the whole grid's full-range field, added in
-the same band blocks. ``grid.GRID_POINT_CAP`` still bounds the whole
-grid's size, though no pass holds more than ``PASS_BLOCKS`` band blocks of
-rows.
+consecutive band blocks, on a pool of ``usable_cores()`` threads. A pass's
+seed rows are its corner rows plus p_0 more on each side (wrapped on a
+torus), where p_0 is the capped distance window of ``distance.capped_pads``
+on axis 0. It samples them in chunks, equal runs of at most
+``CHUNK_POINTS`` points, each with one more row on either side;
+``grid.sample_grid`` is an outer product of per-axis factors, so these rows
+are bitwise the whole grid's. A chunk finds their vertices with the grid's
+sign-mask code at global row indices and sets the seeds of its own rows in
+the pass's bool seed window, whose column pads are filled in place after
+the last chunk. A vertex on the edge between two chunks is found by both
+and seeds the same cell either time. On a 2-d grid a chunk also returns the
+marching-squares sort keys and segment lengths of the pass's cells among
+its rows; the chunks' cells tile the pass's. The chunk's values are then
+dropped, so a worker holds the float rows of one chunk at a time. The pass
+runs ``distance.capped_rows`` and the band test on each of its band blocks,
+reading only the seed window. A field capped at the largest radius plus the
+band margin plus one cell classifies every cell as the full-range field
+does, because a corner at or past delta + margin puts its cell fully
+outside whatever its value. The caller joins every chunk's first segments
+in row-major order, then every chunk's saddle second segments, and sorts
+(one stable sort) and sums them once, as ``nodal.marching_squares`` does.
+So a volume's and a length's bits do not depend on the worker count or the
+pass or chunk size, and equal those of the band test on the whole grid's
+full-range field, added in the same band blocks. ``grid.GRID_POINT_CAP``
+still bounds the whole grid's size.
 
 The exact distance is a min over axes of 1-d distances, so a point of a cell
 misses the tube iff every axis misses, and the cell's share of the tube is
@@ -78,8 +85,11 @@ from .grid import axis_factors, grid_shape
 from .nodal import _corner_reduce, _window_vertices, crossed_segments, segment_sum
 from .spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
-# band blocks per pass of the tube stream, at most: bounds the rows a worker holds
+# band blocks per pass of the tube stream, at most: bounds the seed rows a worker holds
 PASS_BLOCKS = 16
+# grid points per chunk of a pass, sampled and searched for vertices at once: bounds
+# the float rows a worker holds
+CHUNK_POINTS = 4 * ROW_BLOCK_POINTS
 
 
 def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
@@ -192,23 +202,31 @@ def _sampled_rows(factors, periodic: bool, lo: int, hi: int):
     return g, at, reduce(np.multiply.outer, [factors[0][at]] + factors[1:])
 
 
-def _seed_rows(values, g, at, h, shape, periodic: bool, lo: int, hi: int) -> np.ndarray:
-    """Seed mask of the global rows lo .. hi - 1 (all-false off a box) from sampled rows.
+def _seed_rows(values, g, at, h, shape, periodic: bool, lo: int, seeds: np.ndarray) -> None:
+    """Set in ``seeds`` the seeds of the global rows lo, lo + 1, ... it holds (none off a box).
 
     ``g``, ``at`` and ``values`` are ``_sampled_rows``' output for rows that
-    include lo - 1 .. hi, so each of these rows has both its axis-0 edges in
-    the window. A vertex takes its source row's grid index, as in the whole
-    grid, and rasterizes to that row or the next.
+    include lo - 1 .. lo + len(seeds), so each of these rows has both its
+    axis-0 edges in the window. A vertex takes its source row's grid index,
+    as in the whole grid, and rasterizes to that row or the next. Setting a
+    seed twice is setting it once, so windows may overlap.
     """
     s0 = shape[0]
-    seeds = np.zeros((hi - lo,) + tuple(shape[1:]), dtype=bool)
     for src, pts in _window_vertices(values, h, periodic, at):
         k0 = raster_index(pts[:, 0], h[0], s0, periodic)
         row = g[src] + (k0 - at[src]) % s0 - lo
-        keep = (0 <= row) & (row < hi - lo)
+        keep = (0 <= row) & (row < seeds.shape[0])
         rest = (raster_index(pts[keep, j], h[j], shape[j], periodic) for j in range(1, len(shape)))
         seeds[(row[keep], *rest)] = True
-    return seeds
+
+
+def _wrap_columns(win: np.ndarray, pads) -> None:
+    """Fill the pads of axes 1 and up of ``win`` from the cells inside them, as np.pad's wrap mode."""
+    for j in range(1, win.ndim):
+        p, n = pads[j], win.shape[j] - 2 * pads[j]
+        axis = np.moveaxis(win, j, 0)  # a view: writes go to win
+        axis[:p] = axis[n : n + p]
+        axis[p + n :] = axis[p : 2 * p]
 
 
 @dataclass
@@ -223,8 +241,9 @@ class StreamedTubes:
 def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> StreamedTubes:
     """Tube volumes at ``radii`` on the grid of ``grid.grid_shape(mode, rule)``, streamed.
 
-    The passes of the module docstring: every volume is bitwise the band
-    test's on the whole grid's full-range field, added in band blocks. With
+    The passes of the module docstring: each samples its rows a chunk at a
+    time and keeps a bool seed window of them; every volume is bitwise the
+    band test's on the whole grid's full-range field, added in band blocks. With
     ``segments`` a 2-d grid also yields ``nodal.marching_squares``' length,
     bit for bit. Raises ResourceGuardError for a grid over the rule's cap,
     ValidationError for no radius or one that is not positive, and
@@ -247,18 +266,29 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     blocks = -(-cells0 // rows)
     step = rows * max(1, min(PASS_BLOCKS, -(-blocks // usable_cores())))
 
+    chunk = max(1, CHUNK_POINTS // math.prod(shape[1:]))
+    inner = tuple(slice(p, p + s) for p, s in zip(pads[1:], shape[1:]))
+
     def one_pass(first):
         last = min(first + step, cells0)
         # the corner rows first .. last, and the seeds p0 rows past them
         lo, hi = first - p0, last + p0 + 1
-        g, at, values = _sampled_rows(factors, periodic, lo - 1, hi + 1)
-        seeds = _seed_rows(values, g, at, h, shape, periodic, lo, hi)
-        pieces = None
-        if segments:
-            corner_rows = slice(first - g[0], last + 1 - g[0])
-            pieces = crossed_segments(values[corner_rows], h, periodic, mode, at[corner_rows])
-        win = np.pad(seeds, [(0, 0)] + [(p, p) for p in pads[1:]],
-                     mode="wrap" if periodic else "constant")
+        win = np.zeros((hi - lo,) + tuple(s + 2 * p for s, p in zip(shape[1:], pads[1:])), dtype=bool)
+        pieces = []
+        # the seed rows, cut at a box's edges, in equal runs of at most a chunk
+        top, end = (lo, hi) if periodic else (max(lo, 0), min(hi, shape[0]))
+        n = -(-(end - top) // chunk)
+        edges = [top + (end - top) * k // n for k in range(n + 1)]
+        for c, d in zip(edges, edges[1:]):
+            g, at, values = _sampled_rows(factors, periodic, c - 1, d + 1)
+            _seed_rows(values, g, at, h, shape, periodic, c, win[(slice(c - lo, d - lo),) + inner])
+            # the chunk's cells: from its rows, within the pass's corner rows
+            cut = slice(max(c, first) - g[0], min(d, last) + 1 - g[0])
+            if segments and cut.stop - cut.start > 1:
+                pieces.append(crossed_segments(values[cut], h, periodic, mode, at[cut]))
+        del values  # no float row is held through the band blocks
+        if periodic:
+            _wrap_columns(win, pads)
         out = []
         for a in range(first, last, rows):
             b = min(a + rows, last)
@@ -271,8 +301,9 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     volumes = _volumes([block for out, _ in passes for block in out], h, radii)
     length = None
     if segments:
-        # every pass's first segments, then every pass's saddle second segments
-        length = segment_sum([p[0] for _, p in passes] + [p[1] for _, p in passes])
+        # every chunk's first segments, then every chunk's saddle second segments
+        chunks = [piece for _, pieces in passes for piece in pieces]
+        length = segment_sum([p[0] for p in chunks] + [p[1] for p in chunks])
     return StreamedTubes(h, dict(zip(radii, volumes)), length)
 
 

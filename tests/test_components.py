@@ -172,6 +172,22 @@ def test_sign_components_peak_memory_dim2_grid():
     assert peak < 2.0 * s.values.nbytes
 
 
+def test_sign_components_count_sizes_a_block_of_rows_at_a_time():
+    # the grid above. bincount over the whole label array took an int64 copy
+    # of it and peaked at 1.50x the values' bytes; counted over row blocks the
+    # peak is the two int32 label arrays at the negatives' relabel, 1.13x
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (5, 5))
+    s = sample_grid(mode, ResolutionRule(points_per_wavelength=256.0))
+    tracemalloc.start()
+    try:
+        comp = sign_components(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.sizes.dtype == np.int64 and comp.sizes.sum() == np.count_nonzero(comp.labels)
+    assert peak < 1.25 * s.values.nbytes
+
+
 def hand_sample(values, periodic):
     domain = DomainSpec.torus((1.0, 1.0)) if periodic else DomainSpec.box((1.0, 1.0))
     values = np.asarray(values, dtype=float)

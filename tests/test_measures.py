@@ -461,8 +461,9 @@ def test_seed_rows_are_the_whole_grid_seed_rows(grid, lo, rows):
     hi = lo + rows
     g, at, window = measures_mod._sampled_rows(factors, periodic, lo - 1, hi + 1)
     assert window.tobytes() == values[at].tobytes()
-    got = measures_mod._seed_rows(window, g, at, h, shape, periodic, lo, hi)
-    want = np.zeros((rows,) + shape[1:], dtype=bool)
+    got = np.zeros((rows,) + shape[1:], dtype=bool)
+    measures_mod._seed_rows(window, g, at, h, shape, periodic, lo, got)
+    want = np.zeros_like(got)
     index = np.arange(lo, hi)
     inside = np.ones(rows, dtype=bool) if periodic else (index >= 0) & (index < shape[0])
     want[inside] = whole[index[inside] % shape[0]]
@@ -483,25 +484,34 @@ def stream_modes(draw):
     cells=st.lists(st.floats(2.0, 7.0), min_size=1, max_size=2),
     rows=st.sampled_from((1, 2, 3, 7, 1 << 20)),
     per_pass=st.sampled_from((1, 2, 3, 16)),
+    per_chunk=st.integers(1, 3),
     workers=st.integers(1, 3),
 )
 # 16 x 16 cells: a window of one band block's rows plus 2 (9 + 1) halo rows spans 22 rows,
 # longer than the period
 @example(mode=EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1)), ppw=16.0, cells=[7.0, 2.0],
-         rows=1, per_pass=1, workers=2)
+         rows=1, per_pass=1, per_chunk=1, workers=2)
 @example(mode=EigenMode(DomainSpec.torus((1.0,)), (1,)), ppw=16.0, cells=[7.0], rows=1,
-         per_pass=2, workers=3)
+         per_pass=2, per_chunk=1, workers=3)
+# 16 x 16 points, passes of 6 cell rows and 2 (7 + 1) halo rows, sampled in runs of at
+# most 2 rows: chunk edges fall in the halo and among the corner rows of the segments
+@example(mode=EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 1)), ppw=8.0, cells=[3.0],
+         rows=2, per_pass=3, per_chunk=1, workers=2)
+@example(mode=EigenMode(DomainSpec.box((1.0, 1.0)), (2, 1)), ppw=8.0, cells=[3.0],
+         rows=2, per_pass=3, per_chunk=1, workers=2)
 @settings(max_examples=60, deadline=None)
-def test_streamed_tubes_are_bitwise_the_whole_grid_pipeline(mode, ppw, cells, rows, per_pass, workers):
+def test_streamed_tubes_are_bitwise_the_whole_grid_pipeline(mode, ppw, cells, rows, per_pass,
+                                                            per_chunk, workers):
     """The streamed volumes, and on 2-d grids the marching-squares length, equal
-    the whole-grid pipeline's bit for bit, at any band block and pass size and
-    any worker count."""
+    the whole-grid pipeline's bit for bit, at any band block, pass and chunk
+    size and any worker count."""
     rule = ResolutionRule(points_per_wavelength=ppw)
     shape, h = grid_shape(mode, rule)
     radii = [c * max(h) for c in cells]
     row_points = math.prod(shape[1:])
     with mock.patch.object(measures_mod, "ROW_BLOCK_POINTS", rows * row_points), \
             mock.patch.object(measures_mod, "PASS_BLOCKS", per_pass), \
+            mock.patch.object(measures_mod, "CHUNK_POINTS", per_chunk * rows * row_points), \
             mock.patch.object(measures_mod, "usable_cores", lambda: workers):
         tubes = streamed_tubes(mode, rule, radii, segments=len(shape) == 2)
     sample, expect = whole_grid_tubes(mode, rule, radii, rows)
@@ -563,3 +573,22 @@ def test_streamed_tubes_peak_memory_yau_grid(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.75 * 8 * math.prod(shape)
+
+
+def test_streamed_pass_holds_one_chunk_of_values(monkeypatch):
+    # the Yau grid of the test above, two workers. A pass that sampled all its
+    # rows at once held them through its vertices and segments, at 0.59-0.63x
+    # the grid's float64 bytes; a chunk of at most 4 band blocks' points at a
+    # time, dropped before the band blocks, peaks at 0.20x (10 MB)
+    monkeypatch.setattr(measures_mod, "usable_cores", lambda: 2)
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
+    radii = [0.2 / mode.mu, 0.1 / mode.mu]
+    rule = ResolutionRule(points_per_wavelength=32.0, h_max=min(radii) / 2.5)
+    shape, _ = grid_shape(mode, rule)
+    tracemalloc.start()
+    try:
+        streamed_tubes(mode, rule, radii, segments=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.35 * 8 * math.prod(shape)

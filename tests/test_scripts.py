@@ -1,6 +1,7 @@
 """scripts/run_all_experiments.py: the last line hashes the reports it wrote,
-the line before it gives the peak RSS, and the --quick battery keeps its bytes,
-with and without numpy's AVX-512 kernels."""
+the line before it gives the peak RSS, each summary line the peak after its
+experiment, and the --quick battery keeps its bytes, with and without numpy's
+AVX-512 kernels."""
 
 import importlib.util
 import os
@@ -64,6 +65,21 @@ def test_peak_rss_line_comes_before_the_hash(tmp_path, capsys, monkeypatch):
     match = re.fullmatch(r"peak rss (\d+\.\d) MB", peak)
     assert match and float(match.group(1)) > 0
     assert last.startswith("reports sha256 ")
+
+
+def test_summary_line_ends_with_the_peak_rss_after_its_experiment(tmp_path, capsys, monkeypatch):
+    script = small_battery(monkeypatch)
+    assert script.main(["--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = r"{} +PASS  gates \d+/\d+  cells \d+ \(0 skipped\) +\d+\.\ds  \S+\.json  rss (\d+\.\d) MB"
+    rss = []
+    for line, label in zip(lines, ("density interval", "density torus")):
+        match = re.fullmatch(summary.format(label), line)
+        assert match, line
+        rss.append(float(match.group(1)))
+    peak = float(re.fullmatch(r"peak rss (\d+\.\d) MB", lines[-2]).group(1))
+    # a peak never falls: each line's is at most the next one's
+    assert 0 < rss[0] <= rss[1] <= peak
 
 
 def test_quick_battery_reports_keep_their_bytes(tmp_path, capsys):
