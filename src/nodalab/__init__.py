@@ -21,7 +21,7 @@ from .dioph import (
     estimate_exponent,
     modes_nodal_distance,
 )
-from .distance import DistanceField, distance_field
+from .distance import DistanceField, distance_field, nodal_seeds
 from .errors import (
     EmptyNodalSetError,
     ResolutionError,
@@ -100,6 +100,7 @@ __all__ = [
     "modes_nodal_distance",
     "nodal_distance_exact",
     "nodal_measure_exact",
+    "nodal_seeds",
     "run_approx_theorem",
     "run_comparability_scaling",
     "run_density_check",

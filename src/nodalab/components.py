@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import generate_binary_structure, label
 
-from .distance import ROW_BLOCK_POINTS, DistanceField
+from .distance import ROW_BLOCK_POINTS, Seeds, full_range
 from .errors import ValidationError
 from .grid import GridSample
 
@@ -87,10 +87,24 @@ def sign_components(sample: GridSample) -> SignComponents:
     return SignComponents(labels, signs, sizes, float(np.prod(np.asarray(sample.h))))
 
 
-def component_inradii(comp: SignComponents, field: DistanceField) -> np.ndarray:
-    """Max of a full-range distance field over each domain: its inner radius, up to grid error."""
-    if field.dist.shape != comp.labels.shape:
-        raise ValidationError("distance field and components use different grids")
-    out = np.zeros(comp.count + 1)
-    np.maximum.at(out, comp.labels.ravel(), field.dist.ravel())
-    return out[1:]
+def component_inradii(comp: SignComponents, seeds: Seeds) -> np.ndarray:
+    """Max of the full-range distance field to ``seeds`` over each domain: its inner radius,
+    up to grid error; ``inf`` for every domain when there are no seeds.
+
+    The field is never formed: each block of rows the transform computes is
+    folded into its slab's own per-label maxima with ``np.maximum.at``, and
+    the slabs' maxima are joined with ``np.maximum``. The certificate still
+    reads the slab loop's maximum over every point, unsigned ones (label 0)
+    included, and a failed one reruns the transform with fresh maxima. Bit
+    for bit ``np.maximum.at`` over ``distance_field(...).dist``.
+    """
+    if seeds.mask.shape != comp.labels.shape:
+        raise ValidationError("seed set and components use different grids")
+    if not seeds.mask.any():
+        return np.full(comp.count, np.inf)
+
+    def fold(maxima, rows, d):
+        np.maximum.at(maxima, comp.labels[rows].ravel(), d.ravel())
+
+    slabs = full_range(seeds, lambda: np.zeros(comp.count + 1), fold)
+    return np.maximum.reduce(slabs)[1:]

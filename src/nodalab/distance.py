@@ -25,16 +25,22 @@ The slab of grid rows [a, b) transforms rows [a, b + 2 p_0) of the padded
 mask: its own rows with the axis-0 pad on both sides as a halo. A seed image
 nearer than R to a point of the slab lies within p_0 rows of it, so inside
 the window, and the field's maximum below R leaves no nearest seed outside.
-Each slab writes its distances into its rows of the one output field, a few
-rows at a time, so no grid-sized temporary is formed. The slab count is
-bounded so the windows in flight hold at most twice the unsplit padded rows.
-An unpadded grid (a box or the interval) has no halo and is one transform.
+Each slab computes its distances a few rows at a time into one buffer, so no
+grid-sized temporary is formed, and the slab loop keeps their maximum for the
+certificate, over every point. What becomes of a block is up to its
+consumer (``full_range``): ``distance_field`` writes it into its rows of the
+one output field. The slab count is bounded so the windows in flight hold
+at most twice the unsplit padded rows. An unpadded grid (a box or the
+interval) has no halo and is one transform.
 
 The tube volumes do not read a whole field: ``measures.streamed_tubes``
 computes distances below a cap one block of rows at a time with
 ``capped_rows``, which runs no scipy transform. The density radius and the
-sign domains' inner radii read a field's maximum, which a cap would clip, so
-they keep this module's full-range field and its certificate.
+sign domains' inner radii read a maximum, which a cap would clip, so they
+keep the full-range transform and its certificate. Only the density radius
+forms the field: ``components.component_inradii`` folds each block into
+per-domain maxima, and it reads a ``Seeds`` (the seed mask with the grid's
+spacing and wrap), so dim2 frees its sample's values before the transform.
 """
 
 from __future__ import annotations
@@ -100,6 +106,21 @@ def _seed_mask(nodal: NodalApprox) -> np.ndarray:
     return mask
 
 
+@dataclass
+class Seeds:
+    """The nodal vertices rasterized to their grid points, with the grid's spacing and wrap:
+    all that a full-range transform reads, so the sample's values can go first."""
+
+    mask: np.ndarray
+    h: tuple[float, ...]
+    periodic: bool
+
+
+def nodal_seeds(nodal: NodalApprox) -> Seeds:
+    """The seed set of ``nodal``: its vertices on their nearest grid points."""
+    return Seeds(_seed_mask(nodal), nodal.sample.h, nodal.sample.periodic)
+
+
 def usable_cores() -> int:
     """Cores this process may run on: the threads of the EDT slabs and of the tube stream."""
     if hasattr(os, "sched_getaffinity"):
@@ -118,16 +139,18 @@ def _slab_count(rows: int, pad: int) -> int:
     return min(usable_cores(), rows, 2 + rows // (2 * pad))
 
 
-def _cropped_distances(seeds: np.ndarray, pads, h) -> np.ndarray:
-    """Distances to the nearest seed on the block inside ``pads`` cells per side.
+def _cropped_distances(seeds: np.ndarray, pads, h, start, fold) -> tuple[list, float]:
+    """Distances to the nearest seed on the block inside ``pads`` cells per side, folded.
 
     scipy's float sequence, on the block only: per axis the int32 index
     difference, then float64, times h_j, squared, summed over the axes in
     axis order, and the square root. The transform runs in row slabs on a
-    thread pool; every worker is joined before this returns.
+    thread pool. Each slab computes a few rows at a time into one buffer and
+    hands them to its own accumulator ``acc = start()`` as ``fold(acc, rows,
+    d)``, ``rows`` the grid rows' slice. Returns the slabs' accumulators and
+    the maximum distance; every worker is joined before this returns.
     """
     shape = tuple(s - 2 * p for s, p in zip(seeds.shape, pads))
-    out = np.empty(shape)
     p0 = pads[0]
     slabs = _slab_count(shape[0], p0)
     edges = [shape[0] * k // slabs for k in range(slabs + 1)]
@@ -137,8 +160,10 @@ def _cropped_distances(seeds: np.ndarray, pads, h) -> np.ndarray:
         ft = distance_transform_edt(
             ~seeds[a : b + 2 * p0], sampling=h, return_distances=False, return_indices=True
         )
+        acc, top = start(), 0.0
+        buf = np.empty((min(step, b - a),) + shape[1:])
         for r in range(a, b, step):
-            piece = out[r : min(r + step, b)]
+            piece = buf[: min(r + step, b) - r]
             # the piece in window indices: grid row i is window row i - a + p0
             first = (r - a + p0,) + tuple(pads[1:])
             crop = tuple(slice(f, f + s) for f, s in zip(first, piece.shape))
@@ -154,10 +179,47 @@ def _cropped_distances(seeds: np.ndarray, pads, h) -> np.ndarray:
                     np.multiply(d, d, out=d)
                     piece += d
             np.sqrt(piece, out=piece)
+            fold(acc, slice(r, r + len(piece)), piece)
+            top = max(top, float(piece.max()))
+        return acc, top
 
     with ThreadPoolExecutor(slabs) as pool:
-        list(pool.map(slab, edges[:-1], edges[1:]))
-    return out
+        done = list(pool.map(slab, edges[:-1], edges[1:]))
+    return [acc for acc, _ in done], max(top for _, top in done)
+
+
+def full_range(seeds: Seeds, start, fold) -> list:
+    """The full-range field of a nonempty seed set, folded block by block: the slabs' accumulators.
+
+    ``start`` and ``fold`` are as in ``_cropped_distances``: every grid point's
+    distance reaches exactly one ``fold`` of the attempt whose accumulators
+    are returned, the one that passes the certificate. ``PADDED_POINT_CAP``
+    bounds the points of the (padded) array, whichever slabs it is
+    transformed in.
+    """
+    cap = PADDED_POINT_CAP
+    mask, h = seeds.mask, seeds.h
+    if not seeds.periodic:
+        if mask.size > cap:
+            raise ResourceGuardError(f"distance transform on {mask.size} points (cap {cap})")
+        return _cropped_distances(mask, [0] * mask.ndim, h, start, fold)[0]
+    full = [s // 2 + 1 for s in mask.shape]
+    # first guess: grid points per seed, about the spacing of the nodal set
+    radius = mask.size / np.count_nonzero(mask) * min(h)
+    while True:  # at most twice: the second pad exceeds the first field's maximum
+        pads = [min(f, math.ceil(radius / hj) + 1) for f, hj in zip(full, h)]
+        padded_size = math.prod(s + 2 * p for s, p in zip(mask.shape, pads))
+        if padded_size > cap:
+            raise ResourceGuardError(
+                f"padded distance transform needs {padded_size} points (cap {cap})"
+            )
+        padded = np.pad(mask, [(p, p) for p in pads], mode="wrap")
+        accs, radius = _cropped_distances(padded, pads, h, start, fold)
+        certified = min(
+            (p * hj for p, f, hj in zip(pads, full, h) if p < f), default=math.inf
+        )
+        if radius < certified:
+            return accs
 
 
 def capped_pads(shape, h, reach: float, periodic: bool) -> list[int]:
@@ -220,34 +282,15 @@ def distance_field(nodal: NodalApprox) -> DistanceField:
 
     An empty nodal set yields an all-infinity field flagged ``empty`` rather
     than an error, so callers can distinguish "no zeros" from "far from zeros".
-    ``PADDED_POINT_CAP`` bounds the points of the (padded) array, whichever
-    slabs it is transformed in.
+    Each block of rows is written into the one output field.
     """
-    cap = PADDED_POINT_CAP
-    sample = nodal.sample
-    seeds = _seed_mask(nodal)
-    n_seeds = np.count_nonzero(seeds)
-    if n_seeds == 0:
-        return DistanceField(nodal, np.full(sample.shape, np.inf))
-    if not sample.periodic:
-        if seeds.size > cap:
-            raise ResourceGuardError(f"distance transform on {seeds.size} points (cap {cap})")
-        return DistanceField(nodal, _cropped_distances(seeds, [0] * sample.n, sample.h))
-    full = [s // 2 + 1 for s in sample.shape]
-    # first guess: grid points per seed, about the spacing of the nodal set
-    radius = seeds.size / n_seeds * min(sample.h)
-    while True:  # at most twice: the second pad exceeds the first field's maximum
-        pads = [min(f, math.ceil(radius / hj) + 1) for f, hj in zip(full, sample.h)]
-        padded_size = math.prod(s + 2 * p for s, p in zip(sample.shape, pads))
-        if padded_size > cap:
-            raise ResourceGuardError(
-                f"padded distance transform needs {padded_size} points (cap {cap})"
-            )
-        padded = np.pad(seeds, [(p, p) for p in pads], mode="wrap")
-        dist = _cropped_distances(padded, pads, sample.h)
-        certified = min(
-            (p * hj for p, f, hj in zip(pads, full, sample.h) if p < f), default=math.inf
-        )
-        radius = float(dist.max())
-        if radius < certified:
-            return DistanceField(nodal, dist)
+    seeds = nodal_seeds(nodal)
+    if not seeds.mask.any():
+        return DistanceField(nodal, np.full(seeds.mask.shape, np.inf))
+    dist = np.empty(seeds.mask.shape)
+
+    def write(_, rows, d):
+        dist[rows] = d
+
+    full_range(seeds, lambda: None, write)
+    return DistanceField(nodal, dist)

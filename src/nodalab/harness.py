@@ -27,7 +27,7 @@ from .dioph import (
     shrinking_radii,
     tail_hits,
 )
-from .distance import distance_field, raster_error
+from .distance import distance_field, nodal_seeds, raster_error
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
 from .measures import density_radius, streamed_tubes, tube_measure
@@ -439,8 +439,8 @@ def run_dim2_checks(
     checks the smallest domain area and the largest inner radius against the
     rectangle-cell oracles, and bounds tube volume by measured length * delta,
     from tubes at delta = tube_mu_delta / mu and delta / 2 on the tube grid.
-    The inner radii read a full-range field's maxima; the tubes stream their
-    grid through ``measures.streamed_tubes``.
+    The inner radii fold a full-range transform into per-domain maxima; the
+    tubes stream their grid through ``measures.streamed_tubes``.
 
     The tube volumes draw no random numbers. ``seed`` is accepted and ignored
     (the report records ``seed: null``) so that callers written when the
@@ -471,7 +471,8 @@ def run_dim2_checks(
 
 def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> CellResult:
     """One mode's dim2 cell. Its grids are this call's locals, so they are freed
-    before the next mode samples: the driver holds one mode's arrays at a time."""
+    before the next mode samples: the driver holds one mode's arrays at a time.
+    The sample's values go before the inner radii's transform."""
     mode = _mode(domain, m)
     if min(m) < 1:
         raise ValidationError("dim2 checks need product modes with all m_j >= 1")
@@ -483,9 +484,10 @@ def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> 
     with _skip_on_guard(cell):
         fine = sample_grid(mode, ResolutionRule(points_per_wavelength=area_ppw))
         comp = sign_components(fine)
+        seeds = nodal_seeds(extract_nodal(fine))
+        del fine  # the transform reads only the int32 labels and the bool seed mask
         areas = comp.areas
-        field_fine = distance_field(extract_nodal(fine))
-        inradii = component_inradii(comp, field_fine)
+        inradii = component_inradii(comp, seeds)
         side_x = math.pi / (mj * domain.alpha[0])
         side_y = math.pi / (nj * domain.alpha[1])
         area_oracle = side_x * side_y
@@ -511,7 +513,7 @@ def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> 
             "tube_constant": vol / (nm.value * delta),
             "courant_bound": _lattice_count(mu),
         }
-        cell.error = raster_error(field_fine.h)
+        cell.error = raster_error(seeds.h)
     return cell
 
 

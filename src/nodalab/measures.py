@@ -38,9 +38,11 @@ runs ``distance.capped_rows`` and the band test on each of its band blocks,
 reading only the seed window. A field capped at the largest radius plus the
 band margin plus one cell classifies every cell as the full-range field
 does, because a corner at or past delta + margin puts its cell fully
-outside whatever its value. The caller joins every chunk's first segments
-in row-major order, then every chunk's saddle second segments, and sorts
-(one stable sort) and sums them once, as ``nodal.marching_squares`` does.
+outside whatever its value. The caller joins the chunks' first and saddle
+second segments as one list in row-major chunk order, and sorts (one stable
+sort) and sums them once, as ``nodal.marching_squares`` does. The order of
+the two kinds is free: first segments have even keys and second ones odd
+keys, so no key holds both, and each key's segments keep row-major order.
 So a volume's and a length's bits do not depend on the worker count or the
 pass or chunk size, and equal those of the band test on the whole grid's
 full-range field, added in the same band blocks. ``grid.GRID_POINT_CAP``
@@ -245,10 +247,12 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     time and keeps a bool seed window of them; every volume is bitwise the
     band test's on the whole grid's full-range field, added in band blocks. With
     ``segments`` a 2-d grid also yields ``nodal.marching_squares``' length,
-    bit for bit. Raises ResourceGuardError for a grid over the rule's cap,
-    ValidationError for no radius or one that is not positive, and
-    ResolutionError for one below 2 max(h). Every worker is joined before
-    this returns.
+    bit for bit: the chunks' segments are joined in chunk order, first and
+    second ones together, as their keys' parities keep one key to one kind
+    and the sort is stable. Raises ResourceGuardError for a grid over the
+    rule's cap, ValidationError for no radius or one that is not positive,
+    and ResolutionError for one below 2 max(h). Every worker is joined
+    before this returns.
     """
     shape, h = grid_shape(mode, rule)
     _check_radii(radii, h)
@@ -301,9 +305,8 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     volumes = _volumes([block for out, _ in passes for block in out], h, radii)
     length = None
     if segments:
-        # every chunk's first segments, then every chunk's saddle second segments
-        chunks = [piece for _, pieces in passes for piece in pieces]
-        length = segment_sum([p[0] for p in chunks] + [p[1] for p in chunks])
+        # every chunk's first and second segments, in row-major chunk order
+        length = segment_sum([part for _, pieces in passes for piece in pieces for part in piece])
     return StreamedTubes(h, dict(zip(radii, volumes)), length)
 
 

@@ -10,13 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nodalab.distance as distance_mod
 from nodalab.components import (
     SIGN_EPS,
     _label_periodic,
     component_inradii,
     sign_components,
 )
-from nodalab.distance import distance_field
+from nodalab.distance import distance_field, nodal_seeds
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
 from nodalab.nodal import extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode
@@ -139,8 +140,7 @@ def test_component_inradii_rectangles():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0))
     comp = sign_components(s)
-    field = distance_field(extract_nodal(s))
-    inr = component_inradii(comp, field)
+    inr = component_inradii(comp, nodal_seeds(extract_nodal(s)))
     assert inr.shape == (48,)
     # every domain is a pi/3 x pi/4 rectangle with inradius pi/8
     np.testing.assert_allclose(inr, math.pi / 8, rtol=0.06)
@@ -233,3 +233,113 @@ def test_sign_components_edge_cases(values, periodic, signs, sizes):
     assert comp.labels.dtype == np.int32
     # positives first, each sign numbered by its first point in raster order
     np.testing.assert_array_equal(comp.labels, flood_fill_labels(s.values, periodic))
+
+
+def folded_and_field_maxima(sample, workers, block_points=None):
+    """Per-domain radii from ``component_inradii`` and from ``np.maximum.at`` over
+    ``distance_field``'s field, with ``workers`` slab threads, and the number of
+    transforms the fold ran."""
+    comp = sign_components(sample)
+    nod = extract_nodal(sample)
+    transforms = []
+    edt = distance_mod.distance_transform_edt
+
+    def counted(a, **kwargs):
+        transforms.append(a.shape)
+        return edt(a, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance_mod, "usable_cores", lambda: workers)
+        if block_points is not None:
+            mp.setattr(distance_mod, "ROW_BLOCK_POINTS", block_points)
+        mp.setattr(distance_mod, "distance_transform_edt", counted)
+        got = component_inradii(comp, nodal_seeds(nod))
+        mp.setattr(distance_mod, "distance_transform_edt", edt)
+        dist = distance_field(nod).dist
+    want = np.zeros(comp.count + 1)
+    np.maximum.at(want, comp.labels.ravel(), dist.ravel())
+    return got, want[1:], len(transforms)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def dense_corner_values():
+    """Positive but for a checkerboard in one 16^2 corner of a 64^2 torus: the seed
+    density suggests a pad of a few cells, the far points lie about 24 rows away."""
+    values = np.ones((64, 64))
+    i, j = np.indices((16, 16))
+    values[:16, :16] = (-1.0) ** (i + j)
+    return values
+
+
+FOLD_CASES = {
+    # sample, transforms of one slab per attempt
+    "second-pad": (lambda: hand_sample(dense_corner_values(), True), 2),
+    # exact zero lines: unsigned points, label 0
+    "unsigned-torus": (lambda: sample_grid(EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3)),
+                                           ResolutionRule(points_per_wavelength=16.0)), 1),
+    "unsigned-box": (lambda: sample_grid(EigenMode(DomainSpec.box((1.0, 1.3)), (2, 1)),
+                                         ResolutionRule(points_per_wavelength=16.0)), 1),
+    # no sign change and no zero: an empty nodal set, one domain and unsigned points
+    "empty-torus": (lambda: hand_sample([[1.0, 1e-13, 1.0], [1.0, 2.0, 1.0]], True), 0),
+    "empty-box": (lambda: hand_sample([[1.0, 1e-13, 1.0], [1.0, 2.0, 1.0]], False), 0),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("make_sample, attempts", FOLD_CASES.values(), ids=FOLD_CASES)
+def test_folded_maxima_are_bitwise_the_fields(make_sample, attempts, workers):
+    sample = make_sample()
+    got, want, _ = folded_and_field_maxima(sample, workers)
+    assert_bitwise(got, want)
+    _, _, transforms = folded_and_field_maxima(sample, 1)
+    assert transforms == attempts
+    if attempts == 0:  # no seeds: every domain's radius is inf, as the field's maximum
+        assert got.size == 1 and np.isinf(got).all()
+    else:
+        assert np.isfinite(got).all()
+
+
+@given(
+    values=st.tuples(st.integers(2, 24), st.integers(2, 24)).flatmap(
+        lambda shape: arrays(
+            np.float64, shape, elements=st.sampled_from([-1.0, -0.25, 0.0, 1e-13, 0.5, 1.0])
+        )
+    ),
+    periodic=st.booleans(),
+    workers=st.integers(1, 3),
+    block_points=st.integers(1, 64),
+)
+@example(values=dense_corner_values(), periodic=True, workers=3, block_points=64)
+@settings(max_examples=150, deadline=None)
+def test_folded_maxima_match_maximum_at_over_the_field(values, periodic, workers, block_points):
+    """Drawn torus and box grids, in 1-3 slabs and blocks of a few rows."""
+    got, want, _ = folded_and_field_maxima(hand_sample(values, periodic), workers, block_points)
+    assert_bitwise(got, want)
+
+
+def test_dim2_inradii_chain_peak_memory(monkeypatch):
+    # dim2's (5,5) chain on its 1280^2 fine grid, two slab workers: sample,
+    # labels, seed mask, values freed, inner radii. With the full-range field
+    # formed beside the held values the chain peaked at 4.39x the values'
+    # bytes (57.5 MB); folding each block into per-domain maxima after the
+    # values are freed peaks at 2.36x (30.9 MB), in the transform. Bound: 2.75x,
+    # about 16% over that
+    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (5, 5))
+    tracemalloc.start()
+    try:
+        fine = sample_grid(mode, ResolutionRule(points_per_wavelength=256.0))
+        grid_bytes = fine.values.nbytes
+        comp = sign_components(fine)
+        seeds = nodal_seeds(extract_nodal(fine))
+        del fine
+        inradii = component_inradii(comp, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seeds.mask.shape == (1280, 1280) and inradii.shape == (100,)
+    assert peak < 2.75 * grid_bytes

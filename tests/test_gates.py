@@ -80,7 +80,7 @@ def widen_inradii(monkeypatch):
     """Sign-domain inner radii read 1.2 times too large."""
     inradii = harness_mod.component_inradii
     monkeypatch.setattr(
-        harness_mod, "component_inradii", lambda comp, field: 1.2 * inradii(comp, field)
+        harness_mod, "component_inradii", lambda comp, seeds: 1.2 * inradii(comp, seeds)
     )
 
 

@@ -291,8 +291,9 @@ def test_dim2_rejects_non_torus():
 
 
 def test_dim2_holds_one_mode_at_a_time(monkeypatch):
-    """Each mode's sample values, labels and distances are freed before the next mode samples."""
-    held = []  # per mode: (m, weak references to its values, labels and dist)
+    """Each mode's sample values, labels and seed mask are freed before the next mode
+    samples, and its values before the inner radii's transform starts."""
+    held = []  # per mode: (m, weak references to its values, labels and seed mask)
 
     def keep(name, array_of):
         fn = getattr(harness_mod, name)
@@ -310,11 +311,21 @@ def test_dim2_holds_one_mode_at_a_time(monkeypatch):
 
     keep("sample_grid", lambda s: s.values)
     keep("sign_components", lambda comp: comp.labels)
-    keep("distance_field", lambda field: field.dist)
+    keep("nodal_seeds", lambda seeds: seeds.mask)
+    inradii = harness_mod.component_inradii
+    transformed = []
+
+    def checked(comp, seeds):
+        m, (values, *_) = held[-1]
+        assert values() is None, f"mode {m}'s values alive at its transform"
+        transformed.append(m)
+        return inradii(comp, seeds)
+
+    monkeypatch.setattr(harness_mod, "component_inradii", checked)
     modes = ((2, 3), (3, 4))
     report = run_dim2_checks(modes)
     assert all(c.measured for c in report.cells)
-    assert [m for m, _ in held] == list(modes)
+    assert [m for m, _ in held] == transformed == list(modes)
     assert all(len(refs) == 3 for _, refs in held)
 
 
