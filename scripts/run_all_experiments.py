@@ -4,7 +4,8 @@
 Each experiment produces a JSON report (cells, gates, verdict, param hash)
 and a CSV of the raw cells. The script prints one summary line per
 experiment, the note of each skipped cell under it, lists any failed gates,
-and exits 1 if anything failed. A summary line ends with the process's peak
+and exits 1 if anything failed; a negative --seed exits 2 before any
+experiment runs. A summary line ends with the process's peak
 resident set size after its experiment (``getrusage`` max RSS, ``rss N MB``
 in 10^6 bytes), so the line where it last grows names the experiment that
 set the peak. The second-to-last line is that peak after all of them. Its last
@@ -28,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nodalab import (
     DomainSpec,
+    ValidationError,
     run_approx_theorem,
     run_comparability_scaling,
     run_density_check,
@@ -37,6 +39,7 @@ from nodalab import (
     run_yau_check,
     write_report,
 )
+from nodalab.harness import check_seed
 
 
 def build_jobs(quick: bool, seed: int):
@@ -86,6 +89,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--quick", action="store_true", help="smaller configs, same gates")
     args = parser.parse_args(argv)
+    try:
+        check_seed(args.seed)  # before any experiment runs
+    except ValidationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     jobs = build_jobs(args.quick, args.seed)
 

@@ -33,22 +33,26 @@ one output field. The slab count is bounded so the windows in flight hold
 at most twice the unsplit padded rows. An unpadded grid (a box or the
 interval) has no halo and is one transform.
 
-The tube volumes do not read a whole field: ``measures.streamed_tubes``
-computes distances below a cap one block of rows at a time with
-``capped_rows``, which runs no scipy transform. The density radius and the
-sign domains' inner radii read a maximum, which a cap would clip, so they
-keep the full-range transform and its certificate. Only the density radius
-forms the field: ``components.component_inradii`` folds each block into
-per-domain maxima, and it reads a ``Seeds`` (the seed mask with the grid's
-spacing and wrap), so dim2 frees its sample's values before the transform.
+The tube volumes read no distances: ``seed_stencils`` tells from a window of
+seed rows whether a point's distance capped at a reach passes a threshold,
+exactly: the predicate is monotone in the least, over the seeds, of scipy's
+float sequence for the seed's offset l, which does not fall as any |l_j|
+grows, so it is the window dilated by ``stencil_widths``. The density radius
+and the sign domains' inner radii read a maximum, which a cap would clip, so
+they keep the full-range transform and its certificate. Only the density
+radius forms the field: ``components.component_inradii`` folds each block
+into per-domain maxima, and it reads a ``Seeds``, so dim2 frees its sample's
+values before the transform.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -223,7 +227,7 @@ def full_range(seeds: Seeds, start, fold) -> list:
 
 
 def capped_pads(shape, h, reach: float, periodic: bool) -> list[int]:
-    """Per axis, the window cells ``capped_rows`` needs on each side for a field capped at ``reach``.
+    """Per axis, the seed window cells on each side that every seed nearer than ``reach`` lies within.
 
     floor(reach/h_j) + 1 cells, at most half a period plus one cell on a
     torus and the axis length less one on a box: those reach every seed.
@@ -232,49 +236,48 @@ def capped_pads(shape, h, reach: float, periodic: bool) -> list[int]:
     return [f if reach / hj >= f else math.floor(reach / hj) + 1 for f, hj in zip(full, h)]
 
 
-def capped_rows(win: np.ndarray, pads, h, reach: float) -> np.ndarray:
-    """Distances below ``reach`` to the nearest seed of ``win``, ``inf`` at and above it.
+def stencil_widths(h, pads, reach: float, shift: float, delta: float) -> np.ndarray:
+    """Per |l_j| <= p_j on axes 0 .. n-2: the largest |l_{n-1}| <= p_{n-1} (or -1) at which a
+    seed l cells away has a capped distance v with fl(v + shift) < delta. v, scipy's float
+    sequence sqrt(fl(... fl(fl((l_0 h_0)^2) + fl((l_1 h_1)^2)) ...)) or inf at or above
+    ``reach``, does not fall as |l_{n-1}| grows, and the predicate is monotone in v, so it
+    holds on a prefix of the last axis.
+    """
+    steps = [np.arange(p + 1) * hj for p, hj in zip(pads, h)]
+    v = np.sqrt(reduce(np.add.outer, [step * step for step in steps]))
+    return np.count_nonzero((v < reach) & (v + shift < delta), axis=-1) - 1
+
+
+def seed_stencils(win: np.ndarray, pads, widths) -> list[np.ndarray]:
+    """Per array of ``stencil_widths``: its predicate of the least capped distance to a seed of ``win``.
 
     ``win`` is a seed mask padded by ``pads`` cells on each side of every axis
-    (``capped_pads``): wrapped on a torus, no seeds on a box, and on axis 0
-    the neighbouring rows. The result covers the rows and columns inside the
-    pads. This is the separable transform of Felzenszwalb and Huttenlocher
-    (Theory of Computing 8, 2012) cut off at the window. Axis 0 gives each
-    point the square of its nearest seed row's offset within p_0 times h_0;
-    each further axis, in axis order, the least running sum plus (l h_j)^2
-    over |l| <= p_j; then the square root, and values >= reach become
-    ``inf``. These are scipy's float operations in scipy's order (float(k) *
-    h_j, squared, summed over the axes in axis order), and rounding is
-    monotone, so each value is the least float distance over the window's
-    seed images. A seed image nearer than the reach lies within p_j cells on
-    every axis, so below the reach that is the least over all images: the
-    distance of scipy's full-range transform, which the tests compare bit for
-    bit. Each row's values depend on its own neighbourhood only, so any split
-    of a grid into windows of rows gives the same bits. The work is
-    O(sum_j p_j) per point.
+    (``capped_pads``): wrapped on a torus, no seeds on a box, and on axis 0 the
+    neighbouring rows; the masks cover the points inside the pads. The seeds, dilated
+    along the last axis a cell at a time, are ORed into each mask shifted by every
+    signed offset on the other axes as its width is reached.
     """
-    p0 = pads[0]
-    rows = win.shape[0] - 2 * p0
-    # axis 0: (l h_0)^2 of the nearest seed row, l <= p0; nearer rows are written later
-    d = np.full((rows,) + win.shape[1:], np.inf)
-    for l in range(p0, -1, -1):
-        step = l * h[0]
-        near = win[p0 + l : p0 + l + rows] | win[p0 - l : p0 - l + rows]
-        np.copyto(d, step * step, where=near)
-    for j in range(1, win.ndim):
-        pj = pads[j]
-        nj = win.shape[j] - 2 * pj
-        # shifted[pj + l]: the running sums l cells along axis j
-        shifted = [d[(slice(None),) * j + (slice(i, i + nj),)] for i in range(2 * pj + 1)]
-        d, t = shifted[pj].copy(), np.empty(shifted[pj].shape)
-        for l in range(1, pj + 1):
-            np.minimum(shifted[pj + l], shifted[pj - l], out=t)
-            step = l * h[j]
-            t += step * step
-            np.minimum(d, t, out=d)
-    np.sqrt(d, out=d)
-    d[d >= reach] = np.inf
-    return d
+    inner = [s - 2 * p for s, p in zip(win.shape, pads)]
+
+    def cut(j, l):
+        return slice(pads[j] + l, pads[j] + l + inner[j])
+
+    # (width, mask, signed offsets on the other axes) of every stencil row, by width
+    plan = sorted(
+        (int(wd[lead]), k, signed)
+        for k, wd in enumerate(widths)
+        for lead in np.ndindex(wd.shape)
+        if wd[lead] >= 0
+        for signed in itertools.product(*[(l, -l) if l else (0,) for l in lead])
+    )
+    masks = [np.zeros(inner, dtype=bool) for _ in widths]
+    dilated, grown = win[..., cut(-1, 0)].copy(), 0
+    for w, k, signed in plan:
+        for grown in range(grown + 1, w + 1):
+            dilated |= win[..., cut(-1, grown)]
+            dilated |= win[..., cut(-1, -grown)]
+        masks[k] |= dilated[tuple(cut(j, l) for j, l in enumerate(signed))]
+    return masks
 
 
 def distance_field(nodal: NodalApprox) -> DistanceField:

@@ -84,6 +84,12 @@ def _check_point_count(name: str, count: int) -> None:
         raise ResourceGuardError(f"{name}={count} sampled points (cap {SAMPLED_POINT_CAP})")
 
 
+def check_seed(seed) -> None:
+    """Refuse a negative seed of the sampled points, which numpy's generators reject."""
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def _mode(domain: DomainSpec, m) -> EigenMode:
     return EigenMode(domain, tuple(int(v) for v in m))
 
@@ -679,6 +685,7 @@ def run_approx_theorem(
     (and hit the closed-form limit on the interval); the fraction of sampled
     points still hit beyond mode k0 must stay under the analytic tail bound.
     """
+    check_seed(seed)
     if domain is None:
         domain = DomainSpec.interval()
     n = domain.n
@@ -821,6 +828,7 @@ def run_exponent_survey(
     over seeds (sd about 0.02) sits far inside its band; 50 points (sd about
     0.06) left it on 14 of 1,000 seeds.
     """
+    check_seed(seed)
     if n_interval < 1 or n_box < 1:
         raise ValidationError("n_interval and n_box must be >= 1")
     _check_point_count("n_interval", n_interval)

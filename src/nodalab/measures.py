@@ -13,40 +13,39 @@ distances, then adds for each straddling cell its exact share of the tube
 under the closed-form distance of the separable mode. Plain grid-point
 counting would carry an O(h) bias; the shares remove it. The band test runs
 in band blocks of about ``ROW_BLOCK_POINTS`` cells along axis 0. A block
-reduces the corners of its rows and the next one (row 0 after the last row
-of a periodic axis) once for every radius, and returns per radius only its
-fully-in count and the sum of its straddle shares; the caller adds the
-blocks' results in block order.
+forms the bool stencils "in" and "near" (``distance.seed_stencils``) of its
+rows and the next one (row 0 after the last row of a periodic axis) for
+every radius, reduces their corners, and returns per radius only its fully-in
+count and the sum of its straddle shares; the caller adds them in block order.
 
 ``streamed_tubes`` runs that estimator on a mode's grid without forming any
 grid-sized array. It takes the grid in passes of whole rows, each a run of
 consecutive band blocks, on a pool of ``usable_cores()`` threads. A pass's
 seed rows are its corner rows plus p_0 more on each side (wrapped on a
-torus), where p_0 is the capped distance window of ``distance.capped_pads``
-on axis 0. It samples them in chunks, equal runs of at most
-``CHUNK_POINTS`` points, each with one more row on either side;
-``grid.sample_grid`` is an outer product of per-axis factors, so these rows
-are bitwise the whole grid's. A chunk finds their vertices with the grid's
-sign-mask code at global row indices and sets the seeds of its own rows in
-the pass's bool seed window, whose column pads are filled in place after
-the last chunk. A vertex on the edge between two chunks is found by both
-and seeds the same cell either time. On a 2-d grid a chunk also returns the
-marching-squares sort keys and segment lengths of the pass's cells among
-its rows; the chunks' cells tile the pass's. The chunk's values are then
-dropped, so a worker holds the float rows of one chunk at a time. The pass
-runs ``distance.capped_rows`` and the band test on each of its band blocks,
-reading only the seed window. A field capped at the largest radius plus the
-band margin plus one cell classifies every cell as the full-range field
-does, because a corner at or past delta + margin puts its cell fully
-outside whatever its value. The caller joins the chunks' first and saddle
-second segments as one list in row-major chunk order, and sorts (one stable
-sort) and sums them once, as ``nodal.marching_squares`` does. The order of
-the two kinds is free: first segments have even keys and second ones odd
-keys, so no key holds both, and each key's segments keep row-major order.
-So a volume's and a length's bits do not depend on the worker count or the
-pass or chunk size, and equal those of the band test on the whole grid's
-full-range field, added in the same band blocks. ``grid.GRID_POINT_CAP``
-still bounds the whole grid's size.
+torus), where p_0 is the stencil window of ``distance.capped_pads`` on axis
+0. It samples them in chunks, equal runs of at most ``CHUNK_POINTS`` points,
+each with one more row on either side; ``grid.sample_grid`` is an outer
+product of per-axis factors, so these rows are bitwise the whole grid's. A
+chunk finds their vertices with the grid's sign-mask code at global row
+indices and sets the seeds of its own rows in the pass's bool seed window,
+whose column pads are filled in place after the last chunk. A vertex on the
+edge between two chunks is found by both and seeds the same cell either
+time. On a 2-d grid a chunk also returns the marching-squares sort keys and
+segment lengths of the pass's cells among its rows; the chunks' cells tile
+the pass's. The chunk's values are then dropped, so a worker holds the float
+rows of one chunk at a time. The pass runs the band test on each of its band
+blocks, reading only the seed window. Stencils of a distance capped at the
+largest radius plus the band margin plus one cell classify every cell as the
+full-range field does, because a corner at or past delta + margin is neither
+in nor near whatever its value. The caller joins the chunks' first and
+saddle second segments as one list in row-major chunk order, and sorts (one
+stable sort) and sums them once, as ``nodal.marching_squares`` does. The
+order of the two kinds is free: first segments have even keys and second
+ones odd keys, so no key holds both, and each key's segments keep row-major
+order. So a volume's and a length's bits do not depend on the worker count
+or the pass or chunk size, and equal those of the band test on the whole
+grid's full-range field, added in the same band blocks.
+``grid.GRID_POINT_CAP`` still bounds the whole grid's size.
 
 The exact distance is a min over axes of 1-d distances, so a point of a cell
 misses the tube iff every axis misses, and the cell's share of the tube is
@@ -77,9 +76,10 @@ from .distance import (
     ROW_BLOCK_POINTS,
     DistanceField,
     capped_pads,
-    capped_rows,
     raster_error,
     raster_index,
+    seed_stencils,
+    stencil_widths,
     usable_cores,
 )
 from .errors import EmptyNodalSetError, ResolutionError, ValidationError
@@ -117,11 +117,6 @@ def _axis_miss_fractions(mode: EigenMode, j: int, hj, ncells: int, delta) -> np.
     return np.maximum(1.0 - (near[..., :-1] + near[..., 1:]) / hj, 0.0)
 
 
-def _band_margin(h) -> float:
-    """The band test's Lipschitz margin: the cell diagonal plus the raster error."""
-    return float(np.linalg.norm(np.asarray(h))) + raster_error(h)
-
-
 def _check_radii(radii, h) -> None:
     """Every radius needs delta >= 2 max(h): below it the grid cannot resolve the tube."""
     if len(radii) == 0:
@@ -136,32 +131,34 @@ def _check_radii(radii, h) -> None:
             )
 
 
-def _bands(mode: EigenMode, h, shape, radii) -> list:
-    """Per radius: (delta, per axis the fraction of each cell where the axis misses)."""
+def _bands(mode: EigenMode, h, shape, radii) -> tuple[list, list]:
+    """The stencils' pads and, per radius, its ("in", "near") widths and per-axis miss fractions."""
     periodic = mode.domain.periodic
-    h = np.asarray(h)
+    margin = float(np.linalg.norm(np.asarray(h))) + raster_error(h)  # cell diagonal + raster error
+    reach = max(radii) + margin + max(h)
+    pads = capped_pads(shape, h, reach, periodic)
     ncells = [s if periodic else s - 1 for s in shape]
     miss = [_axis_miss_fractions(mode, j, h[j], nj, radii) for j, nj in enumerate(ncells)]
-    return [(delta, [axis[k] for axis in miss]) for k, delta in enumerate(radii)]
+    return pads, [([stencil_widths(h, pads, reach, s, delta) for s in (margin, -margin)],
+                   [axis[k] for axis in miss]) for k, delta in enumerate(radii)]
 
 
-def _band_block(corners: np.ndarray, a: int, periodic: bool, margin: float, bands) -> list:
-    """Per (delta, miss tables) band: fully-in count and straddle sum of the cells from row ``a``.
+def _band_block(win: np.ndarray, pads, a: int, periodic: bool, bands) -> list:
+    """Per ((in, near) widths, miss tables) band: fully-in count and straddle sum of the cells from row ``a``.
 
-    ``corners`` holds the distance rows a .. b of the cells between them. A
-    cell is fully inside when its corner minimum + margin < delta, fully
-    outside when its corner maximum - margin >= delta, and straddles
-    otherwise; it adds 1 - prod_j miss[j][i_j] at its index i, summed in
+    ``win`` is the seed window, padded by ``pads``, of the corner rows a .. b of
+    the cells between them. A cell is fully inside when its corner minimum v
+    has fl(v + margin) < delta, so iff a corner is "in"; fully outside when its
+    corner maximum has fl(v - margin) >= delta, so iff a corner is not "near";
+    and straddles otherwise, adding 1 - prod_j miss[j][i_j] at its index i, in
     row-major order.
     """
-    lo = _corner_reduce(corners, periodic, np.minimum, False)
-    lo += margin
-    hi = _corner_reduce(corners, periodic, np.maximum, False)
-    hi -= margin
+    masks = seed_stencils(win, pads, [w for widths, _ in bands for w in widths])
     out = []
-    for delta, miss in bands:
-        fully_in = lo < delta
-        straddle = ~(fully_in | (hi >= delta))
+    for inside, near, (_, miss) in zip(masks[::2], masks[1::2], bands):
+        fully_in = _corner_reduce(inside, periodic, np.logical_or, False)
+        straddle = _corner_reduce(near, periodic, np.logical_and, False)
+        straddle &= ~fully_in
         cells = np.unravel_index(np.flatnonzero(straddle), straddle.shape)
         missed = miss[0][a + cells[0]]
         for j in range(1, len(cells)):
@@ -170,11 +167,6 @@ def _band_block(corners: np.ndarray, a: int, periodic: bool, margin: float, band
         share = float(np.subtract(1.0, missed, out=missed).sum())
         out.append((int(np.count_nonzero(fully_in)), share))
     return out
-
-
-def _block_rows(shape) -> int:
-    """Cell rows per band block: about ``ROW_BLOCK_POINTS`` cells."""
-    return max(1, ROW_BLOCK_POINTS // math.prod(shape[1:]))
 
 
 def _volumes(blocks, h, radii) -> list[float]:
@@ -259,14 +251,11 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     periodic = mode.domain.periodic
     if segments and len(shape) != 2:
         raise ValidationError(f"marching squares runs on 2-d grids, not {len(shape)}-d")
-    margin = _band_margin(h)
-    reach = max(radii) + margin + max(h)
-    pads = capped_pads(shape, h, reach, periodic)
+    pads, bands = _bands(mode, h, shape, radii)
     p0 = pads[0]
     cells0 = shape[0] if periodic else shape[0] - 1
-    bands = _bands(mode, h, shape, radii)
     factors = axis_factors(mode, shape)
-    rows = _block_rows(shape)
+    rows = max(1, ROW_BLOCK_POINTS // math.prod(shape[1:]))  # cell rows per band block
     blocks = -(-cells0 // rows)
     step = rows * max(1, min(PASS_BLOCKS, -(-blocks // usable_cores())))
 
@@ -296,8 +285,7 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
         out = []
         for a in range(first, last, rows):
             b = min(a + rows, last)
-            corners = capped_rows(win[a - first : b - first + 1 + 2 * p0], pads, h, reach)
-            out.append(_band_block(corners, a, periodic, margin, bands))
+            out.append(_band_block(win[a - first : b - first + 1 + 2 * p0], pads, a, periodic, bands))
         return out, pieces
 
     with ThreadPoolExecutor(usable_cores()) as pool:

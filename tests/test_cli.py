@@ -209,6 +209,19 @@ def test_huge_requests_exit_3_without_a_traceback(argv, message, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cmd", ["dioph", "borel-cantelli"])
+def test_negative_seed_exits_2_without_a_traceback(cmd, tmp_path):
+    # numpy's generators reject a negative seed with a ValueError of their own
+    message = "error: seed must be >= 0, got -1\n"
+    done = run_limited([cmd, "--seed=-1"], tmp_path / "flag")
+    assert (done.returncode, done.stderr, done.stdout) == (EXIT_INVALID, message, "")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=-1\n")
+    done = run_limited([cmd, "--config", str(cfg)], tmp_path / "file")
+    assert (done.returncode, done.stderr, done.stdout) == (EXIT_INVALID, message, "")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_the_child_address_space_limit_stops_a_large_allocation(tmp_path):
     # the limit turns a missing guard into a fast failure: without the point
     # cap, 1e9 points ask for 8 GB at once, which the child is refused at once

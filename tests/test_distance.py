@@ -1,4 +1,4 @@
-"""Distance fields: brute-force oracle, periodic wrap, accuracy contract, the capped block pass."""
+"""Distance fields: brute-force oracle, periodic wrap, accuracy contract, the seed stencils."""
 
 import functools
 import math
@@ -14,16 +14,15 @@ from scipy.ndimage import distance_transform_edt
 
 import nodalab.distance as distance_mod
 from nodalab.distance import (
-    ROW_BLOCK_POINTS,
     _seed_mask,
     capped_pads,
-    capped_rows,
     distance_field,
     raster_error,
+    seed_stencils,
+    stencil_widths,
 )
 from nodalab.errors import ResourceGuardError
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.measures import _band_margin
 from nodalab.nodal import NodalApprox, extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
@@ -349,48 +348,6 @@ def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):
     assert peak < 3.0 * f.dist.nbytes
 
 
-def capped_field(nod, reach, rows):
-    """``capped_rows`` over the grid in windows of ``rows`` rows, joined into one field."""
-    sample = nod.sample
-    pads = capped_pads(sample.shape, sample.h, reach, sample.periodic)
-    padded = np.pad(
-        _seed_mask(nod), [(p, p) for p in pads], mode="wrap" if sample.periodic else "constant"
-    )
-    s0, p0 = sample.shape[0], pads[0]
-    return np.concatenate([
-        capped_rows(padded[a : min(a + rows, s0) + 2 * p0], pads, sample.h, reach)
-        for a in range(0, s0, rows)
-    ])
-
-
-def test_capped_distance_field_peak_memory_yau_grid():
-    # the (16,1) Yau field (2519^2) capped at the stream's reach for both Yau
-    # radii, written window by window into one output: the seed mask, its
-    # padded copy and one window's temporaries beside the output peak at
-    # 1.16x the field's bytes, against 2.75x for the full-range slabs
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
-    radii = (0.2 / mode.mu, 0.1 / mode.mu)
-    rule = ResolutionRule(points_per_wavelength=32.0, h_max=min(radii) / 2.5)
-    nod = extract_nodal(sample_grid(mode, rule))
-    sample = nod.sample
-    assert sample.shape == (2519, 2519)
-    reach = max(radii) + _band_margin(sample.h) + max(sample.h)
-    rows = max(1, ROW_BLOCK_POINTS // sample.shape[1])
-    tracemalloc.start()
-    try:
-        pads = capped_pads(sample.shape, sample.h, reach, sample.periodic)
-        padded = np.pad(_seed_mask(nod), [(p, p) for p in pads], mode="wrap")
-        s0, p0 = sample.shape[0], pads[0]
-        dist = np.empty(sample.shape)
-        for a in range(0, s0, rows):
-            b = min(a + rows, s0)
-            dist[a:b] = capped_rows(padded[a : b + 2 * p0], pads, sample.h, reach)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.isfinite(dist).any()
-    assert peak < 1.5 * dist.nbytes
-
 @st.composite
 def sampled_modes(draw):
     """A builder of a sampled mode's nodal set: a torus, a box or the interval,
@@ -415,24 +372,70 @@ def wide_torus_nodal():
     return nod
 
 
+def stencil_masks(nod, reach, rows, widths):
+    """``seed_stencils`` over the grid in windows of ``rows`` rows, each mask joined into one."""
+    sample = nod.sample
+    pads = capped_pads(sample.shape, sample.h, reach, sample.periodic)
+    padded = np.pad(
+        _seed_mask(nod), [(p, p) for p in pads], mode="wrap" if sample.periodic else "constant"
+    )
+    s0, p0 = sample.shape[0], pads[0]
+    windows = [
+        seed_stencils(padded[a : min(a + rows, s0) + 2 * p0], pads, widths)
+        for a in range(0, s0, rows)
+    ]
+    return [np.concatenate(masks) for masks in zip(*windows)]
+
+
+def offset_distance(offset, h) -> float:
+    """The float distance of a seed ``offset`` cells away: fl(l_j h_j) squared, summed in axis order."""
+    total = 0.0
+    for l, hj in zip(offset, h):
+        step = l * hj
+        total += step * step
+    return math.sqrt(total)
+
+
 @given(
     make_nodal=st.one_of(st.sampled_from(list(SCIPY_CASES.values())), sampled_modes()),
     cells=st.one_of(st.floats(0.5, 16.0), st.floats(128.0, 400.0)),
+    margin=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    delta=st.floats(0.0, 24.0),
+    data=st.data(),
 )
-@example(make_nodal=wide_torus_nodal, cells=150.0)
-@example(make_nodal=wide_torus_nodal, cells=1e300)  # every axis at its clamp
+@example(make_nodal=wide_torus_nodal, cells=150.0, margin=2.0, delta=9.0, data=None)
+# every axis at its clamp
+@example(make_nodal=wide_torus_nodal, cells=1e300, margin=2.0, delta=9.0, data=None)
 @settings(max_examples=100, deadline=None)
-def test_capped_field_is_scipys_below_its_reach(make_nodal, cells):
-    """Below the reach the capped block pass is bitwise scipy's full-range
-    field, at and above it inf, and it is the same in windows of one row and
-    of the whole grid."""
+def test_seed_stencils_are_the_float_predicates_below_the_reach(make_nodal, cells, margin,
+                                                                delta, data):
+    """The "in" and "near" stencils of a radius are those predicates of scipy's
+    full-range field below the reach, false at and above it, at any margin and
+    radius, also one equal to an offset's shifted distance; their widths pass
+    exactly the window offsets whose distance passes; and the masks are the
+    same in windows of one row and of the whole grid."""
     nod = make_nodal()
-    reach = cells * min(nod.sample.h)
-    one = capped_field(nod, reach, 1)
-    whole = capped_field(nod, reach, nod.sample.shape[0])
-    assert np.array_equal(one.view(np.uint64), whole.view(np.uint64))
+    h, periodic = nod.sample.h, nod.sample.periodic
+    reach = cells * min(h)
+    margin *= min(h)
+    delta *= min(h)
+    pads = capped_pads(nod.sample.shape, h, reach, periodic)
+    if data is not None and data.draw(st.booleans(), label="tie"):
+        # the radius on a predicate's boundary at some offset in the window
+        offset = [data.draw(st.integers(0, p), label="offset") for p in pads]
+        delta = offset_distance(offset, h) + data.draw(st.sampled_from([margin, -margin]))
+    widths = [stencil_widths(h, pads, reach, shift, delta) for shift in (margin, -margin)]
+    for wd, shift in zip(widths, (margin, -margin)):
+        assert wd.shape == tuple(p + 1 for p in pads[:-1])
+        for offset in np.ndindex(tuple(p + 1 for p in pads)):
+            v = offset_distance(offset, h)
+            assert (offset[-1] <= wd[offset[:-1]]) == (v < reach and v + shift < delta)
+    one = stencil_masks(nod, reach, 1, widths)
+    whole = stencil_masks(nod, reach, nod.sample.shape[0], widths)
+    assert all(np.array_equal(a, b) for a, b in zip(one, whole))
     expect = scipy_distance_field(nod)
-    assert one.dtype == expect.dtype and one.shape == expect.shape
     below = expect < reach
-    assert one[below].tobytes() == expect[below].tobytes()
-    assert np.all(np.isinf(one[~below]))
+    inside, near = one
+    assert inside.shape == near.shape == expect.shape
+    assert np.array_equal(inside, below & (expect + margin < delta))
+    assert np.array_equal(near, below & (expect - margin < delta))

@@ -565,6 +565,17 @@ def test_approx_theorem_rejects_degenerate_bounds_before_work(monkeypatch):
             run_approx_theorem(eps=eps, k_max=200, k0=50, n_points=50)
 
 
+@pytest.mark.parametrize("run", [run_approx_theorem, run_exponent_survey])
+def test_negative_seed_is_refused_before_work(run, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a negative seed reached the mode lists")
+
+    monkeypatch.setattr(harness_mod, "enumerate_modes", no_work)
+    monkeypatch.setattr(harness_mod, "record_candidates", no_work)
+    with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+        run(seed=-1)
+
+
 @functools.lru_cache(maxsize=None)
 def small_reports():
     """One small real report per gate builder (two where a builder branches on the domain)."""

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nodalab.measures as measures_mod
-from nodalab.distance import _seed_mask, distance_field, raster_error
+from nodalab.distance import (
+    _seed_mask,
+    capped_pads,
+    distance_field,
+    raster_error,
+    stencil_widths,
+)
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ResourceGuardError, ValidationError
 from nodalab.grid import GridSample, ResolutionRule, grid_shape, sample_grid
 from nodalab.measures import density_radius, streamed_tubes, tube_measure, tube_volume
@@ -25,7 +31,7 @@ from nodalab.spectrum import (
     tube_volume_exact,
 )
 
-from scipy_field import scipy_distance_field
+from scipy_field import scipy_distance_field, scipy_seed_field
 
 
 def rule_for(h_max=None, ppw=32.0):
@@ -320,20 +326,30 @@ def whole_grid_blocks(dist, periodic, delta, margin, rows, miss):
     return out
 
 
-def band_blocks(dist, periodic, deltas, margin, rows):
-    """``_band_block`` on each block of ``rows`` cell rows at the radii ``deltas``,
-    and the whole-grid reference of each radius, both as per-block lists of
-    per-radius results."""
-    bands = [(d, miss_tables(dist, periodic, k)) for k, d in enumerate(deltas)]
-    s0 = dist.shape[0]
+def band_blocks(seeds, h, periodic, deltas, margin, rows, dist):
+    """``_band_block`` on the seed window of each block of ``rows`` cell rows at
+    the radii ``deltas``, with the stencils of a field capped at the largest
+    radius plus the margin and one cell, as the stream's; and the whole-grid
+    band of ``dist`` at each radius. Both as per-block lists of per-radius results."""
+    reach = max(deltas) + margin + max(h)
+    pads = capped_pads(seeds.shape, h, reach, periodic)
+    # a block's window ends p0 rows past its corner rows' last (row 0 past the end on a torus)
+    padded = np.pad(seeds, [(pads[0], pads[0] + 1)] + [(p, p) for p in pads[1:]],
+                    mode="wrap" if periodic else "constant")
+    bands = [
+        ([stencil_widths(h, pads, reach, shift, d) for shift in (margin, -margin)],
+         miss_tables(dist, periodic, k))
+        for k, d in enumerate(deltas)
+    ]
+    s0, p0 = dist.shape[0], pads[0]
     cells0 = s0 if periodic else s0 - 1
     got = []
     for a in range(0, cells0, rows):
         b = min(a + rows, cells0)
-        # the block's corner rows: its own and the next (row 0 past the end)
-        corners = dist[a : b + 1] if b < s0 else np.concatenate([dist[a:], dist[:1]])
-        got.append(measures_mod._band_block(corners, a, periodic, margin, bands))
-    expect = [whole_grid_blocks(dist, periodic, d, margin, rows, miss) for d, miss in bands]
+        # the block's corner rows a .. b and p0 seed rows on either side
+        got.append(measures_mod._band_block(padded[a : b + 1 + 2 * p0], pads, a, periodic, bands))
+    expect = [whole_grid_blocks(dist, periodic, d, margin, rows, band[1])
+              for d, band in zip(deltas, bands)]
     return got, [list(block) for block in zip(*expect)]
 
 
@@ -343,12 +359,14 @@ def test_band_blocks_equal_the_whole_grid_band(name, rows):
     f = BAND_FIELDS[name]()
     margin = float(np.linalg.norm(f.h)) + raster_error(f.h)
     delta = margin + 1.5 * max(f.h)
-    fully_in, cells = whole_grid_band(f.dist, f.sample.periodic, delta, margin)
+    dist = scipy_distance_field(f.nodal)
+    fully_in, cells = whole_grid_band(dist, f.sample.periodic, delta, margin)
     inside = int(np.count_nonzero(fully_in))
     # some cells fully in, some straddling, some fully out
-    assert 0 < inside and 0 < cells.shape[0] < f.dist.size - inside
+    assert 0 < inside and 0 < cells.shape[0] < dist.size - inside
     # a second radius in the same pass, with its own miss tables
-    got, expect = band_blocks(f.dist, f.sample.periodic, (delta, delta + max(f.h)), margin, rows)
+    got, expect = band_blocks(_seed_mask(f.nodal), f.h, f.sample.periodic,
+                              (delta, delta + max(f.h)), margin, rows, dist)
     assert len(got) == -(-fully_in.shape[0] // rows)
     assert got == expect
 
@@ -357,12 +375,15 @@ def test_band_blocks_equal_the_whole_grid_band(name, rows):
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("shape", [(11,), (9, 7), (5, 4, 6)])
 def test_band_blocks_on_random_values(shape, periodic, rows):
-    # no smoothness: a cell paired with the wrong row, a wrong wrap or a lost
-    # block offset changes the classification somewhere
-    dist = np.random.default_rng(7).random(shape)
-    fully_in, cells = whole_grid_band(dist, periodic, 0.5, 0.3)
+    # random seeds, unequal spacings: a cell paired with the wrong row, a wrong
+    # wrap, a lost block offset or a stencil a cell too wide or narrow changes
+    # the classification somewhere
+    seeds = np.random.default_rng(7).random(shape) < 0.2 ** len(shape)
+    h = (0.1, 0.13, 0.07)[: len(shape)]
+    dist = scipy_seed_field(seeds, h, periodic)
+    fully_in, cells = whole_grid_band(dist, periodic, 0.25, 0.1)
     assert 0 < np.count_nonzero(fully_in) and 0 < cells.shape[0]
-    got, expect = band_blocks(dist, periodic, (0.5, 0.6), 0.3, rows)
+    got, expect = band_blocks(seeds, h, periodic, (0.25, 0.35), 0.1, rows, dist)
     assert got == expect
 
 

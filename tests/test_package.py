@@ -1,7 +1,7 @@
 """The package's public surface, the import boundary of its grid estimators, the
-names the benchmark tracer wraps, imports and definitions that nothing uses,
-per-axis index scans, per-point loops in the tail-hit scan, and what `import
-nodalab` loads."""
+tube stream without a float band path, the names the benchmark tracer wraps,
+imports and definitions that nothing uses, per-axis index scans, per-point
+loops in the tail-hit scan, and what `import nodalab` loads."""
 
 import ast
 import importlib
@@ -50,6 +50,20 @@ def test_grid_estimators_do_not_reach_the_closed_form_oracles(module, allowed):
         elif isinstance(node, ast.Attribute):  # spectrum.tube_volume_exact after `import spectrum`
             used.add(node.attr)
     assert used & ORACLES == allowed
+
+
+def test_the_tube_stream_has_no_float_band_path():
+    """The band cells are classified by bool seed stencils: the float capped-distance pass
+    ``distance.capped_rows`` is gone, and ``measures`` imports no such name."""
+    assert not hasattr(importlib.import_module("nodalab.distance"), "capped_rows")
+    tree = ast.parse((Path(nodalab.__file__).parent / "measures.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "capped_rows" not in imported
 
 
 def test_benchmark_tracer_sites_exist():

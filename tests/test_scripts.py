@@ -45,6 +45,16 @@ def small_battery(monkeypatch):
     return script
 
 
+def test_negative_seed_exits_2_before_any_experiment(tmp_path):
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--quick", "--seed", "-1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (2, "error: seed must be >= 0, got -1\n", "")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(shutil.which("sha256sum") is None, reason="needs coreutils sha256sum")
 def test_last_line_is_the_hash_of_the_sha256sum_listing(tmp_path, capsys, monkeypatch):
     script = small_battery(monkeypatch)
