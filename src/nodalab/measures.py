@@ -11,12 +11,19 @@ The tube estimator classifies every grid cell as fully inside / fully outside
 / straddling the delta level set using Lipschitz-rigorous margins from corner
 distances, then adds for each straddling cell its exact share of the tube
 under the closed-form distance of the separable mode. Plain grid-point
-counting would carry an O(h) bias; the shares remove it. The band test runs
-in band blocks of about ``ROW_BLOCK_POINTS`` cells along axis 0. A block
-forms the bool stencils "in" and "near" (``distance.seed_stencils``) of its
-rows and the next one (row 0 after the last row of a periodic axis) for
-every radius, reduces their corners, and returns per radius only its fully-in
-count and the sum of its straddle shares; the caller adds them in block order.
+counting would carry an O(h) bias; the shares remove it. The band test sums
+per band block of about ``ROW_BLOCK_POINTS`` cells along axis 0, but it
+classifies a run of consecutive band blocks at once: as many whole blocks as
+fit in a chunk's rows (below), four at the default sizes. A run forms the
+bool stencils "in" and "near" (``distance.seed_stencils``) of its rows and
+the next one (row 0 after the last row of a periodic axis) for every radius,
+reduces their corners and gathers its straddle shares once. It returns per
+block and radius the block's fully-in count and the sum of its straddle
+shares: the block's segment of the run's row-major list, summed on its own,
+so each sum is the one a lone block gives. The caller adds them in block
+order. The runs keep the numpy calls long: a band block's calls take a few
+microseconds each, and two workers making calls that short spend more time
+handing the GIL over than computing.
 
 ``streamed_tubes`` runs that estimator on a mode's grid without forming any
 grid-sized array. It takes the grid in passes of whole rows, each a run of
@@ -33,8 +40,8 @@ edge between two chunks is found by both and seeds the same cell either
 time. On a 2-d grid a chunk also returns the marching-squares sort keys and
 segment lengths of the pass's cells among its rows; the chunks' cells tile
 the pass's. The chunk's values are then dropped, so a worker holds the float
-rows of one chunk at a time. The pass runs the band test on each of its band
-blocks, reading only the seed window. Stencils of a distance capped at the
+rows of one chunk at a time. The pass runs the band test on each run of its
+band blocks, reading only the seed window. Stencils of a distance capped at the
 largest radius plus the band margin plus one cell classify every cell as the
 full-range field does, because a corner at or past delta + margin is neither
 in nor near whatever its value. The caller joins the chunks' first and
@@ -143,15 +150,19 @@ def _bands(mode: EigenMode, h, shape, radii) -> tuple[list, list]:
                    [axis[k] for axis in miss]) for k, delta in enumerate(radii)]
 
 
-def _band_block(win: np.ndarray, pads, a: int, periodic: bool, bands) -> list:
-    """Per ((in, near) widths, miss tables) band: fully-in count and straddle sum of the cells from row ``a``.
+def _band_run(win: np.ndarray, pads, a: int, rows: int, periodic: bool, bands) -> list:
+    """Per band block of ``rows`` cell rows from row ``a``: per band, fully-in count and straddle sum.
 
     ``win`` is the seed window, padded by ``pads``, of the corner rows a .. b of
-    the cells between them. A cell is fully inside when its corner minimum v
-    has fl(v + margin) < delta, so iff a corner is "in"; fully outside when its
-    corner maximum has fl(v - margin) >= delta, so iff a corner is not "near";
-    and straddles otherwise, adding 1 - prod_j miss[j][i_j] at its index i, in
-    row-major order.
+    the cells between them: a run of band blocks, the last of which may be
+    short. ``bands`` holds per radius its ((in, near) widths, miss tables). A
+    cell is fully inside when its corner minimum v has fl(v + margin) < delta,
+    so iff a corner is "in"; fully outside when its corner maximum has
+    fl(v - margin) >= delta, so iff a corner is not "near"; and straddles
+    otherwise, adding 1 - prod_j miss[j][i_j] at its index i, in row-major
+    order. The run is classified at once; a block's straddle cells are a
+    contiguous segment of the run's, summed on their own as a lone block's
+    would be, so each block's sum keeps its bits.
     """
     masks = seed_stencils(win, pads, [w for widths, _ in bands for w in widths])
     out = []
@@ -164,9 +175,12 @@ def _band_block(win: np.ndarray, pads, a: int, periodic: bool, bands) -> list:
         for j in range(1, len(cells)):
             missed *= miss[j][cells[j]]
         # a straddle cell's share of the tube: 1 - prod_j l_j
-        share = float(np.subtract(1.0, missed, out=missed).sum())
-        out.append((int(np.count_nonzero(fully_in)), share))
-    return out
+        np.subtract(1.0, missed, out=missed)
+        starts = range(0, fully_in.shape[0], rows)
+        parts = np.split(missed, np.searchsorted(cells[0], starts[1:]))
+        out.append([(int(np.count_nonzero(fully_in[s : s + rows])), float(part.sum()))
+                    for s, part in zip(starts, parts)])
+    return list(zip(*out))
 
 
 def _volumes(blocks, h, radii) -> list[float]:
@@ -236,15 +250,16 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     """Tube volumes at ``radii`` on the grid of ``grid.grid_shape(mode, rule)``, streamed.
 
     The passes of the module docstring: each samples its rows a chunk at a
-    time and keeps a bool seed window of them; every volume is bitwise the
-    band test's on the whole grid's full-range field, added in band blocks. With
-    ``segments`` a 2-d grid also yields ``nodal.marching_squares``' length,
-    bit for bit: the chunks' segments are joined in chunk order, first and
-    second ones together, as their keys' parities keep one key to one kind
-    and the sort is stable. Raises ResourceGuardError for a grid over the
-    rule's cap, ValidationError for no radius or one that is not positive,
-    and ResolutionError for one below 2 max(h). Every worker is joined
-    before this returns.
+    time, keeps a bool seed window of them and classifies its cells in runs
+    of band blocks of at most a chunk's rows; every volume is bitwise the
+    band test's on the whole grid's full-range field, summed per band block
+    and added in block order. With ``segments`` a 2-d grid also yields
+    ``nodal.marching_squares``' length, bit for bit: the chunks' segments
+    are joined in chunk order, first and second ones together, as their
+    keys' parities keep one key to one kind and the sort is stable. Raises
+    ResourceGuardError for a grid over the rule's cap, ValidationError for
+    no radius or one that is not positive, and ResolutionError for one below
+    2 max(h). Every worker is joined before this returns.
     """
     shape, h = grid_shape(mode, rule)
     _check_radii(radii, h)
@@ -260,6 +275,7 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     step = rows * max(1, min(PASS_BLOCKS, -(-blocks // usable_cores())))
 
     chunk = max(1, CHUNK_POINTS // math.prod(shape[1:]))
+    run = rows * max(1, chunk // rows)  # cell rows classified at once: whole band blocks in a chunk
     inner = tuple(slice(p, p + s) for p, s in zip(pads[1:], shape[1:]))
 
     def one_pass(first):
@@ -283,9 +299,9 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
         if periodic:
             _wrap_columns(win, pads)
         out = []
-        for a in range(first, last, rows):
-            b = min(a + rows, last)
-            out.append(_band_block(win[a - first : b - first + 1 + 2 * p0], pads, a, periodic, bands))
+        for a in range(first, last, run):
+            b = min(a + run, last)
+            out += _band_run(win[a - first : b - first + 1 + 2 * p0], pads, a, rows, periodic, bands)
         return out, pieces
 
     with ThreadPoolExecutor(usable_cores()) as pool:

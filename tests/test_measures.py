@@ -326,14 +326,15 @@ def whole_grid_blocks(dist, periodic, delta, margin, rows, miss):
     return out
 
 
-def band_blocks(seeds, h, periodic, deltas, margin, rows, dist):
-    """``_band_block`` on the seed window of each block of ``rows`` cell rows at
-    the radii ``deltas``, with the stencils of a field capped at the largest
-    radius plus the margin and one cell, as the stream's; and the whole-grid
-    band of ``dist`` at each radius. Both as per-block lists of per-radius results."""
+def band_blocks(seeds, h, periodic, deltas, margin, rows, per_run, dist):
+    """``_band_run`` on the seed window of each run of ``per_run`` blocks of ``rows``
+    cell rows (one run of every block when ``per_run`` is None) at the radii
+    ``deltas``, with the stencils of a field capped at the largest radius plus the
+    margin and one cell, as the stream's; and the whole-grid band of ``dist`` at
+    each radius. Both as per-block lists of per-radius results."""
     reach = max(deltas) + margin + max(h)
     pads = capped_pads(seeds.shape, h, reach, periodic)
-    # a block's window ends p0 rows past its corner rows' last (row 0 past the end on a torus)
+    # a run's window ends p0 rows past its corner rows' last (row 0 past the end on a torus)
     padded = np.pad(seeds, [(pads[0], pads[0] + 1)] + [(p, p) for p in pads[1:]],
                     mode="wrap" if periodic else "constant")
     bands = [
@@ -343,14 +344,22 @@ def band_blocks(seeds, h, periodic, deltas, margin, rows, dist):
     ]
     s0, p0 = dist.shape[0], pads[0]
     cells0 = s0 if periodic else s0 - 1
+    run = cells0 if per_run is None else per_run * rows
     got = []
-    for a in range(0, cells0, rows):
-        b = min(a + rows, cells0)
-        # the block's corner rows a .. b and p0 seed rows on either side
-        got.append(measures_mod._band_block(padded[a : b + 1 + 2 * p0], pads, a, periodic, bands))
+    for a in range(0, cells0, run):
+        b = min(a + run, cells0)
+        # the run's corner rows a .. b and p0 seed rows on either side
+        blocks = measures_mod._band_run(padded[a : b + 1 + 2 * p0], pads, a, rows, periodic, bands)
+        assert len(blocks) == -(-(b - a) // rows)
+        got += [list(block) for block in blocks]
     expect = [whole_grid_blocks(dist, periodic, d, margin, rows, band[1])
               for d, band in zip(deltas, bands)]
     return got, [list(block) for block in zip(*expect)]
+
+
+# band blocks per run: one, two, and every block in one run (its last block short
+# where the rows do not divide the cell rows)
+RUNS = (1, 2, None)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1 << 30])
@@ -364,11 +373,12 @@ def test_band_blocks_equal_the_whole_grid_band(name, rows):
     inside = int(np.count_nonzero(fully_in))
     # some cells fully in, some straddling, some fully out
     assert 0 < inside and 0 < cells.shape[0] < dist.size - inside
-    # a second radius in the same pass, with its own miss tables
-    got, expect = band_blocks(_seed_mask(f.nodal), f.h, f.sample.periodic,
-                              (delta, delta + max(f.h)), margin, rows, dist)
-    assert len(got) == -(-fully_in.shape[0] // rows)
-    assert got == expect
+    for per_run in RUNS:
+        # a second radius in the same pass, with its own miss tables
+        got, expect = band_blocks(_seed_mask(f.nodal), f.h, f.sample.periodic,
+                                  (delta, delta + max(f.h)), margin, rows, per_run, dist)
+        assert len(got) == -(-fully_in.shape[0] // rows)
+        assert got == expect
 
 
 @pytest.mark.parametrize("rows", [1, 3, 100])
@@ -376,15 +386,16 @@ def test_band_blocks_equal_the_whole_grid_band(name, rows):
 @pytest.mark.parametrize("shape", [(11,), (9, 7), (5, 4, 6)])
 def test_band_blocks_on_random_values(shape, periodic, rows):
     # random seeds, unequal spacings: a cell paired with the wrong row, a wrong
-    # wrap, a lost block offset or a stencil a cell too wide or narrow changes
-    # the classification somewhere
+    # wrap, a lost block or run offset or a stencil a cell too wide or narrow
+    # changes the classification somewhere
     seeds = np.random.default_rng(7).random(shape) < 0.2 ** len(shape)
     h = (0.1, 0.13, 0.07)[: len(shape)]
     dist = scipy_seed_field(seeds, h, periodic)
     fully_in, cells = whole_grid_band(dist, periodic, 0.25, 0.1)
     assert 0 < np.count_nonzero(fully_in) and 0 < cells.shape[0]
-    got, expect = band_blocks(seeds, h, periodic, (0.25, 0.35), 0.1, rows, dist)
-    assert got == expect
+    for per_run in RUNS:
+        got, expect = band_blocks(seeds, h, periodic, (0.25, 0.35), 0.1, rows, per_run, dist)
+        assert got == expect
 
 
 def volume_bits(volumes):
@@ -520,6 +531,15 @@ def stream_modes(draw):
          rows=2, per_pass=3, per_chunk=1, workers=2)
 @example(mode=EigenMode(DomainSpec.box((1.0, 1.0)), (2, 1)), ppw=8.0, cells=[3.0],
          rows=2, per_pass=3, per_chunk=1, workers=2)
+# 38 x 50 points, runs of 3 band blocks: many blocks hold 12-36 (3-row blocks) or 16
+# (1-row blocks) straddle cells with non-dyadic shares, so a run summed at once, not
+# block by block, changes the bits; passes of 5 blocks end in a run of 2
+@example(mode=EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4)), ppw=12.5, cells=[2.2],
+         rows=3, per_pass=16, per_chunk=3, workers=2)
+@example(mode=EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4)), ppw=12.5, cells=[2.2],
+         rows=3, per_pass=5, per_chunk=3, workers=3)
+@example(mode=EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4)), ppw=12.5, cells=[2.0, 5.0],
+         rows=1, per_pass=16, per_chunk=3, workers=2)
 @settings(max_examples=60, deadline=None)
 def test_streamed_tubes_are_bitwise_the_whole_grid_pipeline(mode, ppw, cells, rows, per_pass,
                                                             per_chunk, workers):
@@ -613,3 +633,24 @@ def test_streamed_pass_holds_one_chunk_of_values(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.35 * 8 * math.prod(shape)
+
+
+def test_band_test_runs_once_per_run_of_band_blocks(monkeypatch):
+    # the Yau grid of the tests above at both radii, two workers. Rows of 2519
+    # points make band blocks of 26 rows, passes of 16 blocks (416 rows) and
+    # chunks of 104 rows, so each of the six full passes classifies 4 runs of 4
+    # blocks at once, and the last pass its 23 rows: 25 runs of 97 band blocks
+    monkeypatch.setattr(measures_mod, "usable_cores", lambda: 2)
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
+    radii = [0.2 / mode.mu, 0.1 / mode.mu]
+    rule = ResolutionRule(points_per_wavelength=32.0, h_max=min(radii) / 2.5)
+    assert grid_shape(mode, rule)[0] == (2519, 2519)
+    real, cell_rows = measures_mod.seed_stencils, []
+
+    def spy(win, pads, widths):
+        cell_rows.append(win.shape[0] - 2 * pads[0] - 1)
+        return real(win, pads, widths)
+
+    monkeypatch.setattr(measures_mod, "seed_stencils", spy)
+    streamed_tubes(mode, rule, radii, segments=True)
+    assert sorted(cell_rows) == [23] + [104] * 24
