@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, ValidationError
+from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import GridSample
 
 
@@ -59,7 +59,11 @@ class Subdivision:
 def _axis_count(L: float, delta: float) -> int:
     if L <= delta:
         raise ValidationError(f"axis length {L:g} must exceed delta={delta:g}")
-    N = max(1, math.floor(L / (1.5 * delta)))
+    ratio = L / (1.5 * delta)
+    if ratio == math.inf:
+        # a delta this small asks for more boxes than a float can count
+        raise ResourceGuardError(f"axis length {L:g} at delta={delta:g} needs over 1e308 boxes")
+    N = max(1, math.floor(ratio))
     for cand in (N, N - 1, N + 1):
         if cand >= 1 and delta < L / cand < 2 * delta:
             return cand

@@ -16,12 +16,13 @@ per band block of about ``ROW_BLOCK_POINTS`` cells along axis 0, but it
 classifies a run of consecutive band blocks at once: as many whole blocks as
 fit in a chunk's rows (below), four at the default sizes. A run forms the
 bool stencils "in" and "near" (``distance.seed_stencils``) of its rows and
-the next one (row 0 after the last row of a periodic axis) for every radius,
-reduces their corners and gathers its straddle shares once. It returns per
-block and radius the block's fully-in count and the sum of its straddle
-shares: the block's segment of the run's row-major list, summed on its own,
-so each sum is the one a lone block gives. The caller adds them in block
-order. The runs keep the numpy calls long: a band block's calls take a few
+the next one (row 0 after the last row of a periodic axis) for every radius
+and reduces their corners. Its straddle shares come from per-row counts of
+its straddle cells, with no flat cell index. It returns per block and radius
+the block's fully-in count and the sum of its straddle shares: the block's
+segment of the run's row-major list, summed on its own, so each sum is the
+one a lone block gives. The caller adds them in block order. The
+runs keep the numpy calls long: a band block's calls take a few
 microseconds each, and two workers making calls that short spend more time
 handing the GIL over than computing.
 
@@ -31,28 +32,32 @@ consecutive band blocks, on a pool of ``usable_cores()`` threads. A pass's
 seed rows are its corner rows plus p_0 more on each side (wrapped on a
 torus), where p_0 is the stencil window of ``distance.capped_pads`` on axis
 0. It samples them in chunks, equal runs of at most ``CHUNK_POINTS`` points,
-each with one more row on either side; ``grid.sample_grid`` is an outer
-product of per-axis factors, so these rows are bitwise the whole grid's. A
-chunk finds their vertices with the grid's sign-mask code at global row
-indices and sets the seeds of its own rows in the pass's bool seed window,
-whose column pads are filled in place after the last chunk. A vertex on the
-edge between two chunks is found by both and seeds the same cell either
-time. On a 2-d grid a chunk also returns the marching-squares sort keys and
-segment lengths of the pass's cells among its rows; the chunks' cells tile
-the pass's. The chunk's values are then dropped, so a worker holds the float
-rows of one chunk at a time. The pass runs the band test on each run of its
-band blocks, reading only the seed window. Stencils of a distance capped at the
-largest radius plus the band margin plus one cell classify every cell as the
-full-range field does, because a corner at or past delta + margin is neither
-in nor near whatever its value. The caller joins the chunks' first and
-saddle second segments as one list in row-major chunk order, and sorts (one
-stable sort) and sums them once, as ``nodal.marching_squares`` does. The
-order of the two kinds is free: first segments have even keys and second
-ones odd keys, so no key holds both, and each key's segments keep row-major
-order. So a volume's and a length's bits do not depend on the worker count
-or the pass or chunk size, and equal those of the band test on the whole
-grid's full-range field, added in the same band blocks.
-``grid.GRID_POINT_CAP`` still bounds the whole grid's size.
+each with one more row on either side, into one float buffer that the pass
+allocates once; ``grid.sample_grid`` is an outer product of per-axis
+factors, so these rows are bitwise the whole grid's, and a worker holds the
+float rows of one chunk at a time. A chunk (``_chunk``) forms the sign
+masks v < 0 and v > 0 of its rows once. From them it finds their vertices
+with the grid's vertex code at global row indices and sets the seeds of its
+own rows in the pass's bool seed window, whose column pads are filled in
+place after the last chunk. A vertex on the edge between two chunks is
+found by both and seeds the same cell either time. On a 2-d grid a chunk
+also gathers, from the same mask v < 0 (marching squares' class v >= 0 is
+its complement), the pass's crossed cells among its rows; the chunks'
+cells tile the pass's. After its last chunk the pass drops the buffer and
+runs the marching-squares geometry once on its chunks' cells, joined in
+row-major order; every length depends on its own cell only. It then runs
+the band test on each run of its band blocks, reading only the seed
+window. Stencils of a distance capped at the largest radius plus the band
+margin plus one cell classify every cell as the full-range field does,
+because a corner at or past delta + margin is neither in nor near whatever
+its value. The caller joins the passes' first and saddle second segments as one list in
+pass order, and sorts (one stable sort) and sums them once, as
+``nodal.marching_squares`` does. The order of the two kinds is free: first
+segments have even keys and second ones odd keys, so no key holds both, and
+each key's segments keep row-major order. So a volume's and a length's bits
+do not depend on the worker count or the pass or chunk size, and equal those
+of the band test on the whole grid's full-range field, added in the same
+band blocks. ``grid.GRID_POINT_CAP`` still bounds the whole grid's size.
 
 The exact distance is a min over axes of 1-d distances, so a point of a cell
 misses the tube iff every axis misses, and the cell's share of the tube is
@@ -91,7 +96,7 @@ from .distance import (
 )
 from .errors import EmptyNodalSetError, ResolutionError, ValidationError
 from .grid import axis_factors, grid_shape
-from .nodal import _corner_reduce, _window_vertices, crossed_segments, segment_sum
+from .nodal import _corner_reduce, _window_vertices, crossed_cells, crossed_segments, segment_sum
 from .spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
 # band blocks per pass of the tube stream, at most: bounds the seed rows a worker holds
@@ -160,24 +165,30 @@ def _band_run(win: np.ndarray, pads, a: int, rows: int, periodic: bool, bands) -
     so iff a corner is "in"; fully outside when its corner maximum has
     fl(v - margin) >= delta, so iff a corner is not "near"; and straddles
     otherwise, adding 1 - prod_j miss[j][i_j] at its index i, in row-major
-    order. The run is classified at once; a block's straddle cells are a
-    contiguous segment of the run's, summed on their own as a lone block's
-    would be, so each block's sum keeps its bits.
+    order. The run is classified at once. A straddle product is row i's
+    miss[0] value, repeated once per straddle cell of the row, times each
+    further axis's table broadcast over the run and read at the straddle
+    mask: the association ((l0 l1) l2) and the row-major order of the whole
+    grid. A block's straddle cells start at the count of those in the rows
+    before it, and are summed on their own as a lone block's would be, so
+    each block's sum keeps its bits.
     """
     masks = seed_stencils(win, pads, [w for widths, _ in bands for w in widths])
     out = []
     for inside, near, (_, miss) in zip(masks[::2], masks[1::2], bands):
         fully_in = _corner_reduce(inside, periodic, np.logical_or, False)
         straddle = _corner_reduce(near, periodic, np.logical_and, False)
-        straddle &= ~fully_in
-        cells = np.unravel_index(np.flatnonzero(straddle), straddle.shape)
-        missed = miss[0][a + cells[0]]
-        for j in range(1, len(cells)):
-            missed *= miss[j][cells[j]]
+        np.greater(straddle, fully_in, out=straddle)  # near, and not fully in
+        n0 = straddle.shape[0]
+        counts = np.count_nonzero(straddle.reshape(n0, -1), axis=1)
+        missed = np.repeat(miss[0][a : a + n0], counts)
+        for j in range(1, straddle.ndim):
+            along = miss[j].reshape((-1,) + (1,) * (straddle.ndim - 1 - j))
+            missed *= np.broadcast_to(along, straddle.shape)[straddle]
         # a straddle cell's share of the tube: 1 - prod_j l_j
         np.subtract(1.0, missed, out=missed)
-        starts = range(0, fully_in.shape[0], rows)
-        parts = np.split(missed, np.searchsorted(cells[0], starts[1:]))
+        starts = range(0, n0, rows)
+        parts = np.split(missed, np.cumsum(counts)[[s - 1 for s in starts[1:]]])
         out.append([(int(np.count_nonzero(fully_in[s : s + rows])), float(part.sum()))
                     for s, part in zip(starts, parts)])
     return list(zip(*out))
@@ -194,12 +205,12 @@ def _volumes(blocks, h, radii) -> list[float]:
     return [float(n) * cellvol + cellvol * part for n, part in zip(inside, share)]
 
 
-def _sampled_rows(factors, periodic: bool, lo: int, hi: int):
-    """The rows lo .. hi - 1 of the grid whose axis factors are ``factors``.
+def _sampled_rows(factors, periodic: bool, lo: int, hi: int, out: np.ndarray):
+    """The rows lo .. hi - 1 of the grid whose axis factors are ``factors``, written into ``out``.
 
     Returns their global indices g (on a box only those inside the grid),
-    their grid rows (g wrapped on a torus) and their values: the outer
-    product of the factors, bitwise the whole grid's rows.
+    their grid rows (g wrapped on a torus) and their values, the head of
+    ``out``: the outer product of the factors, bitwise the whole grid's rows.
     """
     g = np.arange(lo, hi)
     s0 = factors[0].shape[0]
@@ -207,25 +218,51 @@ def _sampled_rows(factors, periodic: bool, lo: int, hi: int):
         at = g % s0
     else:
         g = at = g[(g >= 0) & (g < s0)]
-    return g, at, reduce(np.multiply.outer, [factors[0][at]] + factors[1:])
+    values = out[: g.size]
+    if len(factors) == 1:
+        np.take(factors[0], at, out=values)
+    else:
+        head = reduce(np.multiply.outer, [factors[0][at]] + factors[1:-1])
+        np.multiply.outer(head, factors[-1], out=values)
+    return g, at, values
 
 
-def _seed_rows(values, g, at, h, shape, periodic: bool, lo: int, seeds: np.ndarray) -> None:
-    """Set in ``seeds`` the seeds of the global rows lo, lo + 1, ... it holds (none off a box).
+def _chunk(factors, h, periodic: bool, c: int, d: int, out: np.ndarray, seeds: np.ndarray,
+           pass_rows=None):
+    """Sample the grid rows c - 1 .. d into ``out``; set in ``seeds`` the seeds of rows c .. d - 1.
 
-    ``g``, ``at`` and ``values`` are ``_sampled_rows``' output for rows that
-    include lo - 1 .. lo + len(seeds), so each of these rows has both its
-    axis-0 edges in the window. A vertex takes its source row's grid index,
-    as in the whole grid, and rasterizes to that row or the next. Setting a
-    seed twice is setting it once, so windows may overlap.
+    ``seeds`` holds the global rows c, c + 1, ... (none off a box), and the
+    sampled rows give each of them both its axis-0 edges. The sign masks
+    v < 0 and v > 0 are formed once, for the vertices and the crossed cells.
+    A vertex takes its source row's grid index, as in the whole grid. Only
+    its edge axis goes through the float chain round(fl(fl(k + t) h) / h), so
+    an axis-0 crossing seeds its source row or the next; on every other axis,
+    and for an exact zero, its raster index is its grid index k, as
+    round(fl(k h) / h) = k. Setting a seed twice is setting it once, so
+    windows may overlap. With ``pass_rows``, the pass's corner rows (first,
+    last) of a 2-d grid, it returns the crossed cells (``nodal.crossed_cells``)
+    between its rows among them.
     """
+    shape = tuple(f.shape[0] for f in factors)
     s0 = shape[0]
-    for src, pts in _window_vertices(values, h, periodic, at):
-        k0 = raster_index(pts[:, 0], h[0], s0, periodic)
-        row = g[src] + (k0 - at[src]) % s0 - lo
+    g, at, v = _sampled_rows(factors, periodic, c - 1, d + 1, out)
+    neg, pos = v < 0.0, v > 0.0
+    for axis, idx, t in _window_vertices(v, neg, pos, periodic, g):
+        row, rest = idx[0] - c, list(idx[1:])
+        if axis == 0:
+            k = idx[0] % s0
+            row += (raster_index((k + t) * h[0], h[0], s0, periodic) - k) % s0
+        elif axis is not None:
+            rest[axis - 1] = raster_index((rest[axis - 1] + t) * h[axis], h[axis], shape[axis],
+                                          periodic)
         keep = (0 <= row) & (row < seeds.shape[0])
-        rest = (raster_index(pts[keep, j], h[j], shape[j], periodic) for j in range(1, len(shape)))
-        seeds[(row[keep], *rest)] = True
+        seeds[(row[keep], *(i[keep] for i in rest))] = True
+    if pass_rows is None:
+        return None
+    first, last = pass_rows
+    # rows past the pass's last corner row leave the cut empty
+    cut = slice(max(c, first) - g[0], max(min(d, last) + 1 - g[0], 0))
+    return crossed_cells(v[cut], neg[cut], periodic, at[cut])
 
 
 def _wrap_columns(win: np.ndarray, pads) -> None:
@@ -250,16 +287,18 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     """Tube volumes at ``radii`` on the grid of ``grid.grid_shape(mode, rule)``, streamed.
 
     The passes of the module docstring: each samples its rows a chunk at a
-    time, keeps a bool seed window of them and classifies its cells in runs
-    of band blocks of at most a chunk's rows; every volume is bitwise the
-    band test's on the whole grid's full-range field, summed per band block
-    and added in block order. With ``segments`` a 2-d grid also yields
-    ``nodal.marching_squares``' length, bit for bit: the chunks' segments
-    are joined in chunk order, first and second ones together, as their
-    keys' parities keep one key to one kind and the sort is stable. Raises
-    ResourceGuardError for a grid over the rule's cap, ValidationError for
-    no radius or one that is not positive, and ResolutionError for one below
-    2 max(h). Every worker is joined before this returns.
+    time into one buffer, keeps a bool seed window of them and classifies
+    its cells in runs of band blocks of at most a chunk's rows; every volume
+    is bitwise the band test's on the whole grid's full-range field, summed
+    per band block and added in block order. With ``segments`` a 2-d grid
+    also yields ``nodal.marching_squares``' length, bit for bit: each pass
+    runs the geometry once on its chunks' crossed cells, and the passes'
+    segments are joined in pass order, first and second ones together, as
+    their keys' parities keep one key to one kind and the sort is stable.
+    Raises ResourceGuardError for a grid over the rule's cap,
+    ValidationError for no radius or one that is not positive, and
+    ResolutionError for one below 2 max(h). Every worker is joined before
+    this returns.
     """
     shape, h = grid_shape(mode, rule)
     _check_radii(radii, h)
@@ -283,19 +322,22 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
         # the corner rows first .. last, and the seeds p0 rows past them
         lo, hi = first - p0, last + p0 + 1
         win = np.zeros((hi - lo,) + tuple(s + 2 * p for s, p in zip(shape[1:], pads[1:])), dtype=bool)
-        pieces = []
         # the seed rows, cut at a box's edges, in equal runs of at most a chunk
         top, end = (lo, hi) if periodic else (max(lo, 0), min(hi, shape[0]))
         n = -(-(end - top) // chunk)
         edges = [top + (end - top) * k // n for k in range(n + 1)]
-        for c, d in zip(edges, edges[1:]):
-            g, at, values = _sampled_rows(factors, periodic, c - 1, d + 1)
-            _seed_rows(values, g, at, h, shape, periodic, c, win[(slice(c - lo, d - lo),) + inner])
-            # the chunk's cells: from its rows, within the pass's corner rows
-            cut = slice(max(c, first) - g[0], min(d, last) + 1 - g[0])
-            if segments and cut.stop - cut.start > 1:
-                pieces.append(crossed_segments(values[cut], h, periodic, mode, at[cut]))
-        del values  # no float row is held through the band blocks
+        # one float buffer per pass: a chunk's rows and one more on either side
+        buf = np.empty((-(-(end - top) // n) + 2,) + shape[1:])
+        cells = [_chunk(factors, h, periodic, c, d, buf, win[(slice(c - lo, d - lo),) + inner],
+                        (first, last) if segments else None)
+                 for c, d in zip(edges, edges[1:])]
+        del buf  # no float row is held through the band blocks
+        pieces = ()
+        if segments:
+            # the pass's crossed cells, in row-major chunk order: one marching-squares geometry
+            pieces = crossed_segments(*(np.concatenate(part, axis=-1) for part in zip(*cells)),
+                                      h, mode)
+        del cells
         if periodic:
             _wrap_columns(win, pads)
         out = []
@@ -309,8 +351,8 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     volumes = _volumes([block for out, _ in passes for block in out], h, radii)
     length = None
     if segments:
-        # every chunk's first and second segments, in row-major chunk order
-        length = segment_sum([part for _, pieces in passes for piece in pieces for part in piece])
+        # every pass's first and second segments, in pass order
+        length = segment_sum([piece for _, pieces in passes for piece in pieces])
     return StreamedTubes(h, dict(zip(radii, volumes)), length)
 
 

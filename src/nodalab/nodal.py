@@ -1,26 +1,36 @@
 """Nodal set extraction from grid samples.
 
 Vertices are exact-zero grid points plus linearly interpolated zero crossings on
-grid edges. Both come from two sign masks, ``v < 0`` and ``v > 0``: a zero
-point is in neither, and an edge crosses where both masks differ across it,
-a strict sign change. Indices are taken flat (``np.flatnonzero`` and
-``np.unravel_index`` on the edge array's shape), and each crossing keeps the
-interpolation ``t = v0 / (v0 - v1)``. The masks see every strict sign
-change, also one between two values so tiny that their product rounds to
--0.0 (2**-537 and -(2**-538)): a test of ``v0 * v1 < 0`` would miss that
-edge.
+grid edges. Both come from two sign masks, ``v < 0`` and ``v > 0``, which
+the caller forms once: a zero point is in neither, and an edge crosses where
+both masks differ across it, a strict sign change. Indices are taken flat
+(``np.flatnonzero`` and ``np.unravel_index`` on the edge array's shape).
+``_window_vertices`` returns them as groups of grid indices with, for each
+crossing, its axis and its interpolation ``t = v0 / (v0 - v1)``;
+``extract_nodal`` turns them into coordinates, and the tube stream
+rasterizes them. The masks see every strict sign change, also one between
+two values so tiny that their product rounds to -0.0 (2**-537 and
+-(2**-538)): a test of ``v0 * v1 < 0`` would miss that edge.
 
 Separately, ``marching_squares`` measures the total length of the
-marching-squares contour of a 2-d sample, visiting only the cells whose corner
-signs differ; the ambiguous saddle configurations are resolved by the sign of
-the eigenfunction at the cell center, which is evaluated analytically.
+marching-squares contour of a 2-d sample in two halves. ``crossed_cells``
+finds the cells whose corners are neither all negative nor all nonnegative
+(zeros count as nonnegative, so the class mask is the complement of
+``v < 0`` and the cells come from that mask) and gathers their rows,
+columns and corner values. ``crossed_segments`` is the geometry: per cell
+its pattern, its one or two segments between the zero crossings on its
+crossed edges, and their sort keys and lengths. The ambiguous saddle
+configurations are resolved by the sign of the eigenfunction at the cell
+center, which is evaluated analytically.
 
-Both run on the whole grid or on a window of its rows (``rows``, their
-global indices): ``extract_nodal`` and ``marching_squares`` are the
-whole-grid case, and ``measures.streamed_tubes`` runs the windows of its
-passes. A window's cells and axis-0 edges lie between its consecutive rows,
-and its points take their rows' global indices, so a window's vertices,
-segment keys and lengths are bitwise the whole grid's.
+The vertex and crossed-cell searches run on the whole grid or on a window of
+its rows (``rows``, their global indices): ``extract_nodal`` and
+``marching_squares`` are the whole-grid case, and ``measures.streamed_tubes``
+runs the windows of its chunks, joining a pass's crossed cells for one run
+of the geometry. A window's cells and axis-0 edges lie between its
+consecutive rows, and its points take their rows' global indices, so a
+window's vertices, crossed cells, segment keys and lengths are bitwise the
+whole grid's.
 """
 
 from __future__ import annotations
@@ -85,23 +95,25 @@ def _global_index(idx: tuple, rows) -> tuple:
     return idx if rows is None else (rows[idx[0]],) + idx[1:]
 
 
-def _window_vertices(v: np.ndarray, h, periodic: bool, rows=None) -> list:
-    """Exact-zero grid points plus strict sign-change edge crossings, as (source row, points) chunks.
+def _window_vertices(v: np.ndarray, neg: np.ndarray, pos: np.ndarray, periodic: bool,
+                     rows=None) -> list:
+    """Exact-zero grid points plus strict sign-change edge crossings, as (axis, index, t) groups.
 
-    ``v`` is the whole grid when ``rows`` is None: axis 0 then wraps on a
-    torus. Otherwise ``v`` holds the grid rows whose global indices are
-    ``rows``: axis-0 edges join consecutive rows of ``v`` only, and a point
-    takes its row's global index. A chunk's source rows index ``v``.
+    ``neg`` and ``pos`` are ``v < 0`` and ``v > 0``. ``v`` is the whole grid
+    when ``rows`` is None: axis 0 then wraps on a torus. Otherwise ``v``
+    holds the grid rows whose global indices are ``rows``: axis-0 edges join
+    consecutive rows of ``v`` only, and an index takes its row's global
+    index. The zeros' group has axis and t None: its vertices are the grid
+    points at its index arrays. An edge group's vertex i lies a fraction
+    t[i] = v0 / (v0 - v1) of the way from the point at its index to the next
+    one along its axis, so on every other axis its coordinate is k h for its
+    grid index k.
     """
-    n = v.ndim
-    neg, pos = v < 0.0, v > 0.0
-    chunks = []
-    zero = np.flatnonzero(~(neg | pos))
+    groups = []
+    zero = np.flatnonzero(neg == pos)  # neither negative nor positive
     if zero.size:
-        idx = np.unravel_index(zero, v.shape)
-        at = _global_index(idx, rows)
-        chunks.append((idx[0], np.stack([at[j] * h[j] for j in range(n)], axis=1)))
-    for axis in range(n):
+        groups.append((None, _global_index(np.unravel_index(zero, v.shape), rows), None))
+    for axis in range(v.ndim):
         wrap = periodic and (axis > 0 or rows is None)
         edge = _edge_op(neg, axis, wrap, np.not_equal)
         edge &= _edge_op(pos, axis, wrap, np.not_equal)
@@ -113,46 +125,49 @@ def _window_vertices(v: np.ndarray, h, periodic: bool, rows=None) -> list:
         # the edge's far end; only a wrapping axis goes past the last row
         far = idx[:axis] + ((idx[axis] + 1) % v.shape[axis],) + idx[axis + 1 :]
         v0, v1 = v[idx], v[far]
-        t = v0 / (v0 - v1)
-        at = _global_index(idx, rows)
-        pts = np.stack([at[j].astype(float) for j in range(n)], axis=1)
-        pts[:, axis] += t
-        chunks.append((idx[0], pts * np.asarray(h)))
-    return chunks
+        groups.append((axis, _global_index(idx, rows), v0 / (v0 - v1)))
+    return groups
 
 
-def crossed_segments(v: np.ndarray, h, periodic: bool, mode, rows=None):
-    """Sort keys and lengths of the marching-squares segments of a 2-d grid's crossed cells.
+def crossed_cells(v: np.ndarray, neg: np.ndarray, periodic: bool, rows=None):
+    """The crossed cells of a 2-d grid: corners neither all negative nor all nonnegative.
 
-    ``v`` and ``rows`` are as in ``_window_vertices``: on a window the cells
-    lie between consecutive rows of ``v``. Returns ((keys, lengths) of every
-    crossed cell's first segment, (keys, lengths) of the saddles' second
-    segments), each row-major. ``marching_squares`` sums them.
+    ``v``, ``neg`` (``v < 0``) and ``rows`` are as in ``_window_vertices``:
+    on a window the cells lie between consecutive rows of ``v``. Returns
+    their global rows, their columns and their corner values (4, cells),
+    corners 0=(i,j) 1=(i+1,j) 2=(i+1,j+1) 3=(i,j+1), row-major.
     """
-    h0, h1 = h
-    pos = v >= 0
-    # the crossed cells: corners neither all nonnegative nor all negative
-    mixed = _corner_reduce(pos, periodic, np.logical_and, rows is None) != _corner_reduce(
-        pos, periodic, np.logical_or, rows is None
+    wrap = rows is None
+    mixed = _corner_reduce(neg, periodic, np.logical_and, wrap) != _corner_reduce(
+        neg, periodic, np.logical_or, wrap
     )
     pi, jj = np.unravel_index(np.flatnonzero(mixed), mixed.shape)
     p1, j1 = (pi + 1) % v.shape[0], (jj + 1) % v.shape[1]
-    ii = pi if rows is None else rows[pi]
-    # corners 0=(i,j) 1=(i+1,j) 2=(i+1,j+1) 3=(i,j+1); edge k joins corners k
-    # and k+1 (mod 4); pattern bit k set = corner k has value >= 0
-    corners = (pi, jj), (p1, jj), (p1, j1), (pi, j1)
-    bits = np.stack([pos[c] for c in corners])
-    pat = np.array([1, 2, 4, 8]) @ bits
-    av, bv, cv, dv = (v[c] for c in corners)
+    corners = np.stack([v[pi, jj], v[p1, jj], v[p1, j1], v[pi, j1]])
+    return (pi if rows is None else rows[pi]), jj, corners
+
+
+def crossed_segments(ii: np.ndarray, jj: np.ndarray, corners: np.ndarray, h, mode):
+    """Sort keys and lengths of the marching-squares segments of crossed cells.
+
+    ``ii``, ``jj`` and ``corners`` are ``crossed_cells``' output, or several
+    of them joined. Returns ((keys, lengths) of every cell's first segment,
+    (keys, lengths) of the saddles' second segments), each in the cells'
+    order. Every length depends on its own cell only.
+    """
+    h0, h1 = h
+    a, b, c, d = corners
+    # edge k joins corners k and k+1 (mod 4); pattern bit k set = corner k has value >= 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.stack([(ii + av / (av - bv)) * h0, (ii + 1.0) * h0,
-                      (ii + dv / (dv - cv)) * h0, ii * h0])
-        y = np.stack([jj * h1, (jj + bv / (bv - cv)) * h1,
-                      (jj + 1.0) * h1, (jj + av / (av - dv)) * h1])
-    crossed = bits != np.roll(bits, -1, axis=0)
-    first = crossed.argmax(axis=0)
-    last = 3 - crossed[::-1].argmax(axis=0)
-    saddle = crossed.all(axis=0)
+        x = np.stack([(ii + a / (a - b)) * h0, (ii + 1.0) * h0, (ii + d / (d - c)) * h0, ii * h0])
+        y = np.stack([jj * h1, (jj + b / (b - c)) * h1, (jj + 1.0) * h1, (jj + a / (a - d)) * h1])
+    bits = corners >= 0
+    b8 = bits.view(np.uint8)
+    pat = b8[0] | b8[1] << 1 | b8[2] << 2 | b8[3] << 3
+    c0, c1, c2, c3 = bits != np.roll(bits, -1, axis=0)  # the crossed edges: two, or four
+    first = 2 - 2 * c0 - (c1 & ~c0)
+    last = 1 + 2 * c3 + (c2 & ~c3)
+    saddle = c0 & c1 & c2 & c3
     si, sj = ii[saddle], jj[saddle]
     plus = eval_mode(mode, np.stack([(si + 0.5) * h0, (sj + 0.5) * h1], axis=1)) >= 0
     # the center joins the two corners of its own class; when those are 0 and
@@ -162,11 +177,12 @@ def crossed_segments(v: np.ndarray, h, periodic: bool, mode, rows=None):
     # sum order: pattern rank, then a saddle's center sign (+ first) and segment
     key = 4 * _EMIT_RANK[pat]
     key[saddle] += 2 * ~plus
+    # flat indices into x and y of each segment's two edge points
     cols = np.concatenate([np.arange(pat.size), np.flatnonzero(saddle)])
-    e = np.concatenate([first, 1 + join])
-    f = np.concatenate([last, 2 + join])
-    dx = x[e, cols] - x[f, cols]
-    dy = y[e, cols] - y[f, cols]
+    e = np.concatenate([first, 1 + join]) * pat.size + cols
+    f = np.concatenate([last, 2 + join]) * pat.size + cols
+    dx = np.take(x, e) - np.take(x, f)
+    dy = np.take(y, e) - np.take(y, f)
     lengths = np.sqrt(dx * dx + dy * dy)
     return (key, lengths[: pat.size]), (key[saddle] + 1, lengths[pat.size :])
 
@@ -190,7 +206,9 @@ def marching_squares(sample: GridSample) -> float:
     and segment, row-major within each group), so the float is reproducible
     bit for bit.
     """
-    return segment_sum(crossed_segments(sample.values, sample.h, sample.periodic, sample.mode))
+    v = sample.values
+    cells = crossed_cells(v, v < 0.0, sample.periodic)
+    return segment_sum(crossed_segments(*cells, sample.h, sample.mode))
 
 
 def extract_nodal(sample: GridSample) -> NodalApprox:
@@ -199,7 +217,13 @@ def extract_nodal(sample: GridSample) -> NodalApprox:
     Vertices combine exact-zero grid points with strict sign-change crossings,
     interpolated linearly along edges.
     """
-    chunks = _window_vertices(sample.values.reshape(sample.shape), sample.h, sample.periodic)
-    if not chunks:
+    v = sample.values.reshape(sample.shape)
+    parts = []
+    for axis, idx, t in _window_vertices(v, v < 0.0, v > 0.0, sample.periodic):
+        pts = np.stack([k.astype(float) for k in idx], axis=1)
+        if axis is not None:
+            pts[:, axis] += t
+        parts.append(pts * np.asarray(sample.h))
+    if not parts:
         return NodalApprox(sample, np.empty((0, sample.n)))
-    return NodalApprox(sample, np.concatenate([pts for _, pts in chunks], axis=0))
+    return NodalApprox(sample, np.concatenate(parts, axis=0))

@@ -14,7 +14,7 @@ from nodalab.boxes import (
     subdivide,
     unit_ball_volume,
 )
-from nodalab.errors import ResolutionError, ValidationError
+from nodalab.errors import ResolutionError, ResourceGuardError, ValidationError
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
 from nodalab.nodal import NodalApprox, extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode, tube_volume_exact
@@ -42,6 +42,9 @@ def test_subdivide_examples():
     for delta in (math.nan, math.inf):
         with pytest.raises(ValidationError):
             subdivide((1.0,), delta)
+    # L / (1.5 delta) overflows to inf: a guard, not floor(inf)'s OverflowError
+    with pytest.raises(ResourceGuardError, match="needs over 1e308 boxes"):
+        subdivide((1.0,), 1e-310)
 
 
 @given(

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nodalab.cli as cli_mod
 import nodalab.spectrum as spectrum_mod
@@ -209,6 +212,15 @@ def test_huge_requests_exit_3_without_a_traceback(argv, message, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_box_count_past_the_float_range_skips_the_cells(tmp_path):
+    # delta = 1e-300 / mu = 1e-312 leaves L / (1.5 delta) = inf, whose floor
+    # raised OverflowError with a traceback: now each cell is skipped by a guard
+    done = run_limited(["boxes", "--m=1000000000000", "--mu-delta=1e-300"], tmp_path)
+    assert (done.returncode, done.stderr) == (EXIT_GATE_FAIL, "")
+    assert ("skipped cell scaling;mud=1e-300: skipped: axis length 3.14159 at "
+            "delta=1e-312 needs over 1e308 boxes") in done.stdout
+
+
 @pytest.mark.parametrize("cmd", ["dioph", "borel-cantelli"])
 def test_negative_seed_exits_2_without_a_traceback(cmd, tmp_path):
     # numpy's generators reject a negative seed with a ValueError of their own
@@ -234,6 +246,44 @@ def test_the_child_address_space_limit_stops_a_large_allocation(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, preexec_fn=limited_child)
     assert done.returncode == 1 and "MemoryError" in done.stderr
+
+
+def numeric_flags() -> dict:
+    """Per subcommand, its flags whose type reads numbers (none of yau, density, dim2)."""
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    numeric = (int, float, _parse_floats)
+    flags = {name: [a.option_strings[0] for a in sub._actions if a.type in numeric]
+             for name, sub in subs.choices.items()}
+    return {name: names for name, names in flags.items() if names}
+
+
+NUMERIC_FLAGS = numeric_flags()
+# zero, a sign, both ends of the float range, the non-finite values and a count
+# past every cap: none may end in a traceback
+EDGE_VALUES = ("0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "1000000000000")
+
+
+@st.composite
+def edge_flags(draw):
+    """A subcommand with one or two of its numeric flags, each at an edge value."""
+    cmd = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(NUMERIC_FLAGS[cmd]), min_size=1, max_size=2, unique=True))
+    return [cmd] + [f"{flag}={draw(st.sampled_from(EDGE_VALUES))}" for flag in flags]
+
+
+def test_numeric_flags_cover_the_report_subcommands():
+    assert set(NUMERIC_FLAGS) == {"spectrum", "tube", "boxes", "dioph", "borel-cantelli"}
+    assert sum(map(len, NUMERIC_FLAGS.values())) == 20
+
+
+@given(argv=edge_flags())
+@settings(derandomize=True, max_examples=24, deadline=None)
+def test_edge_flag_values_end_without_a_traceback(argv, tmp_path_factory):
+    """Every case ends in a documented exit code (0 pass, 1 gate, 2 invalid,
+    3 guard), never in a traceback, in a child under the address-space limit."""
+    done = run_limited(argv, tmp_path_factory.mktemp("edge"))
+    assert done.returncode in (EXIT_PASS, EXIT_GATE_FAIL, EXIT_INVALID, EXIT_GUARD), done.stderr
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

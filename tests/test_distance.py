@@ -18,6 +18,7 @@ from nodalab.distance import (
     capped_pads,
     distance_field,
     raster_error,
+    raster_index,
     seed_stencils,
     stencil_widths,
 )
@@ -439,3 +440,20 @@ def test_seed_stencils_are_the_float_predicates_below_the_reach(make_nodal, cell
     assert inside.shape == near.shape == expect.shape
     assert np.array_equal(inside, below & (expect + margin < delta))
     assert np.array_equal(near, below & (expect - margin < delta))
+
+
+@given(
+    periodic=st.booleans(),
+    alpha=st.one_of(st.sampled_from((1.0, math.sqrt(2.0), math.pi)),
+                    st.floats(0.01, 100.0, allow_subnormal=False)),
+    n=st.one_of(st.integers(2, 6000), st.sampled_from((4556, 4557, 2519, 5000))),
+)
+@settings(max_examples=200, deadline=None)
+def test_grid_coordinates_raster_to_their_index(periodic, alpha, n):
+    """round(fl(k h) / h) = k for every index k < n: a vertex's coordinate on an
+    axis other than its edge's rasterizes to its grid index without the float
+    chain. (20, 21)'s tube grid has 4,556 points per axis."""
+    domain = (DomainSpec.torus if periodic else DomainSpec.box)((alpha,))
+    h = domain.lengths[0] / (n if periodic else n - 1)
+    k = np.arange(n)
+    assert np.array_equal(raster_index(k * h, h, n, periodic), k)

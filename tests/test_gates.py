@@ -152,12 +152,12 @@ def seed_one_axis(monkeypatch):
     """Distance field seeded from axis 0's zero crossings only: other axes' nodal lines are lost."""
     vertices = measures_mod._window_vertices
 
-    def one_axis(v, h, periodic, rows=None):
+    def one_axis(v, neg, pos, periodic, rows=None):
         # the axis-0 line through the largest |v| meets no other axis's zero:
         # its sign changes and zeros are axis 0's alone
         at = np.unravel_index(np.abs(v).argmax(), v.shape)
-        line = v[(slice(None),) + tuple(slice(i, i + 1) for i in at[1:])]
-        return vertices(np.broadcast_to(line, v.shape), h, periodic, rows)
+        line = np.broadcast_to(v[(slice(None),) + tuple(slice(i, i + 1) for i in at[1:])], v.shape)
+        return vertices(line, line < 0.0, line > 0.0, periodic, rows)
 
     monkeypatch.setattr(measures_mod, "_window_vertices", one_axis)
 

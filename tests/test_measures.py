@@ -478,9 +478,9 @@ def factor_grids(draw):
 @example(grid=(True, [np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])]), lo=9, rows=2)
 @settings(max_examples=200, deadline=None)
 def test_seed_rows_are_the_whole_grid_seed_rows(grid, lo, rows):
-    """A window's sampled rows are the whole grid's bit for bit, and its seeds
+    """A chunk's sampled rows are the whole grid's bit for bit, and its seeds
     those of the whole grid's vertices in its rows, wrapped on a torus and
-    empty off a box, also for windows longer than the period."""
+    empty off a box, also for chunks longer than the period."""
     periodic, factors = grid
     shape = tuple(f.shape[0] for f in factors)
     dom = (DomainSpec.torus if periodic else DomainSpec.box)((1.0,) * len(shape))
@@ -491,15 +491,52 @@ def test_seed_rows_are_the_whole_grid_seed_rows(grid, lo, rows):
     sample = GridSample(EigenMode(dom, (1,) * len(shape)), h, shape, values)
     whole = _seed_mask(extract_nodal(sample))
     hi = lo + rows
-    g, at, window = measures_mod._sampled_rows(factors, periodic, lo - 1, hi + 1)
+    # the chunk's rows and one more on either side, written into a longer buffer
+    out = np.full((rows + 3,) + shape[1:], np.nan)
+    g, at, window = measures_mod._sampled_rows(factors, periodic, lo - 1, hi + 1, out)
     assert window.tobytes() == values[at].tobytes()
     got = np.zeros((rows,) + shape[1:], dtype=bool)
-    measures_mod._seed_rows(window, g, at, h, shape, periodic, lo, got)
+    assert measures_mod._chunk(factors, h, periodic, lo, hi, out, got) is None
     want = np.zeros_like(got)
     index = np.arange(lo, hi)
     inside = np.ones(rows, dtype=bool) if periodic else (index >= 0) & (index < shape[0])
     want[inside] = whole[index[inside] % shape[0]]
     assert np.array_equal(got, want)
+
+
+def test_marching_squares_geometry_runs_once_per_pass(monkeypatch):
+    # torus (3, 4) at ppw 12.5: 38 x 50 points. Blocks of 2 rows, passes of 3
+    # blocks and chunks of 4 rows: 7 passes (the last of 2 cell rows), each
+    # sampled in 3 or more chunks
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
+    rule = ResolutionRule(points_per_wavelength=12.5)
+    shape, h = grid_shape(mode, rule)
+    assert shape == (38, 50)
+    monkeypatch.setattr(measures_mod, "ROW_BLOCK_POINTS", 2 * shape[1])
+    monkeypatch.setattr(measures_mod, "PASS_BLOCKS", 3)
+    monkeypatch.setattr(measures_mod, "CHUNK_POINTS", 4 * shape[1])
+    monkeypatch.setattr(measures_mod, "usable_cores", lambda: 2)
+    chunks, gathered, geometry = [], [], []
+
+    def spy(real, calls, size):
+        def call(*args):
+            out = real(*args)
+            calls.append(size(args, out))
+            return out
+        return call
+
+    monkeypatch.setattr(measures_mod, "_chunk",
+                        spy(measures_mod._chunk, chunks, lambda a, o: a[3:5]))
+    monkeypatch.setattr(measures_mod, "crossed_cells",
+                        spy(measures_mod.crossed_cells, gathered, lambda a, o: o[0].size))
+    monkeypatch.setattr(measures_mod, "crossed_segments",
+                        spy(measures_mod.crossed_segments, geometry, lambda a, o: a[0].size))
+    tubes = streamed_tubes(mode, rule, [3.0 * max(h)], segments=True)
+    assert volume_bits([tubes.length]) == volume_bits([marching_squares(sample_grid(mode, rule))])
+    # the geometry runs once per pass, on the cells every chunk of the pass gathered
+    assert len(geometry) == 7
+    assert len(gathered) == len(chunks) >= 3 * 7
+    assert sum(geometry) == sum(gathered) > 0
 
 
 @st.composite
