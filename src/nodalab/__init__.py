@@ -21,7 +21,7 @@ from .dioph import (
     estimate_exponent,
     modes_nodal_distance,
 )
-from .distance import DistanceField, distance_field, nodal_seeds
+from .distance import nodal_seeds
 from .errors import (
     EmptyNodalSetError,
     ResolutionError,
@@ -67,7 +67,6 @@ __version__ = CODE_VERSION
 __all__ = [
     "CODE_VERSION",
     "CellResult",
-    "DistanceField",
     "DomainSpec",
     "EigenMode",
     "EmptyNodalSetError",
@@ -89,7 +88,6 @@ __all__ = [
     "component_inradii",
     "density_radius",
     "density_radius_exact",
-    "distance_field",
     "enumerate_modes",
     "estimate_exponent",
     "eval_mode",

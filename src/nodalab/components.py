@@ -96,7 +96,7 @@ def component_inradii(comp: SignComponents, seeds: Seeds) -> np.ndarray:
     the slabs' maxima are joined with ``np.maximum``. The certificate still
     reads the slab loop's maximum over every point, unsigned ones (label 0)
     included, and a failed one reruns the transform with fresh maxima. Bit
-    for bit ``np.maximum.at`` over ``distance_field(...).dist``.
+    for bit ``np.maximum.at`` over the whole full-range field.
     """
     if seeds.mask.shape != comp.labels.shape:
         raise ValidationError("seed set and components use different grids")
@@ -106,5 +106,5 @@ def component_inradii(comp: SignComponents, seeds: Seeds) -> np.ndarray:
     def fold(maxima, rows, d):
         np.maximum.at(maxima, comp.labels[rows].ravel(), d.ravel())
 
-    slabs = full_range(seeds, lambda: np.zeros(comp.count + 1), fold)
+    slabs, _ = full_range(seeds, lambda: np.zeros(comp.count + 1), fold)
     return np.maximum.reduce(slabs)[1:]

@@ -392,7 +392,8 @@ def estimate_exponent(
     (convergent denominators of x/pi on the interval), and every such record
     improves the raw distance as well, so the fitted quantity is unchanged.
     A point lying exactly on some nodal set gets an infinite exponent and the
-    exact_hit flag; fewer than five records flag low confidence. The fit
+    exact_hit flag; fewer than five records flag low confidence, and records
+    at fewer than two distinct mu give no exponent (NaN). The fit
     window runs from mu_min to mu_max, by default the list's enumeration cap
     ``modes.mu_max``, which a list and its record candidates share.
 
@@ -421,9 +422,9 @@ def estimate_exponent(
     rec = (proxy < prev) & (mu >= mu_min) & (mu <= hi)
     idx = np.flatnonzero(rec)
     n_rec = int(idx.size)
-    if n_rec < 2:
-        return ExponentEstimate(math.nan, n_rec, math.nan, True, False)
     X = np.log(mu[idx])
+    if n_rec < 2 or X[0] == X[-1]:  # no line through one mu: the records are sorted by mu
+        return ExponentEstimate(math.nan, n_rec, math.nan, True, False)
     Y = -np.log(dist[idx])
     slope, intercept = np.polyfit(X, Y, 1)
     resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))

@@ -28,10 +28,9 @@ the window, and the field's maximum below R leaves no nearest seed outside.
 Each slab computes its distances a few rows at a time into one buffer, so no
 grid-sized temporary is formed, and the slab loop keeps their maximum for the
 certificate, over every point. What becomes of a block is up to its
-consumer (``full_range``): ``distance_field`` writes it into its rows of the
-one output field. The slab count is bounded so the windows in flight hold
-at most twice the unsplit padded rows. An unpadded grid (a box or the
-interval) has no halo and is one transform.
+consumer (``full_range``). The slab count is bounded so the windows in
+flight hold at most twice the unsplit padded rows. An unpadded grid (a box
+or the interval) has no halo and is one transform.
 
 The tube volumes read no distances: ``seed_stencils`` tells from a window of
 seed rows whether a point's distance capped at a reach passes a threshold,
@@ -39,10 +38,10 @@ exactly: the predicate is monotone in the least, over the seeds, of scipy's
 float sequence for the seed's offset l, which does not fall as any |l_j|
 grows, so it is the window dilated by ``stencil_widths``. The density radius
 and the sign domains' inner radii read a maximum, which a cap would clip, so
-they keep the full-range transform and its certificate. Only the density
-radius forms the field: ``components.component_inradii`` folds each block
-into per-domain maxima, and it reads a ``Seeds``, so dim2 frees its sample's
-values before the transform.
+they keep the full-range transform and its certificate. No code path forms
+the whole field: ``measures.density_radius`` reads the certified maximum and
+``components.component_inradii`` folds each block into per-domain maxima.
+Both read a ``Seeds``, so their drivers free the sample before the transform.
 """
 
 from __future__ import annotations
@@ -64,26 +63,6 @@ PADDED_POINT_CAP = 90_000_000
 # grid points per block of rows in the slab distances and the tube stream's band blocks:
 # bounds their temporaries
 ROW_BLOCK_POINTS = 1 << 16
-
-
-@dataclass
-class DistanceField:
-    """Grid of distances to the extracted nodal set; all-inf when the set is empty."""
-
-    nodal: NodalApprox
-    dist: np.ndarray
-
-    @property
-    def empty(self) -> bool:
-        return self.nodal.empty
-
-    @property
-    def sample(self):
-        return self.nodal.sample
-
-    @property
-    def h(self) -> tuple[float, ...]:
-        return self.nodal.sample.h
 
 
 def raster_error(h) -> float:
@@ -192,21 +171,22 @@ def _cropped_distances(seeds: np.ndarray, pads, h, start, fold) -> tuple[list, f
     return [acc for acc, _ in done], max(top for _, top in done)
 
 
-def full_range(seeds: Seeds, start, fold) -> list:
-    """The full-range field of a nonempty seed set, folded block by block: the slabs' accumulators.
+def full_range(seeds: Seeds, start, fold) -> tuple[list, float]:
+    """The full-range field of a nonempty seed set, folded block by block: the slabs'
+    accumulators and the field's maximum.
 
     ``start`` and ``fold`` are as in ``_cropped_distances``: every grid point's
     distance reaches exactly one ``fold`` of the attempt whose accumulators
-    are returned, the one that passes the certificate. ``PADDED_POINT_CAP``
-    bounds the points of the (padded) array, whichever slabs it is
-    transformed in.
+    and maximum are returned, the one that passes the certificate.
+    ``PADDED_POINT_CAP`` bounds the points of the (padded) array, whichever
+    slabs it is transformed in.
     """
     cap = PADDED_POINT_CAP
     mask, h = seeds.mask, seeds.h
     if not seeds.periodic:
         if mask.size > cap:
             raise ResourceGuardError(f"distance transform on {mask.size} points (cap {cap})")
-        return _cropped_distances(mask, [0] * mask.ndim, h, start, fold)[0]
+        return _cropped_distances(mask, [0] * mask.ndim, h, start, fold)
     full = [s // 2 + 1 for s in mask.shape]
     # first guess: grid points per seed, about the spacing of the nodal set
     radius = mask.size / np.count_nonzero(mask) * min(h)
@@ -223,7 +203,7 @@ def full_range(seeds: Seeds, start, fold) -> list:
             (p * hj for p, f, hj in zip(pads, full, h) if p < f), default=math.inf
         )
         if radius < certified:
-            return accs
+            return accs, radius
 
 
 def capped_pads(shape, h, reach: float, periodic: bool) -> list[int]:
@@ -279,21 +259,3 @@ def seed_stencils(win: np.ndarray, pads, widths) -> list[np.ndarray]:
         masks[k] |= dilated[tuple(cut(j, l) for j, l in enumerate(signed))]
     return masks
 
-
-def distance_field(nodal: NodalApprox) -> DistanceField:
-    """Exact Euclidean distance transform of the rasterized nodal vertices.
-
-    An empty nodal set yields an all-infinity field flagged ``empty`` rather
-    than an error, so callers can distinguish "no zeros" from "far from zeros".
-    Each block of rows is written into the one output field.
-    """
-    seeds = nodal_seeds(nodal)
-    if not seeds.mask.any():
-        return DistanceField(nodal, np.full(seeds.mask.shape, np.inf))
-    dist = np.empty(seeds.mask.shape)
-
-    def write(_, rows, d):
-        dist[rows] = d
-
-    full_range(seeds, lambda: None, write)
-    return DistanceField(nodal, dist)

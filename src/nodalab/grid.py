@@ -116,11 +116,18 @@ def grid_shape(mode: EigenMode, rule: ResolutionRule = ResolutionRule()):
         shape.append(npts)
     total = math.prod(shape)
     if total > rule.max_total_points:
+        shown = ", ".join(map(_count, shape)) + ("," if len(shape) == 1 else "")
         raise ResourceGuardError(
-            f"grid of shape {tuple(shape)} has {total} points (cap {rule.max_total_points})"
+            f"grid of shape ({shown}) has {_count(total)} points (cap {rule.max_total_points})"
         )
     h = tuple(L / (npts if dom.periodic else npts - 1) for L, npts in zip(lengths, shape))
     return tuple(shape), h
+
+
+def _count(k: int) -> str:
+    """A point count in digits, or past 10**15 as its first three digits and exponent."""
+    digits = str(k)
+    return digits if k <= 10**15 else f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
 
 
 def axis_factors(mode: EigenMode, shape) -> list[np.ndarray]:

@@ -27,7 +27,7 @@ from .dioph import (
     shrinking_radii,
     tail_hits,
 )
-from .distance import distance_field, nodal_seeds, raster_error
+from .distance import nodal_seeds, raster_error
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
 from .measures import density_radius, streamed_tubes, tube_measure
@@ -389,9 +389,10 @@ def run_density_check(domain: DomainSpec, modes=None) -> ExperimentReport:
                 points_per_wavelength=ppw, h_max=r_exact / radius_h_divisor
             )
             sample = sample_grid(mode, rule)
-            field = distance_field(extract_nodal(sample))
-            r = density_radius(field)
-            h_max_used = float(max(sample.h))
+            seeds = nodal_seeds(extract_nodal(sample))
+            del sample  # the transform reads only the bool seed mask
+            r = density_radius(seeds)
+            h_max_used = float(max(seeds.h))
             cell.measured = {
                 "radius": r,
                 "product": r * mu,
@@ -399,7 +400,7 @@ def run_density_check(domain: DomainSpec, modes=None) -> ExperimentReport:
                 "rel_dev": abs(r - r_exact) / r_exact,
                 "h_mu": h_max_used * mu,
             }
-            cell.error = raster_error(field.h)
+            cell.error = raster_error(seeds.h)
         cells.append(cell)
     gates = GATE_BUILDERS["density"](cells, config)
     summary = {"products": {c.cell: c.measured["product"] for c in _live(cells)}}
@@ -641,15 +642,16 @@ def run_comparability_scaling(
 def _comparability_gates(cells, config):
     gates = []
     scaling = _live(cells, kind="scaling")
-    if len(scaling) >= 2:  # a band and a slope need two radii
+    if len(scaling) >= 2:  # a band needs two radii, a slope two distinct ones
         ratios = [c.measured["ratio"] for c in scaling]
         gates.append(gate("ratio_variation", _band(ratios), config["variation_cap"], "<="))
         ts = [c.params["mu_delta"] for c in scaling]
         evs = [c.measured["e_volume"] for c in scaling]
-        slope = float(np.polyfit(np.log(ts), np.log(evs), 1)[0])
-        lo, hi = config["slope_band"]
-        gates.append(gate("loglog_slope_low", slope, lo, ">="))
-        gates.append(gate("loglog_slope_high", slope, hi, "<="))
+        if len(set(ts)) >= 2:
+            slope = float(np.polyfit(np.log(ts), np.log(evs), 1)[0])
+            lo, hi = config["slope_band"]
+            gates.append(gate("loglog_slope_low", slope, lo, ">="))
+            gates.append(gate("loglog_slope_high", slope, hi, "<="))
     sweep = sorted(_live(cells, kind="a_sweep"), key=lambda c: c.params["A"])
     if len(sweep) >= 2:
         evols = [c.measured["e_volume"] for c in sweep]

@@ -5,7 +5,7 @@ grid; ``tube_measure`` extrapolates Vol(T_t)/(2t) from its volumes to t -> 0
 for the nodal measure (in dimension one ``harness.run_yau_check`` counts
 vertices instead). The 2-d cross-check against the marching-squares length
 runs in ``harness.run_yau_check``, which gates on it. The density radius is
-the maximum of a full-range ``distance.DistanceField``.
+the certified maximum of the full-range transform, which forms no field.
 
 The tube estimator classifies every grid cell as fully inside / fully outside
 / straddling the delta level set using Lipschitz-rigorous margins from corner
@@ -86,8 +86,9 @@ import numpy as np
 
 from .distance import (
     ROW_BLOCK_POINTS,
-    DistanceField,
+    Seeds,
     capped_pads,
+    full_range,
     raster_error,
     raster_index,
     seed_stencils,
@@ -392,8 +393,8 @@ def tube_measure(volumes: dict) -> NodalMeasure:
     return NodalMeasure(extrap, {t: volumes[t] for t in ts}, non_monotone)
 
 
-def density_radius(field: DistanceField) -> float:
-    """Largest distance from any grid point to the nodal set: a full-range field's maximum."""
-    if field.empty:
+def density_radius(seeds: Seeds) -> float:
+    """Largest distance from any grid point to a seed: the full-range transform's certified maximum."""
+    if not seeds.mask.any():
         raise EmptyNodalSetError("nodal set is empty; density radius undefined")
-    return float(field.dist.max())
+    return full_range(seeds, lambda: None, lambda acc, rows, d: None)[1]

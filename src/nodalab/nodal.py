@@ -55,10 +55,6 @@ class NodalApprox:
     sample: GridSample
     vertices: np.ndarray              # (v, n) float coordinates
 
-    @property
-    def empty(self) -> bool:
-        return self.vertices.shape[0] == 0
-
 
 def _edge_op(values: np.ndarray, axis: int, periodic: bool, op) -> np.ndarray:
     """op(v[i], v[i+1]) over the grid edges along an axis.

@@ -219,6 +219,13 @@ def test_box_count_past_the_float_range_skips_the_cells(tmp_path):
     assert (done.returncode, done.stderr) == (EXIT_GATE_FAIL, "")
     assert ("skipped cell scaling;mud=1e-300: skipped: axis length 3.14159 at "
             "delta=1e-312 needs over 1e308 boxes") in done.stdout
+    # the stability modes' 303-digit grid shapes are printed and stored in short form
+    note = "skipped: grid of shape (5.34e+302,) has 5.34e+302 points (cap 30000000)"
+    assert f"skipped cell stability;m=30: {note}\n" in done.stdout
+    notes = [line for line in done.stdout.splitlines() if "skipped cell" in line]
+    assert len(notes) == 8 and max(map(len, notes)) < 120
+    [report] = tmp_path.glob("*.json")
+    assert note in report.read_text()
 
 
 @pytest.mark.parametrize("cmd", ["dioph", "borel-cantelli"])

@@ -17,12 +17,13 @@ from nodalab.components import (
     component_inradii,
     sign_components,
 )
-from nodalab.distance import distance_field, nodal_seeds
+from nodalab.distance import nodal_seeds
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
 from nodalab.nodal import extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode
 
 from translates import cosine_sample
+from whole_field import whole_field
 
 
 def flood_fill(mask, periodic):
@@ -237,7 +238,7 @@ def test_sign_components_edge_cases(values, periodic, signs, sizes):
 
 def folded_and_field_maxima(sample, workers, block_points=None):
     """Per-domain radii from ``component_inradii`` and from ``np.maximum.at`` over
-    ``distance_field``'s field, with ``workers`` slab threads, and the number of
+    the whole field, with ``workers`` slab threads, and the number of
     transforms the fold ran."""
     comp = sign_components(sample)
     nod = extract_nodal(sample)
@@ -255,7 +256,7 @@ def folded_and_field_maxima(sample, workers, block_points=None):
         mp.setattr(distance_mod, "distance_transform_edt", counted)
         got = component_inradii(comp, nodal_seeds(nod))
         mp.setattr(distance_mod, "distance_transform_edt", edt)
-        dist = distance_field(nod).dist
+        dist = whole_field(nod)
     want = np.zeros(comp.count + 1)
     np.maximum.at(want, comp.labels.ravel(), dist.ravel())
     return got, want[1:], len(transforms)

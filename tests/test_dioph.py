@@ -20,7 +20,6 @@ from nodalab.dioph import (
     modes_nodal_distance,
     tail_hits,
 )
-from nodalab.distance import distance_field
 from nodalab.errors import ValidationError
 from nodalab.grid import ResolutionRule, sample_grid
 from nodalab.nodal import extract_nodal
@@ -35,6 +34,7 @@ from nodalab.spectrum import (
 )
 
 from cfrac import continued_fraction
+from whole_field import whole_field
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -93,7 +93,7 @@ def test_nearest_distance_on_hyperplane_is_zero():
 )
 def test_closed_form_matches_distance_field(mode):
     sample = sample_grid(mode, ResolutionRule(points_per_wavelength=64))
-    field = distance_field(extract_nodal(sample))
+    field = whole_field(extract_nodal(sample))
     h = sample.h
     rng = np.random.default_rng(2024)
     pts = rng.uniform(0.0, sample.domain.lengths, size=(1000, sample.domain.n))
@@ -103,7 +103,7 @@ def test_closed_form_matches_distance_field(mode):
             idx[:, j] %= n_j
         else:
             idx[:, j] = np.clip(idx[:, j], 0, n_j - 1)
-    looked_up = field.dist[tuple(idx.T)]
+    looked_up = field[tuple(idx.T)]
     exact = nodal_distance_exact(mode, pts)
     assert np.max(np.abs(exact - looked_up)) <= 2.0 * float(np.max(h))
 
@@ -333,6 +333,15 @@ def test_few_records_flag_low_confidence():
     assert est.low_confidence
 
 
+def test_records_at_one_mu_give_no_exponent():
+    # the two records are (1,3) and (3,1), both at mu = sqrt(10): a line through
+    # one log(mu) is rank-deficient, where polyfit gave 0.9715 with a RankWarning
+    modes = enumerate_modes(DomainSpec.box((1.0, 1.0)), 6.860305704040414)
+    est = estimate_exponent((0.94911183, 1.97811926), modes)
+    assert est.n_records == 2 and est.low_confidence
+    assert math.isnan(est.exponent) and math.isnan(est.residual)
+
+
 def test_exponent_scale_consistency():
     # halving the domain scales every distance by 1/2 and every mu by 2;
     # the record set and the fitted slope are unchanged
@@ -359,9 +368,9 @@ def full_scan_exponent(point, modes: ModeList, mu_min=EXPONENT_MU_MIN, mu_max=No
     prev = np.concatenate([[np.inf], running[:-1]])
     idx = np.nonzero((proxy < prev) & (mu >= mu_min) & (mu <= hi))[0]
     n_rec = int(idx.size)
-    if n_rec < 2:
-        return ExponentEstimate(math.nan, n_rec, math.nan, True, False)
     X = np.log(mu[idx])
+    if n_rec < 2 or X[0] == X[-1]:
+        return ExponentEstimate(math.nan, n_rec, math.nan, True, False)
     Y = -np.log(dist[idx])
     slope, intercept = np.polyfit(X, Y, 1)
     resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))

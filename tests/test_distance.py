@@ -16,7 +16,7 @@ import nodalab.distance as distance_mod
 from nodalab.distance import (
     _seed_mask,
     capped_pads,
-    distance_field,
+    nodal_seeds,
     raster_error,
     raster_index,
     seed_stencils,
@@ -24,11 +24,13 @@ from nodalab.distance import (
 )
 from nodalab.errors import ResourceGuardError
 from nodalab.grid import ResolutionRule, sample_grid
+from nodalab.measures import density_radius
 from nodalab.nodal import NodalApprox, extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
 from scipy_field import scipy_distance_field
 from translates import cosine_sample
+from whole_field import whole_field
 
 
 def grid_axes(sample):
@@ -76,7 +78,7 @@ def dense_block_nodal():
 
 @pytest.fixture
 def edt_shapes(monkeypatch):
-    """Shapes of the arrays distance_field hands to the transform, in call order.
+    """Shapes of the arrays the full-range field hands to the transform, in call order.
 
     One slab per transform, so each shape is a whole (padded) array.
     """
@@ -95,9 +97,9 @@ def test_matches_brute_force_box():
     mode = EigenMode(DomainSpec.box((1.0, 1.0)), (2, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=8.0))
     nod = extract_nodal(s)
-    f = distance_field(nod)
+    f = whole_field(nod)
     expect = brute_force_distance(nod.vertices, s)
-    np.testing.assert_allclose(f.dist, expect, atol=1e-12)
+    np.testing.assert_allclose(f, expect, atol=1e-12)
 
 
 def test_matches_brute_force_torus():
@@ -106,9 +108,9 @@ def test_matches_brute_force_torus():
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=9.0))
     assert s.shape == (18, 28)
     nod = extract_nodal(s)
-    f = distance_field(nod)
+    f = whole_field(nod)
     expect = brute_force_distance(nod.vertices, s)
-    np.testing.assert_allclose(f.dist, expect, atol=1e-12)
+    np.testing.assert_allclose(f, expect, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -125,23 +127,23 @@ def test_narrow_pad_equals_half_period_pad(alpha, m, kinds, ppw, edt_shapes):
     # cosine translates keep the zero lines off the seam, which the wrap pad crosses
     mode = EigenMode(DomainSpec.torus(alpha), m)
     nod = extract_nodal(cosine_sample(mode, kinds, ResolutionRule(points_per_wavelength=ppw)))
-    f = distance_field(nod)
+    f = whole_field(nod)
     shape = nod.sample.shape
     # every transform ran narrower than the half-period pad on some axis
     assert all(
         any(a < s + 2 * (s // 2 + 1) for a, s in zip(padded, shape)) for padded in edt_shapes
     )
-    assert np.array_equal(f.dist, half_period_field(nod))
+    assert np.array_equal(f, half_period_field(nod))
 
 
 def test_narrow_pad_grows_when_first_guess_is_short(edt_shapes):
     # the seed density suggests a pad of a few cells, but the far corner is ~45 cells away
     nod = dense_block_nodal()
-    f = distance_field(nod)
+    f = whole_field(nod)
     assert len(edt_shapes) == 2
     first, second = edt_shapes
     assert first[0] < second[0] < 128 + 2 * 65
-    assert np.array_equal(f.dist, half_period_field(nod))
+    assert np.array_equal(f, half_period_field(nod))
 
 
 def test_periodic_wrap_single_line(edt_shapes):
@@ -151,33 +153,31 @@ def test_periodic_wrap_single_line(edt_shapes):
     n0, n1 = s.shape
     vertices = np.stack([np.zeros(n1), np.arange(n1) * s.h[1]], axis=1)
     nod = NodalApprox(s, vertices)
-    f = distance_field(nod)
+    f = whole_field(nod)
     x = np.arange(n0) * s.h[0]
     expect = np.minimum(x, 2 * math.pi - x)
-    np.testing.assert_allclose(f.dist, expect[:, None] * np.ones((1, n1)), atol=1e-9)
+    np.testing.assert_allclose(f, expect[:, None] * np.ones((1, n1)), atol=1e-9)
     # the farthest points sit half a period away, so only the full pad certifies them
     assert edt_shapes == [(n0 + 2 * (n0 // 2 + 1), n1 + 2 * (n1 // 2 + 1))]
-    assert np.array_equal(f.dist, half_period_field(nod))
+    assert np.array_equal(f, half_period_field(nod))
 
 
 def test_empty_nodal_set_gives_inf_field():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0))
     nod = NodalApprox(s, np.empty((0, 2)))
-    f = distance_field(nod)
-    assert f.empty
-    assert np.all(np.isinf(f.dist))
+    assert np.all(np.isinf(whole_field(nod)))
 
 
 def test_field_tracks_closed_form_distance():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0))
-    f = distance_field(extract_nodal(s))
+    f = whole_field(extract_nodal(s))
     grids = np.meshgrid(*grid_axes(s), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     exact = nodal_distance_exact(mode, pts).reshape(s.shape)
-    err = np.abs(f.dist - exact).max()
-    assert err <= 1.5 * raster_error(f.h)
+    err = np.abs(f - exact).max()
+    assert err <= 1.5 * raster_error(s.h)
 
 
 def test_padded_cap_guard(monkeypatch):
@@ -186,11 +186,11 @@ def test_padded_cap_guard(monkeypatch):
     nod = extract_nodal(s)
     monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", 1000)
     with pytest.raises(ResourceGuardError):
-        distance_field(nod)
+        whole_field(nod)
     # the cap applies to the narrow pad actually transformed, not the half-period one
     half_period_size = math.prod(n + 2 * (n // 2 + 1) for n in s.shape)
     monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", half_period_size - 1)
-    assert not distance_field(nod).empty
+    assert np.isfinite(whole_field(nod)).all()
 
 
 def test_distance_field_peak_memory_yau_grid():
@@ -201,7 +201,7 @@ def test_distance_field_peak_memory_yau_grid():
     assert nod.sample.shape == (1267, 1267)
     tracemalloc.start()
     try:
-        distance_field(nod)
+        whole_field(nod)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -238,13 +238,15 @@ SCIPY_CASES = {
 def test_field_is_bitwise_scipys_distances(make_nodal, edt_shapes):
     """Distances formed from the feature transform on the crop equal scipy's own."""
     nod = make_nodal()
-    f = distance_field(nod)
+    f = whole_field(nod)
     expect = scipy_distance_field(nod)
-    assert f.dist.dtype == expect.dtype and f.dist.shape == expect.shape
-    assert f.dist.tobytes() == expect.tobytes()
-    assert f.dist.flags.c_contiguous
+    assert f.dtype == expect.dtype and f.shape == expect.shape
+    assert f.tobytes() == expect.tobytes()
+    assert f.flags.c_contiguous
     if make_nodal is dense_block_nodal:
         assert len(edt_shapes) == 2
+    # the density radius is the certified maximum, that of the field it certifies
+    assert density_radius(nodal_seeds(nod)) == float(expect.max())
 
 
 def torus_1d_nodal():
@@ -300,7 +302,7 @@ def test_slab_field_is_bitwise_the_one_slab_field(make_nodal, workers, monkeypat
 
     monkeypatch.setattr(distance_mod, "distance_transform_edt", counted)
     monkeypatch.setattr(distance_mod, "usable_cores", lambda: 1)
-    one = distance_field(nod).dist
+    one = whole_field(nod)
     one_slab = len(transforms)
     monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
     transforms.clear()
@@ -308,27 +310,28 @@ def test_slab_field_is_bitwise_the_one_slab_field(make_nodal, workers, monkeypat
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often
     try:
-        got = distance_field(nod).dist
+        got = whole_field(nod)
     finally:
         sys.setswitchinterval(interval)
-    # every slab worker is joined before distance_field returns
+    # every slab worker is joined before full_range returns
     assert set(threading.enumerate()) <= before
     assert (len(transforms) > one_slab) == (workers > 1)
     assert got.shape == one.shape and got.flags.c_contiguous
     assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
+    assert density_radius(nodal_seeds(nod)) == float(one.max())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_cap_guards_the_whole_padded_array(workers, edt_shapes, monkeypatch):
     nod = mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0)
-    distance_field(nod)
+    whole_field(nod)
     padded = max(math.prod(shape) for shape in edt_shapes)
     monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
     monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", padded - 1)
     with pytest.raises(ResourceGuardError, match=f"needs {padded} points"):
-        distance_field(nod)
+        whole_field(nod)
     monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", padded)
-    assert not distance_field(nod).empty
+    assert np.isfinite(whole_field(nod)).all()
 
 
 def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):
@@ -342,11 +345,29 @@ def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):
     assert nod.sample.shape == (2519, 2519)
     tracemalloc.start()
     try:
-        f = distance_field(nod)
+        f = whole_field(nod)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.0 * f.dist.nbytes
+    assert peak < 3.0 * f.nbytes
+
+
+def test_density_radius_peak_memory_yau_grid(monkeypatch):
+    # the (16,1) Yau grid (2519^2): the radius is the certified maximum of
+    # the transform, so no field is formed; forming it first peaked at 2.7x
+    # the grid's float64 bytes, the slabs alone peak at about 1.6x
+    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
+    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
+    rule = ResolutionRule(points_per_wavelength=32.0, h_max=0.1 / mode.mu / 2.5)
+    seeds = nodal_seeds(extract_nodal(sample_grid(mode, rule)))
+    assert seeds.mask.shape == (2519, 2519)
+    tracemalloc.start()
+    try:
+        density_radius(seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * 8 * seeds.mask.size
 
 
 @st.composite

@@ -15,7 +15,6 @@ import nodalab.harness as harness_mod
 import nodalab.measures as measures_mod
 import nodalab.nodal as nodal_mod
 
-from nodalab.distance import distance_field
 from nodalab.errors import ValidationError
 from nodalab.grid import ResolutionRule, grid_shape, sample_grid
 from nodalab.harness import (
@@ -30,6 +29,8 @@ from nodalab.harness import (
 )
 from nodalab.reports import CellResult, read_report, write_report
 from nodalab.spectrum import DomainSpec, EigenMode, tube_volume_exact
+
+from whole_field import whole_field
 
 INTERVAL = DomainSpec.interval()
 TORUS2 = DomainSpec.torus((1.0, 1.0))
@@ -154,7 +155,7 @@ def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
     # pieces of its rows and then its capped distances; no stage forms the
     # whole grid
     log = []
-    for name in ("sample_grid", "extract_nodal", "distance_field"):
+    for name in ("sample_grid", "extract_nodal", "nodal_seeds"):
         spy(monkeypatch, log, harness_mod, name)
     stream = harness_mod.streamed_tubes
 
@@ -167,7 +168,7 @@ def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
     assert log == [("streamed_tubes", {"segments": True})]
     log.clear()
     run_yau_check(INTERVAL, modes=((10,),))
-    # the interval counts vertices and builds no distance field
+    # the interval counts vertices and seeds no distance transform
     assert log == ["sample_grid", "extract_nodal"]
 
 
@@ -261,7 +262,7 @@ def test_dim2_reads_its_tube_volume_from_the_nodal_measure(monkeypatch):
 
 
 def test_only_the_full_range_fields_run_scipys_transform(monkeypatch):
-    """Tube fields are capped at their reach; density and inner radii read full-range fields."""
+    """Tube fields are capped at their reach; density and inner radii read full-range transforms."""
     transforms = []
     edt = distance_mod.distance_transform_edt
 
@@ -275,7 +276,7 @@ def test_only_the_full_range_fields_run_scipys_transform(monkeypatch):
     assert transforms == []
     # dim2's transforms are exactly those of its inner-radius field
     fine = sample_grid(EigenMode(TORUS2, (2, 3)), ResolutionRule(points_per_wavelength=256.0))
-    distance_field(nodal_mod.extract_nodal(fine))
+    whole_field(nodal_mod.extract_nodal(fine))
     inradius_field = list(transforms)
     transforms.clear()
     run_dim2_checks(modes=((2, 3),))
@@ -327,6 +328,31 @@ def test_dim2_holds_one_mode_at_a_time(monkeypatch):
     assert all(c.measured for c in report.cells)
     assert [m for m, _ in held] == transformed == list(modes)
     assert all(len(refs) == 3 for _, refs in held)
+
+
+def test_density_frees_each_sample_before_its_transform(monkeypatch):
+    """The density check's sample values are freed before its radius's transform."""
+    held = []  # per mode: a weak reference to its sample values
+    sample = harness_mod.sample_grid
+
+    def kept(mode, *args, **kwargs):
+        out = sample(mode, *args, **kwargs)
+        held.append(weakref.ref(out.values))
+        return out
+
+    monkeypatch.setattr(harness_mod, "sample_grid", kept)
+    radius = harness_mod.density_radius
+    transformed = []
+
+    def checked(seeds):
+        assert held[-1]() is None, "the sample's values are alive at the transform"
+        transformed.append(len(held))
+        return radius(seeds)
+
+    monkeypatch.setattr(harness_mod, "density_radius", checked)
+    report = run_density_check(TORUS2, modes=((3, 3), (4, 1)))
+    assert all(c.measured for c in report.cells)
+    assert transformed == [1, 2]
 
 
 def test_comparability_gates():
@@ -484,6 +510,10 @@ GRID_DIGESTS = {
         "60885a202965d772d7ee941f9bc9d8e435a39d1050bd36b3c7013d31958c5fdf",
         "2f5a3d477e5a19f919b8329f742ddd9c541568e48c10c4bca7fa563b13b4b346",
     ),
+    "density_interval": (
+        "98606b699ae2ced63771964ed76d1887f493137f30a8d5f143e06ff2295db2ee",
+        "c64bc8eeb50c0662dbe24f4c0afb9e4777201dcddc8205bad86c2f4deb3706d1",
+    ),
     "comparability": (
         "5167c1b1b6777c6352ddf40062a05b596fb25ae08505864b14cf211eed32d453",
         "b98b2eef837ed5651134d15024a595a9dbd260b12b52870c12d7fba84ac5256a",
@@ -499,6 +529,7 @@ def test_grid_report_digests(name, tmp_path):
         "dim2": lambda: run_dim2_checks(modes=((2, 3),)),
         "tube_torus": lambda: run_tube_scaling(TORUS2, modes=((3, 4),), mu_delta=(0.1, 0.2)),
         "density_torus": lambda: run_density_check(TORUS2, modes=((3, 3), (4, 1))),
+        "density_interval": lambda: run_density_check(INTERVAL),
         "comparability": lambda: run_comparability_scaling(
             mu_delta=(0.1, 0.2), a_sweep=(3.0, 10.0), stability_modes=(30, 50)
         ),
@@ -622,6 +653,16 @@ def test_grid_resolution_is_fixed_and_recorded():
         fixed = FIXED_RESOLUTION.get(r.experiment, {})
         assert {k: r.config[k] for k in fixed} == fixed
         assert all(type(r.config[k]) is type(v) for k, v in fixed.items())
+
+
+def test_comparability_takes_no_slope_through_one_radius():
+    """Two scaling cells at one radius give a ratio band but no log-log slope:
+    a line through one x is rank-deficient (it read 0.514 and failed)."""
+    r = run_comparability_scaling(
+        mu_delta=(0.1, 0.1), a_sweep=(3.0, 10.0), stability_modes=(30, 50)
+    )
+    assert [g.name for g in r.gates] == ["ratio_variation", "a_sweep_monotone", "stability_band"]
+    assert r.passed
 
 
 def test_comparability_stability_band_alone_is_no_verdict():

@@ -14,7 +14,7 @@ import nodalab.measures as measures_mod
 from nodalab.distance import (
     _seed_mask,
     capped_pads,
-    distance_field,
+    nodal_seeds,
     raster_error,
     stencil_widths,
 )
@@ -32,30 +32,31 @@ from nodalab.spectrum import (
 )
 
 from scipy_field import scipy_distance_field, scipy_seed_field
+from whole_field import whole_field
 
 
 def rule_for(h_max=None, ppw=32.0):
     return ResolutionRule(points_per_wavelength=ppw, h_max=h_max)
 
 
-def field_for(mode, h_max=None, ppw=32.0):
-    return distance_field(extract_nodal(sample_grid(mode, rule_for(h_max, ppw))))
+def nodal_for(mode, h_max=None, ppw=32.0):
+    return extract_nodal(sample_grid(mode, rule_for(h_max, ppw)))
 
 
-def counted_volume(f, delta):
+def counted_volume(nod, delta):
     """Plain grid-point count: points with dist < delta times the cell volume."""
-    return int((f.dist < delta).sum()) * math.prod(f.h)
+    return int((whole_field(nod) < delta).sum()) * math.prod(nod.sample.h)
 
 
 def test_interval_tube_volume():
     k, delta = 50, 0.002
     mode = EigenMode(DomainSpec.interval(), (k,))
-    f = field_for(mode, h_max=delta / 2)
+    f = nodal_for(mode, h_max=delta / 2)
     rule = rule_for(h_max=delta / 2)
     exact = tube_volume_exact(mode, delta)
     assert exact == pytest.approx(2 * k * delta, rel=1e-12)
     plain = counted_volume(f, delta)
-    h = max(f.h)
+    h = max(f.sample.h)
     # counting bias: at most one grid point per tube-component boundary
     assert abs(plain - exact) <= 2 * (k + 1) * h
     refined = tube_volume(mode, rule, delta)
@@ -65,7 +66,7 @@ def test_interval_tube_volume():
 def test_torus_tube_volume_refined():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     delta = 0.05
-    f = field_for(mode, h_max=delta / 2)
+    f = nodal_for(mode, h_max=delta / 2)
     rule = rule_for(h_max=delta / 2)
     exact = tube_volume_exact(mode, delta)
     expect = 8 * math.pi * delta * 7 - 16 * 12 * delta**2
@@ -102,13 +103,13 @@ def test_nodal_measure_needs_two_radii():
 
 def test_density_radius():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    f = field_for(mode, h_max=0.01)
+    f = nodal_seeds(nodal_for(mode, h_max=0.01))
     exact = density_radius_exact(mode)
     assert exact == pytest.approx(math.pi / 8, rel=1e-12)
     assert abs(density_radius(f) - exact) <= 2 * max(f.h)
 
     kmode = EigenMode(DomainSpec.interval(), (10,))
-    fk = field_for(kmode)
+    fk = nodal_seeds(nodal_for(kmode))
     assert abs(density_radius(fk) - math.pi / 20) <= 2 * max(fk.h)
 
 
@@ -116,9 +117,8 @@ def test_empty_field_measures():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0))
     nod = NodalApprox(s, np.empty((0, 2)))
-    f = distance_field(nod)
     with pytest.raises(EmptyNodalSetError):
-        density_radius(f)
+        density_radius(nodal_seeds(nod))
 
 
 def whole_grid_band(dist, periodic, delta, margin):
@@ -300,7 +300,7 @@ BAND_MODES = {
     "interval": (EigenMode(DomainSpec.interval(), (7,)), 32.0),
 }
 BAND_FIELDS = {
-    name: (lambda mode=mode, ppw=ppw: field_for(mode, ppw=ppw))
+    name: (lambda mode=mode, ppw=ppw: nodal_for(mode, ppw=ppw))
     for name, (mode, ppw) in BAND_MODES.items()
 }
 
@@ -366,17 +366,18 @@ RUNS = (1, 2, None)
 @pytest.mark.parametrize("name", list(BAND_FIELDS))
 def test_band_blocks_equal_the_whole_grid_band(name, rows):
     f = BAND_FIELDS[name]()
-    margin = float(np.linalg.norm(f.h)) + raster_error(f.h)
-    delta = margin + 1.5 * max(f.h)
-    dist = scipy_distance_field(f.nodal)
+    h = f.sample.h
+    margin = float(np.linalg.norm(h)) + raster_error(h)
+    delta = margin + 1.5 * max(h)
+    dist = scipy_distance_field(f)
     fully_in, cells = whole_grid_band(dist, f.sample.periodic, delta, margin)
     inside = int(np.count_nonzero(fully_in))
     # some cells fully in, some straddling, some fully out
     assert 0 < inside and 0 < cells.shape[0] < dist.size - inside
     for per_run in RUNS:
         # a second radius in the same pass, with its own miss tables
-        got, expect = band_blocks(_seed_mask(f.nodal), f.h, f.sample.periodic,
-                                  (delta, delta + max(f.h)), margin, rows, per_run, dist)
+        got, expect = band_blocks(_seed_mask(f), h, f.sample.periodic,
+                                  (delta, delta + max(h)), margin, rows, per_run, dist)
         assert len(got) == -(-fully_in.shape[0] // rows)
         assert got == expect
 

@@ -163,7 +163,7 @@ def test_interval_vertices_are_the_zeros():
     assert nod.vertices.shape == (k + 1, 1)
     got = np.sort(nod.vertices[:, 0])
     np.testing.assert_allclose(got, np.arange(k + 1) * math.pi / k, atol=1e-12)
-    assert not nod.empty
+    assert nod.vertices.shape[0] > 0
 
 
 def test_torus_circle_cosine_vertex_count():
