@@ -21,7 +21,6 @@ from .dioph import (
     estimate_exponent,
     modes_nodal_distance,
 )
-from .distance import nodal_seeds
 from .errors import (
     EmptyNodalSetError,
     ResolutionError,
@@ -39,7 +38,7 @@ from .harness import (
     run_tube_scaling,
     run_yau_check,
 )
-from .measures import density_radius, streamed_tubes, tube_volume
+from .measures import density_radius, grid_seeds, streamed_tubes, tube_volume
 from .nodal import NodalApprox, extract_nodal, marching_squares
 from .reports import (
     CODE_VERSION,
@@ -94,11 +93,11 @@ __all__ = [
     "extract_nodal",
     "gate",
     "goodness_threshold",
+    "grid_seeds",
     "marching_squares",
     "modes_nodal_distance",
     "nodal_distance_exact",
     "nodal_measure_exact",
-    "nodal_seeds",
     "run_approx_theorem",
     "run_comparability_scaling",
     "run_density_check",

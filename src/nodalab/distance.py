@@ -41,7 +41,7 @@ and the sign domains' inner radii read a maximum, which a cap would clip, so
 they keep the full-range transform and its certificate. No code path forms
 the whole field: ``measures.density_radius`` reads the certified maximum and
 ``components.component_inradii`` folds each block into per-domain maxima.
-Both read a ``Seeds``, so their drivers free the sample before the transform.
+Both read a ``Seeds`` (``measures.grid_seeds``), so no float grid is held.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .errors import ResourceGuardError
-from .nodal import NodalApprox
 
 PADDED_POINT_CAP = 90_000_000
 # grid points per block of rows in the slab distances and the tube stream's band blocks:
@@ -76,32 +75,13 @@ def raster_index(coords: np.ndarray, hj: float, nj: int, periodic: bool) -> np.n
     return k % nj if periodic else np.clip(k, 0, nj - 1)
 
 
-def _seed_mask(nodal: NodalApprox) -> np.ndarray:
-    sample = nodal.sample
-    mask = np.zeros(sample.shape, dtype=bool)
-    if nodal.vertices.shape[0] == 0:
-        return mask
-    idx = [
-        raster_index(nodal.vertices[:, j], sample.h[j], sample.shape[j], sample.periodic)
-        for j in range(sample.n)
-    ]
-    mask[tuple(idx)] = True
-    return mask
-
-
 @dataclass
 class Seeds:
-    """The nodal vertices rasterized to their grid points, with the grid's spacing and wrap:
-    all that a full-range transform reads, so the sample's values can go first."""
+    """The rasterized nodal vertices, with the grid's spacing and wrap: all a transform reads."""
 
     mask: np.ndarray
     h: tuple[float, ...]
     periodic: bool
-
-
-def nodal_seeds(nodal: NodalApprox) -> Seeds:
-    """The seed set of ``nodal``: its vertices on their nearest grid points."""
-    return Seeds(_seed_mask(nodal), nodal.sample.h, nodal.sample.periodic)
 
 
 def usable_cores() -> int:

@@ -27,10 +27,10 @@ from .dioph import (
     shrinking_radii,
     tail_hits,
 )
-from .distance import nodal_seeds, raster_error
+from .distance import raster_error
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
-from .measures import density_radius, streamed_tubes, tube_measure
+from .measures import density_radius, grid_seeds, streamed_tubes, tube_measure
 from .nodal import extract_nodal
 from .reports import CellResult, ExperimentReport, gate
 from .spectrum import (
@@ -90,6 +90,17 @@ def check_seed(seed) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
+def _check_distinct(key: str, values) -> None:
+    """Refuse a repeated value of ``key``: its cell would be measured twice, and a band
+    or a slope over the copies alone passes whatever was measured."""
+    seen = set()
+    for v in values:
+        value = tuple(v) if isinstance(v, (list, tuple)) else v
+        if value in seen:
+            raise ValidationError(f"{key} repeats {value}: each value is measured once")
+        seen.add(value)
+
+
 def _mode(domain: DomainSpec, m) -> EigenMode:
     return EigenMode(domain, tuple(int(v) for v in m))
 
@@ -145,6 +156,7 @@ def run_tube_scaling(
     name, radii = ("mu_delta", mu_delta) if deltas is None else ("deltas", deltas)
     if len(radii) == 0:
         raise ValidationError(f"{name} is empty: no tube radius to measure")
+    _check_distinct("modes", modes)
     # an infinite bound cannot fail, a NaN one fails whatever was measured,
     # and a ratio band is at least 1
     for key, bound, low in (("band_cap", band_cap, 1.0), ("agree_tol", agree_tol, 0.0)):
@@ -170,8 +182,11 @@ def run_tube_scaling(
         cell_deltas = list(deltas) if targets is None else [t / mu for t in targets]
         if not all(0 < d < math.inf for d in cell_deltas):
             raise ValidationError(f"tube radii must lie in (0, inf), got {cell_deltas}")
+        given = list(radii)
         if include_break_cell:
             cell_deltas = cell_deltas + [3.0 / mu]
+            given.append(3.0 if targets is not None else 3.0 / mu)
+        _check_distinct(name, given)  # the break cell's radius counts as one of the radii
         for delta in cell_deltas:
             t = mu * delta
             gated = t <= 0.3 + 1e-12
@@ -265,9 +280,11 @@ def run_yau_check(
         modes = ((10,), (40,)) if domain.n == 1 else DEFAULT_YAU_TORUS_MODES
     if not all(0 < t < math.inf for t in mu_t):
         raise ValidationError(f"tube radii must lie in (0, inf), got mu_t={list(mu_t)}")
-    if domain.n >= 2 and len(set(mu_t)) < 2:
+    _check_distinct("modes", modes)
+    _check_distinct("mu_t", mu_t)
+    if domain.n >= 2 and len(mu_t) < 2:
         raise ValidationError(
-            f"mu_t has {len(set(mu_t))} distinct radii: the tube extrapolation needs two"
+            f"mu_t has {len(mu_t)} distinct radii: the tube extrapolation needs two"
         )
     config = {
         "domain_kind": domain.kind,
@@ -367,6 +384,7 @@ def run_density_check(domain: DomainSpec, modes=None) -> ExperimentReport:
     """Largest hole of the nodal set: max distance times mu per mode."""
     if modes is None:
         modes = ((8,), (20,), (50,)) if domain.n == 1 else DEFAULT_DENSITY_TORUS_MODES
+    _check_distinct("modes", modes)
     ppw, radius_h_divisor = 64.0, 16.0  # fixed resolution, recorded in the config
     config = {
         "domain_kind": domain.kind,
@@ -388,9 +406,7 @@ def run_density_check(domain: DomainSpec, modes=None) -> ExperimentReport:
             rule = ResolutionRule(
                 points_per_wavelength=ppw, h_max=r_exact / radius_h_divisor
             )
-            sample = sample_grid(mode, rule)
-            seeds = nodal_seeds(extract_nodal(sample))
-            del sample  # the transform reads only the bool seed mask
+            seeds = grid_seeds(mode, rule)
             r = density_radius(seeds)
             h_max_used = float(max(seeds.h))
             cell.measured = {
@@ -446,8 +462,8 @@ def run_dim2_checks(
     checks the smallest domain area and the largest inner radius against the
     rectangle-cell oracles, and bounds tube volume by measured length * delta,
     from tubes at delta = tube_mu_delta / mu and delta / 2 on the tube grid.
-    The inner radii fold a full-range transform into per-domain maxima; the
-    tubes stream their grid through ``measures.streamed_tubes``.
+    The inner radii fold the full-range transform of ``grid_seeds`` into per-domain
+    maxima; the tubes stream their grid through ``measures.streamed_tubes``.
 
     The tube volumes draw no random numbers. ``seed`` is accepted and ignored
     (the report records ``seed: null``) so that callers written when the
@@ -459,6 +475,7 @@ def run_dim2_checks(
         raise ValidationError("dim2 checks run on a 2-d torus")
     if modes is None:
         modes = DEFAULT_DIM2_MODES
+    _check_distinct("modes", modes)
     area_ppw, tube_mu_delta = 256.0, 0.2  # fixed, recorded in the config
     config = {
         "domain_kind": domain.kind,
@@ -479,7 +496,7 @@ def run_dim2_checks(
 def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> CellResult:
     """One mode's dim2 cell. Its grids are this call's locals, so they are freed
     before the next mode samples: the driver holds one mode's arrays at a time.
-    The sample's values go before the inner radii's transform."""
+    The sample's values serve the sign components only and go before the seeds."""
     mode = _mode(domain, m)
     if min(m) < 1:
         raise ValidationError("dim2 checks need product modes with all m_j >= 1")
@@ -489,10 +506,9 @@ def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> 
         cell=f"m={mj},{nj}", params={"m": [mj, nj], "mu": mu, "count_oracle": 4 * mj * nj}
     )
     with _skip_on_guard(cell):
-        fine = sample_grid(mode, ResolutionRule(points_per_wavelength=area_ppw))
-        comp = sign_components(fine)
-        seeds = nodal_seeds(extract_nodal(fine))
-        del fine  # the transform reads only the int32 labels and the bool seed mask
+        rule = ResolutionRule(points_per_wavelength=area_ppw)
+        comp = sign_components(sample_grid(mode, rule))
+        seeds = grid_seeds(mode, rule)
         areas = comp.areas
         inradii = component_inradii(comp, seeds)
         side_x = math.pi / (mj * domain.alpha[0])
@@ -566,6 +582,7 @@ def run_comparability_scaling(
     ):
         if len(values) == 0:
             raise ValidationError(f"{name} is empty: the experiment needs one value of each")
+        _check_distinct(name, values)
     side_h_divisor = 8.5  # fixed resolution, recorded in the config
     config = {
         "domain_kind": domain.kind,
@@ -694,6 +711,9 @@ def run_approx_theorem(
     if n_points < 1:
         raise ValidationError("n_points must be >= 1")
     _check_point_count("n_points", n_points)
+    if k_max < 4:
+        # the Cauchy cells sit at K = k_max // 4 and 2 (k_max // 4), the same below 4
+        raise ValidationError(f"k_max must be >= 4, got {k_max}")
     if box_k_max < 4:
         # likewise for the box sum's cells at box_k_max // 4 and twice that
         raise ValidationError(f"box_k_max must be >= 4, got {box_k_max}")
@@ -705,9 +725,6 @@ def run_approx_theorem(
     tail = slice(start, None)
     if start == len(modes):
         raise ValidationError(f"no mode with mu > k0={k0} up to k_max={k_max}")
-    if k_max < 4:
-        # the Cauchy cells sit at K = k_max // 4 and 2 (k_max // 4), the same below 4
-        raise ValidationError(f"k_max must be >= 4, got {k_max}")
     # an eps so large that a tail radius C/mu^(n+1+eps) overflows is rejected
     # here, before any sum; past this k0^eps < mu^(n+1+eps) is finite
     b = n + 1 + eps

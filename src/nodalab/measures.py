@@ -59,6 +59,10 @@ do not depend on the worker count or the pass or chunk size, and equal those
 of the band test on the whole grid's full-range field, added in the same
 band blocks. ``grid.GRID_POINT_CAP`` still bounds the whole grid's size.
 
+``grid_seeds`` runs the same chunks (``_seed_rows``) over every row of a grid
+into one bool mask, the seeds that the density radius and the inner radii
+transform: every grid's seeds come from this one raster.
+
 The exact distance is a min over axes of 1-d distances, so a point of a cell
 misses the tube iff every axis misses, and the cell's share of the tube is
 1 - prod_j l_j, where l_j is the fraction of the cell's axis-j side at 1-d
@@ -266,6 +270,25 @@ def _chunk(factors, h, periodic: bool, c: int, d: int, out: np.ndarray, seeds: n
     return crossed_cells(v[cut], neg[cut], periodic, at[cut])
 
 
+def _seed_rows(factors, h, periodic: bool, top: int, end: int, seeds: np.ndarray, pass_rows):
+    """``_chunk`` over the rows top .. end - 1 held by ``seeds``, in equal runs of at most
+    ``CHUNK_POINTS`` points, into one float buffer freed on return: their crossed cells."""
+    chunk = max(1, CHUNK_POINTS // math.prod(seeds.shape[1:]))
+    n = -(-(end - top) // chunk)
+    edges = [top + (end - top) * k // n for k in range(n + 1)]
+    buf = np.empty((-(-(end - top) // n) + 2,) + seeds.shape[1:])
+    return [_chunk(factors, h, periodic, c, d, buf, seeds[c - top : d - top], pass_rows)
+            for c, d in zip(edges, edges[1:])]
+
+
+def grid_seeds(mode: EigenMode, rule) -> Seeds:
+    """The seeds of the grid of ``grid.grid_shape(mode, rule)``: ``_seed_rows`` over all its rows."""
+    shape, h = grid_shape(mode, rule)
+    mask = np.zeros(shape, dtype=bool)
+    _seed_rows(axis_factors(mode, shape), h, mode.domain.periodic, 0, shape[0], mask, None)
+    return Seeds(mask, h, mode.domain.periodic)
+
+
 def _wrap_columns(win: np.ndarray, pads) -> None:
     """Fill the pads of axes 1 and up of ``win`` from the cells inside them, as np.pad's wrap mode."""
     for j in range(1, win.ndim):
@@ -323,16 +346,10 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
         # the corner rows first .. last, and the seeds p0 rows past them
         lo, hi = first - p0, last + p0 + 1
         win = np.zeros((hi - lo,) + tuple(s + 2 * p for s, p in zip(shape[1:], pads[1:])), dtype=bool)
-        # the seed rows, cut at a box's edges, in equal runs of at most a chunk
+        # the seed rows, cut at a box's edges; no float row is held through the band blocks
         top, end = (lo, hi) if periodic else (max(lo, 0), min(hi, shape[0]))
-        n = -(-(end - top) // chunk)
-        edges = [top + (end - top) * k // n for k in range(n + 1)]
-        # one float buffer per pass: a chunk's rows and one more on either side
-        buf = np.empty((-(-(end - top) // n) + 2,) + shape[1:])
-        cells = [_chunk(factors, h, periodic, c, d, buf, win[(slice(c - lo, d - lo),) + inner],
-                        (first, last) if segments else None)
-                 for c, d in zip(edges, edges[1:])]
-        del buf  # no float row is held through the band blocks
+        cells = _seed_rows(factors, h, periodic, top, end, win[(slice(top - lo, end - lo),) + inner],
+                           (first, last) if segments else None)
         pieces = ()
         if segments:
             # the pass's crossed cells, in row-major chunk order: one marching-squares geometry

@@ -7,8 +7,8 @@ both masks differ across it, a strict sign change. Indices are taken flat
 (``np.flatnonzero`` and ``np.unravel_index`` on the edge array's shape).
 ``_window_vertices`` returns them as groups of grid indices with, for each
 crossing, its axis and its interpolation ``t = v0 / (v0 - v1)``;
-``extract_nodal`` turns them into coordinates, and the tube stream
-rasterizes them. The masks see every strict sign change, also one between
+``extract_nodal`` turns them into coordinates, and the tube stream's chunks
+rasterize them into every grid's seeds (``measures.grid_seeds``). The masks see every strict sign change, also one between
 two values so tiny that their product rounds to -0.0 (2**-537 and
 -(2**-538)): a test of ``v0 * v1 < 0`` would miss that edge.
 

@@ -1,7 +1,11 @@
-"""The distance field from scipy's own transform of the whole (padded) seed mask.
+"""The reference seed raster, and the distance field from scipy's own transform of
+the whole (padded) seed mask.
 
-The reference that the full-range field, the seed stencils' predicates, the
-band blocks and the tube stream are compared with bit for bit.
+``seed_mask`` rounds every float coordinate of a nodal set's vertices to its
+nearest grid point: the raster that ``measures.grid_seeds`` must equal bit
+for bit on a sampled mode, and that hand-built vertex sets are seeded with.
+The field is the reference that the full-range field, the seed stencils'
+predicates, the band blocks and the tube stream are compared with bit for bit.
 """
 
 import math
@@ -9,12 +13,28 @@ import math
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from nodalab.distance import _seed_mask
+from nodalab.distance import Seeds
+
+
+def seed_mask(nodal) -> np.ndarray:
+    """Each vertex of ``nodal`` on its nearest grid point: wrapped on a torus, clipped on a box."""
+    sample = nodal.sample
+    shape = np.asarray(sample.shape)
+    k = np.round(nodal.vertices / np.asarray(sample.h)).astype(np.int64)
+    k = k % shape if sample.periodic else np.clip(k, 0, shape - 1)
+    mask = np.zeros(sample.shape, dtype=bool)
+    mask[tuple(k.T)] = True
+    return mask
+
+
+def raster_seeds(nodal) -> Seeds:
+    """The ``Seeds`` of ``seed_mask(nodal)``."""
+    return Seeds(seed_mask(nodal), nodal.sample.h, nodal.sample.periodic)
 
 
 def scipy_distance_field(nodal):
     """The field from scipy's own distances of the whole (padded) grid, then cropped."""
-    return scipy_seed_field(_seed_mask(nodal), nodal.sample.h, nodal.sample.periodic)
+    return scipy_seed_field(seed_mask(nodal), nodal.sample.h, nodal.sample.periodic)
 
 
 def scipy_seed_field(seeds, h, periodic):

@@ -298,10 +298,12 @@ def test_edge_flag_values_end_without_a_traceback(argv, tmp_path_factory):
     [
         (["dioph", "--n-interval", "0"], "n_interval"),
         (["dioph", "--n-box", "0"], "n_box"),
-        (["borel-cantelli", "--k-max", "3"], "k0=100"),
+        (["borel-cantelli", "--k-max", "50"], "no mode with mu > k0=100 up to k_max=50"),
         (["borel-cantelli", "--n-points", "0"], "n_points"),
         # an empty radius list is not a request for the default radii
         (["boxes", "--mu-delta", ","], "mu_delta is empty"),
+        # a repeated radius measures one cell twice, and a band over the copies passes
+        (["boxes", "--mu-delta=0.1,0.1"], "mu_delta repeats 0.1"),
         (["tube", "--delta", ","], "deltas is empty"),
         (["tube", "--mu-delta", ","], "mu_delta is empty"),
         # non-finite numbers are invalid input, caught where the library first reads them
@@ -341,7 +343,7 @@ def test_edge_flag_values_end_without_a_traceback(argv, tmp_path_factory):
          "interval_point_min must lie in [1, n_interval=5], got 6"),
     ],
     ids=["n-interval-0", "n-box-0", "k-max-below-k0", "n-points-0",
-         "boxes-mu-delta-empty", "tube-delta-empty", "tube-mu-delta-empty",
+         "boxes-mu-delta-empty", "boxes-mu-delta-repeated", "tube-delta-empty", "tube-mu-delta-empty",
          "boxes-mu-delta-nan", "boxes-A-nan", "boxes-A-inf", "tube-torus-mu-delta-nan",
          "tube-interval-delta-nan", "tube-interval-mu-delta-inf", "borel-cantelli-eps-nan",
          "borel-cantelli-eps-inf", "dioph-mu-max-box-nan", "dioph-mu-max-box-negative",
@@ -435,6 +437,9 @@ def test_yau_off_its_calibrated_domains_exits_2(argv, tmp_path, capsys):
           "--n-points", "50"], "2C < eps*k0^eps"),
         (["borel-cantelli", "--C", "0.5", "--k0", "2", "--k-max", "3", "--n-points", "50"],
          "k_max must be >= 4"),
+        # checked before the modes up to k_max are enumerated, so it names k_max
+        (["borel-cantelli", "--k-max=-5"], "k_max must be >= 4, got -5"),
+        (["borel-cantelli", "--k-max=3"], "k_max must be >= 4, got 3"),
         # mu^(n+1+eps) overflows on the whole tail, and so does k0^eps
         (["borel-cantelli", "--eps", "2000", "--k-max", "200", "--k0", "50", "--n-points", "50"],
          "eps is too large: mu^b overflows for b = n + 1 + eps = 2002"),
@@ -443,6 +448,7 @@ def test_yau_off_its_calibrated_domains_exits_2(argv, tmp_path, capsys):
          "eps is too large: mu^b overflows for b = n + 1 + eps = 152"),
     ],
     ids=["tail-bound-above-1", "tail-bound-above-1-small-eps", "k-max-below-4",
+         "k-max-negative", "k-max-below-4-default-k0",
          "eps-overflows-every-tail-radius", "eps-overflows-upper-tail-radii"],
 )
 def test_degenerate_borel_cantelli_exits_2(argv, message, tmp_path, capsys):

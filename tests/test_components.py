@@ -17,11 +17,12 @@ from nodalab.components import (
     component_inradii,
     sign_components,
 )
-from nodalab.distance import nodal_seeds
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
+from nodalab.measures import grid_seeds
 from nodalab.nodal import extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode
 
+from scipy_field import raster_seeds
 from translates import cosine_sample
 from whole_field import whole_field
 
@@ -139,9 +140,9 @@ def test_component_areas_match_cells():
 
 def test_component_inradii_rectangles():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0))
-    comp = sign_components(s)
-    inr = component_inradii(comp, nodal_seeds(extract_nodal(s)))
+    rule = ResolutionRule(points_per_wavelength=32.0)
+    comp = sign_components(sample_grid(mode, rule))
+    inr = component_inradii(comp, grid_seeds(mode, rule))
     assert inr.shape == (48,)
     # every domain is a pi/3 x pi/4 rectangle with inradius pi/8
     np.testing.assert_allclose(inr, math.pi / 8, rtol=0.06)
@@ -241,7 +242,7 @@ def folded_and_field_maxima(sample, workers, block_points=None):
     the whole field, with ``workers`` slab threads, and the number of
     transforms the fold ran."""
     comp = sign_components(sample)
-    nod = extract_nodal(sample)
+    seeds = raster_seeds(extract_nodal(sample))
     transforms = []
     edt = distance_mod.distance_transform_edt
 
@@ -254,9 +255,9 @@ def folded_and_field_maxima(sample, workers, block_points=None):
         if block_points is not None:
             mp.setattr(distance_mod, "ROW_BLOCK_POINTS", block_points)
         mp.setattr(distance_mod, "distance_transform_edt", counted)
-        got = component_inradii(comp, nodal_seeds(nod))
+        got = component_inradii(comp, seeds)
         mp.setattr(distance_mod, "distance_transform_edt", edt)
-        dist = whole_field(nod)
+        dist = whole_field(seeds)
     want = np.zeros(comp.count + 1)
     np.maximum.at(want, comp.labels.ravel(), dist.ravel())
     return got, want[1:], len(transforms)
@@ -324,7 +325,7 @@ def test_folded_maxima_match_maximum_at_over_the_field(values, periodic, workers
 
 def test_dim2_inradii_chain_peak_memory(monkeypatch):
     # dim2's (5,5) chain on its 1280^2 fine grid, two slab workers: sample,
-    # labels, seed mask, values freed, inner radii. With the full-range field
+    # labels, values freed, seed mask, inner radii. With the full-range field
     # formed beside the held values the chain peaked at 4.39x the values'
     # bytes (57.5 MB); folding each block into per-domain maxima after the
     # values are freed peaks at 2.36x (30.9 MB), in the transform. Bound: 2.75x,
@@ -333,11 +334,12 @@ def test_dim2_inradii_chain_peak_memory(monkeypatch):
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (5, 5))
     tracemalloc.start()
     try:
-        fine = sample_grid(mode, ResolutionRule(points_per_wavelength=256.0))
+        rule = ResolutionRule(points_per_wavelength=256.0)
+        fine = sample_grid(mode, rule)
         grid_bytes = fine.values.nbytes
         comp = sign_components(fine)
-        seeds = nodal_seeds(extract_nodal(fine))
         del fine
+        seeds = grid_seeds(mode, rule)
         inradii = component_inradii(comp, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

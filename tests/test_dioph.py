@@ -21,8 +21,8 @@ from nodalab.dioph import (
     tail_hits,
 )
 from nodalab.errors import ValidationError
-from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.nodal import extract_nodal
+from nodalab.grid import ResolutionRule
+from nodalab.measures import grid_seeds
 from nodalab.spectrum import (
     DomainSpec,
     EigenMode,
@@ -92,14 +92,14 @@ def test_nearest_distance_on_hyperplane_is_zero():
     ids=["interval", "box", "torus"],
 )
 def test_closed_form_matches_distance_field(mode):
-    sample = sample_grid(mode, ResolutionRule(points_per_wavelength=64))
-    field = whole_field(extract_nodal(sample))
-    h = sample.h
+    seeds = grid_seeds(mode, ResolutionRule(points_per_wavelength=64))
+    field = whole_field(seeds)
+    h = seeds.h
     rng = np.random.default_rng(2024)
-    pts = rng.uniform(0.0, sample.domain.lengths, size=(1000, sample.domain.n))
+    pts = rng.uniform(0.0, mode.domain.lengths, size=(1000, mode.domain.n))
     idx = np.rint(pts / h).astype(np.int64)
-    for j, n_j in enumerate(sample.shape):
-        if sample.domain.periodic:
+    for j, n_j in enumerate(field.shape):
+        if seeds.periodic:
             idx[:, j] %= n_j
         else:
             idx[:, j] = np.clip(idx[:, j], 0, n_j - 1)

@@ -14,9 +14,7 @@ from scipy.ndimage import distance_transform_edt
 
 import nodalab.distance as distance_mod
 from nodalab.distance import (
-    _seed_mask,
     capped_pads,
-    nodal_seeds,
     raster_error,
     raster_index,
     seed_stencils,
@@ -24,11 +22,11 @@ from nodalab.distance import (
 )
 from nodalab.errors import ResourceGuardError
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.measures import density_radius
+from nodalab.measures import density_radius, grid_seeds
 from nodalab.nodal import NodalApprox, extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
-from scipy_field import scipy_distance_field
+from scipy_field import raster_seeds, scipy_distance_field, seed_mask
 from translates import cosine_sample
 from whole_field import whole_field
 
@@ -60,7 +58,7 @@ def brute_force_distance(vertices, sample):
 
 def half_period_field(nodal):
     """Periodic field from the wrap pad of half a period plus one cell on every axis."""
-    seeds = _seed_mask(nodal)
+    seeds = seed_mask(nodal)
     pads = [s // 2 + 1 for s in seeds.shape]
     padded = np.pad(seeds, [(p, p) for p in pads], mode="wrap")
     dist = distance_transform_edt(~padded, sampling=nodal.sample.h)
@@ -97,7 +95,7 @@ def test_matches_brute_force_box():
     mode = EigenMode(DomainSpec.box((1.0, 1.0)), (2, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=8.0))
     nod = extract_nodal(s)
-    f = whole_field(nod)
+    f = whole_field(raster_seeds(nod))
     expect = brute_force_distance(nod.vertices, s)
     np.testing.assert_allclose(f, expect, atol=1e-12)
 
@@ -108,7 +106,7 @@ def test_matches_brute_force_torus():
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=9.0))
     assert s.shape == (18, 28)
     nod = extract_nodal(s)
-    f = whole_field(nod)
+    f = whole_field(raster_seeds(nod))
     expect = brute_force_distance(nod.vertices, s)
     np.testing.assert_allclose(f, expect, atol=1e-12)
 
@@ -127,7 +125,7 @@ def test_narrow_pad_equals_half_period_pad(alpha, m, kinds, ppw, edt_shapes):
     # cosine translates keep the zero lines off the seam, which the wrap pad crosses
     mode = EigenMode(DomainSpec.torus(alpha), m)
     nod = extract_nodal(cosine_sample(mode, kinds, ResolutionRule(points_per_wavelength=ppw)))
-    f = whole_field(nod)
+    f = whole_field(raster_seeds(nod))
     shape = nod.sample.shape
     # every transform ran narrower than the half-period pad on some axis
     assert all(
@@ -139,7 +137,7 @@ def test_narrow_pad_equals_half_period_pad(alpha, m, kinds, ppw, edt_shapes):
 def test_narrow_pad_grows_when_first_guess_is_short(edt_shapes):
     # the seed density suggests a pad of a few cells, but the far corner is ~45 cells away
     nod = dense_block_nodal()
-    f = whole_field(nod)
+    f = whole_field(raster_seeds(nod))
     assert len(edt_shapes) == 2
     first, second = edt_shapes
     assert first[0] < second[0] < 128 + 2 * 65
@@ -153,7 +151,7 @@ def test_periodic_wrap_single_line(edt_shapes):
     n0, n1 = s.shape
     vertices = np.stack([np.zeros(n1), np.arange(n1) * s.h[1]], axis=1)
     nod = NodalApprox(s, vertices)
-    f = whole_field(nod)
+    f = whole_field(raster_seeds(nod))
     x = np.arange(n0) * s.h[0]
     expect = np.minimum(x, 2 * math.pi - x)
     np.testing.assert_allclose(f, expect[:, None] * np.ones((1, n1)), atol=1e-9)
@@ -166,13 +164,13 @@ def test_empty_nodal_set_gives_inf_field():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0))
     nod = NodalApprox(s, np.empty((0, 2)))
-    assert np.all(np.isinf(whole_field(nod)))
+    assert np.all(np.isinf(whole_field(raster_seeds(nod))))
 
 
 def test_field_tracks_closed_form_distance():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0))
-    f = whole_field(extract_nodal(s))
+    f = whole_field(raster_seeds(extract_nodal(s)))
     grids = np.meshgrid(*grid_axes(s), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     exact = nodal_distance_exact(mode, pts).reshape(s.shape)
@@ -186,11 +184,11 @@ def test_padded_cap_guard(monkeypatch):
     nod = extract_nodal(s)
     monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", 1000)
     with pytest.raises(ResourceGuardError):
-        whole_field(nod)
+        whole_field(raster_seeds(nod))
     # the cap applies to the narrow pad actually transformed, not the half-period one
     half_period_size = math.prod(n + 2 * (n // 2 + 1) for n in s.shape)
     monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", half_period_size - 1)
-    assert np.isfinite(whole_field(nod)).all()
+    assert np.isfinite(whole_field(raster_seeds(nod))).all()
 
 
 def test_distance_field_peak_memory_yau_grid():
@@ -201,7 +199,7 @@ def test_distance_field_peak_memory_yau_grid():
     assert nod.sample.shape == (1267, 1267)
     tracemalloc.start()
     try:
-        whole_field(nod)
+        whole_field(raster_seeds(nod))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -238,7 +236,7 @@ SCIPY_CASES = {
 def test_field_is_bitwise_scipys_distances(make_nodal, edt_shapes):
     """Distances formed from the feature transform on the crop equal scipy's own."""
     nod = make_nodal()
-    f = whole_field(nod)
+    f = whole_field(raster_seeds(nod))
     expect = scipy_distance_field(nod)
     assert f.dtype == expect.dtype and f.shape == expect.shape
     assert f.tobytes() == expect.tobytes()
@@ -246,7 +244,7 @@ def test_field_is_bitwise_scipys_distances(make_nodal, edt_shapes):
     if make_nodal is dense_block_nodal:
         assert len(edt_shapes) == 2
     # the density radius is the certified maximum, that of the field it certifies
-    assert density_radius(nodal_seeds(nod)) == float(expect.max())
+    assert density_radius(raster_seeds(nod)) == float(expect.max())
 
 
 def torus_1d_nodal():
@@ -302,7 +300,7 @@ def test_slab_field_is_bitwise_the_one_slab_field(make_nodal, workers, monkeypat
 
     monkeypatch.setattr(distance_mod, "distance_transform_edt", counted)
     monkeypatch.setattr(distance_mod, "usable_cores", lambda: 1)
-    one = whole_field(nod)
+    one = whole_field(raster_seeds(nod))
     one_slab = len(transforms)
     monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
     transforms.clear()
@@ -310,7 +308,7 @@ def test_slab_field_is_bitwise_the_one_slab_field(make_nodal, workers, monkeypat
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often
     try:
-        got = whole_field(nod)
+        got = whole_field(raster_seeds(nod))
     finally:
         sys.setswitchinterval(interval)
     # every slab worker is joined before full_range returns
@@ -318,20 +316,20 @@ def test_slab_field_is_bitwise_the_one_slab_field(make_nodal, workers, monkeypat
     assert (len(transforms) > one_slab) == (workers > 1)
     assert got.shape == one.shape and got.flags.c_contiguous
     assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
-    assert density_radius(nodal_seeds(nod)) == float(one.max())
+    assert density_radius(raster_seeds(nod)) == float(one.max())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_cap_guards_the_whole_padded_array(workers, edt_shapes, monkeypatch):
     nod = mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0)
-    whole_field(nod)
+    whole_field(raster_seeds(nod))
     padded = max(math.prod(shape) for shape in edt_shapes)
     monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
     monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", padded - 1)
     with pytest.raises(ResourceGuardError, match=f"needs {padded} points"):
-        whole_field(nod)
+        whole_field(raster_seeds(nod))
     monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", padded)
-    assert np.isfinite(whole_field(nod)).all()
+    assert np.isfinite(whole_field(raster_seeds(nod))).all()
 
 
 def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):
@@ -345,7 +343,7 @@ def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):
     assert nod.sample.shape == (2519, 2519)
     tracemalloc.start()
     try:
-        f = whole_field(nod)
+        f = whole_field(raster_seeds(nod))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -359,7 +357,7 @@ def test_density_radius_peak_memory_yau_grid(monkeypatch):
     monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
     rule = ResolutionRule(points_per_wavelength=32.0, h_max=0.1 / mode.mu / 2.5)
-    seeds = nodal_seeds(extract_nodal(sample_grid(mode, rule)))
+    seeds = grid_seeds(mode, rule)
     assert seeds.mask.shape == (2519, 2519)
     tracemalloc.start()
     try:
@@ -399,7 +397,7 @@ def stencil_masks(nod, reach, rows, widths):
     sample = nod.sample
     pads = capped_pads(sample.shape, sample.h, reach, sample.periodic)
     padded = np.pad(
-        _seed_mask(nod), [(p, p) for p in pads], mode="wrap" if sample.periodic else "constant"
+        seed_mask(nod), [(p, p) for p in pads], mode="wrap" if sample.periodic else "constant"
     )
     s0, p0 = sample.shape[0], pads[0]
     windows = [

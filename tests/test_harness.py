@@ -16,7 +16,7 @@ import nodalab.measures as measures_mod
 import nodalab.nodal as nodal_mod
 
 from nodalab.errors import ValidationError
-from nodalab.grid import ResolutionRule, grid_shape, sample_grid
+from nodalab.grid import ResolutionRule, grid_shape
 from nodalab.harness import (
     GATE_BUILDERS,
     run_approx_theorem,
@@ -155,7 +155,7 @@ def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
     # pieces of its rows and then its capped distances; no stage forms the
     # whole grid
     log = []
-    for name in ("sample_grid", "extract_nodal", "nodal_seeds"):
+    for name in ("sample_grid", "extract_nodal", "grid_seeds"):
         spy(monkeypatch, log, harness_mod, name)
     stream = harness_mod.streamed_tubes
 
@@ -220,9 +220,15 @@ def test_yau_radius_in_the_gap_window_is_measured(monkeypatch):
 def test_yau_needs_two_distinct_radii_before_sampling(monkeypatch, mu_t):
     log = []
     spy(monkeypatch, log, harness_mod, "sample_grid")
-    with pytest.raises(ValidationError, match="mu_t has [01] distinct radii"):
+    repeated = len(set(mu_t)) < len(mu_t)
+    message = "mu_t repeats 0.1" if repeated else "mu_t has [01] distinct radii"
+    with pytest.raises(ValidationError, match=message):
         run_yau_check(TORUS2, modes=((3, 3),), mu_t=mu_t)
     assert log == []
+    if repeated:  # a repeated radius is refused on every domain
+        with pytest.raises(ValidationError, match=message):
+            run_yau_check(INTERVAL, modes=((10,),), mu_t=mu_t)
+        return
     # the interval counts vertices and takes no radii
     assert run_yau_check(INTERVAL, modes=((10,),), mu_t=mu_t).passed
 
@@ -275,8 +281,8 @@ def test_only_the_full_range_fields_run_scipys_transform(monkeypatch):
     run_tube_scaling(TORUS2, modes=((3, 4),), mu_delta=(0.1, 0.2))
     assert transforms == []
     # dim2's transforms are exactly those of its inner-radius field
-    fine = sample_grid(EigenMode(TORUS2, (2, 3)), ResolutionRule(points_per_wavelength=256.0))
-    whole_field(nodal_mod.extract_nodal(fine))
+    whole_field(measures_mod.grid_seeds(EigenMode(TORUS2, (2, 3)),
+                                        ResolutionRule(points_per_wavelength=256.0)))
     inradius_field = list(transforms)
     transforms.clear()
     run_dim2_checks(modes=((2, 3),))
@@ -293,7 +299,8 @@ def test_dim2_rejects_non_torus():
 
 def test_dim2_holds_one_mode_at_a_time(monkeypatch):
     """Each mode's sample values, labels and seed mask are freed before the next mode
-    samples, and its values before the inner radii's transform starts."""
+    samples, and its values before its seeds are rasterized and the inner radii's
+    transform starts."""
     held = []  # per mode: (m, weak references to its values, labels and seed mask)
 
     def keep(name, array_of):
@@ -304,6 +311,8 @@ def test_dim2_holds_one_mode_at_a_time(monkeypatch):
                 for m, refs in held:
                     assert all(r() is None for r in refs), f"mode {m} alive at {arg.m}'s sample"
                 held.append((arg.m, []))
+            if name == "grid_seeds":
+                assert held[-1][1][0]() is None, f"mode {arg.m}'s values alive at its seeds"
             out = fn(arg, *args, **kwargs)
             held[-1][1].append(weakref.ref(array_of(out)))
             return out
@@ -312,7 +321,7 @@ def test_dim2_holds_one_mode_at_a_time(monkeypatch):
 
     keep("sample_grid", lambda s: s.values)
     keep("sign_components", lambda comp: comp.labels)
-    keep("nodal_seeds", lambda seeds: seeds.mask)
+    keep("grid_seeds", lambda seeds: seeds.mask)
     inradii = harness_mod.component_inradii
     transformed = []
 
@@ -330,29 +339,16 @@ def test_dim2_holds_one_mode_at_a_time(monkeypatch):
     assert all(len(refs) == 3 for _, refs in held)
 
 
-def test_density_frees_each_sample_before_its_transform(monkeypatch):
-    """The density check's sample values are freed before its radius's transform."""
-    held = []  # per mode: a weak reference to its sample values
-    sample = harness_mod.sample_grid
-
-    def kept(mode, *args, **kwargs):
-        out = sample(mode, *args, **kwargs)
-        held.append(weakref.ref(out.values))
-        return out
-
-    monkeypatch.setattr(harness_mod, "sample_grid", kept)
-    radius = harness_mod.density_radius
-    transformed = []
-
-    def checked(seeds):
-        assert held[-1]() is None, "the sample's values are alive at the transform"
-        transformed.append(len(held))
-        return radius(seeds)
-
-    monkeypatch.setattr(harness_mod, "density_radius", checked)
-    report = run_density_check(TORUS2, modes=((3, 3), (4, 1)))
-    assert all(c.measured for c in report.cells)
-    assert transformed == [1, 2]
+def test_density_samples_no_float_grid(monkeypatch):
+    """The density check's seeds come from ``grid_seeds``' chunks: it calls neither
+    ``sample_grid`` nor ``extract_nodal``, so it holds no float grid."""
+    log = []
+    for name in ("sample_grid", "extract_nodal"):
+        spy(monkeypatch, log, harness_mod, name)
+    for domain, modes in ((TORUS2, ((3, 3), (4, 1))), (INTERVAL, ((8,),))):
+        report = run_density_check(domain, modes=modes)
+        assert all(c.measured for c in report.cells)
+    assert log == []
 
 
 def test_comparability_gates():
@@ -566,6 +562,49 @@ def test_spectral_drivers_reject_empty_windows():
             run(**kwargs)
 
 
+REPEATED_INPUTS = {
+    "comparability-mu-delta": (run_comparability_scaling, {"mu_delta": (0.1, 0.1)},
+                               "mu_delta repeats 0.1"),
+    "comparability-a-sweep": (run_comparability_scaling, {"a_sweep": (3.0, 10.0, 3.0)},
+                              "a_sweep repeats 3.0"),
+    "comparability-stability-modes": (run_comparability_scaling, {"stability_modes": (30, 30)},
+                                      "stability_modes repeats 30"),
+    "yau-modes": (run_yau_check, {"domain": TORUS2, "modes": ((3, 3), [3, 3])},
+                  r"modes repeats \(3, 3\)"),
+    "yau-mu-t": (run_yau_check, {"domain": TORUS2, "mu_t": (0.2, 0.1, 0.2)}, "mu_t repeats 0.2"),
+    "tube-modes": (run_tube_scaling, {"domain": TORUS2, "modes": ((3, 4), (3, 4)),
+                                      "mu_delta": (0.1,)}, r"modes repeats \(3, 4\)"),
+    "tube-mu-delta": (run_tube_scaling, {"domain": INTERVAL, "mu_delta": (0.1, 0.1)},
+                      "mu_delta repeats 0.1"),
+    "tube-deltas": (run_tube_scaling, {"domain": INTERVAL, "deltas": (0.01, 0.01)},
+                    "deltas repeats 0.01"),
+    # the break cell's mu delta = 3 is one of the radii
+    "tube-break-cell": (run_tube_scaling, {"domain": TORUS2, "modes": ((3, 4),),
+                                           "mu_delta": (0.1, 3.0), "include_break_cell": True},
+                        "mu_delta repeats 3.0"),
+    "tube-break-cell-deltas": (run_tube_scaling, {"domain": INTERVAL, "modes": ((10,),),
+                                                  "deltas": (0.3,), "include_break_cell": True},
+                               "deltas repeats 0.3"),
+    "density-modes": (run_density_check, {"domain": TORUS2, "modes": ((3, 3), (4, 1), (3, 3))},
+                      r"modes repeats \(3, 3\)"),
+    "dim2-modes": (run_dim2_checks, {"modes": ((2, 3), (2, 3))}, r"modes repeats \(2, 3\)"),
+}
+
+
+@pytest.mark.parametrize("run, kwargs, message", list(REPEATED_INPUTS.values()),
+                         ids=list(REPEATED_INPUTS))
+def test_repeated_inputs_are_refused_before_any_cell(run, kwargs, message, monkeypatch):
+    """A repeated mode or radius measures one cell twice, and a band, slope or
+    monotone gate over the copies passes on them alone: each driver refuses it
+    before it measures anything."""
+    log = []
+    for name in ("sample_grid", "streamed_tubes", "grid_seeds", "tube_volume_exact"):
+        spy(monkeypatch, log, harness_mod, name)
+    with pytest.raises(ValidationError, match=message):
+        run(**kwargs)
+    assert log == []
+
+
 def test_approx_theorem_rejects_degenerate_bounds_before_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("degenerate input reached borel_cantelli_sum")
@@ -657,12 +696,19 @@ def test_grid_resolution_is_fixed_and_recorded():
 
 def test_comparability_takes_no_slope_through_one_radius():
     """Two scaling cells at one radius give a ratio band but no log-log slope:
-    a line through one x is rank-deficient (it read 0.514 and failed)."""
+    a line through one x is rank-deficient (it read 0.514 and failed). The
+    driver refuses a repeated radius, so the cells are a report's with its
+    second radius rewritten to the first, as a stored report could hold them."""
     r = run_comparability_scaling(
-        mu_delta=(0.1, 0.1), a_sweep=(3.0, 10.0), stability_modes=(30, 50)
+        mu_delta=(0.1, 0.2), a_sweep=(3.0, 10.0), stability_modes=(30, 50)
     )
-    assert [g.name for g in r.gates] == ["ratio_variation", "a_sweep_monotone", "stability_band"]
-    assert r.passed
+    cells = [CellResult.from_dict(c.as_dict()) for c in r.cells]
+    for c in cells:
+        if c.params["kind"] == "scaling":
+            c.params["mu_delta"] = 0.1
+    gates = GATE_BUILDERS["comparability"](cells, r.config)
+    assert [g.name for g in gates] == ["ratio_variation", "a_sweep_monotone", "stability_band"]
+    assert all(g.passed for g in gates)
 
 
 def test_comparability_stability_band_alone_is_no_verdict():

@@ -11,16 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nodalab.measures as measures_mod
-from nodalab.distance import (
-    _seed_mask,
-    capped_pads,
-    nodal_seeds,
-    raster_error,
-    stencil_widths,
-)
+from nodalab.distance import capped_pads, raster_error, stencil_widths
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ResourceGuardError, ValidationError
 from nodalab.grid import GridSample, ResolutionRule, grid_shape, sample_grid
-from nodalab.measures import density_radius, streamed_tubes, tube_measure, tube_volume
+from nodalab.harness import DEFAULT_DENSITY_TORUS_MODES, DEFAULT_DIM2_MODES
+from nodalab.measures import density_radius, grid_seeds, streamed_tubes, tube_measure, tube_volume
 from nodalab.nodal import NodalApprox, _corner_reduce, extract_nodal, marching_squares
 from nodalab.spectrum import (
     DomainSpec,
@@ -31,7 +26,7 @@ from nodalab.spectrum import (
     tube_volume_exact,
 )
 
-from scipy_field import scipy_distance_field, scipy_seed_field
+from scipy_field import raster_seeds, scipy_distance_field, scipy_seed_field, seed_mask
 from whole_field import whole_field
 
 
@@ -45,7 +40,7 @@ def nodal_for(mode, h_max=None, ppw=32.0):
 
 def counted_volume(nod, delta):
     """Plain grid-point count: points with dist < delta times the cell volume."""
-    return int((whole_field(nod) < delta).sum()) * math.prod(nod.sample.h)
+    return int((whole_field(raster_seeds(nod)) < delta).sum()) * math.prod(nod.sample.h)
 
 
 def test_interval_tube_volume():
@@ -103,13 +98,13 @@ def test_nodal_measure_needs_two_radii():
 
 def test_density_radius():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    f = nodal_seeds(nodal_for(mode, h_max=0.01))
+    f = grid_seeds(mode, rule_for(h_max=0.01))
     exact = density_radius_exact(mode)
     assert exact == pytest.approx(math.pi / 8, rel=1e-12)
     assert abs(density_radius(f) - exact) <= 2 * max(f.h)
 
     kmode = EigenMode(DomainSpec.interval(), (10,))
-    fk = nodal_seeds(nodal_for(kmode))
+    fk = grid_seeds(kmode, rule_for())
     assert abs(density_radius(fk) - math.pi / 20) <= 2 * max(fk.h)
 
 
@@ -118,7 +113,7 @@ def test_empty_field_measures():
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0))
     nod = NodalApprox(s, np.empty((0, 2)))
     with pytest.raises(EmptyNodalSetError):
-        density_radius(nodal_seeds(nod))
+        density_radius(raster_seeds(nod))
 
 
 def whole_grid_band(dist, periodic, delta, margin):
@@ -131,6 +126,7 @@ def whole_grid_band(dist, periodic, delta, margin):
 
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
+TORUS2 = DomainSpec.torus((1.0, 1.0))
 
 
 @st.composite
@@ -376,7 +372,7 @@ def test_band_blocks_equal_the_whole_grid_band(name, rows):
     assert 0 < inside and 0 < cells.shape[0] < dist.size - inside
     for per_run in RUNS:
         # a second radius in the same pass, with its own miss tables
-        got, expect = band_blocks(_seed_mask(f), h, f.sample.periodic,
+        got, expect = band_blocks(seed_mask(f), h, f.sample.periodic,
                                   (delta, delta + max(h)), margin, rows, per_run, dist)
         assert len(got) == -(-fully_in.shape[0] // rows)
         assert got == expect
@@ -490,7 +486,7 @@ def test_seed_rows_are_the_whole_grid_seed_rows(grid, lo, rows):
     for f in factors[1:]:
         values = np.multiply.outer(values, f)
     sample = GridSample(EigenMode(dom, (1,) * len(shape)), h, shape, values)
-    whole = _seed_mask(extract_nodal(sample))
+    whole = seed_mask(extract_nodal(sample))
     hi = lo + rows
     # the chunk's rows and one more on either side, written into a longer buffer
     out = np.full((rows + 3,) + shape[1:], np.nan)
@@ -503,6 +499,71 @@ def test_seed_rows_are_the_whole_grid_seed_rows(grid, lo, rows):
     inside = np.ones(rows, dtype=bool) if periodic else (index >= 0) & (index < shape[0])
     want[inside] = whole[index[inside] % shape[0]]
     assert np.array_equal(got, want)
+
+
+def density_rule(mode):
+    """``run_density_check``'s grid: 64 points per wavelength, h at most the radius / 16."""
+    return ResolutionRule(points_per_wavelength=64.0, h_max=density_radius_exact(mode) / 16.0)
+
+
+# the grids whose seeds the full-range transform reads: density's default
+# torus and interval modes, and dim2's default modes on its sign grid
+SEED_GRIDS = {
+    **{f"density-torus-{m[0]}-{m[1]}": (mode := EigenMode(TORUS2, m), density_rule(mode))
+       for m in DEFAULT_DENSITY_TORUS_MODES},
+    **{f"density-interval-{m[0]}": (mode := EigenMode(DomainSpec.interval(), m), density_rule(mode))
+       for m in ((8,), (20,), (50,))},
+    **{f"dim2-{m[0]}-{m[1]}": (EigenMode(TORUS2, m), ResolutionRule(points_per_wavelength=256.0))
+       for m in DEFAULT_DIM2_MODES},
+}
+
+
+@pytest.mark.parametrize("mode, rule", list(SEED_GRIDS.values()), ids=list(SEED_GRIDS))
+def test_grid_seeds_are_the_float_raster_on_the_default_grids(mode, rule, monkeypatch):
+    """``grid_seeds`` is bitwise the float raster of the whole sample's vertices,
+    in chunks of the default size, of 7 rows and of one row."""
+    sample = sample_grid(mode, rule)
+    want = seed_mask(extract_nodal(sample))
+    assert want.any()
+    row_points = math.prod(sample.shape[1:])
+    for rows in (None, 7, 1):
+        if rows is not None:
+            monkeypatch.setattr(measures_mod, "CHUNK_POINTS", rows * row_points)
+        seeds = grid_seeds(mode, rule)
+        assert seeds.h == sample.h and seeds.periodic == sample.periodic
+        assert seeds.mask.dtype == bool and np.array_equal(seeds.mask, want)
+
+
+@st.composite
+def raster_modes(draw):
+    """Torus and box modes of 1-3 axes, anisotropic alpha, m_j = 0 on a torus axis,
+    and points per wavelength that give odd and even shapes."""
+    n = draw(st.integers(1, 3))
+    alpha = (1.0,) + tuple(draw(st.sampled_from([1.0, 1.3, 2.0])) for _ in range(n - 1))
+    periodic = draw(st.booleans())
+    if periodic:
+        domain = DomainSpec.torus(alpha)
+    else:
+        domain = DomainSpec.box(alpha) if n > 1 else DomainSpec.interval()
+    top = 4 if n < 3 else 2
+    m = tuple(draw(st.integers(0 if periodic else 1, top)) for _ in range(n))
+    if not any(m):  # a torus mode needs a nonzero index
+        m = (1,) + m[1:]
+    ppw = draw(st.integers(5, 24 if n < 3 else 9)) + draw(st.sampled_from([0.0, 0.5]))
+    return EigenMode(domain, m), ResolutionRule(points_per_wavelength=ppw)
+
+
+@given(grid=raster_modes(), rows=st.integers(1, 3))
+@example(grid=(EigenMode(TORUS2, (0, 3)), ResolutionRule(points_per_wavelength=24.0)), rows=1)
+@settings(max_examples=100, deadline=None)
+def test_grid_seeds_are_the_float_raster_of_drawn_modes(grid, rows):
+    """On drawn grids, in chunks of 1-3 rows: ``grid_seeds`` is bitwise the float
+    raster of the whole sample's vertices."""
+    mode, rule = grid
+    sample = sample_grid(mode, rule)
+    with mock.patch.object(measures_mod, "CHUNK_POINTS", rows * math.prod(sample.shape[1:])):
+        seeds = grid_seeds(mode, rule)
+    assert np.array_equal(seeds.mask, seed_mask(extract_nodal(sample)))
 
 
 def test_marching_squares_geometry_runs_once_per_pass(monkeypatch):

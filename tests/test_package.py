@@ -66,6 +66,31 @@ def test_the_tube_stream_has_no_float_band_path():
     assert "capped_rows" not in imported
 
 
+def test_one_seed_raster():
+    """Every grid's seeds come from the tube stream's chunks: ``distance`` imports
+    nothing from ``nodal``, whose float vertices it no longer rounds, and only
+    ``measures`` calls ``raster_index``."""
+    src = Path(nodalab.__file__).parent
+    tree = ast.parse((src / "distance.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name and name.rsplit(".", 1)[-1] == "nodal"}
+
+    def calls_raster_index(path):
+        return any(
+            isinstance(node, ast.Call)
+            and "raster_index" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+
+    assert [p.name for p in sorted(src.glob("*.py")) if calls_raster_index(p)] == ["measures.py"]
+
+
 def test_benchmark_tracer_sites_exist():
     """Every ``install(module, "attr")`` in perfbench/tracer.py names a live attribute.
 

@@ -9,13 +9,12 @@ block.
 
 import numpy as np
 
-from nodalab.distance import full_range, nodal_seeds
+from nodalab.distance import full_range
 
 
-def whole_field(nodal) -> np.ndarray:
-    """The float64 distance from every grid point to the nearest seed of ``nodal``,
+def whole_field(seeds) -> np.ndarray:
+    """The float64 distance from every grid point to the nearest seed of ``seeds``,
     each block of rows written into one output; all-inf when there are no seeds."""
-    seeds = nodal_seeds(nodal)
     if not seeds.mask.any():
         return np.full(seeds.mask.shape, np.inf)
     dist = np.empty(seeds.mask.shape)
