@@ -39,7 +39,6 @@ from .harness import (
     run_yau_check,
 )
 from .measures import density_radius, grid_seeds, streamed_tubes, tube_volume
-from .nodal import NodalApprox, extract_nodal, marching_squares
 from .reports import (
     CODE_VERSION,
     CellResult,
@@ -75,7 +74,6 @@ __all__ = [
     "GateResult",
     "GridSample",
     "ModeList",
-    "NodalApprox",
     "ResolutionError",
     "ResolutionRule",
     "ResourceGuardError",
@@ -90,11 +88,9 @@ __all__ = [
     "enumerate_modes",
     "estimate_exponent",
     "eval_mode",
-    "extract_nodal",
     "gate",
     "goodness_threshold",
     "grid_seeds",
-    "marching_squares",
     "modes_nodal_distance",
     "nodal_distance_exact",
     "nodal_measure_exact",

@@ -69,12 +69,6 @@ def raster_error(h) -> float:
     return 0.5 * math.sqrt(sum(hj * hj for hj in h))
 
 
-def raster_index(coords: np.ndarray, hj: float, nj: int, periodic: bool) -> np.ndarray:
-    """Nearest grid index along an axis of ``nj`` points: wrapped on a torus, clipped on a box."""
-    k = np.round(coords / hj).astype(np.int64)
-    return k % nj if periodic else np.clip(k, 0, nj - 1)
-
-
 @dataclass
 class Seeds:
     """The rasterized nodal vertices, with the grid's spacing and wrap: all a transform reads."""

@@ -31,7 +31,7 @@ from .distance import raster_error
 from .errors import ResolutionError, ResourceGuardError, ValidationError
 from .grid import ResolutionRule, sample_grid
 from .measures import density_radius, grid_seeds, streamed_tubes, tube_measure
-from .nodal import extract_nodal
+from .nodal import _window_vertices
 from .reports import CellResult, ExperimentReport, gate
 from .spectrum import (
     DomainSpec,
@@ -318,7 +318,9 @@ def run_yau_check(
                 # the interval counts vertices: no tube radius bounds its grid,
                 # and the count reads no distance field
                 sample = sample_grid(mode, ResolutionRule(TUBE_PPW))
-                value, flagged = float(extract_nodal(sample).vertices.shape[0]), 0
+                v = sample.values
+                groups = _window_vertices(v, v < 0.0, v > 0.0, sample.periodic)
+                value, flagged = float(sum(idx[0].size for _, idx, _ in groups)), 0
                 h = sample.h
             else:
                 t_list = [t / mu for t in mu_t]

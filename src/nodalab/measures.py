@@ -50,11 +50,11 @@ the band test on each run of its band blocks, reading only the seed
 window. Stencils of a distance capped at the largest radius plus the band
 margin plus one cell classify every cell as the full-range field does,
 because a corner at or past delta + margin is neither in nor near whatever
-its value. The caller joins the passes' first and saddle second segments as one list in
-pass order, and sorts (one stable sort) and sums them once, as
-``nodal.marching_squares`` does. The order of the two kinds is free: first
-segments have even keys and second ones odd keys, so no key holds both, and
-each key's segments keep row-major order. So a volume's and a length's bits
+its value. The caller joins the passes' first and saddle second segments as
+one list in pass order, and sorts (one stable sort) and sums them once with
+``nodal.segment_sum``, as on the whole grid. The order of the two kinds is
+free: first segments have even keys and second ones odd keys, so no key
+holds both, and each key's segments keep row-major order. So a volume's and a length's bits
 do not depend on the worker count or the pass or chunk size, and equal those
 of the band test on the whole grid's full-range field, added in the same
 band blocks. ``grid.GRID_POINT_CAP`` still bounds the whole grid's size.
@@ -94,7 +94,6 @@ from .distance import (
     capped_pads,
     full_range,
     raster_error,
-    raster_index,
     seed_stencils,
     stencil_widths,
     usable_cores,
@@ -232,6 +231,12 @@ def _sampled_rows(factors, periodic: bool, lo: int, hi: int, out: np.ndarray):
     return g, at, values
 
 
+def _raster_index(coords: np.ndarray, hj: float, nj: int, periodic: bool) -> np.ndarray:
+    """Nearest grid index along an axis of ``nj`` points: wrapped on a torus, clipped on a box."""
+    k = np.round(coords / hj).astype(np.int64)
+    return k % nj if periodic else np.clip(k, 0, nj - 1)
+
+
 def _chunk(factors, h, periodic: bool, c: int, d: int, out: np.ndarray, seeds: np.ndarray,
            pass_rows=None):
     """Sample the grid rows c - 1 .. d into ``out``; set in ``seeds`` the seeds of rows c .. d - 1.
@@ -256,10 +261,10 @@ def _chunk(factors, h, periodic: bool, c: int, d: int, out: np.ndarray, seeds: n
         row, rest = idx[0] - c, list(idx[1:])
         if axis == 0:
             k = idx[0] % s0
-            row += (raster_index((k + t) * h[0], h[0], s0, periodic) - k) % s0
+            row += (_raster_index((k + t) * h[0], h[0], s0, periodic) - k) % s0
         elif axis is not None:
-            rest[axis - 1] = raster_index((rest[axis - 1] + t) * h[axis], h[axis], shape[axis],
-                                          periodic)
+            rest[axis - 1] = _raster_index((rest[axis - 1] + t) * h[axis], h[axis], shape[axis],
+                                           periodic)
         keep = (0 <= row) & (row < seeds.shape[0])
         seeds[(row[keep], *(i[keep] for i in rest))] = True
     if pass_rows is None:
@@ -315,7 +320,7 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
     its cells in runs of band blocks of at most a chunk's rows; every volume
     is bitwise the band test's on the whole grid's full-range field, summed
     per band block and added in block order. With ``segments`` a 2-d grid
-    also yields ``nodal.marching_squares``' length, bit for bit: each pass
+    also yields its marching-squares length, bitwise the whole grid's: each pass
     runs the geometry once on its chunks' crossed cells, and the passes'
     segments are joined in pass order, first and second ones together, as
     their keys' parities keep one key to one kind and the sort is stable.

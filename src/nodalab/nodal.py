@@ -1,59 +1,50 @@
-"""Nodal set extraction from grid samples.
+"""Nodal set search on grid samples: zero-crossing vertices and crossed cells.
 
-Vertices are exact-zero grid points plus linearly interpolated zero crossings on
+Vertices are exact-zero grid points plus strict sign-change crossings on
 grid edges. Both come from two sign masks, ``v < 0`` and ``v > 0``, which
 the caller forms once: a zero point is in neither, and an edge crosses where
 both masks differ across it, a strict sign change. Indices are taken flat
 (``np.flatnonzero`` and ``np.unravel_index`` on the edge array's shape).
 ``_window_vertices`` returns them as groups of grid indices with, for each
-crossing, its axis and its interpolation ``t = v0 / (v0 - v1)``;
-``extract_nodal`` turns them into coordinates, and the tube stream's chunks
-rasterize them into every grid's seeds (``measures.grid_seeds``). The masks see every strict sign change, also one between
-two values so tiny that their product rounds to -0.0 (2**-537 and
--(2**-538)): a test of ``v0 * v1 < 0`` would miss that edge.
+crossing, its axis and its interpolation ``t = v0 / (v0 - v1)``. The tube
+stream's chunks rasterize them into every grid's seeds
+(``measures.grid_seeds``), and the interval Yau cell counts them. The masks
+see every strict sign change, also one between two values so tiny that their
+product rounds to -0.0 (2**-537 and -(2**-538)): a test of ``v0 * v1 < 0``
+would miss that edge.
 
-Separately, ``marching_squares`` measures the total length of the
-marching-squares contour of a 2-d sample in two halves. ``crossed_cells``
-finds the cells whose corners are neither all negative nor all nonnegative
-(zeros count as nonnegative, so the class mask is the complement of
-``v < 0`` and the cells come from that mask) and gathers their rows,
-columns and corner values. ``crossed_segments`` is the geometry: per cell
-its pattern, its one or two segments between the zero crossings on its
+The marching-squares contour of a 2-d sample is measured in two halves.
+``crossed_cells`` finds the cells whose corners are neither all negative nor
+all nonnegative (zeros count as nonnegative, so the class mask is the
+complement of ``v < 0`` and the cells come from that mask) and gathers their
+rows, columns and corner values. ``crossed_segments`` is the geometry: per
+cell its pattern, its one or two segments between the zero crossings on its
 crossed edges, and their sort keys and lengths. The ambiguous saddle
 configurations are resolved by the sign of the eigenfunction at the cell
-center, which is evaluated analytically.
+center, which is evaluated analytically. ``segment_sum`` adds the lengths in
+one fixed order, so the float is reproducible bit for bit.
 
 The vertex and crossed-cell searches run on the whole grid or on a window of
-its rows (``rows``, their global indices): ``extract_nodal`` and
-``marching_squares`` are the whole-grid case, and ``measures.streamed_tubes``
-runs the windows of its chunks, joining a pass's crossed cells for one run
-of the geometry. A window's cells and axis-0 edges lie between its
-consecutive rows, and its points take their rows' global indices, so a
-window's vertices, crossed cells, segment keys and lengths are bitwise the
-whole grid's.
+its rows (``rows``, their global indices). ``measures.streamed_tubes`` runs
+the windows of its chunks, joining a pass's crossed cells for one run of the
+geometry; the interval Yau cell and the tests' whole-grid references (float
+vertex coordinates and the contour length, ``tests/whole_grid.py``) run the
+whole grid. A window's cells and axis-0 edges lie between its consecutive
+rows, and its points take their rows' global indices, so a window's
+vertices, crossed cells, segment keys and lengths are bitwise the whole
+grid's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import GridSample
 from .spectrum import eval_mode
 
 # summation rank of each crossed-cell pattern (0 and 15 cross nothing): the
 # length is summed group by group in this fixed order, saddles 10 and 5 last
 _EMIT_RANK = np.zeros(16, dtype=np.int64)
 _EMIT_RANK[[1, 14, 2, 13, 4, 11, 8, 7, 3, 12, 6, 9, 10, 5]] = np.arange(14)
-
-
-@dataclass
-class NodalApprox:
-    """Discrete nodal set: interpolated vertices."""
-
-    sample: GridSample
-    vertices: np.ndarray              # (v, n) float coordinates
 
 
 def _edge_op(values: np.ndarray, axis: int, periodic: bool, op) -> np.ndarray:
@@ -188,38 +179,3 @@ def segment_sum(pieces) -> float:
     keys = np.concatenate([k for k, _ in pieces])
     lengths = np.concatenate([length for _, length in pieces])
     return float(lengths[np.argsort(keys, kind="stable")].sum())
-
-
-def marching_squares(sample: GridSample) -> float:
-    """Total length of the marching-squares segments over all cells of a 2-d sample.
-
-    Zeros count as the nonnegative class. Only cells whose four corners are
-    not all in one class carry a segment: it joins the linear zero crossings
-    on the cell's two crossed edges. A saddle cell (classes alternating round
-    the corners) gets two segments, paired by the sign of the eigenfunction at
-    the cell center. The lengths are summed in a fixed order (cases 1, 14, 2,
-    13, 4, 11, 8, 7, 3, 12, 6, 9, then saddles 10 and 5 split by center sign
-    and segment, row-major within each group), so the float is reproducible
-    bit for bit.
-    """
-    v = sample.values
-    cells = crossed_cells(v, v < 0.0, sample.periodic)
-    return segment_sum(crossed_segments(*cells, sample.h, sample.mode))
-
-
-def extract_nodal(sample: GridSample) -> NodalApprox:
-    """Locate the nodal set on the grid.
-
-    Vertices combine exact-zero grid points with strict sign-change crossings,
-    interpolated linearly along edges.
-    """
-    v = sample.values.reshape(sample.shape)
-    parts = []
-    for axis, idx, t in _window_vertices(v, v < 0.0, v > 0.0, sample.periodic):
-        pts = np.stack([k.astype(float) for k in idx], axis=1)
-        if axis is not None:
-            pts[:, axis] += t
-        parts.append(pts * np.asarray(sample.h))
-    if not parts:
-        return NodalApprox(sample, np.empty((0, sample.n)))
-    return NodalApprox(sample, np.concatenate(parts, axis=0))

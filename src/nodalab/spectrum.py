@@ -281,7 +281,7 @@ class ModeList:
     """All admissible modes with mu <= mu_max, sorted by (mu, lexicographic m).
 
     Stored columnar (index matrix, frequency vector) so that million-mode lists
-    stay cheap; ``__getitem__`` materializes an EigenMode on demand.
+    stay cheap: no EigenMode is built for a row.
     """
 
     domain: DomainSpec
@@ -296,12 +296,6 @@ class ModeList:
 
     def __len__(self) -> int:
         return self.m.shape[0]
-
-    def __getitem__(self, i: int) -> EigenMode:
-        return EigenMode(self.domain, tuple(int(v) for v in self.m[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     @cached_property
     def one_axis_sines(self) -> bool:

@@ -13,7 +13,9 @@ import numpy as np
 
 from nodalab.boxes import Subdivision, _check_alignment, _star_sum
 from nodalab.grid import GridSample
-from nodalab.nodal import NodalApprox, _corner_reduce
+from nodalab.nodal import _corner_reduce
+
+from whole_grid import NodalApprox
 
 
 @dataclass

@@ -22,11 +22,11 @@ from nodalab.harness import (
     run_yau_check,
 )
 from nodalab.measures import tube_volume
-from nodalab.nodal import extract_nodal
 from nodalab.reports import write_report
 from nodalab.spectrum import DomainSpec, EigenMode, tube_volume_exact
 
 from nodal_boxes import nodal_box_count
+from whole_grid import extract_nodal
 
 INTERVAL = DomainSpec.interval()
 TORUS2 = DomainSpec.torus((1.0, 1.0))

@@ -16,10 +16,10 @@ from nodalab.boxes import (
 )
 from nodalab.errors import ResolutionError, ResourceGuardError, ValidationError
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
-from nodalab.nodal import NodalApprox, extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode, tube_volume_exact
 
 from nodal_boxes import nodal_box_count
+from whole_grid import NodalApprox, extract_nodal
 
 
 def test_unit_ball_volumes():

@@ -19,12 +19,12 @@ from nodalab.components import (
 )
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
 from nodalab.measures import grid_seeds
-from nodalab.nodal import extract_nodal
 from nodalab.spectrum import DomainSpec, EigenMode
 
 from scipy_field import raster_seeds
 from translates import cosine_sample
 from whole_field import whole_field
+from whole_grid import extract_nodal
 
 
 def flood_fill(mask, periodic):

@@ -118,7 +118,8 @@ def test_modes_distance_matches_per_mode_scalar():
         d = modes_nodal_distance(pt, modes)
         for i in range(len(modes)):
             assert d[i] == pytest.approx(
-                float(nodal_distance_exact(modes[i], pt)), rel=1e-12, abs=1e-15
+                float(nodal_distance_exact(EigenMode(dom, tuple(modes.m[i])), pt)),
+                rel=1e-12, abs=1e-15,
             )
 
 
@@ -835,7 +836,10 @@ def test_borel_cantelli_volumes_are_the_oracle_bit_for_bit(domain):
     res = borel_cantelli_sum(domain, C=C, eps=eps, k_max=k_max)
     modes = enumerate_modes(domain, float(res.mu[-1]))
     b = domain.n + 1 + eps
-    want = [tube_volume_exact(modes[k], C / math.pow(float(res.mu[k]), b)) for k in range(k_max)]
+    want = [
+        tube_volume_exact(EigenMode(domain, tuple(modes.m[k])), C / math.pow(float(res.mu[k]), b))
+        for k in range(k_max)
+    ]
     assert res.volumes.tolist() == want
 
 

@@ -16,19 +16,18 @@ import nodalab.distance as distance_mod
 from nodalab.distance import (
     capped_pads,
     raster_error,
-    raster_index,
     seed_stencils,
     stencil_widths,
 )
 from nodalab.errors import ResourceGuardError
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.measures import density_radius, grid_seeds
-from nodalab.nodal import NodalApprox, extract_nodal
+from nodalab.measures import _raster_index, density_radius, grid_seeds
 from nodalab.spectrum import DomainSpec, EigenMode, nodal_distance_exact
 
 from scipy_field import raster_seeds, scipy_distance_field, seed_mask
 from translates import cosine_sample
 from whole_field import whole_field
+from whole_grid import NodalApprox, extract_nodal
 
 
 def grid_axes(sample):
@@ -475,4 +474,4 @@ def test_grid_coordinates_raster_to_their_index(periodic, alpha, n):
     domain = (DomainSpec.torus if periodic else DomainSpec.box)((alpha,))
     h = domain.lengths[0] / (n if periodic else n - 1)
     k = np.arange(n)
-    assert np.array_equal(raster_index(k * h, h, n, periodic), k)
+    assert np.array_equal(_raster_index(k * h, h, n, periodic), k)

@@ -13,7 +13,6 @@ import nodalab.dioph as dioph_mod
 import nodalab.distance as distance_mod
 import nodalab.harness as harness_mod
 import nodalab.measures as measures_mod
-import nodalab.nodal as nodal_mod
 
 from nodalab.errors import ValidationError
 from nodalab.grid import ResolutionRule, grid_shape
@@ -155,7 +154,7 @@ def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
     # pieces of its rows and then its capped distances; no stage forms the
     # whole grid
     log = []
-    for name in ("sample_grid", "extract_nodal", "grid_seeds"):
+    for name in ("sample_grid", "_window_vertices", "grid_seeds"):
         spy(monkeypatch, log, harness_mod, name)
     stream = harness_mod.streamed_tubes
 
@@ -169,7 +168,7 @@ def test_yau_runs_marching_squares_on_2d_before_the_distance_field(monkeypatch):
     log.clear()
     run_yau_check(INTERVAL, modes=((10,),))
     # the interval counts vertices and seeds no distance transform
-    assert log == ["sample_grid", "extract_nodal"]
+    assert log == ["sample_grid", "_window_vertices"]
 
 
 def test_yau_empty_nodal_set_agrees_at_zero(monkeypatch):
@@ -254,7 +253,6 @@ def test_dim2_single_mode():
 def test_dim2_reads_its_tube_volume_from_the_nodal_measure(monkeypatch):
     log = []
     spy(monkeypatch, log, measures_mod, "tube_volume")
-    spy(monkeypatch, log, nodal_mod, "marching_squares")
     calls = []
     log_streams(monkeypatch, calls)
     r = run_dim2_checks(modes=((2, 3),))
@@ -341,9 +339,9 @@ def test_dim2_holds_one_mode_at_a_time(monkeypatch):
 
 def test_density_samples_no_float_grid(monkeypatch):
     """The density check's seeds come from ``grid_seeds``' chunks: it calls neither
-    ``sample_grid`` nor ``extract_nodal``, so it holds no float grid."""
+    ``sample_grid`` nor the whole-grid vertex search, so it holds no float grid."""
     log = []
-    for name in ("sample_grid", "extract_nodal"):
+    for name in ("sample_grid", "_window_vertices"):
         spy(monkeypatch, log, harness_mod, name)
     for domain, modes in ((TORUS2, ((3, 3), (4, 1))), (INTERVAL, ((8,),))):
         report = run_density_check(domain, modes=modes)

@@ -16,7 +16,7 @@ from nodalab.errors import EmptyNodalSetError, ResolutionError, ResourceGuardErr
 from nodalab.grid import GridSample, ResolutionRule, grid_shape, sample_grid
 from nodalab.harness import DEFAULT_DENSITY_TORUS_MODES, DEFAULT_DIM2_MODES
 from nodalab.measures import density_radius, grid_seeds, streamed_tubes, tube_measure, tube_volume
-from nodalab.nodal import NodalApprox, _corner_reduce, extract_nodal, marching_squares
+from nodalab.nodal import _corner_reduce
 from nodalab.spectrum import (
     DomainSpec,
     EigenMode,
@@ -28,6 +28,7 @@ from nodalab.spectrum import (
 
 from scipy_field import raster_seeds, scipy_distance_field, scipy_seed_field, seed_mask
 from whole_field import whole_field
+from whole_grid import NodalApprox, extract_nodal, marching_squares
 
 
 def rule_for(h_max=None, ppw=32.0):

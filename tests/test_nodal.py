@@ -1,19 +1,23 @@
 """Nodal extraction and marching squares: vertex counts, segment measure, saddles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nodalab.harness as harness_mod
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
-from nodalab.nodal import _corner_reduce, extract_nodal, marching_squares
+from nodalab.harness import run_yau_check
+from nodalab.nodal import _corner_reduce
 from nodalab.spectrum import DomainSpec, EigenMode, eval_mode, nodal_measure_exact
 
 from nodal_boxes import sign_change_cells
 from translates import cosine_sample
+from whole_grid import extract_nodal, marching_squares
 
 SQRT2, SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -156,14 +160,28 @@ def test_length_is_bitwise_the_case_by_case_reference(sample):
     assert marching_squares(sample) == marching_squares_reference(sample)[1]
 
 
-def test_interval_vertices_are_the_zeros():
-    k = 10
+@given(st.integers(1, 300), st.floats(4.0, 64.0))
+@example(10, 32.0)  # every zero on a grid point
+@example(4, 5.0)    # zeros 0, 2 and 4 on grid points, 1 and 3 between them
+@example(3, 4.5)    # only the end zeros on grid points
+@settings(max_examples=60, deadline=None)
+def test_interval_vertices_are_the_zeros(k, ppw):
+    """One vertex per zero j pi / k, exact on a grid point and in its cell elsewhere;
+    the interval Yau cell's value is their count."""
     mode = EigenMode(DomainSpec.interval(), (k,))
-    nod = extract_nodal(sample_grid(mode))
+    sample = sample_grid(mode, ResolutionRule(ppw))
+    nod = extract_nodal(sample)
     assert nod.vertices.shape == (k + 1, 1)
     got = np.sort(nod.vertices[:, 0])
-    np.testing.assert_allclose(got, np.arange(k + 1) * math.pi / k, atol=1e-12)
+    zeros = np.arange(k + 1) * math.pi / k
+    (h,) = sample.h
+    on_grid = np.arange(k + 1) * (sample.shape[0] - 1) % k == 0
+    np.testing.assert_allclose(got[on_grid], zeros[on_grid], atol=1e-12)
+    assert (np.abs(got - zeros) < h).all()
     assert nod.vertices.shape[0] > 0
+    with mock.patch.object(harness_mod, "TUBE_PPW", ppw):
+        [cell] = run_yau_check(DomainSpec.interval(), modes=((k,),)).cells
+    assert cell.measured["value"] == len(nod.vertices)
 
 
 def test_torus_circle_cosine_vertex_count():

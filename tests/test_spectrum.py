@@ -485,7 +485,8 @@ class TestEnumerate:
 
     def test_modes_roundtrip_to_eigenmode(self):
         modes = enumerate_modes(TORUS2, 3.0)
-        for mode in modes:
+        for m in modes.m:
+            mode = EigenMode(modes.domain, tuple(m))
             assert mode.mu <= 3.0
             assert isinstance(mode, EigenMode)
 
