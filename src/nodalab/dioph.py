@@ -21,30 +21,46 @@ minimum of mu * dist below that first row's, and it is an exact hit only if
 that first row is. ``spectrum.record_candidates`` builds just those first
 rows, so exponent estimates on it are the full list's.
 
-On one axis (the interval, a 1-d torus) every row is a candidate, and the
-scans use continued fractions instead (Khinchin, *Continued Fractions*).
-With theta = x alpha / pi the nodal distance of row k is pi ||k theta|| /
-(k alpha), so mu * dist is about pi ||k theta||, whose records are the
-convergent denominators of theta (Lagrange's best approximations).
-``estimate_exponent`` scans those rows and the windows between them that
-rounding leaves uncertified, about 10 of 100,000 rows on the survey's
-interval. ``tail_hits`` asks whether any row beyond a frequency cutoff
-passes within its radius; where pi/(2 k^2 alpha) exceeds the radius by more
-than the scan's rounding, a hit at k needs |theta - P/k| < 1/(2k^2), so by
-Legendre's theorem k is a multiple of a convergent denominator. Both take the
-denominators from exact integer Euclid on the floats' rational values and
-give the rows they keep the scan's own float formula, so every record, hit
-and flag is the full scan's bit for bit.
+Those first rows are axis families (``ModeList.axis_families``): family j
+holds the rows with every index but m_j at its least value (1 in a box, 0
+on a torus), k = m_j; on one axis it is the whole list. The exponent scan
+uses continued fractions on each family (Khinchin, *Continued Fractions*).
+With theta = x_j alpha_j / pi the family's axis puts row k at distance
+pi ||k theta|| / (k alpha_j), and the other axes at a distance c_j that is
+the same for every row, so with g(k) = mu_k / (k alpha_j), which does not
+rise with k and is 1 on intervals and tori, the proxy mu * dist is
+min(pi ||k theta|| g(k), mu_k c_j). Its records sit at the convergent
+denominators q of theta (Lagrange's best approximations) and in few rows
+between them. A window q < k <= top, top = min(q' - 1, K) before the next
+denominator q', is dropped when
 
-``tail_hits`` takes the convergents of all points in one pass
+    pi ||q' theta|| g(top) > pi ||q theta|| (g(q) - g(top)) + 4 mu_K err,
+
+err the scan's rounding (``_scan_error``), ||q' theta|| from below and
+||q theta|| from above, each side widened by ``_SLACK``. A window that fails
+keeps only its multiples of q and its semiconvergents q' - j q that could
+still tie row q (``_record_pairs``). ``estimate_exponent`` scans those rows
+for all points at once: about 13 of the survey box's 3,412 rows per point,
+and 10 of the interval's 100,000.
+
+``tail_hits`` asks whether any row of a one-axis list beyond a frequency
+cutoff passes within its radius; where pi/(2 k^2 alpha) exceeds the radius
+by more than the scan's rounding, a hit at k needs |theta - P/k| <
+1/(2k^2), so by Legendre's theorem k is a multiple of a convergent
+denominator. Both scans give the rows they keep the scan's own float
+formula, so every record, hit and flag is the full scan's bit for bit.
+
+Both take the convergents of all points in one pass
 (``_axis_convergent_table``, after Lehmer's Euclid for large numbers): one
 big-int step per point brackets frac(theta) between two neighbours T / 2^62
 and (T + 1) / 2^62, and Euclid runs on both ends in int64 arrays, all
-points in lockstep. A quotient on which both ends agree is theta's, and the
-smaller end remainder bounds theta's gap from below. A point whose ends
-part, or end, before its denominators pass the cutoff takes the exact
-Euclid instead. A gap serves only to certify rows as misses, so a smaller
-one only scans more rows, and the hits keep their bits.
+points in lockstep. A quotient on which both ends agree is theta's, the
+smaller end remainder bounds theta's gap from below and the larger from
+above. The pass runs to each point's first denominator past the cutoff,
+whose gap certifies the last window (q_N, K]. A point whose ends part, or
+end, by then takes the exact Euclid instead (``_axis_convergents``). A
+lower gap bound that is too low, or an upper one too high, only scans more
+rows, so the results keep their bits.
 """
 
 from __future__ import annotations
@@ -80,17 +96,26 @@ def _require_finite(points: np.ndarray) -> None:
 
 
 def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
-    """Exact nodal distances from one point to every mode in the list."""
+    """Exact nodal distances from one point (n,) to every mode in the list.
+
+    point may also hold one point per row (K, n); each row then gets its own
+    point's distance, from the same spacing and float chain.
+    """
     dom = modes.domain
     point = np.asarray(point, dtype=float)
-    if point.shape != (dom.n,):
-        raise ValidationError(f"point must have {dom.n} coordinates")
+    if point.shape not in ((dom.n,), (len(modes), dom.n)):
+        raise ValidationError(f"point must have {dom.n} coordinates, or one row of them per mode")
     _require_finite(point)
     dist = np.full(modes.m.shape[0], np.inf)
     for j in range(dom.n):
         mj = modes.m[:, j]
         top = int(mj.max(initial=0))
         if top == 0:
+            continue
+        if point.ndim == 2:
+            on = mj > 0
+            spacing = math.pi / (mj[on] * dom.alpha[j])
+            dist[on] = np.minimum(dist[on], lattice_distance(point[on, j], spacing))
             continue
         # table entries: every index 0..top when the list has that many rows,
         # else only the indices it holds (and 0), so a sparse list stays short
@@ -109,7 +134,7 @@ def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
 # relative widening of each float bound below, far above the few-ulp rounding
 # of the operations that compute it
 _SLACK = 2.0**-40
-# (point, row) pairs _axis_tail_hits evaluates at once
+# (point, row) pairs _axis_tail_hits evaluates, and padded entries estimate_exponent holds, at once
 _PAIR_BUDGET = 1 << 18
 # the double math.pi as an exact rational
 _PI_NUM, _PI_DEN = math.pi.as_integer_ratio()
@@ -142,15 +167,22 @@ def _theta_scale(alpha: float) -> tuple[int, int]:
     return a_num * _PI_DEN, a_den * _PI_NUM
 
 
-def _axis_convergents(x: float, alpha: float, q_max: int) -> tuple[list[int], list[float]]:
-    """Convergent denominators q of theta = x alpha / pi and their gaps |q theta - p|.
+def _axis_convergents(
+    xs: np.ndarray, alpha: float, q_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convergent denominators q of theta = x alpha / pi of each x of xs, with gaps |q theta - p|.
 
-    theta is the exact rational x alpha / pi of the doubles x, alpha and
-    math.pi, expanded by integer Euclid: the remainder after each convergent
-    p/q is |q theta - p| times theta's denominator, so each gap is correctly
-    rounded and the exact nodal distance of the row q is pi gap / (q alpha).
-    The lists run up to and including the first q > q_max, which is absent
-    when the expansion of theta ends first (its last gap is then 0).
+    Returns (owner, qs, gaps), sorted by owner, the index of the point in
+    ``xs``, and by q within a point. theta is the exact rational x alpha / pi
+    of the doubles x, alpha and math.pi, expanded by integer Euclid: the
+    remainder after each convergent p/q is |q theta - p| times theta's
+    denominator, so each gap is correctly rounded and the exact nodal
+    distance of the row q is pi gap / (q alpha). A point's denominators run
+    up to and including the first q > q_max, which is absent when the
+    expansion of theta ends first (its last gap is then 0). That q comes from
+    the quotient clamped to q_max + 1, as in ``_axis_convergent_table``: it
+    stays past q_max, at most theta's and equal to it modulo the q before,
+    and its gap is theta's.
 
     The convergents bound every other row (Khinchin, *Continued Fractions*):
     let q < q' be consecutive denominators and 0 < k < q', k != q. Write (k, P)
@@ -159,29 +191,33 @@ def _axis_convergents(x: float, alpha: float, q_max: int) -> tuple[list[int], li
     b = 0, a >= 2, so |k theta - P| >= |q theta - p| + |q' theta - p'| for
     every integer P, with equality at the semiconvergent k = q' - q.
     """
-    x_num, x_den = float(x).as_integer_ratio()
     c_num, c_den = _theta_scale(alpha)
-    num, den = x_num * c_num, x_den * c_den
-    r_prev, r = den, num % den
-    q_prev, q = 0, 1
-    qs, gaps = [q], [r / den]
-    while r and q <= q_max:
-        a, r_next = divmod(r_prev, r)
-        r_prev, r = r, r_next
-        q_prev, q = q, a * q + q_prev
-        qs.append(q)
-        gaps.append(r / den)
-    return qs, gaps
+    found = []
+    for i, (x_num, x_den) in enumerate(map(float.as_integer_ratio, np.asarray(xs, dtype=float).tolist())):
+        num, den = x_num * c_num, x_den * c_den
+        r_prev, r = den, num % den
+        q_prev, q = 0, 1
+        found.append((i, q, r / den))
+        while r and q <= q_max:
+            a, r_next = divmod(r_prev, r)
+            r_prev, r = r, r_next
+            q_prev, q = q, min(a, q_max + 1) * q + q_prev
+            found.append((i, q, r / den))
+    owner, qs, gaps = zip(*found) if found else ((), (), ())
+    return np.array(owner, dtype=np.int64), np.array(qs, dtype=np.int64), np.array(gaps, dtype=float)
 
 
 def _axis_convergent_table(
     xs: np.ndarray, alpha: float, q_max: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every point's convergent denominators q <= q_max with lower bounds on their gaps.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every point's convergent denominators through the first past q_max, with gap bounds.
 
-    Returns (owner, qs, gaps), sorted by owner, the index of the point in
-    ``xs``: the denominators are those of ``_axis_convergents``, and each gap
-    is at most its gap there. All points run one Euclid in int64 (after
+    Returns (owner, qs, gap_lo, gap_hi), sorted by owner, the index of the
+    point in ``xs``, and by q within a point: the denominators are those of
+    ``_axis_convergents``, gap_lo is at most the correctly rounded gap there
+    and, for q <= q_max, gap_hi at least it. A point's last q is past q_max
+    unless theta's expansion ends first; it may be clamped, and serves only
+    to certify the window (q_N, q_max] with its gap_lo. All points run one Euclid in int64 (after
     Lehmer, "Euclid's algorithm for large numbers", 1938):
 
     - Bracket. One exact big-int step per point gives T = floor(frac(theta)
@@ -190,15 +226,14 @@ def _axis_convergent_table(
       by side, every live point at once. The reals whose expansions begin
       a_1 .. a_k form an interval, so where both ends give the same quotient
       a_k, it is theta's, and q_k = a_k q_(k-1) + q_(k-2). On that interval
-      |q_k y - p_k| is linear in y, so theta's gap is at least the smaller end
-      remainder over 2^62, and that float is at most the correctly rounded
-      gap. Where the ends' quotients differ, theta's lies between them, so
-      the smaller one gives a q at most theta's; past q_max the point is
-      done either way. a_k is clamped to q_max + 1, which changes only a q
-      past q_max and keeps the product in int64: q_max is at most a list's
-      row count, and q_max (q_max + 1) < 2^63 below 3e9 rows.
-    - Fallback. A point whose ends disagree, or reach a zero remainder,
-      before its q passes q_max runs the exact ``_axis_convergents`` instead.
+      |q_k y - p_k| is linear in y, so theta's gap lies between the two end
+      remainders over 2^62, which differ by q_k, and rounding them keeps the
+      order with the correctly rounded gap. a_k is clamped to q_max + 1, which changes only
+      a q past q_max and keeps the product in int64: q_max is at most a
+      list's row count, and q_max (q_max + 1) < 2^63 below 3e9 rows.
+    - Fallback. A point whose ends disagree, or reach a zero remainder, by
+      the step that passes q_max runs the exact ``_axis_convergents``
+      instead, with gap_lo = gap_hi its correctly rounded gap.
     """
     c_num, c_den = _theta_scale(alpha)
     t = np.array(
@@ -206,9 +241,8 @@ def _axis_convergent_table(
          for n, d in map(float.as_integer_ratio, xs.tolist())],
         dtype=np.int64,
     )
-    scale = 2.0**-_BRACKET_BITS
-    # the first convergent, 1: its gap frac(theta) is at least T / 2^62
-    owners, qs, gaps = [np.arange(xs.size)], [np.ones(xs.size, dtype=np.int64)], [t * scale]
+    # the first convergent, 1: its gap frac(theta) lies in [T, T + 1] / 2^62
+    owners, qs, rems = [np.arange(xs.size)], [np.ones(xs.size, dtype=np.int64)], [t]
     fallback = t == 0  # the lower end's first remainder is zero
     idx = np.flatnonzero(~fallback)
     q_prev, q = np.zeros(idx.size, dtype=np.int64), qs[0][idx]
@@ -217,32 +251,33 @@ def _axis_convergent_table(
     while idx.size:
         a, lo_next = np.divmod(lo_prev, lo)
         b, hi_next = np.divmod(hi_prev, hi)
-        # theta's quotient lies between the ends', so this q is at most theta's
-        q_prev, q = q, np.minimum(np.minimum(a, b), q_max + 1) * q + q_prev
+        q_prev, q = q, np.minimum(a, q_max + 1) * q + q_prev
         r = np.minimum(lo_next, hi_next)
-        live = q <= q_max
-        lost = live & ((a != b) | (r == 0))
+        lost = (a != b) | (r == 0)
         fallback[idx[lost]] = True
-        keep = live & ~lost
-        idx, q_prev, q, r = idx[keep], q_prev[keep], q[keep], r[keep]
-        lo_prev, hi_prev, lo, hi = lo[keep], hi[keep], lo_next[keep], hi_next[keep]
-        owners.append(idx)
-        qs.append(q)
-        gaps.append(r * scale)
-    owner = np.concatenate(owners)
-    sure = ~fallback[owner]
-    exact = [
-        (i, q, gap)
-        for i in np.flatnonzero(fallback).tolist()
-        for q, gap in zip(*_axis_convergents(xs[i], alpha, q_max))
-        if q <= q_max
-    ]
-    e_owner, e_q, e_gap = np.array(exact, dtype=float).reshape(-1, 3).T
-    owner = np.concatenate([owner[sure], e_owner.astype(np.int64)])
+        keep = ~lost
+        owners.append(idx[keep])
+        qs.append(q[keep])
+        rems.append(r[keep])
+        go = keep & (q <= q_max)
+        idx, q_prev, q = idx[go], q_prev[go], q[go]
+        lo_prev, hi_prev, lo, hi = lo[go], hi[go], lo_next[go], hi_next[go]
+    owners, qs, rems = (np.concatenate(v) for v in (owners, qs, rems))
+    sure = ~fallback[owners]
+    e_owner, e_q, e_gap = _axis_convergents(xs[fallback], alpha, q_max)
+    owner = np.concatenate([owners[sure], np.flatnonzero(fallback)[e_owner]])
     order = np.argsort(owner, kind="stable")
-    qs = np.concatenate([np.concatenate(qs)[sure], e_q.astype(np.int64)])
-    gaps = np.concatenate([np.concatenate(gaps)[sure], e_gap])
-    return owner[order], qs[order], gaps[order]
+    # the ends' remainders differ by exactly q: theta's gap lies in [r, r + q] / 2^62
+    scale = 2.0**-_BRACKET_BITS
+    gap_lo = np.concatenate([rems[sure] * scale, e_gap])[order]
+    rems += qs
+    gap_hi = np.concatenate([rems[sure] * scale, e_gap])[order]
+    return owner[order], np.concatenate([qs[sure], e_q])[order], gap_lo, gap_hi
+
+
+def _ramps(count: np.ndarray) -> np.ndarray:
+    """0, 1, .., count[i] - 1 for each i in turn: the index within each run of np.repeat(x, count)."""
+    return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
 
 
 def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: float) -> np.ndarray:
@@ -274,7 +309,8 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
     gap = math.pi / (2.0 * ks * ks * alpha) * (1.0 - _SLACK) - err
     open_ks = ks[~(gap > radius)]
 
-    owner, qs, gaps = _axis_convergent_table(xs, alpha, k_last)
+    # a q past k_last gets no multiple in range below
+    owner, qs, gaps, _ = _axis_convergent_table(xs, alpha, k_last)
     limit = math.pi * gaps / (qs * alpha) * (1.0 - _SLACK) - err
     reach = k_first - 1 + np.searchsorted(-env, -limit)
     t_lo = -(-k_first // qs)
@@ -290,8 +326,7 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
         hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, side="right")))
         c_lo, c_hi = np.searchsorted(owner, [lo, hi])
         c = count[c_lo:c_hi]
-        runs = np.repeat(np.cumsum(c) - c, c)
-        t = np.repeat(t_lo[c_lo:c_hi], c) + np.arange(runs.size) - runs
+        t = np.repeat(t_lo[c_lo:c_hi], c) + _ramps(c)
         pair_owner = np.concatenate(
             [np.repeat(owner[c_lo:c_hi], c), np.repeat(np.arange(lo, hi), open_ks.size)]
         )
@@ -342,47 +377,121 @@ class ExponentEstimate:
     exact_hit: bool
 
 
-def _record_rows(point, modes: ModeList) -> np.ndarray | None:
-    """Rows of a one-axis sine list k = 1..K that can set a float record of mu * dist.
+def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (point, row) pairs of a family list that can set a float record of mu * dist.
 
-    None for any other list (``ModeList.one_axis_sines``), or for a point the
-    scan would reject. With theta = x alpha / pi the exact distance of row k is
-    pi ||k theta|| / (k alpha) and the scan's d_k is within err of it
-    (``_scan_error``); fl(k alpha) and the product round twice more, so the
-    proxy P_k = fl(mu_k d_k) is within 2 mu_K err of pi ||k theta||.
+    Returns (owner, row), sorted by point and then by list position, or None
+    for a list that is not complete axis families (``ModeList.axis_families``).
+    Family j's row k has the scan's distance min(d_j(k), c_j), c_j the
+    point's fixed distance to the other axes' factors, so its proxy is
+    min(fl(mu_k d_j(k)), fl(mu_k c_j)); with theta = x_j alpha_j / pi, d_j(k)
+    is within err of pi ||k theta|| / (k alpha_j) (``_scan_error``), and mu_k
+    rises with k. With g(k) = mu_k / (k alpha_j), fl(mu_k d_j(k)) is within
+    2 mu_K err of pi ||k theta|| g(k).
 
-    Every convergent denominator q_n <= K is kept. A row q_n < k < q_{n+1}
-    has ||k theta|| >= ||q_n theta|| + ||q_{n+1} theta|| (``_axis_convergents``),
-    so where pi ||q_{n+1} theta|| (1 - _SLACK) exceeds both proxies' bounds,
-    4 mu_K err, P_k > P_{q_n} and no row of the window sets a record or is a
-    first exact hit. Every row of a window that fails the certificate is
-    kept. The last window (q_N, K] is certified by the first q_{N+1} > K, and
-    kept whole when theta's expansion ends at q_N.
+    Every convergent denominator q <= K of theta is kept. Let q' be the next
+    one and top = min(q' - 1, K); g(k) >= g(top) for q < k <= top, g falling
+    with k up to rounding. Such a row's c_j branch is no lower than row q's,
+    and row q comes first in list order, so the row sets no record and is
+    no first exact hit where ||k theta|| > R, with
+
+        R = (||q theta|| g(q) + 4 mu_K err / pi) / g(top),
+
+    ||q theta|| from above (``_axis_convergent_table``) and g widened by
+    ``_SLACK`` for its rounding. Write (k, P) = a (q, p) + b (q', p'): for
+    q < k < q' either k = a q, a >= 2, and |k theta - P| = a gap_q, or a and
+    b have opposite signs and |k theta - P| = |a| gap_q + |b| gap_q'
+    (``_axis_convergents``), gaps from below. So a row fails only if it is a
+    multiple a q with a <= R / gap_q, or has |a| <= m = (R - gap_q') / gap_q.
+    When q' >= m q the latter forces b = 1, k = q' - |a| q: those multiples
+    and semiconvergents are kept. When q' < m q, or gap_q is 0 (theta's
+    expansion ends at q), the window is kept whole. Where m < 1 nothing is
+    kept; that is pi ||q' theta|| g(top) > pi ||q theta|| (g(q) - g(top)) +
+    4 mu_K err, Khinchin's bound ||k theta|| >= ||q theta|| + ||q' theta||.
+    The last window, (q_N, K], is certified by the first q_{N+1} > K; a
+    clamped q_{N+1} lies below theta's and equals it mod q_N, so the rows
+    it keeps include theta's.
     """
-    x = np.asarray(point, dtype=float)
-    if not modes.one_axis_sines or x.shape != (1,) or not math.isfinite(x[0]):
+    families = modes.axis_families
+    if families is None:
         return None
-    alpha, K = modes.domain.alpha[0], len(modes)
-    x = float(x[0])
-    bound = 4.0 * _scan_error(abs(x), alpha) * float(modes.mu[-1])
-    qs, gaps = _axis_convergents(x, alpha, K)
-    keep = np.zeros(K, dtype=bool)
-    for q, q_next, gap_next in zip(qs, qs[1:] + [K + 1], gaps[1:] + [0.0]):
-        if q > K:
-            break
-        keep[q - 1] = True
-        if not math.pi * gap_next * (1.0 - _SLACK) > bound:
-            keep[q:min(q_next - 1, K)] = True
-    return np.flatnonzero(keep)
+    size = len(modes)
+    keys = []
+    for j, rows in enumerate(families):
+        alpha, K = modes.domain.alpha[j], rows.size
+        if K == 0:
+            continue
+        bound = 4.0 * float(modes.mu[rows[-1]]) * _scan_error(np.abs(points[:, j]), alpha)
+        owner, q, gap_lo, gap_hi = _axis_convergent_table(points[:, j], alpha, K)
+        # each q <= K with its point's next denominator; none is left where the expansion ends
+        last = np.append(owner[1:] != owner[:-1], True)
+        q_next = np.where(last, K + 1, np.roll(q, -1))
+        gap_next = np.where(last, 0.0, np.roll(gap_lo, -1))
+        inner = q <= K
+        owner, q, q_next, gap_lo, gap_hi, gap_next = (
+            v[inner] for v in (owner, q, q_next, gap_lo, gap_hi, gap_next)
+        )
+        top = np.maximum(np.minimum(q_next - 1, K), q)
+        g_q = modes.mu[rows[q - 1]] / (q * alpha) * (1.0 + _SLACK)
+        g_top = modes.mu[rows[top - 1]] / (top * alpha) * (1.0 - _SLACK)
+        R = (gap_hi * g_q + bound[owner] / math.pi) / g_top * (1.0 + _SLACK)
+        gap = np.where(gap_lo > 0.0, gap_lo, 1.0)
+        with np.errstate(over="ignore"):  # a subnormal gap: every multiple, and the window whole
+            mult = np.minimum(np.floor(R / gap), top // q)  # multiples a q up to a = mult
+            semi = np.maximum(np.floor((R - gap_next * (1.0 - _SLACK)) / gap), 0.0)  # q' - j q, j <= semi
+        whole = (gap_lo == 0.0) | (q_next < semi * q)
+        n_whole = np.where(whole, top - q, 0)
+        n_mult = np.where(whole, 0, np.maximum(mult, 1).astype(np.int64) - 1)
+        # j from the first with q' - j q <= top to the last with q' - j q > q
+        j_lo = np.maximum(-((top - q_next) // q), 1)
+        j_hi = np.minimum(np.minimum(semi, K), (q_next - q - 1) // q).astype(np.int64)
+        n_semi = np.where(whole, 0, np.maximum(j_hi - j_lo + 1, 0))
+        ks = [
+            q,
+            np.repeat(q, n_whole) + _ramps(n_whole) + 1,
+            np.repeat(q, n_mult) * (_ramps(n_mult) + 2),
+            np.repeat(q_next, n_semi) - np.repeat(q, n_semi) * (np.repeat(j_lo, n_semi) + _ramps(n_semi)),
+        ]
+        owners = [owner] + [np.repeat(owner, c) for c in (n_whole, n_mult, n_semi)]
+        keys.append(np.concatenate(owners) * size + rows[np.concatenate(ks) - 1])
+    key = np.unique(np.concatenate(keys))
+    return key // size, key % size
+
+
+def _record_fits(mu: np.ndarray, dist: np.ndarray, mu_min: float, hi: float) -> list[ExponentEstimate]:
+    """One estimate per row of the (points, rows) arrays mu and dist, +inf past a point's rows."""
+    if not mu_min < hi:
+        raise ValidationError("empty fit window")
+    hit = (dist == 0.0).any(axis=1)
+    proxy = mu * dist
+    running = np.minimum.accumulate(proxy, axis=1)
+    prev = np.concatenate([np.full((proxy.shape[0], 1), np.inf), running[:, :-1]], axis=1)
+    rec = (proxy < prev) & (mu >= mu_min) & (mu <= hi)
+    out = []
+    for p in range(proxy.shape[0]):
+        if hit[p]:
+            out.append(ExponentEstimate(math.inf, 0, 0.0, False, True))
+            continue
+        idx = np.flatnonzero(rec[p])
+        n_rec = int(idx.size)
+        X = np.log(mu[p, idx])
+        if n_rec < 2 or X[0] == X[-1]:  # no line through one mu: the records are sorted by mu
+            out.append(ExponentEstimate(math.nan, n_rec, math.nan, True, False))
+            continue
+        Y = -np.log(dist[p, idx])
+        slope, intercept = np.polyfit(X, Y, 1)
+        resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))
+        out.append(ExponentEstimate(float(slope), n_rec, resid, n_rec < 5, False))
+    return out
 
 
 def estimate_exponent(
-    point,
+    points,
     modes: ModeList,
     mu_min: float = EXPONENT_MU_MIN,
     mu_max: float | None = None,
-) -> ExponentEstimate:
-    """Fit -log(best distance so far) against log(mu) at its record events.
+) -> list[ExponentEstimate]:
+    """Per point of points (P, n), fit -log(best distance so far) against log(mu) at its record events.
 
     Records are the modes that strictly improve the running minimum of the
     scale-free proxy mu * dist. Raw-distance records also admit long ramps of
@@ -397,38 +506,50 @@ def estimate_exponent(
     window runs from mu_min to mu_max, by default the list's enumeration cap
     ``modes.mu_max``, which a list and its record candidates share.
 
-    On one axis of sine rows k = 1..K (an interval or 1-d torus list) only the
-    convergent denominators of x alpha / pi and the windows between them that
-    rounding leaves uncertified are scanned (``_record_rows``): a dropped row
-    never lowers the running minimum and is never a first exact hit, so the
-    records, the fit and the flags are the full scan's bit for bit.
+    On a list of axis families (record candidates) only each family's
+    convergent denominators and the rows between them that the window
+    certificate cannot rule out are scanned (``_record_pairs``), all points
+    at once, in blocks of at most ``_PAIR_BUDGET`` padded entries: a dropped
+    row never lowers the running minimum and is never a first exact hit, so
+    the records, the fits and the flags are the full scan's bit for bit. Any
+    other list is scanned in full, point by point.
     """
     if len(modes) == 0:
         raise ValidationError("mode list is empty")
-    rows = _record_rows(point, modes)
-    if rows is not None:
-        modes = ModeList(modes.domain, modes.mu_max, modes.m[rows], modes.mu[rows])
-    dist = modes_nodal_distance(point, modes)
-    mu = modes.mu
+    points = np.asarray(points, dtype=float)
+    n = modes.domain.n
+    if points.ndim != 2 or points.shape[1] != n:
+        raise ValidationError(f"points must have shape (count, {n}), got {points.shape}")
+    _require_finite(points)
     hi = float(modes.mu_max if mu_max is None else mu_max)
-    if not mu_min < hi:
-        raise ValidationError("empty fit window")
-    zero = dist == 0.0
-    if zero.any():
-        return ExponentEstimate(math.inf, 0, 0.0, False, True)
-    proxy = mu * dist
-    running = np.minimum.accumulate(proxy)
-    prev = np.concatenate([[np.inf], running[:-1]])
-    rec = (proxy < prev) & (mu >= mu_min) & (mu <= hi)
-    idx = np.flatnonzero(rec)
-    n_rec = int(idx.size)
-    X = np.log(mu[idx])
-    if n_rec < 2 or X[0] == X[-1]:  # no line through one mu: the records are sorted by mu
-        return ExponentEstimate(math.nan, n_rec, math.nan, True, False)
-    Y = -np.log(dist[idx])
-    slope, intercept = np.polyfit(X, Y, 1)
-    resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))
-    return ExponentEstimate(float(slope), n_rec, resid, n_rec < 5, False)
+    pairs = _record_pairs(points, modes)
+    if pairs is None:
+        return [
+            _record_fits(modes.mu[None], modes_nodal_distance(p, modes)[None], mu_min, hi)[0]
+            for p in points
+        ]
+    owner, rows = pairs
+    kept = ModeList(modes.domain, modes.mu_max, modes.m[rows], modes.mu[rows])
+    dist = modes_nodal_distance(points[owner], kept)
+    count = np.bincount(owner, minlength=points.shape[0])
+    start = np.cumsum(count) - count
+    order = np.argsort(count, kind="stable")
+    out = [None] * points.shape[0]
+    lo = 0
+    while lo < order.size:
+        # (points, kept rows) arrays, each point's rows in list order, +inf after
+        # them: points go by row count, as many as fit _PAIR_BUDGET entries
+        fit = np.arange(1, order.size - lo + 1) * count[order[lo:]] <= _PAIR_BUDGET
+        block = order[lo:lo + max(1, int(np.count_nonzero(fit)))]
+        c = count[block]
+        at = (np.repeat(np.arange(block.size), c), _ramps(c))
+        pair = np.repeat(start[block], c) + at[1]
+        mu_pad, dist_pad = np.full((block.size, c.max()), np.inf), np.full((block.size, c.max()), np.inf)
+        mu_pad[at], dist_pad[at] = kept.mu[pair], dist[pair]
+        for p, est in zip(block.tolist(), _record_fits(mu_pad, dist_pad, mu_min, hi)):
+            out[p] = est
+        lo += block.size
+    return out
 
 
 def shrinking_radii(mu: np.ndarray, C: float, b: float) -> np.ndarray:

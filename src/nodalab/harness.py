@@ -854,6 +854,8 @@ def run_exponent_survey(
         raise ValidationError("n_interval and n_box must be >= 1")
     _check_point_count("n_interval", n_interval)
     _check_point_count("n_box", n_box)
+    if len(box_alpha) != 2:  # the box mean band is calibrated on two weights
+        raise ValidationError(f"box_alpha must hold 2 weights, got {len(box_alpha)}")
     if interval_point_min is None:
         interval_point_min = int(round(0.9 * n_interval))
     elif not 1 <= interval_point_min <= n_interval:  # at most n_interval points are in band
@@ -876,17 +878,17 @@ def run_exponent_survey(
     rng = np.random.default_rng(seed)
     cells = []
 
-    # only record candidates can change an estimate; on the interval that is every
-    # mode, and estimate_exponent scans only its convergent denominators
+    # only record candidates can change an estimate, and estimate_exponent scans
+    # only the rows near their convergent denominators, all points at once
     modes_i = record_candidates(interval, mu_max_interval)
     pts_i = rng.uniform(0.0, math.pi, size=n_interval)
-    for i, x in enumerate(pts_i.tolist()):
-        cells.append(_exponent_cell("interval", i, x, estimate_exponent([x], modes_i)))
+    for i, est in enumerate(estimate_exponent(pts_i[:, None], modes_i)):
+        cells.append(_exponent_cell("interval", i, float(pts_i[i]), est))
 
     modes_b = record_candidates(box, mu_max_box)
     pts_b = rng.uniform(0.0, box.lengths, size=(n_box, 2))
-    for i, pt in enumerate(pts_b):
-        cells.append(_exponent_cell("box", i, pt.tolist(), estimate_exponent(pt, modes_b)))
+    for i, est in enumerate(estimate_exponent(pts_b, modes_b)):
+        cells.append(_exponent_cell("box", i, pts_b[i].tolist(), est))
 
     gates = GATE_BUILDERS["exponent_survey"](cells, config)
     fits = {"interval": [], "box": []}

@@ -298,19 +298,46 @@ class ModeList:
         return self.m.shape[0]
 
     @cached_property
+    def axis_families(self) -> tuple[np.ndarray, ...] | None:
+        """Per axis j, the positions of the rows of its family, k = 1..K_j; None if incomplete.
+
+        Axis j's family is the rows with every index but m_j at its least value
+        (1 in a box, 0 on a torus), k = m_j; in a box the row of all ones is k = 1
+        of every family. The list qualifies when its rows are exactly these
+        families, each with k = 1..K_j in list order, and every mu is
+        ``_mode_mu``'s: record_candidates builds such lists, as does
+        enumerate_modes on one axis. The exponent scan of ``dioph`` requires it.
+        The check runs once per list.
+        """
+        n, rows = self.domain.n, len(self)
+        lo = 0 if self.domain.periodic else 1
+        off = self.m != lo
+        count = off.sum(axis=1)
+        shared = np.flatnonzero(count == 0)
+        # a box has one row of all ones, shared by its families; a torus has none
+        if rows == 0 or (count > 1).any() or shared.size != lo:
+            return None
+        mu = self.mu
+        if not (np.isfinite(mu).all() and np.array_equal(mu, _mode_mu(self.domain.alpha, self.m))):
+            return None
+        axis = np.where(count == 1, off.argmax(axis=1), -1)
+        families = []
+        for j in range(n):
+            pos = np.concatenate([shared, np.flatnonzero(axis == j)])
+            k = self.m[pos, j]
+            if not (np.array_equal(k, np.arange(1, k.size + 1)) and (np.diff(pos) > 0).all()):
+                return None
+            families.append(pos)
+        return tuple(families)
+
+    @property
     def one_axis_sines(self) -> bool:
-        """Whether the rows are one axis of sine modes m = 1..K with mu = fl(m alpha), rising.
+        """Whether the rows are one axis of sine modes m = 1..K in order (``axis_families``).
 
         enumerate_modes and record_candidates build such a list on an interval
-        or a 1-d torus, and the one-axis scans of ``dioph`` require it. The
-        check runs once per list.
+        or a 1-d torus, and the one-axis tail scan of ``dioph`` requires it.
         """
-        if self.domain.n != 1 or len(self) == 0:
-            return False
-        m, mu = self.m[:, 0], self.mu
-        # mu = fl(m alpha) rising strictly makes m rise strictly, from 1 to K: m = 1..K
-        return bool(m[0] == 1 and m[-1] == len(self)
-                    and np.array_equal(mu, m * self.domain.alpha[0]) and (mu[1:] > mu[:-1]).all())
+        return self.domain.n == 1 and self.axis_families is not None
 
     def to_json(self) -> str:
         """Serialize as {domain, mu_max, modes:[{m, mu}]}, mu at 17 significant digits."""
@@ -353,7 +380,8 @@ def _lattice_points(alpha, mu_max, lo, cap):
         for v in ms:
             rec(prefix_sq + (alpha[axis] * v) ** 2, axis + 1, prefix + [int(v)])
 
-    rec(0.0, 0, [])
+    with np.errstate(over="ignore"):  # a square past the double range is inf: beyond mu_max
+        rec(0.0, 0, [])
     if not blocks:
         return np.empty((0, n), dtype=np.int64)
     return np.concatenate(blocks, axis=0)
@@ -364,10 +392,15 @@ def _check_mu_max(mu_max: float) -> None:
         raise ValidationError("mu_max must be finite and nonnegative")
 
 
+def _mode_mu(alpha, m: np.ndarray) -> np.ndarray:
+    """mu = sqrt(sum_j (m_j alpha_j)^2) of index rows m (K, n); inf where a square overflows."""
+    with np.errstate(over="ignore"):  # an infinite mu is above every finite mu_max
+        return np.sqrt(((m.astype(float) * np.asarray(alpha)) ** 2).sum(axis=1))
+
+
 def _sorted_modes(domain: DomainSpec, mu_max: float, m: np.ndarray) -> ModeList:
     """The rows of m with mu <= mu_max, sorted by (mu, lex m)."""
-    mu_sq = ((m.astype(float) * np.asarray(domain.alpha)) ** 2).sum(axis=1)
-    mu = np.sqrt(mu_sq)
+    mu = _mode_mu(domain.alpha, m)
     keep = mu <= mu_max
     m, mu = m[keep], mu[keep]
     order = np.lexsort(tuple(m[:, j] for j in reversed(range(domain.n))) + (mu,))
@@ -431,7 +464,8 @@ def record_candidates(domain: DomainSpec, mu_max: float) -> ModeList:
         top = math.floor(reach) + 1
         first = 2 if lo and j else 1
         spans.append((first, max(top - first + 1, 0)))
-        prefix_sq = prefix_sq + (a * np.int64(lo)) ** 2
+        with np.errstate(over="ignore"):  # an infinite prefix leaves the later axes no rows
+            prefix_sq = prefix_sq + (a * np.int64(lo)) ** 2
     total = sum(count for _, count in spans)
     if total > cap:
         raise ResourceGuardError(

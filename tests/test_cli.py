@@ -120,6 +120,17 @@ def test_empty_spectrum_warns_exit_zero(tmp_path, capsys):
     assert "0 modes" in captured.out
 
 
+def test_spectrum_of_a_weight_whose_square_overflows(tmp_path, capsys):
+    # mu^2 = (1e200 m_1)^2 + m_2^2 is inf, above mu_max: no modes, and no
+    # RuntimeWarning (tier-1 turns one into an error)
+    code = main([
+        "spectrum", "--domain", "box", "--alpha", "1e200,1",
+        "--mu-max", "5", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_PASS
+    assert "0 modes" in capsys.readouterr().out
+
+
 def test_distinct_spectrum_matches_integer_count(tmp_path, capsys):
     # box (1, sqrt2): mu^2 = m1^2 + 2 m2^2, so distinct eigenvalues are distinct integers
     code = main([

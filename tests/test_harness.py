@@ -5,6 +5,7 @@ import inspect
 import math
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -386,26 +387,69 @@ def test_exponent_survey_never_builds_the_full_box_list(monkeypatch):
     assert [c.params["kind"] for c in r.cells] == ["interval"] * 2 + ["box"] * 3
 
 
-def test_default_exponent_survey_scans_few_distances(monkeypatch):
-    # every interval row was scanned before the survey chose rows by convergent
-    # denominators: 200 x 100,000 + 500 x 3,412 = 21,706,000 distances
+def count_pairs(monkeypatch):
+    """Record (domain kind, points, (point, row) pairs) of each batched exponent
+    scan's distances, and fail on any full scan of a list for one point."""
     scan = dioph_mod.modes_nodal_distance
-    count = 0
+    calls = []
 
     def counted(point, modes):
-        nonlocal count
-        count += len(modes)
+        assert np.ndim(point) == 2, "the survey scanned every row of a list for one point"
+        calls.append((modes.domain.kind, len(np.unique(point, axis=0)), len(modes)))
         return scan(point, modes)
 
     monkeypatch.setattr(dioph_mod, "modes_nodal_distance", counted)
+    return calls
+
+
+def test_default_exponent_survey_scans_few_distances(monkeypatch):
+    # every row was scanned before the survey chose rows by convergent
+    # denominators: 200 x 100,000 + 500 x 3,412 = 21,706,000 distances, and
+    # 1,708,094 when only the interval points did; the batched scan of
+    # both families evaluates 2,094 + 6,740 = 8,834 (point, row) pairs, one point per row
+    calls = count_pairs(monkeypatch)
     assert run_exponent_survey().passed
-    assert count < 2_000_000
+    assert [(kind, points) for kind, points, _ in calls] == [("interval", 200), ("box", 500)]
+    assert sum(pairs for _, _, pairs in calls) <= 8_834
+
+
+def test_box_points_scan_about_as_many_rows_at_a_hundred_times_the_cap(monkeypatch):
+    # mu <= 2e3 has 3,412 box candidates and mu <= 2e5 has 341,419; a box point
+    # keeps 13.4 and 21.7 of them (same 100 points), so its cost does not grow with the cap
+    calls = count_pairs(monkeypatch)
+    per_point = {}
+    for mu_max_box in (2000.0, 2e5):
+        calls.clear()
+        run_exponent_survey(n_interval=1, mu_max_interval=100.0, n_box=100, mu_max_box=mu_max_box)
+        ((_, points, pairs),) = [c for c in calls if c[0] == "box"]
+        per_point[mu_max_box] = pairs / points
+    assert per_point[2e5] < 2.0 * per_point[2000.0]
+    assert per_point[2000.0] < 20.0
+
+
+@pytest.mark.parametrize("box_alpha", [(1.0,), (1.0, 1.0, 1.0)])
+def test_exponent_survey_refuses_other_than_two_box_weights(box_alpha, monkeypatch):
+    # the box band is calibrated on two weights; three once ended in a numpy
+    # shape error and one in "point must have 1 coordinates"
+    def no_points(*args, **kwargs):
+        raise AssertionError("points were drawn")
+
+    monkeypatch.setattr(harness_mod.np.random, "default_rng", no_points)
+    with pytest.raises(ValidationError, match=f"^box_alpha must hold 2 weights, got {len(box_alpha)}$"):
+        run_exponent_survey(box_alpha=box_alpha, n_interval=5, n_box=5, mu_max_box=50.0)
+
+
+def test_exponent_survey_on_a_weight_whose_square_overflows():
+    # mu^2 of every box row is inf, above mu_max: no candidates and no
+    # RuntimeWarning (tier-1 turns one into an error)
+    with pytest.raises(ValidationError, match="^mode list is empty$"):
+        run_exponent_survey(box_alpha=(1e300, 1.0))
 
 
 def test_exponent_survey_keeps_the_full_window_below_the_candidates():
     # box (1.2, 1.2) at mu 3.4: the candidates top out at 1.2 sqrt5 < 3, the
-    # full list at 1.2 sqrt8 > 3, so the fit window is not empty; the driver
-    # falls back to the full list there and gets no record, not an error
+    # full list at 1.2 sqrt8 > 3; both share the cap 3.4, so the fit window
+    # [3, 3.4] is not empty, and the candidates give no record, not an error
     r = run_exponent_survey(
         n_interval=2, mu_max_interval=500.0, n_box=3, mu_max_box=3.4, box_alpha=(1.2, 1.2)
     )
