@@ -2,16 +2,12 @@
 
 For separable modes the distance from a point to the nodal set is exact and
 closed-form: the min over axes of the distance from x_j to the nearest zero of
-the j-th factor, a lattice of spacing pi / (m_j alpha_j). That axis distance
-depends only on m_j, so a scan over a mode list computes it once per index in
-a table and gathers the table by each row's index: the table holds every
-index 0..max m_j, far fewer than the rows of a 2-d or 3-d list, or only the
-indices a list holds when it has fewer rows than its largest index. Each
-table entry gets the per-row formula's int64 x float spacing and its one
-float chain, ``spectrum.lattice_distance``, so the gathered distances are
-bitwise equal to it. Records of the running minimum distance drive
-per-point approximation exponents; exact tube volumes drive the convergence
-(Borel-Cantelli style) sums, since the radii shrink below any fixed grid.
+the j-th factor, a lattice of spacing pi / (m_j alpha_j). Every scan takes it
+per row, from the row's int64 index times the float weight and one float
+chain, ``spectrum.lattice_distance``, so all of them agree bit for bit.
+Records of the running minimum distance drive per-point approximation
+exponents; exact tube volumes drive the convergence (Borel-Cantelli style)
+sums, since the radii shrink below any fixed grid.
 
 Most rows of a list can never change a scan's result. A row's distance is
 one axis entry, and the first row in list order with the same (axis, index)
@@ -39,7 +35,10 @@ denominator q', is dropped when
 err the scan's rounding (``_scan_error``), ||q' theta|| from below and
 ||q theta|| from above, each side widened by ``_SLACK``. A window that fails
 keeps only its multiples of q and its semiconvergents q' - j q that could
-still tie row q (``_record_pairs``). ``estimate_exponent`` scans those rows
+still tie row q (``_record_pairs``). Where theta's expansion ends at q,
+theta = p / q keeps every other row at ||k theta|| >= 1 / q: only the
+multiples of q stay, and none where the scan's distance at q is already an
+exact hit (x_j = 0, say). ``estimate_exponent`` scans those rows
 for all points at once: about 13 of the survey box's 3,412 rows per point,
 and 10 of the interval's 100,000.
 
@@ -74,18 +73,6 @@ from .errors import ValidationError
 from .spectrum import DomainSpec, ModeList, _tube_fraction, enumerate_modes, lattice_distance
 
 
-def _lattice_distance_table(x, spacing: np.ndarray) -> np.ndarray:
-    """Entry i is the distance from x to the lattice spacing[i-1] * Z; entry 0 is inf.
-
-    x may be a scalar or one point per spacing. Entry 0 stands for an
-    axis with index 0, whose factor has no zero.
-    """
-    table = np.empty(spacing.size + 1)
-    table[0] = np.inf
-    table[1:] = lattice_distance(x, spacing)
-    return table
-
-
 def _require_finite(points: np.ndarray) -> None:
     """Raise ValidationError naming the first non-finite coordinate of a point or of rows of points."""
     bad = np.flatnonzero(~np.isfinite(points))
@@ -96,36 +83,18 @@ def _require_finite(points: np.ndarray) -> None:
 
 
 def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
-    """Exact nodal distances from one point (n,) to every mode in the list.
-
-    point may also hold one point per row (K, n); each row then gets its own
-    point's distance, from the same spacing and float chain.
-    """
+    """Exact nodal distances to every mode in the list, from one point (n,) or one point per row (K, n)."""
     dom = modes.domain
     point = np.asarray(point, dtype=float)
     if point.shape not in ((dom.n,), (len(modes), dom.n)):
         raise ValidationError(f"point must have {dom.n} coordinates, or one row of them per mode")
     _require_finite(point)
-    dist = np.full(modes.m.shape[0], np.inf)
+    point = np.broadcast_to(point, (len(modes), dom.n))
+    dist = np.full(len(modes), np.inf)
     for j in range(dom.n):
-        mj = modes.m[:, j]
-        top = int(mj.max(initial=0))
-        if top == 0:
-            continue
-        if point.ndim == 2:
-            on = mj > 0
-            spacing = math.pi / (mj[on] * dom.alpha[j])
-            dist[on] = np.minimum(dist[on], lattice_distance(point[on, j], spacing))
-            continue
-        # table entries: every index 0..top when the list has that many rows,
-        # else only the indices it holds (and 0), so a sparse list stays short
-        if top <= mj.size:
-            index, pos = np.arange(top + 1), mj
-        else:
-            index, pos = np.unique(np.append(mj, 0), return_inverse=True)
-            pos = pos[:-1]
-        spacing = math.pi / (index[1:] * dom.alpha[j])
-        np.minimum(dist, _lattice_distance_table(point[j], spacing)[pos], out=dist)
+        on = modes.m[:, j] > 0
+        spacing = math.pi / (modes.m[on, j] * dom.alpha[j])
+        dist[on] = np.minimum(dist[on], lattice_distance(point[on, j], spacing))
     if not np.isfinite(dist).all():
         raise ValidationError("a mode in the list has an empty nodal set")
     return dist
@@ -331,7 +300,7 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
             [np.repeat(owner[c_lo:c_hi], c), np.repeat(np.arange(lo, hi), open_ks.size)]
         )
         pair_k = np.concatenate([np.repeat(qs[c_lo:c_hi], c) * t, np.tile(open_ks, hi - lo)])
-        d = _lattice_distance_table(xs[pair_owner], math.pi / (pair_k * alpha))[1:]
+        d = lattice_distance(xs[pair_owner], math.pi / (pair_k * alpha))
         hit[pair_owner[d < radius[pair_k - k_first]]] = True
         lo = hi
     return hit
@@ -404,8 +373,12 @@ def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.n
     (``_axis_convergents``), gaps from below. So a row fails only if it is a
     multiple a q with a <= R / gap_q, or has |a| <= m = (R - gap_q') / gap_q.
     When q' >= m q the latter forces b = 1, k = q' - |a| q: those multiples
-    and semiconvergents are kept. When q' < m q, or gap_q is 0 (theta's
-    expansion ends at q), the window is kept whole. Where m < 1 nothing is
+    and semiconvergents are kept. When q' < m q, or gap_q rounds to 0, the
+    window is kept whole. Where theta's expansion ends at q, theta = p / q
+    and a row of (q, K] off the multiples of q has ||k theta|| >= 1 / q: the
+    multiples are kept, and the rest only unless R < 1 / q. None is kept
+    when the scan's d_j(q) is 0, an exact hit that settles the point's
+    estimate (at x_j = 0 every row is one). Where m < 1 nothing is
     kept; that is pi ||q' theta|| g(top) > pi ||q theta|| (g(q) - g(top)) +
     4 mu_K err, Khinchin's bound ||k theta|| >= ||q theta|| + ||q' theta||.
     The last window, (q_N, K], is certified by the first q_{N+1} > K; a
@@ -428,8 +401,8 @@ def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.n
         q_next = np.where(last, K + 1, np.roll(q, -1))
         gap_next = np.where(last, 0.0, np.roll(gap_lo, -1))
         inner = q <= K
-        owner, q, q_next, gap_lo, gap_hi, gap_next = (
-            v[inner] for v in (owner, q, q_next, gap_lo, gap_hi, gap_next)
+        owner, q, q_next, gap_lo, gap_hi, gap_next, ends = (
+            v[inner] for v in (owner, q, q_next, gap_lo, gap_hi, gap_next, last)
         )
         top = np.maximum(np.minimum(q_next - 1, K), q)
         g_q = modes.mu[rows[q - 1]] / (q * alpha) * (1.0 + _SLACK)
@@ -440,6 +413,12 @@ def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.n
             mult = np.minimum(np.floor(R / gap), top // q)  # multiples a q up to a = mult
             semi = np.maximum(np.floor((R - gap_next * (1.0 - _SLACK)) / gap), 0.0)  # q' - j q, j <= semi
         whole = (gap_lo == 0.0) | (q_next < semi * q)
+        # theta = p / q where the expansion ends: every multiple of q, the window
+        # whole unless R < 1 / q, and nothing past an exact hit at row q
+        hit = np.zeros(q.size, dtype=bool)
+        hit[ends] = lattice_distance(points[owner[ends], j], math.pi / (q[ends] * alpha)) == 0.0
+        mult = np.where(ends, np.where(hit, 1, top // q), mult)
+        whole = np.where(ends, ~hit & ~(R * q < 1.0 - _SLACK), whole)
         n_whole = np.where(whole, top - q, 0)
         n_mult = np.where(whole, 0, np.maximum(mult, 1).astype(np.int64) - 1)
         # j from the first with q' - j q <= top to the last with q' - j q > q
@@ -454,7 +433,9 @@ def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.n
         ]
         owners = [owner] + [np.repeat(owner, c) for c in (n_whole, n_mult, n_semi)]
         keys.append(np.concatenate(owners) * size + rows[np.concatenate(ks) - 1])
-    key = np.unique(np.concatenate(keys))
+    # sorted, each pair once (a sort: numpy's hashing np.unique is many times slower here)
+    key = np.sort(np.concatenate(keys))
+    key = key[np.append(True, key[1:] != key[:-1])]
     return key // size, key % size
 
 

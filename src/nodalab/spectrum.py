@@ -232,8 +232,7 @@ def lattice_distance(x, s):
     """Distance from x to the lattice s * Z: r = mod(x, s), then min(r, s - r).
 
     The one float chain for a 1-d nodal distance: ``nodal_distance_exact`` and
-    the per-index tables of ``dioph`` both call it, so their distances agree
-    bit for bit. x and s broadcast against each other.
+    the scans of ``dioph`` both call it, so their distances agree bit for bit. x and s broadcast against each other.
     """
     r = np.mod(x, s)
     return np.minimum(r, s - r)
@@ -290,7 +289,7 @@ class ModeList:
     mu: np.ndarray         # (K,) float64
 
     def __post_init__(self):
-        # scans index per-axis tables by m, where a negative index would wrap
+        # scans read an index <= 0 as a factor with no zero, so a negative one would pass as 0
         if self.m.size and self.m.min() < 0:
             raise ValidationError("mode indices must be nonnegative")
 

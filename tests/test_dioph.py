@@ -167,7 +167,7 @@ def test_tail_hits_rejects_a_radius_of_another_length(rows):
 
 
 def masked_scan(point, modes: ModeList) -> np.ndarray:
-    """Reference: the per-row masked formula the per-axis tables replaced."""
+    """Reference: the per-row masked formula, written out."""
     point = np.asarray(point, dtype=float)
     dist = np.full(modes.m.shape[0], np.inf)
     for j in range(modes.domain.n):
@@ -253,8 +253,8 @@ def dense_table_scan(point, modes: ModeList) -> np.ndarray:
 @given(st.data(), st.integers(1, 3), st.integers(1, 12))
 @settings(max_examples=150, deadline=None)
 def test_scan_of_sparse_lists_is_the_dense_table(data, n, rows):
-    # few rows with indices up to 10^5: the scan's tables hold only the
-    # indices the list has, the reference's every index up to the largest
+    # few rows with indices up to 10^5: the scan takes each row's own
+    # spacing, the reference a table of every index up to the largest
     alpha = tuple(data.draw(ALPHA) for _ in range(n))
     index = st.one_of(st.integers(0, 3), st.integers(1, 10**5))
     m = np.array(
@@ -275,7 +275,7 @@ def test_scan_of_empty_list():
 
 
 def test_mode_list_rejects_negative_index():
-    # the scan gathers per-axis tables by index, so a negative one must not arrive
+    # the scan reads an index <= 0 as a factor with no zero, so a negative one must not arrive
     with pytest.raises(ValidationError):
         ModeList(
             DomainSpec.torus((1.0, 1.0)), 5.0, np.array([[3, -4]], dtype=np.int64), np.array([5.0])
@@ -405,7 +405,7 @@ def one_axis_points(draw, alpha: float, K: int):
 
 
 @given(st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_exponent_on_one_axis_lists_equals_the_full_scan(data):
     kind = data.draw(st.sampled_from(["interval", "box", "torus"]))
     alpha = 1.0 if kind == "interval" else data.draw(WEIGHT)
@@ -439,22 +439,43 @@ def test_exponent_near_a_hit_keeps_its_uncertified_windows(K, j, k):
     assert outcome(lambda: exponent([x], modes)) == outcome(lambda: full_scan_exponent([x], modes))
 
 
-@pytest.mark.parametrize("dom, mu_max, point", [
-    (DomainSpec.box((math.sqrt(2.0),)), 5000.0, [79 * (math.pi / (84 * math.sqrt(2.0)))]),
+@pytest.mark.parametrize("dom, mu_max, point, multiple", [
+    (DomainSpec.box((math.sqrt(2.0),)), 5000.0, [79 * (math.pi / (84 * math.sqrt(2.0)))], 3 * 84),
     (DomainSpec.box((1.0, math.sqrt(2.0))), 2000.0,
-     [1.4003476341774095, 79 * (math.pi / (84 * math.sqrt(2.0)))]),
-    (DomainSpec.torus((0.7,)), 3000.0, [91 * (math.pi / (95 * 0.7))]),
+     [1.4003476341774095, 79 * (math.pi / (84 * math.sqrt(2.0)))], 3 * 84),
+    (DomainSpec.torus((0.7,)), 3000.0, [91 * (math.pi / (95 * 0.7))], 5 * 95),
+    # the double pi is 2^3 5 7 m / 2^51, so pi / 5 and pi / 7 are doubles and
+    # theta is 3 / 7, 13 / 5, 15 / 56 and 26 / 5 exactly: its expansion ends
+    (DomainSpec.box((3.0,)), 3000.0, [math.pi / 7], 7 * 7),
+    (DomainSpec.box((13.0,)), 3000.0, [math.pi / 5], 5 * 5),
+    (DomainSpec.torus((0.375,)), 3000.0, [5 * (math.pi / 7)], 7 * 56),
+    (DomainSpec.box((1.0, 13.0)), 3000.0, [0.3, 2 * (math.pi / 5)], 5 * 5),
 ])
-def test_exponent_near_a_hit_keeps_the_multiples_of_its_denominator(dom, mu_max, point):
-    # theta lies within rounding of l / k, k = 84 or 95, and its next
-    # denominator is far past the list, so the window after k is not kept
-    # whole: the proxies' rounding sets a record at 3 k or 5 k, which only the
-    # multiples the certificate keeps hold
+def test_exponent_near_a_hit_keeps_the_multiples_of_its_denominator(dom, mu_max, point, multiple):
+    # theta lies within rounding of l / k, k = 84 or 95, or is l / k, k = 5, 7
+    # or 56, and its next denominator is far past the list or absent, so the
+    # window after k is not kept whole: the proxies' rounding sets a record at
+    # a multiple of k, which only the multiples the certificate keeps hold
     modes = record_candidates(dom, mu_max)
     dist = modes_nodal_distance(point, modes)
+    assert dist.min() > 0.0
     proxy = modes.mu * dist
     rows = np.nonzero(proxy < np.minimum.accumulate(np.r_[np.inf, proxy[:-1]]))[0]
-    assert {3 * 84, 5 * 95} & set(modes.m[rows, -1].tolist())
+    assert multiple in modes.m[rows, -1].tolist()
+    assert outcome(lambda: exponent(point, modes)) == outcome(lambda: full_scan_exponent(point, modes))
+
+
+@pytest.mark.parametrize("modes, point", [
+    (interval_modes(60_000), [0.0]),
+    (record_candidates(DomainSpec.box((1.0, math.sqrt(2.0))), 2000.0), [0.7, 0.0]),
+])
+def test_exponent_at_a_zero_of_a_first_row_scans_no_row_after_it(modes, point):
+    # x_j = 0 puts theta's expansion's end at q = 1 and the scan's zero on
+    # every row of the family: the first of them is an exact hit, which
+    # settles the estimate, so the window past it is not scanned
+    owner, rows = dioph._record_pairs(np.array([point]), modes)
+    family = modes.axis_families[point.index(0.0)]
+    assert np.intersect1d(rows, family).tolist() == [family[0]]
     assert outcome(lambda: exponent(point, modes)) == outcome(lambda: full_scan_exponent(point, modes))
 
 
