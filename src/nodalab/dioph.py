@@ -42,24 +42,21 @@ exact hit (x_j = 0, say). ``estimate_exponent`` scans those rows
 for all points at once: about 13 of the survey box's 3,412 rows per point,
 and 10 of the interval's 100,000.
 
-``tail_hits`` asks whether any row of a one-axis list beyond a frequency
-cutoff passes within its radius; where pi/(2 k^2 alpha) exceeds the radius
-by more than the scan's rounding, a hit at k needs |theta - P/k| <
-1/(2k^2), so by Legendre's theorem k is a multiple of a convergent
-denominator. Both scans give the rows they keep the scan's own float
-formula, so every record, hit and flag is the full scan's bit for bit.
+``tail_hits`` asks whether any row of a list beyond a frequency cutoff
+passes within its radius. A row hits iff one of its axes does, so each axis
+j takes one scan against the envelope R_j(k), the largest radius among the
+tail rows with m_j = k. Where pi/(2 k^2 alpha_j) exceeds R_j(k) by more
+than the scan's rounding, a hit at k needs |theta - P/k| < 1/(2k^2), so by
+Legendre's theorem k is a multiple of a convergent denominator. Both scans
+give the rows they keep the scan's own float formula, so every record, hit
+and flag is the full scan's bit for bit.
 
 Both take the convergents of all points in one pass
-(``_axis_convergent_table``, after Lehmer's Euclid for large numbers): one
-big-int step per point brackets frac(theta) between two neighbours T / 2^62
-and (T + 1) / 2^62, and Euclid runs on both ends in int64 arrays, all
-points in lockstep. A quotient on which both ends agree is theta's, the
-smaller end remainder bounds theta's gap from below and the larger from
-above. The pass runs to each point's first denominator past the cutoff,
-whose gap certifies the last window (q_N, K]. A point whose ends part, or
-end, by then takes the exact Euclid instead (``_axis_convergents``). A
-lower gap bound that is too low, or an upper one too high, only scans more
-rows, so the results keep their bits.
+(``_axis_convergent_table``, after Lehmer's Euclid for large numbers): int64
+Euclid on the two ends of a 2^-62 bracket of frac(theta), all points in
+lockstep, and the exact big-int Euclid (``_axis_convergents``) only for a
+point whose ends part. Its gap bounds err only toward scanning more rows,
+so the results keep their bits.
 """
 
 from __future__ import annotations
@@ -69,8 +66,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .spectrum import DomainSpec, ModeList, _tube_fraction, enumerate_modes, lattice_distance
+from .errors import ResourceGuardError, ValidationError
+from .spectrum import MODE_COUNT_CAP, DomainSpec, ModeList, _tube_fraction, enumerate_modes
+from .spectrum import lattice_distance
 
 
 def _require_finite(points: np.ndarray) -> None:
@@ -250,7 +248,7 @@ def _ramps(count: np.ndarray) -> np.ndarray:
 
 
 def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: float) -> np.ndarray:
-    """tail_hits on one axis, whose tail rows are the sine modes k = ks[0] .. ks[-1].
+    """Per x of xs, whether some k = ks[0] .. ks[-1] has lattice distance below radius[k - ks[0]].
 
     The scan's distance at k is that of x to the lattice pi/(k alpha) Z up to
     err (``_scan_error``). Where the gap certificate pi/(2 k^2 alpha) - err >
@@ -262,13 +260,10 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
     fails (small k against a large C) are kept for every point. The kept rows
     get the scan's own float formula and radius.
 
-    The convergents of all points come from one bracketed int64 Euclid
-    (``_axis_convergent_table``), with exact big-int Euclid only for the
-    points whose bracket cannot settle them. Its gaps are lower bounds: a
-    smaller gap lowers a convergent's limit, so more multiples are scanned,
-    and a row left out is still a certified miss. Every hit is therefore the
-    full scan's, bit for bit. The table comes sorted by point, as the blocked
-    pair scan below needs.
+    The convergents of all points come sorted by point, as the blocked pair
+    scan below needs, from ``_axis_convergent_table``. Its gaps are lower
+    bounds: a smaller gap scans more multiples, and a row left out is still
+    a certified miss, so every hit is the full scan's, bit for bit.
     """
     k_first, k_last = int(ks[0]), int(ks[-1])
     err = _scan_error(float(np.abs(xs).max(initial=0.0)), alpha)
@@ -307,28 +302,42 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
 
 
 def tail_hits(points, modes: ModeList, start: int, radius: np.ndarray) -> np.ndarray:
-    """Per point, whether some row i >= start of the list is nearer than radius[i - start].
+    """Per point of points (P, n), whether some row i >= start of the list is nearer than radius[i - start].
 
     Equal to ``(modes_nodal_distance(p, modes)[start:] < radius).any()`` for
-    each point p. The tail of a one-axis sine list (``ModeList.one_axis_sines``)
-    goes to ``_axis_tail_hits``, which scans only the multiples of convergent
-    denominators (Legendre's theorem); any other tail is scanned in full,
-    point by point.
+    each point p. A row hits iff one of its axes j with m_j > 0 does, and the
+    rows with m_j = k hit on axis j iff the largest of their radii does: each
+    axis takes one ``_axis_tail_hits`` scan of that envelope, -inf at an index
+    no tail row has (on one axis, ``radius`` itself). An index past
+    ``MODE_COUNT_CAP``, which no enumerated list reaches, raises ResourceGuardError.
     """
     points = np.asarray(points, dtype=float)
+    n = modes.domain.n
+    if points.ndim != 2 or points.shape[1] != n:
+        raise ValidationError(f"points must have shape (count, {n}), got {points.shape}")
     _require_finite(points)
+    if start < 0:
+        raise ValidationError(f"start must be >= 0, got {start}")
     rows = max(len(modes) - start, 0)
     if np.shape(radius) != (rows,):
         raise ValidationError(
             f"radius has shape {np.shape(radius)}, not one entry per tail row ({rows},)"
         )
-    if start >= len(modes):
-        return np.zeros(points.shape[0], dtype=bool)
-    if modes.one_axis_sines:
-        return _axis_tail_hits(points[:, 0], modes.m[start:, 0], radius, modes.domain.alpha[0])
-    return np.array(
-        [bool((modes_nodal_distance(p, modes)[start:] < radius).any()) for p in points], dtype=bool
-    )
+    if not (modes.m > 0).any(axis=1).all():
+        raise ValidationError("a mode in the list has an empty nodal set")
+    hit = np.zeros(points.shape[0], dtype=bool)
+    for j, alpha in enumerate(modes.domain.alpha):
+        on = modes.m[start:, j] > 0
+        if not on.any():
+            continue
+        ks = modes.m[start:, j][on]
+        k_lo, k_hi = ks.min(), ks.max()
+        if k_hi > MODE_COUNT_CAP:
+            raise ResourceGuardError(f"tail index {k_hi} on axis {j} exceeds the cap {MODE_COUNT_CAP}")
+        envelope = np.full(k_hi - k_lo + 1, -np.inf)
+        np.fmax.at(envelope, ks - k_lo, radius[on])
+        hit |= _axis_tail_hits(points[:, j], np.arange(k_lo, k_hi + 1), envelope, alpha)
+    return hit
 
 
 # the default lower end of estimate_exponent's fit window
@@ -346,11 +355,10 @@ class ExponentEstimate:
     exact_hit: bool
 
 
-def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.ndarray] | None:
+def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.ndarray]:
     """The (point, row) pairs of a family list that can set a float record of mu * dist.
 
-    Returns (owner, row), sorted by point and then by list position, or None
-    for a list that is not complete axis families (``ModeList.axis_families``).
+    Returns (owner, row), sorted by point and then by list position.
     Family j's row k has the scan's distance min(d_j(k), c_j), c_j the
     point's fixed distance to the other axes' factors, so its proxy is
     min(fl(mu_k d_j(k)), fl(mu_k c_j)); with theta = x_j alpha_j / pi, d_j(k)
@@ -385,12 +393,9 @@ def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.n
     clamped q_{N+1} lies below theta's and equals it mod q_N, so the rows
     it keeps include theta's.
     """
-    families = modes.axis_families
-    if families is None:
-        return None
     size = len(modes)
     keys = []
-    for j, rows in enumerate(families):
+    for j, rows in enumerate(modes.axis_families):
         alpha, K = modes.domain.alpha[j], rows.size
         if K == 0:
             continue
@@ -441,8 +446,6 @@ def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.n
 
 def _record_fits(mu: np.ndarray, dist: np.ndarray, mu_min: float, hi: float) -> list[ExponentEstimate]:
     """One estimate per row of the (points, rows) arrays mu and dist, +inf past a point's rows."""
-    if not mu_min < hi:
-        raise ValidationError("empty fit window")
     hit = (dist == 0.0).any(axis=1)
     proxy = mu * dist
     running = np.minimum.accumulate(proxy, axis=1)
@@ -487,13 +490,14 @@ def estimate_exponent(
     window runs from mu_min to mu_max, by default the list's enumeration cap
     ``modes.mu_max``, which a list and its record candidates share.
 
-    On a list of axis families (record candidates) only each family's
-    convergent denominators and the rows between them that the window
-    certificate cannot rule out are scanned (``_record_pairs``), all points
-    at once, in blocks of at most ``_PAIR_BUDGET`` padded entries: a dropped
-    row never lowers the running minimum and is never a first exact hit, so
-    the records, the fits and the flags are the full scan's bit for bit. Any
-    other list is scanned in full, point by point.
+    The list must be complete axis families (``ModeList.axis_families``), as
+    ``spectrum.record_candidates`` builds: only each family's convergent
+    denominators and the rows between them that the window certificate
+    cannot rule out are scanned (``_record_pairs``), all points at once, in
+    blocks of at most ``_PAIR_BUDGET`` padded entries. A dropped row never
+    lowers the running minimum and is never a first exact hit, so the
+    records, the fits and the flags are the full scan's bit for bit, and
+    those of the whole ``enumerate_modes`` list that the candidates come from.
     """
     if len(modes) == 0:
         raise ValidationError("mode list is empty")
@@ -502,14 +506,17 @@ def estimate_exponent(
     if points.ndim != 2 or points.shape[1] != n:
         raise ValidationError(f"points must have shape (count, {n}), got {points.shape}")
     _require_finite(points)
+    if modes.axis_families is None:
+        raise ValidationError(
+            "the mode list is not complete axis families: take its "
+            "spectrum.record_candidates, whose exponent estimates are the full list's"
+        )
     hi = float(modes.mu_max if mu_max is None else mu_max)
-    pairs = _record_pairs(points, modes)
-    if pairs is None:
-        return [
-            _record_fits(modes.mu[None], modes_nodal_distance(p, modes)[None], mu_min, hi)[0]
-            for p in points
-        ]
-    owner, rows = pairs
+    if not mu_min < hi:
+        raise ValidationError("empty fit window")
+    if points.shape[0] == 0:
+        return []
+    owner, rows = _record_pairs(points, modes)
     kept = ModeList(modes.domain, modes.mu_max, modes.m[rows], modes.mu[rows])
     dist = modes_nodal_distance(points[owner], kept)
     count = np.bincount(owner, minlength=points.shape[0])

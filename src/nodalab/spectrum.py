@@ -329,15 +329,6 @@ class ModeList:
             families.append(pos)
         return tuple(families)
 
-    @property
-    def one_axis_sines(self) -> bool:
-        """Whether the rows are one axis of sine modes m = 1..K in order (``axis_families``).
-
-        enumerate_modes and record_candidates build such a list on an interval
-        or a 1-d torus, and the one-axis tail scan of ``dioph`` requires it.
-        """
-        return self.domain.n == 1 and self.axis_families is not None
-
     def to_json(self) -> str:
         """Serialize as {domain, mu_max, modes:[{m, mu}]}, mu at 17 significant digits."""
         head = json.dumps(

@@ -20,7 +20,7 @@ from nodalab.dioph import (
     modes_nodal_distance,
     tail_hits,
 )
-from nodalab.errors import ValidationError
+from nodalab.errors import ResourceGuardError, ValidationError
 from nodalab.grid import ResolutionRule
 from nodalab.measures import grid_seeds
 from nodalab.spectrum import (
@@ -153,7 +153,7 @@ def test_non_finite_points_are_rejected_by_name(bad):
         modes_nodal_distance([bad], modes)
     with pytest.raises(ValidationError, match=f"coordinate 0 of point 0 is {bad}, not finite"):
         exponent([bad], modes)
-    # the full-scan path of a 2-d list
+    # a 2-d list, one envelope scan per axis
     torus = enumerate_modes(DomainSpec.torus((1.0, 1.0)), 5.0)
     with pytest.raises(ValidationError, match=f"coordinate 1 of point 0 is {bad}, not finite"):
         tail_hits([[0.1, bad]], torus, 1, np.ones(len(torus) - 1))
@@ -164,6 +164,34 @@ def test_tail_hits_rejects_a_radius_of_another_length(rows):
     modes = interval_modes(20)
     with pytest.raises(ValidationError, match="one entry per tail row"):
         tail_hits([[0.1]], modes, 5, np.ones(rows))
+
+
+def test_tail_hits_reject_bad_points_start_and_rows_by_name():
+    modes = interval_modes(20)
+    # 1-d points, and two coordinates on an interval, are not read as column 0
+    for bad, shape in (([0.1, 0.2], r"\(2,\)"), ([[0.1, 0.2]], r"\(1, 2\)")):
+        with pytest.raises(ValidationError, match=rf"must have shape \(count, 1\), got {shape}"):
+            tail_hits(bad, modes, 5, np.ones(15))
+    with pytest.raises(ValidationError, match="start must be >= 0, got -1"):
+        tail_hits([[0.1]], modes, -1, np.ones(21))
+    # a row with every index 0, before the tail or in it
+    m = np.array([[0, 0], [1, 0], [0, 1], [0, 0]], dtype=np.int64)
+    empty_nodal = ModeList(DomainSpec.torus((1.0, 1.0)), 1.0, m, np.array([0.0, 1.0, 1.0, 0.0]))
+    for start in (1, 2):
+        with pytest.raises(ValidationError, match="a mode in the list has an empty nodal set"):
+            tail_hits([[0.1, 0.2]], empty_nodal, start, np.ones(4 - start))
+
+
+@pytest.mark.parametrize("modes", [
+    interval_modes(100), record_candidates(DomainSpec.box((1.0, math.sqrt(2.0))), 50.0),
+], ids=["interval", "box"])
+def test_zero_points_give_no_estimate_and_no_hit(modes):
+    points = np.empty((0, modes.domain.n))
+    assert estimate_exponent(points, modes) == []
+    assert tail_hits(points, modes, 3, np.ones(len(modes) - 3)).shape == (0,)
+    # the window is checked whether or not there are points to fit
+    with pytest.raises(ValidationError, match="empty fit window"):
+        estimate_exponent(points, modes, mu_min=5.0, mu_max=4.0)
 
 
 def masked_scan(point, modes: ModeList) -> np.ndarray:
@@ -341,10 +369,11 @@ def test_few_records_flag_low_confidence():
 def test_records_at_one_mu_give_no_exponent():
     # the two records are (1,3) and (3,1), both at mu = sqrt(10): a line through
     # one log(mu) is rank-deficient, where polyfit gave 0.9715 with a RankWarning
-    modes = enumerate_modes(DomainSpec.box((1.0, 1.0)), 6.860305704040414)
-    est = exponent((0.94911183, 1.97811926), modes)
+    dom, mu_max, point = DomainSpec.box((1.0, 1.0)), 6.860305704040414, (0.94911183, 1.97811926)
+    est = exponent(point, record_candidates(dom, mu_max))
     assert est.n_records == 2 and est.low_confidence
     assert math.isnan(est.exponent) and math.isnan(est.residual)
+    assert repr(est) == repr(full_scan_exponent(point, enumerate_modes(dom, mu_max)))
 
 
 def test_exponent_scale_consistency():
@@ -479,22 +508,11 @@ def test_exponent_at_a_zero_of_a_first_row_scans_no_row_after_it(modes, point):
     assert outcome(lambda: exponent(point, modes)) == outcome(lambda: full_scan_exponent(point, modes))
 
 
-def test_one_axis_sines_is_checked_once_per_list():
+def test_axis_families_are_checked_once_per_list():
     modes = interval_modes(1000)
-    assert modes.one_axis_sines
+    assert modes.axis_families is not None
     for dom in (DomainSpec.torus((math.sqrt(2.0),)), DomainSpec.box((0.7,))):
-        assert enumerate_modes(dom, 50.0).one_axis_sines
-    # a missing first row, a mu one ulp off, a 2-d list, no rows
-    m, mu = modes.m, modes.mu
-    off = mu.copy()
-    off[7] = np.nextafter(off[7], np.inf)
-    for bad in (
-        ModeList(modes.domain, modes.mu_max, m[1:], mu[1:]),
-        ModeList(modes.domain, modes.mu_max, m, off),
-        enumerate_modes(DomainSpec.torus((1.0, 1.0)), 10.0),
-        ModeList(modes.domain, 0.0, m[:0], mu[:0]),
-    ):
-        assert not bad.one_axis_sines
+        assert enumerate_modes(dom, 50.0).axis_families is not None
     # the scans of every later point reuse the first check
     with mock.patch.object(np, "array_equal", side_effect=AssertionError):
         assert len(estimate_exponent(np.array([[1.0], [2.0]]), modes)) == 2
@@ -535,6 +553,17 @@ def test_axis_families_are_the_candidate_lists():
     ):
         assert bad.axis_families is None
     assert listed(m).axis_families is not None
+    # one axis: a missing first row, a mu one ulp off, no rows; and a 2-d torus list
+    line = interval_modes(1000)
+    up = line.mu.copy()
+    up[7] = np.nextafter(up[7], np.inf)
+    for bad in (
+        ModeList(line.domain, line.mu_max, line.m[1:], line.mu[1:]),
+        ModeList(line.domain, line.mu_max, line.m, up),
+        enumerate_modes(DomainSpec.torus((1.0, 1.0)), 10.0),
+        ModeList(line.domain, 0.0, line.m[:0], line.mu[:0]),
+    ):
+        assert bad.axis_families is None
 
 
 # ------------------------------------------------------- record candidates
@@ -727,27 +756,43 @@ def test_exponent_stays_exact_with_looser_gap_bounds(case, data):
 
 
 @st.composite
-def torus_lists(draw, max_rows=60):
-    """Hand-built torus lists with zero indices, sorted by mu."""
-    n = draw(st.integers(1, 3))
+def hand_built_lists(draw, periodic: bool, shuffled: bool, max_rows=80):
+    """Hand-built lists on 1 to 3 axes, 3 at least a third of the time, with
+    repeated rows and indices and a torus's zero indices; sorted by mu, or
+    with ``shuffled`` at times in random order."""
+    n = draw(st.sampled_from([1, 2, 3, 3]))
     alpha = tuple(draw(WEIGHT) for _ in range(n))
+    lo = 0 if periodic else 1
     rows = draw(st.integers(1, max_rows))
-    m = np.array(draw(st.lists(st.lists(st.integers(0, 12), min_size=n, max_size=n),
+    m = np.array(draw(st.lists(st.lists(st.integers(lo, 12), min_size=n, max_size=n),
                                min_size=rows, max_size=rows)), dtype=np.int64)
     m[(m == 0).all(axis=1), 0] = 1
     mu = np.sqrt(((m * np.asarray(alpha)) ** 2).sum(axis=1))
     order = np.argsort(mu, kind="stable")
-    dom = DomainSpec.torus(alpha)
+    if shuffled and draw(st.booleans()):
+        order = np.array(draw(st.permutations(range(rows))), dtype=np.int64)
+    dom = DomainSpec.torus(alpha) if periodic else DomainSpec.box(alpha)
     return ModeList(dom, float(mu.max()), m[order], mu[order])
 
 
-@given(torus_lists(), st.data())
+NOT_FAMILIES = "not complete axis families: take its spectrum.record_candidates"
+
+
+@given(hand_built_lists(periodic=True, shuffled=False, max_rows=60), st.data())
 @settings(max_examples=100, deadline=None)
 def test_exponent_on_first_rows_of_hand_built_torus_lists(modes, data):
+    # the first-rows lemma, on the reference scan: dropping every row that is
+    # not first with some (axis, index) changes no estimate
     points = np.array([domain_point(data, modes.domain) for _ in range(data.draw(st.integers(1, 4)))])
-    assert outcomes(lambda: estimate_exponent(points, first_rows(modes)), len(points)) == [
-        outcome(lambda: exponent(p, modes)) for p in points
-    ]
+    first = first_rows(modes)
+    want = [outcome(lambda: full_scan_exponent(p, modes)) for p in points]
+    assert [outcome(lambda: full_scan_exponent(p, first)) for p in points] == want
+    # estimate_exponent takes only complete axis families, and names the list that is
+    if first.axis_families is None:
+        with pytest.raises(ValidationError, match=NOT_FAMILIES):
+            estimate_exponent(points, first)
+    else:
+        assert outcomes(lambda: estimate_exponent(points, first), len(points)) == want
 
 
 # ---------------------------------------------------------------- tail hits
@@ -877,13 +922,100 @@ def test_tail_hits_on_enumerated_lists(case, eps, C, data):
     assert_tail_hits(points, modes, start, radius)
 
 
-@given(torus_lists(max_rows=80), st.floats(0.05, 3.0), st.floats(0.05, 10.0), st.data())
-@settings(max_examples=100, deadline=None)
-def test_tail_hits_on_hand_built_torus_tails(modes, eps, C, data):
+def extreme_point(data, dom: DomainSpec) -> np.ndarray:
+    """A point with some coordinates huge, negative or subnormal, the rest in the domain."""
+    pt = domain_point(data, dom)
+    for j in range(dom.n):
+        kind = data.draw(st.sampled_from(["in", "huge", "negative", "subnormal"]))
+        if kind == "huge":
+            pt[j] = data.draw(st.sampled_from([1e300, -1e300, 1e18, 2.0**70 * math.pi]))
+        elif kind == "negative":
+            pt[j] = -data.draw(st.floats(0.0, 50.0))
+        elif kind == "subnormal":
+            sign = data.draw(st.sampled_from([-1.0, 1.0]))
+            pt[j] = sign * math.ldexp(data.draw(st.integers(1, 2**52 - 1)), -1074)
+    return pt
+
+
+def hand_built_tail(modes, eps, C, data):
+    """A start, radii C/mu^(n+1+eps) and points, six in the domain and four extreme."""
     start = data.draw(st.integers(0, len(modes) - 1))
     radius = C / modes.mu[start:] ** (modes.domain.n + 1 + eps)
     points = [domain_point(data, modes.domain) for _ in range(6)]
+    points += [extreme_point(data, modes.domain) for _ in range(4)]
+    return points, start, radius
+
+
+@given(
+    hand_built_lists(periodic=True, shuffled=True),
+    st.floats(0.05, 3.0),
+    st.floats(0.05, 10.0),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_tail_hits_on_hand_built_torus_tails(modes, eps, C, data):
+    points, start, radius = hand_built_tail(modes, eps, C, data)
     assert_tail_hits(points, modes, start, radius)
+
+
+@given(
+    hand_built_lists(periodic=False, shuffled=True),
+    st.floats(0.05, 3.0),
+    st.floats(0.05, 10.0),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_tail_hits_on_hand_built_box_tails(modes, eps, C, data):
+    points, start, radius = hand_built_tail(modes, eps, C, data)
+    assert_tail_hits(points, modes, start, radius)
+
+
+@pytest.mark.parametrize("modes", [
+    interval_modes(50), enumerate_modes(DomainSpec.torus((1.0, 1.3)), 8.0),
+], ids=["interval", "torus"])
+def test_tail_hits_read_a_nan_radius_as_no_hit(modes):
+    # d < nan is False, so a NaN radius hits nothing, and in the envelope's
+    # running maximum it must hide no other row's hit
+    rng = np.random.default_rng(0)
+    radius = 0.5 / modes.mu[3:] ** 2
+    radius[[4, 10]] = np.nan
+    points = rng.uniform(0.0, 3.0, size=(200, modes.domain.n))
+    assert tail_hits_reference(points, modes, 3, radius).sum() > 0
+    assert_tail_hits(points, modes, 3, radius)
+
+
+@pytest.mark.parametrize("index", [[10**12], [1, 10**12]], ids=["one row", "two rows"])
+def test_tail_hits_refuse_an_index_past_the_cap_before_allocating(index):
+    # an envelope over indices 1 .. 10^12 would take 8 TB
+    m = np.array(index, dtype=np.int64)[:, None]
+    modes = ModeList(DomainSpec.interval(), float(m.max()), m, m[:, 0].astype(float))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match="index 1000000000000 on axis 0 exceeds the cap"):
+            tail_hits([[0.5]], modes, 0, np.full(len(index), 1e-30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_torus_tail_evaluates_few_of_its_pairs():
+    # radii 3/mu^3.2 past k0 = 5 on a 2-d torus: each axis scans one envelope
+    # of at most 101 indices in place of 6,174 tail rows, and of it only the
+    # multiples of convergent denominators (222 of 1,852,200 pairs, 116 hits);
+    # the pairs are counted at every lattice_distance call
+    dom = DomainSpec.torus((1.0, 1.3))
+    modes = enumerate_modes(dom, 100.5)
+    start = int(np.searchsorted(modes.mu, 5, side="right"))
+    radius = 3.0 / modes.mu[start:] ** 3.2
+    points = np.random.default_rng(3).uniform(0.0, dom.lengths, size=(300, 2))
+    with mock.patch.object(dioph, "lattice_distance", wraps=dioph.lattice_distance) as spy:
+        got = tail_hits(points, modes, start, radius)
+    pairs = sum(np.broadcast(*call.args).size for call in spy.call_args_list)
+    full = points.shape[0] * (len(modes) - start)
+    assert pairs * 1000 < full
+    ref = tail_hits_reference(points, modes, start, radius)
+    assert 0 < ref.sum() and np.array_equal(got, ref)
 
 
 @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 10**9))

@@ -1,8 +1,8 @@
 """The package's public surface, the import boundary of its grid estimators, the
 tube stream without a float band path, the names the benchmark tracer wraps,
 imports and definitions that nothing uses, functions that no entry point
-reaches, per-axis index scans, per-point loops in the tail-hit scan, and what
-`import nodalab` loads."""
+reaches, per-axis index scans, per-point loops in the Diophantine scans, and
+what `import nodalab` loads."""
 
 import ast
 import importlib
@@ -252,6 +252,74 @@ def test_for_statement_check_sees_each_form():
         "        pass\n"
     )
     assert for_statements(source, "f") == [2, 3]
+
+
+DISTANCES = {"modes_nodal_distance", "lattice_distance"}
+# the names dioph gives an array of points; a point's own coordinates are ``point``
+POINT_ARRAYS = {"points", "xs"}
+LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def per_point_scans(source: str) -> list[str]:
+    """function:line of each loop over points whose body computes nodal distances.
+
+    A ``for`` statement or comprehension whose iterable reads an array of
+    points, and that calls ``modes_nodal_distance`` or ``lattice_distance``
+    (by name or as an attribute), is a per-point scan. Loops over the axes
+    (``range(dom.n)``, a list's ``axis_families``) are not: they run at most
+    n times, each on every point at once.
+    """
+    found = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, LOOPS):
+                continue
+            iters = [node.iter] if isinstance(node, (ast.For, ast.AsyncFor)) else [
+                g.iter for g in node.generators
+            ]
+            over_points = any(
+                isinstance(name, ast.Name) and name.id in POINT_ARRAYS
+                for it in iters for name in ast.walk(it)
+            )
+            calls = {
+                call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+            }
+            if over_points and calls & DISTANCES:
+                found.append(f"{fn.name}:{node.lineno}")
+    return found
+
+
+def test_dioph_has_no_per_point_full_scan():
+    """tail_hits and estimate_exponent each have one scan, over every point at once.
+
+    Each once had, beside it, a per-point full scan over every row of a list
+    that no entry point reached; ``tests/test_dioph.py`` keeps those scans as
+    ``tail_hits_reference`` and ``full_scan_exponent``.
+    """
+    assert per_point_scans((ROOT / "src" / "nodalab" / "dioph.py").read_text()) == []
+
+
+def test_per_point_scan_check_sees_each_form():
+    source = (
+        "def a(points, modes):\n"
+        "    return [modes_nodal_distance(p, modes) for p in points]\n"
+        "def b(xs, s):\n"
+        "    for i in range(len(xs)):\n"
+        "        d = lattice_distance(xs[i], s)\n"
+        "def c(points, modes):\n"
+        "    return {i: dioph.modes_nodal_distance(p, modes) for i, p in enumerate(points)}\n"
+        "def d(points, s):\n"
+        "    return any(bool(lattice_distance(x, s).min()) for p in points for x in p)\n"
+        "def e(point, points, modes):\n"
+        "    for j in range(modes.domain.n):\n"
+        "        lattice_distance(points[:, j], 1.0)\n"
+        "    return [other(p) for p in points], modes_nodal_distance(point, modes)\n"
+    )
+    assert per_point_scans(source) == ["a:2", "b:4", "c:7", "d:9"]
 
 
 def test_import_and_dim2_load_no_scipy_sparse():
