@@ -10,53 +10,74 @@ is signed has pairs to join; scipy.sparse is imported for that case alone,
 because importing it with the module adds about 0.1 s to `import nodalab`.
 Grid points with |phi| at or below the sign threshold separate domains.
 
-The domains share one int32 label array, scipy's own label dtype: the
-positive domains are 1..k_pos and the negative ones follow them, each sign
-numbered by its smallest raw label, and 0 marks the unsigned points.
+``sign_components`` and ``component_inradii`` read the sign masks that
+``measures.grid_seeds`` writes in the same chunks as the seeds, so no float
+grid is formed. ``sign_components`` labels each sign on its own thread
+(scipy's ``label`` releases the GIL) and keeps only the domains' sizes: no
+label array outlives the call. The positive domains come first, each
+sign's numbered by its smallest label. ``component_inradii`` reads the
+largest inner radius: the max over domains of each domain's max of the
+distance field is the field's max over the signed points, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.ndimage import generate_binary_structure, label
 
-from .distance import ROW_BLOCK_POINTS, Seeds, full_range
-from .errors import ValidationError
-from .grid import GridSample
+from .distance import ROW_BLOCK_POINTS, full_range, usable_cores
 
-SIGN_EPS = 1e-12
+# annotations only: importing measures here moves it ahead in `import nodalab`,
+# which measured about 0.15 MB more RSS after the import
+if TYPE_CHECKING:
+    from .measures import GridSigns
 
 
-def _label_periodic(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]:
+def _label_periodic(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's labels of ``mask`` and, per label, its domain: 0 for label 0, and the
+    components of the seam graph numbered 1.. by their smallest label."""
     structure = generate_binary_structure(mask.ndim, 1)
     lab, k = label(mask, structure=structure)
+    roots = np.arange(k + 1)
     if not periodic or k == 0:
-        return lab, k
+        return lab, roots
     # the labels that face each other across each axis's seam
     first = np.concatenate([np.take(lab, 0, axis=a).ravel() for a in range(mask.ndim)])
     last = np.concatenate([np.take(lab, -1, axis=a).ravel() for a in range(mask.ndim)])
     both = (first > 0) & (last > 0)
     if not both.any():
-        return lab, k
+        return lab, roots
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     edges = (np.ones(int(both.sum())), (first[both], last[both]))
-    count, roots = connected_components(coo_matrix(edges, shape=(k + 1, k + 1)), directed=False)
-    # label 0 meets no pair, so it stays root 0; the rest number by smallest raw label
-    return roots[lab], count - 1
+    _, roots = connected_components(coo_matrix(edges, shape=(k + 1, k + 1)), directed=False)
+    # label 0 meets no pair, so it stays root 0; the rest number by smallest label
+    return lab, roots
+
+
+def _domain_sizes(mask: np.ndarray, periodic: bool) -> np.ndarray:
+    """Points per domain of ``mask`` (int64), in ``_label_periodic``'s order."""
+    lab, roots = _label_periodic(mask, periodic)
+    # bincount takes an int64 copy of its input: counted a block of rows at a time
+    raw = np.zeros(roots.size, dtype=np.int64)
+    step = max(1, ROW_BLOCK_POINTS // math.prod(lab.shape[1:]))
+    for r in range(0, lab.shape[0], step):
+        raw += np.bincount(lab[r : r + step].ravel(), minlength=raw.size)
+    sizes = np.zeros(int(roots.max()) + 1, dtype=np.int64)
+    np.add.at(sizes, roots, raw)
+    return sizes[1:]
 
 
 @dataclass
 class SignComponents:
-    """Labeled nodal domains in one int32 array: 0 marks unsigned points, 1..k_pos the
-    positive domains and k_pos + 1..count the negative ones; ``signs`` and ``sizes``
-    (int64) are indexed by label - 1."""
+    """Nodal domains: ``signs`` and ``sizes`` (int64) per domain, the positive ones first."""
 
-    labels: np.ndarray
     signs: np.ndarray
     sizes: np.ndarray
     cell_volume: float
@@ -71,40 +92,35 @@ class SignComponents:
         return self.sizes * self.cell_volume
 
 
-def sign_components(sample: GridSample) -> SignComponents:
-    """Connected components of {phi > SIGN_EPS} and {phi < -SIGN_EPS}."""
-    v = sample.values
-    labels, k_pos = _label_periodic(v > SIGN_EPS, sample.periodic)
-    neg, k_neg = _label_periodic(v < -SIGN_EPS, sample.periodic)
-    np.add(neg, k_pos, out=labels, where=neg > 0)
-    # bincount takes an int64 copy of its input: counted a block of rows at a time
-    sizes = np.zeros(k_pos + k_neg + 1, dtype=np.int64)
-    step = max(1, ROW_BLOCK_POINTS // math.prod(labels.shape[1:]))
-    for r in range(0, labels.shape[0], step):
-        sizes += np.bincount(labels[r : r + step].ravel(), minlength=sizes.size)
-    sizes = sizes[1:]
-    signs = np.repeat(np.array([1, -1], dtype=np.int64), [k_pos, k_neg])
-    return SignComponents(labels, signs, sizes, float(np.prod(np.asarray(sample.h))))
+def sign_components(grid: GridSigns) -> SignComponents:
+    """Connected components of {phi > SIGN_EPS} and {phi < -SIGN_EPS}, each sign on its own
+    thread (one when a single core is usable); every worker is joined before this returns."""
+    seeds = grid.seeds
+    with ThreadPoolExecutor(min(2, usable_cores())) as pool:
+        pos, neg = pool.map(_domain_sizes, (grid.pos, grid.neg), (seeds.periodic,) * 2)
+    signs = np.repeat(np.array([1, -1], dtype=np.int64), [pos.size, neg.size])
+    return SignComponents(signs, np.concatenate([pos, neg]), float(np.prod(np.asarray(seeds.h))))
 
 
-def component_inradii(comp: SignComponents, seeds: Seeds) -> np.ndarray:
-    """Max of the full-range distance field to ``seeds`` over each domain: its inner radius,
-    up to grid error; ``inf`` for every domain when there are no seeds.
+def component_inradii(grid: GridSigns) -> float:
+    """The largest inner radius of the sign domains, up to grid error: the max of the
+    full-range distance field to the seeds over the signed points (0.0 when none is
+    signed); ``inf`` when there are no seeds, as the field is inf everywhere.
 
     The field is never formed: each block of rows the transform computes is
-    folded into its slab's own per-label maxima with ``np.maximum.at``, and
-    the slabs' maxima are joined with ``np.maximum``. The certificate still
-    reads the slab loop's maximum over every point, unsigned ones (label 0)
-    included, and a failed one reruns the transform with fresh maxima. Bit
-    for bit ``np.maximum.at`` over the whole full-range field.
+    reduced to its max over the block's signed points, and the slabs' maxima
+    are joined. The certificate still reads the slab loop's maximum over
+    every point, unsigned ones included, and a failed one reruns the
+    transform with fresh maxima. Bit for bit the max over the domains of
+    ``np.maximum.at`` over the whole full-range field.
     """
-    if seeds.mask.shape != comp.labels.shape:
-        raise ValidationError("seed set and components use different grids")
+    seeds = grid.seeds
     if not seeds.mask.any():
-        return np.full(comp.count, np.inf)
+        return math.inf
 
-    def fold(maxima, rows, d):
-        np.maximum.at(maxima, comp.labels[rows].ravel(), d.ravel())
+    def fold(top, rows, d):
+        signed = np.logical_or(grid.pos[rows], grid.neg[rows])
+        top[0] = max(top[0], float(np.max(d, where=signed, initial=0.0)))
 
-    slabs, _ = full_range(seeds, lambda: np.zeros(comp.count + 1), fold)
-    return np.maximum.reduce(slabs)[1:]
+    slabs, _ = full_range(seeds, lambda: [0.0], fold)
+    return max(top for top, in slabs)

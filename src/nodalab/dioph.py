@@ -247,18 +247,32 @@ def _ramps(count: np.ndarray) -> np.ndarray:
     return np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
 
 
+def _open_rows(ks: np.ndarray, radius: np.ndarray, err: np.ndarray, alpha: float):
+    """The rows ks sorted by gap certificate margin pi/(2 k^2 alpha) - radius[k], and per
+    point the count of them at most its err: the rows the certificate leaves open.
+
+    A point's open rows are a prefix of that order. A NaN margin (a NaN
+    radius) sorts last and is never open: it hits nothing either way.
+    """
+    margin = math.pi / (2.0 * ks * ks * alpha) * (1.0 - _SLACK) - radius
+    order = np.argsort(margin, kind="stable")
+    return ks[order], np.searchsorted(margin[order], err, side="right")
+
+
 def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: float) -> np.ndarray:
     """Per x of xs, whether some k = ks[0] .. ks[-1] has lattice distance below radius[k - ks[0]].
 
     The scan's distance at k is that of x to the lattice pi/(k alpha) Z up to
-    err (``_scan_error``). Where the gap certificate pi/(2 k^2 alpha) - err >
-    radius[k] holds, a hit at k puts k theta, theta = x alpha / pi, within
-    1/(2k) of an integer P, so by Legendre's theorem P/k reduces to a
-    convergent p/q of theta, k = t q, and the exact distance is pi |q theta -
-    p| / (q alpha) for every such t. Only multiples of q whose radius
-    envelope exceeds that distance, less err, can hit; rows whose certificate
-    fails (small k against a large C) are kept for every point. The kept rows
-    get the scan's own float formula and radius.
+    the point's own err (``_scan_error`` of |x|). Where the gap certificate
+    pi/(2 k^2 alpha) - err > radius[k] holds, a hit at k puts k theta, theta
+    = x alpha / pi, within 1/(2k) of an integer P, so by Legendre's theorem
+    P/k reduces to a convergent p/q of theta, k = t q, and the exact distance
+    is pi |q theta - p| / (q alpha) for every such t. Only multiples of q
+    whose radius envelope exceeds that distance, less err, can hit; rows
+    whose certificate fails (small k against a large C) are kept for the
+    points it fails at, so a far point scans more rows without widening any
+    other point's scan. The kept rows get the scan's own float formula and
+    radius.
 
     The convergents of all points come sorted by point, as the blocked pair
     scan below needs, from ``_axis_convergent_table``. Its gaps are lower
@@ -266,22 +280,20 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
     a certified miss, so every hit is the full scan's, bit for bit.
     """
     k_first, k_last = int(ks[0]), int(ks[-1])
-    err = _scan_error(float(np.abs(xs).max(initial=0.0)), alpha)
     # the largest radius at or beyond each row: non-increasing, so every row
     # whose radius exceeds a threshold lies in the prefix the envelope gives
     env = np.maximum.accumulate(radius[::-1])[::-1]
-    gap = math.pi / (2.0 * ks * ks * alpha) * (1.0 - _SLACK) - err
-    open_ks = ks[~(gap > radius)]
 
     # a q past k_last gets no multiple in range below
     owner, qs, gaps, _ = _axis_convergent_table(xs, alpha, k_last)
-    limit = math.pi * gaps / (qs * alpha) * (1.0 - _SLACK) - err
+    limit = math.pi * gaps / (qs * alpha) * (1.0 - _SLACK) - _scan_error(np.abs(xs[owner]), alpha)
     reach = k_first - 1 + np.searchsorted(-env, -limit)
     t_lo = -(-k_first // qs)
     count = np.maximum(reach // qs - t_lo + 1, 0)
+    open_ks, n_open = _open_rows(ks, radius, _scan_error(np.abs(xs), alpha), alpha)
     # (point, row) pairs per point; points go in blocks of about _PAIR_BUDGET
     # pairs, so an uncertified prefix costs O(budget + k_max) memory, not O(points * k_max)
-    load = np.bincount(owner, weights=count, minlength=xs.size) + open_ks.size
+    load = np.bincount(owner, weights=count, minlength=xs.size) + n_open
     ends = np.cumsum(load)
     hit = np.zeros(xs.size, dtype=bool)
     lo = 0
@@ -291,10 +303,9 @@ def _axis_tail_hits(xs: np.ndarray, ks: np.ndarray, radius: np.ndarray, alpha: f
         c_lo, c_hi = np.searchsorted(owner, [lo, hi])
         c = count[c_lo:c_hi]
         t = np.repeat(t_lo[c_lo:c_hi], c) + _ramps(c)
-        pair_owner = np.concatenate(
-            [np.repeat(owner[c_lo:c_hi], c), np.repeat(np.arange(lo, hi), open_ks.size)]
-        )
-        pair_k = np.concatenate([np.repeat(qs[c_lo:c_hi], c) * t, np.tile(open_ks, hi - lo)])
+        o = n_open[lo:hi]
+        pair_owner = np.concatenate([np.repeat(owner[c_lo:c_hi], c), np.repeat(np.arange(lo, hi), o)])
+        pair_k = np.concatenate([np.repeat(qs[c_lo:c_hi], c) * t, open_ks[_ramps(o)]])
         d = lattice_distance(xs[pair_owner], math.pi / (pair_k * alpha))
         hit[pair_owner[d < radius[pair_k - k_first]]] = True
         lo = hi

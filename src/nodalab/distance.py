@@ -40,8 +40,9 @@ grows, so it is the window dilated by ``stencil_widths``. The density radius
 and the sign domains' inner radii read a maximum, which a cap would clip, so
 they keep the full-range transform and its certificate. No code path forms
 the whole field: ``measures.density_radius`` reads the certified maximum and
-``components.component_inradii`` folds each block into per-domain maxima.
-Both read a ``Seeds`` (``measures.grid_seeds``), so no float grid is held.
+``components.component_inradii`` reduces each block to its max over the
+signed points. Both read the ``Seeds`` of ``measures.grid_seeds``, so no
+float grid is held.
 """
 
 from __future__ import annotations

@@ -408,7 +408,7 @@ def run_density_check(domain: DomainSpec, modes=None) -> ExperimentReport:
             rule = ResolutionRule(
                 points_per_wavelength=ppw, h_max=r_exact / radius_h_divisor
             )
-            seeds = grid_seeds(mode, rule)
+            seeds = grid_seeds(mode, rule).seeds
             r = density_radius(seeds)
             h_max_used = float(max(seeds.h))
             cell.measured = {
@@ -464,8 +464,10 @@ def run_dim2_checks(
     checks the smallest domain area and the largest inner radius against the
     rectangle-cell oracles, and bounds tube volume by measured length * delta,
     from tubes at delta = tube_mu_delta / mu and delta / 2 on the tube grid.
-    The inner radii fold the full-range transform of ``grid_seeds`` into per-domain
-    maxima; the tubes stream their grid through ``measures.streamed_tubes``.
+    One parallel pass of ``grid_seeds`` writes each fine grid's seeds and sign
+    masks; the domains are labeled from the masks, and the largest inner
+    radius is the full-range transform's max over the signed points. The
+    tubes stream their grid through ``measures.streamed_tubes``.
 
     The tube volumes draw no random numbers. ``seed`` is accepted and ignored
     (the report records ``seed: null``) so that callers written when the
@@ -496,9 +498,9 @@ def run_dim2_checks(
 
 
 def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> CellResult:
-    """One mode's dim2 cell. Its grids are this call's locals, so they are freed
-    before the next mode samples: the driver holds one mode's arrays at a time.
-    The sample's values serve the sign components only and go before the seeds."""
+    """One mode's dim2 cell. Its fine grid's seed and sign masks are this call's
+    locals, so they are freed before the next mode's pass: the driver holds one
+    mode's masks at a time, and no float grid."""
     mode = _mode(domain, m)
     if min(m) < 1:
         raise ValidationError("dim2 checks need product modes with all m_j >= 1")
@@ -509,10 +511,10 @@ def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> 
     )
     with _skip_on_guard(cell):
         rule = ResolutionRule(points_per_wavelength=area_ppw)
-        comp = sign_components(sample_grid(mode, rule))
-        seeds = grid_seeds(mode, rule)
+        signs = grid_seeds(mode, rule)
+        comp = sign_components(signs)
         areas = comp.areas
-        inradii = component_inradii(comp, seeds)
+        inradius = component_inradii(signs)
         side_x = math.pi / (mj * domain.alpha[0])
         side_y = math.pi / (nj * domain.alpha[1])
         area_oracle = side_x * side_y
@@ -529,16 +531,16 @@ def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> 
             "area_oracle": area_oracle,
             "min_area_rel": abs(float(areas.min()) - area_oracle) / area_oracle,
             "min_area_mu2": float(areas.min()) * mu * mu,
-            "max_inradius": float(inradii.max()),
+            "max_inradius": inradius,
             "inradius_oracle": inradius_oracle,
-            "inradius_rel": abs(float(inradii.max()) - inradius_oracle) / inradius_oracle,
-            "inradius_mu": float(inradii.max()) * mu,
+            "inradius_rel": abs(inradius - inradius_oracle) / inradius_oracle,
+            "inradius_mu": inradius * mu,
             "tube_vol": vol,
             "length": nm.value,
             "tube_constant": vol / (nm.value * delta),
             "courant_bound": _lattice_count(mu),
         }
-        cell.error = raster_error(seeds.h)
+        cell.error = raster_error(signs.seeds.h)
     return cell
 
 

@@ -59,9 +59,13 @@ do not depend on the worker count or the pass or chunk size, and equal those
 of the band test on the whole grid's full-range field, added in the same
 band blocks. ``grid.GRID_POINT_CAP`` still bounds the whole grid's size.
 
-``grid_seeds`` runs the same chunks (``_seed_rows``) over every row of a grid
-into one bool mask, the seeds that the density radius and the inner radii
-transform: every grid's seeds come from this one raster.
+``grid_seeds`` runs the same chunks (``_seed_rows``) over every row of a grid,
+one run of rows per usable core on a thread pool, each worker with its own
+float buffer. Its chunks write disjoint rows of one bool seed mask, the
+seeds that the density radius and the inner radii transform, and of the
+sign masks v > SIGN_EPS and v < -SIGN_EPS of the rows they sampled, which
+the sign domains read: every grid's seeds and signs come from this one
+pass, and no float grid is formed.
 
 The exact distance is a min over axes of 1-d distances, so a point of a cell
 misses the tube iff every axis misses, and the cell's share of the tube is
@@ -108,6 +112,8 @@ PASS_BLOCKS = 16
 # grid points per chunk of a pass, sampled and searched for vertices at once: bounds
 # the float rows a worker holds
 CHUNK_POINTS = 4 * ROW_BLOCK_POINTS
+# grid points with |v| at or below this are unsigned: they separate the sign domains
+SIGN_EPS = 1e-12
 
 
 def _axis_mode(mode: EigenMode, j: int) -> EigenMode:
@@ -238,7 +244,7 @@ def _raster_index(coords: np.ndarray, hj: float, nj: int, periodic: bool) -> np.
 
 
 def _chunk(factors, h, periodic: bool, c: int, d: int, out: np.ndarray, seeds: np.ndarray,
-           pass_rows=None):
+           pass_rows, signs):
     """Sample the grid rows c - 1 .. d into ``out``; set in ``seeds`` the seeds of rows c .. d - 1.
 
     ``seeds`` holds the global rows c, c + 1, ... (none off a box), and the
@@ -251,11 +257,17 @@ def _chunk(factors, h, periodic: bool, c: int, d: int, out: np.ndarray, seeds: n
     round(fl(k h) / h) = k. Setting a seed twice is setting it once, so
     windows may overlap. With ``pass_rows``, the pass's corner rows (first,
     last) of a 2-d grid, it returns the crossed cells (``nodal.crossed_cells``)
-    between its rows among them.
+    between its rows among them. With ``signs``, the rows c .. d - 1 of the
+    sign masks (pos, neg), it writes v > SIGN_EPS and v < -SIGN_EPS of its
+    own rows into them.
     """
     shape = tuple(f.shape[0] for f in factors)
     s0 = shape[0]
     g, at, v = _sampled_rows(factors, periodic, c - 1, d + 1, out)
+    if signs is not None:
+        own = v[c - g[0] : d - g[0]]
+        np.greater(own, SIGN_EPS, out=signs[0])
+        np.less(own, -SIGN_EPS, out=signs[1])
     neg, pos = v < 0.0, v > 0.0
     for axis, idx, t in _window_vertices(v, neg, pos, periodic, g):
         row, rest = idx[0] - c, list(idx[1:])
@@ -275,23 +287,50 @@ def _chunk(factors, h, periodic: bool, c: int, d: int, out: np.ndarray, seeds: n
     return crossed_cells(v[cut], neg[cut], periodic, at[cut])
 
 
-def _seed_rows(factors, h, periodic: bool, top: int, end: int, seeds: np.ndarray, pass_rows):
-    """``_chunk`` over the rows top .. end - 1 held by ``seeds``, in equal runs of at most
-    ``CHUNK_POINTS`` points, into one float buffer freed on return: their crossed cells."""
+def _seed_rows(factors, h, periodic: bool, top: int, end: int, seeds: np.ndarray, pass_rows,
+               signs):
+    """``_chunk`` over the rows top .. end - 1 held by ``seeds`` (and ``signs``, or None), in
+    equal runs of at most ``CHUNK_POINTS`` points, into one float buffer freed on return:
+    their crossed cells."""
     chunk = max(1, CHUNK_POINTS // math.prod(seeds.shape[1:]))
     n = -(-(end - top) // chunk)
     edges = [top + (end - top) * k // n for k in range(n + 1)]
     buf = np.empty((-(-(end - top) // n) + 2,) + seeds.shape[1:])
-    return [_chunk(factors, h, periodic, c, d, buf, seeds[c - top : d - top], pass_rows)
+    return [_chunk(factors, h, periodic, c, d, buf, seeds[c - top : d - top], pass_rows,
+                   None if signs is None else tuple(s[c - top : d - top] for s in signs))
             for c, d in zip(edges, edges[1:])]
 
 
-def grid_seeds(mode: EigenMode, rule) -> Seeds:
-    """The seeds of the grid of ``grid.grid_shape(mode, rule)``: ``_seed_rows`` over all its rows."""
+@dataclass
+class GridSigns:
+    """A grid's seeds and its sign masks ``pos`` (v > SIGN_EPS) and ``neg`` (v < -SIGN_EPS):
+    all that the density radius and the sign domains read."""
+
+    seeds: Seeds
+    pos: np.ndarray
+    neg: np.ndarray
+
+
+def grid_seeds(mode: EigenMode, rule) -> GridSigns:
+    """The seeds and sign masks of the grid of ``grid.grid_shape(mode, rule)``: ``_seed_rows``
+    on one run of its rows per usable core, each worker with its own float buffer. The
+    chunks write disjoint rows, so the masks do not depend on the worker count or chunk
+    size. Every worker is joined before this returns."""
     shape, h = grid_shape(mode, rule)
-    mask = np.zeros(shape, dtype=bool)
-    _seed_rows(axis_factors(mode, shape), h, mode.domain.periodic, 0, shape[0], mask, None)
-    return Seeds(mask, h, mode.domain.periodic)
+    periodic = mode.domain.periodic
+    factors = axis_factors(mode, shape)
+    seeds = np.zeros(shape, dtype=bool)
+    # every row of the sign masks is written by exactly one chunk
+    pos, neg = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    runs = min(usable_cores(), shape[0])
+    edges = [shape[0] * k // runs for k in range(runs + 1)]
+
+    def run(a, b):
+        _seed_rows(factors, h, periodic, a, b, seeds[a:b], None, (pos[a:b], neg[a:b]))
+
+    with ThreadPoolExecutor(runs) as pool:
+        list(pool.map(run, edges[:-1], edges[1:]))
+    return GridSigns(Seeds(seeds, h, periodic), pos, neg)
 
 
 def _wrap_columns(win: np.ndarray, pads) -> None:
@@ -354,7 +393,7 @@ def streamed_tubes(mode: EigenMode, rule, radii, *, segments: bool = False) -> S
         # the seed rows, cut at a box's edges; no float row is held through the band blocks
         top, end = (lo, hi) if periodic else (max(lo, 0), min(hi, shape[0]))
         cells = _seed_rows(factors, h, periodic, top, end, win[(slice(top - lo, end - lo),) + inner],
-                           (first, last) if segments else None)
+                           (first, last) if segments else None, None)
         pieces = ()
         if segments:
             # the pass's crossed cells, in row-major chunk order: one marching-squares geometry

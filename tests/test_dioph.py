@@ -97,7 +97,7 @@ def test_nearest_distance_on_hyperplane_is_zero():
     ids=["interval", "box", "torus"],
 )
 def test_closed_form_matches_distance_field(mode):
-    seeds = grid_seeds(mode, ResolutionRule(points_per_wavelength=64))
+    seeds = grid_seeds(mode, ResolutionRule(points_per_wavelength=64)).seeds
     field = whole_field(seeds)
     h = seeds.h
     rng = np.random.default_rng(2024)
@@ -1016,6 +1016,34 @@ def test_torus_tail_evaluates_few_of_its_pairs():
     assert pairs * 1000 < full
     ref = tail_hits_reference(points, modes, start, radius)
     assert 0 < ref.sum() and np.array_equal(got, ref)
+
+
+def test_a_far_point_leaves_the_other_points_scans_unchanged():
+    # the interval's default tail (9,900 rows). Each point's rounding bound is
+    # its own: x = 1e300 fails every gap certificate and scans every row, and
+    # the 2,000 other points scan the same pairs as without it. With one bound
+    # for all points, max |x|, every point scanned every row (2 s, not 0.01 s)
+    modes = interval_modes(10_000)
+    start = int(np.searchsorted(modes.mu, 100, side="right"))
+    radius = 1.0 / modes.mu[start:] ** 3.0
+    points = np.random.default_rng(7).uniform(0.0, math.pi, size=(2000, 1))
+    far = np.vstack([points, [[1e300]]])
+
+    def scans(pts):
+        with mock.patch.object(dioph, "lattice_distance", wraps=dioph.lattice_distance) as spy:
+            hits = tail_hits(pts, modes, start, radius)
+        pairs = np.concatenate([np.broadcast_arrays(*call.args) for call in spy.call_args_list],
+                               axis=1)
+        return hits, pairs[:, np.lexsort(pairs)]
+
+    hits, pairs = scans(points)
+    far_hits, far_pairs = scans(far)
+    assert hits.sum() == 15 and np.array_equal(far_hits[:-1], hits)
+    near = far_pairs[0] != 1e300
+    assert np.array_equal(far_pairs[:, near], pairs)
+    # the far point scans every row, and the multiples of its convergents besides
+    assert np.array_equal(np.unique(far_pairs[1, ~near]), np.unique(math.pi / modes.m[start:, 0]))
+    assert pairs.shape[1] * 100 < points.shape[0] * (len(modes) - start)
 
 
 @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 10**9))

@@ -356,7 +356,7 @@ def test_density_radius_peak_memory_yau_grid(monkeypatch):
     monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
     rule = ResolutionRule(points_per_wavelength=32.0, h_max=0.1 / mode.mu / 2.5)
-    seeds = grid_seeds(mode, rule)
+    seeds = grid_seeds(mode, rule).seeds
     assert seeds.mask.shape == (2519, 2519)
     tracemalloc.start()
     try:

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import nodalab.components as components_mod
 import nodalab.dioph as dioph_mod
 import nodalab.grid as grid_mod
 import nodalab.harness as harness_mod
@@ -57,7 +56,7 @@ def lower_distances(monkeypatch):
 
 def take_zeros_into_signs(monkeypatch):
     """Sign threshold -1e-12, its sign flipped: the zero lines join the domains they separate."""
-    monkeypatch.setattr(components_mod, "SIGN_EPS", -1e-12)
+    monkeypatch.setattr(measures_mod, "SIGN_EPS", -1e-12)
 
 
 def square_cells(monkeypatch):
@@ -66,7 +65,7 @@ def square_cells(monkeypatch):
     monkeypatch.setattr(
         harness_mod,
         "sign_components",
-        lambda sample: replace(components(sample), cell_volume=sample.h[0] ** 2),
+        lambda signs: replace(components(signs), cell_volume=signs.seeds.h[0] ** 2),
     )
 
 
@@ -79,9 +78,7 @@ def widen_radius(monkeypatch):
 def widen_inradii(monkeypatch):
     """Sign-domain inner radii read 1.2 times too large."""
     inradii = harness_mod.component_inradii
-    monkeypatch.setattr(
-        harness_mod, "component_inradii", lambda comp, seeds: 1.2 * inradii(comp, seeds)
-    )
+    monkeypatch.setattr(harness_mod, "component_inradii", lambda signs: 1.2 * inradii(signs))
 
 
 def scale_nodal_measure(monkeypatch, factor):

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nodalab.components as components_mod
 import nodalab.dioph as dioph_mod
 import nodalab.distance as distance_mod
+import nodalab.grid as grid_mod
 import nodalab.harness as harness_mod
 import nodalab.measures as measures_mod
 
@@ -281,7 +283,7 @@ def test_only_the_full_range_fields_run_scipys_transform(monkeypatch):
     assert transforms == []
     # dim2's transforms are exactly those of its inner-radius field
     whole_field(measures_mod.grid_seeds(EigenMode(TORUS2, (2, 3)),
-                                        ResolutionRule(points_per_wavelength=256.0)))
+                                        ResolutionRule(points_per_wavelength=256.0)).seeds)
     inradius_field = list(transforms)
     transforms.clear()
     run_dim2_checks(modes=((2, 3),))
@@ -297,45 +299,55 @@ def test_dim2_rejects_non_torus():
 
 
 def test_dim2_holds_one_mode_at_a_time(monkeypatch):
-    """Each mode's sample values, labels and seed mask are freed before the next mode
-    samples, and its values before its seeds are rasterized and the inner radii's
-    transform starts."""
-    held = []  # per mode: (m, weak references to its values, labels and seed mask)
+    """Each mode's seed and sign masks are freed before the next mode's pass, and
+    each sign's label array before the labels' call returns, so before the inner
+    radius's transform starts."""
+    held = []  # per mode: (m, weak references to its seed and sign masks)
+    labels = []  # weak references to every label array
+    seeds = harness_mod.grid_seeds
 
-    def keep(name, array_of):
-        fn = getattr(harness_mod, name)
+    def kept(mode, rule):
+        for m, refs in held:
+            assert all(r() is None for r in refs), f"mode {m} alive at {mode.m}'s pass"
+        out = seeds(mode, rule)
+        held.append((mode.m, [weakref.ref(a) for a in (out.seeds.mask, out.pos, out.neg)]))
+        return out
 
-        def kept(arg, *args, **kwargs):
-            if name == "sample_grid":  # dim2 samples once per mode, first
-                for m, refs in held:
-                    assert all(r() is None for r in refs), f"mode {m} alive at {arg.m}'s sample"
-                held.append((arg.m, []))
-            if name == "grid_seeds":
-                assert held[-1][1][0]() is None, f"mode {arg.m}'s values alive at its seeds"
-            out = fn(arg, *args, **kwargs)
-            held[-1][1].append(weakref.ref(array_of(out)))
-            return out
+    label = components_mod.label
 
-        monkeypatch.setattr(harness_mod, name, kept)
+    def labeled(mask, **kwargs):
+        out = label(mask, **kwargs)
+        labels.append(weakref.ref(out[0]))
+        return out
 
-    keep("sample_grid", lambda s: s.values)
-    keep("sign_components", lambda comp: comp.labels)
-    keep("grid_seeds", lambda seeds: seeds.mask)
     inradii = harness_mod.component_inradii
     transformed = []
 
-    def checked(comp, seeds):
-        m, (values, *_) = held[-1]
-        assert values() is None, f"mode {m}'s values alive at its transform"
-        transformed.append(m)
-        return inradii(comp, seeds)
+    def checked(signs):
+        assert all(r() is None for r in labels), f"a label array alive at {held[-1][0]}'s transform"
+        transformed.append(held[-1][0])
+        return inradii(signs)
 
+    monkeypatch.setattr(harness_mod, "grid_seeds", kept)
+    monkeypatch.setattr(components_mod, "label", labeled)
     monkeypatch.setattr(harness_mod, "component_inradii", checked)
     modes = ((2, 3), (3, 4))
     report = run_dim2_checks(modes)
     assert all(c.measured for c in report.cells)
     assert [m for m, _ in held] == transformed == list(modes)
-    assert all(len(refs) == 3 for _, refs in held)
+    assert len(labels) == 2 * len(modes)
+
+
+def test_dim2_samples_no_float_grid(monkeypatch):
+    """dim2's fine grids come from ``grid_seeds``' chunks: it calls neither
+    ``sample_grid`` nor the whole-grid vertex search, so it holds no float grid."""
+    log = []
+    for name in ("sample_grid", "_window_vertices"):
+        spy(monkeypatch, log, harness_mod, name)
+    spy(monkeypatch, log, grid_mod, "sample_grid")
+    report = run_dim2_checks(modes=((2, 3),))
+    assert report.passed and all(c.measured for c in report.cells)
+    assert log == []
 
 
 def test_density_samples_no_float_grid(monkeypatch):

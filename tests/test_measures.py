@@ -1,6 +1,7 @@
 """Tube volumes, nodal measure, density radius against closed-form oracles."""
 
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -15,7 +16,14 @@ from nodalab.distance import capped_pads, raster_error, stencil_widths
 from nodalab.errors import EmptyNodalSetError, ResolutionError, ResourceGuardError, ValidationError
 from nodalab.grid import GridSample, ResolutionRule, grid_shape, sample_grid
 from nodalab.harness import DEFAULT_DENSITY_TORUS_MODES, DEFAULT_DIM2_MODES
-from nodalab.measures import density_radius, grid_seeds, streamed_tubes, tube_measure, tube_volume
+from nodalab.measures import (
+    SIGN_EPS,
+    density_radius,
+    grid_seeds,
+    streamed_tubes,
+    tube_measure,
+    tube_volume,
+)
 from nodalab.nodal import _corner_reduce
 from nodalab.spectrum import (
     DomainSpec,
@@ -99,13 +107,13 @@ def test_nodal_measure_needs_two_radii():
 
 def test_density_radius():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    f = grid_seeds(mode, rule_for(h_max=0.01))
+    f = grid_seeds(mode, rule_for(h_max=0.01)).seeds
     exact = density_radius_exact(mode)
     assert exact == pytest.approx(math.pi / 8, rel=1e-12)
     assert abs(density_radius(f) - exact) <= 2 * max(f.h)
 
     kmode = EigenMode(DomainSpec.interval(), (10,))
-    fk = grid_seeds(kmode, rule_for())
+    fk = grid_seeds(kmode, rule_for()).seeds
     assert abs(density_radius(fk) - math.pi / 20) <= 2 * max(fk.h)
 
 
@@ -494,12 +502,18 @@ def test_seed_rows_are_the_whole_grid_seed_rows(grid, lo, rows):
     g, at, window = measures_mod._sampled_rows(factors, periodic, lo - 1, hi + 1, out)
     assert window.tobytes() == values[at].tobytes()
     got = np.zeros((rows,) + shape[1:], dtype=bool)
-    assert measures_mod._chunk(factors, h, periodic, lo, hi, out, got) is None
-    want = np.zeros_like(got)
+    # sign rows of a chunk inside the grid (any chunk of a torus)
     index = np.arange(lo, hi)
     inside = np.ones(rows, dtype=bool) if periodic else (index >= 0) & (index < shape[0])
+    signs = (np.empty_like(got), np.empty_like(got)) if inside.all() else None
+    assert measures_mod._chunk(factors, h, periodic, lo, hi, out, got, None, signs) is None
+    want = np.zeros_like(got)
     want[inside] = whole[index[inside] % shape[0]]
     assert np.array_equal(got, want)
+    if signs is not None:
+        rows_of = values[index % shape[0]]
+        assert np.array_equal(signs[0], rows_of > SIGN_EPS)
+        assert np.array_equal(signs[1], rows_of < -SIGN_EPS)
 
 
 def density_rule(mode):
@@ -521,18 +535,33 @@ SEED_GRIDS = {
 
 @pytest.mark.parametrize("mode, rule", list(SEED_GRIDS.values()), ids=list(SEED_GRIDS))
 def test_grid_seeds_are_the_float_raster_on_the_default_grids(mode, rule, monkeypatch):
-    """``grid_seeds`` is bitwise the float raster of the whole sample's vertices,
-    in chunks of the default size, of 7 rows and of one row."""
+    """``grid_seeds``' seeds are bitwise the float raster of the whole sample's
+    vertices, and its sign masks the sample's signs, in chunks of the default
+    size, of 7 rows and of one row, on 1-3 workers that switch threads often."""
     sample = sample_grid(mode, rule)
     want = seed_mask(extract_nodal(sample))
     assert want.any()
     row_points = math.prod(sample.shape[1:])
-    for rows in (None, 7, 1):
-        if rows is not None:
-            monkeypatch.setattr(measures_mod, "CHUNK_POINTS", rows * row_points)
-        seeds = grid_seeds(mode, rule)
-        assert seeds.h == sample.h and seeds.periodic == sample.periodic
-        assert seeds.mask.dtype == bool and np.array_equal(seeds.mask, want)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for rows, workers in ((None, 1), (None, 2), (None, 3), (7, 2), (1, 3)):
+            if rows is not None:
+                monkeypatch.setattr(measures_mod, "CHUNK_POINTS", rows * row_points)
+            monkeypatch.setattr(measures_mod, "usable_cores", lambda: workers)
+            assert_grid_signs(grid_seeds(mode, rule), sample, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def assert_grid_signs(signs, sample, seeds):
+    """``signs`` holds the seed mask ``seeds`` and the signs of ``sample``, bit for bit."""
+    got = signs.seeds
+    assert got.h == sample.h and got.periodic == sample.periodic
+    assert got.mask.dtype == signs.pos.dtype == signs.neg.dtype == bool
+    assert np.array_equal(got.mask, seeds)
+    assert np.array_equal(signs.pos, sample.values > SIGN_EPS)
+    assert np.array_equal(signs.neg, sample.values < -SIGN_EPS)
 
 
 @st.composite
@@ -554,17 +583,19 @@ def raster_modes(draw):
     return EigenMode(domain, m), ResolutionRule(points_per_wavelength=ppw)
 
 
-@given(grid=raster_modes(), rows=st.integers(1, 3))
-@example(grid=(EigenMode(TORUS2, (0, 3)), ResolutionRule(points_per_wavelength=24.0)), rows=1)
+@given(grid=raster_modes(), rows=st.integers(1, 3), workers=st.integers(1, 3))
+@example(grid=(EigenMode(TORUS2, (0, 3)), ResolutionRule(points_per_wavelength=24.0)), rows=1,
+         workers=1)
 @settings(max_examples=100, deadline=None)
-def test_grid_seeds_are_the_float_raster_of_drawn_modes(grid, rows):
-    """On drawn grids, in chunks of 1-3 rows: ``grid_seeds`` is bitwise the float
-    raster of the whole sample's vertices."""
+def test_grid_seeds_are_the_float_raster_of_drawn_modes(grid, rows, workers):
+    """On drawn grids, in chunks of 1-3 rows on 1-3 workers: ``grid_seeds`` is
+    bitwise the float raster of the whole sample's vertices and its signs."""
     mode, rule = grid
     sample = sample_grid(mode, rule)
-    with mock.patch.object(measures_mod, "CHUNK_POINTS", rows * math.prod(sample.shape[1:])):
-        seeds = grid_seeds(mode, rule)
-    assert np.array_equal(seeds.mask, seed_mask(extract_nodal(sample)))
+    with mock.patch.object(measures_mod, "CHUNK_POINTS", rows * math.prod(sample.shape[1:])), \
+            mock.patch.object(measures_mod, "usable_cores", lambda: workers):
+        signs = grid_seeds(mode, rule)
+    assert_grid_signs(signs, sample, seed_mask(extract_nodal(sample)))
 
 
 def test_marching_squares_geometry_runs_once_per_pass(monkeypatch):
