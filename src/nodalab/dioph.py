@@ -38,9 +38,10 @@ keeps only its multiples of q and its semiconvergents q' - j q that could
 still tie row q (``_record_pairs``). Where theta's expansion ends at q,
 theta = p / q keeps every other row at ||k theta|| >= 1 / q: only the
 multiples of q stay, and none where the scan's distance at q is already an
-exact hit (x_j = 0, say). ``estimate_exponent`` scans those rows
-for all points at once: about 13 of the survey box's 3,412 rows per point,
-and 10 of the interval's 100,000.
+exact hit (x_j = 0, say). ``estimate_exponent`` takes the distances of
+those rows for all points in one call, about 13 of the survey box's 3,412
+rows per point and 10 of the interval's 100,000, and fits each point on its
+own slice of them.
 
 ``tail_hits`` asks whether any row of a list beyond a frequency cutoff
 passes within its radius. A row hits iff one of its axes does, so each axis
@@ -101,7 +102,7 @@ def modes_nodal_distance(point, modes: ModeList) -> np.ndarray:
 # relative widening of each float bound below, far above the few-ulp rounding
 # of the operations that compute it
 _SLACK = 2.0**-40
-# (point, row) pairs _axis_tail_hits evaluates, and padded entries estimate_exponent holds, at once
+# (point, row) pairs _axis_tail_hits evaluates at once
 _PAIR_BUDGET = 1 << 18
 # the double math.pi as an exact rational
 _PI_NUM, _PI_DEN = math.pi.as_integer_ratio()
@@ -455,29 +456,22 @@ def _record_pairs(points: np.ndarray, modes: ModeList) -> tuple[np.ndarray, np.n
     return key // size, key % size
 
 
-def _record_fits(mu: np.ndarray, dist: np.ndarray, mu_min: float, hi: float) -> list[ExponentEstimate]:
-    """One estimate per row of the (points, rows) arrays mu and dist, +inf past a point's rows."""
-    hit = (dist == 0.0).any(axis=1)
-    proxy = mu * dist
-    running = np.minimum.accumulate(proxy, axis=1)
-    prev = np.concatenate([np.full((proxy.shape[0], 1), np.inf), running[:, :-1]], axis=1)
-    rec = (proxy < prev) & (mu >= mu_min) & (mu <= hi)
-    out = []
-    for p in range(proxy.shape[0]):
-        if hit[p]:
-            out.append(ExponentEstimate(math.inf, 0, 0.0, False, True))
-            continue
-        idx = np.flatnonzero(rec[p])
-        n_rec = int(idx.size)
-        X = np.log(mu[p, idx])
-        if n_rec < 2 or X[0] == X[-1]:  # no line through one mu: the records are sorted by mu
-            out.append(ExponentEstimate(math.nan, n_rec, math.nan, True, False))
-            continue
-        Y = -np.log(dist[p, idx])
-        slope, intercept = np.polyfit(X, Y, 1)
-        resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))
-        out.append(ExponentEstimate(float(slope), n_rec, resid, n_rec < 5, False))
-    return out
+def _record_fit(mu, dist, proxy, before, window) -> ExponentEstimate:
+    """One point's estimate from its kept rows in list order, none an exact hit.
+
+    A row in the fit window is a record where its proxy mu * dist is below
+    the running minimum of ``before``, the proxy of the row before it and
+    +inf at the first row: the best proxy of the rows before it.
+    """
+    idx = np.flatnonzero((proxy < np.minimum.accumulate(before)) & window)
+    n_rec = int(idx.size)
+    X = np.log(mu[idx])
+    if n_rec < 2 or X[0] == X[-1]:  # no line through one mu: the records are sorted by mu
+        return ExponentEstimate(math.nan, n_rec, math.nan, True, False)
+    Y = -np.log(dist[idx])
+    slope, intercept = np.polyfit(X, Y, 1)
+    resid = float(np.sqrt(np.mean((Y - slope * X - intercept) ** 2)))
+    return ExponentEstimate(float(slope), n_rec, resid, n_rec < 5, False)
 
 
 def estimate_exponent(
@@ -504,11 +498,12 @@ def estimate_exponent(
     The list must be complete axis families (``ModeList.axis_families``), as
     ``spectrum.record_candidates`` builds: only each family's convergent
     denominators and the rows between them that the window certificate
-    cannot rule out are scanned (``_record_pairs``), all points at once, in
-    blocks of at most ``_PAIR_BUDGET`` padded entries. A dropped row never
-    lowers the running minimum and is never a first exact hit, so the
-    records, the fits and the flags are the full scan's bit for bit, and
-    those of the whole ``enumerate_modes`` list that the candidates come from.
+    cannot rule out are scanned (``_record_pairs``), all points in one
+    distance call, and each point is fitted on its own slice of those rows.
+    A dropped row never lowers the running minimum and is never a first
+    exact hit, so the records, the fits and the flags are the full scan's
+    bit for bit, and those of the whole ``enumerate_modes`` list that the
+    candidates come from.
     """
     if len(modes) == 0:
         raise ValidationError("mode list is empty")
@@ -524,31 +519,27 @@ def estimate_exponent(
         )
     hi = float(modes.mu_max if mu_max is None else mu_max)
     if not mu_min < hi:
-        raise ValidationError("empty fit window")
+        raise ValidationError(f"empty fit window: mu_min={mu_min:g} is not below mu_max={hi:g}")
     if points.shape[0] == 0:
         return []
     owner, rows = _record_pairs(points, modes)
     kept = ModeList(modes.domain, modes.mu_max, modes.m[rows], modes.mu[rows])
     dist = modes_nodal_distance(points[owner], kept)
-    count = np.bincount(owner, minlength=points.shape[0])
-    start = np.cumsum(count) - count
-    order = np.argsort(count, kind="stable")
-    out = [None] * points.shape[0]
-    lo = 0
-    while lo < order.size:
-        # (points, kept rows) arrays, each point's rows in list order, +inf after
-        # them: points go by row count, as many as fit _PAIR_BUDGET entries
-        fit = np.arange(1, order.size - lo + 1) * count[order[lo:]] <= _PAIR_BUDGET
-        block = order[lo:lo + max(1, int(np.count_nonzero(fit)))]
-        c = count[block]
-        at = (np.repeat(np.arange(block.size), c), _ramps(c))
-        pair = np.repeat(start[block], c) + at[1]
-        mu_pad, dist_pad = np.full((block.size, c.max()), np.inf), np.full((block.size, c.max()), np.inf)
-        mu_pad[at], dist_pad[at] = kept.mu[pair], dist[pair]
-        for p, est in zip(block.tolist(), _record_fits(mu_pad, dist_pad, mu_min, hi)):
-            out[p] = est
-        lo += block.size
-    return out
+    mu, proxy = kept.mu, kept.mu * dist
+    window = (mu >= mu_min) & (mu <= hi)
+    hit = np.zeros(points.shape[0], dtype=bool)
+    hit[owner[dist == 0.0]] = True
+    # each point's kept rows, in list order: the pairs come sorted by point,
+    # and every point keeps row q = 1 of each family, so none is empty
+    ends = np.searchsorted(owner, np.arange(points.shape[0] + 1))
+    before = np.append(np.inf, proxy[:-1])
+    before[ends[:-1]] = np.inf
+    ends = ends.tolist()
+    return [
+        ExponentEstimate(math.inf, 0, 0.0, False, True) if h
+        else _record_fit(mu[a:b], dist[a:b], proxy[a:b], before[a:b], window[a:b])
+        for h, a, b in zip(hit.tolist(), ends, ends[1:])
+    ]
 
 
 def shrinking_radii(mu: np.ndarray, C: float, b: float) -> np.ndarray:

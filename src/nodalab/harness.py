@@ -522,8 +522,9 @@ def _dim2_cell(domain: DomainSpec, m, area_ppw: float, tube_mu_delta: float) -> 
 
         delta = tube_mu_delta / mu
         radii = [delta, delta / 2.0]
-        nm = tube_measure(streamed_tubes(mode, _tube_rule(radii), radii).volumes)
-        vol = nm.volumes[delta]
+        volumes = streamed_tubes(mode, _tube_rule(radii), radii).volumes
+        nm = tube_measure(volumes)
+        vol = volumes[delta]
 
         cell.measured = {
             "count": comp.count,

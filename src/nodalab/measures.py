@@ -429,10 +429,9 @@ def tube_volume(mode: EigenMode, rule, delta: float) -> float:
 
 @dataclass
 class NodalMeasure:
-    """(n-1)-measure estimate with the tube volumes it was extrapolated from."""
+    """(n-1)-measure estimate extrapolated from tube volumes."""
 
     value: float
-    volumes: dict           # tube radius -> Vol(T_t)
     non_monotone: bool      # Vol(T_t)/(2t) fell as t shrank
 
 
@@ -451,7 +450,7 @@ def tube_measure(volumes: dict) -> NodalMeasure:
     non_monotone = any(
         b < a - 0.005 * scale for a, b in zip(ratios, ratios[1:])
     )
-    return NodalMeasure(extrap, {t: volumes[t] for t in ts}, non_monotone)
+    return NodalMeasure(extrap, non_monotone)
 
 
 def density_radius(seeds: Seeds) -> float:

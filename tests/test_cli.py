@@ -333,6 +333,11 @@ def test_edge_flag_values_end_without_a_traceback(argv, tmp_path_factory):
          "mu_max must be finite and nonnegative"),
         (["dioph", "--mu-max-box=-5", "--n-interval", "1", "--n-box", "1"],
          "mu_max must be finite and nonnegative"),
+        # a fit window that the list's mu_max empties names both of its ends
+        (["dioph", "--mu-max", "3", "--n-interval", "1", "--n-box", "1"],
+         "empty fit window: mu_min=3 is not below mu_max=3"),
+        (["dioph", "--mu-max-box", "2.5", "--n-interval", "1", "--n-box", "1"],
+         "empty fit window: mu_min=3 is not below mu_max=2.5"),
         # a mode whose mu^2 has no float: through a weight, and through an index
         (["density", "--domain", "torus", "--alpha", "1e300,1", "--modes", "1,1"],
          "mu^2 overflows"),
@@ -358,6 +363,7 @@ def test_edge_flag_values_end_without_a_traceback(argv, tmp_path_factory):
          "boxes-mu-delta-nan", "boxes-A-nan", "boxes-A-inf", "tube-torus-mu-delta-nan",
          "tube-interval-delta-nan", "tube-interval-mu-delta-inf", "borel-cantelli-eps-nan",
          "borel-cantelli-eps-inf", "dioph-mu-max-box-nan", "dioph-mu-max-box-negative",
+         "dioph-mu-max-empty-window", "dioph-mu-max-box-empty-window",
          "density-mu-overflows", "tube-mu-overflows", "yau-index-overflows",
          "tube-bounds-inf", "tube-band-cap-nan", "tube-band-cap-negative",
          "tube-agree-tol-inf", "tube-agree-tol-nan", "dioph-point-min-0",

@@ -394,7 +394,7 @@ def full_scan_exponent(point, modes: ModeList, mu_min=EXPONENT_MU_MIN, mu_max=No
     mu = modes.mu
     hi = float(modes.mu_max if mu_max is None else mu_max)
     if not mu_min < hi:
-        raise ValidationError("empty fit window")
+        raise ValidationError(f"empty fit window: mu_min={mu_min:g} is not below mu_max={hi:g}")
     if (dist == 0.0).any():
         return ExponentEstimate(math.inf, 0, 0.0, False, True)
     proxy = mu * dist
@@ -506,6 +506,12 @@ def test_exponent_at_a_zero_of_a_first_row_scans_no_row_after_it(modes, point):
     family = modes.axis_families[point.index(0.0)]
     assert np.intersect1d(rows, family).tolist() == [family[0]]
     assert outcome(lambda: exponent(point, modes)) == outcome(lambda: full_scan_exponent(point, modes))
+    # between points with rows of their own, the hit's flag and its one kept
+    # row leak into neither neighbour's estimate
+    trio = [np.add(point, 0.5), point, np.add(point, 1.1)]
+    together = estimate_exponent(np.array(trio, dtype=float), modes)
+    assert [repr(est) for est in together] == [repr(exponent(p, modes)) for p in trio]
+    assert [est.exact_hit for est in together] == [False, True, False]
 
 
 def test_axis_families_are_checked_once_per_list():

@@ -94,8 +94,8 @@ def test_nodal_measure_torus():
     assert abs(length - exact) / exact < 1e-2
     assert not nm.non_monotone
     assert abs(length - nm.value) / max(length, nm.value) < 0.01
-    assert sorted(nm.volumes) == sorted(ts)
-    assert nm.volumes[ts[0]] == tube_volume(mode, rule, ts[0])
+    assert sorted(tubes.volumes) == sorted(ts)
+    assert tubes.volumes[ts[0]] == tube_volume(mode, rule, ts[0])
 
 
 def test_nodal_measure_needs_two_radii():
