@@ -17,7 +17,8 @@ grid is formed. ``sign_components`` labels each sign on its own thread
 label array outlives the call. The positive domains come first, each
 sign's numbered by its smallest label. ``component_inradii`` reads the
 largest inner radius: the max over domains of each domain's max of the
-distance field is the field's max over the signed points, bit for bit.
+distance field is the field's max over the signed points, bit for bit,
+which ``distance.max_distance`` reads from the seeds' coordinates.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.ndimage import generate_binary_structure, label
 
-from .distance import ROW_BLOCK_POINTS, full_range, usable_cores
+from .distance import ROW_BLOCK_POINTS, max_distance, usable_cores
 
 # annotations only: importing measures here moves it ahead in `import nodalab`,
 # which measured about 0.15 MB more RSS after the import
@@ -104,23 +105,13 @@ def sign_components(grid: GridSigns) -> SignComponents:
 
 def component_inradii(grid: GridSigns) -> float:
     """The largest inner radius of the sign domains, up to grid error: the max of the
-    full-range distance field to the seeds over the signed points (0.0 when none is
-    signed); ``inf`` when there are no seeds, as the field is inf everywhere.
+    distance field to the seeds over the signed points (0.0 when none is signed);
+    ``inf`` when there are no seeds, as the field is inf everywhere.
 
-    The field is never formed: each block of rows the transform computes is
-    reduced to its max over the block's signed points, and the slabs' maxima
-    are joined. The certificate still reads the slab loop's maximum over
-    every point, unsigned ones included, and a failed one reruns the
-    transform with fresh maxima. Bit for bit the max over the domains of
-    ``np.maximum.at`` over the whole full-range field.
+    The field is never formed (``distance.max_distance``). Bit for bit the max
+    over the domains of ``np.maximum.at`` over the whole field.
     """
     seeds = grid.seeds
     if not seeds.mask.any():
         return math.inf
-
-    def fold(top, rows, d):
-        signed = np.logical_or(grid.pos[rows], grid.neg[rows])
-        top[0] = max(top[0], float(np.max(d, where=signed, initial=0.0)))
-
-    slabs, _ = full_range(seeds, lambda: [0.0], fold)
-    return max(top for top, in slabs)
+    return max_distance(seeds, grid.pos | grid.neg)

@@ -5,44 +5,34 @@ rasterized to their nearest grid points, so pointwise it differs from the true
 distance to the interpolated nodal set by at most the rasterization displacement
 (half the grid diagonal), well inside the documented 2*max(h) accuracy contract.
 
-The distances come from scipy's feature transform (each point's nearest
-seed), cropped first: they are formed on the grid's own block only, with
-scipy's float sequence, so the field is bit for bit scipy's distance
-transform without its arithmetic and temporaries on the wrap pad.
-
-Periodic axes are handled by wrap-padding the seed mask, transforming the padded
-array and cropping. Padding axis j by p_j cells puts every seed image within
-R = min_j p_j*h_j of a grid point inside the array, and the padded transform never
-undercuts the periodic distance, so a cropped field whose maximum is below R is
-exact. The first pad is sized from the seed density; if the certificate fails,
-that field's maximum (an upper bound on the periodic distance) sizes a second pad
-that passes it. A pad of half a period plus one cell holds every nearest image on
-its own, so axes padded that far do not limit R.
-
-The same certificate lets the padded transform run in row slabs, one per
-usable core on a thread pool (scipy's feature transform releases the GIL).
-The slab of grid rows [a, b) transforms rows [a, b + 2 p_0) of the padded
-mask: its own rows with the axis-0 pad on both sides as a halo. A seed image
-nearer than R to a point of the slab lies within p_0 rows of it, so inside
-the window, and the field's maximum below R leaves no nearest seed outside.
-Each slab computes its distances a few rows at a time into one buffer, so no
-grid-sized temporary is formed, and the slab loop keeps their maximum for the
-certificate, over every point. What becomes of a block is up to its
-consumer (``full_range``). The slab count is bounded so the windows in
-flight hold at most twice the unsplit padded rows. An unpadded grid (a box
-or the interval) has no halo and is one transform.
+Every distance is scipy's float sequence for the nearest seed's offset l
+in cells: fl(l_j h_j) squared, summed in axis order, and the square root,
+with each periodic axis's offset the shorter way round. Bit for bit scipy's
+``distance_transform_edt`` of the (wrap-padded) seed mask, which no code
+path runs: the sequence does not fall as any |l_j| grows, so each use reads
+the seeds' coordinates or a window of seed rows instead.
 
 The tube volumes read no distances: ``seed_stencils`` tells from a window of
 seed rows whether a point's distance capped at a reach passes a threshold,
-exactly: the predicate is monotone in the least, over the seeds, of scipy's
-float sequence for the seed's offset l, which does not fall as any |l_j|
-grows, so it is the window dilated by ``stencil_widths``. The density radius
-and the sign domains' inner radii read a maximum, which a cap would clip, so
-they keep the full-range transform and its certificate. No code path forms
-the whole field: ``measures.density_radius`` reads the certified maximum and
-``components.component_inradii`` reduces each block to its max over the
-signed points. Both read the ``Seeds`` of ``measures.grid_seeds``, so no
-float grid is held.
+exactly: the predicate is monotone in the least, over the seeds, of the
+sequence, so it is the window dilated by ``stencil_widths``.
+
+The density radius and the sign domains' largest inner radius read the
+field's maximum (``max_distance``; over the signed points for the radii),
+from the seeds' coordinates alone, sorted into lines along each axis. A
+point's distance to the nearest seed on one of its own axis lines (the
+per-line offsets are the first pass of the separable transform of Meijster,
+Roerdink & Hesselink, 2000) is an upper bound U, and the exact distance is
+the least over the offsets o on axes 1..n-1 of the distance to the nearest
+seed, in |l_0|, on the axis-0 line through the point shifted by o. The
+exact distances at the centres of the longest seed-free runs give a lower
+bound; only points with U above it are evaluated, enumerated from the runs
+along the axis that has fewest. Cost: O(S log S + C r^(n-1)) for S seeds,
+C such candidates and a reach of r cells. Product-mode nodal sets, lines
+along the axes, leave no candidate beyond the bound's (at most 64) points;
+a single seed or a diagonal line leaves many, and the maximum is as exact,
+only slower. The density radius and the inner radii read the ``Seeds`` of
+``measures.grid_seeds``, so no float grid is held.
 """
 
 from __future__ import annotations
@@ -50,19 +40,16 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
-from .errors import ResourceGuardError
-
-PADDED_POINT_CAP = 90_000_000
-# grid points per block of rows in the slab distances and the tube stream's band blocks:
-# bounds their temporaries
+# grid points per block of the tube stream's band blocks, and points or (point, offset)
+# pairs per block of max_distance's candidates: bounds their temporaries
 ROW_BLOCK_POINTS = 1 << 16
+# points whose exact distances give max_distance its first lower bound, at most
+BOUND_POINTS = 64
 
 
 def raster_error(h) -> float:
@@ -72,7 +59,7 @@ def raster_error(h) -> float:
 
 @dataclass
 class Seeds:
-    """The rasterized nodal vertices, with the grid's spacing and wrap: all a transform reads."""
+    """The rasterized nodal vertices, with the grid's spacing and wrap: all the distances read."""
 
     mask: np.ndarray
     h: tuple[float, ...]
@@ -80,105 +67,219 @@ class Seeds:
 
 
 def usable_cores() -> int:
-    """Cores this process may run on: the threads of the EDT slabs and of the tube stream."""
+    """Cores this process may run on: the threads of grid_seeds, the tube stream and the labels."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _slab_count(rows: int, pad: int) -> int:
-    """Slabs of ``rows`` grid rows, each transformed with ``pad`` halo rows per side.
+def _float_distance(cells, h):
+    """scipy's float distance to a seed ``cells[j]`` cells away on axis j (float
+    arrays, inf for no seed): fl(l_j h_j) squared, summed in axis order, then
+    the square root."""
+    total = 0.0
+    for l, hj in zip(cells, h):
+        step = l * hj
+        total = total + step * step
+    return np.sqrt(total)
 
-    One per usable core, as long as the k windows' rows + 2 k pad stay within
-    twice the unsplit rows + 2 pad; without a pad there is no halo and one slab.
+
+class _SeedLines:
+    """The seeds sorted into lines along each axis, keyed ``line * s_k + position``."""
+
+    def __init__(self, seeds):
+        self.shape, self.h, self.periodic = seeds.mask.shape, seeds.h, seeds.periodic
+        flat = np.flatnonzero(seeds.mask)
+        coords = np.unravel_index(flat, self.shape)
+        # on the last axis the key is the flat index, sorted already
+        self.keys = [np.sort(self.key(coords, k)) for k in range(len(self.shape) - 1)] + [flat]
+
+    def key(self, x, k):
+        """The key of each point of ``x`` (one coordinate array per axis) on its axis-k line."""
+        line = 0
+        for j, (c, s) in enumerate(zip(x, self.shape)):
+            if j != k:
+                line = line * s + c
+        return line * self.shape[k] + x[k]
+
+    def neighbours(self, q, k):
+        """Per key q on axis k, the nearest seed keys on its line before it and at or
+        after it, as floats: wrapped on a torus, -inf and inf where there is none."""
+        keys, s = self.keys[k], self.shape[k]
+        start = q - q % s
+        lo, at, hi = (np.searchsorted(keys, v) for v in (start, q, start + s))
+        before = np.take(keys, at - 1, mode="clip").astype(np.float64)
+        after = np.take(keys, at, mode="clip").astype(np.float64)
+        if self.periodic:
+            before = np.where(at > lo, before, np.take(keys, hi - 1, mode="clip") - s)
+            after = np.where(at < hi, after, np.take(keys, lo, mode="clip") + s)
+            none = lo == hi
+            before[none], after[none] = -np.inf, np.inf
+        else:
+            before[at <= lo], after[at >= hi] = -np.inf, np.inf
+        return before, after
+
+    def offsets(self, x, k):
+        """Cells from each point of ``x`` to the nearest seed on its axis-k line (inf for none)."""
+        q = self.key(x, k)
+        before, after = self.neighbours(q, k)
+        return np.minimum(after - q, q - before)
+
+    def upper(self, x):
+        """Per point, the least over the axes k of the distance to the nearest seed on its
+        axis-k line: a seed's distance, so at least the nearest one's."""
+        u = np.inf
+        for k, hk in enumerate(self.h):
+            u = np.minimum(u, _float_distance([self.offsets(x, k)], [hk]))
+        return u
+
+    def nearest(self, x, best):
+        """Each point's distance to its nearest seed, bit for bit scipy's, from ``best``,
+        seeds' distances at or above it.
+
+        Per offset o on axes 1..n-1 (wrapped on a torus, clipped to the grid on a
+        box) the nearest seed on the axis-0 line through the point shifted by o is
+        the one least in |l_0|, as the float distance does not fall as any |l_j|
+        grows. The offsets run in order of their distance with l_0 = 0 until it
+        reaches every point's best, ``ROW_BLOCK_POINTS`` (point, offset) pairs at
+        a time (at least one offset).
+        """
+        shape, h = self.shape, self.h
+        top = float(best.max(initial=0.0))
+        if len(shape) == 1 or top == 0.0:
+            return best  # on one axis the line is the grid; or no point is off the seeds
+        ranges = []
+        for s, hj in zip(shape[1:], h[1:]):
+            cap = s // 2 if self.periodic else s - 1
+            reach = np.count_nonzero(_float_distance([np.arange(cap + 1.0)], [hj]) < top) - 1
+            ranges.append(np.arange(-reach, reach + 1))
+        offs = np.stack([g.ravel() for g in np.meshgrid(*ranges, indexing="ij")])
+        v0 = _float_distance(offs, h[1:])
+        order = np.argsort(v0, kind="stable")
+        offs, v0 = offs[:, order], v0[order]
+        best = best.copy()
+        step = max(1, ROW_BLOCK_POINTS // x.shape[1])
+        for c in range(0, offs.shape[1], step):
+            live = np.flatnonzero(best > v0[c])
+            if live.size == 0:
+                break
+            o = offs[:, c : c + step, None]
+            # on a box an offset past the edge reads the edge's line, whose seeds it
+            # puts farther than they are: never below the nearest seed's distance
+            y = [
+                (x[j + 1, live] + o[j]) % s if self.periodic
+                else np.clip(x[j + 1, live] + o[j], 0, s - 1)
+                for j, s in enumerate(shape[1:])
+            ]
+            y = [np.broadcast_to(x[0, live], y[0].shape)] + y
+            d = _float_distance([self.offsets(y, 0)] + [oj.astype(np.float64) for oj in o], h)
+            best[live] = np.minimum(best[live], d.min(axis=0))
+        return best
+
+    def runs(self, k):
+        """The seed-free runs of the seeded axis-k lines: per run its line and the
+        positions lo < hi of the seeds at its ends. On a torus a line's last seed
+        runs to its first plus s_k; on a box each line's ends mirror its first and
+        last seed, so a run to an end is a run between seeds, clipped at the end."""
+        keys, s = self.keys[k], self.shape[k]
+        line, pos = np.divmod(keys, s)
+        head = np.r_[True, line[1:] != line[:-1]]
+        tail = np.r_[head[1:], True]
+        nxt = np.r_[pos[1:], 0]
+        if self.periodic:
+            nxt[tail] = pos[head] + s
+            return line, pos, nxt
+        nxt[tail] = 2 * (s - 1) - pos[tail]
+        return np.r_[line[head], line], np.r_[-pos[head], pos], np.r_[pos[head], nxt]
+
+    def points(self, k, line, pos):
+        """The points at positions ``pos`` of the axis-k lines ``line``, one row per axis."""
+        rest = self.shape[:k] + self.shape[k + 1 :]
+        other = np.unravel_index(line, rest) if rest else ()
+        return np.stack(other[:k] + (pos,) + other[k:])
+
+    def centre(self, x, j):
+        """Moves each point of ``x`` along axis j to the centre of the seed-free run through it."""
+        s = self.shape[j]
+        q = self.key(x, j)
+        start = q - q % s
+        before, after = self.neighbours(q, j)
+        before, after = before - start, after - start
+        if not self.periodic:
+            before, after = (np.where(np.isinf(before), -after, before),
+                             np.where(np.isinf(after), 2 * (s - 1) - before, after))
+        found = np.isfinite(before) & np.isfinite(after)
+        x[j, found] = ((before[found] + after[found]) // 2).astype(np.int64) % s
+
+    def bound_points(self, k, count):
+        """The centres of the ``count`` longest runs along axis k, each moved to the
+        centre of the run through it along every other axis in turn."""
+        line, lo, hi = self.runs(k)
+        top = np.argsort(lo - hi, kind="stable")[:count]
+        x = self.points(k, line[top], (lo[top] + hi[top]) // 2 % self.shape[k])
+        for j in range(len(self.shape)):
+            if j != k:
+                self.centre(x, j)
+        return x
+
+    def candidates(self, k, t):
+        """The points farther than ``t`` cells from every seed of their axis-k line, as
+        runs of positions: line, first position, count (> 0), wrapped on a torus."""
+        s = self.shape[k]
+        line, lo, hi = self.runs(k)
+        first, last = lo + t + 1, hi - t - 1
+        if not self.periodic:
+            first, last = np.maximum(first, 0), np.minimum(last, s - 1)
+        count = last - first + 1
+        run = count > 0
+        # lines with no seed: the whole line
+        seeded, lines = np.unique(line), math.prod(self.shape) // s
+        empty = np.setdiff1d(np.arange(lines), seeded, True) if seeded.size < lines else seeded[:0]
+        return (np.r_[line[run], empty], np.r_[first[run], 0 * empty],
+                np.r_[count[run], s + 0 * empty])
+
+
+def max_distance(seeds: Seeds, where=None) -> float:
+    """The largest distance from a grid point (of ``where``, if given) to the nearest of
+    a nonempty seed set: bit for bit the max of scipy's distance transform, 0.0 when
+    ``where`` holds no point.
+
+    A point's distance is at most U, its least distance to a seed on one of its own
+    lines along the axes. The exact distances at a few points (``bound_points``) give a
+    lower bound B; only the points with U > B can exceed it, and they are enumerated
+    along the axis that has fewest, from the runs between seeds, in blocks of at most
+    ``ROW_BLOCK_POINTS`` points, each block raising B.
     """
-    if pad == 0:
-        return 1
-    return min(usable_cores(), rows, 2 + rows // (2 * pad))
-
-
-def _cropped_distances(seeds: np.ndarray, pads, h, start, fold) -> tuple[list, float]:
-    """Distances to the nearest seed on the block inside ``pads`` cells per side, folded.
-
-    scipy's float sequence, on the block only: per axis the int32 index
-    difference, then float64, times h_j, squared, summed over the axes in
-    axis order, and the square root. The transform runs in row slabs on a
-    thread pool. Each slab computes a few rows at a time into one buffer and
-    hands them to its own accumulator ``acc = start()`` as ``fold(acc, rows,
-    d)``, ``rows`` the grid rows' slice. Returns the slabs' accumulators and
-    the maximum distance; every worker is joined before this returns.
-    """
-    shape = tuple(s - 2 * p for s, p in zip(seeds.shape, pads))
-    p0 = pads[0]
-    slabs = _slab_count(shape[0], p0)
-    edges = [shape[0] * k // slabs for k in range(slabs + 1)]
-    step = max(1, ROW_BLOCK_POINTS // math.prod(shape[1:]))
-
-    def slab(a, b):
-        ft = distance_transform_edt(
-            ~seeds[a : b + 2 * p0], sampling=h, return_distances=False, return_indices=True
-        )
-        acc, top = start(), 0.0
-        buf = np.empty((min(step, b - a),) + shape[1:])
-        for r in range(a, b, step):
-            piece = buf[: min(r + step, b) - r]
-            # the piece in window indices: grid row i is window row i - a + p0
-            first = (r - a + p0,) + tuple(pads[1:])
-            crop = tuple(slice(f, f + s) for f, s in zip(first, piece.shape))
-            for j, (f, s, hj) in enumerate(zip(first, piece.shape, h)):
-                near = ft[j][crop]
-                along = (-1,) + (1,) * (len(shape) - 1 - j)
-                near -= np.arange(f, f + s, dtype=np.int32).reshape(along)
-                d = near.astype(np.float64)
-                d *= hj
-                if j == 0:
-                    np.multiply(d, d, out=piece)
-                else:
-                    np.multiply(d, d, out=d)
-                    piece += d
-            np.sqrt(piece, out=piece)
-            fold(acc, slice(r, r + len(piece)), piece)
-            top = max(top, float(piece.max()))
-        return acc, top
-
-    with ThreadPoolExecutor(slabs) as pool:
-        done = list(pool.map(slab, edges[:-1], edges[1:]))
-    return [acc for acc, _ in done], max(top for _, top in done)
-
-
-def full_range(seeds: Seeds, start, fold) -> tuple[list, float]:
-    """The full-range field of a nonempty seed set, folded block by block: the slabs'
-    accumulators and the field's maximum.
-
-    ``start`` and ``fold`` are as in ``_cropped_distances``: every grid point's
-    distance reaches exactly one ``fold`` of the attempt whose accumulators
-    and maximum are returned, the one that passes the certificate.
-    ``PADDED_POINT_CAP`` bounds the points of the (padded) array, whichever
-    slabs it is transformed in.
-    """
-    cap = PADDED_POINT_CAP
-    mask, h = seeds.mask, seeds.h
-    if not seeds.periodic:
-        if mask.size > cap:
-            raise ResourceGuardError(f"distance transform on {mask.size} points (cap {cap})")
-        return _cropped_distances(mask, [0] * mask.ndim, h, start, fold)
-    full = [s // 2 + 1 for s in mask.shape]
-    # first guess: grid points per seed, about the spacing of the nodal set
-    radius = mask.size / np.count_nonzero(mask) * min(h)
-    while True:  # at most twice: the second pad exceeds the first field's maximum
-        pads = [min(f, math.ceil(radius / hj) + 1) for f, hj in zip(full, h)]
-        padded_size = math.prod(s + 2 * p for s, p in zip(mask.shape, pads))
-        if padded_size > cap:
-            raise ResourceGuardError(
-                f"padded distance transform needs {padded_size} points (cap {cap})"
-            )
-        padded = np.pad(mask, [(p, p) for p in pads], mode="wrap")
-        accs, radius = _cropped_distances(padded, pads, h, start, fold)
-        certified = min(
-            (p * hj for p, f, hj in zip(pads, full, h) if p < f), default=math.inf
-        )
-        if radius < certified:
-            return accs, radius
+    lines = _SeedLines(seeds)
+    n, h = seeds.mask.ndim, seeds.h
+    per = max(1, BOUND_POINTS // n)
+    x = np.unique(np.concatenate([lines.bound_points(k, per) for k in range(n)], axis=1), axis=1)
+    if where is not None:
+        x = x[:, where[tuple(x)]]
+    best = float(lines.nearest(x, lines.upper(x)).max(initial=0.0))
+    runs = []
+    for k, hk in enumerate(h):
+        # the most cells along axis k whose distance is at most best
+        t = math.floor(best / hk) + 2
+        while _float_distance([float(t)], [hk]) > best:
+            t -= 1
+        runs.append(lines.candidates(k, t))
+    k = min(range(n), key=lambda axis: runs[axis][2].sum())
+    line, first, count = runs[k]
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for a in range(0, total, ROW_BLOCK_POINTS):
+        g = np.arange(a, min(a + ROW_BLOCK_POINTS, total))
+        r = np.searchsorted(ends, g, side="right")
+        pos = first[r] + g - (ends[r] - count[r])
+        x = lines.points(k, line[r], pos % seeds.mask.shape[k])
+        if where is not None:
+            x = x[:, where[tuple(x)]]
+        u = lines.upper(x)
+        far = u > best
+        if far.any():
+            best = max(best, float(lines.nearest(x[:, far], u[far]).max()))
+    return best
 
 
 def capped_pads(shape, h, reach: float, periodic: bool) -> list[int]:

@@ -466,8 +466,9 @@ def run_dim2_checks(
     from tubes at delta = tube_mu_delta / mu and delta / 2 on the tube grid.
     One parallel pass of ``grid_seeds`` writes each fine grid's seeds and sign
     masks; the domains are labeled from the masks, and the largest inner
-    radius is the full-range transform's max over the signed points. The
-    tubes stream their grid through ``measures.streamed_tubes``.
+    radius is the distance field's max over the signed points, read from the
+    seeds' coordinates (``distance.max_distance``). The tubes stream their
+    grid through ``measures.streamed_tubes``.
 
     The tube volumes draw no random numbers. ``seed`` is accepted and ignored
     (the report records ``seed: null``) so that callers written when the

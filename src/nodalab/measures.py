@@ -5,7 +5,8 @@ grid; ``tube_measure`` extrapolates Vol(T_t)/(2t) from its volumes to t -> 0
 for the nodal measure (in dimension one ``harness.run_yau_check`` counts
 vertices instead). The 2-d cross-check against the marching-squares length
 runs in ``harness.run_yau_check``, which gates on it. The density radius is
-the certified maximum of the full-range transform, which forms no field.
+the distance field's maximum, ``distance.max_distance``, read from the seeds'
+coordinates: no field is formed.
 
 The tube estimator classifies every grid cell as fully inside / fully outside
 / straddling the delta level set using Lipschitz-rigorous margins from corner
@@ -96,7 +97,7 @@ from .distance import (
     ROW_BLOCK_POINTS,
     Seeds,
     capped_pads,
-    full_range,
+    max_distance,
     raster_error,
     seed_stencils,
     stencil_widths,
@@ -454,7 +455,7 @@ def tube_measure(volumes: dict) -> NodalMeasure:
 
 
 def density_radius(seeds: Seeds) -> float:
-    """Largest distance from any grid point to a seed: the full-range transform's certified maximum."""
+    """Largest distance from any grid point to a seed: ``distance.max_distance``."""
     if not seeds.mask.any():
         raise EmptyNodalSetError("nodal set is empty; density radius undefined")
-    return full_range(seeds, lambda: None, lambda acc, rows, d: None)[1]
+    return max_distance(seeds)

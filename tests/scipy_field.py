@@ -4,7 +4,7 @@ the whole (padded) seed mask.
 ``seed_mask`` rounds every float coordinate of a nodal set's vertices to its
 nearest grid point: the raster that ``measures.grid_seeds`` must equal bit
 for bit on a sampled mode, and that hand-built vertex sets are seeded with.
-The field is the reference that the full-range field, the seed stencils'
+The field is the reference that the maximum distance, the seed stencils'
 predicates, the band blocks and the tube stream are compared with bit for bit.
 """
 

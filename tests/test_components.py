@@ -276,32 +276,20 @@ def test_sign_components_match_flood_fill_on_drawn_grids(values, periodic, worke
     assert_flood_fill_domains(comp, values, periodic, float(np.prod(np.asarray(h))))
 
 
-def folded_and_field_maxima(sample, workers, block_points=None):
-    """The largest inner radius from ``component_inradii`` and from ``np.maximum.at``
-    over the whole field per flood-fill domain, with ``workers`` slab threads, and
-    the number of transforms the fold ran."""
+def folded_and_field_maxima(sample, blocks):
+    """The largest inner radius from ``component_inradii``, its candidates in ``blocks``
+    blocks or fewer, and from ``np.maximum.at`` over the whole field per flood-fill domain."""
     signs = whole_grid_signs(sample)
-    transforms = []
-    edt = distance_mod.distance_transform_edt
-
-    def counted(a, **kwargs):
-        transforms.append(a.shape)
-        return edt(a, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distance_mod, "usable_cores", lambda: workers)
-        if block_points is not None:
-            mp.setattr(distance_mod, "ROW_BLOCK_POINTS", block_points)
-        mp.setattr(distance_mod, "distance_transform_edt", counted)
+        mp.setattr(distance_mod, "ROW_BLOCK_POINTS", -(-sample.values.size // blocks))
         got = component_inradii(signs)
-        mp.setattr(distance_mod, "distance_transform_edt", edt)
-        dist = whole_field(signs.seeds)
+    dist = whole_field(signs.seeds)
     labels = flood_fill_labels(sample.values, sample.periodic)
     want = np.zeros(labels.max() + 1)
     np.maximum.at(want, labels.ravel(), dist.ravel())
     # no seeds: the field is inf everywhere, also where no point is signed
     top = want[1:].max(initial=0.0) if signs.seeds.mask.any() else math.inf
-    return got, top, len(transforms)
+    return got, top
 
 
 def assert_bitwise(got, want):
@@ -319,29 +307,27 @@ def dense_corner_values():
 
 
 FOLD_CASES = {
-    # sample, transforms of one slab per attempt
-    "second-pad": (lambda: hand_sample(dense_corner_values(), True), 2),
+    # far corners: the reference field needs a second, wider pad
+    "second-pad": lambda: hand_sample(dense_corner_values(), True),
     # exact zero lines: unsigned points, label 0
-    "unsigned-torus": (lambda: sample_grid(EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3)),
-                                           ResolutionRule(points_per_wavelength=16.0)), 1),
-    "unsigned-box": (lambda: sample_grid(EigenMode(DomainSpec.box((1.0, 1.3)), (2, 1)),
-                                         ResolutionRule(points_per_wavelength=16.0)), 1),
+    "unsigned-torus": lambda: sample_grid(EigenMode(DomainSpec.torus((1.0, 1.0)), (2, 3)),
+                                          ResolutionRule(points_per_wavelength=16.0)),
+    "unsigned-box": lambda: sample_grid(EigenMode(DomainSpec.box((1.0, 1.3)), (2, 1)),
+                                        ResolutionRule(points_per_wavelength=16.0)),
     # no sign change and no zero: an empty nodal set, one domain and unsigned points
-    "empty-torus": (lambda: hand_sample([[1.0, 1e-13, 1.0], [1.0, 2.0, 1.0]], True), 0),
-    "empty-box": (lambda: hand_sample([[1.0, 1e-13, 1.0], [1.0, 2.0, 1.0]], False), 0),
+    "empty-torus": lambda: hand_sample([[1.0, 1e-13, 1.0], [1.0, 2.0, 1.0]], True),
+    "empty-box": lambda: hand_sample([[1.0, 1e-13, 1.0], [1.0, 2.0, 1.0]], False),
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("make_sample, attempts", FOLD_CASES.values(), ids=FOLD_CASES)
-def test_folded_maxima_are_bitwise_the_fields(make_sample, attempts, workers):
-    sample = make_sample()
-    got, want, _ = folded_and_field_maxima(sample, workers)
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("make_sample", FOLD_CASES.values(), ids=FOLD_CASES)
+def test_folded_maxima_are_bitwise_the_fields(make_sample, blocks):
+    """The grid's points in 1-3 blocks: the field's max per domain, bit for bit."""
+    got, want = folded_and_field_maxima(make_sample(), blocks)
     assert_bitwise(got, want)
-    _, _, transforms = folded_and_field_maxima(sample, 1)
-    assert transforms == attempts
-    if attempts == 0:  # no seeds: the radius is inf, as the field's maximum
-        assert math.isinf(got)
+    if make_sample in (FOLD_CASES["empty-torus"], FOLD_CASES["empty-box"]):
+        assert math.isinf(got)  # no seeds: the radius is inf, as the field's maximum
     else:
         assert math.isfinite(got) and got > 0.0
 
@@ -353,14 +339,13 @@ def test_folded_maxima_are_bitwise_the_fields(make_sample, attempts, workers):
         )
     ),
     periodic=st.booleans(),
-    workers=st.integers(1, 3),
-    block_points=st.integers(1, 64),
+    blocks=st.integers(1, 8),
 )
-@example(values=dense_corner_values(), periodic=True, workers=3, block_points=64)
+@example(values=dense_corner_values(), periodic=True, blocks=8)
 @settings(max_examples=150, deadline=None)
-def test_folded_maxima_match_maximum_at_over_the_field(values, periodic, workers, block_points):
-    """Drawn torus and box grids, in 1-3 slabs and blocks of a few rows."""
-    got, want, _ = folded_and_field_maxima(hand_sample(values, periodic), workers, block_points)
+def test_folded_maxima_match_maximum_at_over_the_field(values, periodic, blocks):
+    """Drawn torus and box grids, their points in 1-8 blocks."""
+    got, want = folded_and_field_maxima(hand_sample(values, periodic), blocks)
     assert_bitwise(got, want)
 
 
@@ -369,10 +354,10 @@ def test_dim2_inradii_chain_peak_memory(monkeypatch):
     # seed and sign masks in one parallel pass, the labels, the inner radius.
     # Unit: the grid's float64 bytes (13.1 MB), though no float grid is formed.
     # Sampling the grid, labeling it and folding per-domain maxima over the
-    # held labels peaked at 2.36x (30.9 MB); the masked max over the held sign
-    # masks peaks at 2.11-2.19x (27.6-28.7 MB), in the transform. Bound: 2.5x,
-    # about 14% over that
-    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
+    # held labels peaked at 2.36x (30.9 MB); the masked max of the padded
+    # transform over the held sign masks at 2.19x (28.7 MB). The maximum
+    # distance from the seeds' coordinates peaks at 1.46x (19.1 MB), in the
+    # labels. Bound: 1.7x, about 17% over that
     monkeypatch.setattr(components_mod, "usable_cores", lambda: 2)
     monkeypatch.setattr(measures_mod, "usable_cores", lambda: 2)
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (5, 5))
@@ -386,4 +371,4 @@ def test_dim2_inradii_chain_peak_memory(monkeypatch):
         tracemalloc.stop()
     assert signs.pos.shape == (1280, 1280) and comp.count == 100
     assert inradius == pytest.approx(math.pi / 10, rel=0.05)
-    assert peak < 2.5 * 8 * signs.pos.size
+    assert peak < 1.7 * 8 * signs.pos.size

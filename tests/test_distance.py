@@ -1,9 +1,8 @@
-"""Distance fields: brute-force oracle, periodic wrap, accuracy contract, the seed stencils."""
+"""Distances to the seeds: the maximum distance against scipy's field and a brute-force
+oracle, periodic wrap, accuracy contract, the seed stencils."""
 
 import functools
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -13,18 +12,21 @@ from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
 import nodalab.distance as distance_mod
+from nodalab.components import component_inradii
 from nodalab.distance import (
     capped_pads,
+    max_distance,
     raster_error,
     seed_stencils,
     stencil_widths,
 )
-from nodalab.errors import ResourceGuardError
+from nodalab.errors import EmptyNodalSetError
 from nodalab.grid import ResolutionRule, sample_grid
-from nodalab.measures import _raster_index, density_radius, grid_seeds
-from nodalab.spectrum import DomainSpec, EigenMode, nodal_distance_exact
+from nodalab.measures import SIGN_EPS, GridSigns, _raster_index, density_radius, grid_seeds
+from nodalab.spectrum import DomainSpec, EigenMode, density_radius_exact, nodal_distance_exact
 
-from scipy_field import raster_seeds, scipy_distance_field, seed_mask
+import scipy_field
+from scipy_field import raster_seeds, scipy_distance_field, scipy_seed_field, seed_mask
 from translates import cosine_sample
 from whole_field import whole_field
 from whole_grid import NodalApprox, extract_nodal
@@ -75,19 +77,21 @@ def dense_block_nodal():
 
 @pytest.fixture
 def edt_shapes(monkeypatch):
-    """Shapes of the arrays the full-range field hands to the transform, in call order.
-
-    One slab per transform, so each shape is a whole (padded) array.
-    """
-    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 1)
+    """Shapes of the (padded) arrays the reference field hands to scipy's transform,
+    in call order."""
     shapes = []
 
     def recording(a, **kwargs):
         shapes.append(a.shape)
         return distance_transform_edt(a, **kwargs)
 
-    monkeypatch.setattr(distance_mod, "distance_transform_edt", recording)
+    monkeypatch.setattr(scipy_field, "distance_transform_edt", recording)
     return shapes
+
+
+def assert_bitwise(got, want):
+    assert type(got) is float
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_matches_brute_force_box():
@@ -97,6 +101,7 @@ def test_matches_brute_force_box():
     f = whole_field(raster_seeds(nod))
     expect = brute_force_distance(nod.vertices, s)
     np.testing.assert_allclose(f, expect, atol=1e-12)
+    assert max_distance(raster_seeds(nod)) == pytest.approx(expect.max(), abs=1e-12)
 
 
 def test_matches_brute_force_torus():
@@ -108,6 +113,11 @@ def test_matches_brute_force_torus():
     f = whole_field(raster_seeds(nod))
     expect = brute_force_distance(nod.vertices, s)
     np.testing.assert_allclose(f, expect, atol=1e-12)
+    assert max_distance(raster_seeds(nod)) == pytest.approx(expect.max(), abs=1e-12)
+    # the signed points only: a checkerboard's cells, off the zero lines
+    signed = np.abs(s.values) > 1e-12
+    assert max_distance(raster_seeds(nod), signed) == pytest.approx(
+        expect[signed].max(), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -121,6 +131,7 @@ def test_matches_brute_force_torus():
     ],
 )
 def test_narrow_pad_equals_half_period_pad(alpha, m, kinds, ppw, edt_shapes):
+    """The reference field's narrow pad: the one its bitwise comparisons rest on."""
     # cosine translates keep the zero lines off the seam, which the wrap pad crosses
     mode = EigenMode(DomainSpec.torus(alpha), m)
     nod = extract_nodal(cosine_sample(mode, kinds, ResolutionRule(points_per_wavelength=ppw)))
@@ -131,6 +142,7 @@ def test_narrow_pad_equals_half_period_pad(alpha, m, kinds, ppw, edt_shapes):
         any(a < s + 2 * (s // 2 + 1) for a, s in zip(padded, shape)) for padded in edt_shapes
     )
     assert np.array_equal(f, half_period_field(nod))
+    assert_bitwise(max_distance(raster_seeds(nod)), f.max())
 
 
 def test_narrow_pad_grows_when_first_guess_is_short(edt_shapes):
@@ -141,6 +153,7 @@ def test_narrow_pad_grows_when_first_guess_is_short(edt_shapes):
     first, second = edt_shapes
     assert first[0] < second[0] < 128 + 2 * 65
     assert np.array_equal(f, half_period_field(nod))
+    assert_bitwise(max_distance(raster_seeds(nod)), f.max())
 
 
 def test_periodic_wrap_single_line(edt_shapes):
@@ -157,13 +170,29 @@ def test_periodic_wrap_single_line(edt_shapes):
     # the farthest points sit half a period away, so only the full pad certifies them
     assert edt_shapes == [(n0 + 2 * (n0 // 2 + 1), n1 + 2 * (n1 // 2 + 1))]
     assert np.array_equal(f, half_period_field(nod))
+    assert_bitwise(max_distance(raster_seeds(nod)), f.max())
 
 
 def test_empty_nodal_set_gives_inf_field():
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=4.0))
-    nod = NodalApprox(s, np.empty((0, 2)))
-    assert np.all(np.isinf(whole_field(raster_seeds(nod))))
+    seeds = raster_seeds(NodalApprox(s, np.empty((0, 2))))
+    assert np.all(np.isinf(whole_field(seeds)))
+    # the inner radius is the field's max, inf; the density radius is undefined
+    signs = GridSigns(seeds, s.values > SIGN_EPS, s.values < -SIGN_EPS)
+    assert component_inradii(signs) == math.inf
+    with pytest.raises(EmptyNodalSetError):
+        density_radius(seeds)
+
+
+def test_no_signed_point_gives_zero():
+    # every point a seed, or none signed: the max over no points is 0.0
+    nod = mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 16.0)
+    seeds = raster_seeds(nod)
+    assert_bitwise(max_distance(seeds, np.zeros(seeds.mask.shape, dtype=bool)), 0.0)
+    assert_bitwise(max_distance(seeds, seeds.mask), 0.0)
+    full = distance_mod.Seeds(np.ones((5, 7), dtype=bool), (0.5, 0.25), True)
+    assert_bitwise(max_distance(full), 0.0)
 
 
 def test_field_tracks_closed_form_distance():
@@ -175,34 +204,25 @@ def test_field_tracks_closed_form_distance():
     exact = nodal_distance_exact(mode, pts).reshape(s.shape)
     err = np.abs(f - exact).max()
     assert err <= 1.5 * raster_error(s.h)
-
-
-def test_padded_cap_guard(monkeypatch):
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (3, 4))
-    s = sample_grid(mode, ResolutionRule(points_per_wavelength=32.0))
-    nod = extract_nodal(s)
-    monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", 1000)
-    with pytest.raises(ResourceGuardError):
-        whole_field(raster_seeds(nod))
-    # the cap applies to the narrow pad actually transformed, not the half-period one
-    half_period_size = math.prod(n + 2 * (n // 2 + 1) for n in s.shape)
-    monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", half_period_size - 1)
-    assert np.isfinite(whole_field(raster_seeds(nod))).all()
+    assert abs(max_distance(raster_seeds(extract_nodal(s))) - exact.max()) <= raster_error(s.h)
 
 
 def test_distance_field_peak_memory_yau_grid():
-    # the (8,1) Yau grid (1267^2); padding half a period per side peaked at 220 MB here
+    # the (8,1) Yau grid (1267^2): the field's maximum reads the seeds' coordinates
+    # only and peaks at 1.68 MB; forming the field (12.8 MB) with a wrap pad of half
+    # a period per side peaked at 220 MB, and the padded transform's certified
+    # maximum at 23.9 MB. Bound: 2.0 MB, about 19% over
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (8, 1))
     rule = ResolutionRule(points_per_wavelength=32.0, h_max=0.1 / mode.mu / 2.5)
-    nod = extract_nodal(sample_grid(mode, rule))
-    assert nod.sample.shape == (1267, 1267)
+    seeds = grid_seeds(mode, rule).seeds
+    assert seeds.mask.shape == (1267, 1267)
     tracemalloc.start()
     try:
-        whole_field(raster_seeds(nod))
+        max_distance(seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 110e6
+    assert peak < 2.0e6
 
 
 def mode_nodal(domain, m, ppw):
@@ -233,17 +253,18 @@ SCIPY_CASES = {
 
 @pytest.mark.parametrize("make_nodal", list(SCIPY_CASES.values()), ids=list(SCIPY_CASES))
 def test_field_is_bitwise_scipys_distances(make_nodal, edt_shapes):
-    """Distances formed from the feature transform on the crop equal scipy's own."""
+    """The maximum distance, over the grid and over drawn points, is that of scipy's field."""
     nod = make_nodal()
-    f = whole_field(raster_seeds(nod))
+    seeds = raster_seeds(nod)
     expect = scipy_distance_field(nod)
-    assert f.dtype == expect.dtype and f.shape == expect.shape
-    assert f.tobytes() == expect.tobytes()
-    assert f.flags.c_contiguous
     if make_nodal is dense_block_nodal:
         assert len(edt_shapes) == 2
-    # the density radius is the certified maximum, that of the field it certifies
-    assert density_radius(raster_seeds(nod)) == float(expect.max())
+    assert_bitwise(max_distance(seeds), expect.max())
+    assert_bitwise(density_radius(seeds), expect.max())
+    rng = np.random.default_rng(0)
+    for share in (0.001, 0.1, 0.5):
+        where = rng.random(expect.shape) < share
+        assert_bitwise(max_distance(seeds, where), np.max(expect, where=where, initial=0.0))
 
 
 def torus_1d_nodal():
@@ -265,15 +286,16 @@ def pythagorean_ties_nodal():
 
 def seed_rows_nodal():
     """Seeds on the first 10 of 128 rows of a torus: the nearest seed of a row
-    near the middle is up to 59 rows away along axis 0, so a slab there needs
-    all of its axis-0 halo (and the first pad fails the certificate)."""
+    near the middle is up to 59 rows away along axis 0, and every row past
+    the first 10 has no seed along axis 1 (the reference's first pad fails
+    its certificate)."""
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (1, 1))
     s = sample_grid(mode, ResolutionRule(points_per_wavelength=128.0))
     rows = np.stack(np.meshgrid(np.arange(10), np.arange(128), indexing="ij"), axis=-1)
     return NodalApprox(s, rows.reshape(-1, 2) * np.asarray(s.h))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("block_points", [64, 257, 4096, distance_mod.ROW_BLOCK_POINTS])
 @pytest.mark.parametrize(
     "make_nodal",
     [
@@ -282,78 +304,32 @@ def seed_rows_nodal():
         lambda: mode_nodal(DomainSpec.torus((1.0, 1.3)), (2, 3), 24.0),  # unequal h
         lambda: mode_nodal(DomainSpec.torus((1.0, 2.0, 1.0)), (2, 1, 3), 8.0),
         pythagorean_ties_nodal,
-        dense_block_nodal,  # its first pad fails the certificate
+        dense_block_nodal,
         seed_rows_nodal,
         torus_1d_nodal,
     ],
     ids=["torus-16-1", "torus-3-4", "torus-2-3-alpha-1.3", "3-torus", "pythagorean-ties",
-         "second-pad", "seed-rows", "1-torus"],
+         "dense-block", "seed-rows", "1-torus"],
 )
-def test_slab_field_is_bitwise_the_one_slab_field(make_nodal, workers, monkeypatch):
+def test_max_distance_in_blocks_is_bitwise_the_fields_max(make_nodal, block_points,
+                                                          monkeypatch):
+    """Candidates and (point, offset) pairs in blocks of any size: the same maximum,
+    over the grid and over the points away from the seeds' rows."""
     nod = make_nodal()
-    transforms = []
-
-    def counted(a, **kwargs):
-        transforms.append(a.shape)
-        return distance_transform_edt(a, **kwargs)
-
-    monkeypatch.setattr(distance_mod, "distance_transform_edt", counted)
-    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 1)
-    one = whole_field(raster_seeds(nod))
-    one_slab = len(transforms)
-    monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
-    transforms.clear()
-    before = set(threading.enumerate())
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often
-    try:
-        got = whole_field(raster_seeds(nod))
-    finally:
-        sys.setswitchinterval(interval)
-    # every slab worker is joined before full_range returns
-    assert set(threading.enumerate()) <= before
-    assert (len(transforms) > one_slab) == (workers > 1)
-    assert got.shape == one.shape and got.flags.c_contiguous
-    assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
-    assert density_radius(raster_seeds(nod)) == float(one.max())
+    seeds = raster_seeds(nod)
+    expect = scipy_distance_field(nod)
+    where = np.ones(expect.shape, dtype=bool)
+    where[: expect.shape[0] // 3] = False
+    monkeypatch.setattr(distance_mod, "ROW_BLOCK_POINTS", block_points)
+    assert_bitwise(max_distance(seeds), expect.max())
+    assert_bitwise(max_distance(seeds, where), expect[where].max())
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_cap_guards_the_whole_padded_array(workers, edt_shapes, monkeypatch):
-    nod = mode_nodal(DomainSpec.torus((1.0, 1.0)), (3, 4), 32.0)
-    whole_field(raster_seeds(nod))
-    padded = max(math.prod(shape) for shape in edt_shapes)
-    monkeypatch.setattr(distance_mod, "usable_cores", lambda: workers)
-    monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", padded - 1)
-    with pytest.raises(ResourceGuardError, match=f"needs {padded} points"):
-        whole_field(raster_seeds(nod))
-    monkeypatch.setattr(distance_mod, "PADDED_POINT_CAP", padded)
-    assert np.isfinite(whole_field(raster_seeds(nod))).all()
-
-
-def test_slab_distance_field_peak_memory_yau_grid(monkeypatch):
-    # the (16,1) Yau field (2519^2): the whole-grid transform and distance
-    # temporaries peaked at 3.39x the field's bytes; two slabs written in row
-    # pieces into the one output peak at about 2.75x
-    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
-    mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
-    rule = ResolutionRule(points_per_wavelength=32.0, h_max=0.1 / mode.mu / 2.5)
-    nod = extract_nodal(sample_grid(mode, rule))
-    assert nod.sample.shape == (2519, 2519)
-    tracemalloc.start()
-    try:
-        f = whole_field(raster_seeds(nod))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.0 * f.nbytes
-
-
-def test_density_radius_peak_memory_yau_grid(monkeypatch):
-    # the (16,1) Yau grid (2519^2): the radius is the certified maximum of
-    # the transform, so no field is formed; forming it first peaked at 2.7x
-    # the grid's float64 bytes, the slabs alone peak at about 1.6x
-    monkeypatch.setattr(distance_mod, "usable_cores", lambda: 2)
+def test_density_radius_peak_memory_yau_grid():
+    # the (16,1) Yau grid (2519^2): the radius reads the seeds' coordinates and
+    # peaks at 0.124x the grid's float64 bytes (6.3 MB); forming the field first
+    # peaked at 2.7x, the padded transform's slabs at 1.63x. Bound: 0.15x,
+    # about 21% over
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (16, 1))
     rule = ResolutionRule(points_per_wavelength=32.0, h_max=0.1 / mode.mu / 2.5)
     seeds = grid_seeds(mode, rule).seeds
@@ -364,7 +340,67 @@ def test_density_radius_peak_memory_yau_grid(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.0 * 8 * seeds.mask.size
+    assert peak < 0.15 * 8 * seeds.mask.size
+
+
+@st.composite
+def seed_grids(draw):
+    """A nonempty seed mask on 1-3 axes, wrapped or not, with equal or unequal spacing:
+    random masks from sparse to dense, a single seed, or seeds on a few lines only,
+    which leaves the other lines along every axis without a seed."""
+    n = draw(st.integers(1, 3), label="axes")
+    shape = tuple(draw(st.integers(1, (80, 30, 9)[n - 1]), label="shape") for _ in range(n))
+    if draw(st.booleans(), label="equal h"):
+        h = (draw(st.sampled_from([0.1, 2 * math.pi / 96, 1.0])),) * n
+    else:
+        h = tuple(draw(st.floats(0.01, 2.0), label="h") for _ in range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="rng"))
+    kind = draw(st.sampled_from(["random", "single", "lines"]), label="kind")
+    if kind == "random":
+        mask = rng.random(shape) < draw(st.sampled_from([0.005, 0.02, 0.2, 0.6, 1.0]))
+    elif kind == "single":
+        mask = np.zeros(shape, dtype=bool)
+    else:
+        mask = np.zeros(shape, dtype=bool)
+        mask[rng.integers(0, shape[0], 2)] = True
+        mask &= rng.random(shape) < 0.5
+    mask[tuple(rng.integers(0, s) for s in shape)] = True
+    share = draw(st.sampled_from([None, 0.0, 0.01, 0.3, 1.0]), label="where")
+    where = None if share is None else rng.random(shape) < share
+    return mask, h, draw(st.booleans(), label="periodic"), where
+
+
+@given(grid=seed_grids())
+@example(grid=(np.eye(24, dtype=bool), (0.1, 0.1), True, None))  # a diagonal line
+@example(grid=(np.eye(24, 30, 3, dtype=bool), (0.1, 0.07), False, None))
+@settings(max_examples=300, deadline=None)
+def test_max_distance_is_the_max_of_scipys_field(grid):
+    """Bit for bit ``np.max`` of scipy's field over the grid or the points of ``where``."""
+    mask, h, periodic, where = grid
+    field = scipy_seed_field(mask, h, periodic)
+    want = np.max(field, where=True if where is None else where, initial=0.0)
+    assert_bitwise(max_distance(distance_mod.Seeds(mask, h, periodic), where), want)
+
+
+@pytest.mark.parametrize("make_grid", [
+    *(functools.partial(grid_seeds, EigenMode(DomainSpec.torus((1.0, 1.0)), m),
+                        ResolutionRule(points_per_wavelength=256.0))
+      for m in ((3, 4), (5, 5), (2, 3))),
+    *(functools.partial(lambda mode: grid_seeds(mode, ResolutionRule(
+        points_per_wavelength=64.0, h_max=density_radius_exact(mode) / 16.0)), EigenMode(d, m))
+      for d, modes in ((DomainSpec.torus((1.0, 1.0)), ((3, 3), (5, 5), (4, 1), (8, 1), (3, 4))),
+                       (DomainSpec.interval(), ((8,), (20,), (50,))))
+      for m in modes),
+], ids=[f"dim2-{m}" for m in ("3,4", "5,5", "2,3")]
+    + [f"density-{m}" for m in ("3,3", "5,5", "4,1", "8,1", "3,4", "8", "20", "50")])
+def test_max_distance_on_the_default_grids(make_grid):
+    """dim2's fine grids (over the signed points) and the density check's grids."""
+    signs = make_grid()
+    seeds = signs.seeds
+    field = scipy_seed_field(seeds.mask, seeds.h, seeds.periodic)
+    assert_bitwise(max_distance(seeds), field.max())
+    signed = signs.pos | signs.neg
+    assert_bitwise(component_inradii(signs), np.max(field, where=signed, initial=0.0))
 
 
 @st.composite

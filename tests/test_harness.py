@@ -32,7 +32,6 @@ from nodalab.harness import (
 from nodalab.reports import CellResult, read_report, write_report
 from nodalab.spectrum import DomainSpec, EigenMode, tube_volume_exact
 
-from whole_field import whole_field
 
 INTERVAL = DomainSpec.interval()
 TORUS2 = DomainSpec.torus((1.0, 1.0))
@@ -268,29 +267,36 @@ def test_dim2_reads_its_tube_volume_from_the_nodal_measure(monkeypatch):
     assert r.cells[0].measured["tube_vol"] == volumes[delta]
 
 
-def test_only_the_full_range_fields_run_scipys_transform(monkeypatch):
-    """Tube fields are capped at their reach; density and inner radii read full-range transforms."""
-    transforms = []
-    edt = distance_mod.distance_transform_edt
+def test_default_grids_evaluate_few_exact_distances(monkeypatch):
+    """dim2's inner radii and the density radii of the density check's default grids
+    bound and evaluate at most 64 points each: the lower bound's distinct points
+    (9-19 on each 2-d grid; 10, 22 and 52 on the interval's), and no candidate
+    beyond them, as the nodal sets of product modes leave none."""
+    counts = []
+    lines = distance_mod._SeedLines
+    upper, nearest, max_distance = lines.upper, lines.nearest, distance_mod.max_distance
 
-    def counted(a, **kwargs):
-        transforms.append(a.shape)
-        return edt(a, **kwargs)
+    def bounded(self, x):
+        counts[-1][0] += x.shape[1]
+        return upper(self, x)
 
-    monkeypatch.setattr(distance_mod, "distance_transform_edt", counted)
-    run_yau_check(TORUS2, modes=((3, 4), (4, 1)))
-    run_tube_scaling(TORUS2, modes=((3, 4),), mu_delta=(0.1, 0.2))
-    assert transforms == []
-    # dim2's transforms are exactly those of its inner-radius field
-    whole_field(measures_mod.grid_seeds(EigenMode(TORUS2, (2, 3)),
-                                        ResolutionRule(points_per_wavelength=256.0)).seeds)
-    inradius_field = list(transforms)
-    transforms.clear()
-    run_dim2_checks(modes=((2, 3),))
-    assert transforms == inradius_field != []
-    transforms.clear()
-    run_density_check(TORUS2, modes=((3, 3),))
-    assert transforms != []
+    def evaluated(self, x, best):
+        counts[-1][1] += x.shape[1]
+        return nearest(self, x, best)
+
+    def counting(seeds, where=None):
+        counts.append([0, 0])
+        return max_distance(seeds, where)
+
+    monkeypatch.setattr(lines, "upper", bounded)
+    monkeypatch.setattr(lines, "nearest", evaluated)
+    for module in (components_mod, measures_mod):
+        monkeypatch.setattr(module, "max_distance", counting)
+    run_dim2_checks()
+    run_density_check(TORUS2)
+    run_density_check(INTERVAL)
+    assert len(counts) == 3 + 5 + 3
+    assert max(max(c) for c in counts) <= 64
 
 
 def test_dim2_rejects_non_torus():

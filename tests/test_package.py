@@ -344,6 +344,32 @@ def test_import_and_dim2_load_no_scipy_sparse():
     )
 
 
+def test_distance_loads_no_scipy():
+    """distance.py reads the seeds' coordinates: loaded on its own in a fresh
+    interpreter it loads no scipy module, and no module of the package names
+    scipy's distance transform. (``import nodalab`` still loads scipy.ndimage,
+    for ``components``' ``label``.)"""
+    path = ROOT / "src" / "nodalab" / "distance.py"
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('distance', {str(path)!r})\n"
+        "sys.modules['distance'] = module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "assert module.max_distance\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert loaded == [], loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+    named = [
+        p.name
+        for p in MODULES
+        for node in ast.walk(ast.parse(p.read_text()))
+        if "distance_transform_edt" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                        getattr(node, "name", None))
+    ]
+    assert named == []
+
+
 def module_level_names(tree: ast.Module) -> list[tuple[str, int, int]]:
     """(name, first line, last line) of each function, class and constant a module defines."""
     out = []

@@ -1,26 +1,20 @@
-"""The whole full-range distance field, for tests that compare it point by point.
+"""The whole distance field, for tests that compare it point by point.
 
-No code path in nodalab forms this field: the density radius reads the
-transform's certified maximum and the inner radii fold its blocks into
-per-domain maxima. ``whole_field`` is a writing fold over
-``distance.full_range``, so it is the field those consumers read, block by
-block.
+No code path in nodalab forms this field: the density radius and the inner
+radii read only its maximum (``distance.max_distance``), and the tube
+stream reads seed stencils. ``whole_field`` is scipy's own transform of the
+seed mask (``scipy_field.scipy_seed_field``), the bitwise reference those
+are compared with.
 """
 
 import numpy as np
 
-from nodalab.distance import full_range
+from scipy_field import scipy_seed_field
 
 
 def whole_field(seeds) -> np.ndarray:
-    """The float64 distance from every grid point to the nearest seed of ``seeds``,
-    each block of rows written into one output; all-inf when there are no seeds."""
+    """The float64 distance from every grid point to the nearest seed of ``seeds``;
+    all-inf when there are no seeds."""
     if not seeds.mask.any():
         return np.full(seeds.mask.shape, np.inf)
-    dist = np.empty(seeds.mask.shape)
-
-    def write(_, rows, d):
-        dist[rows] = d
-
-    full_range(seeds, lambda: None, write)
-    return dist
+    return scipy_seed_field(seeds.mask, seeds.h, seeds.periodic)
