@@ -2,36 +2,33 @@
 
 Components of {phi > 0} and {phi < 0} are found with 4-connectivity (no
 diagonal adjacency, so the checkerboard of a product mode splits into its
-2m x 2n rectangles). Periodic axes are handled by labeling the flat grid and
-then joining the labels that face each other across each seam: the domains
-are the connected components of that seam graph. A sampled sine factor with
-m_j >= 1 has an exact zero hyperplane at index 0, so only a grid whose seam
-is signed has pairs to join; scipy.sparse is imported for that case alone,
-because importing it with the module adds about 0.1 s to `import nodalab`.
-Grid points with |phi| at or below the sign threshold separate domains.
+2m x 2n rectangles), from the runs of each sign mask along its last axis:
+two runs meet when they overlap on neighbouring lines. On a periodic axis
+the last line's neighbour is the first, and on a periodic last axis a run
+at a line's end meets the run at its start, so the seams take no path of
+their own. Grid points with |phi| at or below the sign threshold separate
+domains.
 
 ``sign_components`` and ``component_inradii`` read the sign masks that
 ``measures.grid_seeds`` writes in the same chunks as the seeds, so no float
-grid is formed. ``sign_components`` labels each sign on its own thread
-(scipy's ``label`` releases the GIL) and keeps only the domains' sizes: no
-label array outlives the call. The positive domains come first, each
-sign's numbered by its smallest label. ``component_inradii`` reads the
-largest inner radius: the max over domains of each domain's max of the
-distance field is the field's max over the signed points, bit for bit,
-which ``distance.max_distance`` reads from the seeds' coordinates.
+grid is formed. ``sign_components`` labels the two signs one after the
+other and keeps only the domains' sizes: no label array is formed. The
+positive domains come first, each sign's numbered by its first point in
+raster order. ``component_inradii`` reads the largest inner radius: the max
+over domains of each domain's max of the distance field is the field's max
+over the signed points, bit for bit, which ``distance.max_distance`` reads
+from the seeds' coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.ndimage import generate_binary_structure, label
 
-from .distance import ROW_BLOCK_POINTS, max_distance, usable_cores
+from .distance import max_distance
 
 # annotations only: importing measures here moves it ahead in `import nodalab`,
 # which measured about 0.15 MB more RSS after the import
@@ -39,40 +36,67 @@ if TYPE_CHECKING:
     from .measures import GridSigns
 
 
-def _label_periodic(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's labels of ``mask`` and, per label, its domain: 0 for label 0, and the
-    components of the seam graph numbered 1.. by their smallest label."""
-    structure = generate_binary_structure(mask.ndim, 1)
-    lab, k = label(mask, structure=structure)
-    roots = np.arange(k + 1)
-    if not periodic or k == 0:
-        return lab, roots
-    # the labels that face each other across each axis's seam
-    first = np.concatenate([np.take(lab, 0, axis=a).ravel() for a in range(mask.ndim)])
-    last = np.concatenate([np.take(lab, -1, axis=a).ravel() for a in range(mask.ndim)])
-    both = (first > 0) & (last > 0)
-    if not both.any():
-        return lab, roots
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+def _run_domains(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of ``mask`` along its last axis, in raster order, and their domains:
+    each run's flat start, its flat stop (exclusive) and its domain 0.., the domains
+    numbered by their first point in raster order.
 
-    edges = (np.ones(int(both.sum())), (first[both], last[both]))
-    _, roots = connected_components(coo_matrix(edges, shape=(k + 1, k + 1)), directed=False)
-    # label 0 meets no pair, so it stays root 0; the rest number by smallest label
-    return lab, roots
+    Two runs meet when they overlap on neighbouring lines of a leading axis, or, on
+    a periodic last axis, when one ends at its line's last point and the other
+    starts at that line's first. Each round hooks the larger root of every edge
+    that joins two roots onto the smaller, then jumps pointers until each run
+    points at its root, so a root is its domain's smallest run. Cost: one pass
+    over the points for the runs, then O(edges) per round and O(runs) per jump.
+    A product mode's domains take two rounds, 5 ms for both signs of dim2's
+    1280^2 grid. Masks with many small or winding domains cost more than
+    scipy's ``label`` did: 0.13 s for 1280^2 points of 50% noise (scipy 0.04 s)
+    and 0.07 s for a 2-wide spiral (0.01 s).
+    """
+    w = mask.shape[-1]
+    # each padded line starts and ends outside the mask: its changes alternate start, stop
+    change = np.flatnonzero(np.diff(mask.reshape(-1, w), axis=1, prepend=False, append=False))
+    line, col = np.divmod(change, w + 1)
+    line, start, stop = line[0::2], line[0::2] * w + col[0::2], line[1::2] * w + col[1::2]
+    # the pairs of runs that meet; a 1-d box has none
+    pairs = [(np.empty(0, dtype=np.int64),) * 2]
+    stride = 1
+    for side in reversed(mask.shape[:-1]):
+        # a run meets the runs of the next line along this axis that overlap it
+        wraps = line // stride % side == side - 1
+        ids = np.flatnonzero(~wraps | periodic)
+        base = np.where(wraps[ids], (1 - side) * stride, stride) * w
+        first = np.searchsorted(stop, start[ids] + base, "right")
+        count = np.searchsorted(start, stop[ids] + base) - first
+        offset = np.repeat(first - (np.cumsum(count) - count), count)
+        pairs.append((np.repeat(ids, count), offset + np.arange(offset.size)))
+        stride *= side
+    if periodic:
+        # a run that ends at its line's last point meets the run at the line's first
+        ids = np.flatnonzero(stop - line * w == w)
+        heads = np.searchsorted(start, line[ids] * w)
+        meet = start[heads] == line[ids] * w
+        pairs.append((ids[meet], heads[meet]))
+    u, v = (np.concatenate(ends) for ends in zip(*pairs))
+    parent = np.arange(start.size)
+    while True:
+        pu, pv = parent[u], parent[v]
+        split = pu != pv
+        if not split.any():
+            break
+        u, v, pu, pv = u[split], v[split], pu[split], pv[split]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+    rank = np.cumsum(parent == np.arange(start.size)) - 1
+    return start, stop, rank[parent]
 
 
 def _domain_sizes(mask: np.ndarray, periodic: bool) -> np.ndarray:
-    """Points per domain of ``mask`` (int64), in ``_label_periodic``'s order."""
-    lab, roots = _label_periodic(mask, periodic)
-    # bincount takes an int64 copy of its input: counted a block of rows at a time
-    raw = np.zeros(roots.size, dtype=np.int64)
-    step = max(1, ROW_BLOCK_POINTS // math.prod(lab.shape[1:]))
-    for r in range(0, lab.shape[0], step):
-        raw += np.bincount(lab[r : r + step].ravel(), minlength=raw.size)
-    sizes = np.zeros(int(roots.max()) + 1, dtype=np.int64)
-    np.add.at(sizes, roots, raw)
-    return sizes[1:]
+    """Points per domain of ``mask`` (int64), in ``_run_domains``' order."""
+    start, stop, domain = _run_domains(mask, periodic)
+    sizes = np.zeros(int(domain.max(initial=-1)) + 1, dtype=np.int64)
+    np.add.at(sizes, domain, stop - start)
+    return sizes
 
 
 @dataclass
@@ -94,11 +118,9 @@ class SignComponents:
 
 
 def sign_components(grid: GridSigns) -> SignComponents:
-    """Connected components of {phi > SIGN_EPS} and {phi < -SIGN_EPS}, each sign on its own
-    thread (one when a single core is usable); every worker is joined before this returns."""
+    """Connected components of {phi > SIGN_EPS} and {phi < -SIGN_EPS}."""
     seeds = grid.seeds
-    with ThreadPoolExecutor(min(2, usable_cores())) as pool:
-        pos, neg = pool.map(_domain_sizes, (grid.pos, grid.neg), (seeds.periodic,) * 2)
+    pos, neg = (_domain_sizes(mask, seeds.periodic) for mask in (grid.pos, grid.neg))
     signs = np.repeat(np.array([1, -1], dtype=np.int64), [pos.size, neg.size])
     return SignComponents(signs, np.concatenate([pos, neg]), float(np.prod(np.asarray(seeds.h))))
 

@@ -67,7 +67,7 @@ class Seeds:
 
 
 def usable_cores() -> int:
-    """Cores this process may run on: the threads of grid_seeds, the tube stream and the labels."""
+    """Cores this process may run on: the threads of grid_seeds and the tube stream."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

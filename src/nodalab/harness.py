@@ -18,6 +18,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.random import default_rng
 
 from .boxes import bad_proportion, comparability_set, goodness_threshold, subdivide
 from .components import component_inradii, sign_components
@@ -772,7 +773,7 @@ def run_approx_theorem(
         )
     )
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     points = rng.uniform(0.0, domain.lengths, size=(n_points, n))
     hits = int(np.count_nonzero(tail_hits(points, modes, start, tail_radius)))
     frac = hits / n_points
@@ -879,7 +880,7 @@ def run_exponent_survey(
         "interval_point_min": int(interval_point_min),
         "box_mean_band": [1.7, 2.3],
     }
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     cells = []
 
     # only record candidates can change an estimate, and estimate_exponent scans

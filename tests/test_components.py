@@ -1,4 +1,5 @@
-"""Sign components: checkerboard oracle, torus wrap stitching, BFS labeling oracle, inradii."""
+"""Sign components: checkerboard oracle, torus wrap stitching, BFS and scipy labeling
+oracles, inradii."""
 
 import math
 import tracemalloc
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.ndimage import generate_binary_structure, label
 
-import nodalab.components as components_mod
 import nodalab.distance as distance_mod
 import nodalab.measures as measures_mod
-from nodalab.components import _label_periodic, component_inradii, sign_components
+from nodalab.components import _domain_sizes, _run_domains, component_inradii, sign_components
 from nodalab.grid import GridSample, ResolutionRule, sample_grid
 from nodalab.measures import SIGN_EPS, GridSigns, grid_seeds
 from nodalab.spectrum import DomainSpec, EigenMode
@@ -56,6 +57,58 @@ def flood_fill(mask, periodic):
     return lab, k
 
 
+def run_labels(mask, periodic):
+    """``_run_domains``' domains painted run by run: 1.. on the mask, 0 off it."""
+    start, stop, domain = _run_domains(mask, periodic)
+    lab = np.zeros(mask.size, dtype=np.int64)
+    for a, b, d in zip(start, stop, domain):
+        lab[a:b] = d + 1
+    return lab.reshape(mask.shape)
+
+
+def scipy_domain_sizes(mask, periodic):
+    """Points per domain from scipy's ``label`` of the flat grid, the labels that face
+    each other across each periodic seam joined by a union-find that keeps the smaller
+    label as root: the domains in the order of their smallest label."""
+    lab, k = label(mask, structure=generate_binary_structure(mask.ndim, 1))
+    root = list(range(k + 1))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a in range(mask.ndim if periodic else 0):
+        first, last = np.take(lab, 0, axis=a).ravel(), np.take(lab, -1, axis=a).ravel()
+        for i, j in zip(first.tolist(), last.tolist()):
+            if i and j:
+                i, j = find(i), find(j)
+                root[max(i, j)] = min(i, j)
+    sizes = {}
+    for i, size in enumerate(np.bincount(lab.ravel(), minlength=k + 1)[1:].tolist(), start=1):
+        sizes[find(i)] = sizes.get(find(i), 0) + size
+    return [sizes[r] for r in sorted(sizes)]
+
+
+def spiral(n, width=2):
+    """An n x n mask holding one spiral arm ``width`` points wide, ``width`` apart."""
+    k = n // width
+    coarse = np.zeros((k, k), dtype=bool)
+    r, c, dr, dc, turns = 0, 0, 0, 1, 0
+    coarse[0, 0] = True
+    while turns < 2:
+        i, j = r + dr, c + dc
+        ahead = (i + dr, j + dc)
+        inside = 0 <= i < k and 0 <= j < k
+        if inside and not coarse[i, j] and not (0 <= min(ahead) and max(ahead) < k and coarse[ahead]):
+            r, c, turns = i, j, 0
+            coarse[r, c] = True
+        else:
+            dr, dc, turns = dc, -dr, turns + 1
+    return np.kron(coarse, np.ones((width, width), dtype=bool))
+
+
 # one domain only through two seams: (0,0) meets (4,0) across axis 0's seam,
 # and (4,0) meets (4,4) across axis 1's
 TWO_SEAM_CHAIN = np.zeros((5, 5), dtype=bool)
@@ -76,8 +129,8 @@ THREE_SEAM_CHAIN[[0, 2, 2, 2], [0, 0, 3, 3], [0, 0, 0, 4]] = True
 @example(mask=np.array([True, False, True]), periodic=True)
 @settings(max_examples=300, deadline=None)
 def test_label_periodic_matches_flood_fill(mask, periodic):
-    lab, roots = _label_periodic(mask, periodic)
-    lab, k = roots[lab], int(roots.max())
+    lab = run_labels(mask, periodic)
+    k = int(lab.max())
     ref, k_ref = flood_fill(mask, periodic)
     assert k == k_ref
     assert np.all(lab[~mask] == 0)
@@ -105,7 +158,29 @@ def test_torus_wrap_stitches_seam_components():
     comp = sign_components(signs)
     assert comp.count == 4 * 2 * 3
     masks = (signs.pos, signs.neg)
-    assert sum(_label_periodic(mask, False)[1].size - 1 for mask in masks) > comp.count
+    assert sum(_domain_sizes(mask, False).size for mask in masks) > comp.count
+
+
+@st.composite
+def drawn_masks(draw):
+    """Random masks of 1-64 points per axis in 1-d and 2-d, 1-16 in 3-d, sparse to full."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 16 if ndim == 3 else 64)) for _ in range(ndim))
+    density = draw(st.sampled_from([0.1, 0.4, 0.5, 0.6, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="rng"))
+    return rng.random(shape) < density
+
+
+@given(mask=drawn_masks(), periodic=st.booleans())
+@example(mask=np.random.default_rng(0).random((1280, 1280)) < 0.5, periodic=True)
+@example(mask=spiral(1280), periodic=True)
+@example(mask=TWO_SEAM_CHAIN, periodic=True)
+@example(mask=THREE_SEAM_CHAIN, periodic=True)
+@settings(max_examples=300, deadline=None)
+def test_domain_sizes_match_scipy_label(mask, periodic):
+    """Sizes and order of the domains are those of scipy's labels joined across the
+    seams, on drawn masks, dim2's 1280^2 grid of 50% noise and a spiral on it."""
+    assert _domain_sizes(mask, periodic).tolist() == scipy_domain_sizes(mask, periodic)
 
 
 def test_strip_mode_with_constant_axis():
@@ -162,9 +237,8 @@ def dim2_fine_signs():
     return signs
 
 
-def traced_sign_components(signs, workers, monkeypatch):
-    """``sign_components`` on ``workers`` usable cores, and its tracemalloc peak."""
-    monkeypatch.setattr(components_mod, "usable_cores", lambda: workers)
+def traced_sign_components(signs):
+    """``sign_components`` and its tracemalloc peak."""
     tracemalloc.start()
     try:
         comp = sign_components(signs)
@@ -174,27 +248,29 @@ def traced_sign_components(signs, workers, monkeypatch):
     return comp, peak
 
 
-def test_sign_components_peak_memory_dim2_grid(monkeypatch):
-    # the grid's float64 bytes are the unit, though no float grid is formed. The
-    # two signs labeled on two threads hold two int32 label arrays at once and
-    # peak at 1.08x (14.2 MB). Labeling a float sample's signs one after the
-    # other into one array peaked at 1.13x; bound: 1.25x, about 16% over
+def test_sign_components_peak_memory_dim2_grid():
+    # the grid's float64 bytes are the unit, though no float grid is formed.
+    # scipy's labels of the two signs on two threads held two int32 label
+    # arrays at once and peaked at 1.08x (14.2 MB). The runs of one sign at a
+    # time peak at 0.25x (3.3 MB): the padded lines and their changes, one bool
+    # each per point. Bound: 0.3x, about 19% over
     signs = dim2_fine_signs()
-    comp, peak = traced_sign_components(signs, 2, monkeypatch)
+    comp, peak = traced_sign_components(signs)
     assert comp.count == 100
-    assert peak < 1.25 * 8 * signs.pos.size
+    assert peak < 0.3 * 8 * signs.pos.size
 
 
-def test_sign_components_count_sizes_a_block_of_rows_at_a_time(monkeypatch):
-    # the grid above on one usable core: one int32 label array at a time, and
-    # bincount's int64 copy of one block of its rows, peak at 0.54x the grid's
-    # float64 bytes (7.1 MB); over the whole label array the copy alone is
-    # 1.0x. Bound: 0.625x, about 16% over
+def test_sign_components_count_sizes_a_block_of_rows_at_a_time():
+    # the grid above: the sizes are summed over the runs, so no grid-sized int
+    # array is formed. One int32 label array at a time and bincount's int64
+    # copy of a block of its rows peaked at 0.54x the grid's float64 bytes
+    # (7.1 MB), and the copy of a whole label array alone is 1.0x; the runs
+    # peak at 0.25x (3.3 MB). Bound: 0.3x, about 19% over
     signs = dim2_fine_signs()
-    comp, peak = traced_sign_components(signs, 1, monkeypatch)
+    comp, peak = traced_sign_components(signs)
     assert comp.sizes.dtype == np.int64
     assert comp.sizes.sum() == np.count_nonzero(signs.pos) + np.count_nonzero(signs.neg)
-    assert peak < 0.625 * 8 * signs.pos.size
+    assert peak < 0.3 * 8 * signs.pos.size
 
 
 def hand_sample(values, periodic):
@@ -260,19 +336,16 @@ def test_sign_components_edge_cases(values, periodic, signs, sizes):
                              elements=st.sampled_from([-1.0, -1e-13, 0.0, 1e-13, 1.0]))
     ),
     periodic=st.booleans(),
-    workers=st.integers(1, 3),
 )
-@example(values=TWO_SEAM_CHAIN - 0.5, periodic=True, workers=2)
-@example(values=THREE_SEAM_CHAIN - 0.5, periodic=True, workers=3)
+@example(values=TWO_SEAM_CHAIN - 0.5, periodic=True)
+@example(values=THREE_SEAM_CHAIN - 0.5, periodic=True)
 @settings(max_examples=200, deadline=None)
-def test_sign_components_match_flood_fill_on_drawn_grids(values, periodic, workers):
-    """1-3 axes, on 1-3 usable cores: the two signs' domains are flood fill's."""
+def test_sign_components_match_flood_fill_on_drawn_grids(values, periodic):
+    """1-3 axes: the two signs' domains are flood fill's."""
     h = (0.5, 0.25, 2.0)[: values.ndim]
     seeds = distance_mod.Seeds(np.zeros(values.shape, dtype=bool), h, periodic)
     signs = GridSigns(seeds, values > SIGN_EPS, values < -SIGN_EPS)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(components_mod, "usable_cores", lambda: workers)
-        comp = sign_components(signs)
+    comp = sign_components(signs)
     assert_flood_fill_domains(comp, values, periodic, float(np.prod(np.asarray(h))))
 
 
@@ -350,15 +423,16 @@ def test_folded_maxima_match_maximum_at_over_the_field(values, periodic, blocks)
 
 
 def test_dim2_inradii_chain_peak_memory(monkeypatch):
-    # dim2's (5,5) chain on its 1280^2 fine grid, two workers everywhere: the
-    # seed and sign masks in one parallel pass, the labels, the inner radius.
-    # Unit: the grid's float64 bytes (13.1 MB), though no float grid is formed.
+    # dim2's (5,5) chain on its 1280^2 fine grid: the seed and sign masks in
+    # one parallel pass of two workers, the domains, the inner radius. Unit:
+    # the grid's float64 bytes (13.1 MB), though no float grid is formed.
     # Sampling the grid, labeling it and folding per-domain maxima over the
     # held labels peaked at 2.36x (30.9 MB); the masked max of the padded
-    # transform over the held sign masks at 2.19x (28.7 MB). The maximum
-    # distance from the seeds' coordinates peaks at 1.46x (19.1 MB), in the
-    # labels. Bound: 1.7x, about 17% over that
-    monkeypatch.setattr(components_mod, "usable_cores", lambda: 2)
+    # transform over the held sign masks at 2.19x (28.7 MB); the maximum
+    # distance from the seeds' coordinates at 1.46x (19.1 MB), in scipy's
+    # labels. With the runs the chain peaks at 0.75-0.78x (9.8-10.2 MB), in
+    # the parallel pass; the domains add 0.25x and the inner radius 0.35x to
+    # the 0.38x of the three masks. Bound: 0.9x, about 15% over
     monkeypatch.setattr(measures_mod, "usable_cores", lambda: 2)
     mode = EigenMode(DomainSpec.torus((1.0, 1.0)), (5, 5))
     tracemalloc.start()
@@ -371,4 +445,4 @@ def test_dim2_inradii_chain_peak_memory(monkeypatch):
         tracemalloc.stop()
     assert signs.pos.shape == (1280, 1280) and comp.count == 100
     assert inradius == pytest.approx(math.pi / 10, rel=0.05)
-    assert peak < 1.7 * 8 * signs.pos.size
+    assert peak < 0.9 * 8 * signs.pos.size

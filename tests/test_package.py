@@ -322,21 +322,30 @@ def test_per_point_scan_check_sees_each_form():
     assert per_point_scans(source) == ["a:2", "b:4", "c:7", "d:9"]
 
 
-def test_import_and_dim2_load_no_scipy_sparse():
-    """scipy.sparse adds about 0.1 s to `import nodalab`; only a signed seam needs it.
-
-    Every m_j >= 1 axis of a sampled mode has an exact zero hyperplane at index
-    0, so the default dim2 run has no seam to join and must not load it either.
-    """
+def test_import_and_drivers_load_no_scipy():
+    """No module of the package imports scipy: in a fresh interpreter ``import
+    nodalab`` and every driver on its default or a small config load no ``scipy*``
+    module. (Importing scipy.ndimage once took about 0.4 s and 23 MB of every run.)
+    ``import nodalab`` still loads ``numpy.random``, which numpy loads lazily, so its
+    import stays out of the first driver call that draws points."""
     code = (
         "import sys\n"
-        "def sparse():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "import nodalab\n"
-        "assert sparse() == [], sparse()\n"
-        "from nodalab.harness import run_dim2_checks\n"
-        "assert run_dim2_checks().passed\n"
-        "assert sparse() == [], sparse()\n"
+        "assert scipy() == [], scipy()\n"
+        "assert 'numpy.random' in sys.modules\n"
+        "from nodalab import harness as h\n"
+        "from nodalab.spectrum import DomainSpec\n"
+        "torus = DomainSpec.torus((1.0, 1.0))\n"
+        "assert h.run_dim2_checks().passed\n"
+        "h.run_yau_check(torus)\n"
+        "h.run_approx_theorem()\n"
+        "h.run_exponent_survey()\n"
+        "h.run_tube_scaling(torus, modes=((3, 4),), mu_delta=(0.1,))\n"
+        "h.run_density_check(DomainSpec.interval())\n"
+        "h.run_comparability_scaling(m=20, mu_delta=(0.2, 0.4))\n"
+        "assert scipy() == [], scipy()\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     subprocess.run(
@@ -347,8 +356,7 @@ def test_import_and_dim2_load_no_scipy_sparse():
 def test_distance_loads_no_scipy():
     """distance.py reads the seeds' coordinates: loaded on its own in a fresh
     interpreter it loads no scipy module, and no module of the package names
-    scipy's distance transform. (``import nodalab`` still loads scipy.ndimage,
-    for ``components``' ``label``.)"""
+    scipy's distance transform."""
     path = ROOT / "src" / "nodalab" / "distance.py"
     code = (
         "import importlib.util, sys\n"
